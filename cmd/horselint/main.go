@@ -1,6 +1,7 @@
-// Command horselint runs the repository's determinism and telemetry
-// invariant analyzers (internal/analysis) over package patterns, in the
-// style of a go/analysis multichecker:
+// Command horselint type-checks package patterns with go/types and runs
+// the repository's determinism and telemetry invariant analyzers
+// (internal/analysis) over them, in the style of a go/analysis
+// multichecker:
 //
 //	go run ./cmd/horselint ./...
 //	go run ./cmd/horselint -json ./internal/vmm ./internal/core
@@ -8,7 +9,6 @@
 // Analyzers:
 //
 //	wallclock  — no wall-clock time APIs in simulation packages
-//	detrand    — no global math/rand functions or wall-clock seeds
 //	metricname — telemetry instrument names must be in the catalog
 //	costcharge — virtual-clock charges must use named cost constants
 //	lockcharge — no mutex held across virtual-clock charges or channel
@@ -19,19 +19,17 @@
 //	             without an intervening sort (flow-sensitive)
 //	hotpath    — //horselint:hotpath functions must be transitively
 //	             allocation-free (interprocedural, summary-based)
-//	hotanno    — hotpath annotations must be well-formed, unique, and
-//	             attached to production function declarations
 //	allocpin   — every hotpath function needs a testing.AllocsPerRun
 //	             pin in its package's tests
 //	shardsafe  — no coordinator-owned state reachable from shard-phase
 //	             code, and owned-field writes only in phase-annotated
 //	             functions (interprocedural, summary-based)
-//	phaseann   — ownership annotations must be well-formed, unique, on
-//	             production declarations, and closed over the actual
-//	             ShardGroup.Each handler set
-//	sharedrand — shard-phase code draws randomness only from per-node
-//	             derived streams, never a coordinator-shared or global
-//	             one (interprocedural, summary-based)
+//	phaseann   — hotpath and ownership annotations must be well-formed,
+//	             unique, on production declarations, and (ownership)
+//	             closed over the actual ShardGroup.Each handler set
+//	sharedrand — no global math/rand functions or wall-clock seeds, and
+//	             shard-phase code draws randomness only from per-node
+//	             derived streams (interprocedural, summary-based)
 //
 // -only and -skip scope a run to a comma-separated subset of analyzers
 // (mutually exclusive; unknown names are usage errors), so CI and local
@@ -41,14 +39,15 @@
 // //horselint:allow-<analyzer> <reason>; the reason is mandatory, and
 // bare or misspelled directives are configuration errors: they are
 // aggregated, printed with positions, and exit status 2 — like parse
-// errors, which are likewise all reported in one run.
+// and type errors, which are likewise all reported in one run.
 //
 // -write-baseline FILE records the current findings (keyed by analyzer,
 // file, and message, line numbers excluded so unrelated edits do not
 // churn the file); -baseline FILE then suppresses exactly that many
 // known findings per key, so new debt fails while legacy debt is paid
 // down incrementally. -timing FILE writes a BENCH-style JSON report of
-// the run's wall time, split per analyzer, for CI trend tracking.
+// the run's wall time, split into the load (parsing and type checking)
+// and each analyzer, for CI trend tracking.
 //
 // -allows FILE gates suppression debt: the run fails if any analyzer's
 // //horselint:allow-* directive count exceeds the count recorded in
@@ -60,9 +59,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,9 +74,7 @@ import (
 
 	"github.com/horse-faas/horse/internal/analysis/allocpin"
 	"github.com/horse-faas/horse/internal/analysis/costcharge"
-	"github.com/horse-faas/horse/internal/analysis/detrand"
 	"github.com/horse-faas/horse/internal/analysis/faulterr"
-	"github.com/horse-faas/horse/internal/analysis/hotanno"
 	"github.com/horse-faas/horse/internal/analysis/hotpath"
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/lockcharge"
@@ -121,15 +120,16 @@ type timingReport struct {
 		Analyzers  int                `json:"analyzers"`
 		Findings   int                `json:"findings"`
 		WallMS     float64            `json:"wall_ms"`
+		LoadMS     float64            `json:"load_ms"`
 		AnalyzerMS map[string]float64 `json:"analyzer_ms"`
 	} `json:"results"`
 }
 
 // timingBudgetMS is the wall-time ceiling recorded in -timing reports
-// and enforced per run: syntax-only analysis of this repository should
-// stay well under it on any CI machine. analyzerBudgetMS bounds any
-// single analyzer (including the one that pays for the shared call
-// graph and summary construction).
+// and enforced per run: type-checked analysis of this repository should
+// stay well under it on any CI machine. analyzerBudgetMS bounds the
+// load and any single analyzer (including the one that pays for the
+// shared call graph and summary construction).
 const (
 	timingBudgetMS   = 30000
 	analyzerBudgetMS = 15000
@@ -145,14 +145,12 @@ type allowsFile struct {
 func analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		simclock.Default(),
-		detrand.Default(),
 		metricname.Default(),
 		costcharge.Default(),
 		lockcharge.Default(),
 		faulterr.Default(),
 		maporder.Default(),
 		hotpath.Default(),
-		hotanno.Default(),
 		allocpin.Default(),
 		shardsafe.Default(),
 		phaseann.Default(),
@@ -160,27 +158,20 @@ func analyzers() []*lint.Analyzer {
 	}
 }
 
-// filterAnalyzers applies the -only / -skip selections. Unknown names in
-// either list are reported as usage errors.
-func filterAnalyzers(as []*lint.Analyzer, only, skip string) ([]*lint.Analyzer, error) {
+// filterAnalyzers applies the -only / -skip selections to as, whose
+// names known holds. Unknown names in either list are reported as usage
+// errors.
+func filterAnalyzers(as []*lint.Analyzer, known map[string]bool, only, skip string) ([]*lint.Analyzer, error) {
 	parse := func(flagName, csv string) (map[string]bool, error) {
 		if csv == "" {
 			return nil, nil
 		}
 		names := map[string]bool{}
 		for _, name := range strings.Split(csv, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
+			if name = strings.TrimSpace(name); name == "" {
 				continue
 			}
-			found := false
-			for _, a := range as {
-				if a.Name == name {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !known[name] {
 				return nil, fmt.Errorf("%s: unknown analyzer %q", flagName, name)
 			}
 			names[name] = true
@@ -256,7 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, a := range all {
 		known[a.Name] = true
 	}
-	as, err := filterAnalyzers(all, *onlyList, *skipList)
+	as, err := filterAnalyzers(all, known, *onlyList, *skipList)
 	if err != nil {
 		fmt.Fprintf(stderr, "horselint: %v\n", err)
 		return 2
@@ -270,13 +261,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	fset := token.NewFileSet()
 	pkgs, err := lint.Load(fset, cwd, patterns...)
+	loaded := time.Since(start)
 	if err != nil {
-		var le lint.LoadErrors
-		if ok := asLoadErrors(err, &le); ok {
+		if le, ok := err.(lint.LoadErrors); ok {
 			for _, e := range le {
 				fmt.Fprintf(stderr, "horselint: %v\n", e)
 			}
-			fmt.Fprintf(stderr, "horselint: %d file(s) failed to parse\n", len(le))
+			// A load stops after parsing if any file fails to parse, so
+			// the errors are all of one kind.
+			what := "file(s) failed to parse"
+			var te types.Error
+			if errors.As(le[0], &te) {
+				what = "type error(s)"
+			}
+			fmt.Fprintf(stderr, "horselint: %d %s\n", len(le), what)
 		} else {
 			fmt.Fprintf(stderr, "horselint: %v\n", err)
 		}
@@ -300,7 +298,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, n := range al.Allows {
 			total += n
 		}
-		if err := writeAllowsFile(*writeAllows, al); err != nil {
+		if err := writeJSON(*writeAllows, al); err != nil {
 			fmt.Fprintf(stderr, "horselint: %v\n", err)
 			return 2
 		}
@@ -331,11 +329,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	elapsed := time.Since(start)
 
 	if *timingPath != "" {
-		if err := writeTiming(*timingPath, pkgs, timings, len(diags), elapsed); err != nil {
+		if err := writeTiming(*timingPath, pkgs, loaded, timings, len(diags), elapsed); err != nil {
 			fmt.Fprintf(stderr, "horselint: %v\n", err)
 			return 2
 		}
-		if over := overBudget(timings, elapsed); len(over) > 0 {
+		if over := overBudget(loaded, timings, elapsed); len(over) > 0 {
 			for _, o := range over {
 				fmt.Fprintln(stderr, "horselint: "+o)
 			}
@@ -348,7 +346,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, d := range diags {
 			bl.Findings[baselineKey(cwd, d)]++
 		}
-		if err := writeBaselineFile(*writeBaseline, bl); err != nil {
+		if err := writeJSON(*writeBaseline, bl); err != nil {
 			fmt.Fprintf(stderr, "horselint: %v\n", err)
 			return 2
 		}
@@ -411,15 +409,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// asLoadErrors unwraps err into a lint.LoadErrors if it is one.
-func asLoadErrors(err error, out *lint.LoadErrors) bool {
-	le, ok := err.(lint.LoadErrors)
-	if ok {
-		*out = le
-	}
-	return ok
-}
-
 // baselineKey identifies a finding across runs: analyzer, repo-relative
 // slash path, and message.
 func baselineKey(root string, d lint.Diagnostic) string {
@@ -430,10 +419,10 @@ func baselineKey(root string, d lint.Diagnostic) string {
 	return d.Analyzer + "|" + filepath.ToSlash(file) + "|" + d.Message
 }
 
-func writeBaselineFile(path string, bl baselineFile) error {
-	// Marshal with sorted keys (encoding/json sorts map keys) so the
-	// file is byte-stable across runs.
-	data, err := json.MarshalIndent(bl, "", "  ")
+// writeJSON writes v as indented JSON. encoding/json sorts map keys, so
+// the file is byte-stable across runs.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -458,9 +447,9 @@ func readBaselineFile(path string) (baselineFile, error) {
 	return bl, nil
 }
 
-func writeTiming(path string, pkgs []*lint.Package, timings []lint.AnalyzerTiming, findings int, elapsed time.Duration) error {
+func writeTiming(path string, pkgs []*lint.Package, loaded time.Duration, timings []lint.AnalyzerTiming, findings int, elapsed time.Duration) error {
 	var r timingReport
-	r.Description = "horselint wall time over the repository (syntax-only load + all analyzers, split per analyzer; interprocedural artifact construction bills to the first analyzer that needs it). Regenerate with: go run ./cmd/horselint -timing BENCH_lint.json ./..."
+	r.Description = "horselint wall time over the repository: load_ms is parsing plus go/types checking of every package (standard-library dependencies checked from source), analyzer_ms splits the rest per analyzer (interprocedural artifact construction bills to the first analyzer that needs it). Regenerate with: go run ./cmd/horselint -timing BENCH_lint.json ./..."
 	r.GOOS = runtime.GOOS
 	r.GOARCH = runtime.GOARCH
 	r.Go = runtime.Version()
@@ -473,22 +462,22 @@ func writeTiming(path string, pkgs []*lint.Package, timings []lint.AnalyzerTimin
 	r.Results.Analyzers = len(timings)
 	r.Results.Findings = findings
 	r.Results.WallMS = float64(elapsed.Microseconds()) / 1000
+	r.Results.LoadMS = float64(loaded.Microseconds()) / 1000
 	r.Results.AnalyzerMS = map[string]float64{}
 	for _, t := range timings {
 		r.Results.AnalyzerMS[t.Name] = float64(t.Wall.Microseconds()) / 1000
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeJSON(path, r)
 }
 
 // overBudget lists human-readable violations of the wall-clock budgets.
-func overBudget(timings []lint.AnalyzerTiming, elapsed time.Duration) []string {
+func overBudget(loaded time.Duration, timings []lint.AnalyzerTiming, elapsed time.Duration) []string {
 	var over []string
 	if ms := elapsed.Milliseconds(); ms > timingBudgetMS {
 		over = append(over, fmt.Sprintf("run took %dms, over the %dms budget", ms, timingBudgetMS))
+	}
+	if ms := loaded.Milliseconds(); ms > analyzerBudgetMS {
+		over = append(over, fmt.Sprintf("load took %dms, over the %dms budget", ms, analyzerBudgetMS))
 	}
 	for _, t := range timings {
 		if ms := t.Wall.Milliseconds(); ms > analyzerBudgetMS {
@@ -496,14 +485,6 @@ func overBudget(timings []lint.AnalyzerTiming, elapsed time.Duration) []string {
 		}
 	}
 	return over
-}
-
-func writeAllowsFile(path string, al allowsFile) error {
-	data, err := json.MarshalIndent(al, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // checkAllows compares the current allow-directive counts against the

@@ -123,7 +123,12 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	// A new finding beyond the baselined count still fails.
-	write(t, filepath.Join(dir, "q.go"), strings.Replace(violating, "func f", "func g", 1))
+	write(t, filepath.Join(dir, "q.go"), `package p
+
+func g(h hv) {
+	h.DestroySandbox()
+}
+`)
 	out.Reset()
 	errBuf.Reset()
 	if code := run([]string{"-baseline", "bl.json"}, &out, &errBuf); code != 1 {
@@ -191,6 +196,21 @@ func TestParseErrorsAggregate(t *testing.T) {
 	}
 }
 
+// TestTypeErrorsExitTwo pins that a package that does not type-check
+// fails the run like a parse error, with the error's position.
+func TestTypeErrorsExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "p.go"), "package p\n\nfunc f() int { return \"x\" }\n")
+	chdir(t, dir)
+	var out, errBuf bytes.Buffer
+	if code := run(nil, &out, &errBuf); code != 2 {
+		t.Fatalf("exit = %d, want 2\nstderr: %s", code, errBuf.String())
+	}
+	if msg := errBuf.String(); !strings.Contains(msg, "p.go:3:23: ") || !strings.Contains(msg, "1 type error(s)") {
+		t.Errorf("stderr should carry the type error's position and count:\n%s", msg)
+	}
+}
+
 func TestTimingReport(t *testing.T) {
 	dir := t.TempDir()
 	write(t, filepath.Join(dir, "p.go"), "package p\n\nfunc ok() {}\n")
@@ -244,8 +264,8 @@ func TestOnlySkipFilter(t *testing.T) {
 
 	out.Reset()
 	errBuf.Reset()
-	if code := run([]string{"-only", "wallclock,detrand"}, &out, &errBuf); code != 0 {
-		t.Errorf("-only wallclock,detrand exit = %d, want 0 (faulterr not run)\nstdout: %s", code, out.String())
+	if code := run([]string{"-only", "wallclock,sharedrand"}, &out, &errBuf); code != 0 {
+		t.Errorf("-only wallclock,sharedrand exit = %d, want 0 (faulterr not run)\nstdout: %s", code, out.String())
 	}
 
 	out.Reset()

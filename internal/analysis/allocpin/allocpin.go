@@ -5,17 +5,15 @@
 // interprocedural summary; the pin measures it (the repo convention is
 // to assert the result is exactly 0). A function with a static verdict
 // but no measurement — or vice versa — is exactly how the two drift
-// apart, so the analyzer reports annotated functions whose name is
-// never called inside an AllocsPerRun function literal in the package's
-// _test.go files.
-//
-// Matching is by bare name (the loader is syntax-only): a call to the
-// function or method name anywhere inside an AllocsPerRun literal
-// counts as the pin.
+// apart, so the analyzer reports annotated functions that are never
+// called inside an AllocsPerRun function literal in the package's
+// _test.go files. The call must resolve to the annotated function or
+// method itself: a same-named method of another type does not count.
 package allocpin
 
 import (
 	"go/ast"
+	"go/types"
 
 	"github.com/horse-faas/horse/internal/analysis/hotpath"
 	"github.com/horse-faas/horse/internal/analysis/lint"
@@ -35,19 +33,18 @@ func New() *lint.Analyzer {
 func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
-	pinned := map[string]bool{}
+	pinned := map[*types.Func]bool{}
 	for _, f := range pass.Pkg.Files {
-		if !f.Test {
-			continue
+		if f.Test {
+			collectPins(pass.Pkg, f, pinned)
 		}
-		collectPins(f, pinned)
 	}
 	for _, f := range pass.Pkg.Files {
 		if f.Test {
 			continue
 		}
 		for _, ann := range hotpath.Annotations(f) {
-			if !pinned[ann.Func.Name.Name] {
+			if fn, _ := pass.Pkg.Info.Defs[ann.Func.Name].(*types.Func); !pinned[fn] {
 				pass.Reportf(ann.Func.Pos(),
 					"hot-path function %s has no testing.AllocsPerRun pin in this package's tests",
 					ann.DisplayName())
@@ -57,28 +54,19 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// collectPins records every function and method name called inside an
+// collectPins records every function and method called inside an
 // AllocsPerRun function-literal argument of the file.
-func collectPins(f *lint.File, pinned map[string]bool) {
-	testingNames := f.ImportedAs("testing")
-	isTesting := func(name string) bool {
-		for _, n := range testingNames {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
+func collectPins(pkg *lint.Package, f *lint.File, pinned map[*types.Func]bool) {
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "AllocsPerRun" {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
 			return true
 		}
-		if id, ok := sel.X.(*ast.Ident); !ok || !isTesting(id.Name) {
+		if path, name := pkg.ImportedMember(sel); path != "testing" || name != "AllocsPerRun" {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -87,15 +75,10 @@ func collectPins(f *lint.File, pinned map[string]bool) {
 				continue
 			}
 			ast.Inspect(lit, func(m ast.Node) bool {
-				inner, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := inner.Fun.(type) {
-				case *ast.Ident:
-					pinned[fun.Name] = true
-				case *ast.SelectorExpr:
-					pinned[fun.Sel.Name] = true
+				if inner, ok := m.(*ast.CallExpr); ok {
+					if fn := lint.Callee(pkg.Info, inner); fn != nil {
+						pinned[fn] = true
+					}
 				}
 				return true
 			})

@@ -105,40 +105,14 @@ func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) map[s
 func splitQuoted(t *testing.T, file string, line int, s string) []string {
 	t.Helper()
 	var out []string
-	for {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			return out
-		}
-		if s[0] != '"' && s[0] != '`' {
-			t.Fatalf("%s:%d: malformed want clause at %q", file, line, s)
-		}
-		// Find the end of this quoted token by scanning.
-		end := -1
-		if s[0] == '`' {
-			if i := strings.IndexByte(s[1:], '`'); i >= 0 {
-				end = i + 2
-			}
-		} else {
-			for i := 1; i < len(s); i++ {
-				if s[i] == '\\' {
-					i++
-					continue
-				}
-				if s[i] == '"' {
-					end = i + 1
-					break
-				}
-			}
-		}
-		if end < 0 {
-			t.Fatalf("%s:%d: unterminated want pattern %q", file, line, s)
-		}
-		pat, err := strconv.Unquote(s[:end])
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		q, err := strconv.QuotedPrefix(s)
 		if err != nil {
-			t.Fatalf("%s:%d: bad want pattern %q: %v", file, line, s[:end], err)
+			t.Fatalf("%s:%d: malformed want clause at %q: %v", file, line, s, err)
 		}
+		pat, _ := strconv.Unquote(q) // QuotedPrefix accepted it
 		out = append(out, pat)
-		s = s[end:]
+		s = s[len(q):]
 	}
+	return out
 }

@@ -1,26 +1,23 @@
-// Package callgraph builds a deterministic, best-effort call graph over
-// a loaded lint package set, using syntax alone (the hermetic loader
-// performs no type checking). The graph is the substrate for the
+// Package callgraph builds a deterministic call graph over a loaded,
+// type-checked lint package set. The graph is the substrate for the
 // bottom-up function summaries in internal/analysis/summary and for the
-// interprocedural analyzers (hotpath, faulterr, lockcharge).
+// interprocedural analyzers (hotpath, faulterr, lockcharge, shardsafe,
+// phaseann, sharedrand).
 //
-// Resolution is necessarily approximate without types, so it is layered
-// hottest-confidence first:
+// Every edge is resolved from types.Info:
 //
-//   - direct calls to package-level functions (same package, or through
-//     a package-qualified selector into another loaded package) resolve
-//     statically;
-//   - method calls resolve through a small local type environment
-//     (receiver, parameters, var declarations, :=, struct-field and
-//     call-result propagation) to a concrete method when the receiver's
-//     named type is known and declared in the package set;
-//   - method calls whose receiver type is unknown, or whose static type
-//     is an interface, fan out to every same-named method in the
-//     package set (interface dispatch; a single concrete implementation
-//     resolves exactly);
-//   - calls into packages outside the set become external edges keyed by
-//     a stable textual target ("fmt.Sprintf", "sync.(Mutex).Lock");
-//   - calls of local function values stay dynamic (unresolved).
+//   - calls of package-level functions in the set resolve statically;
+//   - method calls on a concrete receiver resolve to the declared method
+//     (promotion through embedding included);
+//   - method calls on an interface declared in the set fan out to the
+//     methods of every loaded named type whose method set implements
+//     it (types.Implements), so an interface with one implementation
+//     resolves exactly; generic named types are not candidates;
+//   - calls into packages outside the set, including methods of
+//     interfaces declared there, become external edges keyed by a
+//     stable textual target ("fmt.Sprintf", "sync.(Mutex).Lock");
+//   - calls of function values (locals, parameters, fields) stay
+//     dynamic; builtins and conversions are not calls and get no edge.
 //
 // Function literals are first-class nodes named parent$1, parent$2, …
 // in source order (matching the cfg package's naming); a literal that is
@@ -41,7 +38,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/lint"
@@ -54,11 +53,10 @@ type Kind int
 const (
 	// Static is a direct call to a package-level function in the set.
 	Static Kind = iota
-	// Method is a method call whose receiver type resolved to a
-	// concrete declared type in the set.
+	// Method is a call of a concrete method declared in the set.
 	Method
-	// Iface is one candidate of an interface (or unresolved-receiver)
-	// dispatch: the callee is a same-named method in the package set.
+	// Iface is one implementation an interface method call may
+	// dispatch to.
 	Iface
 	// Closure marks a function literal that escapes its creation site
 	// (stored, passed, returned) rather than being invoked on the spot.
@@ -68,31 +66,18 @@ const (
 	Ref
 	// External is a call leaving the package set; Target names it.
 	External
-	// Dynamic is a call through a local function value or an
-	// expression the resolver cannot name.
+	// Dynamic is a call through a function value.
 	Dynamic
 )
 
+var kindNames = [...]string{"static", "method", "iface", "closure", "ref", "external", "dynamic"}
+
 // String returns the kind's dump name.
 func (k Kind) String() string {
-	switch k {
-	case Static:
-		return "static"
-	case Method:
-		return "method"
-	case Iface:
-		return "iface"
-	case Closure:
-		return "closure"
-	case Ref:
-		return "ref"
-	case External:
-		return "external"
-	case Dynamic:
-		return "dynamic"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // Edge is one outgoing call (or reference) from a function.
@@ -128,6 +113,10 @@ type Node struct {
 	File *lint.File
 	// Decl is the *ast.FuncDecl or *ast.FuncLit.
 	Decl ast.Node
+	// Func is the declared function or method (nil for literals);
+	// Parent is the function enclosing a literal (nil for declarations).
+	Func   *types.Func
+	Parent *Node
 	// Name is the bare function or method name ("$N" suffixed names for
 	// literals); Recv is the receiver's named type ("" for functions).
 	Name string
@@ -149,15 +138,39 @@ func (n *Node) Body() *ast.BlockStmt {
 	return nil
 }
 
-// Type returns the function's signature.
-func (n *Node) Type() *ast.FuncType {
-	switch d := n.Decl.(type) {
-	case *ast.FuncDecl:
-		return d.Type
-	case *ast.FuncLit:
-		return d.Type
+// Inspect visits the function's body in depth-first order without
+// descending into nested function literals, which are nodes of their
+// own.
+func (n *Node) Inspect(visit func(ast.Node)) {
+	if body := n.Body(); body != nil {
+		ast.Inspect(body, func(x ast.Node) bool {
+			if _, ok := x.(*ast.FuncLit); ok {
+				return false
+			}
+			if x != nil {
+				visit(x)
+			}
+			return true
+		})
 	}
-	return nil
+}
+
+// Signature returns the function's type.
+func (n *Node) Signature() *types.Signature {
+	if n.Func != nil {
+		return n.Func.Type().(*types.Signature)
+	}
+	sig, _ := n.Pkg.Info.TypeOf(n.Decl.(*ast.FuncLit)).(*types.Signature)
+	return sig
+}
+
+// DisplayName renders the node's diagnostic name: "(Recv).Name" for
+// methods and literals inside them, the bare name otherwise.
+func (n *Node) DisplayName() string {
+	if n.Recv != "" {
+		return "(" + n.Recv + ")." + n.Name
+	}
+	return n.Name
 }
 
 // Graph is the call graph of one package set.
@@ -185,152 +198,65 @@ func (g *Graph) EdgesAt(call *ast.CallExpr) []Edge { return g.byCall[call] }
 // memoized.
 func Of(prog *lint.Program) *Graph {
 	return prog.Cached("callgraph", func() any {
-		return Build(prog.Fset, prog.Pkgs)
+		return Build(prog.Pkgs)
 	}).(*Graph)
 }
 
 // Build constructs the call graph of the package set.
-func Build(fset *token.FileSet, pkgs []*lint.Package) *Graph {
+func Build(pkgs []*lint.Package) *Graph {
 	b := &builder{
-		fset:    fset,
-		pkgs:    pkgs,
-		graph:   &Graph{Nodes: map[string]*Node{}, byDecl: map[ast.Node]*Node{}, byCall: map[*ast.CallExpr][]Edge{}},
-		funcs:   map[string]map[string]*Node{},
-		methods: map[string]map[string]map[string]*Node{},
-		byName:  map[string][]*Node{},
-		types:   map[string]map[string]*typeDecl{},
-		pkgvars: map[string]map[string]*typeRef{},
-		envs:    map[*Node]*env{},
+		graph:    &Graph{Nodes: map[string]*Node{}, byDecl: map[ast.Node]*Node{}, byCall: map[*ast.CallExpr][]Edge{}},
+		byFunc:   map[*types.Func]*Node{},
+		loaded:   map[*types.Package]bool{},
+		dispatch: map[*types.Func][]*Node{},
 	}
-	b.index()
+	for _, pkg := range pkgs {
+		b.loaded[pkg.Types] = true
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) && named.TypeParams().Len() == 0 {
+				b.named = append(b.named, named)
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					b.addFunc(pkg, f, fd)
+				}
+			}
+		}
+	}
 	b.resolve()
 	b.condense()
 	return b.graph
 }
 
-// typeDecl is a named type declaration with its file context (imports
-// are per-file, so resolving a field's type needs the declaring file).
-type typeDecl struct {
-	spec *ast.TypeSpec
-	file *lint.File
-}
-
 type builder struct {
-	fset  *token.FileSet
-	pkgs  []*lint.Package
 	graph *Graph
 
-	funcs   map[string]map[string]*Node            // pkg path -> func name -> node
-	methods map[string]map[string]map[string]*Node // pkg path -> recv type -> method -> node
-	byName  map[string][]*Node                     // method name -> nodes (sorted by ID)
-	types   map[string]map[string]*typeDecl        // pkg path -> type name -> decl
-	pkgvars map[string]map[string]*typeRef         // pkg path -> var name -> declared type
-	envs    map[*Node]*env                         // pre-seeded envs for function literals
-}
-
-// recvTypeName extracts the receiver's named type from a receiver field
-// list ("" if absent or unnameable).
-func recvTypeName(fl *ast.FieldList) string {
-	if fl == nil || len(fl.List) == 0 {
-		return ""
-	}
-	t := fl.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// index registers every function, method, named type, and explicitly
-// typed package-level variable.
-func (b *builder) index() {
-	for _, pkg := range b.pkgs {
-		b.funcs[pkg.Path] = map[string]*Node{}
-		b.methods[pkg.Path] = map[string]map[string]*Node{}
-		b.types[pkg.Path] = map[string]*typeDecl{}
-		b.pkgvars[pkg.Path] = map[string]*typeRef{}
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					b.addFunc(pkg, f, d)
-				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						b.types[pkg.Path][ts.Name.Name] = &typeDecl{spec: ts, file: f}
-					}
-				}
-			}
-		}
-	}
-	// Package-level variables resolve in a second pass so their type
-	// expressions can see every named type.
-	for _, pkg := range b.pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				d, ok := decl.(*ast.GenDecl)
-				if !ok || d.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || vs.Type == nil {
-						continue
-					}
-					tr := b.resolveTypeExpr(f, pkg.Path, vs.Type)
-					if tr == nil {
-						continue
-					}
-					for _, name := range vs.Names {
-						b.pkgvars[pkg.Path][name.Name] = tr
-					}
-				}
-			}
-		}
-	}
-	for name, nodes := range b.byName {
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-		b.byName[name] = nodes
-	}
+	byFunc   map[*types.Func]*Node
+	loaded   map[*types.Package]bool
+	named    []*types.Named          // dispatch candidates, in package scope order
+	dispatch map[*types.Func][]*Node // interface method -> implementations
 }
 
 func (b *builder) addFunc(pkg *lint.Package, f *lint.File, d *ast.FuncDecl) {
-	recv := recvTypeName(d.Recv)
-	id := pkg.Path + "." + d.Name.Name
-	if recv != "" {
-		id = pkg.Path + ".(" + recv + ")." + d.Name.Name
+	fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+	if !ok {
+		return
 	}
-	n := &Node{ID: id, Pkg: pkg, File: f, Decl: d, Name: d.Name.Name, Recv: recv}
+	n := &Node{Pkg: pkg, File: f, Decl: d, Func: fn, Name: fn.Name()}
+	n.ID = fn.Pkg().Path() + "." + fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		n.Recv = typeName(recv.Type())
+		n.ID = fn.Pkg().Path() + ".(" + n.Recv + ")." + fn.Name()
+	}
 	b.addNode(n)
-	if recv == "" {
-		b.funcs[pkg.Path][d.Name.Name] = n
-	} else {
-		m := b.methods[pkg.Path][recv]
-		if m == nil {
-			m = map[string]*Node{}
-			b.methods[pkg.Path][recv] = m
-		}
-		m[d.Name.Name] = n
-		b.byName[d.Name.Name] = append(b.byName[d.Name.Name], n)
-	}
+	b.byFunc[fn] = n
 }
 
 func (b *builder) addNode(n *Node) {
@@ -339,24 +265,187 @@ func (b *builder) addNode(n *Node) {
 	b.graph.byDecl[n.Decl] = n
 }
 
+// typeName names a receiver's base type: pointers stripped, type
+// arguments dropped.
+func typeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := types.Unalias(t).(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return t.String()
+}
+
+// target renders the stable textual name of a function outside the set.
+func target(fn *types.Func) string {
+	path := ""
+	if fn.Pkg() != nil {
+		path = fn.Pkg().Path() + "."
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return path + "(" + typeName(recv.Type()) + ")." + fn.Name()
+	}
+	return path + fn.Name()
+}
+
 // resolve walks every function body and records its edges. Bodies are
 // walked in creation order; function-literal nodes are appended as they
 // are encountered, and their own bodies resolved in turn.
 func (b *builder) resolve() {
 	for i := 0; i < len(b.graph.Order); i++ {
 		n := b.graph.Order[i]
-		body := n.Body()
-		if body == nil {
-			continue
+		if body := n.Body(); body != nil {
+			b.walk(n, body)
 		}
-		e := b.envs[n]
-		if e == nil {
-			e = newEnv(b, n)
-		}
-		e.scan(body)
-		w := &walker{b: b, node: n, env: e}
-		w.block(body)
 	}
+}
+
+// walk records one function's call, closure, and ref edges.
+func (b *builder) walk(n *Node, body *ast.BlockStmt) {
+	info := n.Pkg.Info
+	emit := func(e Edge) { n.Out = append(n.Out, e) }
+	seq := 0
+	litNode := func(lit *ast.FuncLit) *Node {
+		if c := b.graph.byDecl[lit]; c != nil {
+			return c
+		}
+		seq++
+		child := &Node{
+			ID:     n.ID + "$" + strconv.Itoa(seq),
+			Pkg:    n.Pkg,
+			File:   n.File,
+			Decl:   lit,
+			Parent: n,
+			Name:   n.Name + "$" + strconv.Itoa(seq),
+			Recv:   n.Recv,
+		}
+		b.addNode(child)
+		return child
+	}
+	// A function or method named outside call position (a method value,
+	// a function value) may be called through the value later.
+	ref := func(obj types.Object, pos token.Pos) {
+		if fn, ok := obj.(*types.Func); ok {
+			if c := b.byFunc[fn.Origin()]; c != nil && c != n {
+				emit(Edge{Kind: Ref, Callee: c, Pos: pos})
+			}
+		}
+	}
+	consumed := map[ast.Node]bool{}
+	ast.Inspect(body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			child := litNode(x)
+			if !consumed[x] {
+				emit(Edge{Kind: Closure, Callee: child, Pos: x.Pos()})
+			}
+			return false
+		case *ast.CallExpr:
+			fun := ast.Unparen(x.Fun)
+			consumed[fun] = true
+			switch ix := fun.(type) {
+			case *ast.IndexExpr: // generic instantiation, or a call through an element
+				consumed[ix.X] = true
+			case *ast.IndexListExpr:
+				consumed[ix.X] = true
+			}
+			var edges []Edge
+			if lit, ok := fun.(*ast.FuncLit); ok {
+				edges = []Edge{{Kind: Static, Callee: litNode(lit), Call: x, Pos: fun.Pos()}}
+			} else {
+				edges = b.callEdges(info, x, fun)
+			}
+			b.graph.byCall[x] = edges
+			for _, e := range edges {
+				emit(e)
+			}
+		case *ast.SelectorExpr:
+			consumed[x.Sel] = true
+			if !consumed[x] {
+				ref(info.Uses[x.Sel], x.Pos())
+			}
+		case *ast.Ident:
+			if !consumed[x] {
+				ref(info.Uses[x], x.Pos())
+			}
+		}
+		return true
+	})
+}
+
+// callEdges resolves one call expression (fun is its unparenthesized
+// callee expression) to its edges.
+func (b *builder) callEdges(info *types.Info, call *ast.CallExpr, fun ast.Expr) []Edge {
+	if tv, ok := info.Types[fun]; ok && tv.IsType() {
+		return nil // conversion
+	}
+	pos := fun.Pos()
+	fn := lint.Callee(info, call)
+	switch {
+	case fn == nil:
+		if id, ok := fun.(*ast.Ident); ok {
+			if _, ok := info.Uses[id].(*types.Builtin); ok {
+				return nil
+			}
+		}
+		return []Edge{{Kind: Dynamic, Target: types.ExprString(fun), Call: call, Pos: pos}}
+	case fn.Type().(*types.Signature).Recv() != nil:
+		return b.methodEdges(fn, call, pos)
+	case b.byFunc[fn] != nil:
+		return []Edge{{Kind: Static, Callee: b.byFunc[fn], Call: call, Pos: pos}}
+	}
+	return []Edge{{Kind: External, Target: target(fn), Call: call, Pos: pos}}
+}
+
+// methodEdges resolves a method call: the declared method for a
+// concrete receiver, the implementations for an interface declared in
+// the set, an external edge otherwise.
+func (b *builder) methodEdges(fn *types.Func, call *ast.CallExpr, pos token.Pos) []Edge {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if !types.IsInterface(recv) {
+		if c := b.byFunc[fn]; c != nil {
+			return []Edge{{Kind: Method, Callee: c, Call: call, Pos: pos}}
+		}
+	} else if b.loaded[fn.Pkg()] {
+		if impls := b.implementations(fn, recv.Underlying().(*types.Interface)); len(impls) > 0 {
+			out := make([]Edge, len(impls))
+			for i, c := range impls {
+				out[i] = Edge{Kind: Iface, Callee: c, Call: call, Pos: pos}
+			}
+			return out
+		}
+	}
+	return []Edge{{Kind: External, Target: target(fn), Call: call, Pos: pos}}
+}
+
+// implementations returns the graph nodes that an interface method call
+// may dispatch to: the method of every loaded named type T for which T
+// or *T implements the interface, sorted by ID.
+func (b *builder) implementations(fn *types.Func, iface *types.Interface) []*Node {
+	if impls, ok := b.dispatch[fn]; ok {
+		return impls
+	}
+	seen := map[*Node]bool{}
+	var impls []*Node
+	for _, named := range b.named {
+		for _, t := range []types.Type{named, types.NewPointer(named)} {
+			if !types.Implements(t, iface) {
+				continue
+			}
+			obj, _, _ := types.LookupFieldOrMethod(t, false, fn.Pkg(), fn.Name())
+			if m, ok := obj.(*types.Func); ok {
+				if c := b.byFunc[m.Origin()]; c != nil && !seen[c] {
+					seen[c] = true
+					impls = append(impls, c)
+				}
+			}
+			break
+		}
+	}
+	sort.Slice(impls, func(i, j int) bool { return impls[i].ID < impls[j].ID })
+	b.dispatch[fn] = impls
+	return impls
 }
 
 // condense runs Tarjan's algorithm, emitting components in bottom-up

@@ -18,12 +18,14 @@ func buildTestdata(t *testing.T) *callgraph.Graph {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return callgraph.Build(fset, pkgs)
+	return callgraph.Build(pkgs)
 }
 
 // TestGoldenDump pins the whole-graph rendering: resolution kinds,
 // FuncLit nodes and edges, method values, single-implementation
-// interface dispatch, and the mutual-recursion SCC.
+// interface dispatch, method-set fan-out that skips a same-named method
+// of a non-implementing type, promotion through embedding, generic
+// instantiation, and the mutual-recursion SCC.
 func TestGoldenDump(t *testing.T) {
 	want := `t/a.f
   -> t/a.g static
@@ -43,6 +45,18 @@ t/b.Run
 t/b.Exported
 t/b.MethodValue
   -> t/b.(impl).Dispatch ref
+t/b.(small).Size
+t/b.(big).Size
+t/b.(other).Size
+t/b.Total
+  -> t/b.(big).Size iface
+  -> t/b.(small).Size iface
+t/b.Promoted
+  -> t/b.(small).Size method
+t/b.Identity
+t/b.Instances
+  -> t/b.Identity static
+  -> t/b.Identity static
 t/a.f$1
   -> t/a.g static
 t/a.f$2
@@ -114,7 +128,7 @@ func TestRepoDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load repo: %v", err)
 		}
-		return callgraph.Build(fset, pkgs).Dump()
+		return callgraph.Build(pkgs).Dump()
 	}
 	a, b := build(), build()
 	if a != b {

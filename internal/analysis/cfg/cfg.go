@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs over go/ast for
-// the flow-sensitive horselint analyzers (DESIGN.md §9). Like the rest
-// of internal/analysis it is stdlib-only and purely syntactic: blocks
+// the flow-sensitive horselint analyzers (DESIGN.md §9). It is
+// stdlib-only and purely syntactic (control flow needs no types): blocks
 // hold the statements and condition expressions of one function body,
 // and edges follow Go's control constructs — if/else, for/range loops,
 // switch and type switch (with fallthrough), select, goto, labeled

@@ -22,22 +22,24 @@
 //     Reads inside the function's defer statements count — checking in
 //     a deferred closure is a legitimate pattern.
 //
-// The analysis is name-keyed: a shadowed `err` in a nested scope
-// aliases its outer namesake, which can hide (never invent) a finding.
-// Test files are exempt, matching the suite.
+// Variables are tracked by their types.Var, so a shadowed `err` in a
+// nested scope is a variable of its own. Test files are exempt,
+// matching the suite.
 //
 // The monitored set is extended interprocedurally: using the bottom-up
 // summaries in internal/analysis/summary, every function in the
 // package set whose error result may carry a seed call's error
-// (ReturnsSeedErr) is monitored by name too, so wrapping Trigger in a
-// helper and then dropping the helper's error is still a finding.
+// (ReturnsSeedErr) is monitored too, so wrapping Trigger in a helper
+// and then dropping the helper's error is still a finding. The helpers
+// are matched by declaration, not by name.
 package faulterr
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
 	"sort"
-	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/cfg"
 	"github.com/horse-faas/horse/internal/analysis/dataflow"
@@ -104,22 +106,18 @@ func New(prefixes []string, calls ...string) *lint.Analyzer {
 	}
 }
 
-// derivedMonitored extends the monitored set with the names of every
-// function in the program whose error result may carry a seed call's
-// error, per the interprocedural summaries. Function literals never
-// contribute (their "$N" names are uncallable).
-func derivedMonitored(prog *lint.Program, monitored map[string]bool, seeds []string) map[string]bool {
+// derivedMonitored returns every function in the program, other than
+// the monitored methods themselves, whose error result may carry a seed
+// call's error, per the interprocedural summaries.
+func derivedMonitored(prog *lint.Program, monitored map[string]bool, seeds []string) map[*types.Func]bool {
 	if prog == nil {
 		return nil
 	}
 	sums := summary.Compute(prog, summary.Config{ErrorSeeds: seeds, AllowAnalyzer: Name})
-	derived := map[string]bool{}
+	derived := map[*types.Func]bool{}
 	for _, n := range sums.Graph.Order {
-		if strings.Contains(n.Name, "$") || monitored[n.Name] {
-			continue
-		}
-		if sums.Facts(n).ReturnsSeedErr {
-			derived[n.Name] = true
+		if n.Func != nil && !monitored[n.Name] && sums.Facts(n).ReturnsSeedErr {
+			derived[n.Func] = true
 		}
 	}
 	return derived
@@ -131,16 +129,16 @@ type def struct {
 	Pos  token.Pos
 }
 
-// facts maps variable name → pending definition for every monitored
-// error that may still be unread.
-type facts map[string]def
+// facts maps each variable holding a monitored error that may still be
+// unread to its pending definition.
+type facts map[*types.Var]def
 
 type analysis struct {
+	info      *types.Info
 	monitored map[string]bool
-	// derived are summary-derived monitored names: functions whose
-	// error result may carry a seed error. Unlike the base set, these
-	// also match plain identifier calls (same-package helpers).
-	derived map[string]bool
+	// derived are summary-derived monitored functions: their error
+	// result may carry a seed error.
+	derived map[*types.Func]bool
 }
 
 func (a analysis) Entry() facts { return facts{} }
@@ -164,17 +162,7 @@ func (a analysis) Join(x, y facts) facts {
 	return out
 }
 
-func (a analysis) Equal(x, y facts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, d := range x {
-		if e, ok := y[k]; !ok || d != e {
-			return false
-		}
-	}
-	return true
-}
+func (a analysis) Equal(x, y facts) bool { return maps.Equal(x, y) }
 
 func (a analysis) Transfer(n ast.Node, in facts) facts {
 	out := in
@@ -189,124 +177,111 @@ func (a analysis) Transfer(n ast.Node, in facts) facts {
 			mutated = true
 		}
 	}
-	for name := range readNames(n) {
-		if _, ok := out[name]; ok {
+	for v := range a.reads(n) {
+		if _, ok := out[v]; ok {
 			mutate()
-			delete(out, name)
+			delete(out, v)
 		}
 	}
-	for _, tgt := range assignTargets(n) {
-		if _, ok := out[tgt.name]; ok {
+	for _, v := range a.assignTargets(n) {
+		if _, ok := out[v]; ok {
 			mutate()
-			delete(out, tgt.name)
+			delete(out, v)
 		}
 	}
-	if name, call, pos := a.monitoredDef(n); name != "" {
+	if v, call, pos := a.monitoredDef(n); v != nil {
 		mutate()
-		out[name] = def{Call: call, Pos: pos}
+		out[v] = def{Call: call, Pos: pos}
 	}
 	return out
 }
 
+// varOf returns the variable an identifier declares or denotes (nil
+// for the blank identifier and non-variables).
+func (a analysis) varOf(e ast.Expr) *types.Var {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	v, _ := a.info.ObjectOf(id).(*types.Var)
+	return v
+}
+
 // monitoredDef returns the variable bound to a monitored call's error
-// result by n, or "" if n binds none.
-func (a analysis) monitoredDef(n ast.Node) (name, call string, pos token.Pos) {
+// result by n, or nil if n binds none.
+func (a analysis) monitoredDef(n ast.Node) (v *types.Var, call string, pos token.Pos) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
-		if len(s.Rhs) != 1 {
-			return "", "", token.NoPos
-		}
-		c := a.monitoredCall(s.Rhs[0])
-		if c == "" {
-			return "", "", token.NoPos
-		}
-		if id, ok := s.Lhs[len(s.Lhs)-1].(*ast.Ident); ok && id.Name != "_" {
-			return id.Name, c, s.Pos()
+		if len(s.Rhs) == 1 {
+			if c := a.monitoredCall(s.Rhs[0]); c != "" {
+				if v := a.varOf(s.Lhs[len(s.Lhs)-1]); v != nil {
+					return v, c, s.Pos()
+				}
+			}
 		}
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok {
-			return "", "", token.NoPos
+			return nil, "", token.NoPos
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
 			if !ok || len(vs.Values) != 1 {
 				continue
 			}
-			c := a.monitoredCall(vs.Values[0])
-			if c == "" {
-				continue
-			}
-			if id := vs.Names[len(vs.Names)-1]; id.Name != "_" {
-				return id.Name, c, s.Pos()
+			if c := a.monitoredCall(vs.Values[0]); c != "" {
+				if v := a.varOf(vs.Names[len(vs.Names)-1]); v != nil {
+					return v, c, s.Pos()
+				}
 			}
 		}
 	}
-	return "", "", token.NoPos
+	return nil, "", token.NoPos
 }
 
-// monitoredCall returns the monitored call name if e is a direct call
-// to one, else "". Base names match selector calls only; derived names
-// (summary-propagated helpers) match plain identifier calls too.
+// monitoredCall returns the monitored call's name if e is a direct call
+// to one, else "": a method named in the monitored set, or a
+// summary-derived function or method.
 func (a analysis) monitoredCall(e ast.Expr) string {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return ""
 	}
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if a.monitored[fun.Sel.Name] || a.derived[fun.Sel.Name] {
-			return fun.Sel.Name
-		}
-	case *ast.Ident:
-		if a.derived[fun.Name] {
-			return fun.Name
-		}
+	if fn := lint.Callee(a.info, call); fn != nil && a.derived[fn] {
+		return fn.Name()
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && a.monitored[sel.Sel.Name] {
+		return sel.Sel.Name
 	}
 	return ""
 }
 
-// discarded returns the monitored calls whose error result n throws
-// away without binding it to a variable.
-func (a analysis) discarded(n ast.Node) (calls []string, poss []token.Pos) {
+// discarded returns the monitored call whose error result n throws
+// away without binding it to a variable, or "".
+func (a analysis) discarded(n ast.Node) (call string, pos token.Pos) {
 	switch s := n.(type) {
 	case *ast.CallExpr: // statement-level bare call
-		if c := a.monitoredCall(s); c != "" {
-			return []string{c}, []token.Pos{s.Pos()}
-		}
+		return a.monitoredCall(s), s.Pos()
 	case *ast.DeferStmt:
-		if c := a.monitoredCall(s.Call); c != "" {
-			return []string{c}, []token.Pos{s.Pos()}
-		}
+		return a.monitoredCall(s.Call), s.Pos()
 	case *ast.GoStmt:
-		if c := a.monitoredCall(s.Call); c != "" {
-			return []string{c}, []token.Pos{s.Pos()}
-		}
+		return a.monitoredCall(s.Call), s.Pos()
 	case *ast.AssignStmt:
-		if len(s.Rhs) != 1 {
-			return nil, nil
-		}
-		c := a.monitoredCall(s.Rhs[0])
-		if c == "" {
-			return nil, nil
-		}
-		if id, ok := s.Lhs[len(s.Lhs)-1].(*ast.Ident); !ok || id.Name == "_" {
-			return []string{c}, []token.Pos{s.Pos()}
+		if len(s.Rhs) == 1 && a.varOf(s.Lhs[len(s.Lhs)-1]) == nil {
+			return a.monitoredCall(s.Rhs[0]), s.Pos()
 		}
 	}
-	return nil, nil
+	return "", token.NoPos
 }
 
-type target struct{ name string }
-
-// assignTargets returns the plain identifiers n writes (assignment LHS,
+// assignTargets returns the variables n writes (assignment LHS,
 // var-spec names, range key/value): a write that is not itself a
 // monitored def ends tracking of the previous value.
-func assignTargets(n ast.Node) []target {
-	var out []target
+func (a analysis) assignTargets(n ast.Node) []*types.Var {
+	var out []*types.Var
 	add := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			out = append(out, target{id.Name})
+		if v := a.varOf(e); v != nil {
+			out = append(out, v)
 		}
 	}
 	switch s := n.(type) {
@@ -335,81 +310,63 @@ func assignTargets(n ast.Node) []target {
 	return out
 }
 
-// readNames collects the identifier names n reads. Assignment targets,
-// declared names, and selector field names are excluded; everything
-// else — conditions, call arguments, return values, composite literal
+// reads collects the variables n reads. Declarations are not uses, and
+// assignment and range targets are writes; everything else —
+// conditions, call arguments, return values, composite literal
 // elements — counts as a read.
-func readNames(n ast.Node) map[string]bool {
-	excluded := map[*ast.Ident]bool{}
+func (a analysis) reads(n ast.Node) map[*types.Var]bool {
+	written := map[ast.Expr]bool{}
 	switch s := n.(type) {
 	case *ast.AssignStmt:
 		for _, l := range s.Lhs {
-			if id, ok := l.(*ast.Ident); ok {
-				excluded[id] = true
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						excluded[id] = true
-					}
-				}
-			}
+			written[l] = true
 		}
 	case *ast.RangeStmt:
-		if id, ok := s.Key.(*ast.Ident); ok {
-			excluded[id] = true
-		}
-		if id, ok := s.Value.(*ast.Ident); ok {
-			excluded[id] = true
-		}
+		written[s.Key] = true
+		written[s.Value] = true
 	}
-	reads := map[string]bool{}
+	reads := map[*types.Var]bool{}
 	cfg.Inspect(n, func(x ast.Node) bool {
-		if sel, ok := x.(*ast.SelectorExpr); ok {
-			excluded[sel.Sel] = true
-		}
-		if id, ok := x.(*ast.Ident); ok && !excluded[id] && id.Name != "_" {
-			reads[id.Name] = true
+		if id, ok := x.(*ast.Ident); ok && !written[id] {
+			if v, ok := a.info.Uses[id].(*types.Var); ok {
+				reads[v] = true
+			}
 		}
 		return true
 	})
 	return reads
 }
 
-func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, monitored, derived map[string]bool) {
+func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, monitored map[string]bool, derived map[*types.Func]bool) {
 	g := cfg.Build(fn.Name, fn.Node)
-	a := analysis{monitored: monitored, derived: derived}
+	a := analysis{info: pass.Pkg.Info, monitored: monitored, derived: derived}
 	in := dataflow.Forward[facts](g, a)
 
-	// Identifiers read anywhere inside a defer statement (closure
-	// bodies included) count as checked at exit.
-	deferReads := map[string]bool{}
+	// Variables read anywhere inside a defer statement (closure bodies
+	// included) count as checked at exit.
+	deferReads := map[*types.Var]bool{}
 	for _, d := range g.Defers {
 		ast.Inspect(d, func(x ast.Node) bool {
 			if id, ok := x.(*ast.Ident); ok {
-				deferReads[id.Name] = true
+				if v, ok := a.info.Uses[id].(*types.Var); ok {
+					deferReads[v] = true
+				}
 			}
 			return true
 		})
 	}
 
 	dataflow.Replay[facts](g, a, in, func(n ast.Node, before facts) {
-		if calls, poss := a.discarded(n); calls != nil {
-			for i, c := range calls {
-				pass.Reportf(poss[i],
-					"error result of %s is discarded; a fault-injectable site's error must reach a check or a return", c)
-			}
+		if call, pos := a.discarded(n); call != "" {
+			pass.Reportf(pos, "error result of %s is discarded; a fault-injectable site's error must reach a check or a return", call)
 		}
 		// Overwrite of a still-unread tracked error.
-		reads := readNames(n)
-		for _, tgt := range assignTargets(n) {
-			if d, ok := before[tgt.name]; ok && !reads[tgt.name] {
+		reads := a.reads(n)
+		for _, v := range a.assignTargets(n) {
+			if d, ok := before[v]; ok && !reads[v] {
 				pass.Reportf(d.Pos,
 					"error from %s bound to %q is overwritten before being checked (reassigned at line %d)",
-					d.Call, tgt.name, pass.Fset.Position(n.Pos()).Line)
+					d.Call, v.Name(), pass.Fset.Position(n.Pos()).Line)
 			}
 		}
 	})
@@ -418,16 +375,10 @@ func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, monitored, derived map[string]
 	if !ok {
 		return
 	}
-	names := make([]string, 0, len(exit))
-	for name := range exit {
-		if !deferReads[name] {
-			names = append(names, name)
+	for v, d := range exit {
+		if !deferReads[v] {
+			pass.Reportf(d.Pos,
+				"error from %s bound to %q does not reach a check or a return on every path", d.Call, v.Name())
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d := exit[name]
-		pass.Reportf(d.Pos,
-			"error from %s bound to %q does not reach a check or a return on every path", d.Call, name)
 	}
 }

@@ -16,11 +16,14 @@ func (h *hypervisor) Resume(sb *sandbox) (int, error)         { return 0, nil }
 
 func log(args ...any) {}
 
-// Unchecked never reads the destroy error: flagged at the binding.
-// (Note `_ = err` would count as a read; the variable is simply left
-// unused — faulterr's loader parses, it does not type-check.)
+// Unchecked checks the pause error, then overwrites err with the
+// destroy error and never reads it: flagged at the second binding.
 func (h *hypervisor) Unchecked(sb *sandbox) {
-	err := h.DestroySandbox(sb) // want `error from DestroySandbox bound to "err" does not reach a check or a return on every path`
+	_, err := h.Pause(sb)
+	if err != nil {
+		return
+	}
+	err = h.DestroySandbox(sb) // want `error from DestroySandbox bound to "err" does not reach a check or a return on every path`
 }
 
 // Goroutine fires and forgets the destroy: the error is unobservable.
@@ -91,11 +94,14 @@ func (h *hypervisor) Wrapped(sb *sandbox) error {
 }
 
 // LoopReassigns rebinds the error every iteration without reading the
-// previous one.
-func (h *hypervisor) LoopReassigns(sbs []*sandbox) {
+// previous one, and reads the last one only when verbose.
+func (h *hypervisor) LoopReassigns(sbs []*sandbox, verbose bool) {
 	var err error
 	for _, sb := range sbs {
 		err = h.DestroySandbox(sb) // want `error from DestroySandbox bound to "err" is overwritten before being checked` `error from DestroySandbox bound to "err" does not reach a check or a return on every path`
+	}
+	if verbose {
+		log(err)
 	}
 }
 
@@ -114,4 +120,16 @@ func (h *hypervisor) LoopJoins(sbs []*sandbox) error {
 func (h *hypervisor) Allowed(sb *sandbox) {
 	//horselint:allow-faulterr teardown of an already-poisoned sandbox; loss counted by caller
 	_ = h.DestroySandbox(sb)
+}
+
+// Shadowed checks an inner err that shadows the outer one; the outer
+// destroy error is still unread on the early return.
+func (h *hypervisor) Shadowed(sb *sandbox, verbose bool) {
+	err := h.DestroySandbox(sb) // want `error from DestroySandbox bound to "err" does not reach a check or a return on every path`
+	if _, err := h.Pause(sb); err != nil {
+		return
+	}
+	if verbose {
+		log(err)
+	}
 }

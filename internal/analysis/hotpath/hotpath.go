@@ -29,7 +29,6 @@ package hotpath
 
 import (
 	"go/ast"
-	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/summary"
@@ -42,61 +41,23 @@ const Directive = "//horselint:hotpath"
 // declaration.
 type Annotation struct {
 	Func *ast.FuncDecl
-	File *lint.File
 	// Count is the number of directive lines in the doc comment
-	// (more than one is flagged by hotanno).
+	// (more than one is flagged by phaseann).
 	Count int
 }
 
 // DisplayName renders the function's diagnostic name ("(Recv).Name" for
 // methods).
-func (a Annotation) DisplayName() string {
-	if a.Func.Recv != nil && len(a.Func.Recv.List) > 0 {
-		if name := recvName(a.Func.Recv.List[0].Type); name != "" {
-			return "(" + name + ")." + a.Func.Name.Name
-		}
-	}
-	return a.Func.Name.Name
-}
-
-func recvName(t ast.Expr) string {
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// isDirective reports whether a comment line is the hotpath directive.
-func isDirective(text string) bool {
-	return strings.TrimRight(text, " \t") == Directive
-}
+func (a Annotation) DisplayName() string { return lint.FuncName(a.Func) }
 
 // Annotations returns the file's annotated function declarations.
 func Annotations(f *lint.File) []Annotation {
 	var out []Annotation
 	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		count := 0
-		for _, c := range fd.Doc.List {
-			if isDirective(c.Text) {
-				count++
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			if n := lint.DirectiveCount(fd.Doc, Directive); n > 0 {
+				out = append(out, Annotation{Func: fd, Count: n})
 			}
-		}
-		if count > 0 {
-			out = append(out, Annotation{Func: fd, File: f, Count: count})
 		}
 	}
 	return out
@@ -105,25 +66,13 @@ func Annotations(f *lint.File) []Annotation {
 // Strays returns directive comments not attached to any function
 // declaration's doc comment (they annotate nothing).
 func Strays(f *lint.File) []*ast.Comment {
-	attached := map[*ast.Comment]bool{}
+	var docs []*ast.CommentGroup
 	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			attached[c] = true
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			docs = append(docs, fd.Doc)
 		}
 	}
-	var out []*ast.Comment
-	for _, cg := range f.AST.Comments {
-		for _, c := range cg.List {
-			if isDirective(c.Text) && !attached[c] {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	return lint.StrayDirectives(f, docs, Directive)
 }
 
 // New returns the hotpath analyzer.
@@ -147,7 +96,7 @@ func run(pass *lint.Pass) error {
 	sums := summary.Of(pass.Program)
 	for _, f := range pass.Pkg.Files {
 		if f.Test {
-			continue // hotanno owns misplaced annotations
+			continue // phaseann owns misplaced annotations
 		}
 		for _, ann := range Annotations(f) {
 			facts := sums.FactsOf(ann.Func)

@@ -2,7 +2,8 @@
 // on golang.org/x/tools/go/analysis. The build environment for this
 // repository is hermetic (no module proxy), so the subset of the
 // go/analysis contract that horselint needs — analyzers, passes,
-// diagnostics, a package loader, and suppression directives — is
+// diagnostics, a type-checking package loader (go/types with the
+// standard library's source importer), and suppression directives — is
 // implemented here on the standard library alone. If the module ever
 // gains network access to x/tools, the analyzers in sibling packages
 // port mechanically: an Analyzer is the same (Name, Doc, Run) triple and
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -177,17 +179,25 @@ func Sort(diags []Diagnostic) {
 	})
 }
 
-// Package is one loaded package: every .go file of one directory.
+// Package is one loaded, type-checked package: every .go file of one
+// directory.
 type Package struct {
 	// Path is the import path (module path + relative directory).
 	Path string
-	// Name is the package clause identifier of the first parsed file.
+	// Name is the package clause identifier of the production files.
 	Name string
 	// Dir is the directory the files were read from.
 	Dir string
 	// Files holds the parsed sources, test files included (analyzers
 	// that only govern production code skip File.Test entries).
 	Files []*File
+	// Types is the checked package: production files plus in-package
+	// tests. An external _test package is checked against it.
+	Types *types.Package
+	// Info records the type information of every file in Files.
+	Info *types.Info
+
+	checker *types.Checker
 }
 
 // File is one parsed source file plus the lookup tables analyzers need.
@@ -198,28 +208,23 @@ type File struct {
 	AST *ast.File
 	// Test reports whether the file name ends in _test.go.
 	Test bool
-	// Imports maps each import's local name to its import path. For an
-	// unnamed import the local name is the path's last element (the
-	// package-name heuristic every syntactic checker uses).
-	Imports map[string]string
 
-	// directives indexes //horselint:allow-* comments by line.
-	directives map[int][]directive
+	// directives lists the //horselint:allow-* comments in source order.
+	directives []directive
 }
 
-// ImportedAs returns the local names file binds to the given import
-// paths (usually zero or one).
-func (f *File) ImportedAs(paths ...string) []string {
-	var names []string
-	for name, path := range f.Imports {
-		for _, want := range paths {
-			if path == want {
-				names = append(names, name)
-			}
-		}
+// ImportedMember returns the import path and name of a qualified
+// identifier pkg.Name, or "" if sel does not select through an import.
+func (p *Package) ImportedMember(sel *ast.SelectorExpr) (path, name string) {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", ""
 	}
-	sort.Strings(names)
-	return names
+	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", ""
+	}
+	return pn.Imported().Path(), sel.Sel.Name
 }
 
 // directive is one parsed //horselint:allow-<analyzer> comment.
@@ -233,18 +238,16 @@ var directiveRE = regexp.MustCompile(`^//horselint:allow-([a-z][a-z0-9]*)(?:[ \t
 
 // indexDirectives scans the file's comments for horselint directives.
 func (f *File) indexDirectives(fset *token.FileSet) {
-	f.directives = make(map[int][]directive)
 	for _, cg := range f.AST.Comments {
 		for _, c := range cg.List {
 			m := directiveRE.FindStringSubmatch(c.Text)
 			if m == nil {
 				continue
 			}
-			pos := fset.Position(c.Pos())
-			f.directives[pos.Line] = append(f.directives[pos.Line], directive{
+			f.directives = append(f.directives, directive{
 				Analyzer: m[1],
 				Reason:   strings.TrimSpace(m[2]),
-				Position: pos,
+				Position: fset.Position(c.Pos()),
 			})
 		}
 	}
@@ -257,11 +260,9 @@ func (p *Package) suppressed(analyzer string, pos token.Position) bool {
 		if f.Name != pos.Filename {
 			continue
 		}
-		for _, line := range []int{pos.Line, pos.Line - 1} {
-			for _, d := range f.directives[line] {
-				if d.Analyzer == analyzer && d.Reason != "" {
-					return true
-				}
+		for _, d := range f.directives {
+			if d.Analyzer == analyzer && d.Reason != "" && (d.Position.Line == pos.Line || d.Position.Line == pos.Line-1) {
+				return true
 			}
 		}
 	}
@@ -274,27 +275,17 @@ func (p *Package) suppressed(analyzer string, pos token.Position) bool {
 // analyzer. known maps valid analyzer names.
 func CheckDirectives(pkgs []*Package, known map[string]bool) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, ds := range f.directives {
-				for _, d := range ds {
-					switch {
-					case !known[d.Analyzer]:
-						diags = append(diags, Diagnostic{
-							Analyzer: "directive",
-							Position: d.Position,
-							Message:  fmt.Sprintf("unknown analyzer %q in horselint:allow directive", d.Analyzer),
-						})
-					case d.Reason == "":
-						diags = append(diags, Diagnostic{
-							Analyzer: "directive",
-							Position: d.Position,
-							Message:  fmt.Sprintf("horselint:allow-%s directive needs a reason; bare directives suppress nothing", d.Analyzer),
-						})
-					}
-				}
-			}
+	for _, d := range allDirectives(pkgs) {
+		var msg string
+		switch {
+		case !known[d.Analyzer]:
+			msg = fmt.Sprintf("unknown analyzer %q in horselint:allow directive", d.Analyzer)
+		case d.Reason == "":
+			msg = fmt.Sprintf("horselint:allow-%s directive needs a reason; bare directives suppress nothing", d.Analyzer)
+		default:
+			continue
 		}
+		diags = append(diags, Diagnostic{Analyzer: "directive", Position: d.Position, Message: msg})
 	}
 	Sort(diags)
 	return diags
@@ -307,18 +298,24 @@ func CheckDirectives(pkgs []*Package, known map[string]bool) []Diagnostic {
 // baseline so suppression debt cannot grow silently.
 func CountDirectives(pkgs []*Package) map[string]int {
 	counts := map[string]int{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, ds := range f.directives {
-				for _, d := range ds {
-					if d.Reason != "" {
-						counts[d.Analyzer]++
-					}
-				}
-			}
+	for _, d := range allDirectives(pkgs) {
+		if d.Reason != "" {
+			counts[d.Analyzer]++
 		}
 	}
 	return counts
+}
+
+// allDirectives lists every //horselint:allow-* directive in the
+// package set.
+func allDirectives(pkgs []*Package) []directive {
+	var out []directive
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			out = append(out, f.directives...)
+		}
+	}
+	return out
 }
 
 // PathMatches reports whether pkgPath equals prefix or lies underneath
@@ -330,4 +327,97 @@ func PathMatches(pkgPath string, prefixes []string) bool {
 		}
 	}
 	return false
+}
+
+// FuncName renders a function declaration's diagnostic name:
+// "(Recv).Name" for methods (pointer and type arguments stripped), the
+// bare name otherwise.
+func FuncName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
+		case *ast.ParenExpr:
+			t = x.X
+		case *ast.Ident:
+			return "(" + x.Name + ")." + fd.Name.Name
+		default:
+			return fd.Name.Name
+		}
+	}
+}
+
+// Callee returns the function or method a call invokes, as declared
+// (generic instantiations map to their origin), or nil for builtins,
+// conversions, and calls through function values. An interface method
+// call returns the interface's method.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
+}
+
+// DirectiveCount counts the lines of cg that are exactly dir (trailing
+// blanks aside), so trailing prose never silently annotates.
+func DirectiveCount(cg *ast.CommentGroup, dir string) int {
+	n := 0
+	if cg != nil {
+		for _, c := range cg.List {
+			if isDirective(c, dir) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func isDirective(c *ast.Comment, dir string) bool {
+	return strings.TrimRight(c.Text, " \t") == dir
+}
+
+// StrayDirectives returns f's comment lines that are one of dirs but
+// belong to none of the attached comment groups: they annotate nothing.
+func StrayDirectives(f *File, attached []*ast.CommentGroup, dirs ...string) []*ast.Comment {
+	owned := map[*ast.CommentGroup]bool{}
+	for _, cg := range attached {
+		owned[cg] = true
+	}
+	var out []*ast.Comment
+	for _, cg := range f.AST.Comments {
+		if owned[cg] {
+			continue
+		}
+		for _, c := range cg.List {
+			for _, dir := range dirs {
+				if isDirective(c, dir) {
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
 }

@@ -84,3 +84,56 @@ func TestRecursiveWalkSkipsTestdata(t *testing.T) {
 		t.Errorf("explicit pattern should surface the bare directive, got %v", diags)
 	}
 }
+
+// TestLoadReportsTypeErrors pins that a type error fails the load with
+// its file:line:col position, like a parse error.
+func TestLoadReportsTypeErrors(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "ok.go"), "package a\n\nfunc ok() int { return 1 }\n")
+	write(t, filepath.Join(dir, "typo.go"), "package a\n\nfunc bad() string {\n\treturn ok()\n}\n")
+
+	_, err := lint.Load(token.NewFileSet(), dir)
+	le, ok := err.(lint.LoadErrors)
+	if !ok || len(le) != 1 {
+		t.Fatalf("Load error = %v (%T), want one lint.LoadErrors entry", err, err)
+	}
+	if msg := le.Error(); !strings.Contains(msg, "typo.go:4:9: ") || !strings.Contains(msg, "cannot use ok()") {
+		t.Errorf("type error lacks its file:line:col position or cause: %s", msg)
+	}
+}
+
+// TestLoadChecksTestsLikeVet pins the test-file model: in-package test
+// files extend their package for its own external tests, but importers
+// see only production files.
+func TestLoadChecksTestsLikeVet(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "go.mod"), "module example.com/m\n")
+	write(t, filepath.Join(dir, "a", "a.go"), "package a\n\nfunc Prod() int { return 1 }\n")
+	write(t, filepath.Join(dir, "a", "export_test.go"), "package a\n\nfunc TestOnly() int { return Prod() }\n")
+	write(t, filepath.Join(dir, "a", "x_test.go"), "package a_test\n\nimport \"example.com/m/a\"\n\nvar _ = a.TestOnly()\n")
+	write(t, filepath.Join(dir, "b", "b.go"), "package b\n\nimport \"example.com/m/a\"\n\nvar _ = a.TestOnly()\n")
+
+	_, err := lint.Load(token.NewFileSet(), dir)
+	le, ok := err.(lint.LoadErrors)
+	if !ok || len(le) != 1 || !strings.Contains(le.Error(), filepath.Join("b", "b.go")+":5:") {
+		t.Fatalf("Load error = %v, want exactly one error, in b/b.go", err)
+	}
+}
+
+// TestLoadFollowsLocalReplace pins that a nested module reaches its
+// parent through a local replace directive, without a module cache.
+func TestLoadFollowsLocalReplace(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "go.mod"), "module example.com/root\n")
+	write(t, filepath.Join(dir, "lib", "lib.go"), "package lib\n\nfunc V() int { return 1 }\n")
+	write(t, filepath.Join(dir, "tool", "go.mod"), "module example.com/tool\n\nrequire example.com/root v0.0.0\n\nreplace example.com/root => ../\n")
+	write(t, filepath.Join(dir, "tool", "main.go"), "package main\n\nimport \"example.com/root/lib\"\n\nfunc main() { _ = lib.V() }\n")
+
+	pkgs, err := lint.Load(token.NewFileSet(), filepath.Join(dir, "tool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "example.com/tool" || pkgs[0].Types == nil {
+		t.Fatalf("packages = %v, want the checked example.com/tool", pkgs)
+	}
+}

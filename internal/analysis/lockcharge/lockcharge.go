@@ -28,6 +28,7 @@ package lockcharge
 import (
 	"go/ast"
 	"go/token"
+	"maps"
 	"sort"
 
 	"github.com/horse-faas/horse/internal/analysis/cfg"
@@ -53,10 +54,12 @@ var DefaultPackages = []string{
 // costcharge governs).
 var clockCalls = map[string]bool{"Charge": true, "Advance": true}
 
-// acquire maps lock-acquiring method names; release the corresponding
-// releases.
-var acquire = map[string]bool{"Lock": true, "RLock": true}
-var release = map[string]string{"Unlock": "Lock", "RUnlock": "RLock"}
+// acquire and release are the lock-acquiring and lock-releasing method
+// names.
+var (
+	acquire = map[string]bool{"Lock": true, "RLock": true}
+	release = map[string]bool{"Unlock": true, "RUnlock": true}
+)
 
 // Default returns the analyzer configured for this repository.
 func Default() *lint.Analyzer { return New(DefaultPackages...) }
@@ -118,17 +121,7 @@ func (a analysis) Join(x, y held) held {
 	return out
 }
 
-func (a analysis) Equal(x, y held) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, p := range x {
-		if q, ok := y[k]; !ok || p != q {
-			return false
-		}
-	}
-	return true
-}
+func (a analysis) Equal(x, y held) bool { return maps.Equal(x, y) }
 
 func (a analysis) Transfer(n ast.Node, in held) held {
 	// A deferred Lock/Unlock changes no state here: the call runs at
@@ -162,7 +155,7 @@ func (a analysis) Transfer(n ast.Node, in held) held {
 		case acquire[sel.Sel.Name]:
 			mutate()
 			out[key] = call.Pos()
-		case release[sel.Sel.Name] != "":
+		case release[sel.Sel.Name]:
 			if _, ok := out[key]; ok {
 				mutate()
 				delete(out, key)

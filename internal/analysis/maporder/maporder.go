@@ -21,11 +21,9 @@
 // re-taints its element variables, so laundering map order through an
 // intermediate slice does not evade the analyzer.
 //
-// Map detection is syntactic and package-local: map-typed locals,
-// parameters, composite literals, `make(map…)`, package-level vars,
-// named map types, and fields of package structs are recognized;
-// map-typed values imported from other packages are not (documented
-// incompleteness, like the rest of the suite). Compound assignments
+// Map detection is by type: a range operand counts when its underlying
+// type is a map, whatever produced it — a local, a field, or a call
+// into another package. Compound assignments
 // (`sum += v`) deliberately do not propagate taint: order-insensitive
 // reductions over a map are the dominant legitimate pattern. Writes
 // into other maps are order-insensitive and are not sinks. Test files
@@ -35,6 +33,8 @@ package maporder
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
 
 	"github.com/horse-faas/horse/internal/analysis/cfg"
 	"github.com/horse-faas/horse/internal/analysis/dataflow"
@@ -60,7 +60,8 @@ var metricCalls = map[string]bool{
 	"HistogramShaped": true, "InstrumentName": true,
 }
 
-// sortPackages are selector bases whose calls establish a total order.
+// sortPackages are the import paths whose calls establish a total
+// order.
 var sortPackages = map[string]bool{"sort": true, "slices": true}
 
 // Default returns the analyzer configured for this repository: all
@@ -77,215 +78,17 @@ func New(prefixes ...string) *lint.Analyzer {
 			if len(prefixes) > 0 && !lint.PathMatches(pass.Pkg.Path, prefixes) {
 				return nil
 			}
-			maps := collectPackageMaps(pass.Pkg)
 			for _, f := range pass.Pkg.Files {
 				if f.Test {
 					continue
 				}
 				for _, fn := range cfg.Functions(f.AST) {
-					checkFunc(pass, fn, maps)
+					checkFunc(pass, fn)
 				}
 			}
 			return nil
 		},
 	}
-}
-
-// pkgMaps is the package-local symbol table of syntactically map-typed
-// names.
-type pkgMaps struct {
-	// typeNames are named types declared over a map.
-	typeNames map[string]bool
-	// fields are struct field names with a map (or named-map) type.
-	fields map[string]bool
-	// globals are package-level map-typed variables.
-	globals map[string]bool
-}
-
-func collectPackageMaps(pkg *lint.Package) *pkgMaps {
-	m := &pkgMaps{
-		typeNames: map[string]bool{},
-		fields:    map[string]bool{},
-		globals:   map[string]bool{},
-	}
-	// Two passes: named map types first so fields declared with them
-	// resolve regardless of file order.
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec)
-				if _, ok := ts.Type.(*ast.MapType); ok {
-					m.typeNames[ts.Name.Name] = true
-				}
-			}
-		}
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			switch gd.Tok {
-			case token.TYPE:
-				for _, spec := range gd.Specs {
-					ts := spec.(*ast.TypeSpec)
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fld := range st.Fields.List {
-						if m.isMapType(fld.Type) {
-							for _, name := range fld.Names {
-								m.fields[name.Name] = true
-							}
-						}
-					}
-				}
-			case token.VAR:
-				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					if vs.Type != nil && m.isMapType(vs.Type) {
-						for _, name := range vs.Names {
-							m.globals[name.Name] = true
-						}
-						continue
-					}
-					for i, name := range vs.Names {
-						if i < len(vs.Values) && m.isMapValue(vs.Values[i]) {
-							m.globals[name.Name] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return m
-}
-
-// isMapType reports whether t is syntactically a map type or a named
-// package-local map type.
-func (m *pkgMaps) isMapType(t ast.Expr) bool {
-	switch t := t.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.Ident:
-		return m.typeNames[t.Name]
-	case *ast.StarExpr:
-		return m.isMapType(t.X)
-	}
-	return false
-}
-
-// isMapValue reports whether e evidently constructs a map: a map
-// composite literal or make(map…).
-func (m *pkgMaps) isMapValue(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return e.Type != nil && m.isMapType(e.Type)
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) > 0 {
-			return m.isMapType(e.Args[0])
-		}
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return m.isMapValue(e.X)
-		}
-	}
-	return false
-}
-
-// fnMaps extends the package table with one function's map-typed
-// parameters and locals (collected flow-insensitively up front; a name
-// declared as a map anywhere in the function counts everywhere, which
-// can only widen the seed set).
-type fnMaps struct {
-	pkg    *pkgMaps
-	locals map[string]bool
-}
-
-func collectFnMaps(fn ast.Node, pkg *pkgMaps) *fnMaps {
-	fm := &fnMaps{pkg: pkg, locals: map[string]bool{}}
-	var ft *ast.FuncType
-	var body *ast.BlockStmt
-	switch f := fn.(type) {
-	case *ast.FuncDecl:
-		ft, body = f.Type, f.Body
-		if f.Recv != nil {
-			for _, fld := range f.Recv.List {
-				if pkg.isMapType(fld.Type) {
-					for _, name := range fld.Names {
-						fm.locals[name.Name] = true
-					}
-				}
-			}
-		}
-	case *ast.FuncLit:
-		ft, body = f.Type, f.Body
-	}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			if pkg.isMapType(fld.Type) {
-				for _, name := range fld.Names {
-					fm.locals[name.Name] = true
-				}
-			}
-		}
-	}
-	addFields(ft.Params)
-	addFields(ft.Results)
-	if body == nil {
-		return fm
-	}
-	cfg.Inspect(body, func(x ast.Node) bool {
-		switch s := x.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if i < len(s.Rhs) && fm.pkg.isMapValue(s.Rhs[i]) {
-					fm.locals[id.Name] = true
-				}
-			}
-		case *ast.ValueSpec:
-			if s.Type != nil && fm.pkg.isMapType(s.Type) {
-				for _, name := range s.Names {
-					fm.locals[name.Name] = true
-				}
-			}
-			for i, name := range s.Names {
-				if i < len(s.Values) && fm.pkg.isMapValue(s.Values[i]) {
-					fm.locals[name.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return fm
-}
-
-// isMapExpr reports whether e evidently evaluates to a map.
-func (fm *fnMaps) isMapExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return fm.locals[e.Name] || fm.pkg.globals[e.Name]
-	case *ast.SelectorExpr:
-		return fm.pkg.fields[e.Sel.Name]
-	case *ast.ParenExpr:
-		return fm.isMapExpr(e.X)
-	case *ast.CompositeLit, *ast.CallExpr, *ast.UnaryExpr:
-		return fm.pkg.isMapValue(e)
-	}
-	return false
 }
 
 // fact is the dataflow state: tainted scalar names and unsorted
@@ -312,7 +115,27 @@ func (f fact) clone() fact {
 
 type analysis struct {
 	fset *token.FileSet
-	fm   *fnMaps
+	pkg  *lint.Package
+}
+
+// isMap reports whether e's type is a map.
+func (a *analysis) isMap(e ast.Expr) bool {
+	t := a.pkg.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// sortCall reports whether call is a sort.* or slices.* function.
+func (a *analysis) sortCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	path, _ := a.pkg.ImportedMember(sel)
+	return sortPackages[path]
 }
 
 func (a *analysis) Entry() fact {
@@ -341,20 +164,7 @@ func (a *analysis) Join(x, y fact) fact {
 }
 
 func (a *analysis) Equal(x, y fact) bool {
-	if len(x.tainted) != len(y.tainted) || len(x.unsorted) != len(y.unsorted) {
-		return false
-	}
-	for k, p := range x.tainted {
-		if q, ok := y.tainted[k]; !ok || p != q {
-			return false
-		}
-	}
-	for k, p := range x.unsorted {
-		if q, ok := y.unsorted[k]; !ok || p != q {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(x.tainted, y.tainted) && maps.Equal(x.unsorted, y.unsorted)
 }
 
 func (a *analysis) Transfer(n ast.Node, in fact) fact {
@@ -369,7 +179,7 @@ func (a *analysis) Transfer(n ast.Node, in fact) fact {
 
 	switch s := n.(type) {
 	case *ast.RangeStmt:
-		overMap := a.fm.isMapExpr(s.X)
+		overMap := a.isMap(s.X)
 		overUnsorted := false
 		if key := exprKey(a.fset, s.X); key != "" {
 			_, overUnsorted = in.unsorted[key]
@@ -441,14 +251,7 @@ func (a *analysis) Transfer(n ast.Node, in fact) fact {
 	// A sort.* / slices.* call clears every argument it orders.
 	cfg.Inspect(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if base, ok := sel.X.(*ast.Ident); ok && sortPackages[base.Name] {
+		if ok && a.sortCall(call) {
 			for _, arg := range call.Args {
 				if key := exprKey(a.fset, arg); key != "" {
 					if _, unsorted := out.unsorted[key]; unsorted {
@@ -523,10 +326,9 @@ var neutralCalls = map[string]bool{
 	"make": true, "new": true,
 }
 
-func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, maps *pkgMaps) {
-	fm := collectFnMaps(fn.Node, maps)
+func checkFunc(pass *lint.Pass, fn cfg.NamedFunc) {
 	g := cfg.Build(fn.Name, fn.Node)
-	a := &analysis{fset: pass.Fset, fm: fm}
+	a := &analysis{fset: pass.Fset, pkg: pass.Pkg}
 	in := dataflow.Forward[fact](g, a)
 	dataflow.Replay[fact](g, a, in, func(n ast.Node, before fact) {
 		a.report(pass, n, before)
@@ -555,8 +357,8 @@ func (a *analysis) report(pass *lint.Pass, n ast.Node, before fact) {
 		if !ok {
 			return true
 		}
-		name, base := callName(call)
-		if name == "" || neutralCalls[name] || sortPackages[base] {
+		name := callName(call)
+		if name == "" || neutralCalls[name] || a.sortCall(call) {
 			return true
 		}
 		emitting := emitCalls[name]
@@ -584,17 +386,13 @@ func (a *analysis) report(pass *lint.Pass, n ast.Node, before fact) {
 	})
 }
 
-// callName returns a call's method/function name and, for selector
-// calls, the base identifier ("sort" in sort.Strings).
-func callName(call *ast.CallExpr) (name, base string) {
+// callName returns a call's method or function name.
+func callName(call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		return fun.Name, ""
+		return fun.Name
 	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			return fun.Sel.Name, id.Name
-		}
-		return fun.Sel.Name, ""
+		return fun.Sel.Name
 	}
-	return "", ""
+	return ""
 }

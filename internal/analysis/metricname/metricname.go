@@ -3,22 +3,21 @@
 //
 // internal/telemetry creates instruments on first use, so a typo'd
 // family name ("vmm_pause_totl") silently mints a new, never-documented
-// instrument instead of failing. The analyzer checks every string
-// literal passed as a family name to the Registry instrument
-// constructors (Counter, Gauge, Histogram, HistogramShaped) and to
-// InstrumentName against the single source of truth in
-// internal/telemetry/catalog.go — the same table the DESIGN.md §8 docs
-// test consumes — and checks literal label keys against the catalog
-// entry's declared label set. Dynamically computed names pass through
+// instrument instead of failing. The analyzer checks every constant
+// string (a literal or a named constant) passed as a family name to the
+// Registry instrument constructors (Counter, Gauge, Histogram,
+// HistogramShaped) and to InstrumentName against the single source of
+// truth in internal/telemetry/catalog.go — the same table the DESIGN.md
+// §8 docs test consumes — and checks constant label keys against the
+// catalog entry's declared label set. Dynamically computed names pass through
 // unchecked (they are rare and covered by the catalog sync test at
 // runtime). Test files are exempt: tests mint scratch instruments.
 package metricname
 
 import (
 	"go/ast"
-	"go/token"
+	"go/constant"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/lint"
@@ -93,7 +92,7 @@ func checkFile(pass *lint.Pass, f *lint.File, catalog map[string]Instrument) {
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		family, ok := stringLit(call.Args[0])
+		family, ok := stringConst(pass.Pkg, call.Args[0])
 		if !ok {
 			return true
 		}
@@ -114,7 +113,7 @@ func checkFile(pass *lint.Pass, f *lint.File, catalog map[string]Instrument) {
 	})
 }
 
-// checkLabels verifies literal label keys (the even-offset variadic
+// checkLabels verifies constant label keys (the even-offset variadic
 // arguments) against the catalog entry's declared set.
 func checkLabels(pass *lint.Pass, call *ast.CallExpr, start int, family string, def Instrument) {
 	declared := make(map[string]bool, len(def.Labels))
@@ -122,7 +121,7 @@ func checkLabels(pass *lint.Pass, call *ast.CallExpr, start int, family string, 
 		declared[l] = true
 	}
 	for i := start; i < len(call.Args); i += 2 {
-		key, ok := stringLit(call.Args[i])
+		key, ok := stringConst(pass.Pkg, call.Args[i])
 		if !ok {
 			continue
 		}
@@ -134,17 +133,13 @@ func checkLabels(pass *lint.Pass, call *ast.CallExpr, start int, family string, 
 	}
 }
 
-// stringLit unquotes a string literal expression.
-func stringLit(e ast.Expr) (string, bool) {
-	lit, ok := e.(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
+// stringConst returns the value of a constant string expression.
+func stringConst(pkg *lint.Package, e ast.Expr) (string, bool) {
+	v := pkg.Info.Types[e].Value
+	if v == nil || v.Kind() != constant.String {
 		return "", false
 	}
-	s, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return "", false
-	}
-	return s, true
+	return constant.StringVal(v), true
 }
 
 // nearest lists up to three catalog families sharing a prefix with the

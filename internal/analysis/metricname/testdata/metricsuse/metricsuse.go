@@ -31,6 +31,10 @@ func use() {
 	r.Counter("cluster_failovers_total", "reason", "node-failed") // clean: on-catalog family and label
 	r.Counter("cluster_failovers_total", "node", "node00")        // want `label key "node" is not declared for instrument "cluster_failovers_total"`
 
+	// A named constant is checked like a literal.
+	const typo = "vmm_pause_totl"
+	r.Counter(typo) // want `instrument family "vmm_pause_totl" is not in the telemetry catalog`
+
 	// Dynamically computed names pass through unchecked.
 	name := "runtime_chosen_total"
 	r.Counter(name)

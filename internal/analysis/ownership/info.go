@@ -2,22 +2,13 @@ package ownership
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/callgraph"
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/summary"
 )
-
-// Entry records how phase reachability first discovered a node: the
-// calling node (nil for a phase root) and the call position, so
-// diagnostics can render the chain from a root to the offending
-// function.
-type Entry struct {
-	From *callgraph.Node
-	Pos  token.Pos
-}
 
 // EachCall is one resolved ShardGroup.Each call: the function making
 // it and the handler function literals passed to it.
@@ -35,16 +26,13 @@ type Info struct {
 	// Sums carries the owned-state may-facts (Reads/Writes/Rands with
 	// witness sites) computed under the owned-field table below.
 	Sums *summary.Set
-	// Owned maps field names to their ownership descriptors, built from
+	// Owned maps fields to their ownership descriptors, built from
 	// every production //horselint:shardlocal / //horselint:coordinator
 	// field annotation in the set.
-	Owned map[string][]summary.OwnedField
+	Owned map[*types.Var]summary.OwnedField
 
-	// Funcs indexes the production function annotations by graph node;
-	// ShardFuncs and CoordFuncs are the well-phased subsets.
-	Funcs      map[*callgraph.Node]FuncAnn
-	ShardFuncs map[*callgraph.Node]bool
-	CoordFuncs map[*callgraph.Node]bool
+	// Funcs indexes the production function annotations by graph node.
+	Funcs map[*callgraph.Node]FuncAnn
 
 	// Handlers are the function literals passed to ShardGroup.Each;
 	// EachCalls records each resolved Each call site. Roots lists every
@@ -54,11 +42,12 @@ type Info struct {
 	EachCalls []EachCall
 	Roots     []*callgraph.Node
 
-	// ShardReach and CoordReach are the phase closures over precisely
-	// resolved edges (static, method, single-candidate interface, and
-	// closure edges), keyed by reached node.
-	ShardReach map[*callgraph.Node]Entry
-	CoordReach map[*callgraph.Node]Entry
+	// ShardReach and CoordReach are the phase closures over call and
+	// closure edges: each reached node maps to the node that first
+	// reached it (nil for a phase root), so diagnostics can render the
+	// chain from a root.
+	ShardReach map[*callgraph.Node]*callgraph.Node
+	CoordReach map[*callgraph.Node]*callgraph.Node
 
 	// Participating marks package paths that carry at least one
 	// ownership annotation: only they opted into the phase contract, so
@@ -77,10 +66,8 @@ func build(prog *lint.Program) *Info {
 	g := callgraph.Of(prog)
 	info := &Info{
 		Graph:         g,
-		Owned:         map[string][]summary.OwnedField{},
+		Owned:         map[*types.Var]summary.OwnedField{},
 		Funcs:         map[*callgraph.Node]FuncAnn{},
-		ShardFuncs:    map[*callgraph.Node]bool{},
-		CoordFuncs:    map[*callgraph.Node]bool{},
 		Handlers:      map[*callgraph.Node]bool{},
 		Participating: map[string]bool{},
 	}
@@ -99,27 +86,18 @@ func build(prog *lint.Program) *Info {
 					continue
 				}
 				info.Funcs[n] = ann
-				if ann.ShardPhase > 0 {
-					info.ShardFuncs[n] = true
-				}
-				if ann.Coordinator > 0 {
-					info.CoordFuncs[n] = true
-				}
 			}
-			for _, ann := range FieldAnns(f) {
+			for _, ann := range FieldAnns(pkg, f) {
 				info.Participating[pkg.Path] = true
 				if ann.ShardLocal+ann.Coordinator == 0 {
 					continue // a lone shardphase on a field is phaseann's to flag
 				}
-				for _, name := range ann.Names {
-					info.Owned[name] = append(info.Owned[name], summary.OwnedField{
-						Key:      ann.TypeName + "." + name,
-						Pkg:      pkg.Path,
-						Field:    name,
-						Coord:    ann.Coordinator > 0,
-						Stream:   StreamType(ann.Field.Type),
-						Exported: ast.IsExported(name),
-					})
+				for _, v := range ann.Vars {
+					info.Owned[v] = summary.OwnedField{
+						Key:    ann.TypeName + "." + v.Name(),
+						Coord:  ann.Coordinator > 0,
+						Stream: StreamType(v.Type()),
+					}
 				}
 			}
 		}
@@ -127,13 +105,12 @@ func build(prog *lint.Program) *Info {
 
 	// Find the ShardGroup.Each calls and their handler literals.
 	for _, n := range g.Order {
-		body := n.Body()
-		if body == nil || n.File.Test {
+		if n.File.Test {
 			continue
 		}
-		walkShallow(body, func(x ast.Node) {
+		n.Inspect(func(x ast.Node) {
 			call, ok := x.(*ast.CallExpr)
-			if !ok || !isEachCall(g, call) {
+			if !ok || !isEachCall(n.Pkg.Info, call) {
 				return
 			}
 			ec := EachCall{Caller: n, Call: call}
@@ -151,17 +128,14 @@ func build(prog *lint.Program) *Info {
 		})
 	}
 
-	// Shard roots in deterministic graph order: handlers first-class,
-	// plus every shardphase-annotated function.
-	for _, n := range g.Order {
-		if info.Handlers[n] || info.ShardFuncs[n] {
-			info.Roots = append(info.Roots, n)
-		}
-	}
-
+	// Phase roots in deterministic graph order: handlers and
+	// shardphase-annotated functions for the shard phase.
 	var coordRoots []*callgraph.Node
 	for _, n := range g.Order {
-		if info.CoordFuncs[n] {
+		if info.Handlers[n] || info.Funcs[n].ShardPhase > 0 {
+			info.Roots = append(info.Roots, n)
+		}
+		if info.Funcs[n].Coordinator > 0 {
 			coordRoots = append(coordRoots, n)
 		}
 	}
@@ -177,79 +151,51 @@ func build(prog *lint.Program) *Info {
 	return info
 }
 
-// walkShallow visits a function body without descending into nested
-// function literals (they are their own graph nodes).
-func walkShallow(body ast.Node, visit func(ast.Node)) {
-	ast.Inspect(body, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
-		if x != nil {
-			visit(x)
-		}
-		return true
-	})
-}
-
-// isEachCall reports whether a call resolves to ShardGroup.Each.
-func isEachCall(g *callgraph.Graph, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+// isEachCall reports whether a call invokes a ShardGroup's Each method.
+func isEachCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Each" {
 		return false
 	}
-	for _, e := range g.EdgesAt(call) {
-		if e.Callee != nil && e.Callee.Name == "Each" && e.Callee.Recv == "ShardGroup" {
-			return true
-		}
-		if e.Kind == callgraph.External && strings.HasSuffix(e.Target, "(ShardGroup).Each") {
-			return true
-		}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
 	}
-	return false
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := types.Unalias(recv).(*types.Named)
+	return ok && named.Obj().Name() == "ShardGroup"
 }
 
-// reach computes the phase closure from the given roots over precisely
-// resolved edges: static and method calls, interface calls with exactly
-// one non-test candidate, and closure edges (a literal defined in a
-// phase runs in it unless handed across a barrier, which only happens
-// through dynamic dispatch the walk never follows). Test-file callees
-// are skipped — test helpers cannot drag production code into a phase.
-func reach(roots []*callgraph.Node) map[*callgraph.Node]Entry {
-	seen := make(map[*callgraph.Node]Entry, len(roots))
+// reach computes the phase closure from the given roots over call and
+// closure edges: static, method, and interface calls, and closures (a
+// literal defined in a phase runs in it unless handed across a
+// barrier, which only happens through dynamic dispatch the walk never
+// follows). Test-file callees are skipped — test helpers cannot drag
+// production code into a phase.
+func reach(roots []*callgraph.Node) map[*callgraph.Node]*callgraph.Node {
+	seen := make(map[*callgraph.Node]*callgraph.Node, len(roots))
 	queue := make([]*callgraph.Node, 0, len(roots))
 	for _, r := range roots {
 		if _, ok := seen[r]; ok {
 			continue
 		}
-		seen[r] = Entry{}
+		seen[r] = nil
 		queue = append(queue, r)
 	}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		ifaceFan := map[token.Pos]int{}
 		for _, e := range n.Out {
-			if e.Kind == callgraph.Iface && e.Callee != nil && !e.Callee.File.Test {
-				ifaceFan[e.Pos]++
-			}
-		}
-		for _, e := range n.Out {
-			if e.Callee == nil || e.Callee.File.Test {
-				continue
-			}
-			switch e.Kind {
-			case callgraph.Static, callgraph.Method, callgraph.Closure:
-			case callgraph.Iface:
-				if ifaceFan[e.Pos] != 1 {
-					continue
-				}
-			default:
+			if e.Callee == nil || e.Callee.File.Test || e.Kind == callgraph.Ref {
 				continue
 			}
 			if _, ok := seen[e.Callee]; ok {
 				continue
 			}
-			seen[e.Callee] = Entry{From: n, Pos: e.Pos}
+			seen[e.Callee] = n
 			queue = append(queue, e.Callee)
 		}
 	}
@@ -258,14 +204,9 @@ func reach(roots []*callgraph.Node) map[*callgraph.Node]Entry {
 
 // Chain renders the discovery path from a phase root to n, e.g.
 // "pkg.Run -> pkg.serve -> pkg.tally".
-func Chain(reached map[*callgraph.Node]Entry, n *callgraph.Node) string {
+func Chain(reached map[*callgraph.Node]*callgraph.Node, n *callgraph.Node) string {
 	ids := []string{n.ID}
-	for {
-		e, ok := reached[n]
-		if !ok || e.From == nil {
-			break
-		}
-		n = e.From
+	for n = reached[n]; n != nil; n = reached[n] {
 		ids = append(ids, n.ID)
 	}
 	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
@@ -285,7 +226,7 @@ func (i *Info) Annotated(n *callgraph.Node) bool {
 		if ann, ok := i.Funcs[n]; ok && ann.ShardPhase+ann.Coordinator > 0 {
 			return true
 		}
-		n = i.parent(n)
+		n = n.Parent
 	}
 	return false
 }
@@ -301,17 +242,7 @@ func (i *Info) CoordContext(n *callgraph.Node) bool {
 		if ann, ok := i.Funcs[n]; ok {
 			return ann.Coordinator > 0
 		}
-		n = i.parent(n)
+		n = n.Parent
 	}
 	return false
-}
-
-// parent resolves the enclosing function of a literal node ("id$N") by
-// its ID, nil for declarations.
-func (i *Info) parent(n *callgraph.Node) *callgraph.Node {
-	idx := strings.LastIndex(n.ID, "$")
-	if idx < 0 {
-		return nil
-	}
-	return i.Graph.Nodes[n.ID[:idx]]
 }

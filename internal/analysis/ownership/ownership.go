@@ -23,16 +23,16 @@
 // table for the summary fixpoint (which computes transitive
 // reads/writes/stream-use facts with witness sites) and into shard- and
 // coordinator-phase reachability over the call graph (which closes the
-// annotation set over the actual ShardGroup.Each handler set). Like the
-// rest of the analysis layer it is syntax-only and name-based, erring
-// conservative: an unexported owned field shadows every same-named
-// field in its package, and reachability follows only precisely
-// resolved edges.
+// annotation set over the actual ShardGroup.Each handler set). Fields
+// are identified by their *types.Var, so same-named fields of different
+// types never alias, and reachability follows every resolved call edge,
+// interface dispatch included.
 package ownership
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/lint"
@@ -52,85 +52,55 @@ const (
 // function).
 type FuncAnn struct {
 	Func *ast.FuncDecl
-	File *lint.File
+	Counts
+}
 
+// Counts tallies the three directives over the comment groups that
+// annotate one declaration.
+type Counts struct {
 	ShardPhase  int
 	Coordinator int
 	ShardLocal  int
 }
 
+func countDirs(groups ...*ast.CommentGroup) Counts {
+	var c Counts
+	for _, cg := range groups {
+		c.ShardPhase += lint.DirectiveCount(cg, DirShardPhase)
+		c.Coordinator += lint.DirectiveCount(cg, DirCoordinator)
+		c.ShardLocal += lint.DirectiveCount(cg, DirShardLocal)
+	}
+	return c
+}
+
+// Total is the number of directive lines counted.
+func (c Counts) Total() int { return c.ShardPhase + c.Coordinator + c.ShardLocal }
+
 // DisplayName renders the function's diagnostic name ("(Recv).Name" for
 // methods).
-func (a FuncAnn) DisplayName() string {
-	if a.Func.Recv != nil && len(a.Func.Recv.List) > 0 {
-		if name := recvName(a.Func.Recv.List[0].Type); name != "" {
-			return "(" + name + ")." + a.Func.Name.Name
-		}
-	}
-	return a.Func.Name.Name
-}
+func (a FuncAnn) DisplayName() string { return lint.FuncName(a.Func) }
 
 // FieldAnn is one struct field covered by ownership directives, either
 // directly (field doc or trailing comment) or inherited from a
 // directive on the enclosing type declaration, in which case FromType
 // is set and every field of the struct gets one FieldAnn.
 type FieldAnn struct {
-	File     *lint.File
 	TypeName string
 	Field    *ast.Field
-	// Names are the field names the declaration covers (the embedded
-	// type's base name for embedded fields).
-	Names []string
-
-	ShardLocal  int
-	Coordinator int
-	ShardPhase  int
-	FromType    bool
+	// Vars are the fields the declaration introduces (the embedded
+	// field for an embedded type).
+	Vars []*types.Var
+	Counts
+	FromType bool
 }
 
 // Key renders the diagnostic identity of the annotated field.
 func (a FieldAnn) Key() string {
-	return a.TypeName + "." + strings.Join(a.Names, ",")
-}
-
-func recvName(t ast.Expr) string {
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+	names := make([]string, len(a.Vars))
+	for i, v := range a.Vars {
+		names[i] = v.Name()
 	}
-}
-
-// isDirective reports whether a comment line is the given directive.
-func isDirective(text, dir string) bool {
-	return strings.TrimRight(text, " \t") == dir
-}
-
-// dirCounts tallies the three directives in a comment group.
-func dirCounts(cg *ast.CommentGroup) (shardPhase, coordinator, shardLocal int) {
-	if cg == nil {
-		return
-	}
-	for _, c := range cg.List {
-		switch {
-		case isDirective(c.Text, DirShardPhase):
-			shardPhase++
-		case isDirective(c.Text, DirCoordinator):
-			coordinator++
-		case isDirective(c.Text, DirShardLocal):
-			shardLocal++
-		}
-	}
-	return
+	return a.TypeName + "." + strings.Join(names, ",")
 }
 
 // FuncAnns returns the file's function declarations carrying ownership
@@ -138,23 +108,21 @@ func dirCounts(cg *ast.CommentGroup) (shardPhase, coordinator, shardLocal int) {
 func FuncAnns(f *lint.File) []FuncAnn {
 	var out []FuncAnn
 	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		sp, co, sl := dirCounts(fd.Doc)
-		if sp+co+sl > 0 {
-			out = append(out, FuncAnn{Func: fd, File: f, ShardPhase: sp, Coordinator: co, ShardLocal: sl})
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			if c := countDirs(fd.Doc); c.Total() > 0 {
+				out = append(out, FuncAnn{Func: fd, Counts: c})
+			}
 		}
 	}
 	return out
 }
 
-// FieldAnns returns the file's annotated struct fields. A directive on
-// the type declaration (GenDecl doc, TypeSpec doc, or TypeSpec trailing
-// comment) covers every field of the struct; a directive on a field's
-// doc or trailing comment covers that field declaration.
-func FieldAnns(f *lint.File) []FieldAnn {
+// FieldAnns returns the annotated struct fields of one of pkg's files. A
+// directive on the type declaration (GenDecl doc, TypeSpec doc, or
+// TypeSpec trailing comment) covers every field of the struct; a
+// directive on a field's doc or trailing comment covers that field
+// declaration.
+func FieldAnns(pkg *lint.Package, f *lint.File) []FieldAnn {
 	var out []FieldAnn
 	for _, decl := range f.AST.Decls {
 		gd, ok := decl.(*ast.GenDecl)
@@ -170,26 +138,22 @@ func FieldAnns(f *lint.File) []FieldAnn {
 			if !ok || st.Fields == nil {
 				continue
 			}
-			tsp, tco, tsl := dirCounts(gd.Doc)
-			sp2, co2, sl2 := dirCounts(ts.Doc)
-			sp3, co3, sl3 := dirCounts(ts.Comment)
-			tsp, tco, tsl = tsp+sp2+sp3, tco+co2+co3, tsl+sl2+sl3
+			typ := countDirs(gd.Doc, ts.Doc, ts.Comment)
 			for _, field := range st.Fields.List {
-				fsp, fco, fsl := dirCounts(field.Doc)
-				csp, cco, csl := dirCounts(field.Comment)
-				fsp, fco, fsl = fsp+csp, fco+cco, fsl+csl
-				if tsp+tco+tsl+fsp+fco+fsl == 0 {
+				own := countDirs(field.Doc, field.Comment)
+				if typ.Total()+own.Total() == 0 {
 					continue
 				}
 				out = append(out, FieldAnn{
-					File:        f,
-					TypeName:    ts.Name.Name,
-					Field:       field,
-					Names:       fieldNames(field),
-					ShardPhase:  tsp + fsp,
-					Coordinator: tco + fco,
-					ShardLocal:  tsl + fsl,
-					FromType:    fsp+fco+fsl == 0,
+					TypeName: ts.Name.Name,
+					Field:    field,
+					Vars:     fieldVars(pkg.Info, field),
+					Counts: Counts{
+						ShardPhase:  typ.ShardPhase + own.ShardPhase,
+						Coordinator: typ.Coordinator + own.Coordinator,
+						ShardLocal:  typ.ShardLocal + own.ShardLocal,
+					},
+					FromType: own.Total() == 0,
 				})
 			}
 		}
@@ -197,78 +161,64 @@ func FieldAnns(f *lint.File) []FieldAnn {
 	return out
 }
 
-// fieldNames lists the names a field declaration introduces (the
-// embedded type's base name for embedded fields).
-func fieldNames(field *ast.Field) []string {
-	if len(field.Names) > 0 {
-		names := make([]string, len(field.Names))
-		for i, id := range field.Names {
-			names[i] = id.Name
+// fieldVars lists the fields a field declaration introduces. For an
+// embedded field, Defs maps the type name's identifier to the field.
+func fieldVars(info *types.Info, field *ast.Field) []*types.Var {
+	idents := field.Names
+	if len(idents) == 0 {
+		t := field.Type
+		for len(idents) == 0 {
+			switch x := t.(type) {
+			case *ast.StarExpr:
+				t = x.X
+			case *ast.IndexExpr:
+				t = x.X
+			case *ast.IndexListExpr:
+				t = x.X
+			case *ast.SelectorExpr:
+				t = x.Sel
+			case *ast.Ident:
+				idents = []*ast.Ident{x}
+			default:
+				return nil
+			}
 		}
-		return names
 	}
-	if name := recvName(stripEllipsis(field.Type)); name != "" {
-		return []string{name}
+	var vars []*types.Var
+	for _, id := range idents {
+		if v, ok := info.Defs[id].(*types.Var); ok {
+			vars = append(vars, v)
+		}
 	}
-	return nil
-}
-
-func stripEllipsis(e ast.Expr) ast.Expr {
-	if el, ok := e.(*ast.Ellipsis); ok {
-		return el.Elt
-	}
-	return e
+	return vars
 }
 
 // Strays returns ownership directive comments attached to nothing the
 // vocabulary covers: not a function's doc, not a struct type's doc or
 // trailing comment, not a field's doc or trailing comment.
 func Strays(f *lint.File) []*ast.Comment {
-	attached := map[*ast.Comment]bool{}
-	mark := func(cg *ast.CommentGroup) {
-		if cg == nil {
-			return
-		}
-		for _, c := range cg.List {
-			attached[c] = true
-		}
-	}
+	var attached []*ast.CommentGroup
 	for _, decl := range f.AST.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			mark(d.Doc)
+			attached = append(attached, d.Doc)
 		case *ast.GenDecl:
 			if d.Tok != token.TYPE {
 				continue
 			}
-			mark(d.Doc)
+			attached = append(attached, d.Doc)
 			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				mark(ts.Doc)
-				mark(ts.Comment)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					mark(field.Doc)
-					mark(field.Comment)
+				ts := spec.(*ast.TypeSpec)
+				attached = append(attached, ts.Doc, ts.Comment)
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						attached = append(attached, field.Doc, field.Comment)
+					}
 				}
 			}
 		}
 	}
-	var out []*ast.Comment
-	for _, cg := range f.AST.Comments {
-		for _, c := range cg.List {
-			if !attached[c] && (isDirective(c.Text, DirShardPhase) || isDirective(c.Text, DirCoordinator) || isDirective(c.Text, DirShardLocal)) {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	return lint.StrayDirectives(f, attached, DirShardPhase, DirCoordinator, DirShardLocal)
 }
 
 // streamTypeNames are the type names whose fields hold a PRNG or fault
@@ -282,21 +232,12 @@ var streamTypeNames = map[string]bool{
 	"ChaCha8":  true,
 }
 
-// StreamType reports whether a field type expression names a PRNG or
-// fault-stream type.
-func StreamType(e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return streamTypeNames[x.Sel.Name]
-		case *ast.Ident:
-			return streamTypeNames[x.Name]
-		default:
-			return false
-		}
+// StreamType reports whether a field's type is (a pointer to) a named
+// PRNG or fault-stream type.
+func StreamType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && streamTypeNames[named.Obj().Name()]
 }

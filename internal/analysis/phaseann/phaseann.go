@@ -1,22 +1,26 @@
-// Package phaseann implements the horselint analyzer that keeps the
-// ownership annotation vocabulary itself honest (DESIGN.md §9): the
-// //horselint:shardphase, //horselint:coordinator, and
+// Package phaseann implements horselint's annotation-hygiene pass. It
+// keeps both directive vocabularies honest, so the annotated sets the
+// other analyzers enforce are exactly the sets a reader can grep.
+//
+// Hot path (DESIGN.md §9): each //horselint:hotpath directive must sit
+// in the doc comment of exactly one production function declaration.
+// Stray directives (attached to nothing), directives in _test.go
+// files, and duplicates on one function annotate nothing and are
+// reported.
+//
+// Ownership: the //horselint:shardphase, //horselint:coordinator, and
 // //horselint:shardlocal directives must be well-formed, unique,
 // attached to production declarations, and — the load-bearing part —
 // closed over the actual ShardGroup.Each handler set. A function that
 // shard-phase reachability discovers without an annotation is an
 // error, not a silent merge: the author must decide which phase it
-// belongs to. The analyzer also pins the barrier discipline (only a
+// belongs to. The pass also pins the barrier discipline: only a
 // coordinator function may call Each, and every handler must be a
-// function literal so the root set stays closed) and rejects
-// same-named fields with conflicting ownership, which the name-based
-// matcher could not tell apart.
+// function literal so the root set stays closed.
 package phaseann
 
 import (
-	"go/ast"
-
-	"github.com/horse-faas/horse/internal/analysis/callgraph"
+	"github.com/horse-faas/horse/internal/analysis/hotpath"
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/ownership"
 )
@@ -25,10 +29,10 @@ import (
 func New() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "phaseann",
-		Doc: "ownership annotations must be well-formed, unique, on production declarations, " +
-			"and closed over the ShardGroup.Each handler set: an unannotated function reachable " +
-			"from the shard phase (or both phases) is an error, Each may only be called by a " +
-			"//horselint:coordinator function, and same-named fields cannot disagree on ownership",
+		Doc: "hotpath and ownership annotations must be well-formed, unique, and on production " +
+			"declarations; ownership annotations must be closed over the ShardGroup.Each handler " +
+			"set: an unannotated function reachable from the shard phase (or both phases) is an " +
+			"error, and Each may only be called by a //horselint:coordinator function",
 		Run: run,
 	}
 }
@@ -36,26 +40,24 @@ func New() *lint.Analyzer {
 // Default returns the analyzer as wired into cmd/horselint.
 func Default() *lint.Analyzer { return New() }
 
-func displayName(n *callgraph.Node) string {
-	if n.Recv != "" {
-		return "(" + n.Recv + ")." + n.Name
-	}
-	return n.Name
-}
-
 func run(pass *lint.Pass) error {
 	if pass.Program == nil {
 		return nil
 	}
 	info := ownership.Of(pass.Program)
 
-	type owner struct {
-		key   string
-		coord bool
-	}
-	firstOwner := map[string]owner{}
-
 	for _, f := range pass.Pkg.Files {
+		for _, c := range hotpath.Strays(f) {
+			pass.Reportf(c.Pos(), "stray %s directive: it must be part of a function declaration's doc comment", hotpath.Directive)
+		}
+		for _, ann := range hotpath.Annotations(f) {
+			switch {
+			case f.Test:
+				pass.Reportf(ann.Func.Pos(), "%s on %s: hot-path annotations belong in production code, not _test.go files", hotpath.Directive, ann.DisplayName())
+			case ann.Count > 1:
+				pass.Reportf(ann.Func.Pos(), "duplicate %s directives on %s", hotpath.Directive, ann.DisplayName())
+			}
+		}
 		for _, c := range ownership.Strays(f) {
 			pass.Reportf(c.Pos(), "ownership directive annotates nothing: attach it to a function's doc comment, a struct field, or a struct type declaration")
 		}
@@ -74,7 +76,7 @@ func run(pass *lint.Pass) error {
 				pass.Reportf(ann.Func.Pos(), "%s: duplicated ownership directive", ann.DisplayName())
 			}
 		}
-		for _, ann := range ownership.FieldAnns(f) {
+		for _, ann := range ownership.FieldAnns(pass.Pkg, f) {
 			if f.Test {
 				pass.Reportf(ann.Field.Pos(), "ownership annotation on field %s: annotations belong on production declarations, not test files", ann.Key())
 				continue
@@ -88,23 +90,6 @@ func run(pass *lint.Pass) error {
 			if !ann.FromType && (ann.ShardLocal > 1 || ann.Coordinator > 1 || ann.ShardPhase > 1) {
 				pass.Reportf(ann.Field.Pos(), "field %s: duplicated ownership directive", ann.Key())
 			}
-			if ann.ShardLocal+ann.Coordinator == 0 {
-				continue
-			}
-			// Name-based matching cannot tell same-named fields apart, so
-			// they must agree on ownership within the package.
-			coord := ann.Coordinator > 0
-			for _, name := range ann.Names {
-				prev, ok := firstOwner[name]
-				if !ok {
-					firstOwner[name] = owner{key: ann.Key(), coord: coord}
-					continue
-				}
-				if prev.coord != coord {
-					pass.Reportf(ann.Field.Pos(), "field name %q has conflicting ownership: %s disagrees with %s, and name-based matching cannot tell them apart",
-						name, ann.TypeName+"."+name, prev.key)
-				}
-			}
 		}
 	}
 
@@ -112,26 +97,19 @@ func run(pass *lint.Pass) error {
 	// phase reaches in a participating package must say which phase it
 	// belongs to.
 	for _, n := range info.Graph.Order {
-		if n.Pkg != pass.Pkg || n.File.Test || !info.Participating[n.Pkg.Path] {
+		// Literals (no Func) inherit their parent's phase.
+		if n.Pkg != pass.Pkg || n.File.Test || !info.Participating[n.Pkg.Path] || n.Func == nil {
 			continue
 		}
-		fd, ok := n.Decl.(*ast.FuncDecl)
-		if !ok {
-			continue // literals inherit their parent's phase
-		}
-		if _, annotated := info.Funcs[n]; annotated {
-			continue
-		}
-		e, ok := info.ShardReach[n]
-		if !ok || e.From == nil {
+		if _, annotated := info.Funcs[n]; annotated || info.ShardReach[n] == nil {
 			continue
 		}
 		if _, both := info.CoordReach[n]; both {
-			pass.Reportf(fd.Pos(), "%s is reachable from both the shard phase and the coordinator phase but carries no annotation; decide its phase (//horselint:shardphase or //horselint:coordinator) instead of merging them silently: %s",
-				displayName(n), ownership.Chain(info.ShardReach, n))
+			pass.Reportf(n.Decl.Pos(), "%s is reachable from both the shard phase and the coordinator phase but carries no annotation; decide its phase (//horselint:shardphase or //horselint:coordinator) instead of merging them silently: %s",
+				n.DisplayName(), ownership.Chain(info.ShardReach, n))
 		} else {
-			pass.Reportf(fd.Pos(), "%s is reachable from the shard phase but not annotated //horselint:shardphase: %s",
-				displayName(n), ownership.Chain(info.ShardReach, n))
+			pass.Reportf(n.Decl.Pos(), "%s is reachable from the shard phase but not annotated //horselint:shardphase: %s",
+				n.DisplayName(), ownership.Chain(info.ShardReach, n))
 		}
 	}
 
@@ -142,7 +120,7 @@ func run(pass *lint.Pass) error {
 			continue
 		}
 		if !info.CoordContext(ec.Caller) {
-			pass.Reportf(ec.Call.Pos(), "ShardGroup.Each erects a serve barrier; only a //horselint:coordinator function may call it (caller %s)", displayName(ec.Caller))
+			pass.Reportf(ec.Call.Pos(), "ShardGroup.Each erects a serve barrier; only a //horselint:coordinator function may call it (caller %s)", ec.Caller.DisplayName())
 		}
 		if len(ec.Handlers) != len(ec.Call.Args) {
 			pass.Reportf(ec.Call.Pos(), "ShardGroup.Each handler must be a function literal so the shard-phase root set stays closed")

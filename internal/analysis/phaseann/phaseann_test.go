@@ -14,11 +14,18 @@ func TestPhaseann(t *testing.T) {
 	analysistest.Run(t, "testdata", phaseann.Default(), "./anno")
 }
 
-// TestStrays asserts directly: the diagnostics land on the directive
-// comment lines, where want expectations cannot be written.
-func TestStrays(t *testing.T) {
+func TestHotpathAnnotations(t *testing.T) {
+	analysistest.Run(t, "testdata", phaseann.Default(), "./hotanno")
+}
+
+// strays runs the analyzer over one fixture and asserts that it reports
+// exactly two diagnostics, each containing want. Stray diagnostics land
+// on the directive comment lines, where want expectations cannot be
+// written.
+func strays(t *testing.T, pattern, want string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := lint.LoadAsModule(fset, "testdata", "", "./stray")
+	pkgs, err := lint.LoadAsModule(fset, "testdata", "", pattern)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -30,8 +37,16 @@ func TestStrays(t *testing.T) {
 		t.Fatalf("got %d diagnostics, want 2 strays: %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if !strings.Contains(d.Message, "ownership directive annotates nothing") {
+		if !strings.Contains(d.Message, want) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
+}
+
+func TestStrays(t *testing.T) {
+	strays(t, "./stray", "ownership directive annotates nothing")
+}
+
+func TestHotpathStrays(t *testing.T) {
+	strays(t, "./hotstray", "stray //horselint:hotpath directive")
 }

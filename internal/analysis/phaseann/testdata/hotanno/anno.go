@@ -1,4 +1,4 @@
-package anno
+package hotanno
 
 //horselint:hotpath
 func fine() int { return 1 }

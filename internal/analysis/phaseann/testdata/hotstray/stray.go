@@ -1,4 +1,4 @@
-package stray
+package hotstray
 
 // The directive below annotates a variable, not a function; the stray
 // case is asserted by a direct unit test because the diagnostic lands

@@ -25,7 +25,6 @@
 package shardsafe
 
 import (
-	"github.com/horse-faas/horse/internal/analysis/callgraph"
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/ownership"
 )
@@ -45,15 +44,6 @@ func New() *lint.Analyzer {
 // Default returns the analyzer as wired into cmd/horselint.
 func Default() *lint.Analyzer { return New() }
 
-// displayName renders a node's diagnostic name: "(Recv).Name" for
-// methods, the "$N"-suffixed parent name for handler literals.
-func displayName(n *callgraph.Node) string {
-	if n.Recv != "" {
-		return "(" + n.Recv + ")." + n.Name
-	}
-	return n.Name
-}
-
 func run(pass *lint.Pass) error {
 	if pass.Program == nil {
 		return nil
@@ -69,7 +59,7 @@ func run(pass *lint.Pass) error {
 			continue
 		}
 		facts := info.Sums.Facts(n)
-		name := displayName(n)
+		name := n.DisplayName()
 		for _, site := range facts.Reads {
 			pass.Reportf(site.Pos, "shard-phase function %s: %s", name, site.What)
 		}
@@ -86,10 +76,10 @@ func run(pass *lint.Pass) error {
 		// Rule 2: a coordinator-only function dragged into the shard
 		// phase. A root that is itself coordinator-annotated is a
 		// conflicting annotation, which phaseann owns.
-		if info.CoordFuncs[n] {
-			if e, ok := info.ShardReach[n]; ok && e.From != nil {
+		if info.Funcs[n].Coordinator > 0 {
+			if info.ShardReach[n] != nil {
 				pass.Reportf(n.Decl.Pos(), "coordinator-only function %s is reachable from the shard phase: %s",
-					displayName(n), ownership.Chain(info.ShardReach, n))
+					n.DisplayName(), ownership.Chain(info.ShardReach, n))
 			}
 		}
 

@@ -10,3 +10,7 @@ import (
 func TestSharedrand(t *testing.T) {
 	analysistest.Run(t, "testdata", sharedrand.Default(), "./streams")
 }
+
+func TestGlobalRand(t *testing.T) {
+	analysistest.Run(t, "testdata", sharedrand.Default(), "./randuse")
+}

@@ -1,4 +1,4 @@
-// Package randuse exercises the detrand analyzer: global draws and
+// Package randuse exercises sharedrand's site rule: global draws and
 // wall-clock seeds are flagged, explicitly seeded sources are clean.
 package randuse
 
@@ -40,5 +40,5 @@ func SanctionedDraw(rng *rand.Rand) int {
 
 // Annotated is a reasoned escape hatch.
 func Annotated() int {
-	return rand.Intn(10) //horselint:allow-detrand jitter for a non-measured log line
+	return rand.Intn(10) //horselint:allow-sharedrand jitter for a non-measured log line
 }

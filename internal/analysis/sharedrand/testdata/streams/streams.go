@@ -49,7 +49,7 @@ func (w *world) rekey(shard int) int {
 //
 //horselint:shardphase
 func globalDraw() int {
-	return rand.Intn(8) // want `shard-phase function globalDraw: draws from the process-global rand\.Intn stream`
+	return rand.Intn(8) // want `shard-phase function globalDraw: draws from the process-global rand\.Intn stream` `global rand\.Intn draws from the shared process-wide source`
 }
 
 // viaHelper reaches the shared stream transitively; the finding is a
@@ -67,7 +67,7 @@ func (w *world) mix() int { return w.rng.Intn(2) }
 //horselint:coordinator
 func run(g *ShardGroup) error {
 	return g.Each(func(shard int) error {
-		_ = rand.Float64() // want `shard-phase function run\$1: draws from the process-global rand\.Float64 stream`
+		_ = rand.Float64() // want `shard-phase function run\$1: draws from the process-global rand\.Float64 stream` `global rand\.Float64 draws from the shared process-wide source`
 		return nil
 	})
 }

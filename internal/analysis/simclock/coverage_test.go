@@ -3,6 +3,7 @@ package simclock_test
 import (
 	"go/token"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,8 +41,8 @@ func TestSimPackagesCoverSimtimeImporters(t *testing.T) {
 			if f.Test {
 				continue
 			}
-			for _, path := range f.Imports {
-				if path == simtimePath {
+			for _, imp := range f.AST.Imports {
+				if imp.Path.Value == strconv.Quote(simtimePath) {
 					importsSimtime = true
 				}
 			}

@@ -96,25 +96,16 @@ func New(prefixes ...string) *lint.Analyzer {
 }
 
 func checkFile(pass *lint.Pass, f *lint.File) {
-	timeNames := map[string]bool{}
-	for _, local := range f.ImportedAs("time") {
-		timeNames[local] = true
-	}
-	if len(timeNames) == 0 {
-		return
-	}
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		ident, ok := sel.X.(*ast.Ident)
-		if !ok || !timeNames[ident.Name] || !forbidden[sel.Sel.Name] {
-			return true
+		if path, name := pass.Pkg.ImportedMember(sel); path == "time" && forbidden[name] {
+			pass.Reportf(sel.Pos(),
+				"wall-clock time.%s in simulation package %s; use the virtual clock (internal/simtime) or annotate //horselint:allow-wallclock <reason>",
+				name, pass.Pkg.Path)
 		}
-		pass.Reportf(sel.Pos(),
-			"wall-clock time.%s in simulation package %s; use the virtual clock (internal/simtime) or annotate //horselint:allow-wallclock <reason>",
-			sel.Sel.Name, pass.Pkg.Path)
 		return true
 	})
 }

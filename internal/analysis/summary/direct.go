@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/callgraph"
@@ -62,30 +63,28 @@ func externalClean(target string) bool {
 	return false
 }
 
-// direct computes the syntactic (pre-fixpoint) facts of one function.
+// direct computes the intraprocedural (pre-fixpoint) facts of one
+// function.
 type direct struct {
 	prog  *lint.Program
 	cfg   Config
 	seeds map[string]bool
 }
 
-// allowed reports whether an allow directive covers pos.
-func (d *direct) allowed(pos token.Pos) bool {
-	if d.cfg.AllowAnalyzer == "" {
-		return false
-	}
-	return d.prog.Allowed(d.cfg.AllowAnalyzer, d.prog.Fset.Position(pos))
+// allowedBy reports whether a reasoned allow-<analyzer> directive
+// covers pos (never for an empty analyzer name). An allowed site is
+// excluded from the facts entirely, so it cannot poison the verdict of
+// transitive callers.
+func (d *direct) allowedBy(analyzer string, pos token.Pos) bool {
+	return analyzer != "" && d.prog.Allowed(analyzer, d.prog.Fset.Position(pos))
 }
 
 func (d *direct) compute(n *callgraph.Node) *Facts {
-	f := &Facts{hasErrorResult: hasErrorResult(n.Type())}
-	body := n.Body()
-	if body == nil {
-		return f
-	}
+	f := &Facts{hasErrorResult: hasErrorResult(n.Signature())}
+	info := n.Pkg.Info
 
 	add := func(pos token.Pos, format string, args ...any) {
-		if d.allowed(pos) {
+		if d.allowedBy(d.cfg.AllowAnalyzer, pos) {
 			return
 		}
 		f.Allocs = append(f.Allocs, Site{Pos: pos, What: fmt.Sprintf(format, args...)})
@@ -93,52 +92,41 @@ func (d *direct) compute(n *callgraph.Node) *Facts {
 
 	// Walk the body shallowly: nested function literals are their own
 	// graph nodes and their facts flow back through closure edges.
-	ast.Inspect(body, func(x ast.Node) bool {
+	n.Inspect(func(x ast.Node) {
 		switch v := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.GoStmt:
 			add(v.Pos(), "go statement allocates a goroutine")
 		case *ast.CallExpr:
 			d.call(n, f, v, add)
 		case *ast.CompositeLit:
-			switch t := v.Type.(type) {
-			case *ast.ArrayType:
-				if t.Len == nil {
-					add(v.Pos(), "slice literal allocates")
-				}
-			case *ast.MapType:
+			switch info.TypeOf(v).Underlying().(type) {
+			case *types.Slice:
+				add(v.Pos(), "slice literal allocates")
+			case *types.Map:
 				add(v.Pos(), "map literal allocates")
 			}
 		case *ast.UnaryExpr:
 			if v.Op == token.AND {
-				if _, ok := v.X.(*ast.CompositeLit); ok {
+				if _, ok := ast.Unparen(v.X).(*ast.CompositeLit); ok {
 					add(v.Pos(), "&composite literal escapes to the heap")
 				}
 			}
 		case *ast.BinaryExpr:
-			if v.Op == token.ADD && (isStringLit(v.X) || isStringLit(v.Y)) {
+			if tv := info.Types[v]; v.Op == token.ADD && tv.Value == nil && isString(tv.Type) {
 				add(v.Pos(), "string concatenation allocates")
 			}
 		case *ast.AssignStmt:
-			if v.Tok == token.ADD_ASSIGN && len(v.Rhs) == 1 && isStringLit(v.Rhs[0]) {
+			if v.Tok == token.ADD_ASSIGN && isString(info.TypeOf(v.Lhs[0])) {
 				add(v.Pos(), "string concatenation allocates")
 			}
 		}
-		return true
 	})
 
-	// Edge-level facts: external calls, closures, method values, lock
-	// and clock names, seed calls.
+	// Edge-level facts: external calls, closures, method values.
 	for _, e := range n.Out {
 		switch e.Kind {
 		case callgraph.External:
-			switch {
-			case strings.HasPrefix(e.Target, "builtin."), strings.HasPrefix(e.Target, "conv."):
-				// The construct walk above owns the allocating builtins
-				// and conversions.
-			case externalClean(e.Target):
-			default:
+			if !externalClean(e.Target) {
 				add(e.Pos, "call to %s (outside the package set) is assumed to allocate", e.Target)
 			}
 		case callgraph.Dynamic:
@@ -146,7 +134,7 @@ func (d *direct) compute(n *callgraph.Node) *Facts {
 		case callgraph.Closure:
 			add(e.Pos, "function literal allocates a closure")
 		case callgraph.Ref:
-			if e.Callee != nil && e.Callee.Recv != "" {
+			if e.Callee.Recv != "" {
 				add(e.Pos, "method value %s allocates a closure", e.Callee.ID)
 			}
 		}
@@ -159,12 +147,15 @@ func (d *direct) compute(n *callgraph.Node) *Facts {
 	return f
 }
 
-// call handles one call expression's name-based facts: lock and clock
-// selectors, seed calls, and interface boxing of arguments into any /
-// interface{} parameters of resolved callees.
+// call handles one call expression's facts: lock and clock selectors
+// and seed calls (by name, the repository's vocabulary), allocating
+// builtins and conversions, and interface boxing of arguments into
+// empty-interface parameters of a uniquely resolved callee.
 func (d *direct) call(n *callgraph.Node, f *Facts, call *ast.CallExpr, add func(token.Pos, string, ...any)) {
+	info := n.Pkg.Info
+	fun := ast.Unparen(call.Fun)
 	var name string
-	switch fun := call.Fun.(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		name = fun.Name
 	case *ast.SelectorExpr:
@@ -183,90 +174,79 @@ func (d *direct) call(n *callgraph.Node, f *Facts, call *ast.CallExpr, add func(
 		f.directSeed = true
 	}
 
-	switch name {
-	case "make":
-		add(call.Pos(), "make allocates; hot paths must reuse preallocated state")
-	case "new":
-		add(call.Pos(), "new allocates")
-	case "append":
-		add(call.Pos(), "append may grow its backing array")
-	case "panic":
-		add(call.Pos(), "panic allocates and boxes its argument")
-	case "string":
-		if _, ok := call.Fun.(*ast.Ident); ok {
-			add(call.Pos(), "conversion to string allocates")
+	if tv := info.Types[fun]; tv.IsType() {
+		if len(call.Args) == 1 && allocatingConversion(tv.Type, info.Types[call.Args[0]]) {
+			add(call.Pos(), "conversion to %s allocates", tv.Type)
 		}
-	}
-	if at, ok := call.Fun.(*ast.ArrayType); ok {
-		add(call.Pos(), "conversion to %s allocates", typeText(at))
-	}
-
-	// Interface boxing: arguments flowing into any/interface{} params of
-	// a uniquely resolved callee in the set.
-	if len(call.Args) == 0 {
 		return
 	}
-	edges := d.edgesAt(call)
+	if id, ok := fun.(*ast.Ident); ok {
+		if _, ok := info.Uses[id].(*types.Builtin); ok {
+			switch name {
+			case "make":
+				add(call.Pos(), "make allocates; hot paths must reuse preallocated state")
+			case "new":
+				add(call.Pos(), "new allocates")
+			case "append":
+				add(call.Pos(), "append may grow its backing array")
+			case "panic":
+				add(call.Pos(), "panic allocates and boxes its argument")
+			}
+			return
+		}
+	}
+
+	// Interface boxing: a concrete argument flowing into an empty
+	// interface parameter of a uniquely resolved callee in the set.
+	edges := callgraph.Of(d.prog).EdgesAt(call)
 	if len(edges) != 1 || edges[0].Callee == nil {
 		return
 	}
-	ft := edges[0].Callee.Type()
-	if ft == nil || ft.Params == nil {
-		return
-	}
-	idx := 0
-	for _, p := range ft.Params.List {
-		k := len(p.Names)
-		if k == 0 {
-			k = 1
+	sig := edges[0].Callee.Signature()
+	params := sig.Params()
+	for i, arg := range call.Args {
+		if params.Len() == 0 {
+			break
 		}
-		if isAnyType(p.Type) && idx < len(call.Args) {
-			add(call.Args[idx].Pos(), "argument is boxed into an interface parameter of %s", edges[0].Callee.ID)
+		pt := params.At(min(i, params.Len()-1)).Type()
+		if sig.Variadic() && i >= params.Len()-1 && !call.Ellipsis.IsValid() {
+			pt = pt.(*types.Slice).Elem()
+		}
+		if isEmptyInterface(pt) && !types.IsInterface(info.TypeOf(arg)) {
+			add(arg.Pos(), "argument is boxed into an interface parameter of %s", edges[0].Callee.ID)
 			return
 		}
-		idx += k
 	}
 }
 
-func (d *direct) edgesAt(call *ast.CallExpr) []callgraph.Edge {
-	return callgraph.Of(d.prog).EdgesAt(call)
-}
-
-// isAnyType recognizes any, interface{}, and ...any parameter types.
-func isAnyType(e ast.Expr) bool {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name == "any"
-	case *ast.InterfaceType:
-		return t.Methods == nil || len(t.Methods.List) == 0
-	case *ast.Ellipsis:
-		return isAnyType(t.Elt)
+// allocatingConversion reports whether converting a value of type
+// from.Type to type to builds a fresh allocation: a string from
+// anything but a string, or a byte or rune slice from a string.
+// Constant operands fold at compile time.
+func allocatingConversion(to types.Type, from types.TypeAndValue) bool {
+	if from.Value != nil || from.Type == nil {
+		return false
 	}
-	return false
+	_, toSlice := to.Underlying().(*types.Slice)
+	return (isString(to) && !isString(from.Type)) || (toSlice && isString(from.Type))
 }
 
-func isStringLit(e ast.Expr) bool {
-	lit, ok := e.(*ast.BasicLit)
-	return ok && lit.Kind == token.STRING
+func isString(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+func isEmptyInterface(t types.Type) bool {
+	it, ok := t.Underlying().(*types.Interface)
+	return ok && it.Empty()
 }
 
 // hasErrorResult reports whether the signature's last result is error.
-func hasErrorResult(ft *ast.FuncType) bool {
-	if ft == nil || ft.Results == nil || len(ft.Results.List) == 0 {
+func hasErrorResult(sig *types.Signature) bool {
+	if sig == nil || sig.Results().Len() == 0 {
 		return false
 	}
-	last := ft.Results.List[len(ft.Results.List)-1]
-	id, ok := last.Type.(*ast.Ident)
-	return ok && id.Name == "error"
+	return types.Identical(sig.Results().At(sig.Results().Len()-1).Type(), errorType)
 }
 
-// typeText renders a short name for a conversion target.
-func typeText(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.ArrayType:
-		return "[]" + typeText(t.Elt)
-	case *ast.Ident:
-		return t.Name
-	}
-	return "T"
-}
+var errorType = types.Universe.Lookup("error").Type()

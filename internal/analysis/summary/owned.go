@@ -11,31 +11,25 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"github.com/horse-faas/horse/internal/analysis/callgraph"
+	"github.com/horse-faas/horse/internal/analysis/lint"
 )
 
 // OwnedField describes one struct field covered by an ownership
 // directive (//horselint:coordinator or //horselint:shardlocal on the
-// field, or on its enclosing type for every field). Matching is
-// name-based like the rest of the syntax-only analysis layer: a
-// selector access x.f matches when f's name matches — from any package
-// for exported fields, only from the declaring package otherwise.
+// field, or on its enclosing type for every field). Config.Owned keys
+// it by the field's *types.Var, so a selector x.f matches exactly the
+// field it selects, wherever it is written.
 type OwnedField struct {
 	// Key is the display identity, "Type.Field".
 	Key string
-	// Pkg is the declaring package path; unexported fields match only
-	// accesses inside it.
-	Pkg string
-	// Field is the bare field name.
-	Field string
 	// Coord marks coordinator-owned state (otherwise shard-local).
 	Coord bool
 	// Stream marks PRNG/fault-stream typed fields, whose accesses feed
 	// Rands instead of Reads/Writes.
 	Stream bool
-	// Exported widens matching to every package in the set.
-	Exported bool
 }
 
 // OwnedWrite is one direct (intraprocedural) write to an owned field —
@@ -49,12 +43,9 @@ type OwnedWrite struct {
 	Pos   token.Pos
 }
 
-// randPackages and randDraws mirror the detrand analyzer's vocabulary:
-// package-level calls on math/rand that advance the process-global
-// stream. A shard drawing from it would interleave with every other
-// shard nondeterministically.
-var randPackages = []string{"math/rand", "math/rand/v2"}
-
+// randDraws are the package-level math/rand (and v2) functions that
+// draw from or reseed the process-global stream. Constructors (New,
+// NewSource, NewPCG, NewChaCha8) are the sanctioned replacements.
 var randDraws = map[string]bool{
 	"Int": true, "Intn": true, "IntN": true,
 	"Int31": true, "Int31n": true, "Int32": true, "Int32N": true,
@@ -66,22 +57,52 @@ var randDraws = map[string]bool{
 	"Perm": true, "Shuffle": true, "Read": true, "Seed": true, "N": true,
 }
 
-// ownAllowed reports whether an allow-<Config.OwnAllow> directive covers
-// pos; randAllowed the same for Config.RandAllow. An allowed direct
-// access is excluded from the facts entirely, so it cannot poison the
-// verdict of transitive callers.
-func (d *direct) ownAllowed(pos token.Pos) bool {
-	if d.cfg.OwnAllow == "" {
-		return false
-	}
-	return d.prog.Allowed(d.cfg.OwnAllow, d.prog.Fset.Position(pos))
+// GlobalRandDraw reports whether sel names a math/rand (or v2) function
+// that draws from the process-global stream. A shard drawing from it
+// interleaves with every other shard nondeterministically, and any
+// draw from it depends on everything else that touched it.
+func GlobalRandDraw(pkg *lint.Package, sel *ast.SelectorExpr) bool {
+	path, name := pkg.ImportedMember(sel)
+	return (path == "math/rand" || path == "math/rand/v2") && randDraws[name]
 }
 
-func (d *direct) randAllowed(pos token.Pos) bool {
-	if d.cfg.RandAllow == "" {
-		return false
+// The owned-state fact kinds, indexing Facts.owned and ownedKinds.
+const (
+	ownRead = iota
+	ownWrite
+	ownRand
+)
+
+// ownedFact is one transitive owned-state fact: whether it holds, and a
+// one-line witness for callers.
+type ownedFact struct {
+	holds bool
+	why   string
+}
+
+// ownedMay words a call witness of each kind.
+var ownedMay = [...]string{
+	ownRead:  "may read coordinator-owned state",
+	ownWrite: "may write coordinator-owned state",
+	ownRand:  "may draw from a coordinator-shared stream",
+}
+
+// ownedAllow returns the directive name that vouches for a site of
+// kind k.
+func (c Config) ownedAllow(k int) string {
+	if k == ownRand {
+		return c.RandAllow
 	}
-	return d.prog.Allowed(d.cfg.RandAllow, d.prog.Fset.Position(pos))
+	return c.OwnAllow
+}
+
+// addOwned records a witness site of kind k, making the fact hold.
+func (f *Facts) addOwned(k int, pos token.Pos, what string) {
+	sites := [...]*[]Site{ownRead: &f.Reads, ownWrite: &f.Writes, ownRand: &f.Rands}[k]
+	*sites = append(*sites, Site{Pos: pos, What: what})
+	if !f.owned[k].holds {
+		f.owned[k] = ownedFact{holds: true, why: what}
+	}
 }
 
 // ownedFacts walks one function body for owned-field accesses and
@@ -92,21 +113,14 @@ func (d *direct) ownedFacts(n *callgraph.Node, f *Facts) {
 	if len(d.cfg.Owned) == 0 {
 		return
 	}
-	body := n.Body()
-	if body == nil {
-		return
-	}
-
 	// First pass: classify expressions. A selector is a write target when
 	// it is assigned, inc/dec'd, address-taken, sliced/indexed on the
-	// left of an assignment, or a range assignment target. Call-Fun
-	// selectors are method calls (the call graph owns those); receivers
-	// of .Derive(...) calls are re-keying a stream, which is exactly the
+	// left of an assignment, or a range assignment target. Receivers of
+	// .Derive(...) calls are re-keying a stream, which is exactly the
 	// legitimate way to consume one.
 	writes := map[ast.Expr]bool{}
-	funs := map[ast.Expr]bool{}
 	derived := map[ast.Expr]bool{}
-	shallow(body, func(x ast.Node) {
+	n.Inspect(func(x ast.Node) {
 		switch v := x.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
@@ -126,26 +140,21 @@ func (d *direct) ownedFacts(n *callgraph.Node, f *Facts) {
 				markWrite(writes, v.Value)
 			}
 		case *ast.CallExpr:
-			funs[v.Fun] = true
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Derive" {
 				derived[sel.X] = true
 			}
 		}
 	})
 
-	randImports := map[string]bool{}
-	for _, name := range n.File.ImportedAs(randPackages...) {
-		randImports[name] = true
-	}
-
 	// Second pass: record the accesses.
-	shallow(body, func(x ast.Node) {
+	n.Inspect(func(x ast.Node) {
 		switch v := x.(type) {
 		case *ast.SelectorExpr:
-			if funs[v] {
+			field, ok := n.Pkg.Info.Selections[v]
+			if !ok || field.Kind() != types.FieldVal {
 				return
 			}
-			of, ok := d.matchOwned(n, v.Sel.Name)
+			of, ok := d.cfg.Owned[field.Obj().(*types.Var).Origin()]
 			if !ok {
 				return
 			}
@@ -159,77 +168,27 @@ func (d *direct) ownedFacts(n *callgraph.Node, f *Facts) {
 			// Coordinator-owned streams are sharedrand's business, not
 			// shardsafe's; shard-local streams (per-node derived) are
 			// plain shard state.
-			if of.Stream {
-				if derived[v] || d.randAllowed(v.Pos()) {
-					return
+			switch {
+			case of.Stream:
+				if !derived[v] && !d.allowedBy(d.cfg.RandAllow, v.Pos()) {
+					f.addOwned(ownRand, v.Pos(), fmt.Sprintf("uses coordinator-shared stream %s (derive a per-node stream instead)", of.Key))
 				}
-				f.UsesRand = true
-				f.Rands = append(f.Rands, Site{Pos: v.Pos(), What: fmt.Sprintf("uses coordinator-shared stream %s (derive a per-node stream instead)", of.Key)})
-				if f.randWhy == "" {
-					f.randWhy = f.Rands[len(f.Rands)-1].What
-				}
-				return
-			}
-			if d.ownAllowed(v.Pos()) {
-				return
-			}
-			if isWrite {
-				f.WritesCoord = true
-				f.Writes = append(f.Writes, Site{Pos: v.Pos(), What: "writes coordinator-owned field " + of.Key})
-				if f.writeWhy == "" {
-					f.writeWhy = f.Writes[len(f.Writes)-1].What
-				}
-			} else {
-				f.ReadsCoord = true
-				f.Reads = append(f.Reads, Site{Pos: v.Pos(), What: "reads coordinator-owned field " + of.Key})
-				if f.readWhy == "" {
-					f.readWhy = f.Reads[len(f.Reads)-1].What
-				}
+			case d.allowedBy(d.cfg.OwnAllow, v.Pos()):
+			case isWrite:
+				f.addOwned(ownWrite, v.Pos(), "writes coordinator-owned field "+of.Key)
+			default:
+				f.addOwned(ownRead, v.Pos(), "reads coordinator-owned field "+of.Key)
 			}
 		case *ast.CallExpr:
-			sel, ok := v.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || !randImports[id.Name] || !randDraws[sel.Sel.Name] {
-				return
-			}
-			if d.randAllowed(v.Pos()) {
-				return
-			}
-			f.UsesRand = true
-			f.Rands = append(f.Rands, Site{Pos: v.Pos(), What: fmt.Sprintf("draws from the process-global %s.%s stream", id.Name, sel.Sel.Name)})
-			if f.randWhy == "" {
-				f.randWhy = f.Rands[len(f.Rands)-1].What
+			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
+			if ok && GlobalRandDraw(n.Pkg, sel) && !d.allowedBy(d.cfg.RandAllow, v.Pos()) {
+				f.addOwned(ownRand, v.Pos(), fmt.Sprintf("draws from the process-global %s stream", types.ExprString(sel)))
 			}
 		}
 	})
 	sortSites(f.Reads)
 	sortSites(f.Writes)
 	sortSites(f.Rands)
-}
-
-// matchOwned resolves a selector name against the owned-field table for
-// an access made from n's package. When several annotated fields share
-// the name, the merge is conservative: coordinator ownership and stream
-// taint win, and the first candidate's key names the witness.
-func (d *direct) matchOwned(n *callgraph.Node, name string) (OwnedField, bool) {
-	var out OwnedField
-	found := false
-	for _, of := range d.cfg.Owned[name] {
-		if !of.Exported && of.Pkg != n.Pkg.Path {
-			continue
-		}
-		if !found {
-			out = of
-			found = true
-			continue
-		}
-		out.Coord = out.Coord || of.Coord
-		out.Stream = out.Stream || of.Stream
-	}
-	return out, found
 }
 
 // markWrite unwraps an assignment target down to the selector being
@@ -255,17 +214,4 @@ func markWrite(writes map[ast.Expr]bool, e ast.Expr) {
 			return
 		}
 	}
-}
-
-// shallow visits body without descending into nested function literals.
-func shallow(body ast.Node, visit func(ast.Node)) {
-	ast.Inspect(body, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
-		if x != nil {
-			visit(x)
-		}
-		return true
-	})
 }

@@ -6,8 +6,8 @@
 //
 // The lattice is a product of booleans ordered false < true, so joins
 // are ORs and the fixpoint converges in at most |SCC| rounds per
-// component. Everything the resolver cannot see — calls leaving the
-// package set, dynamic calls through function values — is conservative:
+// component. Everything the call graph cannot see into — calls leaving
+// the package set, dynamic calls through function values — is conservative:
 // assumed to allocate unless a small intrinsics table of known-clean
 // standard-library operations says otherwise, never assumed to charge
 // the clock or take a lock (those invariants are repo-local, and their
@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"go/types"
 	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/callgraph"
@@ -61,28 +61,26 @@ type Facts struct {
 	// configured seed calls.
 	ReturnsSeedErr bool
 
-	// ReadsCoord and WritesCoord report a read / write of a
-	// coordinator-owned field on some path (transitive); Reads and
-	// Writes list the witness sites inside this function's own body in
-	// source order. UsesRand and Rands do the same for coordinator-shared
-	// PRNG and fault streams: stream-typed owned fields touched without
-	// a Derive re-key, and process-global math/rand draws. OwnedWrites
-	// lists direct writes to any owned field (they do not propagate).
-	// All of these populate only when Config.Owned is set.
-	ReadsCoord  bool
+	// Reads and Writes list the witness sites inside this function's
+	// own body, in source order, of a read / write of a
+	// coordinator-owned field on some path (a direct access, or a call
+	// to a callee that may make one). Rands does the same for
+	// coordinator-shared PRNG and fault streams: stream-typed owned
+	// fields touched without a Derive re-key, and process-global
+	// math/rand draws. OwnedWrites lists direct writes to any owned
+	// field (they do not propagate). All of these populate only when
+	// Config.Owned is set.
 	Reads       []Site
-	WritesCoord bool
 	Writes      []Site
-	UsesRand    bool
 	Rands       []Site
 	OwnedWrites []OwnedWrite
 
 	hasErrorResult bool
 	directSeed     bool
 
-	readWhy  string
-	writeWhy string
-	randWhy  string
+	// owned holds the transitive owned-state facts, indexed by
+	// ownRead/ownWrite/ownRand.
+	owned [3]ownedFact
 }
 
 // Config parameterizes a summary computation.
@@ -95,48 +93,19 @@ type Config struct {
 	// disables the exclusion.
 	AllowAnalyzer string
 
-	// Owned maps field names to the ownership-annotated fields bearing
-	// them; when set, the Reads/Writes/Rands facts are computed. OwnAllow
-	// and RandAllow are the directive names whose //horselint:allow-*
+	// Owned maps the ownership-annotated fields to their descriptors;
+	// when set, the Reads/Writes/Rands facts are computed. OwnAllow and
+	// RandAllow are the directive names whose //horselint:allow-*
 	// comments exclude a coordinator-state access or a stream access
 	// from the facts (empty disables each exclusion).
-	Owned     map[string][]OwnedField
+	Owned     map[*types.Var]OwnedField
 	OwnAllow  string
 	RandAllow string
 }
 
-// key returns a stable cache key for the configuration. The owned-field
-// table is folded in sorted by name so equal configurations share one
-// computation regardless of map construction order.
-func (c Config) key() string {
-	var b strings.Builder
-	b.WriteString("summary:")
-	b.WriteString(c.AllowAnalyzer)
-	b.WriteString(":")
-	b.WriteString(strings.Join(c.ErrorSeeds, ","))
-	if len(c.Owned) > 0 || c.OwnAllow != "" || c.RandAllow != "" {
-		b.WriteString(":own:")
-		b.WriteString(c.OwnAllow)
-		b.WriteString(":")
-		b.WriteString(c.RandAllow)
-		names := make([]string, 0, len(c.Owned))
-		for name := range c.Owned {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			for _, of := range c.Owned[name] {
-				fmt.Fprintf(&b, ";%s=%s@%s/%t%t%t", name, of.Key, of.Pkg, of.Coord, of.Stream, of.Exported)
-			}
-		}
-	}
-	return b.String()
-}
-
 // Set holds the computed facts of one package set.
 type Set struct {
-	Graph  *callgraph.Graph
-	Config Config
+	Graph *callgraph.Graph
 
 	facts map[*callgraph.Node]*Facts
 }
@@ -148,9 +117,14 @@ func Of(prog *lint.Program) *Set {
 }
 
 // Compute returns the program's summaries under cfg, memoized per
-// configuration.
+// configuration. A configuration with an owned-field table is built
+// afresh: its one caller, ownership.Of, is memoized itself.
 func Compute(prog *lint.Program, cfg Config) *Set {
-	return prog.Cached(cfg.key(), func() any {
+	if len(cfg.Owned) > 0 {
+		return build(prog, cfg)
+	}
+	key := "summary:" + cfg.AllowAnalyzer + ":" + strings.Join(cfg.ErrorSeeds, ",")
+	return prog.Cached(key, func() any {
 		return build(prog, cfg)
 	}).(*Set)
 }
@@ -189,23 +163,9 @@ func (s *Set) CallMayCharge(call *ast.CallExpr) (bool, string) {
 	return false, ""
 }
 
-// CallMayAllocate reports whether a call expression may (transitively)
-// allocate, with the callee's witness.
-func (s *Set) CallMayAllocate(call *ast.CallExpr) (bool, string) {
-	for _, e := range s.Graph.EdgesAt(call) {
-		if e.Callee == nil {
-			continue
-		}
-		if f := s.Facts(e.Callee); f.Allocates {
-			return true, fmt.Sprintf("%s: %s", e.Callee.ID, f.AllocWhy)
-		}
-	}
-	return false, ""
-}
-
 func build(prog *lint.Program, cfg Config) *Set {
 	g := callgraph.Of(prog)
-	s := &Set{Graph: g, Config: cfg, facts: make(map[*callgraph.Node]*Facts, len(g.Order))}
+	s := &Set{Graph: g, facts: make(map[*callgraph.Node]*Facts, len(g.Order))}
 	seeds := make(map[string]bool, len(cfg.ErrorSeeds))
 	for _, name := range cfg.ErrorSeeds {
 		seeds[name] = true
@@ -215,35 +175,6 @@ func build(prog *lint.Program, cfg Config) *Set {
 	for _, n := range g.Order {
 		s.facts[n] = d.compute(n)
 		d.ownedFacts(n, s.facts[n])
-	}
-
-	// Owned-state facts flow only through precise edges (static, typed
-	// method, closure) and interface fan-outs with exactly one candidate.
-	// A multi-candidate fan-out is name-based dispatch across the whole
-	// program — propagating through it would taint every caller of a
-	// common method name (any Len, any Reset) with whichever candidate
-	// touches coordinator state. Dynamic dispatch is instead covered by
-	// the annotation vocabulary itself: implementations carry their own
-	// phase annotations, and shard roots (Each handlers, shardphase
-	// functions) are declared, not inferred. This mirrors the ownership
-	// package's reachability rule, so both layers draw the same frontier.
-	var fan map[*callgraph.Node]map[token.Pos]int
-	if len(cfg.Owned) > 0 {
-		fan = make(map[*callgraph.Node]map[token.Pos]int, len(g.Order))
-		for _, n := range g.Order {
-			for _, e := range n.Out {
-				if e.Kind != callgraph.Iface {
-					continue
-				}
-				if fan[n] == nil {
-					fan[n] = make(map[token.Pos]int)
-				}
-				fan[n][e.Pos]++
-			}
-		}
-	}
-	ownedEdge := func(n *callgraph.Node, e callgraph.Edge) bool {
-		return e.Kind != callgraph.Iface || fan[n][e.Pos] == 1
 	}
 
 	// Bottom-up boolean fixpoint: SCCs arrive callees-first, so one
@@ -277,23 +208,11 @@ func build(prog *lint.Program, cfg Config) *Set {
 						f.ReturnsSeedErr = true
 						changed = true
 					}
-					if !ownedEdge(n, e) {
-						continue
-					}
-					if cf.ReadsCoord && !f.ReadsCoord {
-						f.ReadsCoord = true
-						f.readWhy = calleeFactWhy(e.Callee.ID, cf.readWhy)
-						changed = true
-					}
-					if cf.WritesCoord && !f.WritesCoord {
-						f.WritesCoord = true
-						f.writeWhy = calleeFactWhy(e.Callee.ID, cf.writeWhy)
-						changed = true
-					}
-					if cf.UsesRand && !f.UsesRand {
-						f.UsesRand = true
-						f.randWhy = calleeFactWhy(e.Callee.ID, cf.randWhy)
-						changed = true
+					for k, of := range cf.owned {
+						if of.holds && !f.owned[k].holds {
+							f.owned[k] = ownedFact{holds: true, why: calleeFactWhy(e.Callee.ID, of.why)}
+							changed = true
+						}
 					}
 				}
 				if f.hasErrorResult && f.directSeed && !f.ReturnsSeedErr {
@@ -316,7 +235,7 @@ func build(prog *lint.Program, cfg Config) *Set {
 			if !cf.Allocates {
 				continue
 			}
-			if cfg.AllowAnalyzer != "" && prog.Allowed(cfg.AllowAnalyzer, prog.Fset.Position(e.Pos)) {
+			if d.allowedBy(cfg.AllowAnalyzer, e.Pos) {
 				continue
 			}
 			f.Allocs = append(f.Allocs, Site{
@@ -338,27 +257,13 @@ func build(prog *lint.Program, cfg Config) *Set {
 		for _, n := range g.Order {
 			f := s.facts[n]
 			for _, e := range n.Out {
-				if e.Callee == nil || !e.Pos.IsValid() || !ownedEdge(n, e) {
+				if e.Callee == nil || !e.Pos.IsValid() {
 					continue
 				}
-				cf := s.facts[e.Callee]
-				if cf.ReadsCoord && !(cfg.OwnAllow != "" && prog.Allowed(cfg.OwnAllow, prog.Fset.Position(e.Pos))) {
-					f.Reads = append(f.Reads, Site{
-						Pos:  e.Pos,
-						What: fmt.Sprintf("call to %s may read coordinator-owned state (%s)", e.Callee.ID, cf.readWhy),
-					})
-				}
-				if cf.WritesCoord && !(cfg.OwnAllow != "" && prog.Allowed(cfg.OwnAllow, prog.Fset.Position(e.Pos))) {
-					f.Writes = append(f.Writes, Site{
-						Pos:  e.Pos,
-						What: fmt.Sprintf("call to %s may write coordinator-owned state (%s)", e.Callee.ID, cf.writeWhy),
-					})
-				}
-				if cf.UsesRand && !(cfg.RandAllow != "" && prog.Allowed(cfg.RandAllow, prog.Fset.Position(e.Pos))) {
-					f.Rands = append(f.Rands, Site{
-						Pos:  e.Pos,
-						What: fmt.Sprintf("call to %s may draw from a coordinator-shared stream (%s)", e.Callee.ID, cf.randWhy),
-					})
+				for k, of := range s.facts[e.Callee].owned {
+					if of.holds && !d.allowedBy(cfg.ownedAllow(k), e.Pos) {
+						f.addOwned(k, e.Pos, fmt.Sprintf("call to %s %s (%s)", e.Callee.ID, ownedMay[k], of.why))
+					}
 				}
 			}
 			sortSites(f.Reads)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/trigtrace"
 )
@@ -136,19 +137,6 @@ type SLOSummary struct {
 	Arrivals   uint64           `json:"arrivals"`
 	Missed     uint64           `json:"missed"`
 	Attainment float64          `json:"attainment"`
-}
-
-// percentile returns the q-quantile of sorted by nearest rank. sorted
-// must be ascending and non-empty.
-func percentile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(float64(len(sorted))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // attainment renders a ratio with a fixed denominator-zero convention
@@ -445,9 +433,9 @@ func (b *reportBuilder) build() Report {
 		r.Modes = append(r.Modes, ModeLatency{
 			Mode:  mode,
 			Count: uint64(len(samples)),
-			P50:   percentile(samples, 0.50),
-			P95:   percentile(samples, 0.95),
-			P99:   percentile(samples, 0.99),
+			P50:   metrics.RankQuantile(samples, 0.50),
+			P95:   metrics.RankQuantile(samples, 0.95),
+			P99:   metrics.RankQuantile(samples, 0.99),
 			Max:   samples[len(samples)-1],
 		})
 	}
@@ -462,8 +450,8 @@ func (b *reportBuilder) build() Report {
 		}
 		if samples := b.byNode[n.id]; len(samples) > 0 {
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			summary.P50 = percentile(samples, 0.50)
-			summary.P99 = percentile(samples, 0.99)
+			summary.P50 = metrics.RankQuantile(samples, 0.50)
+			summary.P99 = metrics.RankQuantile(samples, 0.99)
 		}
 		r.NodeSummaries = append(r.NodeSummaries, summary)
 	}
@@ -529,9 +517,9 @@ func (b *reportBuilder) build() Report {
 				Tenant: c.tenants.Spec(key.tenant).Name,
 				Mode:   key.mode,
 				Count:  uint64(len(samples)),
-				P50:    percentile(samples, 0.50),
-				P95:    percentile(samples, 0.95),
-				P99:    percentile(samples, 0.99),
+				P50:    metrics.RankQuantile(samples, 0.50),
+				P95:    metrics.RankQuantile(samples, 0.95),
+				P99:    metrics.RankQuantile(samples, 0.99),
 				Max:    samples[len(samples)-1],
 			})
 		}

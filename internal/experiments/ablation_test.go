@@ -93,3 +93,23 @@ func TestULLDispatchTimesliceClaim(t *testing.T) {
 		t.Fatalf("makespan = %v, want %v", latest, want)
 	}
 }
+
+// TestULLDispatchRowOrder pins the row order: sorted by Workload on
+// every call, independent of the map the per-vCPU stats come from.
+func TestULLDispatchRowOrder(t *testing.T) {
+	want := []string{"firewall", "nat", "scan"}
+	for i := 0; i < 20; i++ {
+		results, err := RunULLDispatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(want) {
+			t.Fatalf("results = %d rows, want %d", len(results), len(want))
+		}
+		for j, r := range results {
+			if r.Workload != want[j] {
+				t.Fatalf("call %d: row %d is %q, want %q", i, j, r.Workload, want[j])
+			}
+		}
+	}
+}

@@ -18,7 +18,8 @@ func smallColocation(seed int64) ColocationConfig {
 	}
 }
 
-// TestColocationSameSeedSamePercentiles is the detrand regression for
+// TestColocationSameSeedSamePercentiles is the global-rand regression
+// (horselint's sharedrand site rule) for
 // §5.4 (complementing TestColocationDeterministic in
 // experiments_test.go with preemption counts and a different-seed
 // guard): every random draw flows from seeded *rand.Rand instances,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/runqueue"
@@ -31,7 +32,7 @@ type DispatchResult struct {
 // the Category 1 firewall (17 µs) round-robins without ever delaying the
 // short workloads by more than the queue's quantum spacing — "1 µs
 // provides every workload with enough CPU time to terminate its
-// execution as soon as possible".
+// execution as soon as possible". Rows are sorted by Workload.
 func RunULLDispatch() ([]DispatchResult, error) {
 	h, err := vmm.New(vmm.Options{})
 	if err != nil {
@@ -52,6 +53,7 @@ func RunULLDispatch() ([]DispatchResult, error) {
 	// reserved queue, then resumed back-to-back.
 	work := make(map[string]simtime.Duration, len(demands))
 	names := make(map[string]string, len(demands)) // vCPU id -> workload
+	ids := make([]string, 0, len(demands))
 	for _, d := range demands {
 		sb, err := h.CreateSandbox(vmm.Config{VCPUs: 1, MemoryMB: 128, ULL: true})
 		if err != nil {
@@ -63,6 +65,7 @@ func RunULLDispatch() ([]DispatchResult, error) {
 		vcpuID := sb.VCPUs()[0].ID
 		work[vcpuID] = d.demand
 		names[vcpuID] = d.name
+		ids = append(ids, vcpuID)
 		if _, err := engine.Resume(sb, core.Horse); err != nil {
 			return nil, err
 		}
@@ -77,7 +80,8 @@ func RunULLDispatch() ([]DispatchResult, error) {
 	stats := runqueue.Summarize(slices)
 
 	out := make([]DispatchResult, 0, len(demands))
-	for vcpuID, st := range stats {
+	for _, vcpuID := range ids {
+		st := stats[vcpuID]
 		if !st.Completed {
 			return nil, fmt.Errorf("experiments: %s never completed", names[vcpuID])
 		}
@@ -88,5 +92,6 @@ func RunULLDispatch() ([]DispatchResult, error) {
 			Completion: st.Finished.Sub(start),
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
 	return out, nil
 }

@@ -99,6 +99,24 @@ func (s *Series) Percentile(p float64) (simtime.Duration, error) {
 	return s.samples[rank-1], nil
 }
 
+// RankQuantile returns the element of sorted at the round-half-up rank
+// of q: index int(q·n + 0.5) − 1, clamped to the slice. This is not the
+// nearest-rank method (rank ⌈q·n⌉) and differs from Series.Percentile
+// whenever q·n has a fractional part below one half: for n = 11 and
+// q = 0.95 it returns the 10th sample, Series.Percentile(95) the 11th.
+// The cluster and trigger-trace reports use it. sorted must be ascending
+// and non-empty.
+func RankQuantile(sorted []simtime.Duration, q float64) simtime.Duration {
+	idx := int(float64(len(sorted))*q+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
 // Stddev returns the sample standard deviation.
 func (s *Series) Stddev() (simtime.Duration, error) {
 	if len(s.samples) < 2 {

@@ -439,3 +439,45 @@ func TestTQuantilePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRankQuantile pins the round-half-up rank convention of the report
+// helper, including where it parts from Series.Percentile's nearest
+// rank: n=11, q=0.95 picks the 10th sample, not the 11th.
+func TestRankQuantile(t *testing.T) {
+	samples := func(n int) []simtime.Duration {
+		out := make([]simtime.Duration, n)
+		for i := range out {
+			out[i] = simtime.Duration(i + 1)
+		}
+		return out
+	}
+	cases := []struct {
+		n    int
+		q    float64
+		want simtime.Duration // the 1-based rank picked
+	}{
+		{1, 0.50, 1},
+		{1, 0.99, 1},
+		{2, 0.50, 1},
+		{4, 0.50, 2},
+		{10, 0.95, 10},
+		{11, 0.50, 6},
+		{11, 0.95, 10},
+		{11, 0.99, 11},
+		{100, 0.99, 99},
+		{3, 0.01, 1}, // clamped below
+		{3, 1.00, 3},
+	}
+	for _, c := range cases {
+		if got := RankQuantile(samples(c.n), c.q); got != c.want {
+			t.Errorf("RankQuantile(n=%d, q=%v) = rank %d, want %d", c.n, c.q, got, c.want)
+		}
+	}
+	nearest, err := seriesOf(samples(11)...).Percentile(95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nearest != 11 || RankQuantile(samples(11), 0.95) != 10 {
+		t.Errorf("n=11 q=0.95: Series.Percentile = %d, RankQuantile = %d; want 11 and 10", nearest, RankQuantile(samples(11), 0.95))
+	}
+}

@@ -66,25 +66,28 @@ func (l *List[V]) Front() *Element[V] { return l.sentinel.next }
 func (l *List[V]) head() *Element[V] { return &l.sentinel }
 
 // Insert adds a new element with the given key and value at its sorted
-// position and returns it. Cost is O(n) in the list length — this is the
-// sequential sorted merge the vanilla resume path performs once per vCPU,
-// and precisely the cost P²SM's merge phase avoids.
-func (l *List[V]) Insert(key int64, value V) *Element[V] {
+// position and returns it with that 0-based position (what
+// InsertPosition would have answered before the insert). Cost is O(n) in
+// the list length — this is the sequential sorted merge the vanilla
+// resume path performs once per vCPU, and precisely the cost P²SM's
+// merge phase avoids.
+func (l *List[V]) Insert(key int64, value V) (*Element[V], int) {
 	e := &Element[V]{key: key, value: value}
-	l.insertElement(e)
-	return e
+	return e, l.insertElement(e)
 }
 
 // insertElement links an existing element (e.g. one migrating from another
-// list) at its sorted position.
-func (l *List[V]) insertElement(e *Element[V]) {
-	prev := &l.sentinel
+// list) at its sorted position and returns that position.
+func (l *List[V]) insertElement(e *Element[V]) int {
+	prev, pos := &l.sentinel, 0
 	for prev.next != nil && prev.next.key <= e.key {
 		prev = prev.next
+		pos++
 	}
 	e.next = prev.next
 	prev.next = e
 	l.length++
+	return pos
 }
 
 // InsertPosition returns the 0-based position at which an element with the

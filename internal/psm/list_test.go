@@ -67,12 +67,21 @@ func TestListInsertPosition(t *testing.T) {
 			t.Errorf("InsertPosition(%d) = %d, want %d", tt.give, got, tt.want)
 		}
 	}
+	// Insert lands where InsertPosition predicts and reports it from its
+	// own walk.
+	for _, tt := range tests {
+		want := l.InsertPosition(tt.give)
+		e, got := l.Insert(tt.give, 0)
+		if got != want || l.At(got) != e {
+			t.Errorf("Insert(%d) reported position %d, want %d", tt.give, got, want)
+		}
+	}
 }
 
 func TestListAt(t *testing.T) {
 	l := NewList[int]()
-	e0 := l.Insert(1, 100)
-	e1 := l.Insert(2, 200)
+	e0, _ := l.Insert(1, 100)
+	e1, _ := l.Insert(2, 200)
 	if l.At(0) != e0 || l.At(1) != e1 {
 		t.Fatal("At returned wrong elements")
 	}
@@ -83,9 +92,9 @@ func TestListAt(t *testing.T) {
 
 func TestListRemove(t *testing.T) {
 	l := NewList[int]()
-	a := l.Insert(1, 0)
-	b := l.Insert(2, 0)
-	c := l.Insert(3, 0)
+	a, _ := l.Insert(1, 0)
+	b, _ := l.Insert(2, 0)
+	c, _ := l.Insert(3, 0)
 	if !l.Remove(b) {
 		t.Fatal("Remove(middle) = false")
 	}
@@ -195,7 +204,8 @@ func TestListMutationProperty(t *testing.T) {
 		var live []*Element[struct{}]
 		for _, op := range ops {
 			if op >= 0 || len(live) == 0 {
-				live = append(live, l.Insert(int64(op), struct{}{}))
+				e, _ := l.Insert(int64(op), struct{}{})
+				live = append(live, e)
 			} else {
 				i := rng.Intn(len(live))
 				if !l.Remove(live[i]) {

@@ -132,7 +132,7 @@ func (p *Precomputed[V]) spliceKeyFor(key int64) int {
 // AddSource inserts a new element into the source list and registers it in
 // its group, creating the group if needed. It returns the new element.
 func (p *Precomputed[V]) AddSource(key int64, value V) *Element[V] {
-	e := p.source.Insert(key, value)
+	e, _ := p.source.Insert(key, value)
 	p.attachToGroup(e)
 	return e
 }

@@ -189,7 +189,7 @@ func TestRemoveSource(t *testing.T) {
 func TestRemoveSourceForeignElement(t *testing.T) {
 	_, p := buildTarget(t, 10)
 	p.AddSource(5, 0)
-	foreign := NewList[int]().Insert(5, 0) // same key, different list
+	foreign, _ := NewList[int]().Insert(5, 0) // same key, different list
 	if p.RemoveSource(foreign) {
 		t.Fatal("RemoveSource accepted element from another list")
 	}
@@ -206,7 +206,7 @@ func TestTargetInsertedSplitsGroup(t *testing.T) {
 		t.Fatalf("groups = %d, want 1", p.GroupCount())
 	}
 	// The ull_runqueue gains an element between them.
-	e := target.Insert(20, 0)
+	e, _ := target.Insert(20, 0)
 	if err := p.TargetInserted(e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTargetInsertedWholeGroupMoves(t *testing.T) {
 	target, p := buildTarget(t, 10, 30)
 	p.AddSource(25, 0)
 	p.AddSource(27, 0)
-	e := target.Insert(20, 0) // all source keys >= 20: whole run re-keys
+	e, _ := target.Insert(20, 0) // all source keys >= 20: whole run re-keys
 	if err := p.TargetInserted(e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestMaintenanceProperty(t *testing.T) {
 				}
 			case 2: // ull_runqueue gains an element
 				pos := target.InsertPosition(key)
-				e := target.Insert(key, 0)
+				e, _ := target.Insert(key, 0)
 				if p.TargetInserted(e, pos) != nil {
 					return false
 				}

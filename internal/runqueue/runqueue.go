@@ -198,8 +198,7 @@ func (q *Queue) Insert(ent *Entity) (*Element, int, error) {
 	if ent == nil {
 		return nil, 0, errors.New("runqueue: nil entity")
 	}
-	pos := q.list.InsertPosition(ent.Credit)
-	e := q.list.Insert(ent.Credit, ent)
+	e, pos := q.list.Insert(ent.Credit, ent)
 	q.inserts++
 	for _, o := range q.observers {
 		if err := o.TargetInserted(e, pos); err != nil {

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// TestSynthesizeDeterministicBytes is the detrand regression: the same
+// TestSynthesizeDeterministicBytes is the global-rand regression behind
+// horselint's sharedrand site rule: the same
 // seed must produce byte-identical generated traces. All randomness in
 // Synthesize flows from one *rand.Rand built from SynthConfig.Seed, so
 // any global-source draw sneaking in breaks this immediately.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/horse-faas/horse/internal/flightrec"
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 )
@@ -311,24 +312,11 @@ func (r *Recorder) Attribution() []StageLatency {
 			Total: cell.total,
 		}
 		if len(samples) > 0 {
-			row.P50 = quantile(samples, 0.50)
-			row.P99 = quantile(samples, 0.99)
+			row.P50 = metrics.RankQuantile(samples, 0.50)
+			row.P99 = metrics.RankQuantile(samples, 0.99)
 			row.Max = samples[len(samples)-1]
 		}
 		out = append(out, row)
 	}
 	return out
-}
-
-// quantile returns the q-quantile of sorted by nearest rank (the same
-// convention as the cluster report's percentile).
-func quantile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(float64(len(sorted))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
