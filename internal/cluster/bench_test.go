@@ -16,7 +16,7 @@ import (
 // benchCluster builds the 8-node regression topology (2 reserved nodes)
 // with the scan deployed everywhere and HORSE pools on the reserved
 // nodes.
-func benchCluster(b *testing.B, policy string) *Cluster {
+func benchCluster(b testing.TB, policy string) *Cluster {
 	b.Helper()
 	specs := make([]NodeSpec, 8)
 	for i := range specs {

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
+	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/tenant"
+	"github.com/horse-faas/horse/internal/workload"
 )
 
 // Allocation sinks keep the pinned calls from being optimized away.
@@ -14,6 +18,11 @@ var (
 	sinkDur     simtime.Duration
 	sinkVerdict tenant.Verdict
 )
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool
+// (which encoding/json uses inside the scan body) drops pooled items at
+// random, so a trigger's allocation count is not reproducible.
+var raceEnabled bool
 
 // hotpathCluster builds the 8-node routing topology (2 uLL-reserved
 // nodes) without deployments: routing decisions only read node state.
@@ -126,4 +135,51 @@ func TestHotPathAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Router.Admit (untenanted) allocates %v per run, want 0", n)
 	}
+
+	// The whole routed trigger — admit, route, serve on the node engine,
+	// settle, trace completion — on the BenchmarkClusterTrigger topology
+	// is not allocation-free (the scan body's JSON handling and the
+	// per-trigger job allocate), so it is pinned to its committed
+	// BENCH_cluster.json budget instead of zero.
+	t.Run("Cluster.Trigger", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counts are not reproducible under -race")
+		}
+		c := benchCluster(t, PolicyULLAffinity)
+		payload, err := json.Marshal(workload.ScanRequest{Threshold: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := clusterTriggerAllocBudget(t)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := c.Trigger("scan", faas.ModeHorse, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n > budget {
+			t.Errorf("Cluster.Trigger allocates %v per run, budget %v (BENCH_cluster.json)", n, budget)
+		}
+	})
+}
+
+// clusterTriggerAllocBudget reads BenchmarkClusterTrigger's
+// max_allocs_per_op from the committed BENCH_cluster.json.
+func clusterTriggerAllocBudget(t *testing.T) float64 {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_cluster.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Budget map[string]struct {
+			MaxAllocsPerOp *float64 `json:"max_allocs_per_op"`
+		} `json:"budget"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	budget := bench.Budget["BenchmarkClusterTrigger"].MaxAllocsPerOp
+	if budget == nil {
+		t.Fatal("BENCH_cluster.json has no BenchmarkClusterTrigger max_allocs_per_op")
+	}
+	return *budget
 }

@@ -59,8 +59,8 @@ type RunConfig struct {
 }
 
 // pendingJob is one arrival moving through an epoch of the run loop:
-// minted by the pump, routed by the coordinator, served on a node
-// shard, and finalized by the coordinator in arrival order. Exactly
+// minted by newJob, routed by the coordinator, served on a node shard,
+// settled and completed by the coordinator in arrival order. Exactly
 // one goroutine owns it at a time — the coordinator hands it to a node
 // engine at a barrier and takes it back at the next — so its fields
 // need no locks.
@@ -73,8 +73,8 @@ type pendingJob struct {
 	arrival simtime.Time
 	tc      trigtrace.Context
 
-	// Failover state, coordinator-owned: only routeJob and serveEpoch's
-	// retry sweep touch it, strictly between barriers.
+	// Failover state, coordinator-owned: only routeJob and settle touch
+	// it, strictly between barriers.
 	excluded  map[int]bool //horselint:coordinator
 	failovers int          //horselint:coordinator
 	lastErr   error        //horselint:coordinator
@@ -189,29 +189,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	// and served epoch by epoch.
 	var epoch []*pendingJob
 	err = gen.Install(c.engine, horizonEnd, func(a loadgen.Arrival) {
-		entry := c.deployments[a.Function]
-		tc := c.rec.Start(c.seq, a.Function, a.Mode.String(), a.At, c.sloBudgets[a.Function])
-		tc.SetTenant(entry.tenantName)
-		job := &pendingJob{
-			seq:     c.seq,
-			fn:      a.Function,
-			ull:     entry.ull,
-			mode:    a.Mode,
-			payload: cfg.Payloads[a.Function],
-			arrival: a.At,
-			tc:      tc,
-		}
-		// The tenant admission gate fires at the pump — on the
-		// coordinator, in arrival order, identically at every shard
-		// count. A rejected job is terminal before routing: it consumes
-		// no placement and is finalized with the rest of its epoch.
-		if v := c.router.Admit(entry.tenant, a.At, entry.ull); v != tenant.Admitted {
-			job.err = admissionError(entry.tenantName, v)
-			job.outErr = job.err.Error()
-			c.rejected++
-		}
-		epoch = append(epoch, job)
-		c.seq++
+		epoch = append(epoch, c.newJob(a.Function, a.Mode, cfg.Payloads[a.Function], a.At))
 	})
 	if err != nil {
 		return Report{}, err
@@ -253,12 +231,42 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	return builder.build(), nil
 }
 
+// newJob mints one arrival on the coordinator: it starts the trace
+// context under the next arrival index, tags the tenant, and runs the
+// tenant admission gate — in arrival order, identically at every shard
+// count. A rejected job is terminal before routing: it consumes no
+// placement and goes straight to complete. seq advances once per
+// arrival whether or not a recorder is armed.
+//
+//horselint:coordinator
+func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simtime.Time) *pendingJob {
+	entry := c.deployments[fn]
+	tc := c.rec.Start(c.seq, fn, mode.String(), at, c.sloBudgets[fn])
+	tc.SetTenant(entry.tenantName)
+	job := &pendingJob{
+		seq:     c.seq,
+		fn:      fn,
+		ull:     entry.ull,
+		mode:    mode,
+		payload: payload,
+		arrival: at,
+		tc:      tc,
+	}
+	c.seq++
+	if v := c.router.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
+		job.err = admissionError(entry.tenantName, v)
+		job.outErr = job.err.Error()
+		c.rejected++
+	}
+	return job
+}
+
 // serveEpoch routes and serves one epoch's arrivals. Routing runs on
 // the coordinator in arrival order; serving drains the node-local
 // engines in parallel behind a ShardGroup barrier; triggers that fail
 // retryably come back to the coordinator and re-route in the next
-// wave, exactly mirroring Trigger's failover loop. When every job is
-// terminal the epoch is finalized into the report in arrival order.
+// wave. When every job is terminal the epoch is completed and recorded
+// into the report in arrival order.
 //
 //horselint:coordinator
 func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, builder *reportBuilder) error {
@@ -298,54 +306,77 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 		}
 		var retry []*pendingJob
 		for _, job := range scheduled {
-			if job.attemptErr == nil {
-				continue
+			if c.settle(job) {
+				retry = append(retry, job)
 			}
-			terr := job.attemptErr
-			n := job.node
-			if errors.Is(terr, faas.ErrInvokeFailed) {
-				// The function body ran and died; retrying on another
-				// node would double-execute user code.
-				c.failed++
-				job.err = fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr)
-				job.outErr = terr.Error()
-				continue
-			}
-			c.countFailover(ReasonTriggerFailed)
-			job.tc.Reroute(job.failedAt, n.id, ReasonTriggerFailed)
-			job.exclude(n.index, len(c.nodes))
-			job.failovers++
-			job.lastErr = terr
-			retry = append(retry, job)
 		}
 		pending = retry
 	}
-	// Finalize in arrival order so trace completion — and with it the
+	// Complete in arrival order so trace completion — and with it the
 	// flight recorder's insertion-order retention — is identical at
 	// every shard count.
 	for _, job := range jobs {
+		c.complete(job)
 		if job.err != nil {
-			job.tc.Complete(trigtrace.Outcome{Err: job.outErr})
 			// The error path records no served mode and no node: the
 			// trigger was not served, so a zero-value placement must not
 			// leak mode/node labels into the report's distributions.
 			builder.record(job.fn, "", "", 0, job.err)
 			continue
 		}
-		job.tc.Complete(trigtrace.Outcome{Served: job.inv.Mode.String(), Node: job.node.id, Latency: job.latency})
 		builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
 	}
 	return nil
+}
+
+// settle classifies a served attempt on the coordinator and reports
+// whether the job must re-route. A clean attempt or an invocation
+// failure is terminal; any other on-node failure voids the placement
+// and excludes the node from the job's next routing decision.
+//
+//horselint:coordinator
+func (c *Cluster) settle(job *pendingJob) (retry bool) {
+	terr := job.attemptErr
+	if terr == nil {
+		return false
+	}
+	n := job.node
+	if errors.Is(terr, faas.ErrInvokeFailed) {
+		// The function body ran and died; retrying on another node
+		// would double-execute user code.
+		c.failed++
+		job.err = fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr)
+		job.outErr = terr.Error()
+		return false
+	}
+	c.countFailover(ReasonTriggerFailed)
+	job.tc.Reroute(job.failedAt, n.id, ReasonTriggerFailed)
+	job.exclude(n.index, len(c.nodes))
+	job.failovers++
+	job.lastErr = terr
+	return true
+}
+
+// complete finishes a terminal job's trace with its outcome.
+//
+//horselint:coordinator
+func (c *Cluster) complete(job *pendingJob) {
+	if job.err != nil {
+		job.tc.Complete(trigtrace.Outcome{Err: job.outErr})
+		return
+	}
+	job.tc.Complete(trigtrace.Outcome{Served: job.inv.Mode.String(), Node: job.node.id, Latency: job.latency})
 }
 
 // routeJob runs one job's routing decisions on the coordinator until
 // the job is either scheduled onto a node-local engine (true) or
 // terminally rejected (false). The cluster.node.* fault sites fire
 // here, against the shared parent injector, in arrival order — the
-// same stream a sequential run draws.
+// same stream a sequential run draws. A rejected job has no node.
 //
 //horselint:coordinator
 func (c *Cluster) routeJob(job *pendingJob) bool {
+	job.node = nil
 	for {
 		n, err := c.router.Pick(c, job.fn, job.ull, job.excluded, job.arrival)
 		if err != nil {
@@ -384,9 +415,6 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 			job.failovers++
 			continue
 		}
-		job.node = n
-		job.policy = c.router.Policy()
-		job.attemptErr = nil
 		at := job.arrival
 		if local := n.platform.Clock().Now(); local.After(at) {
 			at = local
@@ -397,6 +425,9 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 			job.outErr = serr.Error()
 			return false
 		}
+		job.node = n
+		job.policy = c.router.Policy()
+		job.attemptErr = nil
 		return true
 	}
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
@@ -9,6 +11,7 @@ import (
 	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
+	"github.com/horse-faas/horse/internal/tenant"
 	"github.com/horse-faas/horse/internal/trigtrace"
 )
 
@@ -188,5 +191,143 @@ func TestTriggerWithoutRecorderStaysUntraced(t *testing.T) {
 	}
 	if c.Trace() != nil {
 		t.Fatal("direct Trigger armed a trace recorder")
+	}
+}
+
+// clusterStages is a trace's cluster-level stage sequence — the stages
+// the cluster itself records around each node-local attempt — as
+// "stage@node/detail" strings.
+func clusterStages(tr *trigtrace.TriggerTrace) []string {
+	var out []string
+	for _, s := range tr.Stages {
+		switch s.Stage {
+		case trigtrace.StagePlacement, trigtrace.StageQueueWait, trigtrace.StageFailedAttempt, trigtrace.StageReroute:
+			out = append(out, string(s.Stage)+"@"+s.Node+"/"+s.Detail)
+		}
+	}
+	return out
+}
+
+// TestTriggerTracedPath drives direct Trigger calls on a traced cluster
+// through every terminal and failover path: a cluster.node.fail fault,
+// a retryable on-node failure that fails over, an invocation failure
+// (never retried), an all-nodes-failed reject, and a tenant admission
+// reject. Every call must finish exactly one reconciling trace whose ID
+// derives from its arrival index — including the arrival index an
+// untraced call before the recorder was armed consumed.
+func TestTriggerTracedPath(t *testing.T) {
+	const seed = 5
+	faults, err := faultinject.New(seed,
+		faultinject.Rule{Site: faultinject.SiteNodeFail, Nth: 2},
+		faultinject.Rule{Site: faultinject.SiteInvoke, Nth: 4},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{
+		Specs:   []NodeSpec{{ULLSlots: 1}, {ULLSlots: 1}, {ULLSlots: 1}},
+		Policy:  PolicyRoundRobin,
+		Seed:    seed,
+		Faults:  faults,
+		Tenants: []tenant.Spec{{Name: "acme", Rate: 1, Burst: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerScan(t, c, faas.SandboxSpec{})
+	if err := c.BindTenant("scan", "acme"); err != nil {
+		t.Fatal(err)
+	}
+	// node02 keeps no HORSE pool and the cluster has no fallback, so a
+	// HORSE trigger routed there fails on-node and must fail over.
+	for _, n := range c.Nodes()[:2] {
+		if err := n.Platform().Provision("scan", 1, core.Horse); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Settle()
+	payload := scanPayload(t)
+	// Arrival 0 runs untraced; it still consumes an arrival index.
+	if _, p, err := c.Trigger("scan", faas.ModeHorse, payload); err != nil || p.Node != "node00" {
+		t.Fatalf("untraced trigger placement %+v, err %v", p, err)
+	}
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: seed})
+	c.SetTrace(rec)
+	// A budget no trigger meets makes every trace a violator, so the
+	// flight recorder retains them all.
+	c.SetSLOBudget("scan", simtime.Nanosecond)
+
+	trigger := func() (Placement, error) {
+		_, p, err := c.Trigger("scan", faas.ModeHorse, payload)
+		return p, err
+	}
+	// Arrival 1: round-robin picks node01, whose second routing
+	// decision trips cluster.node.fail; the trigger reroutes to node02,
+	// fails there for want of a pool, and lands on node00.
+	p, err := trigger()
+	if err != nil || p.Node != "node00" || p.Failovers != 2 {
+		t.Fatalf("node-fail trigger placement %+v, err %v; want node00 after 2 failovers", p, err)
+	}
+	// Arrival 2: node02 fails on-node again and the retry serves on
+	// node00 — a retryable failover.
+	if p, err = trigger(); err != nil || p.Node != "node00" || p.Failovers != 1 {
+		t.Fatalf("trigger-failed placement %+v, err %v; want node00 after 1 failover", p, err)
+	}
+	// Arrival 3: after node02 fails on-node once more, node00's fourth
+	// invocation dies in the function body; that is not retried, and the
+	// placement still reports the node it ran on.
+	if p, err = trigger(); !errors.Is(err, ErrInvokeNotRetried) || p.NodeIndex < 0 {
+		t.Fatalf("invoke-failure trigger placement %+v, err %v; want ErrInvokeNotRetried on a node", p, err)
+	}
+	// Arrival 4: with every node down the router has nowhere to go.
+	for _, n := range c.Nodes() {
+		if n.Health() == Up {
+			if err := c.Fail(n.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p, err = trigger(); !errors.Is(err, ErrNoNodes) || p.NodeIndex != -1 {
+		t.Fatalf("all-failed trigger placement %+v, err %v; want ErrNoNodes, no node", p, err)
+	}
+	// Arrival 5: acme's burst of 5 is spent, so admission rejects
+	// before any routing decision.
+	if p, err = trigger(); !errors.Is(err, ErrAdmissionRejected) || p.NodeIndex != -1 || p.Failovers != 0 {
+		t.Fatalf("admission trigger placement %+v, err %v; want ErrAdmissionRejected, no node", p, err)
+	}
+
+	const calls = 5
+	if rec.Finished() != calls {
+		t.Fatalf("finished traces %d, want one per call (%d)", rec.Finished(), calls)
+	}
+	if n := rec.ReconcileFailures(); n != 0 {
+		t.Fatalf("%d traces failed serving-stage/latency reconciliation", n)
+	}
+	traces := rec.Traces()
+	if len(traces) != calls {
+		t.Fatalf("retained %d traces, want all %d", len(traces), calls)
+	}
+	want := [calls][]string{
+		{"reroute@node01/node-failed",
+			"failed-attempt@node02/trigger-failed", "reroute@node02/trigger-failed",
+			"placement@node00/round-robin", "queue-wait@node00/"},
+		{"failed-attempt@node02/trigger-failed", "reroute@node02/trigger-failed",
+			"placement@node00/round-robin", "queue-wait@node00/"},
+		{"failed-attempt@node02/trigger-failed", "reroute@node02/trigger-failed",
+			"failed-attempt@node00/invoke"},
+		nil,
+		nil,
+	}
+	for k, tr := range traces {
+		seq := uint64(k + 1)
+		if tr.Seq != seq || tr.ID != trigtrace.NewTraceID(seed, seq) {
+			t.Errorf("trace %d: seq %d id %s, want seq %d id %s", k, tr.Seq, tr.IDString(), seq, trigtrace.NewTraceID(seed, seq))
+		}
+		if tr.Tenant != "acme" {
+			t.Errorf("trace %d tenant %q, want acme", tr.Seq, tr.Tenant)
+		}
+		if got := clusterStages(tr); !slices.Equal(got, want[k]) {
+			t.Errorf("trace %d cluster stages\n got %q\nwant %q", tr.Seq, got, want[k])
+		}
 	}
 }

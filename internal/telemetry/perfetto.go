@@ -15,10 +15,16 @@ import (
 // Perfetto renders the resume breakdown as a flame of per-step slices.
 // Timestamps are microseconds (float), the format's native unit.
 
-type perfettoEvent struct {
+// TraceEvent is one Chrome trace-event record. It is the one encoding
+// both Perfetto exporters (this package's span export and trigtrace's
+// trigger export) share; ID and BP carry flow arrows and are omitted
+// when empty.
+type TraceEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
+	ID   string            `json:"id,omitempty"`
+	BP   string            `json:"bp,omitempty"`
 	Ts   float64           `json:"ts"`
 	Dur  *float64          `json:"dur,omitempty"`
 	Pid  int               `json:"pid"`
@@ -26,20 +32,31 @@ type perfettoEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-type perfettoTrace struct {
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
+// Micros converts virtual nanoseconds to trace-event microseconds.
+func Micros(ns int64) float64 { return float64(ns) / 1e3 }
+
+// WriteTraceEvents encodes events as an indented trace-event document
+// with nanosecond display units. A nil slice encodes as an empty
+// traceEvents array.
+func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
+	if events == nil {
+		events = []TraceEvent{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(struct {
+		TraceEvents     []TraceEvent `json:"traceEvents"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+	}{events, "ns"})
 }
 
 // perfettoPID is the single simulated process all tracks belong to.
 const perfettoPID = 1
 
-func toMicros(ns int64) float64 { return float64(ns) / 1e3 }
-
 // WritePerfetto emits the spans as Chrome/Perfetto trace-event JSON.
 // Load the output at ui.perfetto.dev or chrome://tracing.
 func WritePerfetto(w io.Writer, spans []Span) error {
-	out := perfettoTrace{DisplayTimeUnit: "ns", TraceEvents: []perfettoEvent{}}
+	var events []TraceEvent
 
 	// Name each track so runs read as "track 3" lanes instead of bare
 	// thread ids.
@@ -53,7 +70,7 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
+		events = append(events, TraceEvent{
 			Name: "thread_name",
 			Ph:   "M",
 			Pid:  perfettoPID,
@@ -71,24 +88,24 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		for _, a := range sp.Attrs {
 			args[a.Key] = a.Value // last value wins
 		}
-		dur := toMicros(int64(sp.Duration()))
-		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
+		dur := Micros(int64(sp.Duration()))
+		events = append(events, TraceEvent{
 			Name: sp.Name,
 			Cat:  cat,
 			Ph:   "X",
-			Ts:   toMicros(int64(sp.Start)),
+			Ts:   Micros(int64(sp.Start)),
 			Dur:  &dur,
 			Pid:  perfettoPID,
 			Tid:  sp.Track,
 			Args: args,
 		})
 		for _, ev := range sp.Events {
-			evDur := toMicros(int64(ev.Dur))
-			out.TraceEvents = append(out.TraceEvents, perfettoEvent{
+			evDur := Micros(int64(ev.Dur))
+			events = append(events, TraceEvent{
 				Name: ev.Name,
 				Cat:  "step",
 				Ph:   "X",
-				Ts:   toMicros(int64(ev.Start)),
+				Ts:   Micros(int64(ev.Start)),
 				Dur:  &evDur,
 				Pid:  perfettoPID,
 				Tid:  sp.Track,
@@ -96,8 +113,5 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 			})
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return WriteTraceEvents(w, events)
 }

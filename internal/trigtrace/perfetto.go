@@ -1,14 +1,15 @@
 package trigtrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/horse-faas/horse/internal/telemetry"
 )
 
-// The trigger-trace Perfetto export follows the same Chrome trace-event
-// JSON dialect as internal/telemetry's exporter, but the track model
+// The trigger-trace Perfetto export encodes through internal/telemetry's
+// trace-event writer (telemetry.TraceEvent), but the track model
 // differs: one thread track per retained trigger (the span tree), and a
 // flow chain (ph "s"/"t"/"f", id = trace hex) threaded through the
 // trigger's stage slices so failover hops read as one connected arrow
@@ -18,30 +19,10 @@ import (
 // stage slices in causal order, and every args map is emitted by
 // encoding/json, which sorts keys — no map iteration order leaks.
 
-type flowEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	ID   string            `json:"id,omitempty"`
-	BP   string            `json:"bp,omitempty"`
-	Ts   float64           `json:"ts"`
-	Dur  *float64          `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type flowTrace struct {
-	TraceEvents     []flowEvent `json:"traceEvents"`
-	DisplayTimeUnit string      `json:"displayTimeUnit"`
-}
-
 // triggerPID is the simulated process the trigger tracks belong to. It
 // is distinct from telemetry's perfettoPID so a merged view keeps
 // hypervisor tracks and trigger tracks in separate process groups.
 const triggerPID = 2
-
-func toMicros(ns int64) float64 { return float64(ns) / 1e3 }
 
 // WritePerfetto emits the retained trigger span trees as
 // Chrome/Perfetto trace-event JSON: one named track per trigger, a root
@@ -54,7 +35,7 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 	ordered := append([]*TriggerTrace(nil), traces...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
 
-	out := flowTrace{DisplayTimeUnit: "ns", TraceEvents: []flowEvent{}}
+	var events []telemetry.TraceEvent
 	for tid, tr := range ordered {
 		status := "ok"
 		if tr.Violated {
@@ -66,7 +47,7 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 		if tr.Tenant != "" {
 			trackName = fmt.Sprintf("trigger %d %s/%s [%s]", tr.Seq, tr.Tenant, tr.Function, tr.IDString())
 		}
-		out.TraceEvents = append(out.TraceEvents, flowEvent{
+		events = append(events, telemetry.TraceEvent{
 			Name: "thread_name",
 			Ph:   "M",
 			Pid:  triggerPID,
@@ -92,12 +73,12 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 		if tr.Tenant != "" {
 			rootArgs["tenant"] = tr.Tenant
 		}
-		rootDur := toMicros(int64(tr.EndToEnd))
-		out.TraceEvents = append(out.TraceEvents, flowEvent{
+		rootDur := telemetry.Micros(int64(tr.EndToEnd))
+		events = append(events, telemetry.TraceEvent{
 			Name: "trigger " + tr.Function,
 			Cat:  "trigger",
 			Ph:   "X",
-			Ts:   toMicros(int64(tr.Arrival)),
+			Ts:   telemetry.Micros(int64(tr.Arrival)),
 			Dur:  &rootDur,
 			Pid:  triggerPID,
 			Tid:  tid,
@@ -105,7 +86,7 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 		})
 
 		for i, s := range tr.Stages {
-			dur := toMicros(int64(s.Dur))
+			dur := telemetry.Micros(int64(s.Dur))
 			args := map[string]string{
 				"trace_id": tr.IDString(),
 				"class":    string(StageClass(s.Stage)),
@@ -119,11 +100,11 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 			if s.Detail != "" {
 				args["detail"] = s.Detail
 			}
-			out.TraceEvents = append(out.TraceEvents, flowEvent{
+			events = append(events, telemetry.TraceEvent{
 				Name: string(s.Stage),
 				Cat:  string(StageClass(s.Stage)),
 				Ph:   "X",
-				Ts:   toMicros(int64(s.Start)),
+				Ts:   telemetry.Micros(int64(s.Start)),
 				Dur:  &dur,
 				Pid:  triggerPID,
 				Tid:  tid,
@@ -140,23 +121,20 @@ func WritePerfetto(w io.Writer, traces []*TriggerTrace) error {
 			case len(tr.Stages) - 1:
 				ph = "f"
 			}
-			flow := flowEvent{
+			flow := telemetry.TraceEvent{
 				Name: "trigger-flow",
 				Cat:  "trigger",
 				Ph:   ph,
 				ID:   tr.IDString(),
-				Ts:   toMicros(int64(s.Start)),
+				Ts:   telemetry.Micros(int64(s.Start)),
 				Pid:  triggerPID,
 				Tid:  tid,
 			}
 			if ph != "s" {
 				flow.BP = "e"
 			}
-			out.TraceEvents = append(out.TraceEvents, flow)
+			events = append(events, flow)
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return telemetry.WriteTraceEvents(w, events)
 }
