@@ -33,11 +33,13 @@ type FirewallRule struct {
 // whether a request may pass by querying a static allow list (paper §2).
 type Firewall struct {
 	rules []compiledRule
+	deny  fixed[FirewallDecision]
 }
 
 type compiledRule struct {
 	prefix netip.Prefix
 	port   uint16
+	allow  fixed[FirewallDecision]
 }
 
 var _ Function = (*Firewall)(nil)
@@ -47,13 +49,18 @@ func NewFirewall(rules []FirewallRule) (*Firewall, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("workload: firewall needs at least one rule")
 	}
-	f := &Firewall{rules: make([]compiledRule, 0, len(rules))}
+	f := &Firewall{
+		rules: make([]compiledRule, 0, len(rules)),
+		deny:  fixed[FirewallDecision]{val: FirewallDecision{Allow: false, Reason: "no matching allow rule"}},
+	}
 	for _, r := range rules {
 		p, err := netip.ParsePrefix(r.SrcCIDR)
 		if err != nil {
 			return nil, fmt.Errorf("workload: firewall rule %q: %w", r.SrcCIDR, err)
 		}
-		f.rules = append(f.rules, compiledRule{prefix: p, port: r.DstPort})
+		f.rules = append(f.rules, compiledRule{prefix: p, port: r.DstPort, allow: fixed[FirewallDecision]{
+			val: FirewallDecision{Allow: true, Reason: "matched " + p.String()},
+		}})
 	}
 	return f, nil
 }
@@ -83,31 +90,39 @@ func (f *Firewall) VirtualDuration() simtime.Duration { return FirewallDuration 
 
 // Decide applies the allow list to a parsed request.
 func (f *Firewall) Decide(req FirewallRequest) (FirewallDecision, error) {
+	v, err := f.verdict(req)
+	if err != nil {
+		return FirewallDecision{}, err
+	}
+	return v.val, nil
+}
+
+// verdict returns the first allow rule's decision for req, or the deny.
+func (f *Firewall) verdict(req FirewallRequest) (*fixed[FirewallDecision], error) {
 	addr, err := netip.ParseAddr(req.SrcIP)
 	if err != nil {
-		return FirewallDecision{}, fmt.Errorf("%w: src ip %q: %v", ErrBadPayload, req.SrcIP, err)
+		return nil, fmt.Errorf("%w: src ip %q: %v", ErrBadPayload, req.SrcIP, err)
 	}
-	for _, r := range f.rules {
+	for i := range f.rules {
+		r := &f.rules[i]
 		if r.prefix.Contains(addr) && (r.port == 0 || r.port == req.DstPort) {
-			return FirewallDecision{
-				Allow:  true,
-				Reason: fmt.Sprintf("matched %s", r.prefix),
-			}, nil
+			return &r.allow, nil
 		}
 	}
-	return FirewallDecision{Allow: false, Reason: "no matching allow rule"}, nil
+	return &f.deny, nil
 }
 
 // Invoke implements Function: JSON FirewallRequest in, FirewallDecision
-// out.
+// out. The output is a copy of the verdict's encoding, byte-identical to
+// json.Marshal of what Decide returns.
 func (f *Firewall) Invoke(payload []byte) ([]byte, error) {
 	var req FirewallRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	dec, err := f.Decide(req)
+	v, err := f.verdict(req)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(dec)
+	return v.encode(), nil
 }

@@ -1,47 +1,116 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
 // FuzzFirewallInvoke checks the firewall tolerates arbitrary payloads:
-// it must either return a decision or ErrBadPayload, never panic.
+// it must either return ErrBadPayload or exactly json.Marshal of the
+// decision Decide reaches, never panic.
 func FuzzFirewallInvoke(f *testing.F) {
 	f.Add([]byte(`{"srcIp":"10.0.0.1","dstPort":443}`))
 	f.Add([]byte(`{"srcIp":"not-an-ip"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`garbage`))
 	f.Add([]byte(`{"srcIp":"::1","dstPort":0}`))
+	f.Add([]byte(`{"srcIp":"192.168.1.1","dstPort":443}`))
+	f.Add([]byte(`{"srcIp":"8.8.8.8","dstPort":53}`))
 	fw := DefaultFirewall()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		out, err := fw.Invoke(payload)
 		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("error %v does not wrap ErrBadPayload", err)
+			}
 			return
 		}
-		var dec FirewallDecision
-		if jerr := json.Unmarshal(out, &dec); jerr != nil {
-			t.Fatalf("successful invoke produced unparsable output: %v", jerr)
+		var req FirewallRequest
+		if jerr := json.Unmarshal(payload, &req); jerr != nil {
+			t.Fatalf("invoke accepted a payload json.Unmarshal rejects: %v", jerr)
 		}
+		dec, derr := fw.Decide(req)
+		if derr != nil {
+			t.Fatalf("invoke succeeded where Decide fails: %v", derr)
+		}
+		assertMarshalled(t, out, dec)
 	})
 }
 
-// FuzzNATInvoke checks the NAT tolerates arbitrary payloads.
+// FuzzNATInvoke checks the NAT tolerates arbitrary payloads and that a
+// successful invoke is exactly json.Marshal of the translated header,
+// including the escaping of an echoed address.
 func FuzzNATInvoke(f *testing.F) {
 	f.Add([]byte(`{"dstIp":"203.0.113.10","dstPort":80}`))
 	f.Add([]byte(`{"dstIp":""}`))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"dstIp":"1.2.3.4","dstPort":65535}`))
+	f.Add([]byte(`{"dstIp":"a<b","dstPort":1}`))
+	f.Add([]byte(`{"dstIp":"a>b","dstPort":1}`))
+	f.Add([]byte(`{"dstIp":"a&b","dstPort":2}`))
+	f.Add([]byte(`{"dstIp":"say \"hi\"","dstPort":3}`))
+	f.Add([]byte(`{"dstIp":"back\\slash","dstPort":3}`))
+	f.Add([]byte(`{"dstIp":"two words","dstPort":4}`))
+	f.Add([]byte(`{"dstIp":"bell\u0007","dstPort":5}`))
+	f.Add([]byte("{\"dstIp\":\"bad\xff\xfeutf8\",\"dstPort\":6}"))
+	f.Add([]byte(`{"dstIp":"sep\u2028","dstPort":7}`))
 	nat := DefaultNAT()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		out, err := nat.Invoke(payload)
 		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("error %v does not wrap ErrBadPayload", err)
+			}
 			return
 		}
-		var res NATResult
-		if jerr := json.Unmarshal(out, &res); jerr != nil {
-			t.Fatalf("successful invoke produced unparsable output: %v", jerr)
+		var pkt NATPacket
+		if jerr := json.Unmarshal(payload, &pkt); jerr != nil {
+			t.Fatalf("invoke accepted a payload json.Unmarshal rejects: %v", jerr)
 		}
+		assertMarshalled(t, out, nat.Translate(pkt))
 	})
+}
+
+// FuzzScanInvoke checks the hand-written scan encoder against
+// json.Marshal of the reference IndexesAbove result, over arrays from
+// any seed and any threshold.
+func FuzzScanInvoke(f *testing.F) {
+	f.Add(int64(1), 5000)
+	f.Add(int64(7), 9000)
+	f.Add(int64(42), -1)    // below every element: all 3000 indexes
+	f.Add(int64(42), 10000) // above every element: "indexes":[]
+	f.Add(int64(-3), 9990)
+	f.Fuzz(func(t *testing.T, seed int64, threshold int) {
+		s := NewScan(seed)
+		payload, err := json.Marshal(ScanRequest{Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Invoke(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := s.IndexesAbove(threshold)
+		assertMarshalled(t, out, ScanResult{Indexes: idx, Count: len(idx)})
+	})
+}
+
+// assertMarshalled fails unless out is byte-identical to json.Marshal(v)
+// and carries no spare capacity.
+func assertMarshalled(t *testing.T, out []byte, v any) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatalf("invoke output differs from json.Marshal:\n got %q\nwant %q", out, want)
+	}
+	if len(out) != cap(out) {
+		t.Fatalf("invoke output has len %d, cap %d; want an exact-size buffer", len(out), cap(out))
+	}
 }
 
 // FuzzThumbnailInvoke checks the thumbnail generator rejects hostile
