@@ -33,13 +33,11 @@ type FirewallRule struct {
 // whether a request may pass by querying a static allow list (paper §2).
 type Firewall struct {
 	rules []compiledRule
-	deny  fixed[FirewallDecision]
 }
 
 type compiledRule struct {
 	prefix netip.Prefix
 	port   uint16
-	allow  fixed[FirewallDecision]
 }
 
 var _ Function = (*Firewall)(nil)
@@ -49,18 +47,13 @@ func NewFirewall(rules []FirewallRule) (*Firewall, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("workload: firewall needs at least one rule")
 	}
-	f := &Firewall{
-		rules: make([]compiledRule, 0, len(rules)),
-		deny:  fixed[FirewallDecision]{val: FirewallDecision{Allow: false, Reason: "no matching allow rule"}},
-	}
+	f := &Firewall{rules: make([]compiledRule, 0, len(rules))}
 	for _, r := range rules {
 		p, err := netip.ParsePrefix(r.SrcCIDR)
 		if err != nil {
 			return nil, fmt.Errorf("workload: firewall rule %q: %w", r.SrcCIDR, err)
 		}
-		f.rules = append(f.rules, compiledRule{prefix: p, port: r.DstPort, allow: fixed[FirewallDecision]{
-			val: FirewallDecision{Allow: true, Reason: "matched " + p.String()},
-		}})
+		f.rules = append(f.rules, compiledRule{prefix: p, port: r.DstPort})
 	}
 	return f, nil
 }
@@ -90,39 +83,31 @@ func (f *Firewall) VirtualDuration() simtime.Duration { return FirewallDuration 
 
 // Decide applies the allow list to a parsed request.
 func (f *Firewall) Decide(req FirewallRequest) (FirewallDecision, error) {
-	v, err := f.verdict(req)
-	if err != nil {
-		return FirewallDecision{}, err
-	}
-	return v.val, nil
-}
-
-// verdict returns the first allow rule's decision for req, or the deny.
-func (f *Firewall) verdict(req FirewallRequest) (*fixed[FirewallDecision], error) {
 	addr, err := netip.ParseAddr(req.SrcIP)
 	if err != nil {
-		return nil, fmt.Errorf("%w: src ip %q: %v", ErrBadPayload, req.SrcIP, err)
+		return FirewallDecision{}, fmt.Errorf("%w: src ip %q: %v", ErrBadPayload, req.SrcIP, err)
 	}
-	for i := range f.rules {
-		r := &f.rules[i]
+	for _, r := range f.rules {
 		if r.prefix.Contains(addr) && (r.port == 0 || r.port == req.DstPort) {
-			return &r.allow, nil
+			return FirewallDecision{
+				Allow:  true,
+				Reason: fmt.Sprintf("matched %s", r.prefix),
+			}, nil
 		}
 	}
-	return &f.deny, nil
+	return FirewallDecision{Allow: false, Reason: "no matching allow rule"}, nil
 }
 
 // Invoke implements Function: JSON FirewallRequest in, FirewallDecision
-// out. The output is a copy of the verdict's encoding, byte-identical to
-// json.Marshal of what Decide returns.
+// out.
 func (f *Firewall) Invoke(payload []byte) ([]byte, error) {
 	var req FirewallRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	v, err := f.verdict(req)
+	dec, err := f.Decide(req)
 	if err != nil {
 		return nil, err
 	}
-	return v.encode(), nil
+	return json.Marshal(dec)
 }

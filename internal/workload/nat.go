@@ -3,7 +3,6 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -40,7 +39,7 @@ type natKey struct {
 // pre-registered routing rules (paper §2). Both the firewall and the NAT
 // are common NFV use cases.
 type NAT struct {
-	table map[natKey]*fixed[NATResult]
+	table map[natKey]NATRule
 }
 
 var _ Function = (*NAT)(nil)
@@ -50,14 +49,12 @@ func NewNAT(rules []NATRule) (*NAT, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("workload: NAT needs at least one rule")
 	}
-	n := &NAT{table: make(map[natKey]*fixed[NATResult], len(rules))}
+	n := &NAT{table: make(map[natKey]NATRule, len(rules))}
 	for _, r := range rules {
 		if r.MatchIP == "" || r.RewriteIP == "" {
 			return nil, fmt.Errorf("workload: NAT rule with empty address: %+v", r)
 		}
-		n.table[natKey{ip: r.MatchIP, port: r.MatchPort}] = &fixed[NATResult]{
-			val: NATResult{DstIP: r.RewriteIP, DstPort: r.RewritePort, Translated: true},
-		}
+		n.table[natKey{ip: r.MatchIP, port: r.MatchPort}] = r
 	}
 	return n, nil
 }
@@ -87,50 +84,16 @@ func (n *NAT) VirtualDuration() simtime.Duration { return NATDuration }
 // Translate rewrites a parsed packet header.
 func (n *NAT) Translate(pkt NATPacket) NATResult {
 	if r, ok := n.table[natKey{ip: pkt.DstIP, port: pkt.DstPort}]; ok {
-		return r.val
+		return NATResult{DstIP: r.RewriteIP, DstPort: r.RewritePort, Translated: true}
 	}
 	return NATResult{DstIP: pkt.DstIP, DstPort: pkt.DstPort, Translated: false}
 }
 
-// Invoke implements Function: JSON NATPacket in, NATResult out. The
-// output is byte-identical to json.Marshal(n.Translate(pkt)): a matched
-// rule's encoding is copied, and an unmatched packet is echoed by hand
-// when its address needs no JSON escaping.
+// Invoke implements Function: JSON NATPacket in, NATResult out.
 func (n *NAT) Invoke(payload []byte) ([]byte, error) {
 	var pkt NATPacket
 	if err := json.Unmarshal(payload, &pkt); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	if r, ok := n.table[natKey{ip: pkt.DstIP, port: pkt.DstPort}]; ok {
-		return r.encode(), nil
-	}
-	if !jsonPlain(pkt.DstIP) {
-		out, err := json.Marshal(NATResult{DstIP: pkt.DstIP, DstPort: pkt.DstPort, Translated: false})
-		if err != nil {
-			return nil, err
-		}
-		return exactCopy(out), nil
-	}
-	const head, mid, tail = `{"dstIp":"`, `","dstPort":`, `,"translated":false}`
-	var portBuf [5]byte
-	port := strconv.AppendUint(portBuf[:0], uint64(pkt.DstPort), 10)
-	out := make([]byte, 0, len(head)+len(pkt.DstIP)+len(mid)+len(port)+len(tail))
-	out = append(out, head...)
-	out = append(out, pkt.DstIP...)
-	out = append(out, mid...)
-	out = append(out, port...)
-	return append(out, tail...), nil
-}
-
-// jsonPlain reports whether encoding/json writes s inside its quotes
-// unchanged: every byte is printable ASCII other than the quote, the
-// backslash, and the HTML characters <, > and & it escapes.
-func jsonPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
+	return json.Marshal(n.Translate(pkt))
 }

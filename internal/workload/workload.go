@@ -16,24 +16,21 @@
 //     initialization-percentage experiments reproduce the paper's ratios
 //     regardless of host speed.
 //
-// The uLL bodies (firewall, NAT, scan) decode their requests with
-// encoding/json, whose case-folding and error semantics are kept, but
-// encode their results by hand: the fixed verdicts and translations are
-// marshalled once, on first use, and copied; the scan copies precomputed
-// index text. The output is byte-identical to json.Marshal of the typed
-// result, which FuzzScanInvoke, FuzzNATInvoke and FuzzFirewallInvoke pin.
-// Each output is a fresh buffer of exactly its length and is never
-// pooled: the platform hands it back to the caller (Cluster.Trigger
+// All bodies decode their requests with encoding/json, whose
+// case-folding and error semantics are kept. The scan, whose result
+// lists up to 3000 indexes, encodes it by hand from precomputed index
+// text, byte-identical to json.Marshal of its ScanResult (FuzzScanInvoke
+// pins this). Its output is a fresh buffer of exactly its length and is
+// never pooled: the platform hands it back to the caller (Cluster.Trigger
 // returns it, and a cluster run holds every invocation until its epoch
 // ends), so a reused buffer would be overwritten under its reader, and
-// spare capacity would be held by every pending job.
+// spare capacity would be held by every pending job. The firewall and
+// NAT results are a few short fields and stay on json.Marshal.
 package workload
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -89,36 +86,6 @@ type Function interface {
 	VirtualDuration() simtime.Duration
 	// Invoke runs the real function logic.
 	Invoke(payload []byte) ([]byte, error)
-}
-
-// exactCopy returns a fresh copy of b whose capacity is its length: an
-// Invoke output is never shared and carries no spare capacity (see the
-// package doc).
-func exactCopy(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// fixed is a result a function returns unchanged on every matching call
-// (a NAT rule's translation, a firewall verdict). It is encoded with
-// json.Marshal on first use rather than when the function is built, so
-// simulator set-up, which builds functions it may never invoke, does not
-// pay for the encoding.
-type fixed[T any] struct {
-	val  T
-	once sync.Once
-	out  []byte
-}
-
-// encode returns a fresh exact-size copy of json.Marshal(f.val).
-func (f *fixed[T]) encode() []byte {
-	f.once.Do(func() {
-		// NATResult and FirewallDecision hold only strings, integers
-		// and booleans, which json.Marshal cannot fail on.
-		f.out, _ = json.Marshal(f.val)
-	})
-	return exactCopy(f.out)
 }
 
 // Calibrated virtual execution times (Table 1's "Average Execution").
