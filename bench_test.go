@@ -184,7 +184,14 @@ func BenchmarkColocation(b *testing.B) {
 
 // BenchmarkPSMMergeFlat measures the real wall-clock cost of the P²SM
 // merge phase across target-list sizes spanning three orders of
-// magnitude — the O(1) claim of §4.1.2 holds if the ns/op stays flat.
+// magnitude. The merge's work is one splice per posA key whatever |B| is
+// (the O(1) claim of §4.1.2); what grows at 10⁵ is cache misses on the
+// cold target elements the splices touch.
+//
+// The P²SM benchmarks re-arm untimed in O(|B|) per iteration while the
+// timed merge takes well under a microsecond, so the default -benchtime
+// would run about 10⁶ re-arms; run them with a fixed count, e.g.
+// -benchtime 2000x.
 func BenchmarkPSMMergeFlat(b *testing.B) {
 	for _, size := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("target-%d", size), func(b *testing.B) {
@@ -257,9 +264,11 @@ func benchPSMMerge(b *testing.B, targetSize, sourceSize int, sequential bool) {
 	}
 }
 
-// BenchmarkPSMMergeGroups sweeps the number of posA keys (splice
-// goroutines): Algorithm 1 spawns one goroutine per key, so the wall
-// cost grows with group count but not with list sizes.
+// BenchmarkPSMMergeGroups sweeps the number of posA keys: the merge
+// performs one two-pointer splice per key on the calling goroutine, so
+// the wall cost grows with group count but not with list sizes. (The
+// paper's one merge thread per key is modelled in virtual time:
+// vmm.CostModel.PSMMerge and sched.PriorityMerge.)
 func BenchmarkPSMMergeGroups(b *testing.B) {
 	const targetSize = 10_000
 	for _, groups := range []int{1, 4, 16, 36} {

@@ -8,10 +8,11 @@
 //     list), arms P²SM's arrayB/posA structures against that queue, and
 //     precomputes the coalesced load-update coefficients (αⁿ, β·Σαⁱ).
 //   - At resume time it enters a pre-armed fast path that splices
-//     merge_vcpus into the ull_runqueue in O(1) with one goroutine per
-//     posA key, applies a single fused load update, and flips the sandbox
-//     to running — ≈150 ns regardless of the vCPU count, versus a vanilla
-//     resume that grows linearly with it.
+//     merge_vcpus into the ull_runqueue in O(1) with one two-pointer
+//     splice per posA key (the paper's merge threads, charged in virtual
+//     time as vmm.CostModel.PSMMerge), applies a single fused load update,
+//     and flips the sandbox to running — ≈150 ns regardless of the vCPU
+//     count, versus a vanilla resume that grows linearly with it.
 //
 // The package also implements the two ablated variants the evaluation
 // compares (Figure 3): ppsm (P²SM only, per-vCPU load updates) and coal
@@ -410,9 +411,12 @@ func (e *Engine) Validate() error {
 	return nil
 }
 
-// MergeThreadCount returns the number of splice goroutines the next HORSE
-// resume of sb would spawn (the posA key count), or 0 if not prepared.
-// The colocation experiment uses it to model merge-thread preemption.
+// MergeThreadCount returns the number of merge threads Algorithm 1 would
+// run for the next HORSE resume of sb (the posA key count), or 0 if not
+// prepared. The splices themselves run inline on the resuming goroutine;
+// the colocation experiment models the threads' preemption in virtual
+// time (sched.PriorityMerge) with one thread per vCPU, this count's upper
+// bound.
 func (e *Engine) MergeThreadCount(sb *vmm.Sandbox) int {
 	st, ok := e.states[sb.ID()]
 	if !ok || st.pre == nil {

@@ -10,11 +10,15 @@
 //   - arrayB: a positional index of B — arrayB[i] is the address of B's
 //     element at position i;
 //   - posA: a map from a position in B to the consecutive run of A elements
-//     that belongs immediately after that position.
+//     that belongs immediately after that position (here one slice of
+//     runs sorted by position).
 //
 // With these precomputed, the merge itself is two pointer writes per posA
-// key, and the keys are spliced by concurrent goroutines with no mutual
-// exclusion (each goroutine touches a disjoint set of next pointers).
+// key. The paper runs one merge thread per key with no mutual exclusion
+// (each touches a disjoint set of next pointers); this package splices the
+// keys in turn on the calling goroutine, which yields the same list, and
+// the simulator models the threads' cost in virtual time
+// (vmm.CostModel.PSMMerge, sched.PriorityMerge).
 //
 // This file provides the sorted singly-linked list both A and B are built
 // from. The list uses a head sentinel so "splice before the first element"
@@ -45,9 +49,7 @@ func (e *Element[V]) Next() *Element[V] { return e.next }
 // behaviour of a credit-sorted run queue: a newly inserted vCPU queues
 // behind already-runnable vCPUs with the same credit.
 //
-// List is not safe for concurrent mutation. The concurrent phase of P²SM
-// (Merge) is safe because each goroutine writes a disjoint set of pointers;
-// see Precomputed.Merge.
+// List is not safe for concurrent mutation.
 type List[V any] struct {
 	sentinel Element[V]
 	length   int

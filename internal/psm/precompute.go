@@ -3,7 +3,7 @@ package psm
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // ErrNotReady is returned by Merge when the precomputed state has been
@@ -11,10 +11,11 @@ import (
 var ErrNotReady = errors.New("psm: precomputed state not ready (call Rebuild)")
 
 // group is one posA entry: a consecutive run of source-list elements that
-// splices immediately after a single target position. head/tail delimit the
+// splices immediately after target position key. head/tail delimit the
 // run *within the source list* (the run is contiguous there because both
 // lists are sorted by the same key).
 type group[V any] struct {
+	key   int
 	head  *Element[V]
 	tail  *Element[V]
 	count int
@@ -24,7 +25,8 @@ type group[V any] struct {
 // source list A into a target list B in O(1) (paper §4.1.1):
 //
 //   - arrayB (the positional index of B), and
-//   - posA (the map position-in-B → run-of-A), stored here as groups.
+//   - posA (position-in-B → run-of-A), stored here as one slice of
+//     groups sorted by splice key and reused across Rebuild/Merge cycles.
 //
 // In HORSE, one Precomputed exists per paused uLL sandbox: the source is
 // the sandbox's merge_vcpus list and the target is the reserved
@@ -39,19 +41,18 @@ type group[V any] struct {
 //   - RemoveSource: O(|A|) worst case (as in paper);
 //   - TargetInserted/TargetRemoved: the paper claims O(1); a positional
 //     index cannot be updated in true O(1), so this implementation pays
-//     O(|B|) for the arrayB shift and O(#groups + group size) for key
-//     renumbering and boundary split/merge. #groups <= |A| (the vCPU
+//     O(|B|) for the arrayB shift and O(#groups + group size) for in-place
+//     key renumbering and boundary split/merge. #groups <= |A| (the vCPU
 //     count, <= 36 in every experiment), so the practical cost matches
 //     the paper's "negligible" characterization.
 //
 // Precomputed is not safe for concurrent use; HORSE serializes structure
-// maintenance under the pause/resume lock. The Merge phase itself runs
-// its goroutines without locks, exactly as Algorithm 1 specifies.
+// maintenance and the merge under the pause/resume lock.
 type Precomputed[V any] struct {
 	target *List[V]
 	source *List[V]
 	arrayB []*Element[V]
-	groups map[int]*group[V]
+	groups []group[V] // posA, ascending by key
 	ready  bool
 }
 
@@ -73,8 +74,10 @@ func (p *Precomputed[V]) Source() *List[V] { return p.source }
 // Target returns the target list B.
 func (p *Precomputed[V]) Target() *List[V] { return p.target }
 
-// GroupCount returns the number of posA keys, which is also the number of
-// goroutines a Merge will spawn.
+// GroupCount returns the number of posA keys: the number of splices a
+// Merge performs, and the number of merge threads Algorithm 1 would run
+// (the simulator models those threads in virtual time, see
+// vmm.CostModel.PSMMerge and sched.PriorityMerge).
 func (p *Precomputed[V]) GroupCount() int { return len(p.groups) }
 
 // Ready reports whether the structures are current and a Merge may run.
@@ -88,10 +91,9 @@ func (p *Precomputed[V]) Ready() bool { return p.ready }
 func (p *Precomputed[V]) MemoryFootprint() int {
 	const (
 		pointerBytes = 8
-		groupBytes   = 3 * 8 // head, tail pointers + count
-		mapEntry     = 8 + groupBytes
+		groupBytes   = 4 * 8 // key, head, tail pointers + count
 	)
-	return cap(p.arrayB)*pointerBytes + len(p.groups)*mapEntry
+	return cap(p.arrayB)*pointerBytes + len(p.groups)*groupBytes
 }
 
 // Rebuild reconstructs arrayB from the current target and re-derives every
@@ -106,7 +108,7 @@ func (p *Precomputed[V]) Rebuild() {
 	for e := p.target.Front(); e != nil; e = e.Next() {
 		p.arrayB = append(p.arrayB, e)
 	}
-	p.groups = make(map[int]*group[V])
+	p.groups = p.groups[:0]
 	for e := p.source.Front(); e != nil; e = e.Next() {
 		p.attachToGroup(e)
 	}
@@ -137,14 +139,21 @@ func (p *Precomputed[V]) AddSource(key int64, value V) *Element[V] {
 	return e
 }
 
+// find returns the index of the group keyed k, or the index where it
+// would be inserted, and whether it exists.
+func (p *Precomputed[V]) find(k int) (int, bool) {
+	return slices.BinarySearchFunc(p.groups, k, func(g group[V], k int) int { return g.key - k })
+}
+
 // attachToGroup registers an already-linked source element in posA.
 func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 	k := p.spliceKeyFor(e.key)
-	g := p.groups[k]
-	if g == nil {
-		p.groups[k] = &group[V]{head: e, tail: e, count: 1}
+	i, ok := p.find(k)
+	if !ok {
+		p.groups = slices.Insert(p.groups, i, group[V]{key: k, head: e, tail: e, count: 1})
 		return
 	}
+	g := &p.groups[i]
 	if e.key < g.head.key {
 		g.head = e
 	}
@@ -157,14 +166,13 @@ func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 // RemoveSource unlinks a source element and updates its group. It reports
 // whether the element was present.
 func (p *Precomputed[V]) RemoveSource(e *Element[V]) bool {
-	k := p.spliceKeyFor(e.key)
-	g := p.groups[k]
-	if g == nil || !p.groupContains(g, e) {
+	i, ok := p.find(p.spliceKeyFor(e.key))
+	if !ok || !p.groupContains(&p.groups[i], e) {
 		return false
 	}
 	// Fix the group's boundaries before the list forgets e's links.
-	if g.count == 1 {
-		delete(p.groups, k)
+	if g := &p.groups[i]; g.count == 1 {
+		p.groups = slices.Delete(p.groups, i, i+1)
 	} else {
 		switch {
 		case g.head == e:
@@ -214,53 +222,42 @@ func (p *Precomputed[V]) TargetInserted(e *Element[V], pos int) error {
 	copy(p.arrayB[pos+1:], p.arrayB[pos:])
 	p.arrayB[pos] = e
 
-	if len(p.groups) > 0 {
-		shifted := make(map[int]*group[V], len(p.groups))
-		for k, g := range p.groups {
-			if k >= pos {
-				k++
-			}
-			shifted[k] = g
+	for i := range p.groups {
+		if p.groups[i].key >= pos {
+			p.groups[i].key++
 		}
-		p.groups = shifted
-		p.splitGroupAt(pos-1, pos, e.key)
 	}
+	p.splitGroupAt(pos-1, e.key)
 	return nil
 }
 
 // splitGroupAt splits the group keyed lowKey: elements with key >= splitKey
-// move to a new group keyed highKey (they now splice after the newly
-// inserted target element).
-func (p *Precomputed[V]) splitGroupAt(lowKey, highKey int, splitKey int64) {
-	g := p.groups[lowKey]
-	if g == nil {
+// move to a new group keyed lowKey+1 (they now splice after the newly
+// inserted target element, whose key was just vacated).
+func (p *Precomputed[V]) splitGroupAt(lowKey int, splitKey int64) {
+	i, ok := p.find(lowKey)
+	if !ok {
 		return
 	}
+	g := &p.groups[i]
 	// Find the first element of the run with key >= splitKey.
 	var prev *Element[V]
-	cur := g.head
-	moved := 0
-	for i := 0; i < g.count && cur.key < splitKey; i++ {
-		prev = cur
-		cur = cur.next
+	cur, remaining := g.head, 0
+	for ; remaining < g.count && cur.key < splitKey; remaining++ {
+		prev, cur = cur, cur.next
 	}
-	if prev == nil {
+	switch remaining {
+	case 0:
 		// Whole run moves to the high side.
-		delete(p.groups, lowKey)
-		p.groups[highKey] = g
-		return
+		g.key++
+	case g.count:
+		// Whole run stays.
+	default:
+		high := group[V]{key: lowKey + 1, head: cur, tail: g.tail, count: g.count - remaining}
+		g.tail = prev
+		g.count = remaining
+		p.groups = slices.Insert(p.groups, i+1, high)
 	}
-	remaining := 0
-	for e := g.head; e != prev.next; e = e.next {
-		remaining++
-	}
-	moved = g.count - remaining
-	if moved == 0 {
-		return
-	}
-	p.groups[highKey] = &group[V]{head: cur, tail: g.tail, count: moved}
-	g.tail = prev
-	g.count = remaining
 }
 
 // TargetRemoved records that the target element formerly at 0-based
@@ -275,73 +272,73 @@ func (p *Precomputed[V]) TargetRemoved(pos int) error {
 	p.arrayB[len(p.arrayB)-1] = nil
 	p.arrayB = p.arrayB[:len(p.arrayB)-1]
 
-	if len(p.groups) == 0 {
-		return nil
-	}
-	orphan := p.groups[pos]
-	if orphan != nil {
-		delete(p.groups, pos)
-		if below := p.groups[pos-1]; below != nil {
+	if i, ok := p.find(pos); ok {
+		if orphan := p.groups[i]; i > 0 && p.groups[i-1].key == pos-1 {
 			// Adjacent runs in the source list concatenate.
-			below.tail = orphan.tail
-			below.count += orphan.count
+			p.groups[i-1].tail = orphan.tail
+			p.groups[i-1].count += orphan.count
+			p.groups = slices.Delete(p.groups, i, i+1)
 		} else {
-			p.groups[pos-1] = orphan
+			p.groups[i].key = pos - 1
 		}
 	}
-	shifted := make(map[int]*group[V], len(p.groups))
-	for k, g := range p.groups {
-		if k > pos {
-			k--
+	for i := range p.groups {
+		if p.groups[i].key > pos {
+			p.groups[i].key--
 		}
-		shifted[k] = g
 	}
-	p.groups = shifted
 	return nil
 }
 
 // MergeResult describes one completed P²SM merge.
 type MergeResult struct {
-	// Groups is the number of posA keys, i.e. the number of splice
-	// goroutines that ran ("threads" in Algorithm 1).
+	// Groups is the number of posA keys, i.e. the number of splices
+	// performed (Algorithm 1 runs one merge thread per key).
 	Groups int
 	// Merged is the number of source elements now linked into the target.
 	Merged int
 }
 
-// Merge performs Algorithm 1: one goroutine per posA key, each rewiring
-// two next pointers, with no locking — the pointer sets are disjoint by
-// construction. After Merge the source list is empty, the target contains
-// every element, and the precomputed state is consumed (Ready reports
-// false until Rebuild).
+// Merge performs Algorithm 1: each posA key's run is spliced by rewiring
+// two next pointers. After Merge the source list is empty, the target
+// contains every element, and the precomputed state is consumed (Ready
+// reports false until Rebuild).
 //
-// The work per goroutine is O(1) and the number of goroutines is the
-// number of distinct splice points (<= |A|), independent of |B| — this is
-// the O(1) claim of paper §4.1.2, which BenchmarkPSMMergeFlat verifies
-// with wall-clock measurements across |B| spanning three orders of
-// magnitude.
-func (p *Precomputed[V]) Merge() (MergeResult, error) {
+// The work per key is O(1) and the number of keys is the number of
+// distinct splice points (<= |A|), independent of |B| — the O(1) claim of
+// paper §4.1.2. The paper runs one merge thread per key; their pointer
+// sets are disjoint, so splicing the keys in turn on the calling goroutine
+// yields the same list, and the threads' cost is modelled in virtual time
+// (vmm.CostModel.PSMMerge, sched.PriorityMerge).
+func (p *Precomputed[V]) Merge() (MergeResult, error) { return p.MergeFunc(nil) }
+
+// MergeFunc is Merge that also reports, when placed is non-nil, every
+// spliced element with its final 0-based target position, in ascending
+// position order. A position is the splice key plus one plus the number
+// of elements already spliced, so reporting costs O(|A|) and never walks
+// the target. When placed runs, every element at a lower position is
+// already linked and the target's length counts it.
+func (p *Precomputed[V]) MergeFunc(placed func(e *Element[V], pos int)) (MergeResult, error) {
 	if !p.ready {
 		return MergeResult{}, ErrNotReady
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
-
-	var wg sync.WaitGroup
-	wg.Add(len(p.groups))
-	for k, g := range p.groups {
-		go func(k int, g *group[V]) {
-			defer wg.Done()
-			prev := p.arrayAt(k)
-			tmp := prev.next
-			prev.next = g.head
-			g.tail.next = tmp
-		}(k, g)
+	spliced := 0
+	for _, g := range p.groups {
+		prev := p.arrayAt(g.key)
+		g.tail.next = prev.next
+		prev.next = g.head
+		p.target.length += g.count
+		if placed == nil {
+			continue
+		}
+		for e, i := g.head, 0; i < g.count; e, i = e.next, i+1 {
+			placed(e, g.key+1+spliced)
+			spliced++
+		}
 	}
-	wg.Wait()
-
-	p.target.length += p.source.Len()
 	p.source.Clear()
-	p.groups = make(map[int]*group[V])
+	p.groups = p.groups[:0]
 	p.ready = false
 	return res, nil
 }
@@ -356,7 +353,7 @@ func (p *Precomputed[V]) MergeSequentialBaseline() (MergeResult, error) {
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
 	SequentialMerge(p.target, p.source)
-	p.groups = make(map[int]*group[V])
+	p.groups = p.groups[:0]
 	p.ready = false
 	return res, nil
 }
@@ -379,7 +376,11 @@ func (p *Precomputed[V]) Validate() error {
 		i++
 	}
 	total := 0
-	for k, g := range p.groups {
+	for i, g := range p.groups {
+		k := g.key
+		if i > 0 && k <= p.groups[i-1].key {
+			return fmt.Errorf("psm: group key %d not above its predecessor %d", k, p.groups[i-1].key)
+		}
 		if k < -1 || k >= p.target.Len() {
 			return fmt.Errorf("psm: group key %d out of range [-1,%d)", k, p.target.Len())
 		}

@@ -11,9 +11,8 @@ import (
 )
 
 // buildTarget returns a target list with the given keys and a Precomputed
-// armed over it. Merge spawns one goroutine per posA key, so every test
-// built on this helper also verifies the parallel splice leaves no
-// goroutine behind.
+// armed over it. Merge splices every posA key on the calling goroutine, so
+// every test built on this helper also verifies it starts no goroutine.
 func buildTarget(t *testing.T, keys ...int64) (*List[int], *Precomputed[int]) {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
@@ -325,9 +324,15 @@ func TestMergeSequentialBaselineMatches(t *testing.T) {
 
 // Property (the core P²SM correctness claim): for arbitrary target and
 // source key multisets, Merge produces exactly the sorted union that the
-// sequential baseline produces, and the target stays sorted.
+// sequential baseline produces, and the target stays sorted. The positions
+// MergeFunc reports each address their element in the merged target,
+// ascend strictly, and name every source element exactly once.
 func TestMergeEquivalenceProperty(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	type placement struct {
+		e   *Element[int]
+		pos int
+	}
 	f := func(targetKeys, sourceKeys []int16) bool {
 		target := NewList[int]()
 		for _, k := range targetKeys {
@@ -340,11 +345,31 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 		if p.Validate() != nil {
 			return false
 		}
-		if _, err := p.Merge(); err != nil {
+		var sources []*Element[int]
+		for e := p.Source().Front(); e != nil; e = e.Next() {
+			sources = append(sources, e)
+		}
+		var placed []placement
+		if _, err := p.MergeFunc(func(e *Element[int], pos int) {
+			placed = append(placed, placement{e, pos})
+		}); err != nil {
 			return false
 		}
 		if !target.IsSorted() {
 			return false
+		}
+		// Reports come in source order, so matching the source slice
+		// element by element proves each was reported exactly once.
+		if len(placed) != len(sources) {
+			return false
+		}
+		for i, pl := range placed {
+			if pl.e != sources[i] || target.At(pl.pos) != pl.e {
+				return false
+			}
+			if i > 0 && pl.pos <= placed[i-1].pos {
+				return false
+			}
 		}
 		if target.Len() != len(targetKeys)+len(sourceKeys) {
 			return false

@@ -94,8 +94,8 @@ var (
 //
 // Queue is not safe for concurrent use: the virtualization system
 // serializes run-queue surgery under its scheduler locks, and the
-// simulation is single-threaded. P²SM's merge goroutines are safe because
-// they partition the pointer writes (see package psm).
+// simulation is single-threaded; the P²SM merge runs on the caller's
+// goroutine (MergePSM).
 type Queue struct {
 	id        int
 	reserved  bool
@@ -108,42 +108,19 @@ type Queue struct {
 	removes uint64
 }
 
-// Option configures a Queue.
-type Option interface{ apply(*Queue) }
-
-type optionFunc func(*Queue)
-
-func (f optionFunc) apply(q *Queue) { f(q) }
-
-// Reserved marks the queue as a ull_runqueue: reserved for uLL sandboxes
-// and running with the 1 µs timeslice unless overridden.
-func Reserved() Option {
-	return optionFunc(func(q *Queue) {
-		q.reserved = true
-		q.timeslice = ULLTimeslice
-	})
-}
-
-// WithTimeslice overrides the queue's scheduling quantum.
-func WithTimeslice(d simtime.Duration) Option {
-	return optionFunc(func(q *Queue) { q.timeslice = d })
-}
-
-// WithLoad substitutes a custom load tracker (e.g. different α/β).
-func WithLoad(l *pelt.RunqueueLoad) Option {
-	return optionFunc(func(q *Queue) { q.load = l })
-}
-
-// New returns an empty run queue with the given id.
-func New(id int, opts ...Option) *Queue {
+// New returns an empty run queue with the given id. A reserved queue is a
+// ull_runqueue: reserved for uLL sandboxes and running with the 1 µs
+// timeslice.
+func New(id int, reserved bool) *Queue {
 	q := &Queue{
 		id:        id,
+		reserved:  reserved,
 		timeslice: DefaultTimeslice,
 		list:      psm.NewList[*Entity](),
 		load:      pelt.NewRunqueueLoad(0, 0),
 	}
-	for _, o := range opts {
-		o.apply(q)
+	if reserved {
+		q.timeslice = ULLTimeslice
 	}
 	return q
 }
@@ -271,41 +248,35 @@ func (q *Queue) NewPrecomputed() *psm.Precomputed[*Entity] {
 }
 
 // MergePSM splices p's source into this queue with the O(1) P²SM merge,
-// then re-synchronizes every *other* registered observer with the new
-// queue contents. p must target this queue; it is unregistered and
-// consumed by the merge.
+// then re-synchronizes every *other* registered observer with each
+// spliced element at the position the merge reports for it, so the
+// resync costs O(|A|) per observer and never walks the queue. p must
+// target this queue and be ready; it is unregistered and consumed by the
+// merge. A call rejected before the merge (wrong target, consumed state)
+// leaves the observer registrations unchanged.
 func (q *Queue) MergePSM(p *psm.Precomputed[*Entity]) (psm.MergeResult, error) {
 	if p.Target() != q.list {
 		return psm.MergeResult{}, ErrWrongTarget
 	}
+	if !p.Ready() {
+		return psm.MergeResult{}, psm.ErrNotReady
+	}
 	q.Unobserve(p)
 
-	// Snapshot the incoming elements so other observers can be told where
-	// each one landed after the splice.
-	incoming := make(map[*Element]bool, p.Source().Len())
-	for e := p.Source().Front(); e != nil; e = e.Next() {
-		incoming[e] = true
-	}
-
-	res, err := p.Merge()
+	var resync error
+	res, err := p.MergeFunc(func(e *Element, pos int) {
+		for _, o := range q.observers {
+			if resync == nil {
+				resync = o.TargetInserted(e, pos)
+			}
+		}
+	})
 	if err != nil {
-		q.Observe(p) // restore registration; nothing changed
 		return res, err
 	}
 	q.inserts += uint64(res.Merged)
-
-	if len(q.observers) > 0 && res.Merged > 0 {
-		pos := 0
-		for e := q.list.Front(); e != nil; e = e.Next() {
-			if incoming[e] {
-				for _, o := range q.observers {
-					if oerr := o.TargetInserted(e, pos); oerr != nil {
-						return res, fmt.Errorf("runqueue: observer resync: %w", oerr)
-					}
-				}
-			}
-			pos++
-		}
+	if resync != nil {
+		return res, fmt.Errorf("runqueue: observer resync: %w", resync)
 	}
 	return res, nil
 }

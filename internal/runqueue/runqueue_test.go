@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/horse-faas/horse/internal/simtime"
+	"github.com/horse-faas/horse/internal/psm"
 )
 
 func vcpu(id string, credit int64) *Entity {
@@ -23,7 +23,7 @@ func queueIDs(q *Queue) []string {
 }
 
 func TestNewDefaults(t *testing.T) {
-	q := New(3)
+	q := New(3, false)
 	if q.ID() != 3 {
 		t.Fatalf("ID = %d, want 3", q.ID())
 	}
@@ -36,22 +36,17 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestReservedOption(t *testing.T) {
-	q := New(0, Reserved())
+	q := New(0, true)
 	if !q.Reserved() {
-		t.Fatal("Reserved() not applied")
+		t.Fatal("reserved queue does not report Reserved")
 	}
 	if q.Timeslice() != ULLTimeslice {
 		t.Fatalf("ull timeslice = %v, want 1µs", q.Timeslice())
 	}
-	// Explicit timeslice wins over the reserved default.
-	q2 := New(0, Reserved(), WithTimeslice(2*simtime.Microsecond))
-	if q2.Timeslice() != 2*simtime.Microsecond {
-		t.Fatalf("override timeslice = %v", q2.Timeslice())
-	}
 }
 
 func TestInsertSortsByCredit(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	for i, c := range []int64{50, 10, 30} {
 		if _, _, err := q.Insert(vcpu(fmt.Sprintf("v%d", i), c)); err != nil {
 			t.Fatal(err)
@@ -70,14 +65,14 @@ func TestInsertSortsByCredit(t *testing.T) {
 }
 
 func TestInsertNil(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	if _, _, err := q.Insert(nil); err == nil {
 		t.Fatal("nil entity accepted")
 	}
 }
 
 func TestRemoveAndPop(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	e1, _, _ := q.Insert(vcpu("a", 1))
 	q.Insert(vcpu("b", 2))
 	if err := q.Remove(e1); err != nil {
@@ -101,7 +96,7 @@ func TestRemoveAndPop(t *testing.T) {
 }
 
 func TestPrecomputedStaysCurrentThroughQueueChanges(t *testing.T) {
-	q := New(0, Reserved())
+	q := New(0, true)
 	q.Insert(vcpu("q1", 10))
 	q.Insert(vcpu("q2", 30))
 
@@ -147,7 +142,7 @@ func TestPrecomputedStaysCurrentThroughQueueChanges(t *testing.T) {
 }
 
 func TestMergePSMResyncsOtherObservers(t *testing.T) {
-	q := New(0, Reserved())
+	q := New(0, true)
 	q.Insert(vcpu("q1", 10))
 	q.Insert(vcpu("q2", 40))
 
@@ -181,33 +176,48 @@ func TestMergePSMResyncsOtherObservers(t *testing.T) {
 }
 
 func TestMergePSMWrongTarget(t *testing.T) {
-	q1 := New(0)
-	q2 := New(1)
+	q1 := New(0, false)
+	q2 := New(1, false)
 	p := q1.NewPrecomputed()
 	if _, err := q2.MergePSM(p); !errors.Is(err, ErrWrongTarget) {
 		t.Fatalf("err = %v, want ErrWrongTarget", err)
 	}
 }
 
+// A failed MergePSM on consumed state must leave the observer list as it
+// found it: a merged precompute stays unregistered (registering it again
+// would feed a dead observer every later queue insert), and one consumed
+// by the sequential baseline while still registered keeps its single
+// registration.
 func TestMergePSMConsumedStateRestoresObserver(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	p := q.NewPrecomputed()
 	p.AddSource(1, vcpu("s", 1))
 	if _, err := q.MergePSM(p); err != nil {
 		t.Fatal(err)
 	}
-	// Second merge with consumed state fails and must not corrupt the
-	// observer list.
-	if _, err := q.MergePSM(p); err == nil {
-		t.Fatal("consumed precompute merged twice")
+	if _, err := q.MergePSM(p); !errors.Is(err, psm.ErrNotReady) {
+		t.Fatalf("second merge err = %v, want ErrNotReady", err)
+	}
+	if q.ObserverCount() != 0 {
+		t.Fatalf("observers = %d, want 0 (unchanged by the failed merge)", q.ObserverCount())
+	}
+
+	registered := q.NewPrecomputed()
+	registered.AddSource(2, vcpu("r", 2))
+	if _, err := registered.MergeSequentialBaseline(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.MergePSM(registered); !errors.Is(err, psm.ErrNotReady) {
+		t.Fatalf("merge of consumed registered state err = %v, want ErrNotReady", err)
 	}
 	if q.ObserverCount() != 1 {
-		t.Fatalf("observers = %d, want 1 (restored)", q.ObserverCount())
+		t.Fatalf("observers = %d, want 1 (unchanged by the failed merge)", q.ObserverCount())
 	}
 }
 
 func TestUnobserve(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	p := q.NewPrecomputed()
 	q.Unobserve(p)
 	if q.ObserverCount() != 0 {
@@ -217,7 +227,7 @@ func TestUnobserve(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	q := New(0)
+	q := New(0, false)
 	q.Insert(vcpu("a", 2))
 	q.Insert(vcpu("b", 1))
 	out := q.Drain()
@@ -253,7 +263,7 @@ func TestEntityKindString(t *testing.T) {
 func TestSharedQueueMaintenanceProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New(0, Reserved())
+		q := New(0, true)
 		pa := q.NewPrecomputed()
 		pb := q.NewPrecomputed()
 		var onQueue []*Element

@@ -29,8 +29,9 @@ type CostModel struct {
 
 	// HorseFixed replaces steps ①②③⑥ on the pre-armed fast path.
 	HorseFixed simtime.Duration
-	// PSMMerge is the complete P²SM merge phase: goroutine dispatch plus
-	// two pointer writes per posA key, independent of queue length.
+	// PSMMerge is the complete P²SM merge phase: the paper's merge-thread
+	// dispatch plus two pointer writes per posA key, independent of queue
+	// length.
 	PSMMerge simtime.Duration
 	// CoalescedUpdate is the single fused load update of §4.2.
 	CoalescedUpdate simtime.Duration

@@ -146,10 +146,10 @@ func New(opts Options) (*Hypervisor, error) {
 		h.tracer.AttachClock(h.clock)
 	}
 	for i := 0; i < opts.CPUs; i++ {
-		h.general = append(h.general, runqueue.New(i))
+		h.general = append(h.general, runqueue.New(i, false))
 	}
 	for i := 0; i < opts.ULLQueues; i++ {
-		h.ull = append(h.ull, runqueue.New(opts.CPUs+i, runqueue.Reserved()))
+		h.ull = append(h.ull, runqueue.New(opts.CPUs+i, true))
 	}
 	return h, nil
 }
