@@ -238,8 +238,6 @@ type (
 	ReplayReport = faas.ReplayReport
 	// PoolStats summarizes a deployment warm pool.
 	PoolStats = faas.PoolStats
-	// DeploymentStats summarizes a deployment's served invocations.
-	DeploymentStats = faas.DeploymentStats
 
 	// KeepAlivePolicy sizes the idle lifetime of pooled warm sandboxes.
 	KeepAlivePolicy = faas.KeepAlivePolicy

@@ -5,9 +5,9 @@
 // degradation when a node dies mid-trigger (DESIGN.md §11).
 //
 // Everything runs on virtual time. The cluster owns a global clock
-// (driven by the loadgen/eventsim arrival stream); each node's platform
-// keeps its own local clock, synchronized forward to the cluster
-// instant before serving. A node whose local clock runs ahead of the
+// (advanced epoch by epoch as Run pulls the loadgen arrival stream);
+// each node's platform keeps its own local clock, synchronized forward
+// to the cluster instant before serving. A node whose local clock runs ahead of the
 // cluster clock has backlog, and that lag is both the queueing delay
 // the next trigger will see and the load score the least-loaded and
 // bounded-load policies place against. Same seed, same options ⇒ the
@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"github.com/horse-faas/horse/internal/core"
-	"github.com/horse-faas/horse/internal/eventsim"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/simtime"
@@ -117,7 +116,7 @@ type Options struct {
 	// early-returns (BenchmarkContextDisabled).
 	Trace *trigtrace.Recorder
 	// Shards is how many worker goroutines Run's conservative-PDES
-	// serve phase drains the node-local engines on (DESIGN.md §13).
+	// serve phase drains the node queues on (DESIGN.md §13).
 	// Values outside [1, len(nodes)] are clamped; 0 selects 1
 	// (sequential). The report is byte-identical at every shard count:
 	// sharding bounds only which goroutine serves which node, never
@@ -130,14 +129,11 @@ type Options struct {
 // The field annotations below encode the conservative-PDES ownership
 // split (DESIGN.md §9, §13): coordinator-owned state may only be
 // touched between serve barriers, and the shardsafe/sharedrand
-// analyzers reject any shard-phase path that reaches it. clock,
-// engine, and nodes stay unannotated on purpose — the node *list* is
-// immutable during a run and read by every shard to find its own
-// nodes, while the coordinator's pump engine is covered by eventsim's
-// own shard-local annotations (ownership is per instance).
+// analyzers reject any shard-phase path that reaches it. clock and
+// nodes stay unannotated on purpose — the node *list* is immutable
+// during a run and read by every shard to find its own nodes.
 type Cluster struct {
 	clock  *simtime.Clock
-	engine *eventsim.Engine
 	nodes  []*Node
 	router *Router //horselint:coordinator
 
@@ -187,7 +183,6 @@ func New(opts Options) (*Cluster, error) {
 	if policy == "" {
 		policy = PolicyRoundRobin
 	}
-	engine := eventsim.New(nil)
 	shards := opts.Shards
 	if shards < 1 {
 		shards = 1
@@ -196,8 +191,7 @@ func New(opts Options) (*Cluster, error) {
 		shards = len(specs)
 	}
 	c := &Cluster{
-		clock:       engine.Clock(),
-		engine:      engine,
+		clock:       simtime.NewClock(),
 		deployments: make(map[string]deploymentEntry),
 		faults:      opts.Faults,
 		metrics:     opts.Metrics,
@@ -234,7 +228,6 @@ func New(opts Options) (*Cluster, error) {
 			index:    i,
 			spec:     spec,
 			platform: p,
-			engine:   eventsim.New(p.Clock()),
 			health:   Up,
 			// Prebind the per-trigger instruments so the hot path skips
 			// the registry lookup (nil registry ⇒ inert nil handles).
@@ -268,10 +261,6 @@ func New(opts Options) (*Cluster, error) {
 
 // Clock returns the cluster's global virtual clock.
 func (c *Cluster) Clock() *simtime.Clock { return c.clock }
-
-// Engine returns the cluster's discrete-event engine (the loadgen
-// arrival stream installs into it).
-func (c *Cluster) Engine() *eventsim.Engine { return c.engine }
 
 // Nodes returns the cluster's nodes in index order. The slice is the
 // cluster's own; callers must not mutate it.
@@ -628,7 +617,7 @@ type Placement struct {
 // where it landed and what it cost end to end. It is a one-arrival
 // epoch of Run: the same admission gate, routing and fault sites,
 // node-local serve, and failure classification, with the picked node's
-// engine drained in place of the shard barrier.
+// queue drained in place of the shard barrier.
 //
 //horselint:coordinator
 func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faas.Invocation, Placement, error) {
@@ -637,9 +626,7 @@ func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faa
 	}
 	job := c.newJob(name, mode, payload, c.clock.Now())
 	for job.err == nil && c.routeJob(job) {
-		if err := job.node.engine.Run(0); err != nil {
-			return faas.Invocation{}, Placement{NodeIndex: -1}, fmt.Errorf("cluster: drain %s engine: %w", job.node.id, err)
-		}
+		c.drain(job.node)
 		if !c.settle(job) {
 			break
 		}

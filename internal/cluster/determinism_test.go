@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
+	"github.com/horse-faas/horse/internal/eventsim"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/loadgen"
@@ -227,5 +229,62 @@ func TestRunErrorPathsRecordNoModeOrNode(t *testing.T) {
 	}
 	if nodeCount != report.Served {
 		t.Fatalf("node served counts sum to %d, want %d", nodeCount, report.Served)
+	}
+}
+
+// capRun runs the seeded scan workload on a fresh 4-node cluster with
+// the given arrival cap and returns the report, its JSON bytes, and the
+// run error.
+func capRun(t *testing.T, maxEvents int) (Report, []byte, error) {
+	t.Helper()
+	c, err := New(Options{Nodes: 4, Spec: NodeSpec{ULLSlots: 2}, Policy: PolicyLeastLoaded, Seed: 9, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerScan(t, c, faas.SandboxSpec{})
+	if _, err := c.ScaleCluster("scan", 4, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := loadgen.ParseWorkloads("scan=poisson:rate=20000/s,mode=horse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Run(RunConfig{
+		Workloads: ws,
+		Horizon:   20 * simtime.Millisecond,
+		Payloads:  map[string][]byte{"scan": scanPayload(t)},
+		MaxEvents: maxEvents,
+	})
+	if err != nil {
+		return Report{}, nil, err
+	}
+	var buf bytes.Buffer
+	if err := report.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return report, buf.Bytes(), nil
+}
+
+// TestRunMaxEventsCapsArrivals pins RunConfig.MaxEvents as a cap on the
+// arrivals a run takes in: a cap equal to the run's arrival count
+// changes nothing, and a cap one lower is a runaway error matching
+// eventsim.ErrMaxEvents.
+func TestRunMaxEventsCapsArrivals(t *testing.T) {
+	base, want, err := capRun(t, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Arrivals < 2 {
+		t.Fatalf("run generated %d arrivals, want several", base.Arrivals)
+	}
+	_, got, err := capRun(t, int(base.Arrivals))
+	if err != nil {
+		t.Fatalf("cap = arrival count (%d): %v", base.Arrivals, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a cap equal to the arrival count changed the report")
+	}
+	if _, _, err := capRun(t, int(base.Arrivals)-1); !errors.Is(err, eventsim.ErrMaxEvents) {
+		t.Fatalf("cap = arrival count - 1: error %v, want eventsim.ErrMaxEvents", err)
 	}
 }

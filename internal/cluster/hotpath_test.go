@@ -131,7 +131,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Errorf("Router.Admit (untenanted) allocates %v per run, want 0", n)
 	}
 
-	// The whole routed trigger — admit, route, serve on the node engine,
+	// The whole routed trigger — admit, route, serve from the node queue,
 	// settle, trace completion — on the BenchmarkClusterTrigger topology
 	// is not allocation-free (the scan body's request decode and output
 	// buffer and the per-trigger job allocate), so it is pinned to its

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/horse-faas/horse/internal/core"
-	"github.com/horse-faas/horse/internal/eventsim"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
@@ -89,15 +88,14 @@ type Node struct {
 	platform *faas.Platform //horselint:shardlocal
 	health   Health         //horselint:coordinator
 
-	// engine is the node-local discrete-event engine of the
-	// conservative-PDES run loop (DESIGN.md §13). It shares the
-	// platform's local clock, so draining it advances exactly the clock
-	// the node's lag is measured from. The coordinator schedules routed
-	// triggers here between barriers; during a serve barrier only the
-	// node's own shard touches it.
+	// queue holds the triggers routed here in the current wave of the
+	// conservative-PDES run loop (DESIGN.md §13), in routing order. The
+	// coordinator appends between barriers; during a serve barrier only
+	// the node's own shard drains it, and it is empty again at every
+	// barrier's end.
 	//
 	//horselint:shardlocal
-	engine *eventsim.Engine
+	queue []*pendingJob
 
 	// placements counts routing decisions that picked this node (the
 	// router charges it on the coordinator); served counts triggers that

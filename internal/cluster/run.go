@@ -45,10 +45,10 @@ type RunConfig struct {
 	// (default DefaultULLBudget for uLL functions, DefaultBudget
 	// otherwise).
 	SLO map[string]simtime.Duration
-	// MaxEvents caps the arrival-stream event loop as a runaway guard
-	// (0 = no cap). The cap spans the whole run: every epoch's pump
-	// draws from the same budget, and exceeding it with arrivals still
-	// pending is an eventsim.ErrMaxEvents error.
+	// MaxEvents caps the arrivals the run pulls from its arrival stream
+	// as a runaway guard (0 = no cap). The cap spans the whole run:
+	// every epoch's pump draws from the same budget, and exceeding it
+	// with arrivals still pending is an eventsim.ErrMaxEvents error.
 	MaxEvents int
 	// SyncQuantum overrides the epoch length (0 selects
 	// DefaultSyncQuantum). The quantum changes the simulated routing
@@ -61,9 +61,9 @@ type RunConfig struct {
 // pendingJob is one arrival moving through an epoch of the run loop:
 // minted by newJob, routed by the coordinator, served on a node shard,
 // settled and completed by the coordinator in arrival order. Exactly
-// one goroutine owns it at a time — the coordinator hands it to a node
-// engine at a barrier and takes it back at the next — so its fields
-// need no locks.
+// one goroutine owns it at a time — the coordinator queues it on a
+// node before a barrier and takes it back after — so its fields need
+// no locks.
 type pendingJob struct {
 	seq     uint64
 	fn      string
@@ -114,18 +114,18 @@ func (j *pendingJob) exclude(idx, nodes int) {
 	j.excluded[idx] = true
 }
 
-// Run generates the configured arrival stream on the cluster's event
-// engine and drives it through the conservative-PDES epoch loop
-// (DESIGN.md §13): virtual time advances in fixed sync quanta, each
-// epoch pumping the arrival stream on the coordinator, routing every
-// arrival through the placement policy in arrival order, then draining
-// the node-local engines in parallel — one shard per worker — behind a
-// barrier. All cross-node state (router cursors and lag reads, fault
-// checks at the cluster.node.* sites, failover bookkeeping, the report
-// and trace accumulators) is touched only by the coordinator between
-// barriers, so the run is deterministic by construction: same seed,
-// same options, same quantum ⇒ a byte-identical report at every shard
-// count and GOMAXPROCS.
+// Run pulls the configured arrival stream through the
+// conservative-PDES epoch loop (DESIGN.md §13): virtual time advances
+// in fixed sync quanta, each epoch pulling the stream's arrivals up to
+// the epoch end on the coordinator, routing every arrival through the
+// placement policy in arrival order, then draining the nodes' trigger
+// queues in parallel — one shard per worker — behind a barrier. All
+// cross-node state (router cursors and lag reads, fault checks at the
+// cluster.node.* sites, failover bookkeeping, the report and trace
+// accumulators) is touched only by the coordinator between barriers,
+// so the run is deterministic by construction: same seed, same
+// options, same quantum ⇒ a byte-identical report at every shard count
+// and GOMAXPROCS.
 //
 //horselint:coordinator
 func (c *Cluster) Run(cfg RunConfig) (Report, error) {
@@ -184,42 +184,31 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	// arrivals.
 	start := c.Settle()
 	horizonEnd := start.Add(cfg.Horizon)
-	// The pump sink only queues: arrivals are minted (and their trace
-	// contexts started) in arrival order on the coordinator, then routed
-	// and served epoch by epoch.
-	var epoch []*pendingJob
-	err = gen.Install(c.engine, horizonEnd, func(a loadgen.Arrival) {
-		epoch = append(epoch, c.newJob(a.Function, a.Mode, cfg.Payloads[a.Function], a.At))
-	})
+	stream, err := gen.Stream(start, horizonEnd)
 	if err != nil {
 		return Report{}, err
 	}
 	group := eventsim.NewShardGroup(c.shards)
 	defer group.Close()
-	fired0 := c.engine.Fired()
+	// The pump only mints: arrivals become jobs (and start their trace
+	// contexts) in arrival order on the coordinator, then are routed
+	// and served epoch by epoch.
+	var epoch []*pendingJob
+	pulled := 0
 	for now := start; now.Before(horizonEnd); {
 		next := now.Add(quantum)
 		if next.After(horizonEnd) {
 			next = horizonEnd
 		}
-		budget := 0
-		if cfg.MaxEvents > 0 {
-			budget = cfg.MaxEvents - int(c.engine.Fired()-fired0)
-			if budget <= 0 {
-				if c.engine.Len() > 0 {
-					return Report{}, fmt.Errorf("%w: run fired %d arrival events (cap %d) with %d still pending",
-						eventsim.ErrMaxEvents, c.engine.Fired()-fired0, cfg.MaxEvents, c.engine.Len())
-				}
-				budget = -1 // spent exactly; nothing pending, just advance
+		for a, ok := stream.Next(next); ok; a, ok = stream.Next(next) {
+			if cfg.MaxEvents > 0 && pulled == cfg.MaxEvents {
+				return Report{}, fmt.Errorf("%w: run pulled %d arrivals (cap %d) with more still pending",
+					eventsim.ErrMaxEvents, pulled, cfg.MaxEvents)
 			}
+			pulled++
+			epoch = append(epoch, c.newJob(a.Function, a.Mode, cfg.Payloads[a.Function], a.At))
 		}
-		if budget >= 0 {
-			if err := c.engine.RunUntil(next, budget); err != nil {
-				return Report{}, err
-			}
-		} else {
-			c.clock.AdvanceTo(next)
-		}
+		c.clock.AdvanceTo(next)
 		if len(epoch) > 0 {
 			if err := c.serveEpoch(group, epoch, builder); err != nil {
 				return Report{}, err
@@ -262,8 +251,8 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 }
 
 // serveEpoch routes and serves one epoch's arrivals. Routing runs on
-// the coordinator in arrival order; serving drains the node-local
-// engines in parallel behind a ShardGroup barrier; triggers that fail
+// the coordinator in arrival order; serving drains the node queues in
+// parallel behind a ShardGroup barrier; triggers that fail
 // retryably come back to the coordinator and re-route in the next
 // wave. When every job is terminal the epoch is completed and recorded
 // into the report in arrival order.
@@ -287,17 +276,14 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 		if len(scheduled) == 0 {
 			break
 		}
-		// The serve barrier: shard s drains the engines of the nodes it
+		// The serve barrier: shard s drains the queues of the nodes it
 		// owns (index mod shards). Node state — platform, local clock,
 		// pools, per-node fault stream, the jobs' attempt slots — is
 		// touched only by its owning shard until Each returns.
 		if err := group.Each(func(shard int) error {
 			for _, n := range c.nodes {
-				if n.index%shards != shard {
-					continue
-				}
-				if err := n.engine.Run(0); err != nil {
-					return fmt.Errorf("cluster: drain %s engine: %w", n.id, err)
+				if n.index%shards == shard {
+					c.drain(n)
 				}
 			}
 			return nil
@@ -369,8 +355,8 @@ func (c *Cluster) complete(job *pendingJob) {
 }
 
 // routeJob runs one job's routing decisions on the coordinator until
-// the job is either scheduled onto a node-local engine (true) or
-// terminally rejected (false). The cluster.node.* fault sites fire
+// the job is either queued on a node (true) or terminally rejected
+// (false). The cluster.node.* fault sites fire
 // here, against the shared parent injector, in arrival order — the
 // same stream a sequential run draws. A rejected job has no node.
 //
@@ -415,21 +401,30 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 			job.failovers++
 			continue
 		}
-		at := job.arrival
-		if local := n.platform.Clock().Now(); local.After(at) {
-			at = local
-		}
-		if _, serr := n.engine.Schedule(at, func(simtime.Time) { c.serveJob(job) }); serr != nil {
-			// Unreachable: at is clamped to the node's current instant.
-			job.err = serr
-			job.outErr = serr.Error()
-			return false
-		}
+		n.queue = append(n.queue, job)
 		job.node = n
 		job.policy = c.router.Policy()
 		job.attemptErr = nil
 		return true
 	}
+}
+
+// drain serves a node's queued jobs in routing order and empties the
+// queue. Routing order is serve order: arrivals are routed in arrival
+// order and a node's clock only moves forward, so each queued job's
+// start instant — its arrival or the node clock, whichever is later —
+// never decreases along the queue.
+//
+//horselint:shardphase
+func (c *Cluster) drain(n *Node) {
+	for _, job := range n.queue {
+		c.serveJob(job)
+	}
+	// Drop the served jobs: the queue's backing array is reused, and
+	// stale entries would keep every job's invocation output alive
+	// through the next epoch's pump.
+	clear(n.queue)
+	n.queue = n.queue[:0]
 }
 
 // serveJob serves one routed job on its node's shard. It touches only
@@ -441,10 +436,12 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 func (c *Cluster) serveJob(job *pendingJob) {
 	n := job.node
 	local := n.platform.Clock()
-	// The engine clamped the clock forward to the serve instant: at or
-	// after the arrival, after every earlier trigger this node serves
-	// this epoch. The gap to the arrival is queueing behind the node's
-	// backlog.
+	// An idle node starts at the arrival; a busy one at its clock, after
+	// every earlier trigger it served. The gap to the arrival is
+	// queueing behind the node's backlog.
+	if local.Now().Before(job.arrival) {
+		local.AdvanceTo(job.arrival)
+	}
 	start := local.Now()
 	wait := start.Sub(job.arrival)
 	job.wait = wait

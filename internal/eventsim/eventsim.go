@@ -1,6 +1,6 @@
 // Package eventsim implements the discrete-event simulation engine that
-// drives the trace-replay experiments (paper §5.4) and the scheduler
-// substrate.
+// drives the scheduler substrate and the colocation experiment, plus
+// the ShardGroup barrier of the sharded cluster run.
 //
 // The engine maintains a priority queue of timestamped events over a shared
 // virtual clock (package simtime). Events scheduled for the same instant
@@ -29,9 +29,10 @@ type Handler func(now simtime.Time)
 // virtual instant.
 var ErrPastEvent = errors.New("eventsim: event scheduled in the past")
 
-// ErrMaxEvents is the runaway guard: Run and RunUntil return an error
-// matching it (with the fired and pending counts) when the event budget
-// is exhausted while work is still pending.
+// ErrMaxEvents is the runaway guard: Run returns an error matching it
+// (with the fired and pending counts) when the event budget is
+// exhausted while work is still pending. The cluster run's arrival cap
+// reports the same error.
 var ErrMaxEvents = errors.New("eventsim: max events exceeded")
 
 type event struct {
@@ -76,20 +77,13 @@ func (h *eventHeap) Pop() any {
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; handlers run on the caller's goroutine. In the sharded
-// cluster run every node engine is owned by the shard draining it, so the
-// whole state is marked shard-local: mutation may only happen inside
-// phase-annotated code (the coordinator's own pump engine is covered by
-// the same annotations — ownership is per instance).
-//
-//horselint:shardlocal
+// concurrent use; handlers run on the caller's goroutine.
 type Engine struct {
 	clock   *simtime.Clock
 	heap    eventHeap
 	pending map[EventID]*event
 	nextID  EventID
 	nextSeq uint64
-	fired   uint64 // lifetime count of events fired (Step/Run/RunUntil)
 }
 
 // New returns an engine over the given clock. Passing a nil clock creates
@@ -111,21 +105,11 @@ func (e *Engine) Clock() *simtime.Clock { return e.clock }
 func (e *Engine) Now() simtime.Time { return e.clock.Now() }
 
 // Len returns the number of pending events.
-//
-//horselint:shardphase
 func (e *Engine) Len() int { return len(e.heap) }
-
-// Fired returns how many events this engine has fired over its
-// lifetime, across Step, Run, and RunUntil. Run and RunUntil use it to
-// account their budgets; callers can diff it around a call to attribute
-// event counts to one phase of a simulation.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Schedule registers handler to fire at the absolute instant at.
 // Scheduling at the current instant is allowed (the event fires on the
 // next Step); scheduling in the past returns ErrPastEvent.
-//
-//horselint:shardphase
 func (e *Engine) Schedule(at simtime.Time, handler Handler) (EventID, error) {
 	if at < e.clock.Now() {
 		return 0, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.clock.Now())
@@ -142,8 +126,6 @@ func (e *Engine) Schedule(at simtime.Time, handler Handler) (EventID, error) {
 }
 
 // ScheduleAfter registers handler to fire d after the current instant.
-//
-//horselint:shardphase
 func (e *Engine) ScheduleAfter(d simtime.Duration, handler Handler) (EventID, error) {
 	if d < 0 {
 		return 0, fmt.Errorf("%w: negative delay %v", ErrPastEvent, d)
@@ -153,8 +135,6 @@ func (e *Engine) ScheduleAfter(d simtime.Duration, handler Handler) (EventID, er
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if it already fired or was cancelled).
-//
-//horselint:shardphase
 func (e *Engine) Cancel(id EventID) bool {
 	ev, ok := e.pending[id]
 	if !ok {
@@ -168,13 +148,11 @@ func (e *Engine) Cancel(id EventID) bool {
 // Step fires the earliest pending event, advancing the clock to its
 // instant first. It reports whether an event fired.
 //
-// The advance is clamped: when a handler has already driven the clock
-// past the next event's instant (a node-local engine whose handlers
-// charge virtual work does exactly that), the event fires at the
-// current instant instead of panicking the clock backward. The handler
-// still receives the event's scheduled instant as now.
-//
-//horselint:shardphase
+// The advance is clamped: when the engine shares its clock with code
+// that charges virtual work directly, the clock may already be past the
+// next event's instant, and the event then fires at the current instant
+// instead of panicking the clock backward. The handler still receives
+// the event's scheduled instant as now.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
@@ -184,7 +162,6 @@ func (e *Engine) Step() bool {
 	if ev.at > e.clock.Now() {
 		e.clock.AdvanceTo(ev.at)
 	}
-	e.fired++
 	ev.handler(ev.at)
 	return true
 }
@@ -194,49 +171,12 @@ func (e *Engine) Step() bool {
 // number of events fired by this call (0 means unbounded) and guards
 // against runaway self-scheduling loops; exceeding it returns an error
 // matching ErrMaxEvents that carries the fired and pending counts.
-//
-//horselint:shardphase
 func (e *Engine) Run(maxEvents int) error {
-	start := e.fired
-	for e.Step() {
-		if maxEvents > 0 && e.fired-start >= uint64(maxEvents) && e.Len() > 0 {
+	for fired := 1; e.Step(); fired++ {
+		if maxEvents > 0 && fired >= maxEvents && e.Len() > 0 {
 			return fmt.Errorf("%w: run fired %d events (cap %d) with %d still pending",
-				ErrMaxEvents, e.fired-start, maxEvents, e.Len())
+				ErrMaxEvents, fired, maxEvents, e.Len())
 		}
 	}
 	return nil
-}
-
-// RunUntil fires events whose instant is <= deadline, then advances the
-// clock to the deadline. Events beyond the deadline remain pending.
-// maxEvents bounds the number of events fired by this call (0 means
-// unbounded), closing the loophole where a self-scheduling chain could
-// fire unbounded events inside one deadline window; exhausting the
-// budget with in-window events still pending returns an error matching
-// ErrMaxEvents (and leaves the clock where the last event put it).
-//
-//horselint:shardphase
-func (e *Engine) RunUntil(deadline simtime.Time, maxEvents int) error {
-	start := e.fired
-	for len(e.heap) > 0 && e.heap[0].at <= deadline {
-		e.Step()
-		if maxEvents > 0 && e.fired-start >= uint64(maxEvents) &&
-			len(e.heap) > 0 && e.heap[0].at <= deadline {
-			return fmt.Errorf("%w: run-until %v fired %d events (cap %d) with %d still pending",
-				ErrMaxEvents, deadline, e.fired-start, maxEvents, e.Len())
-		}
-	}
-	if e.clock.Now() < deadline {
-		e.clock.AdvanceTo(deadline)
-	}
-	return nil
-}
-
-// NextAt returns the instant of the earliest pending event. ok is false if
-// the queue is empty.
-func (e *Engine) NextAt() (at simtime.Time, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
 }

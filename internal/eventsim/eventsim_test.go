@@ -144,8 +144,10 @@ func TestHandlerSchedulesFurtherEvents(t *testing.T) {
 
 func TestRunMaxEventsGuard(t *testing.T) {
 	e := New(nil)
+	calls := 0
 	var loop Handler
 	loop = func(simtime.Time) {
+		calls++
 		_, _ = e.ScheduleAfter(1, loop)
 	}
 	if _, err := e.Schedule(0, loop); err != nil {
@@ -163,48 +165,23 @@ func TestRunMaxEventsGuard(t *testing.T) {
 	if want := "fired 100 events"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("runaway error %q does not report the fired count (%q)", err, want)
 	}
-	if e.Fired() != 100 {
-		t.Fatalf("Fired() = %d, want 100", e.Fired())
-	}
-}
-
-// TestRunUntilMaxEventsGuard closes the runaway-guard bypass: a
-// self-scheduling chain inside one deadline window used to fire
-// unbounded events through RunUntil with no accounting at all.
-func TestRunUntilMaxEventsGuard(t *testing.T) {
-	e := New(nil)
-	var loop Handler
-	loop = func(simtime.Time) {
-		// Re-schedule at the current instant: an infinite same-window chain.
-		_, _ = e.Schedule(e.Now(), loop)
-	}
-	if _, err := e.Schedule(0, loop); err != nil {
-		t.Fatal(err)
-	}
-	err := e.RunUntil(10, 50)
-	if err == nil {
-		t.Fatal("runaway same-window loop not detected by RunUntil")
-	}
-	if !errors.Is(err, ErrMaxEvents) {
-		t.Fatalf("runaway error = %v, want ErrMaxEvents", err)
-	}
-	if !strings.Contains(err.Error(), "fired 50 events") {
-		t.Fatalf("runaway error %q does not report the fired count", err)
+	if calls != 100 {
+		t.Fatalf("fired %d events, want 100", calls)
 	}
 	// The budget is per call, not per engine lifetime: a fresh call gets a
 	// fresh budget and trips again rather than instantly erroring.
-	if err := e.RunUntil(10, 50); !errors.Is(err, ErrMaxEvents) {
-		t.Fatalf("second RunUntil = %v, want ErrMaxEvents again", err)
+	if err := e.Run(100); !errors.Is(err, ErrMaxEvents) {
+		t.Fatalf("second Run = %v, want ErrMaxEvents again", err)
 	}
-	if e.Fired() != 100 {
-		t.Fatalf("Fired() = %d, want 100 across both calls", e.Fired())
+	if calls != 200 {
+		t.Fatalf("fired %d events across both calls, want 200", calls)
 	}
 }
 
-// TestStepClampsClockAdvance pins the node-local-engine contract: a
-// handler that drives the shared clock past the next pending event's
-// instant (virtual work charged mid-event) must not panic the clock
-// backward — the late event fires at the current instant.
+// TestStepClampsClockAdvance pins the shared-clock contract: a handler
+// that drives the clock past the next pending event's instant (virtual
+// work charged mid-event) must not panic the clock backward — the late
+// event fires at the current instant.
 func TestStepClampsClockAdvance(t *testing.T) {
 	e := New(nil)
 	var fired []simtime.Time
@@ -223,49 +200,6 @@ func TestStepClampsClockAdvance(t *testing.T) {
 	}
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("overtaken event fired at %v, want at the clamped instant 100", fired)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New(nil)
-	var got []simtime.Time
-	for _, at := range []simtime.Time{5, 15, 25} {
-		if _, err := e.Schedule(at, func(now simtime.Time) { got = append(got, now) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.RunUntil(20, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 15 only", got)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %v, want deadline 20", e.Now())
-	}
-	if e.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Len())
-	}
-	// The remaining event still fires on a later run.
-	if err := e.RunUntil(30, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2] != 25 {
-		t.Fatalf("fired %v, want final event at 25", got)
-	}
-}
-
-func TestNextAt(t *testing.T) {
-	e := New(nil)
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt on empty engine reported ok")
-	}
-	if _, err := e.Schedule(42, func(simtime.Time) {}); err != nil {
-		t.Fatal(err)
-	}
-	at, ok := e.NextAt()
-	if !ok || at != 42 {
-		t.Fatalf("NextAt = %v,%v want 42,true", at, ok)
 	}
 }
 

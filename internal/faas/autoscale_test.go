@@ -156,48 +156,3 @@ func TestAutoscaleUnderTriggerLoad(t *testing.T) {
 		}
 	}
 }
-
-func TestDeploymentStats(t *testing.T) {
-	p := newPlatform(t)
-	registerScan(t, p)
-	// No invocations yet: zero stats, no error.
-	empty, err := p.Stats("scan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Invocations) != 0 || empty.Init.Count != 0 {
-		t.Fatalf("empty stats = %+v", empty)
-	}
-	if _, err := p.Stats("missing"); err == nil {
-		t.Fatal("unknown deployment accepted")
-	}
-
-	if err := p.Provision("scan", 1, core.Horse); err != nil {
-		t.Fatal(err)
-	}
-	payload := scanPayload(t)
-	for i := 0; i < 5; i++ {
-		if _, err := p.Trigger("scan", ModeHorse, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.Trigger("scan", ModeCold, payload); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := p.Stats("scan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Invocations[ModeHorse] != 5 || stats.Invocations[ModeCold] != 1 {
-		t.Fatalf("invocations = %v", stats.Invocations)
-	}
-	if stats.Init.Count != 6 {
-		t.Fatalf("init samples = %d, want 6", stats.Init.Count)
-	}
-	if stats.Init.Min != 150*simtime.Nanosecond {
-		t.Fatalf("min init = %v, want the horse fast path", stats.Init.Min)
-	}
-	if stats.Init.Max != simtime.Duration(1.5*float64(simtime.Second)) {
-		t.Fatalf("max init = %v, want the cold start", stats.Init.Max)
-	}
-}

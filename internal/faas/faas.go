@@ -116,9 +116,6 @@ type Deployment struct {
 	gaps         []simtime.Duration
 	lastTrigger  simtime.Time
 	hasTriggered bool
-
-	// stats accumulates served-invocation timings (lazily allocated).
-	stats *statsRecorder
 }
 
 // Function returns the deployed function.
@@ -426,10 +423,6 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, name string, mode StartMo
 		}
 		inv, aerr := p.attemptWithRetry(tc, d, name, attempted, payload)
 		if aerr == nil {
-			if d.stats == nil {
-				d.stats = newStatsRecorder()
-			}
-			d.stats.record(inv)
 			return inv, nil
 		}
 		if errors.Is(aerr, ErrUnknownMode) {

@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/horse-faas/horse/internal/eventsim"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
@@ -450,8 +449,6 @@ type Generator struct {
 	seed      int64
 	workloads []Workload
 	metrics   *telemetry.Registry
-
-	seq uint64
 }
 
 // Options configures a Generator beyond its seed and workloads.
@@ -495,14 +492,17 @@ func (g *Generator) Workloads() []Workload {
 	return out
 }
 
-// source is the per-workload generation state: its own PRNG stream and
-// its ON/OFF phase bookkeeping.
+// source is the per-workload generation state: its own PRNG stream,
+// its ON/OFF phase bookkeeping, and its next drawn arrival instant.
 type source struct {
 	w   Workload
 	rng *rand.Rand
-	// windowEnd is the end of the current ON window (KindOnOff only).
-	windowEnd simtime.Time
-	// arrivals is the workload's arrival counter, prebound by Install so
+	// at is the source's next arrival instant and drawn the stream-wide
+	// order in which it was drawn; a source whose instant reaches the
+	// horizon is exhausted.
+	at    simtime.Time
+	drawn uint64
+	// arrivals is the workload's arrival counter, prebound by Stream so
 	// the per-arrival path skips the registry lookup (nil when the
 	// generator has no metrics sink).
 	arrivals *telemetry.Counter
@@ -553,71 +553,81 @@ func expGap(rng *rand.Rand, rate float64) simtime.Duration {
 	return gap
 }
 
-// Install schedules the open-loop arrival processes on engine, calling
-// sink for each arrival at its instant, until the horizon (exclusive).
-// The caller runs the engine; arrivals interleave deterministically
-// with whatever else it schedules. Install may be called once per
-// generator (the sequence counter is not reset).
-func (g *Generator) Install(engine *eventsim.Engine, horizon simtime.Time, sink func(Arrival)) error {
-	if engine == nil {
-		return errors.New("loadgen: nil engine")
+// Stream is a pull iterator over a generator's arrivals in firing
+// order: ascending instant, and same-instant arrivals in the order
+// their instants were drawn. Each source keeps exactly one drawn
+// instant ahead; pulling an arrival draws its mode and then the
+// source's next instant from the same PRNG stream. A Stream is not
+// safe for concurrent use.
+type Stream struct {
+	srcs    []*source
+	horizon simtime.Time
+	draws   uint64
+	seq     uint64
+}
+
+// Stream starts the open-loop arrival processes at start, generating
+// arrivals strictly before horizon. Every stream replays the same
+// arrivals for the same seed and workloads, numbering them from 0.
+func (g *Generator) Stream(start, horizon simtime.Time) (*Stream, error) {
+	if horizon <= start {
+		return nil, fmt.Errorf("loadgen: horizon %v not after start %v", horizon, start)
 	}
-	if sink == nil {
-		return errors.New("loadgen: nil sink")
-	}
-	if horizon <= engine.Now() {
-		return fmt.Errorf("loadgen: horizon %v not after now %v", horizon, engine.Now())
-	}
+	s := &Stream{srcs: make([]*source, len(g.workloads)), horizon: horizon}
 	for i, w := range g.workloads {
 		src := newSource(g.seed, i, w)
 		src.arrivals = g.metrics.Counter("loadgen_arrivals_total", "function", w.Function)
-		if err := g.scheduleNext(engine, src, engine.Now(), horizon, sink); err != nil {
-			return err
-		}
+		s.srcs[i] = src
+		s.draw(src, start)
 	}
-	return nil
+	return s, nil
 }
 
-// scheduleNext schedules src's next arrival after from, if it lands
-// before the horizon.
-func (g *Generator) scheduleNext(engine *eventsim.Engine, src *source, from, horizon simtime.Time, sink func(Arrival)) error {
-	at := src.next(from)
-	if !at.Before(horizon) {
-		return nil
-	}
-	_, err := engine.Schedule(at, func(now simtime.Time) {
-		a := Arrival{
-			Seq:      g.seq,
-			At:       now,
-			Function: src.w.Function,
-			Mode:     src.w.Mix.draw(src.rng.Float64()),
-		}
-		g.seq++
-		src.arrivals.Inc()
-		sink(a)
-		// Open loop: the next arrival is scheduled from this instant,
-		// regardless of how long the sink's downstream work takes.
-		if serr := g.scheduleNext(engine, src, now, horizon, sink); serr != nil {
-			// Scheduling in the past cannot happen (at >= now by
-			// construction); a nil-handler error cannot either. Panic
-			// rather than silently truncating the arrival stream.
-			panic(fmt.Sprintf("loadgen: rescheduling %s: %v", src.w.Function, serr))
-		}
-	})
-	return err
+// draw advances src to its next instant after from.
+func (s *Stream) draw(src *source, from simtime.Time) {
+	src.at = src.next(from)
+	src.drawn = s.draws
+	s.draws++
 }
 
-// Collect runs a standalone engine to the horizon and returns every
-// generated arrival in firing order — the convenience path for tests
-// and the CLI's arrival preview.
+// Next returns the next arrival if its instant is at or before until;
+// ok is false when the next arrival lies beyond until or the stream is
+// exhausted. Open loop: the source's next instant is drawn from this
+// arrival's, regardless of how long downstream work takes.
+func (s *Stream) Next(until simtime.Time) (a Arrival, ok bool) {
+	var src *source
+	for _, cand := range s.srcs {
+		if cand.at < s.horizon && (src == nil || cand.at < src.at || (cand.at == src.at && cand.drawn < src.drawn)) {
+			src = cand
+		}
+	}
+	if src == nil || src.at > until {
+		return Arrival{}, false
+	}
+	a = Arrival{
+		Seq:      s.seq,
+		At:       src.at,
+		Function: src.w.Function,
+		Mode:     src.w.Mix.draw(src.rng.Float64()),
+	}
+	s.seq++
+	src.arrivals.Inc()
+	s.draw(src, a.At)
+	return a, true
+}
+
+// Collect streams every arrival before the horizon from the epoch and
+// returns them in firing order — the convenience path for tests and
+// the CLI's arrival preview.
 func (g *Generator) Collect(horizon simtime.Duration) ([]Arrival, error) {
-	engine := eventsim.New(nil)
-	var out []Arrival
-	if err := g.Install(engine, simtime.Time(0).Add(horizon), func(a Arrival) { out = append(out, a) }); err != nil {
+	end := simtime.Time(0).Add(horizon)
+	s, err := g.Stream(0, end)
+	if err != nil {
 		return nil, err
 	}
-	if err := engine.Run(0); err != nil {
-		return nil, err
+	var out []Arrival
+	for a, ok := s.Next(end); ok; a, ok = s.Next(end) {
+		out = append(out, a)
 	}
 	return out, nil
 }

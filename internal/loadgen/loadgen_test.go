@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/horse-faas/horse/internal/eventsim"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
@@ -229,38 +228,6 @@ func TestGeneratorMetrics(t *testing.T) {
 	}
 }
 
-func TestInstallInterleavesWithForeignEvents(t *testing.T) {
-	engine := eventsim.New(nil)
-	ws := []Workload{{Function: "scan", Spec: Spec{Kind: KindPoisson, Rate: 100000}, Mix: SingleMode(faas.ModeHorse)}}
-	g, err := New(3, ws, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	if err := g.Install(engine, simtime.Time(0).Add(simtime.Millisecond), func(Arrival) {
-		order = append(order, "arrival")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Schedule(simtime.Time(0).Add(500*simtime.Microsecond), func(simtime.Time) {
-		order = append(order, "foreign")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	foreign := -1
-	for i, o := range order {
-		if o == "foreign" {
-			foreign = i
-		}
-	}
-	if foreign <= 0 || foreign == len(order)-1 {
-		t.Fatalf("foreign event did not interleave with arrivals (index %d of %d)", foreign, len(order))
-	}
-}
-
 func TestNewRejects(t *testing.T) {
 	okSpec := Spec{Kind: KindPoisson, Rate: 5}
 	tests := []struct {
@@ -276,5 +243,55 @@ func TestNewRejects(t *testing.T) {
 		if _, err := New(1, tt.ws, Options{}); err == nil {
 			t.Errorf("%s: New accepted invalid workloads", tt.name)
 		}
+	}
+}
+
+// TestStreamEpochs pulls a stream in epochs the way a cluster run does
+// — every arrival at or before each epoch end — and checks that the
+// epochs concatenate to exactly what one Collect returns, including the
+// arrivals that land on an epoch boundary.
+func TestStreamEpochs(t *testing.T) {
+	ws, err := ParseWorkloads("scan=poisson:rate=2e8/s;nat=onoff:on=1us,off=2us,rate=5e8/s,mode=horse:0.5+warm:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := 10 * simtime.Microsecond
+	g, err := New(5, ws, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.Collect(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := simtime.Time(0), simtime.Time(0).Add(horizon)
+	s, err := g.Stream(start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Arrival
+	boundary := 0
+	for now := start; now.Before(end); now = now.Add(7 * simtime.Nanosecond) {
+		for a, ok := s.Next(now); ok; a, ok = s.Next(now) {
+			if a.At.After(now) {
+				t.Fatalf("arrival at %v pulled for epoch ending %v", a.At, now)
+			}
+			if a.At == now {
+				boundary++
+			}
+			got = append(got, a)
+		}
+	}
+	for a, ok := s.Next(end); ok; a, ok = s.Next(end) {
+		got = append(got, a)
+	}
+	if boundary == 0 {
+		t.Fatal("no arrival landed on an epoch boundary")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("epoch pulls returned %d arrivals differing from Collect's %d", len(got), len(want))
+	}
+	if _, err := g.Stream(end, end); err == nil {
+		t.Fatal("Stream accepted a horizon not after its start")
 	}
 }
