@@ -125,7 +125,9 @@ func (r *Recorder) Seed() int64 {
 }
 
 // Start mints the trace context for arrival seq. A nil or disabled
-// recorder returns an inert Context at zero cost.
+// recorder returns an inert Context at zero cost. The stage list is
+// allocated by the first stage recorded, so an arrival the admission
+// gate turns away carries none.
 //
 //horselint:coordinator
 func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
@@ -139,7 +141,6 @@ func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime
 		Requested: requested,
 		Arrival:   arrival,
 		Budget:    budget,
-		Stages:    make([]StageRecord, 0, 8),
 	}
 	return Context{rec: r, tr: tr}
 }
@@ -149,6 +150,9 @@ func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime
 //
 //horselint:coordinator
 func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
+	if tr.Stages == nil {
+		tr.Stages = []StageRecord{} // encodes as [], not null
+	}
 	tr.Served = out.Served
 	tr.Node = out.Node
 	tr.Latency = out.Latency

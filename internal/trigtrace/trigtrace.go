@@ -291,6 +291,16 @@ func (c Context) SetTenant(tenant string) {
 	c.tr.Tenant = tenant
 }
 
+// addStage appends one stage span; the first allocates room for eight.
+//
+//horselint:shardphase
+func (tr *TriggerTrace) addStage(r StageRecord) {
+	if tr.Stages == nil {
+		tr.Stages = make([]StageRecord, 0, 8)
+	}
+	tr.Stages = append(tr.Stages, r)
+}
+
 // Record appends one stage span on the current node.
 //
 //horselint:shardphase
@@ -298,7 +308,7 @@ func (c Context) Record(stage Stage, start simtime.Time, dur simtime.Duration) {
 	if c.tr == nil {
 		return
 	}
-	c.tr.Stages = append(c.tr.Stages, StageRecord{
+	c.tr.addStage(StageRecord{
 		Stage: stage, Start: start, Dur: dur, Node: c.tr.curNode,
 	})
 }
@@ -315,7 +325,7 @@ func (c Context) RecordOn(stage Stage, start simtime.Time, dur simtime.Duration,
 	if node == "" {
 		node = c.tr.curNode
 	}
-	c.tr.Stages = append(c.tr.Stages, StageRecord{
+	c.tr.addStage(StageRecord{
 		Stage: stage, Start: start, Dur: dur, Node: node, Mode: mode, Detail: detail,
 	})
 }
@@ -328,7 +338,7 @@ func (c Context) Reroute(start simtime.Time, node, reason string) {
 		return
 	}
 	c.tr.Failovers++
-	c.tr.Stages = append(c.tr.Stages, StageRecord{
+	c.tr.addStage(StageRecord{
 		Stage: StageReroute, Start: start, Node: node, Detail: reason,
 	})
 }
@@ -360,7 +370,8 @@ func (c Context) CollapseFailed(mark int, start simtime.Time, dur simtime.Durati
 	if node == "" {
 		node = c.tr.curNode
 	}
-	c.tr.Stages = append(c.tr.Stages[:mark], StageRecord{
+	c.tr.Stages = c.tr.Stages[:mark]
+	c.tr.addStage(StageRecord{
 		Stage: StageFailedAttempt, Start: start, Dur: dur, Node: node, Mode: mode, Detail: site,
 	})
 }

@@ -312,3 +312,29 @@ func TestWritePerfettoDeterministicAndLinked(t *testing.T) {
 		t.Fatal("stage slices are missing trace_id annotations")
 	}
 }
+
+// TestStagelessTraceKeepsEmptyStages pins the lazily allocated stage
+// list: minting a trace allocates the trace alone, and a trace finished
+// without a stage (an arrival the admission gate rejects) still encodes
+// its stages as [], as when Start reserved the list up front.
+func TestStagelessTraceKeepsEmptyStages(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{Seed: 3, WorstK: 4})
+	if n := testing.AllocsPerRun(100, func() {
+		sinkBool = rec.Start(1, "fn", "horse", 0, 100).Active()
+	}); n != 1 {
+		t.Fatalf("Start allocates %v objects, want 1 (the trace; stages come with the first record)", n)
+	}
+	tc := rec.Start(2, "fn", "horse", 0, 100)
+	tc.Complete(Outcome{Err: "rejected"})
+	traces := rec.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces, want the rejected one", len(traces))
+	}
+	raw, err := json.Marshal(traces[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"stages":[]`)) {
+		t.Fatalf("stage-less trace encodes as %s, want \"stages\":[]", raw)
+	}
+}

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"github.com/horse-faas/horse/internal/simtime"
@@ -67,56 +69,86 @@ func (s *Scan) IndexesAbove(threshold int) []int {
 	return out
 }
 
-// scanIndexText holds ",i" for every index i in [0, ScanArraySize), back
-// to back; index i's text is scanIndexText[scanIndexOff[i]:scanIndexOff[i+1]].
-// It is built once per process so NewScan (the simulator's set-up) does
-// not pay for it.
+// scanIndexWord holds the text ",i" of every index i in [0,
+// ScanArraySize) in the low bytes of one little-endian word, so Invoke
+// copies it with a single 8-byte store; scanIndexLen is its length.
+// Every such text is at most 5 bytes (",2999"). The tables are built once
+// per process so NewScan (the simulator's set-up) does not pay for them.
 var (
-	scanIndexText []byte
-	scanIndexOff  [ScanArraySize + 1]int
+	scanIndexWord [ScanArraySize]uint64
+	scanIndexLen  [ScanArraySize]uint8
 )
 
 func init() {
-	for i := 0; i < ScanArraySize; i++ {
-		scanIndexText = append(scanIndexText, ',')
-		scanIndexText = strconv.AppendInt(scanIndexText, int64(i), 10)
-		scanIndexOff[i+1] = len(scanIndexText)
+	for i := range scanIndexWord {
+		var text [8]byte
+		n := len(strconv.AppendInt(append(text[:0], ','), int64(i), 10))
+		scanIndexWord[i] = binary.LittleEndian.Uint64(text[:])
+		scanIndexLen[i] = uint8(n)
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Invoke implements Function: JSON ScanRequest in, ScanResult out. The
 // result is encoded by hand, byte-identical to json.Marshal of the
-// ScanResult IndexesAbove would give: a first pass over the array counts
-// the matches and their encoded length, a second copies each match's
-// text into one buffer of exactly that size.
+// ScanResult IndexesAbove would give, in two passes. The first compares
+// every element and compacts the matching indexes into a stack array
+// without a branch per element: each index is written at the next free
+// slot, which only a match advances. The encoded size follows from the
+// sorted index list alone, since the text of index i is 5 bytes minus one
+// for each of 10, 100 and 1000 that i is below. The second pass walks only
+// the matches and stores each one's text as one 8-byte word.
 func (s *Scan) Invoke(payload []byte) ([]byte, error) {
 	var req ScanRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	const head, mid = `{"indexes":[`, `],"count":`
-	n, size := 0, 0
+	var idx [ScanArraySize]uint16
+	// req escapes to the heap through Unmarshal; a local copy of the
+	// threshold stays in a register across the loop.
+	n, threshold := 0, req.Threshold
 	for i, v := range s.data {
-		if v > req.Threshold {
-			n++
-			size += scanIndexOff[i+1] - scanIndexOff[i]
-		}
+		idx[n] = uint16(i)
+		n += b2i(v > threshold)
 	}
+	match := idx[:n]
+
+	const head, mid = `{"indexes":[`, `],"count":`
 	var countBuf [20]byte
 	count := strconv.AppendInt(countBuf[:0], int64(n), 10)
+	size := 5 * n
+	for _, width := range [...]uint16{10, 100, 1000} {
+		below, _ := slices.BinarySearch(match, width)
+		size -= below
+	}
 	if n > 0 {
 		size-- // the first index has no leading comma
 	}
-	out := make([]byte, 0, len(head)+size+len(mid)+len(count)+1)
-	out = append(out, head...)
-	skip := 1
-	for i, v := range s.data {
-		if v > req.Threshold {
-			out = append(out, scanIndexText[scanIndexOff[i]+skip:scanIndexOff[i+1]]...)
-			skip = 0
+	// Each word store writes 8 bytes where the text needs at most 5. The
+	// spill is overwritten by the next store or, after the last match, by
+	// the trailer (mid, count and '}', at least 12 bytes), so the buffer
+	// needs no slack past the output.
+	out := make([]byte, len(head)+size+len(mid)+len(count)+1)
+	w := copy(out, head)
+	if n > 0 {
+		first := match[0]
+		binary.LittleEndian.PutUint64(out[w:], scanIndexWord[first]>>8)
+		w += int(scanIndexLen[first]) - 1
+		for _, i := range match[1:] {
+			binary.LittleEndian.PutUint64(out[w:], scanIndexWord[i])
+			w += int(scanIndexLen[i])
 		}
 	}
-	out = append(out, mid...)
-	out = append(out, count...)
-	return append(out, '}'), nil
+	w += copy(out[w:], mid)
+	w += copy(out[w:], count)
+	out[w] = '}'
+	return out, nil
 }
