@@ -163,6 +163,11 @@ type Cluster struct {
 	failed       uint64            //horselint:coordinator
 	failovers    map[string]uint64 //horselint:coordinator
 	rehomeFailed uint64            //horselint:coordinator
+
+	// freeJobs holds finished pendingJobs, zeroed, for newJob to reuse:
+	// a run allocates a job only when more are in flight at once than
+	// ever before.
+	freeJobs []*pendingJob //horselint:coordinator
 }
 
 // New builds a cluster of fresh nodes at the simulation epoch.
@@ -632,6 +637,7 @@ func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faa
 		}
 	}
 	c.complete(job)
+	defer c.releaseJob(job)
 	p := Placement{NodeIndex: -1, Failovers: job.failovers}
 	if job.node != nil {
 		p.Node, p.NodeIndex, p.Wait = job.node.id, job.node.index, job.wait
@@ -640,7 +646,13 @@ func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faa
 		return faas.Invocation{}, p, job.err
 	}
 	p.Latency = job.latency
-	return job.inv, p, nil
+	// The output aliases the serving node's response buffer, which its
+	// next trigger overwrites; the caller gets its own exact-size copy.
+	inv := job.inv
+	if inv.Output != nil {
+		inv.Output = append(make([]byte, 0, len(inv.Output)), inv.Output...)
+	}
+	return inv, p, nil
 }
 
 // Settle advances the cluster clock to the latest node-local instant,

@@ -114,6 +114,49 @@ func TestTriggerServesAndTracksPlacement(t *testing.T) {
 	}
 }
 
+// TestTriggerOutputOutlivesNextTrigger pins Cluster.Trigger's ownership
+// contract now that a node serves every output into one reused response
+// buffer: two triggers with different thresholds on one node each return
+// their own exact-size copy, and the second does not overwrite the
+// first.
+func TestTriggerOutputOutlivesNextTrigger(t *testing.T) {
+	c := testCluster(t, PolicyRoundRobin, NodeSpec{ULLSlots: 1})
+	registerScan(t, c, faas.SandboxSpec{})
+	if _, err := c.ScaleCluster("scan", 1, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle()
+	ref := workload.NewScan(1)
+	var outs, wants [][]byte
+	for _, threshold := range []int{5000, 9000} {
+		payload, err := json.Marshal(workload.ScanRequest{Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Invoke(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, placement, err := c.Trigger("scan", faas.ModeHorse, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placement.Node != "node00" {
+			t.Fatalf("threshold %d served on %q, want node00", threshold, placement.Node)
+		}
+		if len(inv.Output) != cap(inv.Output) {
+			t.Fatalf("threshold %d: output has len %d, cap %d; want an exact-size copy", threshold, len(inv.Output), cap(inv.Output))
+		}
+		outs, wants = append(outs, inv.Output), append(wants, want)
+	}
+	for i := range outs {
+		if !bytes.Equal(outs[i], wants[i]) {
+			t.Errorf("trigger %d output changed after the node served again: got %d bytes %.40q…, want %d bytes %.40q…",
+				i, len(outs[i]), outs[i], len(wants[i]), wants[i])
+		}
+	}
+}
+
 func TestTriggerQueueingAddsWait(t *testing.T) {
 	c := testCluster(t, PolicyRoundRobin, NodeSpec{})
 	if err := c.RegisterEverywhere(workload.NewThumbnail(), faas.SandboxSpec{VCPUs: 1, MemoryMB: 512}); err != nil {

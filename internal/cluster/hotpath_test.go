@@ -3,9 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/faas"
+	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/tenant"
 	"github.com/horse-faas/horse/internal/workload"
@@ -150,6 +152,44 @@ func TestHotPathAllocFree(t *testing.T) {
 			}
 		}); n > budget {
 			t.Errorf("Cluster.Trigger allocates %v per run, budget %v (BENCH_cluster.json)", n, budget)
+		}
+	})
+
+	// A run serves every scan output into its node's one response
+	// buffer and reuses its jobs across epochs, so what it allocates per
+	// arrival is the request decode and the trace and report state it
+	// keeps: well under one ~7.5 KB scan result. Half a result is the
+	// line a run whose outputs became per-trigger garbage again would
+	// cross. The bytes are counted over the Run call only.
+	t.Run("Cluster.Run", func(t *testing.T) {
+		c := benchCluster(t, PolicyULLAffinity)
+		ws, err := loadgen.ParseWorkloads("scan=poisson:rate=200000/s,mode=horse")
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(workload.ScanRequest{Threshold: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		report, err := c.Run(RunConfig{
+			Workloads: ws,
+			Horizon:   20 * simtime.Millisecond,
+			Payloads:  map[string][]byte{"scan": payload},
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Arrivals < 1000 || report.Served != report.Arrivals {
+			t.Fatalf("run served %d of %d arrivals, want all of 1000+", report.Served, report.Arrivals)
+		}
+		const budget = 4 << 10
+		perArrival := float64(after.TotalAlloc-before.TotalAlloc) / float64(report.Arrivals)
+		t.Logf("Cluster.Run allocates %.0f B per arrival over %d arrivals", perArrival, report.Arrivals)
+		if perArrival > budget {
+			t.Errorf("Cluster.Run allocates %.0f B per arrival, budget %d B", perArrival, budget)
 		}
 	})
 }

@@ -104,6 +104,15 @@ type Node struct {
 	placements uint64 //horselint:coordinator
 	served     uint64 //horselint:shardlocal
 
+	// out is the node's response buffer: serveJob hands it to the
+	// platform, an appending function body writes its output into it,
+	// and the node keeps whichever buffer comes back larger. A served
+	// job's output aliases it until the node serves its next trigger.
+	// It starts nil and grows on the first serve.
+	//
+	//horselint:shardlocal
+	out []byte
+
 	// triggers and load are the node's per-trigger instruments, prebound
 	// at cluster construction so the trigger hot path skips the
 	// registry's name-format + map-lookup cost (nil registry ⇒ nil

@@ -60,7 +60,8 @@ type RunConfig struct {
 
 // pendingJob is one arrival moving through an epoch of the run loop:
 // minted by newJob, routed by the coordinator, served on a node shard,
-// settled and completed by the coordinator in arrival order. Exactly
+// settled and completed by the coordinator in arrival order, then
+// zeroed onto the free list by releaseJob for a later arrival. Exactly
 // one goroutine owns it at a time — the coordinator queues it on a
 // node before a barrier and takes it back after — so its fields need
 // no locks.
@@ -86,6 +87,10 @@ type pendingJob struct {
 	// policy is stamped here precisely so the serve handler does not
 	// read it through the coordinator-owned router (shardsafe rejects
 	// that access).
+	//
+	// inv.Output aliases the serving node's response buffer (Node.out)
+	// and is overwritten when that node serves its next trigger. Run
+	// never reads it; Cluster.Trigger copies it out before returning.
 	node       *Node
 	policy     string
 	inv        faas.Invocation
@@ -232,7 +237,14 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 	entry := c.deployments[fn]
 	tc := c.rec.Start(c.seq, fn, mode.String(), at, c.sloBudgets[fn])
 	tc.SetTenant(entry.tenantName)
-	job := &pendingJob{
+	var job *pendingJob
+	if k := len(c.freeJobs) - 1; k >= 0 {
+		job = c.freeJobs[k]
+		c.freeJobs = c.freeJobs[:k]
+	} else {
+		job = new(pendingJob)
+	}
+	*job = pendingJob{
 		seq:     c.seq,
 		fn:      fn,
 		ull:     entry.ull,
@@ -248,6 +260,16 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 		c.rejected++
 	}
 	return job
+}
+
+// releaseJob zeroes a job that has been completed and recorded, dropping
+// its trace context, error and output references, and returns it to the
+// free list newJob pops from.
+//
+//horselint:coordinator
+func (c *Cluster) releaseJob(job *pendingJob) {
+	*job = pendingJob{}
+	c.freeJobs = append(c.freeJobs, job)
 }
 
 // serveEpoch routes and serves one epoch's arrivals. Routing runs on
@@ -308,9 +330,10 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 			// trigger was not served, so a zero-value placement must not
 			// leak mode/node labels into the report's distributions.
 			builder.record(job.fn, "", "", 0, job.err)
-			continue
+		} else {
+			builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
 		}
-		builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
+		c.releaseJob(job)
 	}
 	return nil
 }
@@ -420,10 +443,8 @@ func (c *Cluster) drain(n *Node) {
 	for _, job := range n.queue {
 		c.serveJob(job)
 	}
-	// Drop the served jobs: the queue's backing array is reused, and
-	// stale entries would keep every job's invocation output alive
-	// through the next epoch's pump.
-	clear(n.queue)
+	// The backing array is reused. Its stale entries pin nothing: each
+	// job is zeroed onto the free list once its epoch is recorded.
 	n.queue = n.queue[:0]
 }
 
@@ -452,7 +473,7 @@ func (c *Cluster) serveJob(job *pendingJob) {
 	job.tc.SetNode(n.id)
 	job.tc.RecordOn(trigtrace.StagePlacement, job.arrival, 0, n.id, "", job.policy)
 	job.tc.RecordOn(trigtrace.StageQueueWait, job.arrival, wait, n.id, "", "")
-	inv, terr := n.platform.TriggerTraced(job.tc, job.fn, job.mode, job.payload)
+	inv, terr := n.platform.TriggerTraced(job.tc, n.out[:0], job.fn, job.mode, job.payload)
 	if terr != nil {
 		consumed := local.Now().Sub(job.arrival)
 		detail := ReasonTriggerFailed
@@ -465,6 +486,11 @@ func (c *Cluster) serveJob(job *pendingJob) {
 		return
 	}
 	job.inv = inv
+	// An appending body returns n.out or its grown replacement; a body
+	// with only Invoke returns a fresh buffer, kept only if it is larger.
+	if cap(inv.Output) > cap(n.out) {
+		n.out = inv.Output
+	}
 	n.served++
 	// Caller-observed latency ends when the function's response is
 	// ready; the re-pool pause after it is node housekeeping and shows

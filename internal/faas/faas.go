@@ -108,6 +108,7 @@ type pooledSandbox struct {
 // Deployment is one registered function plus its sandbox pool.
 type Deployment struct {
 	fn       workload.Function
+	app      workload.Appender // fn as an Appender; nil when fn has only Invoke
 	spec     SandboxSpec
 	snapshot *snapshot.Snapshot
 	pool     []pooledSandbox
@@ -297,6 +298,7 @@ func (p *Platform) Register(fn workload.Function, spec SandboxSpec) (*Deployment
 	// The gap ring is preallocated at its cap so recordTrigger's append
 	// on the per-trigger path never grows the backing array.
 	d := &Deployment{fn: fn, spec: spec, gaps: make([]simtime.Duration, 0, gapHistoryCap)}
+	d.app, _ = fn.(workload.Appender)
 	p.deployments[fn.Name()] = d
 	return d, nil
 }
@@ -397,15 +399,20 @@ func (d *Deployment) takeWarm(policy core.Policy) (pooledSandbox, bool) {
 // failures (ErrInvokeFailed) never degrade: re-running user code on a
 // colder sandbox would double-execute it.
 func (p *Platform) Trigger(name string, mode StartMode, payload []byte) (Invocation, error) {
-	return p.TriggerTraced(trigtrace.Context{}, name, mode, payload)
+	return p.TriggerTraced(trigtrace.Context{}, nil, name, mode, payload)
 }
 
 // TriggerTraced is Trigger carrying a trigger trace context: each
 // attempt's init, invoke, and re-pool phases are recorded as typed
 // stages, failed attempts collapse into single failed-attempt spans,
 // and retry backoff is attributed explicitly. An inert context (the
-// zero value) makes this identical to Trigger.
-func (p *Platform) TriggerTraced(tc trigtrace.Context, name string, mode StartMode, payload []byte) (Invocation, error) {
+// zero value) and a nil dst make this identical to Trigger.
+//
+// dst is the buffer the function's output is appended to when the
+// function is a workload.Appender; Invocation.Output then aliases dst,
+// or its grown replacement when dst had too little room. A function
+// with only Invoke ignores dst and returns a fresh output.
+func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, mode StartMode, payload []byte) (Invocation, error) {
 	d, err := p.Deployment(name)
 	if err != nil {
 		return Invocation{}, err
@@ -421,7 +428,7 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, name string, mode StartMo
 		if i > 0 {
 			p.countFallback(chain[i-1], attempted)
 		}
-		inv, aerr := p.attemptWithRetry(tc, d, name, attempted, payload)
+		inv, aerr := p.attemptWithRetry(tc, dst, d, name, attempted, payload)
 		if aerr == nil {
 			return inv, nil
 		}
@@ -443,7 +450,7 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, name string, mode StartMo
 // the per-attempt invocation span and leaves the warm pool and its gauge
 // consistent on every exit path: a retryably-failed resume re-pools the
 // still-paused sandbox, every other sandbox casualty is destroyed.
-func (p *Platform) attempt(tc trigtrace.Context, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
+func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
 	if mode == ModeRestore {
 		// Cutting the snapshot is a deploy-time operation; it must not
 		// count toward the trigger's initialization window.
@@ -455,10 +462,11 @@ func (p *Platform) attempt(tc trigtrace.Context, d *Deployment, name string, mod
 	defer span.End()
 	span.Attr("function", name)
 	span.Attr("mode", mode.String())
-	if tc.Active() {
+	if tc.Active() && p.h.Tracer().Enabled() {
 		// Stamp the trigger's trace ID onto this attempt's spans — the
 		// invocation span here and the pause/resume spans the hypervisor
 		// opens underneath it — so they join the trigger's causal tree.
+		// A disabled tracer records no span, so the ID is not formatted.
 		span.Attr("trigger", tc.IDString())
 		p.h.SetTraceTag(tc.IDString())
 		defer p.h.SetTraceTag("")
@@ -527,7 +535,15 @@ func (p *Platform) attempt(tc trigtrace.Context, d *Deployment, name string, mod
 
 	// Execute the real function logic and charge the calibrated virtual
 	// execution time.
-	output, invokeErr := d.fn.Invoke(payload)
+	var (
+		output    []byte
+		invokeErr error
+	)
+	if d.app != nil {
+		output, invokeErr = d.app.AppendInvoke(dst, payload)
+	} else {
+		output, invokeErr = d.fn.Invoke(payload)
+	}
 	if invokeErr == nil {
 		invokeErr = p.faults.Check(faultinject.SiteInvoke)
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/testutil"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/workload"
 )
 
@@ -352,4 +353,49 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestTriggerTracedAppendsIntoDst pins the destination-buffer contract:
+// an appending body (the scan) writes its output into dst when dst has
+// room, byte-identical to Trigger's fresh output, while a body with only
+// Invoke (the NAT) ignores dst and returns a fresh buffer.
+func TestTriggerTracedAppendsIntoDst(t *testing.T) {
+	p := newPlatform(t)
+	registerScan(t, p)
+	if _, err := p.Register(workload.DefaultNAT(), SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"scan", "nat"} {
+		if err := p.Provision(name, 1, core.Horse); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := scanPayload(t)
+	fresh, err := p.Trigger("scan", ModeHorse, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Output) != cap(fresh.Output) {
+		t.Fatalf("Trigger output has len %d, cap %d; want an exact-size buffer", len(fresh.Output), cap(fresh.Output))
+	}
+	dst := make([]byte, 0, 16<<10)
+	inv, err := p.TriggerTraced(trigtrace.Context{}, dst, "scan", ModeHorse, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(inv.Output) != string(fresh.Output) {
+		t.Fatalf("appended output differs from Trigger's:\n got %q\nwant %q", inv.Output, fresh.Output)
+	}
+	if &inv.Output[0] != &dst[:1][0] {
+		t.Fatal("scan output was not written into dst")
+	}
+
+	nat := mustJSON(t, workload.NATPacket{DstIP: "203.0.113.10", DstPort: 80})
+	inv, err = p.TriggerTraced(trigtrace.Context{}, dst, "nat", ModeHorse, nat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Output) == 0 || &inv.Output[0] == &dst[:1][0] {
+		t.Fatal("nat output aliases dst; a body with only Invoke must return a fresh buffer")
+	}
 }

@@ -130,13 +130,13 @@ func (c FallbackConfig) chainFrom(mode StartMode) []StartMode {
 // covering exactly the virtual time the attempt consumed, so failed
 // work never leaks into the serving-path sums; each backoff wait is
 // recorded as its own retry-backoff span.
-func (p *Platform) attemptWithRetry(tc trigtrace.Context, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
+func (p *Platform) attemptWithRetry(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
 	retries := p.fallback.maxRetries()
 	backoff := p.fallback.retryBackoff()
 	for attempt := 0; ; attempt++ {
 		mark := tc.Mark()
 		attemptStart := p.clock.Now()
-		inv, err := p.attempt(tc, d, name, mode, payload)
+		inv, err := p.attempt(tc, dst, d, name, mode, payload)
 		if err != nil {
 			tc.CollapseFailed(mark, attemptStart, p.clock.Now().Sub(attemptStart),
 				"", mode.String(), failureSite(mode, err))

@@ -8,6 +8,7 @@ import (
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 	"github.com/horse-faas/horse/internal/testutil"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/vmm"
 	"github.com/horse-faas/horse/internal/workload"
 )
@@ -88,6 +89,40 @@ func TestTriggerEmitsSpansAndMetrics(t *testing.T) {
 	}
 	if _, ok := snap.Histograms[`vmm_resume_ns{policy="horse"}`]; !ok {
 		t.Fatalf("histograms = %v", snap.Histograms)
+	}
+}
+
+// TestTracedTriggerStampsSpans checks that with the span tracer enabled
+// a traced trigger still stamps its trace ID onto the invocation span
+// and the pause/resume spans the hypervisor opens under it. (With the
+// tracer disabled the stamp is skipped, and no span is recorded to
+// carry it.)
+func TestTracedTriggerStampsSpans(t *testing.T) {
+	tr := telemetry.NewTracer(telemetry.TracerOptions{})
+	p := newTracedPlatform(t, tr, nil)
+	registerScan(t, p)
+	if err := p.Provision("scan", 1, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 9})
+	tc := rec.Start(0, "scan", ModeHorse.String(), p.Clock().Now(), simtime.Millisecond)
+	if _, err := p.TriggerTraced(tc, nil, "scan", ModeHorse, scanPayload(t)); err != nil {
+		t.Fatal(err)
+	}
+	want := trigtrace.NewTraceID(9, 0).String()
+	stamped := map[string]bool{}
+	for _, sp := range tr.Spans() {
+		if id, ok := sp.Attr("trigger"); ok {
+			if id != want {
+				t.Fatalf("%s span trigger attr = %q, want %q", sp.Name, id, want)
+			}
+			stamped[sp.Name] = true
+		}
+	}
+	for _, name := range []string{"invocation", "resume", "pause"} {
+		if !stamped[name] {
+			t.Errorf("%s span carries no trigger attribute; stamped: %v (spans %v)", name, stamped, names(tr.Spans()))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package trigtrace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,6 +25,16 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	}
 	if s := a.String(); len(s) != 16 {
 		t.Fatalf("ID string %q not fixed-width hex", s)
+	}
+}
+
+// TestTraceIDStringMatchesFmt pins the hand-rolled hex encoding to the
+// fmt form it replaced, at both ends of the range and at the top bit.
+func TestTraceIDStringMatchesFmt(t *testing.T) {
+	for _, id := range []uint64{0, 1, 1 << 63, ^uint64(0), uint64(NewTraceID(42, 7))} {
+		if got, want := TraceID(id).String(), fmt.Sprintf("%016x", id); got != want {
+			t.Errorf("TraceID(%#x).String() = %q, want %q", id, got, want)
+		}
 	}
 }
 

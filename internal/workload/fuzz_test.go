@@ -75,14 +75,18 @@ func FuzzNATInvoke(f *testing.F) {
 
 // FuzzScanInvoke checks the hand-written scan encoder against
 // json.Marshal of the reference IndexesAbove result, over arrays from
-// any seed and any threshold, and that its output is exact-size.
+// any seed and any threshold, and that Invoke's output is exact-size.
+// It also appends the same result behind a random prefix into a buffer
+// with a random amount of spare capacity: the prefix must survive, the
+// appended bytes must match the reference, nothing past them may be
+// written, and a buffer without room must grow to exactly its new length.
 func FuzzScanInvoke(f *testing.F) {
-	f.Add(int64(1), 5000)
-	f.Add(int64(7), 9000)
-	f.Add(int64(42), -1)    // below every element: all 3000 indexes
-	f.Add(int64(42), 10000) // above every element: "indexes":[]
-	f.Add(int64(-3), 9990)
-	f.Fuzz(func(t *testing.T, seed int64, threshold int) {
+	f.Add(int64(1), 5000, []byte(nil), uint16(0))
+	f.Add(int64(7), 9000, []byte("prefix"), uint16(9000))
+	f.Add(int64(42), -1, []byte("{"), uint16(15000)) // below every element: all 3000 indexes
+	f.Add(int64(42), 10000, []byte("]"), uint16(22)) // above every element: "indexes":[]
+	f.Add(int64(-3), 9990, []byte("ab"), uint16(3))
+	f.Fuzz(func(t *testing.T, seed int64, threshold int, prefix []byte, spare uint16) {
 		s := NewScan(seed)
 		payload, err := json.Marshal(ScanRequest{Threshold: threshold})
 		if err != nil {
@@ -93,9 +97,35 @@ func FuzzScanInvoke(f *testing.F) {
 			t.Fatal(err)
 		}
 		idx := s.IndexesAbove(threshold)
-		assertMarshalled(t, out, ScanResult{Indexes: idx, Count: len(idx)})
+		want := ScanResult{Indexes: idx, Count: len(idx)}
+		assertMarshalled(t, out, want)
 		if len(out) != cap(out) {
 			t.Fatalf("invoke output has len %d, cap %d; want an exact-size buffer", len(out), cap(out))
+		}
+
+		const guard = 0x5A
+		dst := make([]byte, len(prefix), len(prefix)+int(spare))
+		copy(dst, prefix)
+		room := dst[len(dst):cap(dst)]
+		for i := range room {
+			room[i] = guard
+		}
+		got, err := s.AppendInvoke(dst, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("append clobbered the prefix: got %q, want %q", got[:len(prefix)], prefix)
+		}
+		assertMarshalled(t, got[len(prefix):], want)
+		if int(spare) >= len(out) {
+			for i, b := range got[len(got):cap(got)] {
+				if b != guard {
+					t.Fatalf("spare byte %d past the appended result was written (%#x)", i, b)
+				}
+			}
+		} else if len(got) != cap(got) {
+			t.Fatalf("grown append buffer has len %d, cap %d; want an exact-size buffer", len(got), cap(got))
 		}
 	})
 }

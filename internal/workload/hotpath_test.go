@@ -13,9 +13,11 @@ var raceEnabled bool
 // TestHotPathAllocFree pins each uLL body's allocations per Invoke to
 // its measured count. The scan's is its request decode by json.Unmarshal
 // plus its one exact-size output buffer, so a result encoding that
-// allocates more (as json.Marshal does) fails here; it holds under -race
-// too, since no sync.Pool is on that path. The NAT and firewall encode
-// with json.Marshal and are pinned outside -race only.
+// allocates more (as json.Marshal does) fails here. Appended into a
+// buffer with room (scan-append, as a cluster node serves it), the scan
+// allocates only the request decode. Both hold under -race too, since
+// no sync.Pool is on that path. The NAT and firewall encode with
+// json.Marshal and are pinned outside -race only.
 func TestHotPathAllocFree(t *testing.T) {
 	scanReq, _ := json.Marshal(ScanRequest{Threshold: 5000})
 	natReq, _ := json.Marshal(NATPacket{DstIP: "203.0.113.10", DstPort: 80})
@@ -27,9 +29,11 @@ func TestHotPathAllocFree(t *testing.T) {
 		fn      Function
 		payload []byte
 		budget  float64
-		pooled  bool // json.Marshal's sync.Pool is on the path
+		pooled  bool   // json.Marshal's sync.Pool is on the path
+		dst     []byte // non-nil: call AppendInvoke into it instead of Invoke
 	}{
 		{name: "scan", fn: NewScan(1), payload: scanReq, budget: 6},
+		{name: "scan-append", fn: NewScan(1), payload: scanReq, budget: 5, dst: make([]byte, 0, 16<<10)},
 		{name: "nat-hit", fn: DefaultNAT(), payload: natReq, budget: 8, pooled: true},
 		{name: "nat-miss", fn: DefaultNAT(), payload: natMiss, budget: 8, pooled: true},
 		{name: "firewall-allow", fn: DefaultFirewall(), payload: fwReq, budget: 12, pooled: true},
@@ -41,12 +45,18 @@ func TestHotPathAllocFree(t *testing.T) {
 				t.Skip("allocation counts through sync.Pool are not reproducible under -race")
 			}
 			n := testing.AllocsPerRun(100, func() {
-				if _, err := tt.fn.Invoke(tt.payload); err != nil {
+				var err error
+				if tt.dst != nil {
+					_, err = tt.fn.(Appender).AppendInvoke(tt.dst, tt.payload)
+				} else {
+					_, err = tt.fn.Invoke(tt.payload)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			})
 			if n > tt.budget {
-				t.Errorf("%s Invoke allocates %v per run, want <= %v", tt.name, n, tt.budget)
+				t.Errorf("%s allocates %v per run, want <= %v", tt.name, n, tt.budget)
 			}
 		})
 	}

@@ -33,7 +33,10 @@ type Scan struct {
 	data []int
 }
 
-var _ Function = (*Scan)(nil)
+var (
+	_ Function = (*Scan)(nil)
+	_ Appender = (*Scan)(nil)
+)
 
 // NewScan builds the workload over a deterministic pseudo-random array
 // derived from seed, with values in [0, 10000).
@@ -97,8 +100,18 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Invoke implements Function: JSON ScanRequest in, ScanResult out. The
-// result is encoded by hand, byte-identical to json.Marshal of the
+// Invoke implements Function: JSON ScanRequest in, ScanResult out, in a
+// fresh buffer of exactly the result's length.
+func (s *Scan) Invoke(payload []byte) ([]byte, error) {
+	return s.AppendInvoke(nil, payload)
+}
+
+// AppendInvoke implements Appender: it appends the ScanResult Invoke
+// would return to dst. With room in dst the result is written in place;
+// without, dst is copied into a new buffer of exactly len(dst) plus the
+// result's length. Nothing past the result is written.
+//
+// The result is encoded by hand, byte-identical to json.Marshal of the
 // ScanResult IndexesAbove would give, in two passes. The first compares
 // every element and compacts the matching indexes into a stack array
 // without a branch per element: each index is written at the next free
@@ -106,10 +119,10 @@ func b2i(b bool) int {
 // sorted index list alone, since the text of index i is 5 bytes minus one
 // for each of 10, 100 and 1000 that i is below. The second pass walks only
 // the matches and stores each one's text as one 8-byte word.
-func (s *Scan) Invoke(payload []byte) ([]byte, error) {
+func (s *Scan) AppendInvoke(dst, payload []byte) ([]byte, error) {
 	var req ScanRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		return dst, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	var idx [ScanArraySize]uint16
 	// req escapes to the heap through Unmarshal; a local copy of the
@@ -134,9 +147,17 @@ func (s *Scan) Invoke(payload []byte) ([]byte, error) {
 	}
 	// Each word store writes 8 bytes where the text needs at most 5. The
 	// spill is overwritten by the next store or, after the last match, by
-	// the trailer (mid, count and '}', at least 12 bytes), so the buffer
-	// needs no slack past the output.
-	out := make([]byte, len(head)+size+len(mid)+len(count)+1)
+	// the trailer (mid, count and '}', at least 12 bytes), so the result
+	// needs no slack past its end.
+	need := len(head) + size + len(mid) + len(count) + 1
+	var all []byte
+	if cap(dst)-len(dst) >= need {
+		all = dst[:len(dst)+need]
+	} else {
+		all = make([]byte, len(dst)+need)
+		copy(all, dst)
+	}
+	out := all[len(dst):]
 	w := copy(out, head)
 	if n > 0 {
 		first := match[0]
@@ -150,5 +171,5 @@ func (s *Scan) Invoke(payload []byte) ([]byte, error) {
 	w += copy(out[w:], mid)
 	w += copy(out[w:], count)
 	out[w] = '}'
-	return out, nil
+	return all, nil
 }

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -67,6 +69,90 @@ func TestScanInvokeEdges(t *testing.T) {
 				t.Fatalf("invoke output has len %d, cap %d; want an exact-size buffer", len(out), cap(out))
 			}
 		})
+	}
+}
+
+// TestScanAppendInvoke pins AppendInvoke's buffer contract: the prefix
+// already in dst is kept, the appended bytes are exactly Invoke's, and
+// a dst with room is written in place without touching any byte of its
+// spare capacity past the result. A dst without room grows to a new
+// buffer of exactly the prefix plus the result (len == cap), leaving the
+// caller's buffer as it was. A bad payload returns dst unchanged.
+func TestScanAppendInvoke(t *testing.T) {
+	const guard = 0xA5
+	s := NewScan(42)
+	for _, threshold := range []int{-1, 5000, 10000} {
+		payload, err := json.Marshal(ScanRequest{Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Invoke(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tests := []struct {
+			name   string
+			prefix string
+			spare  int  // room past the prefix, relative to len(want)
+			fits   bool // dst has room for the result
+		}{
+			{name: "nil", spare: -1 << 20},
+			{name: "empty-exact", spare: 0, fits: true},
+			{name: "empty-roomy", spare: 64, fits: true},
+			{name: "prefix-exact", prefix: "HTTP/1.1 200\r\n", spare: 0, fits: true},
+			{name: "prefix-roomy", prefix: "HTTP/1.1 200\r\n", spare: 100, fits: true},
+			{name: "prefix-one-short", prefix: "HTTP/1.1 200\r\n", spare: -1},
+			{name: "prefix-no-room", prefix: "HTTP/1.1 200\r\n", spare: -len(want)},
+		}
+		for _, tt := range tests {
+			t.Run(fmt.Sprintf("threshold=%d/%s", threshold, tt.name), func(t *testing.T) {
+				var dst []byte
+				if room := len(want) + tt.spare; room >= 0 {
+					dst = make([]byte, len(tt.prefix), len(tt.prefix)+room)
+					copy(dst, tt.prefix)
+					spare := dst[len(dst):cap(dst)]
+					for i := range spare {
+						spare[i] = guard
+					}
+				}
+				before := append([]byte(nil), dst[:cap(dst)]...)
+				got, err := s.AppendInvoke(dst, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got[:len(tt.prefix)]) != tt.prefix {
+					t.Fatalf("prefix clobbered: got %q, want %q", got[:len(tt.prefix)], tt.prefix)
+				}
+				if !bytes.Equal(got[len(tt.prefix):], want) {
+					t.Fatalf("appended bytes differ from Invoke:\n got %q\nwant %q", got[len(tt.prefix):], want)
+				}
+				if inPlace := cap(dst) > 0 && &got[0] == &dst[:1][0]; inPlace != tt.fits {
+					t.Fatalf("wrote in place = %v, want %v", inPlace, tt.fits)
+				}
+				if tt.fits {
+					for i, b := range got[len(got):cap(got)] {
+						if b != guard {
+							t.Fatalf("spare byte %d past the result was written (%#x)", i, b)
+						}
+					}
+					return
+				}
+				if len(got) != cap(got) {
+					t.Fatalf("grown buffer has len %d, cap %d; want an exact-size buffer", len(got), cap(got))
+				}
+				if !bytes.Equal(dst[:cap(dst)], before) {
+					t.Fatal("a dst without room was written")
+				}
+			})
+		}
+	}
+	dst := []byte("keep")
+	got, err := s.AppendInvoke(dst, []byte("{"))
+	if !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("bad payload: err %v, want ErrBadPayload", err)
+	}
+	if string(got) != "keep" {
+		t.Fatalf("bad payload: got %q, want dst unchanged", got)
 	}
 }
 

@@ -20,12 +20,22 @@
 // case-folding and error semantics are kept. The scan, whose result
 // lists up to 3000 indexes, encodes it by hand from precomputed index
 // text, byte-identical to json.Marshal of its ScanResult (FuzzScanInvoke
-// pins this). Its output is a fresh buffer of exactly its length and is
-// never pooled: the platform hands it back to the caller (Cluster.Trigger
-// returns it, and a cluster run holds every invocation until its epoch
-// ends), so a reused buffer would be overwritten under its reader, and
-// spare capacity would be held by every pending job. The firewall and
-// NAT results are a few short fields and stay on json.Marshal.
+// pins this). The firewall and NAT results are a few short fields and
+// stay on json.Marshal.
+//
+// Who owns a result depends on the entry point:
+//
+//   - Invoke returns a fresh buffer of exactly the result's length, which
+//     the caller owns.
+//   - AppendInvoke (the optional Appender interface, which the scan
+//     implements) appends the result to the caller's buffer, writing in
+//     place when it has room and growing it to exactly the needed length
+//     when it does not.
+//   - A cluster run passes each node's one response buffer to
+//     AppendInvoke, so a served invocation's output is overwritten by
+//     that node's next trigger; nothing in the run reads it.
+//     Cluster.Trigger copies the output out into a fresh, exact-size
+//     buffer before it returns.
 package workload
 
 import (
@@ -86,6 +96,15 @@ type Function interface {
 	VirtualDuration() simtime.Duration
 	// Invoke runs the real function logic.
 	Invoke(payload []byte) ([]byte, error)
+}
+
+// Appender is implemented by a Function that can encode its result into
+// a caller's buffer, as encoding.BinaryAppender stands next to
+// encoding.BinaryMarshaler. AppendInvoke appends exactly what Invoke
+// would return to dst and returns the extended buffer; it writes nothing
+// past the appended result. On error dst is returned unchanged.
+type Appender interface {
+	AppendInvoke(dst, payload []byte) ([]byte, error)
 }
 
 // Calibrated virtual execution times (Table 1's "Average Execution").
