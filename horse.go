@@ -329,8 +329,8 @@ type (
 	ExperimentTelemetry = experiments.Telemetry
 )
 
-// NewTracer builds a span tracer (ring-buffered, enabled unless
-// opts.Disabled).
+// NewTracer builds a span tracer (ring-buffered, always recording; a
+// nil *Tracer is the disabled one).
 func NewTracer(opts TracerOptions) *Tracer { return telemetry.NewTracer(opts) }
 
 // NewMetricsRegistry builds an empty metrics registry.
@@ -501,8 +501,8 @@ const (
 type (
 	// TraceRecorder aggregates per-trigger traces: attribution table,
 	// violation counts, and flight-recorder retention. Cluster.Run arms
-	// one automatically; pass one via ClusterOptions.Trace to size the
-	// retention or share it across runs.
+	// one automatically; pass one to Cluster.SetTrace to size the
+	// retention or share it across runs. A nil recorder records nothing.
 	TraceRecorder = trigtrace.Recorder
 	// TraceRecorderOptions configures NewTraceRecorder.
 	TraceRecorderOptions = trigtrace.RecorderOptions

@@ -70,13 +70,8 @@ type deploymentEntry struct {
 
 // Options configures a Cluster.
 type Options struct {
-	// Nodes is the node count when Specs is empty; every node gets Spec
-	// (defaults applied).
-	Nodes int
-	// Spec is the homogeneous node spec used with Nodes.
-	Spec NodeSpec
-	// Specs, when non-empty, sizes a heterogeneous cluster explicitly
-	// and overrides Nodes/Spec.
+	// Specs sizes the cluster: one node per entry, in index order
+	// (defaults applied). At least one is required.
 	Specs []NodeSpec
 	// Policy is the placement policy name (default round-robin).
 	Policy string
@@ -94,12 +89,6 @@ type Options struct {
 	// Fallback is each node's graceful-degradation config; the zero
 	// value disables per-node fallback.
 	Fallback faas.FallbackConfig
-	// VirtualNodes, BoundFactor, and MinHeadroom tune the ull-affinity
-	// ring (zero selects DefaultVirtualNodes/DefaultBoundFactor/
-	// DefaultMinHeadroom).
-	VirtualNodes int
-	BoundFactor  float64
-	MinHeadroom  simtime.Duration
 	// Tenants, when non-empty, arms the multi-tenant admission gate:
 	// every tenant-bound function's triggers are rate-limited against
 	// its token bucket, and its uLL triggers share the reserved uLL
@@ -110,11 +99,6 @@ type Options struct {
 	// weighted fair shares divide (0 disables the share gate; per-tenant
 	// rate limits still apply).
 	ULLAdmitRate float64
-	// Trace, when non-nil, records an end-to-end span tree per trigger
-	// (DESIGN.md §12). Run arms one automatically when this is nil; a
-	// direct Trigger caller without one pays only the inert-context
-	// early-returns (BenchmarkContextDisabled).
-	Trace *trigtrace.Recorder
 	// Shards is how many worker goroutines Run's conservative-PDES
 	// serve phase drains the node queues on (DESIGN.md §13).
 	// Values outside [1, len(nodes)] are clamped; 0 selects 1
@@ -176,13 +160,7 @@ type Cluster struct {
 func New(opts Options) (*Cluster, error) {
 	specs := opts.Specs
 	if len(specs) == 0 {
-		if opts.Nodes <= 0 {
-			return nil, errors.New("cluster: need at least one node")
-		}
-		specs = make([]NodeSpec, opts.Nodes)
-		for i := range specs {
-			specs[i] = opts.Spec
-		}
+		return nil, errors.New("cluster: need at least one node")
 	}
 	policy := opts.Policy
 	if policy == "" {
@@ -202,7 +180,6 @@ func New(opts Options) (*Cluster, error) {
 		metrics:     opts.Metrics,
 		seed:        opts.Seed,
 		shards:      shards,
-		rec:         opts.Trace,
 		failovers:   make(map[string]uint64),
 	}
 	for i, spec := range specs {
@@ -255,7 +232,7 @@ func New(opts Options) (*Cluster, error) {
 		}
 		c.tenants = ctrl
 	}
-	router, err := newRouter(policy, c, opts.VirtualNodes, opts.BoundFactor, opts.MinHeadroom)
+	router, err := newRouter(policy, c)
 	if err != nil {
 		return nil, err
 	}
@@ -274,14 +251,15 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Router returns the cluster's router.
 func (c *Cluster) Router() *Router { return c.router }
 
-// Seed returns the seed the cluster was built with.
-func (c *Cluster) Seed() int64 { return c.seed }
-
 // Trace returns the armed trigger-trace recorder (nil when tracing is
 // off).
 func (c *Cluster) Trace() *trigtrace.Recorder { return c.rec }
 
-// SetTrace arms (or, with nil, disarms) the trigger-trace recorder.
+// SetTrace arms (or, with nil, disarms) the trigger-trace recorder:
+// each trigger then records an end-to-end span tree (DESIGN.md §12).
+// Run arms one automatically when none is set; a direct Trigger caller
+// without one pays only the inert-context early-returns
+// (BenchmarkContextDisabled).
 //
 //horselint:coordinator
 func (c *Cluster) SetTrace(rec *trigtrace.Recorder) { c.rec = rec }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
@@ -33,6 +34,23 @@ func registerScan(t *testing.T, c *Cluster, spec faas.SandboxSpec) {
 	}
 	if err := c.RegisterEverywhere(workload.NewScan(1), spec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewRequiresANode pins New's one sizing check: a cluster with no
+// node specs is refused, whether Specs is absent or empty.
+func TestNewRequiresANode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"zero options", Options{}},
+		{"empty specs", Options{Specs: []NodeSpec{}}},
+	} {
+		c, err := New(tc.opts)
+		if err == nil || !strings.Contains(err.Error(), "need at least one node") {
+			t.Errorf("%s: New = %v, %v; want the need-at-least-one-node error", tc.name, c, err)
+		}
 	}
 }
 
@@ -215,7 +233,7 @@ func TestInvokeFailureIsNotRetriedElsewhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Nodes: 2, Spec: NodeSpec{ULLSlots: 1}, Policy: PolicyRoundRobin, Seed: 1, Faults: faults})
+	c, err := New(Options{Specs: []NodeSpec{{ULLSlots: 1}, {ULLSlots: 1}}, Policy: PolicyRoundRobin, Seed: 1, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +321,7 @@ func TestAllNodesFailedRejectsTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Nodes: 2, Spec: NodeSpec{ULLSlots: 1}, Policy: PolicyLeastLoaded, Seed: 1, Faults: faults})
+	c, err := New(Options{Specs: []NodeSpec{{ULLSlots: 1}, {ULLSlots: 1}}, Policy: PolicyLeastLoaded, Seed: 1, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func TestRunErrorPathsRecordNoModeOrNode(t *testing.T) {
 // run error.
 func capRun(t *testing.T, maxEvents int) (Report, []byte, error) {
 	t.Helper()
-	c, err := New(Options{Nodes: 4, Spec: NodeSpec{ULLSlots: 2}, Policy: PolicyLeastLoaded, Seed: 9, Shards: 2})
+	c, err := New(Options{Specs: []NodeSpec{{ULLSlots: 2}, {ULLSlots: 2}, {ULLSlots: 2}, {ULLSlots: 2}}, Policy: PolicyLeastLoaded, Seed: 9, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,12 +124,6 @@ type Node struct {
 // ID returns the node's stable identifier ("node00", "node01", …).
 func (n *Node) ID() string { return n.id }
 
-// Index returns the node's position in the cluster's node list.
-func (n *Node) Index() int { return n.index }
-
-// Spec returns the node's capacity spec (defaults applied).
-func (n *Node) Spec() NodeSpec { return n.spec }
-
 // Platform returns the node's FaaS platform.
 func (n *Node) Platform() *faas.Platform { return n.platform }
 

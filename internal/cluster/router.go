@@ -62,14 +62,14 @@ type Router struct {
 	tenants *tenant.Controller //horselint:coordinator
 }
 
-func newRouter(policy string, c *Cluster, vnodes int, boundFactor float64, minHeadroom simtime.Duration) (*Router, error) {
+func newRouter(policy string, c *Cluster) (*Router, error) {
 	switch policy {
 	case PolicyRoundRobin:
 		return &Router{policy: &roundRobin{}}, nil
 	case PolicyLeastLoaded:
 		return &Router{policy: leastLoaded{}}, nil
 	case PolicyULLAffinity:
-		return &Router{policy: newULLAffinity(c, vnodes, boundFactor, minHeadroom)}, nil
+		return &Router{policy: newULLAffinity(c)}, nil
 	default:
 		return nil, fmt.Errorf("%w: %q (known: round-robin, least-loaded, ull-affinity)", ErrUnknownPolicy, policy)
 	}
@@ -179,7 +179,7 @@ func minLag(nodes []*Node, excluded map[int]bool, now simtime.Time) (*Node, erro
 	return best, nil
 }
 
-// Bounded-load defaults for the ull-affinity policy.
+// Bounded-load parameters of the ull-affinity policy.
 const (
 	// DefaultVirtualNodes is the number of ring points per reserved node.
 	DefaultVirtualNodes = 64
@@ -207,11 +207,9 @@ type ringPoint struct {
 // Non-uLL functions avoid the reserved nodes entirely while any
 // unreserved node is healthy.
 type ullAffinity struct {
-	ring        []ringPoint
-	reserved    []int   // node indexes with ULLSlots > 0, ascending
-	unres       []*Node // nodes without uLL reservations, index order
-	boundFactor float64
-	minHeadroom simtime.Duration
+	ring     []ringPoint
+	reserved []int   // node indexes with ULLSlots > 0, ascending
+	unres    []*Node // nodes without uLL reservations, index order
 
 	// visited is per-pick scratch for the ring walk: visited[i] ==
 	// visitGen marks node i as seen this pick. The node set is fixed at
@@ -221,28 +219,15 @@ type ullAffinity struct {
 	visitGen uint32   //horselint:coordinator
 }
 
-func newULLAffinity(c *Cluster, vnodes int, boundFactor float64, minHeadroom simtime.Duration) *ullAffinity {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	if boundFactor <= 1 {
-		boundFactor = DefaultBoundFactor
-	}
-	if minHeadroom <= 0 {
-		minHeadroom = DefaultMinHeadroom
-	}
-	a := &ullAffinity{
-		boundFactor: boundFactor,
-		minHeadroom: minHeadroom,
-		visited:     make([]uint32, len(c.nodes)),
-	}
+func newULLAffinity(c *Cluster) *ullAffinity {
+	a := &ullAffinity{visited: make([]uint32, len(c.nodes))}
 	for _, n := range c.nodes {
 		if !n.ULLReserved() {
 			a.unres = append(a.unres, n)
 			continue
 		}
 		a.reserved = append(a.reserved, n.index)
-		for k := 0; k < vnodes; k++ {
+		for k := 0; k < DefaultVirtualNodes; k++ {
 			a.ring = append(a.ring, ringPoint{
 				hash:  hash64(fmt.Sprintf("%s#%d", n.id, k)),
 				index: n.index,
@@ -336,8 +321,9 @@ func (a *ullAffinity) pick(c *Cluster, fn string, ull bool, excluded map[int]boo
 	return minLag(c.nodes, excluded, now)
 }
 
-// allowedLag computes the bounded-load threshold: boundFactor × the mean
-// backlog across eligible reserved nodes, floored at minHeadroom.
+// allowedLag computes the bounded-load threshold: DefaultBoundFactor ×
+// the mean backlog across eligible reserved nodes, floored at
+// DefaultMinHeadroom.
 //
 //horselint:hotpath
 func (a *ullAffinity) allowedLag(c *Cluster, excluded map[int]bool, now simtime.Time) simtime.Duration {
@@ -352,11 +338,11 @@ func (a *ullAffinity) allowedLag(c *Cluster, excluded map[int]bool, now simtime.
 		count++
 	}
 	if count == 0 {
-		return a.minHeadroom
+		return DefaultMinHeadroom
 	}
-	bound := simtime.Duration(a.boundFactor * float64(sum) / float64(count))
-	if bound < a.minHeadroom {
-		return a.minHeadroom
+	bound := simtime.Duration(DefaultBoundFactor * float64(sum) / float64(count))
+	if bound < DefaultMinHeadroom {
+		return DefaultMinHeadroom
 	}
 	return bound
 }

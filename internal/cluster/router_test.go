@@ -203,7 +203,7 @@ func TestULLAffinityFailsOverAcrossReservedNodes(t *testing.T) {
 }
 
 func TestUnknownPolicyRejected(t *testing.T) {
-	if _, err := New(Options{Nodes: 1, Policy: "random"}); !errors.Is(err, ErrUnknownPolicy) {
+	if _, err := New(Options{Specs: []NodeSpec{{}}, Policy: "random"}); !errors.Is(err, ErrUnknownPolicy) {
 		t.Fatalf("New with bogus policy = %v, want ErrUnknownPolicy", err)
 	}
 }

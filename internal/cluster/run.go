@@ -50,12 +50,6 @@ type RunConfig struct {
 	// every epoch's pump draws from the same budget, and exceeding it
 	// with arrivals still pending is an eventsim.ErrMaxEvents error.
 	MaxEvents int
-	// SyncQuantum overrides the epoch length (0 selects
-	// DefaultSyncQuantum). The quantum changes the simulated routing
-	// semantics (how stale the router's lag reads may be), so it is
-	// part of the experiment's identity: same seed + same quantum ⇒
-	// byte-identical report at every shard count.
-	SyncQuantum simtime.Duration
 }
 
 // pendingJob is one arrival moving through an epoch of the run loop:
@@ -121,16 +115,16 @@ func (j *pendingJob) exclude(idx, nodes int) {
 
 // Run pulls the configured arrival stream through the
 // conservative-PDES epoch loop (DESIGN.md §13): virtual time advances
-// in fixed sync quanta, each epoch pulling the stream's arrivals up to
-// the epoch end on the coordinator, routing every arrival through the
-// placement policy in arrival order, then draining the nodes' trigger
-// queues in parallel — one shard per worker — behind a barrier. All
-// cross-node state (router cursors and lag reads, fault checks at the
-// cluster.node.* sites, failover bookkeeping, the report and trace
-// accumulators) is touched only by the coordinator between barriers,
-// so the run is deterministic by construction: same seed, same
-// options, same quantum ⇒ a byte-identical report at every shard count
-// and GOMAXPROCS.
+// in fixed sync quanta of DefaultSyncQuantum, each epoch pulling the
+// stream's arrivals up to the epoch end on the coordinator, routing
+// every arrival through the placement policy in arrival order, then
+// draining the nodes' trigger queues in parallel — one shard per
+// worker — behind a barrier. All cross-node state (router cursors and
+// lag reads, fault checks at the cluster.node.* sites, failover
+// bookkeeping, the report and trace accumulators) is touched only by
+// the coordinator between barriers, so the run is deterministic by
+// construction: same seed, same options ⇒ a byte-identical report at
+// every shard count and GOMAXPROCS.
 //
 //horselint:coordinator
 func (c *Cluster) Run(cfg RunConfig) (Report, error) {
@@ -167,7 +161,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	// report exactly what a fresh cluster would.
 	c.resetRunState()
 	// Arm per-trigger tracing so every run yields the tail-latency
-	// attribution table; a caller-supplied recorder (Options.Trace) is
+	// attribution table; a caller-supplied recorder (SetTrace) is
 	// kept, including its retention sizing.
 	if c.rec == nil {
 		c.rec = trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: c.seed, Metrics: c.metrics})
@@ -180,10 +174,6 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 	builder := newReportBuilder(c, cfg.Horizon, budgets)
-	quantum := cfg.SyncQuantum
-	if quantum <= 0 {
-		quantum = DefaultSyncQuantum
-	}
 	// Setup work (provisioning, registration) charged the node-local
 	// clocks; settle so it does not read as backlog to the first
 	// arrivals.
@@ -201,7 +191,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	var epoch []*pendingJob
 	pulled := 0
 	for now := start; now.Before(horizonEnd); {
-		next := now.Add(quantum)
+		next := now.Add(DefaultSyncQuantum)
 		if next.After(horizonEnd) {
 			next = horizonEnd
 		}

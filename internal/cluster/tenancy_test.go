@@ -261,7 +261,7 @@ func TestBindTenant(t *testing.T) {
 
 	// Without a contract, any non-empty tenant name is unknown and the
 	// error says why.
-	bare, err := New(Options{Nodes: 1, Seed: 1})
+	bare, err := New(Options{Specs: []NodeSpec{{}}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,11 @@ type SandboxSpec struct {
 	// KeepAlivePolicy, if non-nil, sizes the idle window dynamically
 	// (e.g. HybridKeepAlive) instead of the fixed KeepAlive duration.
 	KeepAlivePolicy KeepAlivePolicy
-	// WorkingSet is the snapshot working-set fraction for restore mode
-	// (0 selects 5%).
-	WorkingSet float64
 }
+
+// snapshotWorkingSet is the fraction of a deployment's pages a
+// restore-mode snapshot maps eagerly (FaaSnap-style working set).
+const snapshotWorkingSet = 0.05
 
 // DefaultKeepAlive mirrors the fixed keep-alive windows of production
 // platforms (paper §1's keep-alive strategy references).
@@ -118,9 +119,6 @@ type Deployment struct {
 	lastTrigger  simtime.Time
 	hasTriggered bool
 }
-
-// Function returns the deployed function.
-func (d *Deployment) Function() workload.Function { return d.fn }
 
 // WarmPoolSize returns how many paused sandboxes are ready.
 func (d *Deployment) WarmPoolSize() int { return len(d.pool) }
@@ -198,32 +196,21 @@ func (pi *platformInstruments) bind(m *telemetry.Registry) {
 
 // Options configures a Platform.
 type Options struct {
-	// Hypervisor to run on; nil builds one from the fields below.
-	Hypervisor *vmm.Hypervisor
-	// CPUs is the general-purpose core count when Hypervisor is nil
-	// (default 36).
+	// CPUs is the hypervisor's general-purpose core count (default 36).
 	CPUs int
-	// ULLQueues is the number of reserved ull_runqueues when Hypervisor
-	// is nil (default 1). Raise it for high uLL trigger rates (§4.1.3).
+	// ULLQueues is the number of reserved ull_runqueues (default 1).
+	// Raise it for high uLL trigger rates (§4.1.3).
 	ULLQueues int
-	// Costs overrides the hypervisor cost model when Hypervisor is nil
-	// (zero selects vmm.DefaultCostModel; vmm.XenCostModel selects the
-	// Xen flavor).
+	// Costs overrides the hypervisor cost model (zero selects
+	// vmm.DefaultCostModel; vmm.XenCostModel selects the Xen flavor).
 	Costs vmm.CostModel
-	// SnapshotCosts overrides the snapshot cost model.
-	SnapshotCosts snapshot.CostModel
-	// Tracer is handed to the hypervisor built when Hypervisor is nil;
-	// ignored otherwise (pass it via vmm.Options instead).
+	// Tracer is handed to the platform's hypervisor.
 	Tracer *telemetry.Tracer
-	// Metrics is handed to the hypervisor built when Hypervisor is nil;
-	// ignored otherwise.
+	// Metrics is handed to the platform's hypervisor.
 	Metrics *telemetry.Registry
 	// Faults is the deterministic fault injector threaded through both
 	// the hypervisor (create/destroy/pause/resume sites) and the trigger
-	// path (restore/invoke sites); nil injects nothing. When Hypervisor
-	// is nil the injector is handed to the built hypervisor; when a
-	// Hypervisor is supplied and Faults is nil, the hypervisor's own
-	// injector is adopted so both layers draw from one armed set.
+	// path (restore/invoke sites); nil injects nothing.
 	Faults *faultinject.Injector
 	// Fallback configures graceful degradation of Trigger (DESIGN.md
 	// §10); the zero value disables it.
@@ -232,31 +219,24 @@ type Options struct {
 
 // New builds a platform.
 func New(opts Options) (*Platform, error) {
-	h := opts.Hypervisor
-	faults := opts.Faults
-	if h == nil {
-		var err error
-		h, err = vmm.New(vmm.Options{
-			CPUs:      opts.CPUs,
-			ULLQueues: opts.ULLQueues,
-			Costs:     opts.Costs,
-			Tracer:    opts.Tracer,
-			Metrics:   opts.Metrics,
-			Faults:    faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if faults == nil {
-		faults = h.Faults()
+	h, err := vmm.New(vmm.Options{
+		CPUs:      opts.CPUs,
+		ULLQueues: opts.ULLQueues,
+		Costs:     opts.Costs,
+		Tracer:    opts.Tracer,
+		Metrics:   opts.Metrics,
+		Faults:    opts.Faults,
+	})
+	if err != nil {
+		return nil, err
 	}
 	p := &Platform{
 		h:           h,
 		engine:      core.NewEngine(h),
-		snaps:       snapshot.NewStore(h.Clock(), opts.SnapshotCosts),
+		snaps:       snapshot.NewStore(h.Clock()),
 		clock:       h.Clock(),
 		deployments: make(map[string]*Deployment),
-		faults:      faults,
+		faults:      opts.Faults,
 		fallback:    opts.Fallback,
 	}
 	p.inst.bind(h.Metrics())
@@ -271,9 +251,6 @@ func (p *Platform) Engine() *core.Engine { return p.engine }
 
 // Clock returns the platform's virtual clock.
 func (p *Platform) Clock() *simtime.Clock { return p.clock }
-
-// Faults returns the platform's fault injector (nil when none is armed).
-func (p *Platform) Faults() *faultinject.Injector { return p.faults }
 
 // Reaped returns how many idle sandboxes the keep-alive reaper destroyed.
 func (p *Platform) Reaped() uint64 { return p.reaped }
@@ -291,9 +268,6 @@ func (p *Platform) Register(fn workload.Function, spec SandboxSpec) (*Deployment
 	}
 	if spec.KeepAlive == 0 {
 		spec.KeepAlive = DefaultKeepAlive
-	}
-	if spec.WorkingSet == 0 {
-		spec.WorkingSet = 0.05
 	}
 	// The gap ring is preallocated at its cap so recordTrigger's append
 	// on the per-trigger path never grows the backing array.
@@ -363,7 +337,7 @@ func (p *Platform) EnsureSnapshot(name string) error {
 	if d.snapshot != nil {
 		return nil
 	}
-	snap, err := p.snaps.Create(d.sandboxConfig(false), d.spec.WorkingSet)
+	snap, err := p.snaps.Create(d.sandboxConfig(false), snapshotWorkingSet)
 	if err != nil {
 		return err
 	}

@@ -66,8 +66,11 @@ func TestRegisterDefaults(t *testing.T) {
 	if d.spec.KeepAlive != DefaultKeepAlive {
 		t.Fatalf("KeepAlive = %v, want default", d.spec.KeepAlive)
 	}
-	if d.spec.WorkingSet != 0.05 {
-		t.Fatalf("WorkingSet = %v, want 0.05", d.spec.WorkingSet)
+	if err := p.EnsureSnapshot("scan"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.snapshot.WorkingSetPages, d.snapshot.TotalPages/20; got != want {
+		t.Fatalf("snapshot working set = %d pages, want 5%% of %d = %d", got, d.snapshot.TotalPages, want)
 	}
 }
 

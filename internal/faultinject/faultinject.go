@@ -185,9 +185,6 @@ func New(seed int64, rules ...Rule) (*Injector, error) {
 	return in, nil
 }
 
-// Seed returns the seed the injector was built with.
-func (in *Injector) Seed() int64 { return in.seed }
-
 // site returns (creating if needed) the state for s, with a PRNG whose
 // seed mixes the injector seed and the site name, so the draw sequence
 // of one site is independent of how often the others are checked.

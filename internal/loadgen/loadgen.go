@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -482,16 +481,6 @@ func New(seed int64, workloads []Workload, opts Options) (*Generator, error) {
 	return &Generator{seed: seed, workloads: ws, metrics: opts.Metrics}, nil
 }
 
-// Seed returns the generator's seed.
-func (g *Generator) Seed() int64 { return g.seed }
-
-// Workloads returns a copy of the workload list.
-func (g *Generator) Workloads() []Workload {
-	out := make([]Workload, len(g.workloads))
-	copy(out, g.workloads)
-	return out
-}
-
 // source is the per-workload generation state: its own PRNG stream,
 // its ON/OFF phase bookkeeping, and its next drawn arrival instant.
 type source struct {
@@ -630,15 +619,4 @@ func (g *Generator) Collect(horizon simtime.Duration) ([]Arrival, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// Rates summarizes the configured workloads as "fn: spec" lines in
-// function order, for logs.
-func Rates(workloads []Workload) string {
-	lines := make([]string, 0, len(workloads))
-	for _, w := range workloads {
-		lines = append(lines, w.String())
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "; ")
 }

@@ -85,9 +85,8 @@ const (
 
 // Errors reported by queue operations.
 var (
-	ErrNotOnQueue    = errors.New("runqueue: element not on this queue")
-	ErrWrongTarget   = errors.New("runqueue: precomputed state targets a different queue")
-	ErrQueueNotEmpty = errors.New("runqueue: queue still has entities")
+	ErrNotOnQueue  = errors.New("runqueue: element not on this queue")
+	ErrWrongTarget = errors.New("runqueue: precomputed state targets a different queue")
 )
 
 // Queue is one CPU-sorted run queue.

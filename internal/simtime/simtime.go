@@ -45,15 +45,8 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Std converts the virtual instant to a time.Duration offset from the
-// simulation epoch, for interoperation with formatting helpers.
-func (t Time) Std() time.Duration { return time.Duration(t) }
-
 // String formats the instant as an offset from the epoch, e.g. "1.5ms".
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Std converts the virtual duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // String formats the duration using the time package's units.
 func (d Duration) String() string { return time.Duration(d).String() }

@@ -77,15 +77,11 @@ type Store struct {
 	nextID int
 }
 
-// NewStore returns an empty snapshot store. A zero costs value selects
-// DefaultCostModel.
-func NewStore(clock *simtime.Clock, costs CostModel) *Store {
-	if costs == (CostModel{}) {
-		costs = DefaultCostModel()
-	}
+// NewStore returns an empty snapshot store charging DefaultCostModel.
+func NewStore(clock *simtime.Clock) *Store {
 	return &Store{
 		clock: clock,
-		costs: costs,
+		costs: DefaultCostModel(),
 		snaps: make(map[string]*Snapshot),
 	}
 }

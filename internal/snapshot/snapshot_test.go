@@ -11,7 +11,7 @@ import (
 func newStore(t *testing.T) (*Store, *simtime.Clock) {
 	t.Helper()
 	clock := simtime.NewClock()
-	return NewStore(clock, CostModel{}), clock
+	return NewStore(clock), clock
 }
 
 func TestCreateChargesTime(t *testing.T) {

@@ -6,27 +6,14 @@ import (
 	"github.com/horse-faas/horse/internal/simtime"
 )
 
-// BenchmarkTracerDisabled measures the instrumentation cost on the resume
-// fast path when tracing is off: one StartSpan + Attr + Step + End per
-// iteration, the exact shape vmm's BeginResume/Charge/Finish emit. The
-// no-op path must stay under 10 ns/op with zero allocations so tracing
-// can remain wired through the hot path unconditionally (see
-// BENCH_telemetry.json for the committed baseline).
-func BenchmarkTracerDisabled(b *testing.B) {
-	tr := NewTracer(TracerOptions{Disabled: true})
-	tr.AttachClock(simtime.NewClock())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := tr.StartSpan("resume")
-		sp.Attr("policy", "horse")
-		sp.Step("psm-merge", 110)
-		sp.End()
-	}
-}
-
-// BenchmarkTracerNil is the same sequence against a nil tracer — the
-// default when a Hypervisor is built without telemetry options.
+// BenchmarkTracerNil measures the instrumentation cost on the resume
+// fast path when tracing is off (a nil tracer, the default when a
+// Hypervisor is built without telemetry options): one StartSpan + Attr
+// + Step + End per iteration, the exact shape vmm's
+// BeginResume/Charge/Finish emit. The no-op path must stay under 10
+// ns/op with zero allocations so tracing can remain wired through the
+// hot path unconditionally (see BENCH_telemetry.json for the committed
+// baseline).
 func BenchmarkTracerNil(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
@@ -62,19 +49,5 @@ func BenchmarkRegistryCounter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Counter("faas_triggers_total", "mode", "horse").Inc()
-	}
-}
-
-// BenchmarkRegistryCounterBound is the same increment through a handle
-// prebound at construction — the per-trigger metric shape after the
-// hot paths switched to Counter.Bind / prebound *Counter fields. It
-// must stay allocation-free.
-func BenchmarkRegistryCounterBound(b *testing.B) {
-	r := NewRegistry()
-	add := r.Counter("faas_triggers_total", "mode", "horse").Bind()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		add(1)
 	}
 }

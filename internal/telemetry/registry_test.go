@@ -90,29 +90,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
-func TestCounterBind(t *testing.T) {
-	r := NewRegistry()
-	add := r.Counter("hits_total", "mode", "horse").Bind()
-	add(1)
-	add(2)
-	if got := r.Counter("hits_total", "mode", "horse").Value(); got != 3 {
-		t.Fatalf("bound adds = %d, want 3", got)
-	}
-	// The handle and fresh lookups hit the same instrument.
-	r.Counter("hits_total", "mode", "horse").Inc()
-	add(1)
-	if got := r.Counter("hits_total", "mode", "horse").Value(); got != 5 {
-		t.Fatalf("mixed adds = %d, want 5", got)
-	}
-	// A handle bound through a nil registry is inert, like the counter.
-	var nilReg *Registry
-	inert := nilReg.Counter("hits_total").Bind()
-	inert(7)
-	if got := nilReg.Counter("hits_total").Value(); got != 0 {
-		t.Fatalf("nil-bound add leaked a count: %d", got)
-	}
-}
-
 func TestRegistryConcurrentAccess(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

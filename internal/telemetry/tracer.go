@@ -11,15 +11,14 @@
 // FaaS layer wraps both in invocation and replay spans, so a whole trace
 // replay can be loaded into Perfetto and inspected step by step.
 //
-// Tracing is designed to cost nothing when off: a nil *Tracer and a
-// disabled Tracer both take a zero-allocation early-return path in every
-// method (see BenchmarkTracerDisabled), so instrumentation can stay wired
-// through the hot resume path unconditionally.
+// Tracing is designed to cost nothing when off: a nil *Tracer is the
+// disabled tracer, and it takes a zero-allocation early-return path in
+// every method (see BenchmarkTracerNil), so instrumentation can stay
+// wired through the hot resume path unconditionally.
 package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -83,15 +82,12 @@ type TracerOptions struct {
 	// DefaultSpanCapacity). When full, the oldest span is overwritten and
 	// Dropped() is incremented.
 	Capacity int
-	// Disabled starts the tracer off; SetEnabled can flip it later.
-	Disabled bool
 }
 
 // Tracer records hierarchical spans against a virtual clock.
 //
 // A Tracer is safe for concurrent use: all mutable state sits behind one
-// mutex, and the enabled flag is an atomic so the disabled fast path
-// never takes the lock. One caveat: every operation reads the attached
+// mutex. One caveat: every operation reads the attached
 // virtual clock, and clocks are unsynchronized single-goroutine
 // simulation objects — so a Tracer must not be shared between
 // simulations that RUN concurrently on different goroutines (use one
@@ -99,8 +95,6 @@ type TracerOptions struct {
 // test in internal/faas). Sequentially re-attaching clocks, as the
 // experiment harnesses do, is fine.
 type Tracer struct {
-	enabled atomic.Bool
-
 	mu      sync.Mutex
 	clock   *simtime.Clock
 	offset  int64 // added to clock readings to keep the merged timeline monotonic
@@ -122,25 +116,15 @@ func NewTracer(opts TracerOptions) *Tracer {
 	if c <= 0 {
 		c = DefaultSpanCapacity
 	}
-	t := &Tracer{
+	return &Tracer{
 		cap:  c,
 		open: make(map[SpanID]*Span),
 	}
-	t.enabled.Store(!opts.Disabled)
-	return t
 }
 
-// SetEnabled flips recording on or off. Spans already open finish
-// normally either way.
-func (t *Tracer) SetEnabled(v bool) {
-	if t == nil {
-		return
-	}
-	t.enabled.Store(v)
-}
-
-// Enabled reports whether new spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+// Enabled reports whether new spans are being recorded: every non-nil
+// tracer records.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // AttachClock binds the tracer to a virtual clock and opens a new track.
 // Experiment harnesses that rebuild the hypervisor (and therefore the
@@ -171,10 +155,9 @@ func (t *Tracer) now() simtime.Time {
 }
 
 // StartSpan opens a span as a child of the innermost open span. When the
-// tracer is nil or disabled it returns an inert SpanRef and allocates
-// nothing.
+// tracer is nil it returns an inert SpanRef and allocates nothing.
 func (t *Tracer) StartSpan(name string) SpanRef {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return SpanRef{}
 	}
 	t.mu.Lock()
@@ -239,7 +222,7 @@ func (t *Tracer) OpenSpans() int {
 }
 
 // Reset discards all finished and open spans but keeps the clock
-// attachment and enabled state.
+// attachment.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

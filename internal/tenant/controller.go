@@ -94,7 +94,6 @@ type Controller struct {
 	index   map[string]int
 	entitle []int
 
-	slots   int
 	ullRate float64
 
 	states     []state      //horselint:coordinator
@@ -140,7 +139,6 @@ func New(specs []Spec, opts Options) (*Controller, error) {
 		specs:   ss,
 		index:   index,
 		entitle: entitlements(ss, opts.Slots),
-		slots:   opts.Slots,
 		ullRate: opts.ULLRate,
 		states:  make([]state, len(ss)),
 	}
@@ -287,23 +285,6 @@ func (c *Controller) Spec(idx int) Spec { return c.specs[idx] }
 // slots it can always reclaim, and the protection boundary — holdings
 // beyond it are borrowed and reclaimable by under-entitled tenants.
 func (c *Controller) Entitlement(idx int) int { return c.entitle[idx] }
-
-// Slots returns the total uLL-slot capacity entitlements divide.
-func (c *Controller) Slots() int {
-	if c == nil {
-		return 0
-	}
-	return c.slots
-}
-
-// ULLRate returns the aggregate uLL admission bandwidth (0 = fair-share
-// gate disabled).
-func (c *Controller) ULLRate() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.ullRate
-}
 
 // Admit runs one arrival through the tenant's admission gates at
 // virtual instant now: the rate bucket first, then — for uLL (HORSE

@@ -34,18 +34,6 @@ func BenchmarkContextDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkContextRecorderOff is the same sequence against a recorder
-// built with Disabled: true — the runtime-toggle variant.
-func BenchmarkContextRecorderOff(b *testing.B) {
-	rec := NewRecorder(RecorderOptions{Disabled: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc := rec.Start(uint64(i), "echo", "horse", 0, 1000)
-		benchStages(tc)
-	}
-}
-
 // BenchmarkContextEnabled is the enabled-path reference point: the full
 // per-trigger cost of minting a trace, recording six stages, and
 // folding the finished trace into the attribution aggregates and flight
@@ -89,12 +77,5 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		benchStages(tc)
 	}); avg != 0 {
 		t.Fatalf("disabled trace path allocates %.1f objects per trigger, want 0", avg)
-	}
-	off := NewRecorder(RecorderOptions{Disabled: true})
-	if avg := testing.AllocsPerRun(100, func() {
-		tc := off.Start(0, "echo", "horse", 0, 1000)
-		benchStages(tc)
-	}); avg != 0 {
-		t.Fatalf("recorder-off trace path allocates %.1f objects per trigger, want 0", avg)
 	}
 }

@@ -23,9 +23,6 @@ type RecorderOptions struct {
 	WorstK int
 	// Metrics, when non-nil, receives the trigtrace_* instruments.
 	Metrics *telemetry.Registry
-	// Disabled mints only inert contexts; every path through the layer
-	// then takes the zero-allocation early return.
-	Disabled bool
 }
 
 // Recorder mints trigger trace contexts, aggregates finished traces
@@ -37,8 +34,7 @@ type RecorderOptions struct {
 // concurrent use — Start and finish take one mutex — so the nodes of a
 // future parallel cluster can share it.
 type Recorder struct {
-	seed     int64
-	disabled bool
+	seed int64
 
 	mu sync.Mutex
 	// The aggregates below are the coordinator's run tallies: finish
@@ -78,9 +74,8 @@ type aggCell struct {
 // NewRecorder builds a recorder.
 func NewRecorder(opts RecorderOptions) *Recorder {
 	r := &Recorder{
-		seed:     opts.Seed,
-		disabled: opts.Disabled,
-		agg:      make(map[aggKey]*aggCell),
+		seed: opts.Seed,
+		agg:  make(map[aggKey]*aggCell),
 		flight: flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
 			return t.EndToEnd
 		}),
@@ -124,14 +119,14 @@ func (r *Recorder) Seed() int64 {
 	return r.seed
 }
 
-// Start mints the trace context for arrival seq. A nil or disabled
-// recorder returns an inert Context at zero cost. The stage list is
+// Start mints the trace context for arrival seq. A nil recorder
+// returns an inert Context at zero cost. The stage list is
 // allocated by the first stage recorded, so an arrival the admission
 // gate turns away carries none.
 //
 //horselint:coordinator
 func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
-	if r == nil || r.disabled {
+	if r == nil {
 		return Context{}
 	}
 	tr := &TriggerTrace{

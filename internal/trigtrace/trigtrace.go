@@ -7,9 +7,9 @@
 // and the arrival index, never from a wall clock.
 //
 // The layer is built to cost nothing when off: an inert Context (the
-// zero value, or anything minted by a nil/disabled Recorder) early-
-// returns from every method without allocating, so the trigger hot path
-// keeps its instrumentation wired unconditionally (BenchmarkContextDisabled,
+// zero value, or anything minted by a nil Recorder) early-returns from
+// every method without allocating, so the trigger hot path keeps its
+// instrumentation wired unconditionally (BenchmarkContextDisabled,
 // budget pinned in BENCH_trace.json). When on, every finished trace is
 // folded into the per-stage/per-mode attribution aggregates, and full
 // span trees are retained only for SLO-violating triggers and the

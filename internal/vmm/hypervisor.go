@@ -40,12 +40,11 @@ const MaxVCPUs = 128
 // on lifecycle operations, split by phase — the basis of the §5.2 CPU
 // overhead numbers.
 type Accounting struct {
-	PauseWork    simtime.Duration
-	ResumeWork   simtime.Duration
-	Pauses       uint64
-	Resumes      uint64
-	LockWaits    uint64
-	MergeThreads uint64
+	PauseWork  simtime.Duration
+	ResumeWork simtime.Duration
+	Pauses     uint64
+	Resumes    uint64
+	LockWaits  uint64
 }
 
 // Hypervisor is the simulated virtualization system: it owns the physical
@@ -164,10 +163,6 @@ func (h *Hypervisor) Tracer() *telemetry.Tracer { return h.tracer }
 // Metrics returns the attached metrics registry (possibly nil; all
 // registry operations are nil-safe).
 func (h *Hypervisor) Metrics() *telemetry.Registry { return h.metrics }
-
-// Faults returns the attached fault injector (possibly nil; Check on a
-// nil injector is a no-op).
-func (h *Hypervisor) Faults() *faultinject.Injector { return h.faults }
 
 // SetTraceTag sets (or, with "", clears) the trigger trace ID stamped
 // onto pause/resume spans opened while it is set.
