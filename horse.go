@@ -503,6 +503,7 @@ type (
 	// violation counts, and flight-recorder retention. Cluster.Run arms
 	// one automatically; pass one to Cluster.SetTrace to size the
 	// retention or share it across runs. A nil recorder records nothing.
+	// Traces it does not retain are recycled; Traces returns copies.
 	TraceRecorder = trigtrace.Recorder
 	// TraceRecorderOptions configures NewTraceRecorder.
 	TraceRecorderOptions = trigtrace.RecorderOptions

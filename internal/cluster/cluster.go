@@ -59,13 +59,15 @@ const (
 // deploymentEntry is the cluster's record of one registered function.
 // tenant is the owning tenant's index in the cluster's controller (-1
 // for untenanted functions, which are never admission-gated);
-// tenantName is its name, carried into traces and the report.
+// tenantName is its name, carried into traces and the report; rejects
+// holds the tenant's admission errors, indexed by verdict.
 type deploymentEntry struct {
 	fn         workload.Function
 	spec       faas.SandboxSpec
 	ull        bool
 	tenant     int
 	tenantName string
+	rejects    admissionErrors
 }
 
 // Options configures a Cluster.

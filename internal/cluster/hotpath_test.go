@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/tenant"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/workload"
 )
 
@@ -135,8 +137,8 @@ func TestHotPathAllocFree(t *testing.T) {
 
 	// The whole routed trigger — admit, route, serve from the node queue,
 	// settle, trace completion — on the BenchmarkClusterTrigger topology
-	// is not allocation-free (the scan body's request decode and output
-	// buffer and the per-trigger job allocate), so it is pinned to its
+	// is not allocation-free (the scan body's request decode and the
+	// caller's copy of the output allocate), so it is pinned to its
 	// committed BENCH_cluster.json budget instead of zero. No sync.Pool
 	// is on this path, so the count holds under -race as well.
 	t.Run("Cluster.Trigger", func(t *testing.T) {
@@ -155,12 +157,42 @@ func TestHotPathAllocFree(t *testing.T) {
 		}
 	})
 
+	// An arrival the tenant gate rejects takes its job from the free
+	// list and its error from the tenant's cached rejects; with a
+	// recorder armed, its trace comes back once the must-keep ring
+	// evicts it. Either way the rejected path allocates nothing.
+	t.Run("Cluster.Trigger-rejected", func(t *testing.T) {
+		payload, err := json.Marshal(workload.ScanRequest{Threshold: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, traced := range []bool{false, true} {
+			c := rejectingCluster(t)
+			if traced {
+				c.SetTrace(trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 1, Capacity: 8, WorstK: 2}))
+			}
+			for i := 0; i < 32; i++ {
+				_, _, _ = c.Trigger("scan", faas.ModeHorse, payload)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if _, _, err := c.Trigger("scan", faas.ModeHorse, payload); !errors.Is(err, ErrAdmissionRejected) {
+					t.Fatalf("trigger past the burst = %v, want an admission reject", err)
+				}
+			}); n != 0 {
+				t.Errorf("rejected Cluster.Trigger (traced %v) allocates %v per run, want 0", traced, n)
+			}
+		}
+	})
+
 	// A run serves every scan output into its node's one response
-	// buffer and reuses its jobs across epochs, so what it allocates per
-	// arrival is the request decode and the trace and report state it
-	// keeps: well under one ~7.5 KB scan result. Half a result is the
-	// line a run whose outputs became per-trigger garbage again would
-	// cross. The bytes are counted over the Run call only.
+	// buffer, reuses its jobs across epochs, recycles the traces its
+	// flight recorder does not keep, and re-arms each pause's P²SM
+	// precompute in place, so what it allocates per arrival is the
+	// request decode plus the latency samples the report and the
+	// attribution table keep. A run that made any per-trigger
+	// bookkeeping garbage again — a trace, a step report, a precompute,
+	// an output — would cross 1 KB. The bytes are counted over the Run
+	// call only.
 	t.Run("Cluster.Run", func(t *testing.T) {
 		c := benchCluster(t, PolicyULLAffinity)
 		ws, err := loadgen.ParseWorkloads("scan=poisson:rate=200000/s,mode=horse")
@@ -185,7 +217,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		if report.Arrivals < 1000 || report.Served != report.Arrivals {
 			t.Fatalf("run served %d of %d arrivals, want all of 1000+", report.Served, report.Arrivals)
 		}
-		const budget = 4 << 10
+		const budget = 1 << 10
 		perArrival := float64(after.TotalAlloc-before.TotalAlloc) / float64(report.Arrivals)
 		t.Logf("Cluster.Run allocates %.0f B per arrival over %d arrivals", perArrival, report.Arrivals)
 		if perArrival > budget {

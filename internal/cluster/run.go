@@ -245,7 +245,7 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 	}
 	c.seq++
 	if v := c.router.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
-		job.err = admissionError(entry.tenantName, v)
+		job.err = entry.rejects[v]
 		job.outErr = job.err.Error()
 		c.rejected++
 	}

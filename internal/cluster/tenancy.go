@@ -33,11 +33,21 @@ const (
 	RejectReasonAdmission = "admission"
 )
 
-// admissionError renders one admission reject. The tenant name and the
-// gate that fired are both in the message so a trace or report error
-// string attributes the reject without cross-referencing counters.
-func admissionError(tenantName string, v tenant.Verdict) error {
-	return fmt.Errorf("%w: tenant %q over its %s budget", ErrAdmissionRejected, tenantName, v.Reason())
+// admissionErrors holds one tenant's admission rejects, indexed by the
+// verdict that fired.
+type admissionErrors [tenant.RejectedShare + 1]error
+
+// newAdmissionErrors renders a tenant's admission rejects once, when
+// the function is bound, so a rejected arrival reuses its error rather
+// than formatting one. The tenant name and the gate that fired are both
+// in the message so a trace or report error string attributes the
+// reject without cross-referencing counters.
+func newAdmissionErrors(tenantName string) admissionErrors {
+	var errs admissionErrors
+	for v := tenant.RejectedRate; v <= tenant.RejectedShare; v++ {
+		errs[v] = fmt.Errorf("%w: tenant %q over its %s budget", ErrAdmissionRejected, tenantName, v.Reason())
+	}
+	return errs
 }
 
 // rejectionReason classifies a rejection error for the report's
@@ -84,6 +94,7 @@ func (c *Cluster) BindTenant(name, tenantName string) error {
 	}
 	entry.tenant = idx
 	entry.tenantName = tenantName
+	entry.rejects = newAdmissionErrors(tenantName)
 	c.deployments[name] = entry
 	return nil
 }

@@ -419,3 +419,66 @@ func TestTriggerAdmissionGate(t *testing.T) {
 		t.Errorf("cluster rejected counter = %d, want %d", got, rejected)
 	}
 }
+
+// TestAdmissionErrorsCachedPerTenant pins the cached admission rejects:
+// each verdict's error keeps the message the cluster used to format per
+// arrival and still matches ErrAdmissionRejected, and every rejected
+// arrival of one tenant under one gate gets that one error value.
+func TestAdmissionErrorsCachedPerTenant(t *testing.T) {
+	errs := newAdmissionErrors("acme")
+	if errs[tenant.Admitted] != nil {
+		t.Fatalf("admitted verdict carries error %v", errs[tenant.Admitted])
+	}
+	for _, v := range []tenant.Verdict{tenant.RejectedRate, tenant.RejectedShare} {
+		err := errs[v]
+		want := fmt.Sprintf("%v: tenant %q over its %s budget", ErrAdmissionRejected, "acme", v.Reason())
+		if err == nil || err.Error() != want {
+			t.Errorf("verdict %s: error %v, want %q", v.Reason(), err, want)
+		}
+		if !errors.Is(err, ErrAdmissionRejected) {
+			t.Errorf("verdict %s: %v does not match ErrAdmissionRejected", v.Reason(), err)
+		}
+	}
+
+	c := rejectingCluster(t)
+	var rejects []error
+	for i := 0; i < 5; i++ {
+		if _, _, err := c.Trigger("scan", faas.ModeHorse, scanPayload(t)); err != nil {
+			rejects = append(rejects, err)
+		}
+	}
+	if len(rejects) != 3 {
+		t.Fatalf("burst of 5 at burst-capacity 2 rejected %d, want 3", len(rejects))
+	}
+	for _, err := range rejects {
+		if err.Error() != errs[tenant.RejectedRate].Error() {
+			t.Fatalf("reject %q differs from the rate reject %q", err, errs[tenant.RejectedRate])
+		}
+		if err != rejects[0] {
+			t.Fatalf("rejects of one tenant and gate are distinct values: %p vs %p", err, rejects[0])
+		}
+	}
+}
+
+// rejectingCluster is one node whose scan is bound to a tenant with a
+// two-trigger burst: on a clock that does not advance, every trigger
+// after the second is rejected at the rate gate.
+func rejectingCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c, err := New(Options{
+		Specs:   []NodeSpec{{ULLSlots: 2}},
+		Seed:    1,
+		Tenants: []tenant.Spec{{Name: "acme", Rate: 1000, Burst: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerScan(t, c, faas.SandboxSpec{})
+	if err := c.BindTenant("scan", "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScaleCluster("scan", 2, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}

@@ -126,7 +126,7 @@ func TestRunTraceRetainsViolators(t *testing.T) {
 	rules := []faultinject.Rule{{Site: faultinject.SiteNodeFail, Nth: 20}}
 	c, _ := tracedScanRun(t, PolicyRoundRobin, 42, rules)
 	rec := c.Trace()
-	if got := rec.Flight().Evicted(); got != 0 {
+	if got := rec.Evicted(); got != 0 {
 		t.Fatalf("flight recorder evicted %d traces with only %d violations", got, rec.Violations())
 	}
 	traces := rec.Traces()

@@ -98,6 +98,11 @@ type Engine struct {
 	// trigger pauses and resumes once per invocation, so the frame
 	// released by the resume is reused by the next pause.
 	statePool *pausedState
+	// prePool is the same for the P²SM precompute: the one a resume's
+	// merge consumed (and unregistered) is re-armed by the next pause,
+	// which relinks the paused sandbox's just-removed run-queue elements
+	// as its source, so a pause-resume cycle allocates none of it.
+	prePool *psm.Precomputed[*runqueue.Entity]
 	// spliceScratch is the reusable element snapshot spliceMergeVCPUs
 	// takes before each merge.
 	spliceScratch []*runqueue.Element
@@ -142,11 +147,18 @@ func (e *Engine) MemoryFootprint() int {
 // Pause pauses a sandbox under the given policy, preparing the state that
 // policy's resume path consumes.
 func (e *Engine) Pause(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, error) {
+	return e.AppendPause(nil, sb, policy)
+}
+
+// AppendPause is Pause with the report's steps appended to dst, so a
+// caller that reuses one buffer for reports it does not keep pays no
+// allocation for them.
+func (e *Engine) AppendPause(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, error) {
 	switch policy {
 	case Vanilla:
-		return e.h.Pause(sb)
+		return e.h.AppendPause(dst, sb)
 	case PPSM, Coal, Horse:
-		return e.pauseULL(sb, policy)
+		return e.pauseULL(dst, sb, policy)
 	default:
 		return vmm.PauseReport{}, fmt.Errorf("%w: %q", ErrUnknownPolicy, policy)
 	}
@@ -155,7 +167,7 @@ func (e *Engine) Pause(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, error) 
 // pauseULL implements the HORSE-side pause (§4.1.3, §4.2.2): remove the
 // vCPUs, bind the sandbox to the least-assigned ull_runqueue, and build
 // the structures the chosen resume path needs.
-func (e *Engine) pauseULL(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, error) {
+func (e *Engine) pauseULL(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, error) {
 	if !sb.ULL() {
 		return vmm.PauseReport{}, fmt.Errorf("%w: %s", ErrNotULL, sb.ID())
 	}
@@ -194,27 +206,51 @@ func (e *Engine) pauseULL(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, erro
 	if policy == PPSM || policy == Horse {
 		// merge_vcpus + posA/arrayB: one sorted-merge per vCPU into the
 		// source list, plus the group bookkeeping.
-		st.pre = q.NewPrecomputed()
-		for _, v := range sb.VCPUs() {
+		st.pre = e.armPrecomputed(q)
+		unplaced := ctx.Unplaced()
+		for i, v := range sb.VCPUs() {
 			ctx.Charge(vmm.StepPauseMaint, costs.PauseStructMaint)
-			st.pre.AddSource(v.Credit, v)
+			if i < len(unplaced) {
+				st.pre.AddSourceElement(unplaced[i].Element, v.Credit, v)
+			} else {
+				st.pre.AddSource(v.Credit, v)
+			}
 		}
 	}
 
 	e.states[sb.ID()] = st
 	e.prepared.Set(int64(len(e.states)))
-	return ctx.Finish()
+	return ctx.Finish(dst)
+}
+
+// armPrecomputed returns an empty P²SM precompute targeting q and
+// registered as its observer: the pooled one a merge consumed when
+// there is one, a new one otherwise.
+func (e *Engine) armPrecomputed(q *runqueue.Queue) *psm.Precomputed[*runqueue.Entity] {
+	if pre := e.prePool; pre != nil {
+		e.prePool = nil
+		if q.Rearm(pre) == nil {
+			return pre
+		}
+	}
+	return q.NewPrecomputed()
 }
 
 // Resume resumes a sandbox under the given policy.
 func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error) {
+	return e.AppendResume(nil, sb, policy)
+}
+
+// AppendResume is Resume with the report's steps appended to dst, as
+// AppendPause.
+func (e *Engine) AppendResume(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error) {
 	switch policy {
 	case Vanilla:
 		if st, ok := e.states[sb.ID()]; ok {
 			return vmm.ResumeReport{}, fmt.Errorf("%w: paused as %q, resumed as %q",
 				ErrPolicyMismatch, st.policy, policy)
 		}
-		return e.h.Resume(sb)
+		return e.h.AppendResume(dst, sb)
 	case PPSM, Coal, Horse:
 	default:
 		return vmm.ResumeReport{}, fmt.Errorf("%w: %q", ErrUnknownPolicy, policy)
@@ -235,11 +271,11 @@ func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error
 	)
 	switch policy {
 	case Horse:
-		report, began, err = e.resumeHorse(sb, st)
+		report, began, err = e.resumeHorse(dst, sb, st)
 	case PPSM:
-		report, began, err = e.resumePPSM(sb, st)
+		report, began, err = e.resumePPSM(dst, sb, st)
 	case Coal:
-		report, began, err = e.resumeCoal(sb, st)
+		report, began, err = e.resumeCoal(dst, sb, st)
 	}
 	if err != nil {
 		if began {
@@ -259,9 +295,13 @@ func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error
 	return report, nil
 }
 
-// recycle returns a released pausedState frame to the one-slot pool so
-// the next pause reuses it instead of allocating.
+// recycle returns a released pausedState frame, and the precompute its
+// merge consumed, to the one-slot pools so the next pause reuses them
+// instead of allocating.
 func (e *Engine) recycle(st *pausedState) {
+	if st.pre != nil {
+		e.prePool = st.pre
+	}
 	*st = pausedState{}
 	e.statePool = st
 }
@@ -270,7 +310,7 @@ func (e *Engine) recycle(st *pausedState) {
 // one coalesced load update. The returned began flag reports whether the
 // resume frame opened (and thus whether a failure may have mutated
 // queue state).
-func (e *Engine) resumeHorse(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
+func (e *Engine) resumeHorse(dst []simtime.StopwatchResult, sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
 	ctx, err := e.h.BeginResume(sb, string(Horse), true)
 	if err != nil {
 		return vmm.ResumeReport{}, false, err
@@ -282,13 +322,13 @@ func (e *Engine) resumeHorse(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport
 	ctx.Charge(vmm.StepCoalesce, e.h.Costs().CoalescedUpdate)
 	st.queue.Load().PlaceCoalesced(st.coal)
 	e.coalesced.Inc()
-	report, err := ctx.Finish()
+	report, err := ctx.Finish(dst)
 	return report, true, err
 }
 
 // resumePPSM uses the slow-path entry and the P²SM splice, but keeps the
 // vanilla per-vCPU locked load updates.
-func (e *Engine) resumePPSM(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
+func (e *Engine) resumePPSM(dst []simtime.StopwatchResult, sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
 	ctx, err := e.h.BeginResume(sb, string(PPSM), false)
 	if err != nil {
 		return vmm.ResumeReport{}, false, err
@@ -303,14 +343,14 @@ func (e *Engine) resumePPSM(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport,
 		ctx.Charge(vmm.StepLoad, costs.LoadUpdate)
 		load.PlaceEntity()
 	}
-	report, err := ctx.Finish()
+	report, err := ctx.Finish(dst)
 	return report, true, err
 }
 
 // resumeCoal uses the slow-path entry and the vanilla sequential merge
 // (into the single assigned ull_runqueue), with the single coalesced load
 // update replacing the per-vCPU updates.
-func (e *Engine) resumeCoal(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
+func (e *Engine) resumeCoal(dst []simtime.StopwatchResult, sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport, bool, error) {
 	ctx, err := e.h.BeginResume(sb, string(Coal), false)
 	if err != nil {
 		return vmm.ResumeReport{}, false, err
@@ -333,7 +373,7 @@ func (e *Engine) resumeCoal(sb *vmm.Sandbox, st *pausedState) (vmm.ResumeReport,
 	ctx.Charge(vmm.StepCoalesce, costs.CoalescedUpdate)
 	st.queue.Load().PlaceCoalesced(st.coal)
 	e.coalesced.Inc()
-	report, err := ctx.Finish()
+	report, err := ctx.Finish(dst)
 	return report, true, err
 }
 

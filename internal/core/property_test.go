@@ -24,6 +24,8 @@ type sandboxRec struct {
 //   - every ull_runqueue remains sorted,
 //   - every prepared P²SM structure validates against its queue,
 //   - running sandboxes have exactly one placement per vCPU,
+//   - the ull_runqueues hold exactly one observer per prepared P²SM
+//     structure (a consumed, pooled precompute observes nothing),
 //   - the engine never leaks prepared state for destroyed sandboxes.
 func TestEngineLifecycleProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
@@ -40,10 +42,21 @@ func TestEngineLifecycleProperty(t *testing.T) {
 			if e.Validate() != nil {
 				return false
 			}
+			observers := 0
 			for _, q := range h.ULLQueues() {
 				if !q.List().IsSorted() {
 					return false
 				}
+				observers += q.ObserverCount()
+			}
+			armed := 0
+			for _, rec := range live {
+				if rec.paused && (rec.policy == PPSM || rec.policy == Horse) {
+					armed++
+				}
+			}
+			if observers != armed {
+				return false
 			}
 			for _, rec := range live {
 				if rec.paused {

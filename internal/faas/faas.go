@@ -170,6 +170,11 @@ type Platform struct {
 	// increment, BenchmarkRegistryCounter); a nil registry prebinds nil
 	// handles, whose methods no-op.
 	inst platformInstruments
+
+	// steps is the one buffer the platform's pause and resume reports
+	// append their steps into: the platform keeps no report, so a
+	// trigger allocates none.
+	steps []simtime.StopwatchResult
 }
 
 // platformInstruments are the per-trigger metric handles, prebound at
@@ -315,7 +320,7 @@ func (p *Platform) Provision(name string, n int, policy core.Policy) error {
 		if err != nil {
 			return err
 		}
-		if _, err := p.engine.Pause(sb, policy); err != nil {
+		if err := p.pause(sb, policy); err != nil {
 			// The sandbox never reached the pool; destroy it rather than
 			// leaking it running.
 			if derr := p.h.DestroySandbox(sb); derr != nil {
@@ -483,7 +488,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		dispatched := p.clock.Now()
 		tc.RecordOn(trigtrace.StageDispatch, start, dispatched.Sub(start), "", modeStr, "")
 		sb = ps.sb
-		if _, rerr := p.engine.Resume(sb, core.Vanilla); rerr != nil {
+		if rerr := p.resume(sb, core.Vanilla); rerr != nil {
 			return Invocation{}, p.releaseFailedResume(d, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, dispatched, p.clock.Now().Sub(dispatched), "", modeStr, "")
@@ -496,7 +501,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		tc.RecordOn(trigtrace.StagePoolTake, start, 0, "", modeStr, "horse")
 		sb = ps.sb
 		policy = core.Horse
-		if _, rerr := p.engine.Resume(sb, core.Horse); rerr != nil {
+		if rerr := p.resume(sb, core.Horse); rerr != nil {
 			return Invocation{}, p.releaseFailedResume(d, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, start, p.clock.Now().Sub(start), "", modeStr, "")
@@ -550,7 +555,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 	// Return the sandbox to the pool, re-armed for the same path. A
 	// sandbox that served its invocation but cannot re-arm is destroyed;
 	// the invocation itself still succeeded, so only the loss is counted.
-	if _, perr := p.engine.Pause(sb, policy); perr != nil {
+	if perr := p.pause(sb, policy); perr != nil {
 		p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, name, perr))
 		p.engine.Forget(sb)
 		if derr := p.h.DestroySandbox(sb); derr != nil {
@@ -565,6 +570,25 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 	tc.RecordOn(trigtrace.StageRepool, end, p.clock.Now().Sub(end), "", modeStr, "")
 	p.updatePoolGauge()
 	return inv, nil
+}
+
+// pause pauses sb under policy, its report's steps discarded into the
+// platform's reused buffer.
+func (p *Platform) pause(sb *vmm.Sandbox, policy core.Policy) error {
+	report, err := p.engine.AppendPause(p.steps[:0], sb, policy)
+	if err == nil {
+		p.steps = report.Steps
+	}
+	return err
+}
+
+// resume resumes sb under policy, as pause.
+func (p *Platform) resume(sb *vmm.Sandbox, policy core.Policy) error {
+	report, err := p.engine.AppendResume(p.steps[:0], sb, policy)
+	if err == nil {
+		p.steps = report.Steps
+	}
+	return err
 }
 
 // releaseFailedResume puts a take-then-failed warm sandbox back where it

@@ -15,6 +15,13 @@
 // retained set. Ties in the worst-K set keep the earlier offer, the
 // ring evicts strictly oldest-first, and no wall clock or map iteration
 // participates in any decision.
+//
+// An item the buffer no longer holds can be handed back to its owner:
+// the release func given to New runs exactly once per offered item, at
+// the moment the item is in neither compartment — when Offer drops it,
+// or when the ring or the worst-K set later evicts it and the other
+// compartment does not hold it. internal/trigtrace recycles its traces
+// this way (DESIGN.md §12).
 package flightrec
 
 import (
@@ -47,11 +54,20 @@ const (
 )
 
 // scored pairs an item with its score and offer sequence for the
-// worst-K ordering.
+// worst-K ordering. inRing marks a worst-K item the must-keep ring
+// also holds, so evicting it from one compartment does not release it.
 type scored[T any] struct {
-	item  T
-	score simtime.Duration
-	seq   uint64
+	item   T
+	score  simtime.Duration
+	seq    uint64
+	inRing bool
+}
+
+// slot is one must-keep ring entry; seq finds the item in the worst-K
+// set when the ring evicts it.
+type slot[T any] struct {
+	item T
+	seq  uint64
 }
 
 // Buffer is a concurrent, deterministic flight-recorder retention
@@ -64,10 +80,11 @@ type scored[T any] struct {
 //
 //horselint:coordinator
 type Buffer[T any] struct {
-	mu    sync.Mutex
-	score func(T) simtime.Duration
+	mu      sync.Mutex
+	score   func(T) simtime.Duration
+	release func(T)
 
-	ring    []T
+	ring    []slot[T]
 	head    int
 	cap     int
 	evicted uint64
@@ -81,21 +98,26 @@ type Buffer[T any] struct {
 
 // New builds a buffer. capacity bounds the must-keep ring and worstK
 // the worst-K set (zero or negative select the defaults); score ranks
-// items for worst-K retention and must be pure.
-func New[T any](capacity, worstK int, score func(T) simtime.Duration) *Buffer[T] {
+// items for worst-K retention and must be pure. release, when non-nil,
+// receives each offered item exactly once, when the buffer stops
+// holding it; it runs under the buffer's lock and must not call back
+// into the buffer.
+func New[T any](capacity, worstK int, score func(T) simtime.Duration, release func(T)) *Buffer[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	if worstK <= 0 {
 		worstK = DefaultWorstK
 	}
-	return &Buffer[T]{cap: capacity, k: worstK, score: score}
+	return &Buffer[T]{cap: capacity, k: worstK, score: score, release: release}
 }
 
 // Offer submits one item. mustKeep items enter the ring (evicting the
 // oldest when full); every item additionally competes for the worst-K
 // set by score. The returned reason is the strongest retention that
-// applied: must-keep beats worst-k beats dropped.
+// applied: must-keep beats worst-k beats dropped. A dropped item, and
+// any item this offer evicts from the last compartment holding it, is
+// released before Offer returns.
 //
 //horselint:coordinator
 func (b *Buffer[T]) Offer(item T, mustKeep bool) Reason {
@@ -109,38 +131,73 @@ func (b *Buffer[T]) Offer(item T, mustKeep bool) Reason {
 	reason := ReasonDropped
 	if mustKeep {
 		if len(b.ring) < b.cap {
-			b.ring = append(b.ring, item)
+			b.ring = append(b.ring, slot[T]{item: item, seq: seq})
 		} else {
-			b.ring[b.head] = item
+			old := b.ring[b.head]
+			b.ring[b.head] = slot[T]{item: item, seq: seq}
 			b.head = (b.head + 1) % b.cap
 			b.evicted++
+			if !b.leaveRing(old.seq) {
+				b.free(old.item)
+			}
 		}
 		reason = ReasonMustKeep
 	}
-	if b.offerWorst(item, seq) && reason == ReasonDropped {
+	if b.offerWorst(item, seq, mustKeep) && reason == ReasonDropped {
 		reason = ReasonWorstK
 	}
-	if reason != ReasonDropped {
+	if reason == ReasonDropped {
+		b.free(item)
+	} else {
 		b.kept++
 	}
 	return reason
 }
 
-// offerWorst inserts the item into the worst-K set if it outranks the
-// current minimum. Ties keep the earlier offer (strict > comparison),
-// so retention never depends on insertion luck. Callers hold b.mu.
+// leaveRing clears the in-ring mark of the worst-K entry offered as
+// seq and reports whether the worst-K set still holds it. Callers hold
+// b.mu.
 //
 //horselint:coordinator
-func (b *Buffer[T]) offerWorst(item T, seq uint64) bool {
+func (b *Buffer[T]) leaveRing(seq uint64) bool {
+	for i := range b.worst {
+		if b.worst[i].seq == seq {
+			b.worst[i].inRing = false
+			return true
+		}
+	}
+	return false
+}
+
+// free hands an item the buffer no longer holds to the release func.
+//
+//horselint:coordinator
+func (b *Buffer[T]) free(item T) {
+	if b.release != nil {
+		b.release(item)
+	}
+}
+
+// offerWorst inserts the item into the worst-K set if it outranks the
+// current minimum, releasing the entry it displaces unless the ring
+// still holds that one. Ties keep the earlier offer (strict >
+// comparison), so retention never depends on insertion luck. Callers
+// hold b.mu.
+//
+//horselint:coordinator
+func (b *Buffer[T]) offerWorst(item T, seq uint64, inRing bool) bool {
 	s := b.score(item)
 	if len(b.worst) >= b.k {
 		if s <= b.worst[0].score {
 			return false
 		}
+		if out := b.worst[0]; !out.inRing {
+			b.free(out.item)
+		}
 		copy(b.worst, b.worst[1:])
 		b.worst = b.worst[:len(b.worst)-1]
 	}
-	entry := scored[T]{item: item, score: s, seq: seq}
+	entry := scored[T]{item: item, score: s, seq: seq, inRing: inRing}
 	// Insert keeping ascending score order; among equal scores the later
 	// offer sits earlier (closer to eviction), so ties evict newest-first
 	// and the earliest offer survives longest.
@@ -156,7 +213,8 @@ func (b *Buffer[T]) offerWorst(item T, seq uint64) bool {
 
 // Reset empties the ring and the worst-K set and zeroes every counter,
 // returning the buffer to its freshly built state (capacities kept).
-// Retained items are released for collection. The cluster resets its
+// The retained items are dropped for collection but not handed to the
+// release func: a caller may still hold them. The cluster resets its
 // recorder's buffer at the top of each run so back-to-back runs on one
 // cluster cannot leak the previous run's retained traces.
 //
@@ -167,16 +225,11 @@ func (b *Buffer[T]) Reset() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var zero T
-	for i := range b.ring {
-		b.ring[i] = zero
-	}
+	clear(b.ring)
 	b.ring = b.ring[:0]
 	b.head = 0
 	b.evicted = 0
-	for i := range b.worst {
-		b.worst[i] = scored[T]{}
-	}
+	clear(b.worst)
 	b.worst = b.worst[:0]
 	b.offered = 0
 	b.kept = 0
@@ -191,8 +244,12 @@ func (b *Buffer[T]) Ring() []T {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]T, 0, len(b.ring))
-	out = append(out, b.ring[b.head:]...)
-	out = append(out, b.ring[:b.head]...)
+	for _, s := range b.ring[b.head:] {
+		out = append(out, s.item)
+	}
+	for _, s := range b.ring[:b.head] {
+		out = append(out, s.item)
+	}
 	return out
 }
 

@@ -15,7 +15,7 @@ type item struct {
 }
 
 func newTestBuffer(capacity, worstK int) *Buffer[item] {
-	return New(capacity, worstK, func(it item) simtime.Duration { return it.score })
+	return New(capacity, worstK, func(it item) simtime.Duration { return it.score }, nil)
 }
 
 func ids(items []item) []int {
@@ -40,7 +40,7 @@ func TestNilBufferIsInert(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	b := New(0, 0, func(it item) simtime.Duration { return it.score })
+	b := New(0, 0, func(it item) simtime.Duration { return it.score }, nil)
 	if b.cap != DefaultCapacity || b.k != DefaultWorstK {
 		t.Fatalf("defaults = (%d, %d), want (%d, %d)", b.cap, b.k, DefaultCapacity, DefaultWorstK)
 	}

@@ -59,12 +59,26 @@ type Precomputed[V any] struct {
 // NewPrecomputed builds the auxiliary structures for merging into target.
 // The source list starts empty; populate it with AddSource.
 func NewPrecomputed[V any](target *List[V]) *Precomputed[V] {
-	p := &Precomputed[V]{
-		target: target,
-		source: NewList[V](),
+	p := &Precomputed[V]{source: NewList[V]()}
+	p.Reset(target)
+	return p
+}
+
+// Reset re-targets p at target with an empty source list, as
+// NewPrecomputed would build it, keeping p's own memory: the source
+// list header, the posA slice, and arrayB when its capacity is exactly
+// the target's length (otherwise arrayB is rebuilt at that exact size,
+// so MemoryFootprint reads as on a fresh Precomputed). Elements still
+// linked in the source list are dropped from it; reset only a
+// Precomputed whose merge consumed them, or whose elements the caller
+// discards.
+func (p *Precomputed[V]) Reset(target *List[V]) {
+	p.target = target
+	p.source.Clear()
+	if cap(p.arrayB) != target.Len() {
+		p.arrayB = nil
 	}
 	p.Rebuild()
-	return p
 }
 
 // Source returns the source list A (merge_vcpus). Callers must mutate it
@@ -134,7 +148,15 @@ func (p *Precomputed[V]) spliceKeyFor(key int64) int {
 // AddSource inserts a new element into the source list and registers it in
 // its group, creating the group if needed. It returns the new element.
 func (p *Precomputed[V]) AddSource(key int64, value V) *Element[V] {
-	e, _ := p.source.Insert(key, value)
+	return p.AddSourceElement(new(Element[V]), key, value)
+}
+
+// AddSourceElement is AddSource into an element the caller recycles,
+// such as a run-queue element its queue has just removed: e must
+// belong to no list. Its key and value are overwritten. It returns e.
+func (p *Precomputed[V]) AddSourceElement(e *Element[V], key int64, value V) *Element[V] {
+	*e = Element[V]{key: key, value: value}
+	p.source.insertElement(e)
 	p.attachToGroup(e)
 	return e
 }

@@ -87,6 +87,7 @@ const (
 var (
 	ErrNotOnQueue  = errors.New("runqueue: element not on this queue")
 	ErrWrongTarget = errors.New("runqueue: precomputed state targets a different queue")
+	ErrStillArmed  = errors.New("runqueue: precomputed state is still armed")
 )
 
 // Queue is one CPU-sorted run queue.
@@ -244,6 +245,20 @@ func (q *Queue) NewPrecomputed() *psm.Precomputed[*Entity] {
 	p := psm.NewPrecomputed(q.list)
 	q.Observe(p)
 	return p
+}
+
+// Rearm is NewPrecomputed into p's memory: p is reset to target this
+// queue with an empty source and registered as an observer. p must be
+// consumed — merged by MergePSM, which also unregistered it — since a
+// ready p may still observe a queue; that case is refused with
+// ErrStillArmed and changes nothing.
+func (q *Queue) Rearm(p *psm.Precomputed[*Entity]) error {
+	if p.Ready() {
+		return ErrStillArmed
+	}
+	p.Reset(q.list)
+	q.Observe(p)
+	return nil
 }
 
 // MergePSM splices p's source into this queue with the O(1) P²SM merge,

@@ -317,3 +317,49 @@ func TestSharedQueueMaintenanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRearm pins the one way a precompute comes back as an observer: a
+// MergePSM-consumed precompute is reset and registered on the new
+// queue, and stays current through its changes; a still-armed one is
+// refused, so no precompute is ever registered twice.
+func TestRearm(t *testing.T) {
+	q := New(0, true)
+	p := q.NewPrecomputed()
+	if err := q.Rearm(p); !errors.Is(err, ErrStillArmed) {
+		t.Fatalf("Rearm of an armed precompute = %v, want ErrStillArmed", err)
+	}
+	if q.ObserverCount() != 1 {
+		t.Fatalf("observers = %d after a refused Rearm, want 1", q.ObserverCount())
+	}
+	p.AddSource(5, vcpu("a", 5))
+	if _, err := q.MergePSM(p); err != nil {
+		t.Fatal(err)
+	}
+
+	other := New(1, true)
+	if _, _, err := other.Insert(vcpu("x", 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Rearm(p); err != nil {
+		t.Fatal(err)
+	}
+	if q.ObserverCount() != 0 || other.ObserverCount() != 1 {
+		t.Fatalf("observers after Rearm: old queue %d, new queue %d; want 0 and 1", q.ObserverCount(), other.ObserverCount())
+	}
+	if p.Target() != other.List() || p.Source().Len() != 0 {
+		t.Fatalf("rearmed precompute targets the old queue (%v) or kept a source (%d)", p.Target() != other.List(), p.Source().Len())
+	}
+	p.AddSource(7, vcpu("b", 7))
+	if _, _, err := other.Insert(vcpu("y", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("rearmed precompute fell behind its queue: %v", err)
+	}
+	if _, err := other.MergePSM(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := queueIDs(other); len(got) != 3 || got[0] != "y" || got[1] != "b" || got[2] != "x" {
+		t.Fatalf("queue after merge = %v, want [y b x]", got)
+	}
+}

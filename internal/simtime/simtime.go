@@ -139,11 +139,11 @@ func (s *Stopwatch) Reset(clock *Clock) {
 	s.steps = s.steps[:0]
 }
 
-// Steps returns a copy of the recorded steps in first-seen order.
-func (s *Stopwatch) Steps() []StopwatchResult {
-	out := make([]StopwatchResult, len(s.steps))
-	copy(out, s.steps)
-	return out
+// AppendSteps appends the recorded steps, in first-seen order, to dst
+// and returns the extended slice: a nil dst yields a fresh slice the
+// caller owns, and a dst with room is filled without allocating.
+func (s *Stopwatch) AppendSteps(dst []StopwatchResult) []StopwatchResult {
+	return append(dst, s.steps...)
 }
 
 // Total returns the sum of all recorded step costs.

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -104,7 +105,7 @@ func TestStopwatchChargeAccumulates(t *testing.T) {
 	if got := c.Now(); got != Time(20) {
 		t.Fatalf("clock advanced to %v, want 20", got)
 	}
-	steps := sw.Steps()
+	steps := sw.AppendSteps(nil)
 	if len(steps) != 2 {
 		t.Fatalf("got %d steps, want 2", len(steps))
 	}
@@ -128,10 +129,28 @@ func TestStopwatchChargeAccumulates(t *testing.T) {
 func TestStopwatchStepsIsCopy(t *testing.T) {
 	sw := NewStopwatch(NewClock())
 	sw.Charge("a", 1)
-	steps := sw.Steps()
+	steps := sw.AppendSteps(nil)
 	steps[0].Cost = 999
 	if cost, _ := sw.Lookup("a"); cost != 1 {
-		t.Fatal("Steps() exposed internal state")
+		t.Fatal("AppendSteps(nil) exposed internal state")
+	}
+
+	// A dst with room is extended in place, after its prefix, and the
+	// copy is still the caller's own.
+	sw.Charge("b", 2)
+	buf := make([]StopwatchResult, 1, 8)
+	buf[0] = StopwatchResult{Label: "prefix", Cost: 7}
+	got := sw.AppendSteps(buf)
+	want := []StopwatchResult{{"prefix", 7}, {"a", 1}, {"b", 2}}
+	if !reflect.DeepEqual(got, want) || &got[0] != &buf[0] {
+		t.Fatalf("AppendSteps(buf) = %v (in place %v), want %v in place", got, &got[0] == &buf[0], want)
+	}
+	got[1].Cost = 999
+	if cost, _ := sw.Lookup("a"); cost != 1 {
+		t.Fatal("AppendSteps(buf) exposed internal state")
+	}
+	if n := testing.AllocsPerRun(100, func() { got = sw.AppendSteps(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendSteps into a roomy dst allocates %v, want 0", n)
 	}
 }
 

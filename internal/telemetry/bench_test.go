@@ -13,18 +13,23 @@ import (
 // BeginResume/Charge/Finish emit. The no-op path must stay under 10
 // ns/op with zero allocations so tracing can remain wired through the
 // hot path unconditionally (see BENCH_telemetry.json for the committed
-// baseline).
+// baseline). The tracer is read from a package variable each iteration,
+// as vmm reads its hypervisor's field, so the compiler cannot prove it
+// nil and drop the checks.
 func BenchmarkTracerNil(b *testing.B) {
-	var tr *Tracer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tr := nilTracer
 		sp := tr.StartSpan("resume")
 		sp.Attr("policy", "horse")
 		sp.Step("psm-merge", 110)
 		sp.End()
 	}
 }
+
+// nilTracer is the disabled tracer BenchmarkTracerNil reads.
+var nilTracer *Tracer
 
 // BenchmarkTracerEnabled is the enabled-path reference point.
 func BenchmarkTracerEnabled(b *testing.B) {

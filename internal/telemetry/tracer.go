@@ -156,10 +156,19 @@ func (t *Tracer) now() simtime.Time {
 
 // StartSpan opens a span as a child of the innermost open span. When the
 // tracer is nil it returns an inert SpanRef and allocates nothing.
+//
+// StartSpan and the SpanRef methods are a nil check the compiler
+// inlines into the caller, in front of an out-of-line locked body, so
+// the disabled path costs no call (BenchmarkTracerNil).
 func (t *Tracer) StartSpan(name string) SpanRef {
 	if t == nil {
 		return SpanRef{}
 	}
+	return t.startSpan(name)
+}
+
+// startSpan is StartSpan on a non-nil tracer.
+func (t *Tracer) startSpan(name string) SpanRef {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
@@ -263,9 +272,13 @@ func (s SpanRef) Active() bool { return s.t != nil }
 // Attr annotates the span. Later values for the same key are appended,
 // not replaced; exporters keep the last.
 func (s SpanRef) Attr(key, value string) {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.attr(key, value)
 	}
+}
+
+// attr is Attr on a recording span.
+func (s SpanRef) attr(key, value string) {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	if sp, ok := s.t.open[s.id]; ok {
@@ -277,9 +290,13 @@ func (s SpanRef) Attr(key, value string) {
 // the event covers [now-cost, now] on the virtual timeline. Call it right
 // after the corresponding Stopwatch charge advanced the clock.
 func (s SpanRef) Step(name string, cost simtime.Duration) {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.step(name, cost)
 	}
+}
+
+// step is Step on a recording span.
+func (s SpanRef) step(name string, cost simtime.Duration) {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	sp, ok := s.t.open[s.id]
@@ -293,9 +310,13 @@ func (s SpanRef) Step(name string, cost simtime.Duration) {
 // End closes the span at the current virtual instant and commits it to
 // the ring buffer.
 func (s SpanRef) End() {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.end()
 	}
+}
+
+// end is End on a recording span.
+func (s SpanRef) end() {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	sp, ok := s.t.open[s.id]

@@ -58,12 +58,14 @@ func BenchmarkFlightOffer(b *testing.B) {
 		tc.Record(StageInvoke, 0, simtime.Duration(1_000_000+i))
 		tc.Complete(Outcome{Served: "horse", Latency: simtime.Duration(1_000_000 + i)})
 	}
-	flight := rec.Flight()
 	tr := &TriggerTrace{EndToEnd: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flight.Offer(tr, false)
+		rec.flight.Offer(tr, false)
+		// The declined trace went to the free list; take it back so
+		// the one trace can be offered again.
+		rec.free = rec.free[:0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package trigtrace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,11 +32,20 @@ type RecorderOptions struct {
 //
 // A nil *Recorder is a valid no-op: Start returns an inert Context and
 // every accessor returns zeros. A non-nil Recorder is safe for
-// concurrent use — Start and finish take one mutex — so the nodes of a
-// future parallel cluster can share it.
+// concurrent use: Start, finish and the accessors take one mutex.
+//
+// Traces are recycled. A finished trace the flight recorder does not
+// retain — declined at the offer, or evicted later — returns to a free
+// list that the next Start pops, so a run allocates a trace only when
+// more are in flight or retained than ever before. A Context must not
+// be used after its Complete; Traces hands out copies.
 type Recorder struct {
 	seed int64
 
+	// mu guards the aggregates and the free list. Cluster runs call
+	// Start and Complete only on the coordinator, but a recorder passed
+	// to Cluster.SetTrace may be shared by clusters running on
+	// different goroutines.
 	mu sync.Mutex
 	// The aggregates below are the coordinator's run tallies: finish
 	// folds into them strictly between serve barriers, so shard-phase
@@ -47,6 +57,9 @@ type Recorder struct {
 	reconcile uint64              //horselint:coordinator
 
 	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
+	// free holds finished traces no retention set holds any more;
+	// Start pops them.
+	free []*TriggerTrace //horselint:coordinator
 
 	// Prebound instrument handles (nil registry ⇒ nil handles, inert):
 	// finish runs once per trigger, so it must not pay the registry's
@@ -72,14 +85,16 @@ type aggCell struct {
 }
 
 // NewRecorder builds a recorder.
+//
+//horselint:coordinator
 func NewRecorder(opts RecorderOptions) *Recorder {
 	r := &Recorder{
 		seed: opts.Seed,
 		agg:  make(map[aggKey]*aggCell),
-		flight: flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
-			return t.EndToEnd
-		}),
 	}
+	r.flight = flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
+		return t.EndToEnd
+	}, r.recycle)
 	m := opts.Metrics
 	r.tracesTotal = m.Counter("trigtrace_traces_total")
 	r.violationsTotal = m.Counter("trigtrace_slo_violations_total")
@@ -88,11 +103,21 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	return r
 }
 
+// recycle is the flight recorder's release func: a trace no retention
+// set holds any more goes back on the free list. It runs only inside
+// finish's Offer, which holds r.mu.
+//
+//horselint:coordinator
+func (r *Recorder) recycle(t *TriggerTrace) {
+	r.free = append(r.free, t)
+}
+
 // Reset clears the attribution aggregates, the finished/violated/
 // reconcile counters, and the flight recorder, returning the recorder
-// to its freshly built state. The seed, retention sizing, and prebound
-// instrument handles are kept (registry counters are cumulative by
-// design, like every other instrument). Cluster.Run calls this at the
+// to its freshly built state. The seed, retention sizing, free list and
+// prebound instrument handles are kept (registry counters are
+// cumulative by design, like every other instrument). The retained
+// traces are dropped, not recycled. Cluster.Run calls this at the
 // top of each run so a recorder reused across back-to-back runs —
 // lazily armed or caller-supplied — reports only the run at hand.
 // Safe on a nil recorder.
@@ -120,22 +145,43 @@ func (r *Recorder) Seed() int64 {
 }
 
 // Start mints the trace context for arrival seq. A nil recorder
-// returns an inert Context at zero cost. The stage list is
-// allocated by the first stage recorded, so an arrival the admission
-// gate turns away carries none.
+// returns an inert Context at zero cost. The trace comes from the free
+// list when one is there, and Start overwrites all of it, keeping only
+// the stage list's backing array; a fresh trace allocates its stage
+// list with the first stage recorded, so an arrival the admission gate
+// turns away carries none.
 //
 //horselint:coordinator
 func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
 	if r == nil {
 		return Context{}
 	}
-	tr := &TriggerTrace{
+	return r.start(seq, function, requested, arrival, budget)
+}
+
+// start is Start on a non-nil recorder; the split keeps Start's nil
+// check inlinable into the disabled path.
+//
+//horselint:coordinator
+func (r *Recorder) start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
+	var tr *TriggerTrace
+	r.mu.Lock()
+	if k := len(r.free) - 1; k >= 0 {
+		tr = r.free[k]
+		r.free = r.free[:k]
+	}
+	r.mu.Unlock()
+	if tr == nil {
+		tr = new(TriggerTrace)
+	}
+	*tr = TriggerTrace{
 		ID:        NewTraceID(r.seed, seq),
 		Seq:       seq,
 		Function:  function,
 		Requested: requested,
 		Arrival:   arrival,
 		Budget:    budget,
+		Stages:    tr.Stages[:0],
 	}
 	return Context{rec: r, tr: tr}
 }
@@ -179,13 +225,16 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 		cell.total += s.Dur
 		cell.samples = append(cell.samples, s.Dur)
 	}
+	violated := tr.Violated
+	// From the offer on, tr may be back on the free list.
+	reason := r.flight.Offer(tr, violated)
 	r.mu.Unlock()
 
 	r.tracesTotal.Inc()
-	if tr.Violated {
+	if violated {
 		r.violationsTotal.Inc()
 	}
-	switch r.flight.Offer(tr, tr.Violated) {
+	switch reason {
 	case flightrec.ReasonMustKeep:
 		r.retainedViol.Inc()
 	case flightrec.ReasonWorstK:
@@ -225,36 +274,35 @@ func (r *Recorder) ReconcileFailures() uint64 {
 	return r.reconcile
 }
 
-// Flight returns the underlying flight-recorder buffer (nil on a nil
-// recorder).
-func (r *Recorder) Flight() *flightrec.Buffer[*TriggerTrace] {
+// Evicted returns how many SLO violators the flight recorder's
+// must-keep ring overwrote.
+func (r *Recorder) Evicted() uint64 {
 	if r == nil {
-		return nil
+		return 0
 	}
-	return r.flight
+	return r.flight.Evicted()
 }
 
-// Traces returns the retained span trees — the SLO-violator ring plus
-// the worst-K set, deduplicated — sorted by arrival sequence. The
-// caller owns the slice.
+// Traces returns copies of the retained span trees — the SLO-violator
+// ring plus the worst-K set, deduplicated — sorted by arrival sequence.
+// The caller owns the slice and the traces: the recorder recycles its
+// own once they leave retention, and never these.
 //
 //horselint:coordinator
 func (r *Recorder) Traces() []*TriggerTrace {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := make(map[uint64]bool)
 	var out []*TriggerTrace
-	for _, t := range r.flight.Ring() {
+	for _, t := range append(r.flight.Ring(), r.flight.Worst()...) {
 		if !seen[t.Seq] {
 			seen[t.Seq] = true
-			out = append(out, t)
-		}
-	}
-	for _, t := range r.flight.Worst() {
-		if !seen[t.Seq] {
-			seen[t.Seq] = true
-			out = append(out, t)
+			cp := *t
+			cp.Stages = slices.Clone(t.Stages)
+			out = append(out, &cp)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -14,7 +14,8 @@
 // folded into the per-stage/per-mode attribution aggregates, and full
 // span trees are retained only for SLO-violating triggers and the
 // worst-K by end-to-end latency (internal/flightrec), so memory stays
-// bounded on million-arrival runs.
+// bounded on million-arrival runs; a trace no longer retained is
+// recycled for a later trigger.
 package trigtrace
 
 import (
@@ -398,9 +399,11 @@ type Outcome struct {
 // Complete closes the trace and hands it to the recorder: the stage
 // durations fold into the attribution aggregates, the reconciliation
 // invariant (serving stages sum to latency) is checked, and the full
-// span tree is offered to the SLO flight recorder. (Named Complete, not
-// Finish, so trigger-path call sites stay outside the faulterr
-// analyzer's monitored error-returning surface.)
+// span tree is offered to the SLO flight recorder. The context must not
+// be used afterwards: a trace the flight recorder does not keep is
+// recycled by a later Start. (Named Complete, not Finish, so
+// trigger-path call sites stay outside the faulterr analyzer's
+// monitored error-returning surface.)
 //
 //horselint:coordinator
 func (c Context) Complete(out Outcome) {

@@ -89,7 +89,7 @@ func TestInertContextIsSafe(t *testing.T) {
 	if r.Finished() != 0 || r.Violations() != 0 || r.ReconcileFailures() != 0 {
 		t.Fatal("nil Recorder reported non-zero counters")
 	}
-	if r.Traces() != nil || r.Attribution() != nil || r.Flight() != nil {
+	if r.Traces() != nil || r.Attribution() != nil || r.Evicted() != 0 {
 		t.Fatal("nil Recorder returned non-nil contents")
 	}
 }
@@ -246,7 +246,7 @@ func TestFlightRetentionKeepsViolatorsAndWorst(t *testing.T) {
 	if want := []uint64{0, 8, 16, 24}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("retained seqs = %v, want %v", seqs, want)
 	}
-	if got := rec.Flight().Evicted(); got != 0 {
+	if got := rec.Evicted(); got != 0 {
 		t.Fatalf("ring evicted %d, want 0", got)
 	}
 }

@@ -38,11 +38,11 @@ func TestContextAccessors(t *testing.T) {
 	if err := pctx.RemoveVCPUs(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := pctx.Finish()
+	report, err := pctx.Finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pctx.Finish(); err == nil {
+	if _, err := pctx.Finish(nil); err == nil {
 		t.Fatal("double Finish accepted")
 	}
 	found := false
@@ -64,7 +64,7 @@ func TestContextAccessors(t *testing.T) {
 	}
 	rctx.Abort()
 	rctx.Abort() // idempotent
-	if _, err := rctx.Finish(); err == nil {
+	if _, err := rctx.Finish(nil); err == nil {
 		t.Fatal("Finish after Abort accepted")
 	}
 }

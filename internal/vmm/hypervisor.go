@@ -337,12 +337,13 @@ func (r ResumeReport) TwoOpsShare() float64 {
 
 // PauseContext is the common frame for pause-path implementations.
 type PauseContext struct {
-	h      *Hypervisor
-	sb     *Sandbox
-	sw     *simtime.Stopwatch
-	span   telemetry.SpanRef
-	policy string
-	done   bool
+	h        *Hypervisor
+	sb       *Sandbox
+	sw       *simtime.Stopwatch
+	span     telemetry.SpanRef
+	policy   string
+	done     bool
+	unplaced []Placement
 }
 
 // BeginPause validates the transition and opens a pause frame. An
@@ -413,12 +414,22 @@ func (c *PauseContext) RemoveVCPUs() error {
 	// Truncate instead of dropping the backing array: the resume that
 	// follows re-places the same vCPU count, so Place appends back into
 	// this capacity without growing.
+	c.unplaced = c.sb.placements
 	c.sb.placements = c.sb.placements[:0]
 	return nil
 }
 
-// Finish flips the sandbox to paused and returns the report.
-func (c *PauseContext) Finish() (PauseReport, error) {
+// Unplaced returns the placements RemoveVCPUs took off their queues, in
+// placement order. Their elements now belong to no list, so a pause
+// path may relink them (HORSE re-arms its P²SM source list with them)
+// instead of allocating new ones. The slice shares the sandbox's
+// placement storage: it is valid until the sandbox's next resume
+// places a vCPU.
+func (c *PauseContext) Unplaced() []Placement { return c.unplaced }
+
+// Finish flips the sandbox to paused and returns the report, its steps
+// appended to dst (nil gives the caller a fresh slice).
+func (c *PauseContext) Finish(dst []simtime.StopwatchResult) (PauseReport, error) {
 	if c.done {
 		return PauseReport{}, errors.New("vmm: pause frame already finished")
 	}
@@ -436,7 +447,7 @@ func (c *PauseContext) Finish() (PauseReport, error) {
 		Policy:  c.policy,
 		VCPUs:   c.sb.NumVCPUs(),
 		Total:   c.sw.Total(),
-		Steps:   c.sw.Steps(),
+		Steps:   c.sw.AppendSteps(dst),
 	}, nil
 }
 
@@ -534,8 +545,9 @@ func (c *ResumeContext) Abort() {
 }
 
 // Finish charges the exit step (⑥ on the normal path), flips the sandbox
-// to running, releases the lock, and returns the breakdown report.
-func (c *ResumeContext) Finish() (ResumeReport, error) {
+// to running, releases the lock, and returns the breakdown report, its
+// steps appended to dst (nil gives the caller a fresh slice).
+func (c *ResumeContext) Finish(dst []simtime.StopwatchResult) (ResumeReport, error) {
 	if c.done {
 		return ResumeReport{}, errors.New("vmm: resume frame already finished")
 	}
@@ -563,7 +575,7 @@ func (c *ResumeContext) Finish() (ResumeReport, error) {
 		Policy:  c.policy,
 		VCPUs:   c.sb.NumVCPUs(),
 		Total:   c.sw.Total(),
-		Steps:   c.sw.Steps(),
+		Steps:   c.sw.AppendSteps(dst),
 	}, nil
 }
 
@@ -571,7 +583,12 @@ func (c *ResumeContext) Finish() (ResumeReport, error) {
 const PolicyVanilla = "vanil"
 
 // Pause performs the vanilla pause: remove every vCPU from its queue.
-func (h *Hypervisor) Pause(sb *Sandbox) (PauseReport, error) {
+func (h *Hypervisor) Pause(sb *Sandbox) (PauseReport, error) { return h.AppendPause(nil, sb) }
+
+// AppendPause is Pause with the report's steps appended to dst, so a
+// caller that reuses one buffer for reports it does not keep pays no
+// allocation for them.
+func (h *Hypervisor) AppendPause(dst []simtime.StopwatchResult, sb *Sandbox) (PauseReport, error) {
 	ctx, err := h.BeginPause(sb, PolicyVanilla)
 	if err != nil {
 		return PauseReport{}, err
@@ -579,13 +596,17 @@ func (h *Hypervisor) Pause(sb *Sandbox) (PauseReport, error) {
 	if err := ctx.RemoveVCPUs(); err != nil {
 		return PauseReport{}, err
 	}
-	return ctx.Finish()
+	return ctx.Finish(dst)
 }
 
 // Resume performs the vanilla resume (paper §3.1): steps ①②③, then for
 // each vCPU a sequential sorted merge into the least-loaded queue (④)
 // followed by a locked load update (⑤), then step ⑥.
-func (h *Hypervisor) Resume(sb *Sandbox) (ResumeReport, error) {
+func (h *Hypervisor) Resume(sb *Sandbox) (ResumeReport, error) { return h.AppendResume(nil, sb) }
+
+// AppendResume is Resume with the report's steps appended to dst, as
+// AppendPause.
+func (h *Hypervisor) AppendResume(dst []simtime.StopwatchResult, sb *Sandbox) (ResumeReport, error) {
 	ctx, err := h.BeginResume(sb, PolicyVanilla, false)
 	if err != nil {
 		return ResumeReport{}, err
@@ -606,5 +627,5 @@ func (h *Hypervisor) Resume(sb *Sandbox) (ResumeReport, error) {
 		ctx.Charge(StepLoad, h.costs.LoadUpdate)
 		q.Load().PlaceEntity()
 	}
-	return ctx.Finish()
+	return ctx.Finish(dst)
 }

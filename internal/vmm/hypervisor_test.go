@@ -247,7 +247,7 @@ func TestResumeFinishRequiresAllPlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Finish(); err == nil {
+	if _, err := ctx.Finish(nil); err == nil {
 		t.Fatal("Finish accepted a resume that placed no vCPUs")
 	}
 	// The failed Finish must release the lock.
