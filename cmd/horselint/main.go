@@ -115,8 +115,6 @@ type timingReport struct {
 		MaxAnalyzerWallMS int64 `json:"max_analyzer_wall_ms"`
 	} `json:"budget"`
 	Results struct {
-		Packages   int                `json:"packages"`
-		Files      int                `json:"files"`
 		Analyzers  int                `json:"analyzers"`
 		Findings   int                `json:"findings"`
 		WallMS     float64            `json:"wall_ms"`
@@ -329,7 +327,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	elapsed := time.Since(start)
 
 	if *timingPath != "" {
-		if err := writeTiming(*timingPath, pkgs, loaded, timings, len(diags), elapsed); err != nil {
+		if err := writeTiming(*timingPath, loaded, timings, len(diags), elapsed); err != nil {
 			fmt.Fprintf(stderr, "horselint: %v\n", err)
 			return 2
 		}
@@ -447,7 +445,7 @@ func readBaselineFile(path string) (baselineFile, error) {
 	return bl, nil
 }
 
-func writeTiming(path string, pkgs []*lint.Package, loaded time.Duration, timings []lint.AnalyzerTiming, findings int, elapsed time.Duration) error {
+func writeTiming(path string, loaded time.Duration, timings []lint.AnalyzerTiming, findings int, elapsed time.Duration) error {
 	var r timingReport
 	r.Description = "horselint wall time over the repository: load_ms is parsing plus go/types checking of every package (standard-library dependencies checked from source), analyzer_ms splits the rest per analyzer (interprocedural artifact construction bills to the first analyzer that needs it). Regenerate with: go run ./cmd/horselint -timing BENCH_lint.json ./..."
 	r.GOOS = runtime.GOOS
@@ -455,10 +453,6 @@ func writeTiming(path string, pkgs []*lint.Package, loaded time.Duration, timing
 	r.Go = runtime.Version()
 	r.Budget.MaxWallMS = timingBudgetMS
 	r.Budget.MaxAnalyzerWallMS = analyzerBudgetMS
-	r.Results.Packages = len(pkgs)
-	for _, p := range pkgs {
-		r.Results.Files += len(p.Files)
-	}
 	r.Results.Analyzers = len(timings)
 	r.Results.Findings = findings
 	r.Results.WallMS = float64(elapsed.Microseconds()) / 1000

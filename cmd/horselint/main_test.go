@@ -227,8 +227,8 @@ func TestTimingReport(t *testing.T) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		t.Fatalf("timing report is not valid JSON: %v", err)
 	}
-	if r.Results.Packages != 1 || r.Results.Files != 1 || r.Results.Analyzers != len(analyzers()) {
-		t.Errorf("timing results = %+v, want 1 package, 1 file, %d analyzers", r.Results, len(analyzers()))
+	if r.Results.Analyzers != len(analyzers()) {
+		t.Errorf("timing results = %+v, want %d analyzers", r.Results, len(analyzers()))
 	}
 	if r.Results.WallMS < 0 || r.Budget.MaxWallMS != timingBudgetMS {
 		t.Errorf("timing wall/budget = %+v", r)

@@ -96,8 +96,8 @@ func run(args []string, w io.Writer) error {
 		return replayTrace(w, p, fn, mode, payload, *tracePath, *seed)
 	}
 
-	inits := metrics.NewSeries(*triggers)
-	execs := metrics.NewSeries(*triggers)
+	inits := metrics.NewSeries()
+	execs := metrics.NewSeries()
 	failed := 0
 	for i := 0; i < *triggers; i++ {
 		inv, err := p.Trigger(fn.Name(), mode, payload)

@@ -502,7 +502,9 @@ type (
 	// TraceRecorder aggregates per-trigger traces: attribution table,
 	// violation counts, and flight-recorder retention. Cluster.Run arms
 	// one automatically; pass one to Cluster.SetTrace to size the
-	// retention or share it across runs. A nil recorder records nothing.
+	// retention or to share it across sequential runs, on one cluster
+	// or several. A run whose recorder another run still holds fails
+	// with ErrTraceRecorderInUse. A nil recorder records nothing.
 	// Traces it does not retain are recycled; Traces returns copies.
 	TraceRecorder = trigtrace.Recorder
 	// TraceRecorderOptions configures NewTraceRecorder.
@@ -514,6 +516,10 @@ type (
 	// count/total/p50/p99/max.
 	TraceStageLatency = trigtrace.StageLatency
 )
+
+// ErrTraceRecorderInUse is the error of a Cluster.Run whose trace
+// recorder another cluster's run still holds.
+var ErrTraceRecorderInUse = trigtrace.ErrRecorderInUse
 
 // NewTraceRecorder builds a per-trigger trace recorder.
 func NewTraceRecorder(opts TraceRecorderOptions) *TraceRecorder {

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/workload"
 )
 
@@ -150,30 +152,35 @@ func BenchmarkClusterRun(b *testing.B) {
 	}
 }
 
-// BenchmarkReportBuild measures report assembly plus CSV rendering over
-// a populated run.
+// BenchmarkReportBuild measures report assembly plus CSV rendering:
+// each iteration builds the report — mode, node and attribution
+// quantiles — from one builder and one trace recorder populated here
+// with 100k served arrivals over two modes and eight nodes, then
+// renders it. Queue waits take about a thousand distinct values, as
+// simulated latencies do.
 func BenchmarkReportBuild(b *testing.B) {
 	c := benchCluster(b, PolicyULLAffinity)
-	ws, err := loadgen.ParseWorkloads("scan=poisson:rate=2000/s,mode=horse")
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := json.Marshal(workload.ScanRequest{Threshold: 5000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	report, err := c.Run(RunConfig{
-		Workloads: ws,
-		Horizon:   100 * simtime.Millisecond,
-		Payloads:  map[string][]byte{"scan": payload},
-	})
-	if err != nil {
-		b.Fatal(err)
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 42})
+	c.SetTrace(rec)
+	builder := newReportBuilder(c, 100*simtime.Millisecond, map[string]simtime.Duration{"scan": DefaultULLBudget})
+	rng := rand.New(rand.NewSource(1))
+	modes := []string{"horse", "warm"}
+	for i := 0; i < 100_000; i++ {
+		mode, node := modes[i%len(modes)], c.nodes[i%len(c.nodes)].id
+		wait := simtime.Duration(150 * rng.Intn(1000))
+		invoke := simtime.Duration(1500 + 50*rng.Intn(4))
+		tc := rec.Start(uint64(i), "scan", mode, 0, DefaultULLBudget)
+		tc.RecordOn(trigtrace.StageQueueWait, 0, wait, node, mode, "")
+		tc.RecordOn(trigtrace.StageResume, 0, 150, node, mode, "")
+		tc.RecordOn(trigtrace.StageInvoke, 0, invoke, node, mode, "")
+		latency := wait + 150 + invoke
+		tc.Complete(trigtrace.Outcome{Served: mode, Node: node, Latency: latency})
+		builder.record("scan", mode, node, latency, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := report.WriteCSV(io.Discard); err != nil {
+		if err := builder.build().WriteCSV(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

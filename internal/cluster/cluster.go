@@ -15,9 +15,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faas"
@@ -339,13 +340,17 @@ func (c *Cluster) RegisterEverywhere(fn workload.Function, spec faas.SandboxSpec
 }
 
 // DeploymentNames returns the registered function names in sorted order.
-func (c *Cluster) DeploymentNames() []string {
-	names := make([]string, 0, len(c.deployments))
-	for name := range c.deployments {
-		names = append(names, name)
+func (c *Cluster) DeploymentNames() []string { return sortedKeys(c.deployments) }
+
+// sortedKeys returns m's keys in ascending order, so a walk over a map
+// is deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(keys)
+	return keys
 }
 
 // scaleTargets assigns total warm-pool entries for one deployment and
@@ -546,7 +551,8 @@ func (c *Cluster) Fail(id string) error {
 // run's rejected/failed/failover tallies, node placement counters, the
 // round-robin cursor, stale SLO budgets, and — worst — the lazily
 // armed trace recorder's aggregates and retained flight traces, so its
-// report double-counted the previous experiment. Cumulative state that
+// report double-counted the previous experiment (Run's Claim on the
+// recorder now clears those). Cumulative state that
 // is cumulative by design survives: the telemetry registry's
 // instruments, the fault injector's visit counters, and the node-local
 // clocks (Run settles those into a well-defined start instant).
@@ -560,7 +566,6 @@ func (c *Cluster) resetRunState() {
 	c.failovers = make(map[string]uint64)
 	c.sloBudgets = nil
 	c.router.policy.reset()
-	c.rec.Reset()
 	// The admission controller's buckets, deficits, and tallies are
 	// per-run state; occupancy is republished from the live pools so a
 	// run starts with gauges that match what is actually placed.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faas"
@@ -163,13 +162,8 @@ func (n *Node) Lag(now simtime.Time) simtime.Duration {
 // kept as a ledger so reaping, destroy failures, and pool churn inside
 // the platform can never make the admission check drift.
 func (n *Node) committedMB(c *Cluster) int {
-	names := make([]string, 0, len(c.deployments))
-	for name := range c.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	total := 0
-	for _, name := range names {
+	for _, name := range c.DeploymentNames() {
 		stats, err := n.platform.PoolStats(name)
 		if err != nil {
 			// The deployment is registered on every node by construction;

@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/horse-faas/horse/internal/metrics"
@@ -262,16 +263,16 @@ type reportBuilder struct {
 	rejected uint64
 	failed   uint64
 
-	byMode     map[string][]simtime.Duration
-	byNode     map[string][]simtime.Duration
+	byMode     map[string]*metrics.Series
+	byNode     map[string]*metrics.Series
 	byFn       map[string]*fnOutcome
 	rejReasons map[string]uint64
 
 	// byTenant is indexed by the controller's tenant index (nil without
 	// a tenant contract); byTenantMode keys one tenant's one-mode latency
-	// samples.
+	// series.
 	byTenant     []tenantOutcome
-	byTenantMode map[tenantModeKey][]simtime.Duration
+	byTenantMode map[tenantModeKey]*metrics.Series
 }
 
 type fnOutcome struct {
@@ -300,14 +301,17 @@ func newReportBuilder(c *Cluster, horizon simtime.Duration, budgets map[string]s
 		cluster:    c,
 		horizon:    horizon,
 		budgets:    budgets,
-		byMode:     make(map[string][]simtime.Duration),
-		byNode:     make(map[string][]simtime.Duration),
+		byMode:     make(map[string]*metrics.Series),
+		byNode:     make(map[string]*metrics.Series),
 		byFn:       make(map[string]*fnOutcome),
 		rejReasons: make(map[string]uint64),
 	}
+	for _, n := range c.nodes {
+		b.byNode[n.id] = metrics.NewSeries()
+	}
 	if c.tenants != nil {
 		b.byTenant = make([]tenantOutcome, c.tenants.Len())
-		b.byTenantMode = make(map[tenantModeKey][]simtime.Duration)
+		b.byTenantMode = make(map[tenantModeKey]*metrics.Series)
 	}
 	return b
 }
@@ -368,8 +372,8 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 	if missed {
 		out.missed++
 	}
-	b.byMode[servedMode] = append(b.byMode[servedMode], latency)
-	b.byNode[node] = append(b.byNode[node], latency)
+	recordInto(b.byMode, servedMode, latency)
+	b.byNode[node].Record(latency)
 	if to != nil {
 		to.served++
 		if missed {
@@ -378,9 +382,18 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 				to.ullMissed++
 			}
 		}
-		key := tenantModeKey{tenant: entry.tenant, mode: servedMode}
-		b.byTenantMode[key] = append(b.byTenantMode[key], latency)
+		recordInto(b.byTenantMode, tenantModeKey{tenant: entry.tenant, mode: servedMode}, latency)
 	}
+}
+
+// recordInto records latency into key's series, creating it on first use.
+func recordInto[K comparable](m map[K]*metrics.Series, key K, latency simtime.Duration) {
+	s := m[key]
+	if s == nil {
+		s = metrics.NewSeries()
+		m[key] = s
+	}
+	s.Record(latency)
 }
 
 // isRejection distinguishes rejections — no eligible node, or refused
@@ -405,63 +418,38 @@ func (b *reportBuilder) build() Report {
 		Rejected: b.rejected,
 		Failed:   b.failed,
 	}
-	rejReasons := make([]string, 0, len(b.rejReasons))
-	for reason := range b.rejReasons {
-		rejReasons = append(rejReasons, reason)
-	}
-	sort.Strings(rejReasons)
-	for _, reason := range rejReasons {
+	for _, reason := range sortedKeys(b.rejReasons) {
 		r.RejectionReasons = append(r.RejectionReasons, ReasonCount{Reason: reason, Count: b.rejReasons[reason]})
 	}
-	reasons := make([]string, 0, len(c.failovers))
-	for reason := range c.failovers {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
-	for _, reason := range reasons {
+	for _, reason := range sortedKeys(c.failovers) {
 		r.Failovers += c.failovers[reason]
 		r.FailoverReasons = append(r.FailoverReasons, ReasonCount{Reason: reason, Count: c.failovers[reason]})
 	}
-	modes := make([]string, 0, len(b.byMode))
-	for mode := range b.byMode {
-		modes = append(modes, mode)
-	}
-	sort.Strings(modes)
-	for _, mode := range modes {
-		samples := b.byMode[mode]
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	for _, mode := range sortedKeys(b.byMode) {
+		s := b.byMode[mode]
 		r.Modes = append(r.Modes, ModeLatency{
 			Mode:  mode,
-			Count: uint64(len(samples)),
-			P50:   metrics.RankQuantile(samples, 0.50),
-			P95:   metrics.RankQuantile(samples, 0.95),
-			P99:   metrics.RankQuantile(samples, 0.99),
-			Max:   samples[len(samples)-1],
+			Count: uint64(s.Len()),
+			P50:   s.RankQuantile(0.50),
+			P95:   s.RankQuantile(0.95),
+			P99:   s.RankQuantile(0.99),
+			Max:   s.RankQuantile(1),
 		})
 	}
 	now := c.clock.Now()
 	for _, n := range c.nodes {
-		summary := NodeSummary{
+		r.NodeSummaries = append(r.NodeSummaries, NodeSummary{
 			Node:       n.id,
 			Health:     n.health.String(),
 			Placements: n.placements,
 			Served:     n.served,
 			Lag:        n.Lag(now),
-		}
-		if samples := b.byNode[n.id]; len(samples) > 0 {
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			summary.P50 = metrics.RankQuantile(samples, 0.50)
-			summary.P99 = metrics.RankQuantile(samples, 0.99)
-		}
-		r.NodeSummaries = append(r.NodeSummaries, summary)
+			P50:        b.byNode[n.id].RankQuantile(0.50),
+			P99:        b.byNode[n.id].RankQuantile(0.99),
+		})
 	}
-	fns := make([]string, 0, len(b.byFn))
-	for fn := range b.byFn {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
 	var ullArrivals, ullMissed uint64
-	for _, fn := range fns {
+	for _, fn := range sortedKeys(b.byFn) {
 		out := b.byFn[fn]
 		ull := c.deployments[fn].ull
 		r.SLOs = append(r.SLOs, SLOSummary{
@@ -504,23 +492,19 @@ func (b *reportBuilder) build() Report {
 		for key := range b.byTenantMode {
 			keys = append(keys, key)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].tenant != keys[j].tenant {
-				return keys[i].tenant < keys[j].tenant
-			}
-			return keys[i].mode < keys[j].mode
+		slices.SortFunc(keys, func(a, b tenantModeKey) int {
+			return cmp.Or(cmp.Compare(a.tenant, b.tenant), cmp.Compare(a.mode, b.mode))
 		})
 		for _, key := range keys {
-			samples := b.byTenantMode[key]
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+			s := b.byTenantMode[key]
 			r.TenantModes = append(r.TenantModes, TenantModeLatency{
 				Tenant: c.tenants.Spec(key.tenant).Name,
 				Mode:   key.mode,
-				Count:  uint64(len(samples)),
-				P50:    metrics.RankQuantile(samples, 0.50),
-				P95:    metrics.RankQuantile(samples, 0.95),
-				P99:    metrics.RankQuantile(samples, 0.99),
-				Max:    samples[len(samples)-1],
+				Count:  uint64(s.Len()),
+				P50:    s.RankQuantile(0.50),
+				P95:    s.RankQuantile(0.95),
+				P99:    s.RankQuantile(0.99),
+				Max:    s.RankQuantile(1),
 			})
 		}
 	}

@@ -155,17 +155,22 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 		}
 		budgets[w.Function] = budget
 	}
-	// Every run starts from a clean accumulator slate — counters,
-	// failover tallies, SLO budgets, policy cursors, and the trace
-	// recorder's aggregates — so back-to-back runs on one cluster
-	// report exactly what a fresh cluster would.
-	c.resetRunState()
 	// Arm per-trigger tracing so every run yields the tail-latency
 	// attribution table; a caller-supplied recorder (SetTrace) is
-	// kept, including its retention sizing.
+	// kept, including its retention sizing. Claiming it clears its
+	// aggregates, and fails while another cluster's run holds it.
 	if c.rec == nil {
 		c.rec = trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: c.seed, Metrics: c.metrics})
 	}
+	if err := c.rec.Claim(); err != nil {
+		return Report{}, err
+	}
+	defer c.rec.Release()
+	// Every run starts from a clean accumulator slate — counters,
+	// failover tallies, SLO budgets and policy cursors — so
+	// back-to-back runs on one cluster report exactly what a fresh
+	// cluster would.
+	c.resetRunState()
 	for name, budget := range budgets {
 		c.SetSLOBudget(name, budget)
 	}

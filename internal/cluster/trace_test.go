@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -174,6 +175,58 @@ func TestRunTraceOutputIsByteIdentical(t *testing.T) {
 	}
 	if a == render(43) {
 		t.Fatal("different seeds produced identical Perfetto trace files")
+	}
+}
+
+// TestSharedRecorderOverlapFails: clusters sharing one recorder may run
+// one after another, but a run whose recorder another run still holds
+// fails with ErrRecorderInUse and leaves the holder's aggregates alone.
+// A Claim and one hand-recorded trigger stand in for the holder's run,
+// so the overlap is exact without any timing.
+func TestSharedRecorderOverlapFails(t *testing.T) {
+	ws, err := loadgen.ParseWorkloads("scan=poisson:rate=20000/s,mode=horse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{
+		Workloads: ws,
+		Horizon:   20 * simtime.Millisecond,
+		Payloads:  map[string][]byte{"scan": scanPayload(t)},
+	}
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 42})
+	a, b := benchCluster(t, PolicyULLAffinity), benchCluster(t, PolicyULLAffinity)
+	a.SetTrace(rec)
+	b.SetTrace(rec)
+	first, err := a.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Attribution) == 0 {
+		t.Fatal("setup run recorded no attribution")
+	}
+	// The holder's run claims the recorder and finishes one trigger.
+	if err := rec.Claim(); err != nil {
+		t.Fatalf("claim after a finished run: %v", err)
+	}
+	tc := rec.Start(0, "scan", "horse", 0, 0)
+	tc.RecordOn(trigtrace.StageInvoke, 0, 150, "node00", "horse", "")
+	tc.Complete(trigtrace.Outcome{Served: "horse", Node: "node00", Latency: 150})
+	held := rec.Attribution()
+	if _, err := b.Run(cfg); !errors.Is(err, trigtrace.ErrRecorderInUse) {
+		t.Fatalf("overlapping run: err = %v, want ErrRecorderInUse", err)
+	}
+	if rec.Finished() != 1 || !reflect.DeepEqual(rec.Attribution(), held) {
+		t.Fatal("the refused run touched the holder's aggregates")
+	}
+	rec.Release()
+	// b is a's twin, so once the recorder is free its run must report
+	// exactly what a's did.
+	second, err := b.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, first) {
+		t.Fatal("the run after Release differs from the same run on a fresh recorder")
 	}
 }
 

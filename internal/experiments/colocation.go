@@ -169,7 +169,7 @@ func colocationRun(cfg ColocationConfig, policy core.Policy, work []invocation) 
 	if err != nil {
 		return ColocationResult{}, err
 	}
-	latencies := metrics.NewSeries(len(work))
+	latencies := metrics.NewSeries()
 
 	for i, inv := range work {
 		inv := inv

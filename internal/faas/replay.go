@@ -74,9 +74,9 @@ func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads Pay
 	span.Attr("mode", mode.String())
 	span.Attr("arrivals", strconv.Itoa(len(arrivals)))
 	var (
-		inits     = metrics.NewSeries(len(arrivals))
-		execs     = metrics.NewSeries(len(arrivals))
-		latencies = metrics.NewSeries(len(arrivals))
+		inits     = metrics.NewSeries()
+		execs     = metrics.NewSeries()
+		latencies = metrics.NewSeries()
 	)
 	base := p.clock.Now()
 	for _, a := range arrivals {

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -17,129 +17,144 @@ import (
 var ErrNoSamples = errors.New("metrics: no samples recorded")
 
 // Series collects duration samples and answers order statistics exactly.
-// The experiments record at most a few hundred thousand samples, so exact
-// sorting beats sketch data structures in both simplicity and fidelity.
+// Simulated latencies repeat (a million HORSE trigger latencies take
+// under a thousand distinct values), so it keeps each distinct value
+// once with its count: Record appends to a pending buffer, and once that
+// outgrows the folded pairs, fold sorts it and merges it into them.
+// Memory is bounded by the distinct values, not the samples.
 type Series struct {
-	samples []simtime.Duration
-	sorted  bool
+	bins    []bin              // folded: ascending distinct values with their counts
+	pending []simtime.Duration // recorded since the last fold, in arrival order
+	spare   []bin              // fold's output buffer, swapped with bins
+	n       int
+	sum     simtime.Duration
 }
 
-// NewSeries returns an empty series, optionally pre-sized.
-func NewSeries(capacity int) *Series {
-	return &Series{samples: make([]simtime.Duration, 0, capacity)}
+// bin is one distinct value and how many samples had it.
+type bin struct {
+	v simtime.Duration
+	n int
 }
 
-// Record appends one sample.
+// minPending is the pending length below which Record does not fold, so
+// a series of few distinct values never sorts a handful at a time.
+const minPending = 256
+
+// NewSeries returns an empty series.
+func NewSeries() *Series { return &Series{} }
+
+// Record adds one sample.
 func (s *Series) Record(d simtime.Duration) {
-	s.samples = append(s.samples, d)
-	s.sorted = false
+	s.n++
+	s.sum += d
+	if len(s.pending) >= max(minPending, len(s.bins)) {
+		s.fold()
+	}
+	s.pending = append(s.pending, d)
+}
+
+// fold sorts the pending samples and merges them into the folded pairs.
+// The merge writes into the spare buffer, grown at most once to fit, and
+// the old pairs become the next spare, so a series that has seen its
+// distinct values folds without allocating.
+func (s *Series) fold() {
+	slices.Sort(s.pending)
+	fresh := 1
+	for i := 1; i < len(s.pending); i++ {
+		if s.pending[i] != s.pending[i-1] {
+			fresh++
+		}
+	}
+	out, old := slices.Grow(s.spare[:0], len(s.bins)+fresh), s.bins
+	for _, v := range s.pending {
+		for len(old) > 0 && old[0].v <= v {
+			out, old = append(out, old[0]), old[1:]
+		}
+		if k := len(out) - 1; k >= 0 && out[k].v == v {
+			out[k].n++
+		} else {
+			out = append(out, bin{v: v, n: 1})
+		}
+	}
+	s.bins, s.spare, s.pending = append(out, old...), s.bins[:0], s.pending[:0]
+}
+
+// at returns the sample of 1-based rank (1 <= rank <= Len) in ascending
+// order. Every order statistic is this one walk.
+func (s *Series) at(rank int) simtime.Duration {
+	if len(s.pending) > 0 {
+		s.fold()
+	}
+	i := 0
+	for ; rank > s.bins[i].n; i++ {
+		rank -= s.bins[i].n
+	}
+	return s.bins[i].v
 }
 
 // Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
+func (s *Series) Len() int { return s.n }
 
-// Reset discards every sample while keeping the allocated capacity, so a
+// Reset discards every sample while keeping the allocated buffers, so a
 // periodically scraped series (telemetry's per-window summaries) can be
-// drained without reallocating its buffer.
+// drained without reallocating.
 func (s *Series) Reset() {
-	s.samples = s.samples[:0]
-	s.sorted = false
+	s.bins, s.pending = s.bins[:0], s.pending[:0]
+	s.n, s.sum = 0, 0
 }
 
 // Sum returns the total of all samples.
-func (s *Series) Sum() simtime.Duration {
-	var sum simtime.Duration
-	for _, v := range s.samples {
-		sum += v
-	}
-	return sum
-}
+func (s *Series) Sum() simtime.Duration { return s.sum }
 
 // Mean returns the arithmetic mean.
 func (s *Series) Mean() (simtime.Duration, error) {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0, ErrNoSamples
 	}
-	return simtime.Duration(int64(s.Sum()) / int64(len(s.samples))), nil
+	return simtime.Duration(int64(s.sum) / int64(s.n)), nil
 }
 
 // Min returns the smallest sample.
 func (s *Series) Min() (simtime.Duration, error) {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0, ErrNoSamples
 	}
-	s.ensureSorted()
-	return s.samples[0], nil
+	return s.at(1), nil
 }
 
 // Max returns the largest sample.
 func (s *Series) Max() (simtime.Duration, error) {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0, ErrNoSamples
 	}
-	s.ensureSorted()
-	return s.samples[len(s.samples)-1], nil
+	return s.at(s.n), nil
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using the
 // nearest-rank method, the convention of the tail-latency literature the
 // paper cites.
 func (s *Series) Percentile(p float64) (simtime.Duration, error) {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0, ErrNoSamples
 	}
 	if p <= 0 || p > 100 {
 		return 0, fmt.Errorf("metrics: percentile %v out of (0,100]", p)
 	}
-	s.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(s.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s.samples[rank-1], nil
+	return s.at(max(int(math.Ceil(p/100*float64(s.n))), 1)), nil
 }
 
-// RankQuantile returns the element of sorted at the round-half-up rank
-// of q: index int(q·n + 0.5) − 1, clamped to the slice. This is not the
-// nearest-rank method (rank ⌈q·n⌉) and differs from Series.Percentile
+// RankQuantile returns the sample at the round-half-up rank of q,
+// int(q·n + 0.5), clamped to [1, n]; an empty series reads 0. This is
+// not the nearest-rank method (rank ⌈q·n⌉) and differs from Percentile
 // whenever q·n has a fractional part below one half: for n = 11 and
-// q = 0.95 it returns the 10th sample, Series.Percentile(95) the 11th.
-// The cluster and trigger-trace reports use it. sorted must be ascending
-// and non-empty.
-func RankQuantile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(float64(len(sorted))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
+// q = 0.95 it returns the 10th sample, Percentile(95) the 11th.
+// RankQuantile(1) is the largest sample. The cluster and trigger-trace
+// reports use it.
+func (s *Series) RankQuantile(q float64) simtime.Duration {
+	if s.n == 0 {
+		return 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Series) Stddev() (simtime.Duration, error) {
-	if len(s.samples) < 2 {
-		return 0, ErrNoSamples
-	}
-	mean, err := s.Mean()
-	if err != nil {
-		return 0, err
-	}
-	var acc float64
-	for _, v := range s.samples {
-		d := float64(v - mean)
-		acc += d * d
-	}
-	return simtime.Duration(math.Sqrt(acc / float64(len(s.samples)-1))), nil
-}
-
-// ensureSorted sorts the sample buffer once per mutation epoch.
-func (s *Series) ensureSorted() {
-	if !s.sorted {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
-		s.sorted = true
-	}
+	return s.at(min(max(int(float64(s.n)*q+0.5), 1), s.n))
 }
 
 // Summary is a one-shot digest of a series.
@@ -155,24 +170,14 @@ type Summary struct {
 
 // Summarize digests the series.
 func (s *Series) Summarize() (Summary, error) {
-	if len(s.samples) == 0 {
-		return Summary{}, ErrNoSamples
+	mean, err := s.Mean()
+	if err != nil {
+		return Summary{}, err
 	}
-	mean, _ := s.Mean()
-	minV, _ := s.Min()
-	maxV, _ := s.Max()
 	p50, _ := s.Percentile(50)
 	p95, _ := s.Percentile(95)
 	p99, _ := s.Percentile(99)
-	return Summary{
-		Count: len(s.samples),
-		Mean:  mean,
-		Min:   minV,
-		Max:   maxV,
-		P50:   p50,
-		P95:   p95,
-		P99:   p99,
-	}, nil
+	return Summary{Count: s.n, Mean: mean, Min: s.at(1), Max: s.at(s.n), P50: p50, P95: p95, P99: p99}, nil
 }
 
 // MeanCI95 is a mean with its 95% confidence half-width.

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +12,7 @@ import (
 )
 
 func seriesOf(vals ...simtime.Duration) *Series {
-	s := NewSeries(len(vals))
+	s := NewSeries()
 	for _, v := range vals {
 		s.Record(v)
 	}
@@ -20,7 +20,7 @@ func seriesOf(vals ...simtime.Duration) *Series {
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	s := NewSeries(0)
+	s := NewSeries()
 	if _, err := s.Mean(); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("Mean err = %v", err)
 	}
@@ -59,7 +59,7 @@ func TestSeriesBasicStats(t *testing.T) {
 
 func TestSeriesPercentileNearestRank(t *testing.T) {
 	// 1..100: nearest-rank pX is exactly X.
-	s := NewSeries(100)
+	s := NewSeries()
 	for i := 100; i >= 1; i-- {
 		s.Record(simtime.Duration(i))
 	}
@@ -96,29 +96,14 @@ func TestSeriesRecordAfterSortedQuery(t *testing.T) {
 	if got, _ := s.Min(); got != 1 {
 		t.Fatalf("Min = %v", got)
 	}
-	s.Record(0) // invalidates sort
+	s.Record(0) // lands after a fold
 	if got, _ := s.Min(); got != 0 {
 		t.Fatalf("Min after Record = %v, want 0", got)
 	}
 }
 
-func TestSeriesStddev(t *testing.T) {
-	s := seriesOf(2, 4, 4, 4, 5, 5, 7, 9)
-	got, err := s.Stddev()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if got < 2 || got > 3 {
-		t.Fatalf("Stddev = %v, want ≈2.14", got)
-	}
-	if _, err := seriesOf(1).Stddev(); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("single-sample Stddev err = %v", err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
-	s := NewSeries(0)
+	s := NewSeries()
 	for i := 1; i <= 1000; i++ {
 		s.Record(simtime.Duration(i))
 	}
@@ -230,31 +215,142 @@ func TestHistogramValidation(t *testing.T) {
 	}
 }
 
-// Property: Series.Percentile agrees with a direct sort-based oracle for
-// random data and random percentiles.
+// Property: every order statistic of a Series agrees with sorting the
+// samples and indexing — Percentile at the nearest rank, RankQuantile at
+// the round-half-up rank, Min, Max and Mean. Sizes run past several
+// folds, over few-distinct, all-distinct, wide random and run-heavy
+// values. Each input is checked halfway, again after Records that follow
+// the queries, and again after a Reset and a refill.
 func TestPercentileOracleProperty(t *testing.T) {
-	f := func(raw []uint16, pRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
+	f := func(seed int64, size uint16, shape uint8, pRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)%3000
+		batch := func() []simtime.Duration {
+			out := make([]simtime.Duration, n)
+			switch shape % 4 {
+			case 0: // few distinct
+				for i := range out {
+					out[i] = simtime.Duration(rng.Intn(5) * 150)
+				}
+			case 1: // all distinct
+				for i, v := range rng.Perm(n) {
+					out[i] = simtime.Duration(v)
+				}
+			case 2: // wide random
+				for i := range out {
+					out[i] = simtime.Duration(rng.Intn(1 << 16))
+				}
+			default: // long runs of equal values
+				v := simtime.Duration(0)
+				for i := range out {
+					if rng.Intn(8) == 0 {
+						v = simtime.Duration(rng.Intn(300))
+					}
+					out[i] = v
+				}
+			}
+			return out
 		}
 		p := float64(pRaw%100) + 1 // [1,100]
-		s := NewSeries(len(raw))
-		oracle := make([]simtime.Duration, len(raw))
-		for i, r := range raw {
-			d := simtime.Duration(r)
-			s.Record(d)
-			oracle[i] = d
+		s := NewSeries()
+		var oracle []simtime.Duration
+		agrees := func() bool {
+			sorted := slices.Clone(oracle)
+			slices.Sort(sorted)
+			k := len(sorted)
+			var sum simtime.Duration
+			for _, v := range sorted {
+				sum += v
+			}
+			roundHalfUp := func(q float64) simtime.Duration {
+				return sorted[min(max(int(float64(k)*q+0.5), 1), k)-1]
+			}
+			got, err := s.Percentile(p)
+			if err != nil || got != sorted[int(math.Ceil(p/100*float64(k)))-1] {
+				return false
+			}
+			for _, q := range []float64{p / 100, 0.5, 0.95, 0.99, 1} {
+				if s.RankQuantile(q) != roundHalfUp(q) {
+					return false
+				}
+			}
+			minV, _ := s.Min()
+			maxV, _ := s.Max()
+			mean, _ := s.Mean()
+			return s.Len() == k && minV == sorted[0] && maxV == sorted[k-1] &&
+				s.Sum() == sum && mean == simtime.Duration(int64(sum)/int64(k))
 		}
-		sort.Slice(oracle, func(i, j int) bool { return oracle[i] < oracle[j] })
-		rank := int(math.Ceil(p / 100 * float64(len(oracle))))
-		got, err := s.Percentile(p)
-		if err != nil {
+		record := func(vals []simtime.Duration) {
+			for _, v := range vals {
+				s.Record(v)
+			}
+			oracle = append(oracle, vals...)
+		}
+		first := batch()
+		record(first[:(n+1)/2])
+		if !agrees() {
 			return false
 		}
-		return got == oracle[rank-1]
+		record(first[(n+1)/2:])
+		if !agrees() {
+			return false
+		}
+		s.Reset()
+		oracle = oracle[:0]
+		record(batch())
+		return agrees()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeriesMemoryBounded: a million samples over 100 distinct values
+// keep the series' buffers at the scale of the distinct values and the
+// fold threshold, not of the samples: each of its three buffers holds
+// at most twice that many entries.
+func TestSeriesMemoryBounded(t *testing.T) {
+	s := NewSeries()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		s.Record(simtime.Duration(rng.Intn(100)))
+	}
+	if s.Len() != 1_000_000 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	limit := 3 * 2 * (100 + minPending)
+	if retained := cap(s.bins) + cap(s.pending) + cap(s.spare); retained > limit {
+		t.Fatalf("series retains %d entries for 100 distinct values, want <= %d", retained, limit)
+	}
+	if got, _ := s.Max(); got != 99 {
+		t.Fatalf("Max = %v, want 99", got)
+	}
+}
+
+// TestHotPathAllocFree pins Record allocation-free once a series has
+// seen its distinct values: each fold merges into the spare buffer and
+// recycles the old pairs, so no Record grows a buffer again. The loop
+// is one measured run, so a single allocation in 64k Records fails it.
+func TestHotPathAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]simtime.Duration, 4096)
+	for i := range vals {
+		vals[i] = simtime.Duration(rng.Intn(1000))
+	}
+	s := NewSeries()
+	recordAll := func() {
+		for range 16 {
+			for _, v := range vals {
+				s.Record(v)
+			}
+		}
+	}
+	recordAll()
+	if _, err := s.Percentile(99); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1, recordAll); n != 0 {
+		t.Errorf("64k Records over seen values allocate %v times, want 0", n)
 	}
 }
 
@@ -269,7 +365,7 @@ func TestHistogramQuantileUpperBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := NewSeries(len(raw))
+		s := NewSeries()
 		for _, r := range raw {
 			d := simtime.Duration(r)
 			h.Observe(d)
@@ -324,7 +420,7 @@ func TestTQuantileRegimes(t *testing.T) {
 
 func TestSeriesReset(t *testing.T) {
 	s := seriesOf(3, 1, 2)
-	if _, err := s.Min(); err != nil { // force the sorted state
+	if _, err := s.Min(); err != nil { // force a fold
 		t.Fatal(err)
 	}
 	s.Reset()
@@ -334,7 +430,7 @@ func TestSeriesReset(t *testing.T) {
 	if _, err := s.Mean(); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("mean after reset: %v", err)
 	}
-	// The series must be fully usable again, with fresh sort state.
+	// The series must be fully usable again, with nothing left to fold.
 	s.Record(5)
 	s.Record(4)
 	if min, err := s.Min(); err != nil || min != 4 {
@@ -441,15 +537,15 @@ func TestTQuantilePinned(t *testing.T) {
 }
 
 // TestRankQuantile pins the round-half-up rank convention of the report
-// helper, including where it parts from Series.Percentile's nearest
-// rank: n=11, q=0.95 picks the 10th sample, not the 11th.
+// quantile, including where it parts from Percentile's nearest rank:
+// n=11, q=0.95 picks the 10th sample, not the 11th.
 func TestRankQuantile(t *testing.T) {
-	samples := func(n int) []simtime.Duration {
-		out := make([]simtime.Duration, n)
-		for i := range out {
-			out[i] = simtime.Duration(i + 1)
+	ranks := func(n int) *Series {
+		s := NewSeries()
+		for i := n; i >= 1; i-- {
+			s.Record(simtime.Duration(i))
 		}
-		return out
+		return s
 	}
 	cases := []struct {
 		n    int
@@ -469,15 +565,19 @@ func TestRankQuantile(t *testing.T) {
 		{3, 1.00, 3},
 	}
 	for _, c := range cases {
-		if got := RankQuantile(samples(c.n), c.q); got != c.want {
+		if got := ranks(c.n).RankQuantile(c.q); got != c.want {
 			t.Errorf("RankQuantile(n=%d, q=%v) = rank %d, want %d", c.n, c.q, got, c.want)
 		}
 	}
-	nearest, err := seriesOf(samples(11)...).Percentile(95)
+	s := ranks(11)
+	nearest, err := s.Percentile(95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nearest != 11 || RankQuantile(samples(11), 0.95) != 10 {
-		t.Errorf("n=11 q=0.95: Series.Percentile = %d, RankQuantile = %d; want 11 and 10", nearest, RankQuantile(samples(11), 0.95))
+	if nearest != 11 || s.RankQuantile(0.95) != 10 {
+		t.Errorf("n=11 q=0.95: Percentile = %d, RankQuantile = %d; want 11 and 10", nearest, s.RankQuantile(0.95))
+	}
+	if got := NewSeries().RankQuantile(0.5); got != 0 {
+		t.Errorf("empty RankQuantile = %v, want 0", got)
 	}
 }

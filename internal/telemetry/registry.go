@@ -294,7 +294,7 @@ func (r *Registry) HistogramShaped(family string, width simtime.Duration, bucket
 		// never panics the simulation.
 		mh, _ = metrics.NewHistogram(DefaultHistogramWidth, DefaultHistogramBuckets)
 	}
-	h = &Histogram{hist: mh, window: metrics.NewSeries(0)}
+	h = &Histogram{hist: mh, window: metrics.NewSeries()}
 	r.hists[name] = h
 	return h
 }

@@ -1,8 +1,9 @@
 package trigtrace
 
 import (
+	"cmp"
+	"errors"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/horse-faas/horse/internal/flightrec"
@@ -42,19 +43,21 @@ type RecorderOptions struct {
 type Recorder struct {
 	seed int64
 
-	// mu guards the aggregates and the free list. Cluster runs call
-	// Start and Complete only on the coordinator, but a recorder passed
-	// to Cluster.SetTrace may be shared by clusters running on
-	// different goroutines.
-	mu sync.Mutex
+	// mu guards the aggregates, the free list and the claim. Cluster
+	// runs call Start and Complete only on the coordinator, but a
+	// recorder passed to Cluster.SetTrace may be shared by clusters on
+	// different goroutines: their runs take turns through Claim, while
+	// direct Trigger callers may interleave Start and finish.
+	mu      sync.Mutex
+	claimed bool // a run holds the recorder (Claim, Release)
 	// The aggregates below are the coordinator's run tallies: finish
 	// folds into them strictly between serve barriers, so shard-phase
 	// code must never reach them (reconcile counts traces whose serving
 	// stages did not sum to latency).
-	agg       map[aggKey]*aggCell //horselint:coordinator
-	finished  uint64              //horselint:coordinator
-	violated  uint64              //horselint:coordinator
-	reconcile uint64              //horselint:coordinator
+	agg       map[aggKey]*metrics.Series //horselint:coordinator
+	finished  uint64                     //horselint:coordinator
+	violated  uint64                     //horselint:coordinator
+	reconcile uint64                     //horselint:coordinator
 
 	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
 	// free holds finished traces no retention set holds any more;
@@ -70,19 +73,15 @@ type Recorder struct {
 	retainedWorst   *telemetry.Counter
 }
 
-// aggKey indexes the attribution aggregates: one cell per (served
-// mode, stage) pair.
+// aggKey indexes the attribution aggregates: one latency series per
+// (served mode, stage) pair.
 type aggKey struct {
 	mode  string
 	stage Stage
 }
 
-// aggCell accumulates one cell's samples.
-type aggCell struct {
-	count   uint64
-	total   simtime.Duration
-	samples []simtime.Duration
-}
+// ErrRecorderInUse is Claim's refusal: another run holds the recorder.
+var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run")
 
 // NewRecorder builds a recorder.
 //
@@ -90,7 +89,7 @@ type aggCell struct {
 func NewRecorder(opts RecorderOptions) *Recorder {
 	r := &Recorder{
 		seed: opts.Seed,
-		agg:  make(map[aggKey]*aggCell),
+		agg:  make(map[aggKey]*metrics.Series),
 	}
 	r.flight = flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
 		return t.EndToEnd
@@ -112,28 +111,41 @@ func (r *Recorder) recycle(t *TriggerTrace) {
 	r.free = append(r.free, t)
 }
 
-// Reset clears the attribution aggregates, the finished/violated/
-// reconcile counters, and the flight recorder, returning the recorder
-// to its freshly built state. The seed, retention sizing, free list and
-// prebound instrument handles are kept (registry counters are
-// cumulative by design, like every other instrument). The retained
-// traces are dropped, not recycled. Cluster.Run calls this at the
-// top of each run so a recorder reused across back-to-back runs —
-// lazily armed or caller-supplied — reports only the run at hand.
-// Safe on a nil recorder.
+// Claim takes the recorder for one run until Release and returns it to
+// its freshly built state: aggregates, counters and flight recorder are
+// cleared (retained traces are dropped, not recycled), while the seed,
+// retention sizing, free list and instrument handles stay. It fails
+// with ErrRecorderInUse while another run holds the recorder, so
+// clusters sharing one may run one after another but never overlap.
+// Cluster.Run claims at the top of each run. Safe on a nil recorder.
 //
 //horselint:coordinator
-func (r *Recorder) Reset() {
+func (r *Recorder) Claim() error {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.claimed {
+		return ErrRecorderInUse
+	}
+	r.claimed = true
+	clear(r.agg)
+	r.finished, r.violated, r.reconcile = 0, 0, 0
+	r.flight.Reset()
+	return nil
+}
+
+// Release ends a Claim. Safe on a nil recorder.
+//
+//horselint:coordinator
+func (r *Recorder) Release() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.agg = make(map[aggKey]*aggCell)
-	r.finished = 0
-	r.violated = 0
-	r.reconcile = 0
+	r.claimed = false
 	r.mu.Unlock()
-	r.flight.Reset()
 }
 
 // Seed returns the seed trace IDs derive from.
@@ -218,12 +230,10 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 		key := aggKey{mode: mode, stage: s.Stage}
 		cell := r.agg[key]
 		if cell == nil {
-			cell = &aggCell{}
+			cell = metrics.NewSeries()
 			r.agg[key] = cell
 		}
-		cell.count++
-		cell.total += s.Dur
-		cell.samples = append(cell.samples, s.Dur)
+		cell.Record(s.Dur)
 	}
 	violated := tr.Violated
 	// From the offer on, tr may be back on the free list.
@@ -305,7 +315,7 @@ func (r *Recorder) Traces() []*TriggerTrace {
 			out = append(out, &cp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b *TriggerTrace) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -340,30 +350,22 @@ func (r *Recorder) Attribution() []StageLatency {
 	for key := range r.agg {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].mode != keys[j].mode {
-			return keys[i].mode < keys[j].mode
-		}
-		return keys[i].stage < keys[j].stage
+	slices.SortFunc(keys, func(a, b aggKey) int {
+		return cmp.Or(cmp.Compare(a.mode, b.mode), cmp.Compare(a.stage, b.stage))
 	})
 	out := make([]StageLatency, 0, len(keys))
 	for _, key := range keys {
 		cell := r.agg[key]
-		samples := append([]simtime.Duration(nil), cell.samples...)
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		row := StageLatency{
+		out = append(out, StageLatency{
 			Mode:  key.mode,
 			Stage: key.stage,
 			Class: StageClass(key.stage),
-			Count: cell.count,
-			Total: cell.total,
-		}
-		if len(samples) > 0 {
-			row.P50 = metrics.RankQuantile(samples, 0.50)
-			row.P99 = metrics.RankQuantile(samples, 0.99)
-			row.Max = samples[len(samples)-1]
-		}
-		out = append(out, row)
+			Count: uint64(cell.Len()),
+			Total: cell.Sum(),
+			P50:   cell.RankQuantile(0.50),
+			P99:   cell.RankQuantile(0.99),
+			Max:   cell.RankQuantile(1),
+		})
 	}
 	return out
 }
