@@ -238,13 +238,6 @@ type (
 	ReplayReport = faas.ReplayReport
 	// PoolStats summarizes a deployment warm pool.
 	PoolStats = faas.PoolStats
-
-	// KeepAlivePolicy sizes the idle lifetime of pooled warm sandboxes.
-	KeepAlivePolicy = faas.KeepAlivePolicy
-	// FixedKeepAlive keeps every idle sandbox for the same duration.
-	FixedKeepAlive = faas.FixedKeepAlive
-	// HybridKeepAlive learns the window from inter-invocation gaps.
-	HybridKeepAlive = faas.HybridKeepAlive
 )
 
 // RunTable1 regenerates Table 1 (init/exec per category for cold,
@@ -415,8 +408,8 @@ func FaultInjectorFromSpec(seed int64, spec string) (*FaultInjector, error) {
 	return faultinject.FromSpec(seed, spec)
 }
 
-// DefaultFallbackChain returns the default degradation order, hottest
-// first: horse → warm → restore → cold.
+// DefaultFallbackChain returns the degradation order a fallback-enabled
+// trigger walks, hottest first: horse → warm → restore → cold.
 func DefaultFallbackChain() []StartMode {
 	out := make([]StartMode, len(faas.DefaultFallbackChain))
 	copy(out, faas.DefaultFallbackChain)

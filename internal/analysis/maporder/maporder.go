@@ -56,8 +56,7 @@ var emitCalls = map[string]bool{
 // metricCalls are the telemetry lookups whose label sets must not be
 // minted in map order (the §8 catalog's instrument surface).
 var metricCalls = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true,
-	"HistogramShaped": true, "InstrumentName": true,
+	"Counter": true, "Gauge": true, "Histogram": true, "InstrumentName": true,
 }
 
 // sortPackages are the import paths whose calls establish a total

@@ -5,8 +5,8 @@
 // family name ("vmm_pause_totl") silently mints a new, never-documented
 // instrument instead of failing. The analyzer checks every constant
 // string (a literal or a named constant) passed as a family name to the
-// Registry instrument constructors (Counter, Gauge, Histogram,
-// HistogramShaped) and to InstrumentName against the single source of
+// Registry instrument constructors (Counter, Gauge, Histogram) and to
+// InstrumentName against the single source of
 // truth in internal/telemetry/catalog.go — the same table the DESIGN.md
 // §8 docs test consumes — and checks constant label keys against the
 // catalog entry's declared label set. Dynamically computed names pass through
@@ -40,11 +40,10 @@ var methods = map[string]struct {
 	labelStart int
 	kind       string
 }{
-	"Counter":         {1, "counter"},
-	"Gauge":           {1, "gauge"},
-	"Histogram":       {1, "histogram"},
-	"HistogramShaped": {3, "histogram"},
-	"InstrumentName":  {1, ""},
+	"Counter":        {1, "counter"},
+	"Gauge":          {1, "gauge"},
+	"Histogram":      {1, "histogram"},
+	"InstrumentName": {1, ""},
 }
 
 // Default returns the analyzer bound to the repository's catalog.

@@ -193,7 +193,6 @@ func New(opts Options) (*Cluster, error) {
 		}
 		id := fmt.Sprintf("node%02d", i)
 		p, err := faas.New(faas.Options{
-			CPUs:      spec.CPUs,
 			ULLQueues: ullQueues,
 			Metrics:   opts.Metrics,
 			// Each node's platform gets its own derived fault stream so
@@ -239,7 +238,6 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	router.tenants = c.tenants
 	c.router = router
 	return c, nil
 }

@@ -356,13 +356,13 @@ func TestAllNodesFailedRejectsTrigger(t *testing.T) {
 func TestRebalanceAfterReapRestoresSpread(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	c := testCluster(t, PolicyRoundRobin, NodeSpec{}, NodeSpec{})
-	registerScan(t, c, faas.SandboxSpec{VCPUs: 1, MemoryMB: 128, KeepAlive: simtime.Millisecond})
+	registerScan(t, c, faas.SandboxSpec{})
 	if _, err := c.ScaleCluster("scan", 4, core.Vanilla); err != nil {
 		t.Fatal(err)
 	}
 	// node00's local clock runs ahead past the keep-alive window, so the
 	// reaper destroys its pool while node01's stays warm.
-	c.Nodes()[0].Platform().Clock().Advance(2 * simtime.Millisecond)
+	c.Nodes()[0].Platform().Clock().Advance(2 * faas.DefaultKeepAlive)
 	reaped, err := c.Reap()
 	if err != nil {
 		t.Fatal(err)

@@ -125,14 +125,14 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 	tnow := tenanted.clock.Now()
 	if n := testing.AllocsPerRun(100, func() {
-		sinkVerdict = tenanted.router.Admit(0, tnow, true)
+		sinkVerdict = tenanted.tenants.Admit(0, tnow, true)
 	}); n != 0 {
-		t.Errorf("Router.Admit (tenanted) allocates %v per run, want 0", n)
+		t.Errorf("Controller.Admit (tenanted) allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sinkVerdict = c.router.Admit(-1, now, true)
+		sinkVerdict = c.tenants.Admit(-1, now, true)
 	}); n != 0 {
-		t.Errorf("Router.Admit (untenanted) allocates %v per run, want 0", n)
+		t.Errorf("Controller.Admit (untenanted) allocates %v per run, want 0", n)
 	}
 
 	// The whole routed trigger — admit, route, serve from the node queue,

@@ -42,9 +42,6 @@ func (h Health) String() string {
 
 // NodeSpec sizes one node.
 type NodeSpec struct {
-	// CPUs is the node's general-purpose core count (default 36, the
-	// paper's evaluation machine).
-	CPUs int
 	// MemoryMB is the sandbox-memory capacity cluster-level pool
 	// placement admits against (default 16384).
 	MemoryMB int
@@ -56,16 +53,11 @@ type NodeSpec struct {
 	ULLSlots int
 }
 
-// Defaults for the zero NodeSpec.
-const (
-	DefaultNodeCPUs     = 36
-	DefaultNodeMemoryMB = 16384
-)
+// DefaultNodeMemoryMB is the memory capacity of a NodeSpec that sets
+// none.
+const DefaultNodeMemoryMB = 16384
 
 func (s NodeSpec) withDefaults() NodeSpec {
-	if s.CPUs == 0 {
-		s.CPUs = DefaultNodeCPUs
-	}
 	if s.MemoryMB == 0 {
 		s.MemoryMB = DefaultNodeMemoryMB
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/horse-faas/horse/internal/simtime"
-	"github.com/horse-faas/horse/internal/tenant"
 )
 
 // Routing errors.
@@ -54,12 +53,10 @@ type placementPolicy interface {
 }
 
 // Router applies the cluster's placement policy and keeps the per-node
-// placement counters. When the cluster has a tenant contract it also
-// fronts the admission gate: Admit runs before Pick, so a rejected
-// trigger never consumes a routing decision.
+// placement counters. Tenant admission runs before Pick (see newJob), so
+// a rejected trigger never consumes a routing decision.
 type Router struct {
-	policy  placementPolicy
-	tenants *tenant.Controller //horselint:coordinator
+	policy placementPolicy
 }
 
 func newRouter(policy string, c *Cluster) (*Router, error) {
@@ -77,19 +74,6 @@ func newRouter(policy string, c *Cluster) (*Router, error) {
 
 // Policy returns the active placement policy's name.
 func (r *Router) Policy() string { return r.policy.name() }
-
-// Admit runs the tenant admission gate for one arrival: the tenant's
-// token-bucket rate limit, then — for uLL triggers — its weighted fair
-// share of the reserved uLL admission bandwidth. tenantIdx < 0
-// (untenanted) and a cluster without a tenant contract always admit.
-// Admission is coordinator-only and allocation-free: it runs once per
-// arrival, in arrival order, ahead of every routing decision.
-//
-//horselint:hotpath
-//horselint:coordinator
-func (r *Router) Admit(tenantIdx int, now simtime.Time, ull bool) tenant.Verdict {
-	return r.tenants.Admit(tenantIdx, now, ull)
-}
 
 // Pick runs one routing decision and charges the placement to the
 // chosen node. Routing mutates cross-node state (the placement charge,

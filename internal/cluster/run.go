@@ -249,7 +249,7 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 		tc:      tc,
 	}
 	c.seq++
-	if v := c.router.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
+	if v := c.tenants.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
 		job.err = entry.rejects[v]
 		job.outErr = job.err.Error()
 		c.rejected++

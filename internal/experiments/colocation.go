@@ -25,22 +25,24 @@ type ColocationConfig struct {
 	CPUs int
 	// Window is the replayed trace chunk length (default 30 s, §5.4).
 	Window simtime.Duration
-	// ULLPerSecond is the uLL resume rate (default 10, §5.4).
-	ULLPerSecond int
 	// Seed drives the trace and service-time generators.
 	Seed int64
-	// MeanService is the thumbnail's mean execution time (default
-	// workload.ThumbnailDuration ≈ 2.8 s, so a 30 µs tail inflation is
-	// the paper's 0.00107%).
-	MeanService simtime.Duration
-	// ServiceSigma is the log-normal sigma of service times (default 0.2).
-	ServiceSigma float64
-	// ArrivalsPerSecond is the mean thumbnail trigger rate (default 8.5,
+}
+
+// The §5.4 workload's fixed shape.
+const (
+	// colocationULLPerSecond is the uLL resume rate (§5.4).
+	colocationULLPerSecond = 10
+	// colocationServiceSigma is the log-normal sigma of thumbnail service
+	// times, whose mean is workload.ThumbnailDuration ≈ 2.8 s, so a
+	// 30 µs tail inflation is the paper's 0.00107%.
+	colocationServiceSigma float64 = 0.2
+	// colocationArrivalsPerSecond is the mean thumbnail trigger rate,
 	// tuned so the cores saturate only at trace bursts: the experiment
 	// is designed so both workloads "theoretically have enough available
-	// cores", §5.4).
-	ArrivalsPerSecond float64
-}
+	// cores", §5.4.
+	colocationArrivalsPerSecond = 8.5
+)
 
 func (c *ColocationConfig) applyDefaults() {
 	if c.ULLVCPUs == 0 {
@@ -51,18 +53,6 @@ func (c *ColocationConfig) applyDefaults() {
 	}
 	if c.Window == 0 {
 		c.Window = 30 * simtime.Second
-	}
-	if c.ULLPerSecond == 0 {
-		c.ULLPerSecond = 10
-	}
-	if c.MeanService == 0 {
-		c.MeanService = workload.ThumbnailDuration
-	}
-	if c.ServiceSigma == 0 {
-		c.ServiceSigma = 0.2
-	}
-	if c.ArrivalsPerSecond == 0 {
-		c.ArrivalsPerSecond = 8.5
 	}
 }
 
@@ -141,7 +131,7 @@ func drawInvocations(cfg ColocationConfig) []invocation {
 	// Spread the target rate over a handful of function rows, as the
 	// Azure chunk does, and take the experiment window.
 	const functions = 5
-	perMinute := cfg.ArrivalsPerSecond * 60 / functions
+	const perMinute = colocationArrivalsPerSecond * 60 / functions
 	tr := trace.Synthesize(trace.SynthConfig{
 		Functions:     functions,
 		Minutes:       int(cfg.Window/(60*simtime.Second)) + 1,
@@ -152,10 +142,10 @@ func drawInvocations(cfg ColocationConfig) []invocation {
 	arrivals := trace.Window(tr.Arrivals(cfg.Seed+1), 0, cfg.Window)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	mu := math.Log(float64(cfg.MeanService)) - cfg.ServiceSigma*cfg.ServiceSigma/2
+	mu := math.Log(float64(workload.ThumbnailDuration)) - colocationServiceSigma*colocationServiceSigma/2
 	out := make([]invocation, 0, len(arrivals))
 	for _, a := range arrivals {
-		service := simtime.Duration(math.Exp(mu + cfg.ServiceSigma*rng.NormFloat64()))
+		service := simtime.Duration(math.Exp(mu + colocationServiceSigma*rng.NormFloat64()))
 		out = append(out, invocation{at: a.At, service: service})
 	}
 	return out
@@ -196,7 +186,7 @@ func colocationRun(cfg ColocationConfig, policy core.Policy, work []invocation) 
 		// (paper §4.1.3). The vanilla resume path runs inside the
 		// hypervisor without high-priority helper threads, so it does
 		// not perturb the worker cores.
-		interval := simtime.Duration(int64(simtime.Second) / int64(cfg.ULLPerSecond))
+		const interval = simtime.Second / colocationULLPerSecond
 		costs := mergeBurstCosts(cfg.ULLVCPUs)
 		for at := simtime.Time(interval); at < simtime.Time(cfg.Window); at = at.Add(interval) {
 			at := at

@@ -13,13 +13,6 @@ import (
 // busy background sandboxes while uLL sandboxes are created, paused for a
 // while, and resumed.
 type OverheadConfig struct {
-	// VCPUs per uLL sandbox (the paper sweeps 1..36).
-	VCPUs int
-	// ULLSandboxes is the number of uLL sandboxes (paper: 10).
-	ULLSandboxes int
-	// Background is the number of busy 1-vCPU sandboxes (paper: 10,
-	// each running sysbench).
-	Background int
 	// QueueBacklog pre-populates the ull_runqueue with that many
 	// entities, modelling the production-busy reserved queue whose
 	// positional index (arrayB) dominates P²SM's memory footprint. The
@@ -27,16 +20,16 @@ type OverheadConfig struct {
 	QueueBacklog int
 }
 
+// The §5.2 scenario's fixed population.
+const (
+	// overheadULLSandboxes is the number of uLL sandboxes (paper: 10).
+	overheadULLSandboxes = 10
+	// overheadBackground is the number of busy 1-vCPU sandboxes (paper:
+	// 10, each running sysbench).
+	overheadBackground = 10
+)
+
 func (c *OverheadConfig) applyDefaults() {
-	if c.VCPUs == 0 {
-		c.VCPUs = 36
-	}
-	if c.ULLSandboxes == 0 {
-		c.ULLSandboxes = 10
-	}
-	if c.Background == 0 {
-		c.Background = 10
-	}
 	if c.QueueBacklog == 0 {
 		c.QueueBacklog = 6600
 	}
@@ -70,16 +63,16 @@ type OverheadResult struct {
 	ResumeCPUPct float64
 }
 
-// RunOverhead runs the §5.2 experiment for each vCPU count.
+// RunOverhead runs the §5.2 experiment for each vCPU count of the uLL
+// sandboxes.
 func RunOverhead(cfg OverheadConfig, vcpuCounts []int) ([]OverheadResult, error) {
 	if len(vcpuCounts) == 0 {
 		vcpuCounts = DefaultVCPUSweep()
 	}
+	cfg.applyDefaults()
 	var out []OverheadResult
 	for _, n := range vcpuCounts {
-		c := cfg
-		c.VCPUs = n
-		r, err := runOverheadOnce(c)
+		r, err := runOverheadOnce(cfg, n)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: overhead vcpus=%d: %w", n, err)
 		}
@@ -97,22 +90,21 @@ type overheadRun struct {
 
 // runOverheadOnce measures one vCPU count: the same scenario under the
 // vanilla and HORSE policies, on fresh hypervisors.
-func runOverheadOnce(cfg OverheadConfig) (OverheadResult, error) {
-	cfg.applyDefaults()
-	vanil, err := overheadScenario(cfg, core.Vanilla)
+func runOverheadOnce(cfg OverheadConfig, vcpus int) (OverheadResult, error) {
+	vanil, err := overheadScenario(cfg, vcpus, core.Vanilla)
 	if err != nil {
 		return OverheadResult{}, err
 	}
-	horse, err := overheadScenario(cfg, core.Horse)
+	horse, err := overheadScenario(cfg, vcpus, core.Horse)
 	if err != nil {
 		return OverheadResult{}, err
 	}
 
 	// One 500 ms sample of the busy background cores (the paper records
 	// CPU usage every 500 ms while sysbench keeps those cores pegged).
-	sample := simtime.Duration(cfg.Background) * 500 * simtime.Millisecond
+	const sample = overheadBackground * 500 * simtime.Millisecond
 	res := OverheadResult{
-		VCPUs:              cfg.VCPUs,
+		VCPUs:              vcpus,
 		PSMMemoryBytes:     horse.memoryBytes,
 		SandboxMemoryBytes: horse.sandboxBytes,
 		PauseExtraWork:     horse.pauseWork - vanil.pauseWork,
@@ -128,7 +120,7 @@ func runOverheadOnce(cfg OverheadConfig) (OverheadResult, error) {
 
 // overheadScenario plays the §5.2 scenario under one policy and returns
 // the lifecycle work and peak P²SM memory.
-func overheadScenario(cfg OverheadConfig, policy core.Policy) (overheadRun, error) {
+func overheadScenario(cfg OverheadConfig, vcpus int, policy core.Policy) (overheadRun, error) {
 	h, err := vmm.New(vmm.Options{})
 	if err != nil {
 		return overheadRun{}, err
@@ -136,7 +128,7 @@ func overheadScenario(cfg OverheadConfig, policy core.Policy) (overheadRun, erro
 	engine := core.NewEngine(h)
 
 	// Busy background sandboxes (sysbench hosts).
-	for i := 0; i < cfg.Background; i++ {
+	for i := 0; i < overheadBackground; i++ {
 		if _, err := h.CreateSandbox(vmm.Config{VCPUs: 1, MemoryMB: 512}); err != nil {
 			return overheadRun{}, err
 		}
@@ -156,8 +148,8 @@ func overheadScenario(cfg OverheadConfig, policy core.Policy) (overheadRun, erro
 
 	// The 10 uLL sandboxes: create, pause (5 s), resume.
 	var sandboxes []*vmm.Sandbox
-	for i := 0; i < cfg.ULLSandboxes; i++ {
-		sb, err := h.CreateSandbox(vmm.Config{VCPUs: cfg.VCPUs, MemoryMB: 512, ULL: true})
+	for i := 0; i < overheadULLSandboxes; i++ {
+		sb, err := h.CreateSandbox(vmm.Config{VCPUs: vcpus, MemoryMB: 512, ULL: true})
 		if err != nil {
 			return overheadRun{}, err
 		}

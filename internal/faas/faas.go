@@ -83,21 +83,15 @@ var (
 type SandboxSpec struct {
 	VCPUs    int
 	MemoryMB int
-	// KeepAlive is how long an idle warm sandbox survives before the
-	// reaper destroys it (0 selects the 10-minute industry default).
-	// Ignored when KeepAlivePolicy is set.
-	KeepAlive simtime.Duration
-	// KeepAlivePolicy, if non-nil, sizes the idle window dynamically
-	// (e.g. HybridKeepAlive) instead of the fixed KeepAlive duration.
-	KeepAlivePolicy KeepAlivePolicy
 }
 
 // snapshotWorkingSet is the fraction of a deployment's pages a
 // restore-mode snapshot maps eagerly (FaaSnap-style working set).
 const snapshotWorkingSet = 0.05
 
-// DefaultKeepAlive mirrors the fixed keep-alive windows of production
-// platforms (paper §1's keep-alive strategy references).
+// DefaultKeepAlive is how long an idle warm sandbox survives before the
+// reaper destroys it. It mirrors the fixed keep-alive windows of
+// production platforms (paper §1's keep-alive strategy references).
 const DefaultKeepAlive = 10 * 60 * simtime.Second
 
 type pooledSandbox struct {
@@ -113,11 +107,6 @@ type Deployment struct {
 	spec     SandboxSpec
 	snapshot *snapshot.Snapshot
 	pool     []pooledSandbox
-
-	// Inter-invocation gap history feeding dynamic keep-alive policies.
-	gaps         []simtime.Duration
-	lastTrigger  simtime.Time
-	hasTriggered bool
 }
 
 // WarmPoolSize returns how many paused sandboxes are ready.
@@ -271,12 +260,7 @@ func (p *Platform) Register(fn workload.Function, spec SandboxSpec) (*Deployment
 	if spec.VCPUs < 1 || spec.MemoryMB <= 0 {
 		return nil, fmt.Errorf("faas: invalid spec %+v", spec)
 	}
-	if spec.KeepAlive == 0 {
-		spec.KeepAlive = DefaultKeepAlive
-	}
-	// The gap ring is preallocated at its cap so recordTrigger's append
-	// on the per-trigger path never grows the backing array.
-	d := &Deployment{fn: fn, spec: spec, gaps: make([]simtime.Duration, 0, gapHistoryCap)}
+	d := &Deployment{fn: fn, spec: spec}
 	d.app, _ = fn.(workload.Appender)
 	p.deployments[fn.Name()] = d
 	return d, nil
@@ -371,9 +355,9 @@ func (d *Deployment) takeWarm(policy core.Policy) (pooledSandbox, bool) {
 // time; Output is the function's real result on the real payload.
 //
 // With fallback enabled (Options.Fallback) a failed sandbox acquisition
-// degrades along the configured mode chain — horse → warm → restore →
-// cold by default — retrying resume-lock contention in place with
-// exponential virtual-time backoff before each hop. The returned
+// degrades along the mode chain horse → warm → restore → cold,
+// retrying resume-lock contention in place with exponential
+// virtual-time backoff before each hop. The returned
 // Invocation.Mode is the mode that actually served. Function-body
 // failures (ErrInvokeFailed) never degrade: re-running user code on a
 // colder sandbox would double-execute it.
@@ -399,7 +383,6 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, 
 	if mode >= ModeCold && mode <= ModeHorse {
 		p.inst.triggers[mode].Inc()
 	}
-	d.recordTrigger(p.clock.Now())
 
 	chain := p.fallback.chainFrom(mode)
 	var lastErr error
@@ -629,13 +612,12 @@ func (p *Platform) Reap() (int, error) {
 	var sweepErr error
 	for _, name := range names {
 		d := p.deployments[name]
-		window := d.keepAliveWindow()
 		// kept aliases the pool's prefix; at index i it holds at most i
 		// elements, so both appends below copy leftward and never clobber
 		// an unread entry.
 		kept := d.pool[:0]
 		for i, ps := range d.pool {
-			if now.Sub(ps.pausedAt) > window {
+			if now.Sub(ps.pausedAt) > DefaultKeepAlive {
 				if err := p.h.DestroySandbox(ps.sb); err != nil {
 					kept = append(kept, d.pool[i:]...)
 					sweepErr = fmt.Errorf("faas: reaping %q: %w", name, err)

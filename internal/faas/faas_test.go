@@ -63,9 +63,6 @@ func TestRegisterValidation(t *testing.T) {
 func TestRegisterDefaults(t *testing.T) {
 	p := newPlatform(t)
 	d := registerScan(t, p)
-	if d.spec.KeepAlive != DefaultKeepAlive {
-		t.Fatalf("KeepAlive = %v, want default", d.spec.KeepAlive)
-	}
 	if err := p.EnsureSnapshot("scan"); err != nil {
 		t.Fatal(err)
 	}
@@ -264,29 +261,36 @@ func TestInvokeErrorDestroysSandbox(t *testing.T) {
 
 func TestReapKeepAlive(t *testing.T) {
 	p := newPlatform(t)
-	if _, err := p.Register(workload.NewScan(1), SandboxSpec{
-		VCPUs: 1, MemoryMB: 128, KeepAlive: 5 * simtime.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	d := registerScan(t, p)
 	if err := p.Provision("scan", 2, core.Horse); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.Reap(); err != nil || n != 0 {
 		t.Fatalf("early reap = %d, %v", n, err)
 	}
-	p.Clock().Advance(6 * simtime.Second)
-	n, err := p.Reap()
-	if err != nil {
-		t.Fatal(err)
+	// Each pause takes virtual time, so the second sandbox was pooled
+	// later than the first.
+	first, last := d.pool[0].pausedAt, d.pool[1].pausedAt
+	if !first.Before(last) {
+		t.Fatalf("pausedAt %v, %v: want the second pooled later", first, last)
 	}
-	if n != 2 {
-		t.Fatalf("reaped = %d, want 2", n)
+	// At exactly DefaultKeepAlive idle the second sandbox survives; the
+	// first, idle longer, is reaped.
+	p.Clock().Advance(last.Add(DefaultKeepAlive).Sub(p.Clock().Now()))
+	if n, err := p.Reap(); err != nil || n != 1 {
+		t.Fatalf("reap at the window boundary = %d, %v; want 1", n, err)
+	}
+	if d.WarmPoolSize() != 1 || d.pool[0].pausedAt != last {
+		t.Fatalf("pool = %d, want only the sandbox idle for exactly DefaultKeepAlive", d.WarmPoolSize())
+	}
+	// One nanosecond later it has outlived the window.
+	p.Clock().Advance(simtime.Nanosecond)
+	if n, err := p.Reap(); err != nil || n != 1 {
+		t.Fatalf("reap 1ns past the window = %d, %v; want 1", n, err)
 	}
 	if p.Reaped() != 2 {
 		t.Fatalf("Reaped() = %d, want 2", p.Reaped())
 	}
-	d, _ := p.Deployment("scan")
 	if d.WarmPoolSize() != 0 {
 		t.Fatal("pool not emptied")
 	}

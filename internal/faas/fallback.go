@@ -16,7 +16,7 @@ import (
 // request — it falls off the warm cliff onto a slower start mode
 // ("How Low Can You Go?" quantifies exactly that cliff). The fallback
 // chain makes the cliff explicit, bounded, and measured: each trigger
-// walks the configured mode chain from its requested mode toward
+// walks the default mode chain from its requested mode toward
 // colder modes, every hop is counted in faas_fallbacks_total{from,to},
 // and every failed attempt in faas_trigger_failures_total{site}.
 // Resume-lock contention — the one transient failure in the model — is
@@ -43,38 +43,12 @@ const (
 // mode and reports the first failure, the strict pre-degradation
 // behavior.
 type FallbackConfig struct {
-	// Enabled turns the chain and the retry loop on.
+	// Enabled turns the chain and the retry loop on: a trigger starts at
+	// its requested mode's position in DefaultFallbackChain and walks
+	// right on failure, retrying a resume-lock-contended attempt up to
+	// DefaultMaxRetries times with backoff doubling from
+	// DefaultRetryBackoff.
 	Enabled bool
-	// Chain lists start modes hottest-first; a trigger starts at its
-	// requested mode's position and walks right on failure. Empty
-	// selects DefaultFallbackChain. A requested mode absent from the
-	// chain is attempted alone, without fallback.
-	Chain []StartMode
-	// MaxRetries bounds in-place retries of a resume-lock-contended
-	// attempt (0 selects DefaultMaxRetries; negative disables retry).
-	MaxRetries int
-	// RetryBackoff is the first retry's virtual-time backoff, doubling
-	// each attempt (0 selects DefaultRetryBackoff).
-	RetryBackoff simtime.Duration
-}
-
-//horselint:hotpath
-func (c FallbackConfig) maxRetries() int {
-	if !c.Enabled || c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	return c.MaxRetries
-}
-
-//horselint:hotpath
-func (c FallbackConfig) retryBackoff() simtime.Duration {
-	if c.RetryBackoff <= 0 {
-		return DefaultRetryBackoff
-	}
-	return c.RetryBackoff
 }
 
 // singleChains holds one static single-element chain per mode so the
@@ -104,16 +78,11 @@ func singleChain(mode StartMode) []StartMode {
 //
 //horselint:hotpath
 func (c FallbackConfig) chainFrom(mode StartMode) []StartMode {
-	if !c.Enabled {
-		return singleChain(mode)
-	}
-	chain := c.Chain
-	if len(chain) == 0 {
-		chain = DefaultFallbackChain
-	}
-	for i, m := range chain {
-		if m == mode {
-			return chain[i:]
+	if c.Enabled {
+		for i, m := range DefaultFallbackChain {
+			if m == mode {
+				return DefaultFallbackChain[i:]
+			}
 		}
 	}
 	return singleChain(mode)
@@ -131,8 +100,11 @@ func (c FallbackConfig) chainFrom(mode StartMode) []StartMode {
 // work never leaks into the serving-path sums; each backoff wait is
 // recorded as its own retry-backoff span.
 func (p *Platform) attemptWithRetry(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
-	retries := p.fallback.maxRetries()
-	backoff := p.fallback.retryBackoff()
+	retries := 0
+	if p.fallback.Enabled {
+		retries = DefaultMaxRetries
+	}
+	backoff := DefaultRetryBackoff
 	for attempt := 0; ; attempt++ {
 		mark := tc.Mark()
 		attemptStart := p.clock.Now()

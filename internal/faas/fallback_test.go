@@ -12,6 +12,7 @@ import (
 	"github.com/horse-faas/horse/internal/telemetry"
 	"github.com/horse-faas/horse/internal/testutil"
 	"github.com/horse-faas/horse/internal/trace"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/vmm"
 	"github.com/horse-faas/horse/internal/workload"
 )
@@ -69,50 +70,79 @@ func TestDoublePauseFails(t *testing.T) {
 }
 
 // TestLockContentionRetryExhaustion arms resume-lock contention at every
-// visit: the trigger retries with exponential virtual-time backoff,
-// exhausts its budget, and the still-paused sandbox goes back to the
-// pool.
+// visit: the horse attempt retries DefaultMaxRetries times with
+// exponential virtual-time backoff, exhausts its budget, and the
+// still-paused sandbox goes back to the pool before the trigger walks on
+// to warm (a pool miss: the one pooled sandbox is armed for horse) and
+// is served by restore.
 func TestLockContentionRetryExhaustion(t *testing.T) {
 	inj := mustInjector(t, 7, faultinject.Rule{
 		Site: faultinject.SiteResume, Every: 1, Err: vmm.ErrResumeBusy,
 	})
-	p := newFaultyPlatform(t, inj, FallbackConfig{
-		Enabled:      true,
-		Chain:        []StartMode{ModeHorse}, // no colder mode: exhaustion must surface
-		MaxRetries:   2,
-		RetryBackoff: 100 * simtime.Nanosecond,
-	})
-	registerScan(t, p)
+	p := newFaultyPlatform(t, inj, FallbackConfig{Enabled: true})
+	d := registerScan(t, p)
 	if err := p.Provision("scan", 1, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	before := p.Clock().Now()
-	_, err := p.Trigger("scan", ModeHorse, scanPayload(t))
-	if !errors.Is(err, vmm.ErrResumeBusy) {
-		t.Fatalf("err = %v, want ErrResumeBusy", err)
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 7})
+	tc := rec.Start(0, "scan", ModeHorse.String(), p.Clock().Now(), 0)
+	inv, err := p.TriggerTraced(tc, nil, "scan", ModeHorse, scanPayload(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected in the chain", err)
+	tc.Complete(trigtrace.Outcome{Served: inv.Mode.String(), Latency: inv.Total()})
+	if inv.Mode != ModeRestore {
+		t.Fatalf("served mode = %v, want restore", inv.Mode)
 	}
 	m := p.Hypervisor().Metrics()
-	if got := m.Counter("faas_retries_total").Value(); got != 2 {
-		t.Fatalf("retries = %d, want 2", got)
+	if got := m.Counter("faas_retries_total").Value(); got != DefaultMaxRetries {
+		t.Fatalf("retries = %d, want %d", got, DefaultMaxRetries)
 	}
 	if got := m.Counter("faas_trigger_failures_total", "site", "resume").Value(); got != 1 {
 		t.Fatalf("resume failures = %d, want 1", got)
 	}
-	// Exponential backoff: 100ns then 200ns of virtual time.
-	if got := p.Clock().Now().Sub(before); got != 300*simtime.Nanosecond {
-		t.Fatalf("backoff advanced %v, want 300ns", got)
+	// Exponential backoff: 500ns, 1µs, then 2µs of virtual time, all
+	// spent at the horse position.
+	traces := rec.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("retained traces = %d, want 1", len(traces))
+	}
+	var backoffs []simtime.Duration
+	for _, st := range traces[0].Stages {
+		if st.Stage != trigtrace.StageRetryBackoff {
+			continue
+		}
+		if st.Mode != ModeHorse.String() {
+			t.Fatalf("backoff recorded under mode %q, want horse", st.Mode)
+		}
+		backoffs = append(backoffs, st.Dur)
+	}
+	want := []simtime.Duration{500 * simtime.Nanosecond, 1000 * simtime.Nanosecond, 2000 * simtime.Nanosecond}
+	if !reflect.DeepEqual(backoffs, want) {
+		t.Fatalf("backoffs = %v, want %v", backoffs, want)
 	}
 	// Entry failures leave the sandbox paused and prepared: it must be
 	// re-pooled, and the gauge must agree with the pool.
-	d, _ := p.Deployment("scan")
-	if d.WarmPoolSize() != 1 {
-		t.Fatalf("pool = %d after retry exhaustion, want 1", d.WarmPoolSize())
+	horse := 0
+	for _, ps := range d.pool {
+		if ps.policy == core.Horse {
+			horse++
+		}
 	}
-	if got := m.Gauge("faas_warm_pool_size").Value(); got != 1 {
-		t.Fatalf("pool gauge = %d, want 1", got)
+	if horse != 1 {
+		t.Fatalf("horse-armed pool = %d after retry exhaustion, want 1", horse)
+	}
+	if got := m.Gauge("faas_warm_pool_size").Value(); got != int64(d.WarmPoolSize()) {
+		t.Fatalf("pool gauge = %d, pool = %d", got, d.WarmPoolSize())
+	}
+	// Only then does the chain advance: horse → warm → restore.
+	for _, hop := range []struct{ from, to string }{
+		{"horse", "warm"},
+		{"warm", "restore"},
+	} {
+		if got := m.Counter("faas_fallbacks_total", "from", hop.from, "to", hop.to).Value(); got != 1 {
+			t.Fatalf("fallbacks{%s->%s} = %d, want 1", hop.from, hop.to, got)
+		}
 	}
 }
 
@@ -179,15 +209,13 @@ func TestWarmMissLeavesClockUntouched(t *testing.T) {
 func TestReapDestroyErrorKeepsPoolConsistent(t *testing.T) {
 	inj := mustInjector(t, 1, faultinject.Rule{Site: faultinject.SiteDestroy, Nth: 2})
 	p := newFaultyPlatform(t, inj, FallbackConfig{})
-	if _, err := p.Register(workload.NewScan(1), SandboxSpec{
-		VCPUs: 1, MemoryMB: 128, KeepAlive: 5 * simtime.Second,
-	}); err != nil {
+	if _, err := p.Register(workload.NewScan(1), SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Provision("scan", 3, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	p.Clock().Advance(6 * simtime.Second)
+	p.Clock().Advance(2 * DefaultKeepAlive)
 	n, err := p.Reap()
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("reap err = %v, want injected destroy fault", err)
@@ -272,11 +300,7 @@ func runFaultyReplay(t *testing.T, seed int64) faultRunSnapshot {
 		faultinject.Rule{Site: faultinject.SiteResume, Rate: 0.35, Err: vmm.ErrResumeBusy},
 		faultinject.Rule{Site: faultinject.SiteInvoke, Rate: 0.05},
 	)
-	p := newFaultyPlatform(t, inj, FallbackConfig{
-		Enabled:      true,
-		MaxRetries:   2,
-		RetryBackoff: 100 * simtime.Nanosecond,
-	})
+	p := newFaultyPlatform(t, inj, FallbackConfig{Enabled: true})
 	registerScan(t, p)
 	if err := p.Provision("scan", 2, core.Horse); err != nil {
 		t.Fatal(err)

@@ -4,35 +4,20 @@ import (
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
-	"github.com/horse-faas/horse/internal/simtime"
 )
 
-// Allocation sinks keep the pinned calls from being optimized away.
-var (
-	sinkInt   int
-	sinkDur   simtime.Duration
-	sinkChain []StartMode
-)
+// sinkChain keeps the pinned calls from being optimized away.
+var sinkChain []StartMode
 
 // Allocation pins for every //horselint:hotpath function in this
-// package: the per-trigger dispatch spine (fallback-chain resolution,
-// warm-pool take, keep-alive bookkeeping) must be allocation-free, and
-// these pins keep the measured truth in agreement with the hotpath
-// analyzer's static verdict.
+// package: the per-trigger dispatch spine (fallback-chain resolution and
+// warm-pool take) must be allocation-free, and these pins keep the
+// measured truth in agreement with the hotpath analyzer's static
+// verdict.
 func TestHotPathAllocFree(t *testing.T) {
 	enabled := FallbackConfig{Enabled: true}
 	disabled := FallbackConfig{}
 
-	if n := testing.AllocsPerRun(100, func() {
-		sinkInt = enabled.maxRetries() + disabled.maxRetries()
-	}); n != 0 {
-		t.Errorf("FallbackConfig.maxRetries allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		sinkDur = enabled.retryBackoff() + disabled.retryBackoff()
-	}); n != 0 {
-		t.Errorf("FallbackConfig.retryBackoff allocates %v per run, want 0", n)
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		sinkChain = singleChain(ModeHorse)
 	}); n != 0 {
@@ -59,15 +44,5 @@ func TestHotPathAllocFree(t *testing.T) {
 		d.pool = append(d.pool, ps)
 	}); n != 0 {
 		t.Errorf("Deployment.takeWarm allocates %v per run, want 0", n)
-	}
-
-	// The gap ring is preallocated at its cap, as Register does.
-	d2 := &Deployment{gaps: make([]simtime.Duration, 0, gapHistoryCap)}
-	var now simtime.Time
-	if n := testing.AllocsPerRun(2*gapHistoryCap, func() {
-		now = now.Add(simtime.Microsecond)
-		d2.recordTrigger(now)
-	}); n != 0 {
-		t.Errorf("Deployment.recordTrigger allocates %v per run, want 0", n)
 	}
 }

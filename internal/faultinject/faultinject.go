@@ -130,7 +130,9 @@ func (r Rule) validate() error {
 	}
 	set := 0
 	if r.Rate != 0 {
-		if r.Rate < 0 || r.Rate > 1 {
+		// Written as a negated range so NaN, which compares false with
+		// everything, is rejected too.
+		if !(r.Rate > 0 && r.Rate <= 1) {
 			return fmt.Errorf("faultinject: rate %v out of (0,1]", r.Rate)
 		}
 		set++
@@ -387,7 +389,7 @@ func parseFaultClause(clause string, base int) (Rule, error) {
 	switch key {
 	case "rate":
 		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) {
 			return Rule{}, fmt.Errorf("%w: fragment %q at offset %d: rate must be in (0,1]", ErrBadSpec, trigger, triggerAt)
 		}
 		r.Rate = f

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,7 @@ func TestRuleValidation(t *testing.T) {
 		{"two triggers", Rule{Site: SiteResume, Rate: 0.5, Nth: 1}},
 		{"rate above 1", Rule{Site: SiteResume, Rate: 1.5}},
 		{"negative rate", Rule{Site: SiteResume, Rate: -0.1}},
+		{"NaN rate", Rule{Site: SiteResume, Rate: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -211,6 +213,7 @@ func TestParseSpec(t *testing.T) {
 		"warp:rate=0.5",
 		"resume:rate=2",
 		"resume:rate=0",
+		"resume:rate=NaN",
 		"resume:nth=0",
 		"resume:every=0",
 		"resume:often=1",

@@ -299,25 +299,6 @@ func (h *Histogram) BucketWidth() simtime.Duration { return h.bucketWidth }
 // NumBuckets returns the bucket count (excluding the overflow bucket).
 func (h *Histogram) NumBuckets() int { return len(h.counts) }
 
-// Merge adds other's observations into h. The two histograms must share
-// the same shape (bucket width and count); merging is how the telemetry
-// registry combines scrape-cycle copies without re-observing samples.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if h.bucketWidth != other.bucketWidth || len(h.counts) != len(other.counts) {
-		return fmt.Errorf("metrics: merge shape mismatch: %v×%d vs %v×%d",
-			h.bucketWidth, len(h.counts), other.bucketWidth, len(other.counts))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.overflow += other.overflow
-	h.total += other.total
-	return nil
-}
-
 // Overflow returns observations beyond the last bucket.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
 

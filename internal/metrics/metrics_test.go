@@ -438,53 +438,6 @@ func TestSeriesReset(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, err := NewHistogram(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHistogram(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Observe(5)
-	a.Observe(15)
-	b.Observe(15)
-	b.Observe(100) // overflow
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 4 || a.Overflow() != 1 {
-		t.Fatalf("total=%d overflow=%d", a.Total(), a.Overflow())
-	}
-	if a.Bucket(0) != 1 || a.Bucket(1) != 2 {
-		t.Fatalf("buckets = %d,%d", a.Bucket(0), a.Bucket(1))
-	}
-	// b is untouched.
-	if b.Total() != 2 || b.Bucket(1) != 1 {
-		t.Fatalf("source mutated: total=%d", b.Total())
-	}
-	// Merging nil is a no-op.
-	if err := a.Merge(nil); err != nil || a.Total() != 4 {
-		t.Fatalf("nil merge: %v total=%d", err, a.Total())
-	}
-}
-
-func TestHistogramMergeShapeMismatch(t *testing.T) {
-	a, _ := NewHistogram(10, 4)
-	wrongWidth, _ := NewHistogram(20, 4)
-	wrongCount, _ := NewHistogram(10, 8)
-	if err := a.Merge(wrongWidth); err == nil {
-		t.Fatal("width mismatch accepted")
-	}
-	if err := a.Merge(wrongCount); err == nil {
-		t.Fatal("bucket count mismatch accepted")
-	}
-	if a.Total() != 0 {
-		t.Fatalf("failed merge mutated target: %d", a.Total())
-	}
-}
-
 func TestHistogramShapeAccessors(t *testing.T) {
 	h, err := NewHistogram(50*simtime.Nanosecond, 100)
 	if err != nil {

@@ -81,21 +81,21 @@ type cpu struct {
 // Scheduler dispatches tasks over a fixed set of simulated cores, driven
 // by an eventsim engine. It is single-threaded like the engine.
 type Scheduler struct {
-	eng       *eventsim.Engine
-	cpus      []*cpu
-	queue     []*execution
-	stats     Stats
-	ctxSwitch simtime.Duration
+	eng   *eventsim.Engine
+	cpus  []*cpu
+	queue []*execution
+	stats Stats
 }
 
 // Options configures a Scheduler.
 type Options struct {
 	// CPUs is the core count (default 36).
 	CPUs int
-	// CtxSwitch is the overhead a preempted task pays to be switched out
-	// and back in (default 700 ns, charged once per preemption).
-	CtxSwitch simtime.Duration
 }
+
+// ctxSwitch is the overhead a preempted task pays to be switched out
+// and back in, charged once per preemption.
+const ctxSwitch = 700 * simtime.Nanosecond
 
 // New builds a scheduler over the engine.
 func New(eng *eventsim.Engine, opts Options) (*Scheduler, error) {
@@ -105,13 +105,7 @@ func New(eng *eventsim.Engine, opts Options) (*Scheduler, error) {
 	if opts.CPUs < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrNoCPUs, opts.CPUs)
 	}
-	if opts.CtxSwitch == 0 {
-		opts.CtxSwitch = 700 * simtime.Nanosecond
-	}
-	s := &Scheduler{
-		eng:       eng,
-		ctxSwitch: opts.CtxSwitch,
-	}
+	s := &Scheduler{eng: eng}
 	for i := 0; i < opts.CPUs; i++ {
 		s.cpus = append(s.cpus, &cpu{id: i})
 	}
@@ -201,11 +195,11 @@ func (s *Scheduler) submitPreempting(t *Task, pinned bool) error {
 	if run.remaining < 0 {
 		run.remaining = 0
 	}
-	run.remaining += s.ctxSwitch + t.ExtraPenalty
+	run.remaining += ctxSwitch + t.ExtraPenalty
 	run.preempts++
 	s.stats.BusyTime += now.Sub(run.startedAt)
 	s.stats.Preemptions++
-	s.stats.PreemptDelay += t.Duration + s.ctxSwitch + t.ExtraPenalty
+	s.stats.PreemptDelay += t.Duration + ctxSwitch + t.ExtraPenalty
 	victim.preempted = append(victim.preempted, run)
 	victim.running = nil
 	return s.start(victim, ex)

@@ -68,11 +68,12 @@ func TestRestoreCostCalibration(t *testing.T) {
 }
 
 func TestRestoreCreatesSandbox(t *testing.T) {
-	s, clock := newStore(t)
-	h, err := vmm.New(vmm.Options{Clock: clock})
+	h, err := vmm.New(vmm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := h.Clock()
+	s := NewStore(clock)
 	snap, err := s.Create(vmm.Config{VCPUs: 2, MemoryMB: 256}, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +95,11 @@ func TestRestoreCreatesSandbox(t *testing.T) {
 }
 
 func TestRestoreUnknownSnapshot(t *testing.T) {
-	s, clock := newStore(t)
-	h, err := vmm.New(vmm.Options{Clock: clock})
+	h, err := vmm.New(vmm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStore(h.Clock())
 	bogus := &Snapshot{ID: "nope", Config: vmm.Config{VCPUs: 1, MemoryMB: 64}}
 	if _, err := s.Restore(h, bogus); !errors.Is(err, ErrUnknownSnapshot) {
 		t.Fatalf("err = %v, want ErrUnknownSnapshot", err)

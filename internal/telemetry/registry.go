@@ -118,31 +118,23 @@ type HistogramSnapshot struct {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Merge the cumulative histogram into a fresh copy so the snapshot
-	// owns its bucket slice and later Observes can't mutate it.
-	cp, err := metrics.NewHistogram(h.hist.BucketWidth(), h.hist.NumBuckets())
-	if err == nil {
-		_ = cp.Merge(h.hist)
-	} else {
-		cp = h.hist
-	}
 	out := HistogramSnapshot{
-		Count:         cp.Total(),
+		Count:         h.hist.Total(),
 		SumNanos:      h.sum.Nanoseconds(),
-		BucketWidthNs: cp.BucketWidth().Nanoseconds(),
-		Overflow:      cp.Overflow(),
+		BucketWidthNs: h.hist.BucketWidth().Nanoseconds(),
+		Overflow:      h.hist.Overflow(),
 	}
-	out.Buckets = make([]uint64, cp.NumBuckets())
+	out.Buckets = make([]uint64, h.hist.NumBuckets())
 	for i := range out.Buckets {
-		out.Buckets[i] = cp.Bucket(i)
+		out.Buckets[i] = h.hist.Bucket(i)
 	}
-	if q, err := cp.Quantile(0.50); err == nil {
+	if q, err := h.hist.Quantile(0.50); err == nil {
 		out.P50Nanos = q.Nanoseconds()
 	}
-	if q, err := cp.Quantile(0.95); err == nil {
+	if q, err := h.hist.Quantile(0.95); err == nil {
 		out.P95Nanos = q.Nanoseconds()
 	}
-	if q, err := cp.Quantile(0.99); err == nil {
+	if q, err := h.hist.Quantile(0.99); err == nil {
 		out.P99Nanos = q.Nanoseconds()
 	}
 	out.WindowCount = h.window.Len()
@@ -267,12 +259,6 @@ func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 // Histogram returns (creating if needed) the duration histogram for
 // family+labels, with the default 50 ns × 100 bucket shape.
 func (r *Registry) Histogram(family string, labels ...string) *Histogram {
-	return r.HistogramShaped(family, DefaultHistogramWidth, DefaultHistogramBuckets, labels...)
-}
-
-// HistogramShaped is Histogram with an explicit bucket shape; the shape
-// of the first creation wins for the instrument's lifetime.
-func (r *Registry) HistogramShaped(family string, width simtime.Duration, buckets int, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -288,12 +274,8 @@ func (r *Registry) HistogramShaped(family string, width simtime.Duration, bucket
 	if h, ok = r.hists[name]; ok {
 		return h
 	}
-	mh, err := metrics.NewHistogram(width, buckets)
-	if err != nil {
-		// Invalid shape: fall back to the default so instrumentation
-		// never panics the simulation.
-		mh, _ = metrics.NewHistogram(DefaultHistogramWidth, DefaultHistogramBuckets)
-	}
+	// The default shape is valid, so NewHistogram cannot fail here.
+	mh, _ := metrics.NewHistogram(DefaultHistogramWidth, DefaultHistogramBuckets)
 	h = &Histogram{hist: mh, window: metrics.NewSeries()}
 	r.hists[name] = h
 	return h

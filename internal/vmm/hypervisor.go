@@ -92,8 +92,6 @@ type Hypervisor struct {
 
 // Options configures a Hypervisor.
 type Options struct {
-	// Clock supplies virtual time; nil creates a fresh clock.
-	Clock *simtime.Clock
 	// Costs is the virtual cost model; the zero value selects
 	// DefaultCostModel.
 	Costs CostModel
@@ -117,9 +115,6 @@ type Options struct {
 
 // New constructs a hypervisor.
 func New(opts Options) (*Hypervisor, error) {
-	if opts.Clock == nil {
-		opts.Clock = simtime.NewClock()
-	}
 	if opts.Costs == (CostModel{}) {
 		opts.Costs = DefaultCostModel()
 	}
@@ -133,7 +128,7 @@ func New(opts Options) (*Hypervisor, error) {
 		opts.ULLQueues = 1
 	}
 	h := &Hypervisor{
-		clock:     opts.Clock,
+		clock:     simtime.NewClock(),
 		costs:     opts.Costs,
 		sandboxes: make(map[string]*Sandbox),
 		ledger:    credit2.NewLedger(),
