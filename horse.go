@@ -408,14 +408,6 @@ func FaultInjectorFromSpec(seed int64, spec string) (*FaultInjector, error) {
 	return faultinject.FromSpec(seed, spec)
 }
 
-// DefaultFallbackChain returns the degradation order a fallback-enabled
-// trigger walks, hottest first: horse → warm → restore → cold.
-func DefaultFallbackChain() []StartMode {
-	out := make([]StartMode, len(faas.DefaultFallbackChain))
-	copy(out, faas.DefaultFallbackChain)
-	return out
-}
-
 // SynthesizeTrace generates a deterministic Azure-like invocation trace.
 func SynthesizeTrace(cfg TraceConfig) *Trace { return trace.Synthesize(cfg) }
 

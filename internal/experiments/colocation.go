@@ -232,9 +232,8 @@ type burstCosts struct {
 // extreme-case 99th-percentile inflation.
 func mergeBurstCosts(n int) burstCosts {
 	const spliceCost = 110 * simtime.Nanosecond
-	const ctxSwitch = 700 * simtime.Nanosecond
 	return burstCosts{
 		duration:     simtime.Duration(n) * spliceCost,
-		extraPenalty: simtime.Duration(n-1) * ctxSwitch,
+		extraPenalty: simtime.Duration(n-1) * sched.CtxSwitch,
 	}
 }

@@ -23,9 +23,10 @@ import (
 // retried in place with exponential virtual-time backoff before the
 // chain advances, counted in faas_retries_total.
 
-// DefaultFallbackChain orders the start modes hottest to coldest, the
-// direction a degrading trigger walks.
-var DefaultFallbackChain = []StartMode{ModeHorse, ModeWarm, ModeRestore, ModeCold}
+// fallbackChain orders the start modes hottest to coldest, the
+// direction a degrading trigger walks. It is an array so that no caller
+// can reorder degradation: chainFrom hands out slices of it.
+var fallbackChain = [...]StartMode{ModeHorse, ModeWarm, ModeRestore, ModeCold}
 
 // Fallback retry defaults.
 const (
@@ -44,9 +45,9 @@ const (
 // behavior.
 type FallbackConfig struct {
 	// Enabled turns the chain and the retry loop on: a trigger starts at
-	// its requested mode's position in DefaultFallbackChain and walks
-	// right on failure, retrying a resume-lock-contended attempt up to
-	// DefaultMaxRetries times with backoff doubling from
+	// its requested mode's position in horse → warm → restore → cold
+	// and walks right on failure, retrying a resume-lock-contended
+	// attempt up to DefaultMaxRetries times with backoff doubling from
 	// DefaultRetryBackoff.
 	Enabled bool
 }
@@ -79,9 +80,9 @@ func singleChain(mode StartMode) []StartMode {
 //horselint:hotpath
 func (c FallbackConfig) chainFrom(mode StartMode) []StartMode {
 	if c.Enabled {
-		for i, m := range DefaultFallbackChain {
+		for i, m := range fallbackChain {
 			if m == mode {
-				return DefaultFallbackChain[i:]
+				return fallbackChain[i:]
 			}
 		}
 	}

@@ -93,9 +93,9 @@ type Options struct {
 	CPUs int
 }
 
-// ctxSwitch is the overhead a preempted task pays to be switched out
+// CtxSwitch is the overhead a preempted task pays to be switched out
 // and back in, charged once per preemption.
-const ctxSwitch = 700 * simtime.Nanosecond
+const CtxSwitch = 700 * simtime.Nanosecond
 
 // New builds a scheduler over the engine.
 func New(eng *eventsim.Engine, opts Options) (*Scheduler, error) {
@@ -195,11 +195,11 @@ func (s *Scheduler) submitPreempting(t *Task, pinned bool) error {
 	if run.remaining < 0 {
 		run.remaining = 0
 	}
-	run.remaining += ctxSwitch + t.ExtraPenalty
+	run.remaining += CtxSwitch + t.ExtraPenalty
 	run.preempts++
 	s.stats.BusyTime += now.Sub(run.startedAt)
 	s.stats.Preemptions++
-	s.stats.PreemptDelay += t.Duration + ctxSwitch + t.ExtraPenalty
+	s.stats.PreemptDelay += t.Duration + CtxSwitch + t.ExtraPenalty
 	victim.preempted = append(victim.preempted, run)
 	victim.running = nil
 	return s.start(victim, ex)

@@ -101,9 +101,9 @@ func (f *Firewall) Decide(req FirewallRequest) (FirewallDecision, error) {
 // Invoke implements Function: JSON FirewallRequest in, FirewallDecision
 // out.
 func (f *Firewall) Invoke(payload []byte) ([]byte, error) {
-	var req FirewallRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	req, err := decodeRequest(payload, parseFirewallRequest)
+	if err != nil {
+		return nil, err
 	}
 	dec, err := f.Decide(req)
 	if err != nil {

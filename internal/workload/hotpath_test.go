@@ -11,13 +11,16 @@ import (
 var raceEnabled bool
 
 // TestHotPathAllocFree pins each uLL body's allocations per Invoke to
-// its measured count. The scan's is its request decode by json.Unmarshal
-// plus its one exact-size output buffer, so a result encoding that
-// allocates more (as json.Marshal does) fails here. Appended into a
-// buffer with room (scan-append, as a cluster node serves it), the scan
-// allocates only the request decode. Both hold under -race too, since
-// no sync.Pool is on that path. The NAT and firewall encode with
-// json.Marshal and are pinned outside -race only.
+// its measured count. Every request here is in json.Marshal's compact
+// form, so it takes the direct decoder, which allocates nothing for the
+// scan and only the address string for the NAT and firewall. The scan's
+// one allocation is its exact-size output buffer, so a result encoding
+// that allocates more (as json.Marshal does), or a decode that falls
+// back to json.Unmarshal, fails here; appended into a buffer with room
+// (scan-append, as a cluster node serves it), the scan allocates
+// nothing. Both hold under -race too, since no sync.Pool is on that
+// path. The NAT and firewall encode with json.Marshal and are pinned
+// outside -race only.
 func TestHotPathAllocFree(t *testing.T) {
 	scanReq, _ := json.Marshal(ScanRequest{Threshold: 5000})
 	natReq, _ := json.Marshal(NATPacket{DstIP: "203.0.113.10", DstPort: 80})
@@ -32,12 +35,12 @@ func TestHotPathAllocFree(t *testing.T) {
 		pooled  bool   // json.Marshal's sync.Pool is on the path
 		dst     []byte // non-nil: call AppendInvoke into it instead of Invoke
 	}{
-		{name: "scan", fn: NewScan(1), payload: scanReq, budget: 6},
-		{name: "scan-append", fn: NewScan(1), payload: scanReq, budget: 5, dst: make([]byte, 0, 16<<10)},
-		{name: "nat-hit", fn: DefaultNAT(), payload: natReq, budget: 8, pooled: true},
-		{name: "nat-miss", fn: DefaultNAT(), payload: natMiss, budget: 8, pooled: true},
-		{name: "firewall-allow", fn: DefaultFirewall(), payload: fwReq, budget: 12, pooled: true},
-		{name: "firewall-deny", fn: DefaultFirewall(), payload: fwDeny, budget: 8, pooled: true},
+		{name: "scan", fn: NewScan(1), payload: scanReq, budget: 1},
+		{name: "scan-append", fn: NewScan(1), payload: scanReq, budget: 0, dst: make([]byte, 0, 16<<10)},
+		{name: "nat-hit", fn: DefaultNAT(), payload: natReq, budget: 3, pooled: true},
+		{name: "nat-miss", fn: DefaultNAT(), payload: natMiss, budget: 3, pooled: true},
+		{name: "firewall-allow", fn: DefaultFirewall(), payload: fwReq, budget: 7, pooled: true},
+		{name: "firewall-deny", fn: DefaultFirewall(), payload: fwDeny, budget: 3, pooled: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -91,9 +91,9 @@ func (n *NAT) Translate(pkt NATPacket) NATResult {
 
 // Invoke implements Function: JSON NATPacket in, NATResult out.
 func (n *NAT) Invoke(payload []byte) ([]byte, error) {
-	var pkt NATPacket
-	if err := json.Unmarshal(payload, &pkt); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	pkt, err := decodeRequest(payload, parseNATPacket)
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(n.Translate(pkt))
 }

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -120,13 +118,11 @@ func (s *Scan) Invoke(payload []byte) ([]byte, error) {
 // for each of 10, 100 and 1000 that i is below. The second pass walks only
 // the matches and stores each one's text as one 8-byte word.
 func (s *Scan) AppendInvoke(dst, payload []byte) ([]byte, error) {
-	var req ScanRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	req, err := decodeRequest(payload, parseScanRequest)
+	if err != nil {
+		return dst, err
 	}
 	var idx [ScanArraySize]uint16
-	// req escapes to the heap through Unmarshal; a local copy of the
-	// threshold stays in a register across the loop.
 	n, threshold := 0, req.Threshold
 	for i, v := range s.data {
 		idx[n] = uint16(i)

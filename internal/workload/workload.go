@@ -16,8 +16,11 @@
 //     initialization-percentage experiments reproduce the paper's ratios
 //     regardless of host speed.
 //
-// All bodies decode their requests with encoding/json, whose
-// case-folding and error semantics are kept. The scan, whose result
+// The uLL bodies decode their requests without reflection when the
+// payload is in the exact compact form json.Marshal emits, which every
+// caller sends, and hand any other payload to json.Unmarshal, so values,
+// case-folding and errors are exactly encoding/json's (decode.go). The
+// thumbnail decodes with encoding/json. The scan, whose result
 // lists up to 3000 indexes, encodes it by hand from precomputed index
 // text, byte-identical to json.Marshal of its ScanResult (FuzzScanInvoke
 // pins this). The firewall and NAT results are a few short fields and
