@@ -4,7 +4,7 @@
 // multichecker:
 //
 //	go run ./cmd/horselint ./...
-//	go run ./cmd/horselint -json ./internal/vmm ./internal/core
+//	go run ./cmd/horselint ./internal/vmm ./internal/core
 //
 // Analyzers:
 //
@@ -31,30 +31,23 @@
 //	             shard-phase code draws randomness only from per-node
 //	             derived streams (interprocedural, summary-based)
 //
-// -only and -skip scope a run to a comma-separated subset of analyzers
-// (mutually exclusive; unknown names are usage errors), so CI and local
-// runs can isolate one invariant.
-//
 // A finding can be suppressed per line with
 // //horselint:allow-<analyzer> <reason>; the reason is mandatory, and
 // bare or misspelled directives are configuration errors: they are
 // aggregated, printed with positions, and exit status 2 — like parse
 // and type errors, which are likewise all reported in one run.
 //
-// -write-baseline FILE records the current findings (keyed by analyzer,
-// file, and message, line numbers excluded so unrelated edits do not
-// churn the file); -baseline FILE then suppresses exactly that many
-// known findings per key, so new debt fails while legacy debt is paid
-// down incrementally. -timing FILE writes a BENCH-style JSON report of
-// the run's wall time, split into the load (parsing and type checking)
-// and each analyzer, for CI trend tracking.
-//
 // -allows FILE gates suppression debt: the run fails if any analyzer's
 // //horselint:allow-* directive count exceeds the count recorded in
-// FILE, so adding an escape hatch requires a deliberate baseline update
-// (-write-allows FILE regenerates it).
+// FILE, so adding an escape hatch means editing FILE by hand, in the
+// same change. -timing FILE writes a BENCH-style JSON report of the
+// run's wall time, split into the load (parsing and type checking) and
+// each analyzer, for CI trend tracking. CI runs:
 //
-// Exit status: 0 clean, 1 findings, 2 usage, load, or directive errors.
+//	go run ./cmd/horselint -allows LINT_ALLOWS.json -timing BENCH_lint.json ./...
+//
+// Exit status: 0 clean, 1 findings or a grown allow count, 2 usage,
+// load, or directive errors.
 package main
 
 import (
@@ -62,14 +55,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/horse-faas/horse/internal/analysis/allocpin"
@@ -85,23 +75,6 @@ import (
 	"github.com/horse-faas/horse/internal/analysis/sharedrand"
 	"github.com/horse-faas/horse/internal/analysis/simclock"
 )
-
-// finding is the JSON shape of one diagnostic.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineFile is the -baseline / -write-baseline JSON shape: counts of
-// accepted findings per key. Keys omit line numbers so edits elsewhere
-// in a file do not churn the baseline.
-type baselineFile struct {
-	Version  int            `json:"version"`
-	Findings map[string]int `json:"findings"`
-}
 
 // timingReport is the -timing JSON shape, styled after the BENCH_*.json
 // baselines at the repository root.
@@ -133,8 +106,8 @@ const (
 	analyzerBudgetMS = 15000
 )
 
-// allowsFile is the -allows / -write-allows JSON shape: the accepted
-// number of reasoned //horselint:allow-* directives per analyzer.
+// allowsFile is the -allows JSON shape: the accepted number of
+// reasoned //horselint:allow-* directives per analyzer.
 type allowsFile struct {
 	Version int            `json:"version"`
 	Allows  map[string]int `json:"allows"`
@@ -156,50 +129,6 @@ func analyzers() []*lint.Analyzer {
 	}
 }
 
-// filterAnalyzers applies the -only / -skip selections to as, whose
-// names known holds. Unknown names in either list are reported as usage
-// errors.
-func filterAnalyzers(as []*lint.Analyzer, known map[string]bool, only, skip string) ([]*lint.Analyzer, error) {
-	parse := func(flagName, csv string) (map[string]bool, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		names := map[string]bool{}
-		for _, name := range strings.Split(csv, ",") {
-			if name = strings.TrimSpace(name); name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("%s: unknown analyzer %q", flagName, name)
-			}
-			names[name] = true
-		}
-		if len(names) == 0 {
-			return nil, fmt.Errorf("%s: no analyzer names given", flagName)
-		}
-		return names, nil
-	}
-	onlySet, err := parse("-only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("-skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var kept []*lint.Analyzer
-	for _, a := range as {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		kept = append(kept, a)
-	}
-	return kept, nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -207,48 +136,20 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("horselint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	baselinePath := fs.String("baseline", "", "suppress the known findings recorded in this baseline `file`")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline `file` and exit 0")
 	timingPath := fs.String("timing", "", "write a BENCH-style JSON wall-time report to this `file`")
-	onlyList := fs.String("only", "", "run only these `analyzers` (comma-separated)")
-	skipList := fs.String("skip", "", "skip these `analyzers` (comma-separated)")
 	allowsPath := fs.String("allows", "", "fail if //horselint:allow-* counts exceed this baseline `file`")
-	writeAllows := fs.String("write-allows", "", "record current //horselint:allow-* counts to this baseline `file` and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: horselint [-json] [-only names | -skip names] [-baseline file | -write-baseline file] [-allows file | -write-allows file] [-timing file] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: horselint [-allows file] [-timing file] [packages]\n\n")
 		fmt.Fprintf(fs.Output(), "Runs the HORSE invariant analyzers over package patterns (default ./...).\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *baselinePath != "" && *writeBaseline != "" {
-		fmt.Fprintln(stderr, "horselint: -baseline and -write-baseline are mutually exclusive")
-		return 2
-	}
-	if *onlyList != "" && *skipList != "" {
-		fmt.Fprintln(stderr, "horselint: -only and -skip are mutually exclusive")
-		return 2
-	}
-	if *allowsPath != "" && *writeAllows != "" {
-		fmt.Fprintln(stderr, "horselint: -allows and -write-allows are mutually exclusive")
-		return 2
-	}
-	patterns := fs.Args()
-
-	// Directive validation and the allow-count gate always see the full
-	// analyzer set: scoping a run with -only must not turn suppressions
-	// for the other analyzers into unknown-name errors.
-	all := analyzers()
+	as := analyzers()
 	known := map[string]bool{}
-	for _, a := range all {
+	for _, a := range as {
 		known[a.Name] = true
-	}
-	as, err := filterAnalyzers(all, known, *onlyList, *skipList)
-	if err != nil {
-		fmt.Fprintf(stderr, "horselint: %v\n", err)
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -257,8 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	start := time.Now()
-	fset := token.NewFileSet()
-	pkgs, err := lint.Load(fset, cwd, patterns...)
+	pkgs, err := lint.Load(cwd, fs.Args()...)
 	loaded := time.Since(start)
 	if err != nil {
 		if le, ok := err.(lint.LoadErrors); ok {
@@ -280,8 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Malformed suppression directives are configuration errors, not
-	// findings: aggregate every one with its position and exit 2, so a
-	// broken escape hatch cannot be baselined away.
+	// findings: aggregate every one with its position and exit 2.
 	if bad := lint.CheckDirectives(pkgs, known); len(bad) > 0 {
 		for _, d := range bad {
 			fmt.Fprintln(stderr, d)
@@ -290,19 +189,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *writeAllows != "" {
-		al := allowsFile{Version: 1, Allows: lint.CountDirectives(pkgs)}
-		total := 0
-		for _, n := range al.Allows {
-			total += n
-		}
-		if err := writeJSON(*writeAllows, al); err != nil {
-			fmt.Fprintf(stderr, "horselint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "horselint: wrote allow-directive baseline of %d directive(s) to %s\n", total, *writeAllows)
-		return 0
-	}
 	if *allowsPath != "" {
 		grown, err := checkAllows(*allowsPath, lint.CountDirectives(pkgs))
 		if err != nil {
@@ -318,12 +204,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	diags, timings, err := lint.RunTimed(fset, pkgs, as)
+	diags, timings, err := lint.RunTimed(pkgs, as)
 	if err != nil {
 		fmt.Fprintf(stderr, "horselint: %v\n", err)
 		return 2
 	}
-	lint.Sort(diags)
 	elapsed := time.Since(start)
 
 	if *timingPath != "" {
@@ -339,82 +224,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *writeBaseline != "" {
-		bl := baselineFile{Version: 1, Findings: map[string]int{}}
-		for _, d := range diags {
-			bl.Findings[baselineKey(cwd, d)]++
-		}
-		if err := writeJSON(*writeBaseline, bl); err != nil {
-			fmt.Fprintf(stderr, "horselint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "horselint: wrote baseline of %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		bl, err := readBaselineFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "horselint: %v\n", err)
-			return 2
-		}
-		remaining := bl.Findings
-		kept := diags[:0]
-		for _, d := range diags {
-			key := baselineKey(cwd, d)
-			if remaining[key] > 0 {
-				remaining[key]--
-				suppressed++
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-	}
-
-	if *jsonOut {
-		findings := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			findings = append(findings, finding{
-				File:     d.Position.Filename,
-				Line:     d.Position.Line,
-				Column:   d.Position.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(stderr, "horselint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "horselint: %d baselined finding(s) suppressed\n", suppressed)
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stderr, "horselint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
-		}
+		fmt.Fprintf(stderr, "horselint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-// baselineKey identifies a finding across runs: analyzer, repo-relative
-// slash path, and message.
-func baselineKey(root string, d lint.Diagnostic) string {
-	file := d.Position.Filename
-	if rel, err := filepath.Rel(root, file); err == nil {
-		file = rel
-	}
-	return d.Analyzer + "|" + filepath.ToSlash(file) + "|" + d.Message
 }
 
 // writeJSON writes v as indented JSON. encoding/json sorts map keys, so
@@ -427,27 +244,9 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func readBaselineFile(path string) (baselineFile, error) {
-	var bl baselineFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return bl, err
-	}
-	if err := json.Unmarshal(data, &bl); err != nil {
-		return bl, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if bl.Version != 1 {
-		return bl, fmt.Errorf("baseline %s: unsupported version %d", path, bl.Version)
-	}
-	if bl.Findings == nil {
-		bl.Findings = map[string]int{}
-	}
-	return bl, nil
-}
-
 func writeTiming(path string, loaded time.Duration, timings []lint.AnalyzerTiming, findings int, elapsed time.Duration) error {
 	var r timingReport
-	r.Description = "horselint wall time over the repository: load_ms is parsing plus go/types checking of every package (standard-library dependencies checked from source), analyzer_ms splits the rest per analyzer (interprocedural artifact construction bills to the first analyzer that needs it). Regenerate with: go run ./cmd/horselint -timing BENCH_lint.json ./..."
+	r.Description = "horselint wall time over the repository: load_ms is parsing plus go/types checking of every package (the standard library is type-checked from source once per process, repository packages on every load), analyzer_ms splits the rest per analyzer (interprocedural artifact construction bills to the first analyzer that needs it). Regenerate with: go run ./cmd/horselint -allows LINT_ALLOWS.json -timing BENCH_lint.json ./..."
 	r.GOOS = runtime.GOOS
 	r.GOARCH = runtime.GOARCH
 	r.Go = runtime.Version()

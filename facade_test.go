@@ -27,7 +27,6 @@ func TestFacadeCostModels(t *testing.T) {
 // several ull queues).
 func TestFacadePlatformWith(t *testing.T) {
 	p, err := horse.NewPlatformWith(horse.PlatformOptions{
-		CPUs:      8,
 		ULLQueues: 2,
 		Costs:     horse.XenCostModel(),
 	})

@@ -19,8 +19,8 @@ import (
 	"github.com/horse-faas/horse/internal/analysis/lint"
 )
 
-// New returns the allocpin analyzer.
-func New() *lint.Analyzer {
+// Default returns the analyzer as wired into cmd/horselint.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "allocpin",
 		Doc: "every //horselint:hotpath function needs a testing.AllocsPerRun pin in its " +
@@ -28,9 +28,6 @@ func New() *lint.Analyzer {
 		Run: run,
 	}
 }
-
-// Default returns the analyzer as wired into cmd/horselint.
-func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
 	pinned := map[*types.Func]bool{}

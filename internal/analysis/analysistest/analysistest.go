@@ -14,7 +14,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,20 +27,19 @@ import (
 // the analyzer, and reports mismatches through t.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, patterns ...string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := lint.LoadAsModule(fset, testdata, "", patterns...)
+	pkgs, err := lint.LoadAsModule(testdata, "", patterns...)
 	if err != nil {
 		t.Fatalf("loading %s: %v", testdata, err)
 	}
 	if len(pkgs) == 0 {
 		t.Fatalf("no packages under %s match %v", testdata, patterns)
 	}
-	diags, err := lint.Run(fset, pkgs, []*lint.Analyzer{a})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
 
-	wants := collectWants(t, fset, pkgs)
+	wants := collectWants(t, pkgs)
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Position.Filename, d.Position.Line)
 		matched := false
@@ -74,7 +72,7 @@ var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // collectWants extracts the want expectations of every file, keyed by
 // "filename:line".
-func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) map[string][]*want {
+func collectWants(t *testing.T, pkgs []*lint.Package) map[string][]*want {
 	t.Helper()
 	wants := make(map[string][]*want)
 	for _, pkg := range pkgs {
@@ -85,7 +83,7 @@ func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) map[s
 					if m == nil {
 						continue
 					}
-					line := fset.Position(c.Pos()).Line
+					line := lint.Fset().Position(c.Pos()).Line
 					key := fmt.Sprintf("%s:%d", f.Name, line)
 					for _, pat := range splitQuoted(t, f.Name, line, m[1]) {
 						re, err := regexp.Compile(pat)

@@ -39,7 +39,7 @@ import (
 	"go/token"
 	"go/types"
 	"maps"
-	"sort"
+	"slices"
 
 	"github.com/horse-faas/horse/internal/analysis/cfg"
 	"github.com/horse-faas/horse/internal/analysis/dataflow"
@@ -50,10 +50,10 @@ import (
 // Name is the analyzer's directive name: //horselint:allow-faulterr.
 const Name = "faulterr"
 
-// DefaultCalls lists the monitored method names: every call whose error
-// result is a fault-injection site or sits directly on the trigger
-// path's failure surface.
-var DefaultCalls = []string{
+// seeds lists the monitored method names, sorted: every call whose
+// error result is a fault-injection site or sits directly on the
+// trigger path's failure surface.
+var seeds = []string{
 	"BeginPause",
 	"BeginResume",
 	"Check",
@@ -68,37 +68,20 @@ var DefaultCalls = []string{
 	"Trigger",
 }
 
-// Default returns the analyzer configured for this repository: all
-// packages, the default call set.
-func Default() *lint.Analyzer { return New(nil) }
-
-// New returns a faulterr analyzer restricted to packages whose import
-// path matches one of the given prefixes (empty: all packages) and
-// monitoring the given method names (nil: DefaultCalls).
-func New(prefixes []string, calls ...string) *lint.Analyzer {
-	if len(calls) == 0 {
-		calls = DefaultCalls
-	}
-	monitored := make(map[string]bool, len(calls))
-	for _, c := range calls {
-		monitored[c] = true
-	}
-	seeds := append([]string(nil), calls...)
-	sort.Strings(seeds)
+// Default returns the analyzer configured for this repository: every
+// package, the monitored calls above.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: Name,
 		Doc:  "requires the error result of fault-injectable calls (create/destroy/pause/resume/restore/invoke sites) to reach a check or a return on every control-flow path",
 		Run: func(pass *lint.Pass) error {
-			if len(prefixes) > 0 && !lint.PathMatches(pass.Pkg.Path, prefixes) {
-				return nil
-			}
-			derived := derivedMonitored(pass.Program, monitored, seeds)
+			derived := derivedMonitored(pass.Program)
 			for _, f := range pass.Pkg.Files {
 				if f.Test {
 					continue
 				}
 				for _, fn := range cfg.Functions(f.AST) {
-					checkFunc(pass, fn, monitored, derived)
+					checkFunc(pass, fn, derived)
 				}
 			}
 			return nil
@@ -109,14 +92,14 @@ func New(prefixes []string, calls ...string) *lint.Analyzer {
 // derivedMonitored returns every function in the program, other than
 // the monitored methods themselves, whose error result may carry a seed
 // call's error, per the interprocedural summaries.
-func derivedMonitored(prog *lint.Program, monitored map[string]bool, seeds []string) map[*types.Func]bool {
+func derivedMonitored(prog *lint.Program) map[*types.Func]bool {
 	if prog == nil {
 		return nil
 	}
 	sums := summary.Compute(prog, summary.Config{ErrorSeeds: seeds, AllowAnalyzer: Name})
 	derived := map[*types.Func]bool{}
 	for _, n := range sums.Graph.Order {
-		if n.Func != nil && !monitored[n.Name] && sums.Facts(n).ReturnsSeedErr {
+		if n.Func != nil && !slices.Contains(seeds, n.Name) && sums.Facts(n).ReturnsSeedErr {
 			derived[n.Func] = true
 		}
 	}
@@ -134,8 +117,7 @@ type def struct {
 type facts map[*types.Var]def
 
 type analysis struct {
-	info      *types.Info
-	monitored map[string]bool
+	info *types.Info
 	// derived are summary-derived monitored functions: their error
 	// result may carry a seed error.
 	derived map[*types.Func]bool
@@ -250,7 +232,7 @@ func (a analysis) monitoredCall(e ast.Expr) string {
 	if fn := lint.Callee(a.info, call); fn != nil && a.derived[fn] {
 		return fn.Name()
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && a.monitored[sel.Sel.Name] {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && slices.Contains(seeds, sel.Sel.Name) {
 		return sel.Sel.Name
 	}
 	return ""
@@ -337,9 +319,9 @@ func (a analysis) reads(n ast.Node) map[*types.Var]bool {
 	return reads
 }
 
-func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, monitored map[string]bool, derived map[*types.Func]bool) {
+func checkFunc(pass *lint.Pass, fn cfg.NamedFunc, derived map[*types.Func]bool) {
 	g := cfg.Build(fn.Name, fn.Node)
-	a := analysis{info: pass.Pkg.Info, monitored: monitored, derived: derived}
+	a := analysis{info: pass.Pkg.Info, derived: derived}
 	in := dataflow.Forward[facts](g, a)
 
 	// Variables read anywhere inside a defer statement (closure bodies

@@ -8,5 +8,5 @@ import (
 )
 
 func TestFaulterr(t *testing.T) {
-	analysistest.Run(t, "testdata", faulterr.New(nil))
+	analysistest.Run(t, "testdata", faulterr.Default())
 }

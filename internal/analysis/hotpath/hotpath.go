@@ -75,8 +75,8 @@ func Strays(f *lint.File) []*ast.Comment {
 	return lint.StrayDirectives(f, docs, Directive)
 }
 
-// New returns the hotpath analyzer.
-func New() *lint.Analyzer {
+// Default returns the analyzer as wired into cmd/horselint.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "hotpath",
 		Doc: "functions marked //horselint:hotpath must be transitively allocation-free: " +
@@ -85,9 +85,6 @@ func New() *lint.Analyzer {
 		Run: run,
 	}
 }
-
-// Default returns the analyzer as wired into cmd/horselint.
-func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
 	if pass.Program == nil {

@@ -2,8 +2,8 @@
 // on golang.org/x/tools/go/analysis. The build environment for this
 // repository is hermetic (no module proxy), so the subset of the
 // go/analysis contract that horselint needs — analyzers, passes,
-// diagnostics, a type-checking package loader (go/types with the
-// standard library's source importer), and suppression directives — is
+// diagnostics, a type-checking package loader (go/types, with the
+// standard library checked from source), and suppression directives — is
 // implemented here on the standard library alone. If the module ever
 // gains network access to x/tools, the analyzers in sibling packages
 // port mechanically: an Analyzer is the same (Name, Doc, Run) triple and
@@ -72,15 +72,14 @@ type Pass struct {
 // expensive to build and shared by several analyzers. Runs are
 // single-goroutine, so the cache needs no locking.
 type Program struct {
-	Fset *token.FileSet
 	Pkgs []*Package
 
 	cache map[string]any
 }
 
 // NewProgram wraps a loaded package set for interprocedural analysis.
-func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
-	return &Program{Fset: fset, Pkgs: pkgs, cache: make(map[string]any)}
+func NewProgram(pkgs []*Package) *Program {
+	return &Program{Pkgs: pkgs, cache: make(map[string]any)}
 }
 
 // Cached returns the artifact stored under key, building and storing it
@@ -123,8 +122,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Run applies every analyzer to every package and returns the combined
 // diagnostics sorted by position. Analyzer errors abort the run.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(fset, pkgs, analyzers)
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	diags, _, err := RunTimed(pkgs, analyzers)
 	return diags, err
 }
 
@@ -139,9 +138,9 @@ type AnalyzerTiming struct {
 
 // RunTimed is Run plus per-analyzer wall-time attribution, in the order
 // the analyzers were given.
-func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
+func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
 	var diags []Diagnostic
-	prog := NewProgram(fset, pkgs)
+	prog := NewProgram(pkgs)
 	wall := make([]time.Duration, len(analyzers))
 	for _, pkg := range pkgs {
 		for i, a := range analyzers {
@@ -237,7 +236,7 @@ type directive struct {
 var directiveRE = regexp.MustCompile(`^//horselint:allow-([a-z][a-z0-9]*)(?:[ \t]+(.*))?$`)
 
 // indexDirectives scans the file's comments for horselint directives.
-func (f *File) indexDirectives(fset *token.FileSet) {
+func (f *File) indexDirectives() {
 	for _, cg := range f.AST.Comments {
 		for _, c := range cg.List {
 			m := directiveRE.FindStringSubmatch(c.Text)

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"go/token"
 	"strings"
 	"testing"
 
@@ -23,8 +22,7 @@ func TestPathMatches(t *testing.T) {
 }
 
 func TestCheckDirectives(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := lint.LoadAsModule(fset, "testdata", "")
+	pkgs, err := lint.LoadAsModule("testdata", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +39,7 @@ func TestCheckDirectives(t *testing.T) {
 }
 
 func TestLoadResolvesModulePath(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := lint.Load(fset, ".", "./testdata/directives")
+	pkgs, err := lint.Load(".", "./testdata/directives")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -13,7 +12,23 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// The standard library is immutable input, so a process type-checks it
+// once: every load parses into one file set and imports the standard
+// library through one stdImporter, which keeps each package it has
+// checked. loadMu serialises loads, because that importer is not safe
+// for concurrent use. Repository packages are re-checked by every load.
+var (
+	fset   = token.NewFileSet()
+	std    = newStdImporter(fset)
+	loadMu sync.Mutex
+)
+
+// Fset returns the file set every load parses into: positions of any
+// loaded package resolve against it.
+func Fset() *token.FileSet { return fset }
 
 // Load parses and type-checks the packages selected by the given
 // patterns, rooted at dir. Patterns follow the go tool's shape: "./pkg"
@@ -24,36 +39,36 @@ import (
 //
 // Directories named testdata, vendor, or starting with "." or "_" are
 // skipped, matching the go tool, and so are files excluded by build
-// constraints. Every package is checked with go/types. Repository
-// packages are checked from source in dependency order, including ones
-// the patterns do not select; the standard library comes from the
-// "source" importer. Test files are checked the way go vet sees them:
+// constraints (cgo off, as for the standard library). Every package is
+// checked with go/types. Repository packages are checked from source in
+// dependency order, including ones the patterns do not select; the
+// standard library is checked from source once per process (see
+// stdImporter). Test files are checked the way go vet sees them:
 // production files plus in-package tests form one package, an external
-// _test package forms another, and importers see only production
-// files.
+// _test package forms another, and importers see only production files.
 //
 // Parse and type errors do not stop at the first: Load returns every
 // one of them, each with its file:line:col position, as LoadErrors.
 // Parse errors end the load before type checking starts.
-func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
 	modRoot, modPath := findModule(root)
-	return load(fset, root, modRoot, modPath, patterns)
+	return load(root, modRoot, modPath, patterns)
 }
 
 // LoadAsModule is Load with the module resolution pinned: dir itself is
 // treated as the root of a module named modPath (possibly empty). The
 // analysistest harness uses it so testdata packages get short import
 // paths independent of the enclosing repository's go.mod.
-func LoadAsModule(fset *token.FileSet, dir, modPath string, patterns ...string) ([]*Package, error) {
+func LoadAsModule(dir, modPath string, patterns ...string) ([]*Package, error) {
 	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	return load(fset, root, root, modPath, patterns)
+	return load(root, root, modPath, patterns)
 }
 
 // LoadErrors aggregates every parse or type error of one load: a tree
@@ -81,28 +96,26 @@ type module struct{ path, dir string }
 // path; those the patterns did not select are parsed on demand, without
 // their test files, when something imports them.
 type loader struct {
-	fset    *token.FileSet
 	modRoot string
 	modPath string
 	mods    []module
 	seenMod map[string]bool
 	pkgs    map[string]*Package
-	std     types.Importer
 	errs    LoadErrors
 }
 
-func load(fset *token.FileSet, root, modRoot, modPath string, patterns []string) ([]*Package, error) {
+func load(root, modRoot, modPath string, patterns []string) ([]*Package, error) {
 	dirs, err := matchDirs(root, patterns)
 	if err != nil {
 		return nil, err
 	}
+	loadMu.Lock()
+	defer loadMu.Unlock()
 	l := &loader{
-		fset:    fset,
 		modRoot: modRoot,
 		modPath: modPath,
 		seenMod: map[string]bool{},
 		pkgs:    map[string]*Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
 	}
 	l.mods = append(l.mods, module{modPath, modRoot})
 	l.addModule(modRoot)
@@ -290,17 +303,17 @@ func (l *loader) parseDir(dir, path string, withTests bool) (*Package, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+		if ok, err := std.ctxt.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		full := filepath.Join(dir, name)
-		astf, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
+		astf, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
 			l.errs = append(l.errs, fmt.Errorf("lint: %w", err))
 			continue
 		}
 		f := &File{Name: full, AST: astf, Test: test}
-		f.indexDirectives(l.fset)
+		f.indexDirectives()
 		if pkg.Name == "" || (!test && !strings.HasSuffix(astf.Name.Name, "_test")) {
 			pkg.Name = strings.TrimSuffix(astf.Name.Name, "_test")
 		}
@@ -326,7 +339,64 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		// Not the standard library, and no loaded module provides it.
 		return nil, fmt.Errorf("package %s is outside the loaded modules", path)
 	}
-	return l.std.Import(path)
+	return std.Import(path)
+}
+
+// stdImporter type-checks standard-library packages from source, each
+// once, keyed by import path; function bodies are skipped, since only
+// declarations reach the repository's packages. It is go/importer's
+// "source" importer less two costs: a package already checked is
+// returned before its directory is scanned again (that importer
+// rescans on every import), and cgo is off, so no package runs the cgo
+// tool; net and os/user check their pure-Go files instead.
+type stdImporter struct {
+	ctxt build.Context
+	fset *token.FileSet
+	pkgs map[string]*types.Package
+}
+
+func newStdImporter(fset *token.FileSet) *stdImporter {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	return &stdImporter{ctxt: ctxt, fset: fset, pkgs: map[string]*types.Package{}}
+}
+
+// Import implements types.Importer.
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: dir, the importing
+// package's directory, resolves the standard library's vendored
+// packages.
+func (s *stdImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if pkg := s.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	bp, err := s.ctxt.Import(path, dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*ast.File, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		if files[i], err = parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution); err != nil {
+			return nil, err
+		}
+	}
+	conf := types.Config{
+		IgnoreFuncBodies: true,
+		Importer:         s,
+		Sizes:            types.SizesFor("gc", s.ctxt.GOARCH),
+	}
+	pkg, err := conf.Check(bp.ImportPath, s.fset, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // local returns the repository package with the given import path,
@@ -379,7 +449,7 @@ func (l *loader) check(pkg *Package) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	pkg.Types = types.NewPackage(pkg.Path, pkg.Name)
-	pkg.checker = types.NewChecker(l.config(), l.fset, pkg.Types, pkg.Info)
+	pkg.checker = types.NewChecker(l.config(), fset, pkg.Types, pkg.Info)
 	pkg.checker.Files(pkg.syntax(false, false))
 }
 
@@ -392,7 +462,7 @@ func (l *loader) checkTests(pkg *Package) {
 	}
 	if files := pkg.syntax(true, true); len(files) > 0 {
 		xtest := types.NewPackage(pkg.Path+"_test", pkg.Name+"_test")
-		types.NewChecker(l.config(), l.fset, xtest, pkg.Info).Files(files)
+		types.NewChecker(l.config(), fset, xtest, pkg.Info).Files(files)
 	}
 	pkg.checker = nil
 }

@@ -63,20 +63,13 @@ var metricCalls = map[string]bool{
 // order.
 var sortPackages = map[string]bool{"sort": true, "slices": true}
 
-// Default returns the analyzer configured for this repository: all
-// packages.
-func Default() *lint.Analyzer { return New() }
-
-// New returns a maporder analyzer restricted to packages whose import
-// path matches one of the given prefixes (empty: all packages).
-func New(prefixes ...string) *lint.Analyzer {
+// Default returns the analyzer configured for this repository: every
+// package.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: Name,
 		Doc:  "forbids values derived from map iteration from reaching ordered output (trace/CSV emission, metric label sets, returned slices) without an intervening sort",
 		Run: func(pass *lint.Pass) error {
-			if len(prefixes) > 0 && !lint.PathMatches(pass.Pkg.Path, prefixes) {
-				return nil
-			}
 			for _, f := range pass.Pkg.Files {
 				if f.Test {
 					continue

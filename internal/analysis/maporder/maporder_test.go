@@ -8,5 +8,5 @@ import (
 )
 
 func TestMaporder(t *testing.T) {
-	analysistest.Run(t, "testdata", maporder.New())
+	analysistest.Run(t, "testdata", maporder.Default())
 }

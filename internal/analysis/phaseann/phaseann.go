@@ -25,8 +25,8 @@ import (
 	"github.com/horse-faas/horse/internal/analysis/ownership"
 )
 
-// New returns the phaseann analyzer.
-func New() *lint.Analyzer {
+// Default returns the analyzer as wired into cmd/horselint.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "phaseann",
 		Doc: "hotpath and ownership annotations must be well-formed, unique, and on production " +
@@ -36,9 +36,6 @@ func New() *lint.Analyzer {
 		Run: run,
 	}
 }
-
-// Default returns the analyzer as wired into cmd/horselint.
-func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
 	if pass.Program == nil {

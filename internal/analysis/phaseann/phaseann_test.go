@@ -1,7 +1,6 @@
 package phaseann_test
 
 import (
-	"go/token"
 	"strings"
 	"testing"
 
@@ -24,12 +23,11 @@ func TestHotpathAnnotations(t *testing.T) {
 // written.
 func strays(t *testing.T, pattern, want string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := lint.LoadAsModule(fset, "testdata", "", pattern)
+	pkgs, err := lint.LoadAsModule("testdata", "", pattern)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	diags, err := lint.Run(fset, pkgs, []*lint.Analyzer{phaseann.Default()})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{phaseann.Default()})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -29,8 +29,8 @@ import (
 	"github.com/horse-faas/horse/internal/analysis/ownership"
 )
 
-// New returns the shardsafe analyzer.
-func New() *lint.Analyzer {
+// Default returns the analyzer as wired into cmd/horselint.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "shardsafe",
 		Doc: "shard-phase code must not touch coordinator-owned state: no read/write of a " +
@@ -40,9 +40,6 @@ func New() *lint.Analyzer {
 		Run: run,
 	}
 }
-
-// Default returns the analyzer as wired into cmd/horselint.
-func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
 	if pass.Program == nil {

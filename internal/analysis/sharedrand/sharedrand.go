@@ -37,8 +37,8 @@ import (
 	"github.com/horse-faas/horse/internal/analysis/summary"
 )
 
-// New returns the sharedrand analyzer.
-func New() *lint.Analyzer {
+// Default returns the analyzer as wired into cmd/horselint.
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "sharedrand",
 		Doc: "production code may not use the global math/rand functions or seed a source from " +
@@ -48,9 +48,6 @@ func New() *lint.Analyzer {
 		Run: run,
 	}
 }
-
-// Default returns the analyzer as wired into cmd/horselint.
-func Default() *lint.Analyzer { return New() }
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Pkg.Files {

@@ -6,8 +6,10 @@
 // time.Now() or time.Sleep() inside a simulated component silently turns
 // a reproducible experiment into a host-dependent one. The analyzer
 // forbids the wall-clock APIs of package time inside the simulation
-// packages. Conversions and formatting (time.Duration, Duration.String)
-// remain legal — simtime itself uses them to print virtual durations.
+// packages: every package under internal/ except the analysis tree and
+// internal/testutil. Conversions and formatting (time.Duration,
+// Duration.String) remain legal — simtime itself uses them to print
+// virtual durations.
 //
 // Legitimate wall-clock uses (real micro-benchmarks, test harness
 // plumbing) opt out per line with
@@ -20,6 +22,7 @@ package simclock
 
 import (
 	"go/ast"
+	"strings"
 
 	"github.com/horse-faas/horse/internal/analysis/lint"
 )
@@ -41,47 +44,13 @@ var forbidden = map[string]bool{
 	"NewTicker": true,
 }
 
-// DefaultSimPackages is the production list of simulation package paths
-// the invariant governs. The list must cover every internal package
-// whose production code imports internal/simtime — asserted by
-// TestSimPackagesCoverSimtimeImporters, so a new simulation package
-// cannot silently escape the wall-clock invariant.
-var DefaultSimPackages = []string{
-	"github.com/horse-faas/horse/internal/simtime",
-	"github.com/horse-faas/horse/internal/eventsim",
-	"github.com/horse-faas/horse/internal/sched",
-	"github.com/horse-faas/horse/internal/vmm",
-	"github.com/horse-faas/horse/internal/core",
-	"github.com/horse-faas/horse/internal/faas",
-	"github.com/horse-faas/horse/internal/faultinject",
-	"github.com/horse-faas/horse/internal/runqueue",
-	"github.com/horse-faas/horse/internal/dvfs",
-	"github.com/horse-faas/horse/internal/pelt",
-	"github.com/horse-faas/horse/internal/credit2",
-	"github.com/horse-faas/horse/internal/snapshot",
-	"github.com/horse-faas/horse/internal/experiments",
-	"github.com/horse-faas/horse/internal/telemetry",
-	"github.com/horse-faas/horse/internal/metrics",
-	"github.com/horse-faas/horse/internal/trace",
-	"github.com/horse-faas/horse/internal/workload",
-	"github.com/horse-faas/horse/internal/cluster",
-	"github.com/horse-faas/horse/internal/loadgen",
-	"github.com/horse-faas/horse/internal/trigtrace",
-	"github.com/horse-faas/horse/internal/flightrec",
-	"github.com/horse-faas/horse/internal/tenant",
-}
-
 // Default returns the analyzer configured for this repository.
-func Default() *lint.Analyzer { return New(DefaultSimPackages...) }
-
-// New returns a simclock analyzer restricted to packages whose import
-// path matches one of the given prefixes.
-func New(prefixes ...string) *lint.Analyzer {
+func Default() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: Name,
 		Doc:  "forbids wall-clock time APIs inside simulation packages; virtual time must come from internal/simtime",
 		Run: func(pass *lint.Pass) error {
-			if !lint.PathMatches(pass.Pkg.Path, prefixes) {
+			if !governs(pass.Pkg.Path) {
 				return nil
 			}
 			for _, f := range pass.Pkg.Files {
@@ -93,6 +62,16 @@ func New(prefixes ...string) *lint.Analyzer {
 			return nil
 		},
 	}
+}
+
+// governs reports whether a package is a simulation package: it lies
+// under an internal/ directory, and not in the analysis tree (tooling
+// that never runs on the virtual clock) or internal/testutil (test
+// harness plumbing). A new internal package is governed without any
+// list to edit.
+func governs(pkgPath string) bool {
+	_, rest, ok := strings.Cut("/"+pkgPath, "/internal/")
+	return ok && !lint.PathMatches(rest, []string{"analysis", "testutil"})
 }
 
 func checkFile(pass *lint.Pass, f *lint.File) {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestSimclock(t *testing.T) {
-	analysistest.Run(t, "testdata", simclock.New("sim"))
+	analysistest.Run(t, "testdata", simclock.Default())
 }

@@ -1,5 +1,5 @@
-// Package sim stands in for a simulation package: the analyzer is
-// configured with this directory as a restricted prefix.
+// Package sim stands in for a simulation package: it sits under an
+// internal/ directory, so the analyzer governs it.
 package sim
 
 import (

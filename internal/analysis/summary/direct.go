@@ -76,7 +76,7 @@ type direct struct {
 // excluded from the facts entirely, so it cannot poison the verdict of
 // transitive callers.
 func (d *direct) allowedBy(analyzer string, pos token.Pos) bool {
-	return analyzer != "" && d.prog.Allowed(analyzer, d.prog.Fset.Position(pos))
+	return analyzer != "" && d.prog.Allowed(analyzer, lint.Fset().Position(pos))
 }
 
 func (d *direct) compute(n *callgraph.Node) *Facts {

@@ -1,7 +1,6 @@
 package summary_test
 
 import (
-	"go/token"
 	"strings"
 	"testing"
 
@@ -12,12 +11,11 @@ import (
 
 func load(t *testing.T) (*lint.Program, *summary.Set) {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := lint.LoadAsModule(fset, "testdata", "t")
+	pkgs, err := lint.LoadAsModule("testdata", "t")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	prog := lint.NewProgram(fset, pkgs)
+	prog := lint.NewProgram(pkgs)
 	set := summary.Compute(prog, summary.Config{
 		ErrorSeeds:    []string{"BeginPause"},
 		AllowAnalyzer: "hotpath",

@@ -30,7 +30,7 @@ type sandboxRec struct {
 func TestEngineLifecycleProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := vmm.New(vmm.Options{CPUs: 8, ULLQueues: 2})
+		h, err := vmm.New(vmm.Options{ULLQueues: 2})
 		if err != nil {
 			return false
 		}

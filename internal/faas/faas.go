@@ -190,8 +190,6 @@ func (pi *platformInstruments) bind(m *telemetry.Registry) {
 
 // Options configures a Platform.
 type Options struct {
-	// CPUs is the hypervisor's general-purpose core count (default 36).
-	CPUs int
 	// ULLQueues is the number of reserved ull_runqueues (default 1).
 	// Raise it for high uLL trigger rates (§4.1.3).
 	ULLQueues int
@@ -214,7 +212,6 @@ type Options struct {
 // New builds a platform.
 func New(opts Options) (*Platform, error) {
 	h, err := vmm.New(vmm.Options{
-		CPUs:      opts.CPUs,
 		ULLQueues: opts.ULLQueues,
 		Costs:     opts.Costs,
 		Tracer:    opts.Tracer,

@@ -90,14 +90,15 @@ type Hypervisor struct {
 	resumeFrame *ResumeContext
 }
 
+// generalCPUs is the number of general-purpose physical CPUs: one
+// socket of the paper's testbed.
+const generalCPUs = 36
+
 // Options configures a Hypervisor.
 type Options struct {
 	// Costs is the virtual cost model; the zero value selects
 	// DefaultCostModel.
 	Costs CostModel
-	// CPUs is the number of general-purpose physical CPUs (default 36,
-	// one socket of the paper's testbed).
-	CPUs int
 	// ULLQueues is the number of reserved ull_runqueues (default 1,
 	// §4.1.3; raise it for high uLL trigger rates).
 	ULLQueues int
@@ -118,11 +119,8 @@ func New(opts Options) (*Hypervisor, error) {
 	if opts.Costs == (CostModel{}) {
 		opts.Costs = DefaultCostModel()
 	}
-	if opts.CPUs == 0 {
-		opts.CPUs = 36
-	}
-	if opts.CPUs < 0 || opts.ULLQueues < 0 {
-		return nil, fmt.Errorf("%w: CPUs=%d ULLQueues=%d", ErrBadConfig, opts.CPUs, opts.ULLQueues)
+	if opts.ULLQueues < 0 {
+		return nil, fmt.Errorf("%w: ULLQueues=%d", ErrBadConfig, opts.ULLQueues)
 	}
 	if opts.ULLQueues == 0 {
 		opts.ULLQueues = 1
@@ -139,11 +137,11 @@ func New(opts Options) (*Hypervisor, error) {
 	if h.tracer != nil {
 		h.tracer.AttachClock(h.clock)
 	}
-	for i := 0; i < opts.CPUs; i++ {
+	for i := 0; i < generalCPUs; i++ {
 		h.general = append(h.general, runqueue.New(i, false))
 	}
 	for i := 0; i < opts.ULLQueues; i++ {
-		h.ull = append(h.ull, runqueue.New(opts.CPUs+i, true))
+		h.ull = append(h.ull, runqueue.New(generalCPUs+i, true))
 	}
 	return h, nil
 }

@@ -33,7 +33,7 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestNewRejectsNegative(t *testing.T) {
-	if _, err := New(Options{CPUs: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Options{ULLQueues: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}
 }
@@ -284,11 +284,8 @@ func TestDestroySandbox(t *testing.T) {
 }
 
 func TestLeastLoadedQueueSpreadsPlacements(t *testing.T) {
-	h, err := New(Options{CPUs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.CreateSandbox(Config{VCPUs: 8, MemoryMB: 512}); err != nil {
+	h := newHypervisor(t)
+	if _, err := h.CreateSandbox(Config{VCPUs: 2 * generalCPUs, MemoryMB: 512}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range h.Queues() {
