@@ -241,12 +241,12 @@ func benchPSMMerge(b *testing.B, targetSize, sourceSize int, sequential bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// Undo the previous iteration's splice in one pass so the target
-		// keeps its size, then re-arm the precomputed state and sources.
-		if len(spliced) > 0 {
-			target.RemoveIf(func(e *psm.Element[int]) bool { return spliced[e] })
-			clear(spliced)
+		// Undo the previous iteration's splice so the target keeps its
+		// size, then re-arm the precomputed state and sources.
+		for e := range spliced {
+			target.Remove(e)
 		}
+		clear(spliced)
 		pre.Rebuild()
 		for j := 0; j < sourceSize; j++ {
 			spliced[pre.AddSource(keyFor(j), j)] = true
@@ -282,10 +282,10 @@ func BenchmarkPSMMergeGroups(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if len(spliced) > 0 {
-					target.RemoveIf(func(e *psm.Element[int]) bool { return spliced[e] })
-					clear(spliced)
+				for e := range spliced {
+					target.Remove(e)
 				}
+				clear(spliced)
 				pre.Rebuild()
 				// One source element per desired group, each landing at
 				// a distinct splice position.

@@ -30,6 +30,9 @@ func traceCmd(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *spanBuffer < 1 {
+		return fmt.Errorf("trace: -span-buffer %d must be >= 1", *spanBuffer)
+	}
 
 	tracer := horse.NewTracer(horse.TracerOptions{Capacity: *spanBuffer})
 	registry := horse.NewMetricsRegistry()

@@ -194,3 +194,16 @@ func TestTraceRejectsUnknownExperiment(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
+
+func TestTraceBadArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"-span-buffer", "-1"},
+		{"-span-buffer", "0"},
+		{"-experiment", "replay", "-n", "0"},
+	} {
+		var buf bytes.Buffer
+		if err := run(append([]string{"trace", "-out", filepath.Join(t.TempDir(), "x")}, args...), &buf); err == nil {
+			t.Errorf("trace args %v accepted", args)
+		}
+	}
+}

@@ -70,6 +70,9 @@ func runCluster(args []string, w io.Writer) error {
 	if *ullNodes < 0 || *ullNodes > *nodes {
 		return fmt.Errorf("-ull-nodes %d must be in [0, -nodes]", *ullNodes)
 	}
+	if *pool < 0 || *ullSlots < 0 {
+		return fmt.Errorf("-pool %d and -ull-slots %d must be >= 0", *pool, *ullSlots)
+	}
 	if *format != "csv" && *format != "json" {
 		return fmt.Errorf("unknown format %q (want csv or json)", *format)
 	}

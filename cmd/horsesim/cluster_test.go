@@ -90,6 +90,12 @@ func TestClusterBadArguments(t *testing.T) {
 		{"-tenants", "acme:weight=0"},
 		{"-preset", "no-such-preset"},
 		{"-arrivals", "scan=poisson:rate=5/s,tenant=ghost", "-tenants", "acme:weight=2"},
+		{"-pool", "-2"},
+		{"-ull-slots", "-1"},
+		{"-ull-slots", "-1", "-ull-nodes", "0"},
+		{"-ull-admit-rate", "NaN"},
+		{"-ull-admit-rate", "-5"},
+		{"-ull-admit-rate", "6000"},
 	}
 	for _, args := range tests {
 		var buf bytes.Buffer

@@ -229,8 +229,6 @@ type (
 	Trace = trace.Trace
 	// Arrival is one expanded trace invocation instant.
 	Arrival = trace.Arrival
-	// TraceStats summarizes a trace's arrival process.
-	TraceStats = trace.Stats
 
 	// PayloadFunc supplies trigger payloads during a trace replay.
 	PayloadFunc = faas.PayloadFunc
@@ -361,14 +359,9 @@ type (
 	// FaultInjector raises seed-deterministic faults at named control-
 	// plane sites; thread one through PlatformOptions.Faults.
 	FaultInjector = faultinject.Injector
-	// FaultRule arms one injection site with one trigger (rate, nth, or
-	// every).
-	FaultRule = faultinject.Rule
 	// FaultSite names an injection point (create, pause, resume,
 	// restore, invoke, destroy).
 	FaultSite = faultinject.Site
-	// FaultStats counts one site's visits and injected faults.
-	FaultStats = faultinject.Stats
 	// FallbackConfig configures Trigger's degradation chain and the
 	// contention retry loop (PlatformOptions.Fallback).
 	FallbackConfig = faas.FallbackConfig
@@ -393,15 +386,6 @@ const (
 // errors.Is.
 var ErrFaultInjected = faultinject.ErrInjected
 
-// NewFaultInjector builds an injector from a seed and explicit rules.
-func NewFaultInjector(seed int64, rules ...FaultRule) (*FaultInjector, error) {
-	return faultinject.New(seed, rules...)
-}
-
-// ParseFaultSpec parses the -faults flag syntax
-// ("resume:rate=0.05,pause:nth=3,invoke:every=100") into rules.
-func ParseFaultSpec(spec string) ([]FaultRule, error) { return faultinject.ParseSpec(spec) }
-
 // FaultInjectorFromSpec builds an injector directly from a spec string;
 // an empty spec yields a nil (inert) injector.
 func FaultInjectorFromSpec(seed int64, spec string) (*FaultInjector, error) {
@@ -415,15 +399,9 @@ func SynthesizeTrace(cfg TraceConfig) *Trace { return trace.Synthesize(cfg) }
 // layout.
 func ParseTrace(r io.Reader) (*Trace, error) { return trace.ParseCSV(r) }
 
-// WriteTrace emits a trace in the same CSV layout ParseTrace reads.
-func WriteTrace(w io.Writer, t *Trace) error { return trace.WriteCSV(w, t) }
-
 // TraceArrivals expands a trace's per-minute counts into sorted arrival
 // instants, deterministically by seed.
 func TraceArrivals(t *Trace, seed int64) []Arrival { return t.Arrivals(seed) }
-
-// ComputeTraceStats summarizes a trace's arrival process.
-func ComputeTraceStats(t *Trace) (TraceStats, error) { return trace.ComputeStats(t) }
 
 // Cluster scale-out (DESIGN.md §11): a deterministic multi-node
 // deployment behind pluggable placement policies, fed by an open-loop
@@ -455,14 +433,8 @@ type (
 	// LoadWorkload binds one function name to an arrival process and a
 	// start-mode mix (one clause of the -arrivals flag).
 	LoadWorkload = loadgen.Workload
-	// ArrivalSpec is one open-loop arrival process (poisson or onoff).
-	ArrivalSpec = loadgen.Spec
 	// StartModeMix is a workload's distribution over start modes.
 	StartModeMix = loadgen.ModeMix
-	// LoadGenerator produces open-loop arrivals on the virtual clock.
-	LoadGenerator = loadgen.Generator
-	// LoadGeneratorOptions configures NewLoadGenerator.
-	LoadGeneratorOptions = loadgen.Options
 )
 
 // Placement policies (ClusterOptions.Policy).
@@ -486,14 +458,12 @@ const (
 type (
 	// TraceRecorder aggregates per-trigger traces: attribution table,
 	// violation counts, and flight-recorder retention. Cluster.Run arms
-	// one automatically; pass one to Cluster.SetTrace to size the
-	// retention or to share it across sequential runs, on one cluster
-	// or several. A run whose recorder another run still holds fails
-	// with ErrTraceRecorderInUse. A nil recorder records nothing.
-	// Traces it does not retain are recycled; Traces returns copies.
+	// one automatically and Cluster.Trace returns it; pass it to another
+	// cluster's SetTrace to share it across sequential runs. A run whose
+	// recorder another run still holds fails with ErrTraceRecorderInUse.
+	// A nil recorder records nothing. Traces it does not retain are
+	// recycled; Traces returns copies.
 	TraceRecorder = trigtrace.Recorder
-	// TraceRecorderOptions configures NewTraceRecorder.
-	TraceRecorderOptions = trigtrace.RecorderOptions
 	// TriggerTrace is one trigger's span tree: typed stage records plus
 	// the end-to-end outcome.
 	TriggerTrace = trigtrace.TriggerTrace
@@ -505,11 +475,6 @@ type (
 // ErrTraceRecorderInUse is the error of a Cluster.Run whose trace
 // recorder another cluster's run still holds.
 var ErrTraceRecorderInUse = trigtrace.ErrRecorderInUse
-
-// NewTraceRecorder builds a per-trigger trace recorder.
-func NewTraceRecorder(opts TraceRecorderOptions) *TraceRecorder {
-	return trigtrace.NewRecorder(opts)
-}
 
 // WriteTriggerPerfetto emits trigger span trees as Chrome/Perfetto
 // trace-event JSON (one track per trigger, flow-linked stages), loadable
@@ -531,16 +496,6 @@ func PlacementPolicies() []string { return cluster.Policies() }
 // function=spec clauses, e.g.
 // "scan=poisson:rate=2000/s;thumbnail=onoff:on=10ms,off=90ms,rate=500/s,mode=warm".
 func ParseWorkloads(s string) ([]LoadWorkload, error) { return loadgen.ParseWorkloads(s) }
-
-// ParseArrivalSpec parses one arrival-process clause, e.g.
-// "poisson:rate=500/s" or "onoff:on=1ms,off=9ms,rate=2000/s".
-func ParseArrivalSpec(s string) (ArrivalSpec, error) { return loadgen.ParseSpec(s) }
-
-// NewLoadGenerator builds an open-loop arrival generator with one PRNG
-// stream per workload, all derived from seed.
-func NewLoadGenerator(seed int64, workloads []LoadWorkload, opts LoadGeneratorOptions) (*LoadGenerator, error) {
-	return loadgen.New(seed, workloads, opts)
-}
 
 // Multi-tenancy (DESIGN.md §14): per-tenant admission control and
 // weighted-fair sharing of the reserved uLL slots.
@@ -565,9 +520,6 @@ type (
 // name:key=value clauses, e.g.
 // "steady:weight=4,slots=3;greedy:weight=1,rate=2500/s,burst=50".
 func ParseTenants(s string) ([]TenantSpec, error) { return tenant.ParseSpecs(s) }
-
-// FormatTenants renders tenant specs back in ParseTenants syntax.
-func FormatTenants(specs []TenantSpec) string { return tenant.FormatSpecs(specs) }
 
 // LoadPresets returns every named scenario preset in display order.
 func LoadPresets() []LoadPreset { return loadgen.Presets() }

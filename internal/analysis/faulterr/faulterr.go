@@ -4,8 +4,9 @@
 // Every site the fault injector (internal/faultinject, DESIGN.md §10)
 // can fire at — sandbox create/destroy, pause/resume entry, restore and
 // invoke hooks — surfaces as the error result of a small set of calls.
-// PR 3's Reap bug was exactly a dropped one: a mid-sweep destroy error
-// silently discarded left the pool inconsistent. The analyzer tracks
+// The keep-alive reaper's first bug was exactly a dropped one: a
+// mid-sweep destroy error silently discarded left the pool
+// inconsistent. The analyzer tracks
 // the error result of each monitored call through the CFG and reports
 // when, on at least one path, it reaches neither a check (any read: a
 // condition, a wrap, an argument, a return) nor the function's caller —
@@ -61,7 +62,6 @@ var seeds = []string{
 	"DestroySandbox",
 	"Finish",
 	"Pause",
-	"Reap",
 	"RemoveVCPUs",
 	"Restore",
 	"Resume",

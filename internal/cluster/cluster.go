@@ -146,10 +146,7 @@ type Cluster struct {
 	seq        uint64                      //horselint:coordinator
 	sloBudgets map[string]simtime.Duration //horselint:coordinator
 
-	rejected     uint64            //horselint:coordinator
-	failed       uint64            //horselint:coordinator
-	failovers    map[string]uint64 //horselint:coordinator
-	rehomeFailed uint64            //horselint:coordinator
+	failovers map[string]uint64 //horselint:coordinator
 
 	// freeJobs holds finished pendingJobs, zeroed, for newJob to reuse:
 	// a run allocates a job only when more are in flight at once than
@@ -176,6 +173,9 @@ func New(opts Options) (*Cluster, error) {
 	if shards > len(specs) {
 		shards = len(specs)
 	}
+	if opts.ULLAdmitRate != 0 && len(opts.Tenants) == 0 {
+		return nil, fmt.Errorf("cluster: uLL admission rate %g needs tenants", opts.ULLAdmitRate)
+	}
 	c := &Cluster{
 		clock:       simtime.NewClock(),
 		deployments: make(map[string]deploymentEntry),
@@ -186,12 +186,15 @@ func New(opts Options) (*Cluster, error) {
 		failovers:   make(map[string]uint64),
 	}
 	for i, spec := range specs {
+		id := fmt.Sprintf("node%02d", i)
+		if spec.ULLSlots < 0 || spec.MemoryMB < 0 {
+			return nil, fmt.Errorf("cluster: %s: negative capacity (ULLSlots %d, MemoryMB %d)", id, spec.ULLSlots, spec.MemoryMB)
+		}
 		spec = spec.withDefaults()
 		ullQueues := spec.ULLSlots
 		if ullQueues < 1 {
 			ullQueues = 1
 		}
-		id := fmt.Sprintf("node%02d", i)
 		p, err := faas.New(faas.Options{
 			ULLQueues: ullQueues,
 			Metrics:   opts.Metrics,
@@ -276,36 +279,6 @@ func (c *Cluster) SetSLOBudget(name string, budget simtime.Duration) {
 	}
 	c.sloBudgets[name] = budget
 }
-
-// Rejected returns how many triggers found no eligible node.
-func (c *Cluster) Rejected() uint64 { return c.rejected }
-
-// Failed returns how many triggers failed on-node without being
-// retried elsewhere (invocation failures).
-func (c *Cluster) Failed() uint64 { return c.failed }
-
-// Failovers returns the total re-routing decisions taken.
-func (c *Cluster) Failovers() uint64 {
-	var total uint64
-	for _, n := range c.failovers {
-		total += n
-	}
-	return total
-}
-
-// FailoversByReason returns the failover breakdown. The caller owns the
-// returned map.
-func (c *Cluster) FailoversByReason() map[string]uint64 {
-	out := make(map[string]uint64, len(c.failovers))
-	for reason, n := range c.failovers {
-		out[reason] = n
-	}
-	return out
-}
-
-// RehomeFailures returns how many drain re-homing operations failed
-// partway (the drain still completes; capacity is degraded).
-func (c *Cluster) RehomeFailures() uint64 { return c.rehomeFailed }
 
 // node looks a node up by id.
 func (c *Cluster) node(id string) (*Node, error) {
@@ -461,24 +434,6 @@ func (c *Cluster) poolTotal(name string, policy core.Policy) int {
 	return total
 }
 
-// Rebalance redistributes every deployment's current warm capacity
-// across the healthy nodes — the periodic repair step that undoes the
-// skew left behind by drains, failures, and reaping.
-func (c *Cluster) Rebalance() error {
-	for _, name := range c.DeploymentNames() {
-		for _, policy := range []core.Policy{core.Vanilla, core.Horse} {
-			total := c.poolTotal(name, policy)
-			if total == 0 {
-				continue
-			}
-			if _, err := c.ScaleCluster(name, total, policy); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Drain gracefully removes a node: it stops receiving new triggers
 // immediately, and its warm capacity is re-homed onto the surviving
 // nodes deployment by deployment. A re-homing error degrades capacity
@@ -503,16 +458,14 @@ func (c *Cluster) Drain(id string) error {
 			}
 			survivors := c.poolTotal(name, policy)
 			if err := n.platform.ScaleTo(name, 0, policy); err != nil {
-				// The pool shrink failed partway; the node keeps its
-				// orphaned sandboxes, which no trigger will ever reach.
-				c.rehomeFailed++
+				// The pool shrink failed partway; the node keeps the
+				// undestroyed sandboxes, which no trigger will ever reach.
 				if firstErr == nil {
 					firstErr = fmt.Errorf("cluster: drain %s: release %q: %w", id, name, err)
 				}
 				continue
 			}
 			if _, err := c.ScaleCluster(name, survivors+departing, policy); err != nil {
-				c.rehomeFailed++
 				if firstErr == nil {
 					firstErr = fmt.Errorf("cluster: drain %s: re-home %q: %w", id, name, err)
 				}
@@ -546,7 +499,7 @@ func (c *Cluster) Fail(id string) error {
 // resetRunState clears every piece of per-run accumulator state so
 // back-to-back Runs on one cluster report exactly what a fresh cluster
 // would. Before this reset existed, a second Run inherited the first
-// run's rejected/failed/failover tallies, node placement counters, the
+// run's failover tallies, node placement counters, the
 // round-robin cursor, stale SLO budgets, and — worst — the lazily
 // armed trace recorder's aggregates and retained flight traces, so its
 // report double-counted the previous experiment (Run's Claim on the
@@ -558,9 +511,6 @@ func (c *Cluster) Fail(id string) error {
 //horselint:coordinator
 func (c *Cluster) resetRunState() {
 	c.seq = 0
-	c.rejected = 0
-	c.failed = 0
-	c.rehomeFailed = 0
 	c.failovers = make(map[string]uint64)
 	c.sloBudgets = nil
 	c.router.policy.reset()
@@ -652,22 +602,4 @@ func (c *Cluster) Settle() simtime.Time {
 	}
 	c.clock.AdvanceTo(latest)
 	return latest
-}
-
-// Reap runs every healthy node's keep-alive reaper and returns the
-// total sandboxes destroyed.
-func (c *Cluster) Reap() (int, error) {
-	total := 0
-	for _, n := range c.nodes {
-		if n.health != Up {
-			continue
-		}
-		reaped, err := n.platform.Reap()
-		total += reaped
-		if err != nil {
-			return total, fmt.Errorf("cluster: reap on %s: %w", n.id, err)
-		}
-	}
-	c.publishTenantOccupancy()
-	return total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
+	"github.com/horse-faas/horse/internal/tenant"
 	"github.com/horse-faas/horse/internal/testutil"
 	"github.com/horse-faas/horse/internal/workload"
 )
@@ -50,6 +52,29 @@ func TestNewRequiresANode(t *testing.T) {
 		c, err := New(tc.opts)
 		if err == nil || !strings.Contains(err.Error(), "need at least one node") {
 			t.Errorf("%s: New = %v, %v; want the need-at-least-one-node error", tc.name, c, err)
+		}
+	}
+}
+
+// TestNewRejectsOutOfRangeSettings pins that capacity and admission
+// settings outside their range fail construction instead of silently
+// running as the default.
+func TestNewRejectsOutOfRangeSettings(t *testing.T) {
+	tenants := []tenant.Spec{{Name: "acme", Weight: 1}}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"negative uLL slots", Options{Specs: []NodeSpec{{}, {ULLSlots: -1}}}, "node01"},
+		{"negative memory", Options{Specs: []NodeSpec{{MemoryMB: -1}}}, "node00"},
+		{"admit rate without tenants", Options{Specs: []NodeSpec{{}}, ULLAdmitRate: 6000}, "needs tenants"},
+		{"NaN admit rate", Options{Specs: []NodeSpec{{}}, ULLAdmitRate: math.NaN()}, "needs tenants"},
+		{"negative admit rate", Options{Specs: []NodeSpec{{}}, ULLAdmitRate: -5}, "needs tenants"},
+		{"admit rate out of range", Options{Specs: []NodeSpec{{ULLSlots: 1}}, Tenants: tenants, ULLAdmitRate: -5}, "uLL admission rate"},
+	} {
+		if _, err := New(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New err = %v; want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -223,7 +248,7 @@ func TestTriggerFailsOverWhenNodeLacksCapacity(t *testing.T) {
 	if placement.Node != "node01" || placement.Failovers != 1 {
 		t.Fatalf("placement = %+v, want node01 after one failover", placement)
 	}
-	if got := c.FailoversByReason()[ReasonTriggerFailed]; got != 1 {
+	if got := c.failovers[ReasonTriggerFailed]; got != 1 {
 		t.Fatalf("trigger-failed failovers = %d, want 1", got)
 	}
 }
@@ -245,11 +270,8 @@ func TestInvokeFailureIsNotRetriedElsewhere(t *testing.T) {
 	if !errors.Is(terr, ErrInvokeNotRetried) {
 		t.Fatalf("invoke-failure trigger = %v, want ErrInvokeNotRetried", terr)
 	}
-	if c.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1", c.Failed())
-	}
-	if n := c.Failovers(); n != 0 {
-		t.Fatalf("invocation failure caused %d failovers; user code must not be double-executed", n)
+	if n := len(c.failovers); n != 0 {
+		t.Fatalf("invocation failure caused failovers %v; user code must not be double-executed", c.failovers)
 	}
 }
 
@@ -284,7 +306,7 @@ func TestTriggerDuringDrainRehomesAndFailsOver(t *testing.T) {
 	if p.Node == "node01" || p.Failovers != 1 {
 		t.Fatalf("trigger-during-drain placement = %+v, want one failover away from node01", p)
 	}
-	if got := c.FailoversByReason()[ReasonNodeDraining]; got != 1 {
+	if got := c.failovers[ReasonNodeDraining]; got != 1 {
 		t.Fatalf("node-draining failovers = %d, want 1", got)
 	}
 	drained, err := c.node("node01")
@@ -310,9 +332,6 @@ func TestTriggerDuringDrainRehomesAndFailsOver(t *testing.T) {
 			t.Fatal("trigger placed on draining node")
 		}
 	}
-	if c.RehomeFailures() != 0 {
-		t.Fatalf("re-home failures = %d, want 0", c.RehomeFailures())
-	}
 }
 
 func TestAllNodesFailedRejectsTrigger(t *testing.T) {
@@ -336,10 +355,7 @@ func TestAllNodesFailedRejectsTrigger(t *testing.T) {
 	if placement.NodeIndex != -1 || placement.Failovers != 2 {
 		t.Fatalf("placement = %+v, want rejection after 2 failovers", placement)
 	}
-	if c.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", c.Rejected())
-	}
-	if got := c.FailoversByReason()[ReasonNodeFailed]; got != 2 {
+	if got := c.failovers[ReasonNodeFailed]; got != 2 {
 		t.Fatalf("node-failed failovers = %d, want 2", got)
 	}
 	for _, n := range c.Nodes() {
@@ -350,48 +366,6 @@ func TestAllNodesFailedRejectsTrigger(t *testing.T) {
 	// The cluster stays rejecting — and stays deterministic — afterward.
 	if _, _, terr := c.Trigger("scan", faas.ModeHorse, scanPayload(t)); !errors.Is(terr, ErrNoNodes) {
 		t.Fatalf("second trigger = %v, want ErrNoNodes", terr)
-	}
-}
-
-func TestRebalanceAfterReapRestoresSpread(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	c := testCluster(t, PolicyRoundRobin, NodeSpec{}, NodeSpec{})
-	registerScan(t, c, faas.SandboxSpec{})
-	if _, err := c.ScaleCluster("scan", 4, core.Vanilla); err != nil {
-		t.Fatal(err)
-	}
-	// node00's local clock runs ahead past the keep-alive window, so the
-	// reaper destroys its pool while node01's stays warm.
-	c.Nodes()[0].Platform().Clock().Advance(2 * faas.DefaultKeepAlive)
-	reaped, err := c.Reap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reaped != 2 {
-		t.Fatalf("reaped %d, want 2 (node00's idle pool)", reaped)
-	}
-	if got := c.poolTotal("scan", core.Vanilla); got != 2 {
-		t.Fatalf("pool total after reap = %d, want 2", got)
-	}
-	// Rebalance must spread the surviving capacity back out, shrinking
-	// node01 and re-provisioning node00 — the interleaving that used to
-	// be impossible to express on one node.
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range c.Nodes() {
-		if got := n.poolCount("scan", core.Vanilla); got != 1 {
-			t.Fatalf("%s pool after rebalance = %d, want 1", n.ID(), got)
-		}
-	}
-	// An immediate second reap finds nothing idle: the rebalanced
-	// entries are freshly paused.
-	reaped, err = c.Reap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reaped != 0 {
-		t.Fatalf("second reap destroyed %d fresh sandboxes", reaped)
 	}
 }
 

@@ -252,7 +252,6 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 	if v := c.tenants.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
 		job.err = entry.rejects[v]
 		job.outErr = job.err.Error()
-		c.rejected++
 	}
 	return job
 }
@@ -348,7 +347,6 @@ func (c *Cluster) settle(job *pendingJob) (retry bool) {
 	if errors.Is(terr, faas.ErrInvokeFailed) {
 		// The function body ran and died; retrying on another node
 		// would double-execute user code.
-		c.failed++
 		job.err = fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr)
 		job.outErr = terr.Error()
 		return false
@@ -384,7 +382,6 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 	for {
 		n, err := c.router.Pick(c, job.fn, job.ull, job.excluded, job.arrival)
 		if err != nil {
-			c.rejected++
 			if job.lastErr != nil {
 				err = fmt.Errorf("%w (last node error: %v)", err, job.lastErr)
 			}
@@ -409,9 +406,8 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 		}
 		if ferr := c.faults.Check(faultinject.SiteNodeDrain); ferr != nil {
 			if err := c.Drain(n.id); err != nil {
-				// A partial re-home degrades capacity but the node is
-				// draining regardless; the failover below still applies.
-				c.rehomeFailed++
+				// A partial re-home only degrades capacity: the node is
+				// draining regardless, and the failover below applies.
 			}
 			c.countFailover(ReasonNodeDraining)
 			job.tc.Reroute(job.arrival, n.id, ReasonNodeDraining)

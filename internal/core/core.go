@@ -450,17 +450,3 @@ func (e *Engine) Validate() error {
 	}
 	return nil
 }
-
-// MergeThreadCount returns the number of merge threads Algorithm 1 would
-// run for the next HORSE resume of sb (the posA key count), or 0 if not
-// prepared. The splices themselves run inline on the resuming goroutine;
-// the colocation experiment models the threads' preemption in virtual
-// time (sched.PriorityMerge) with one thread per vCPU, this count's upper
-// bound.
-func (e *Engine) MergeThreadCount(sb *vmm.Sandbox) int {
-	st, ok := e.states[sb.ID()]
-	if !ok || st.pre == nil {
-		return 0
-	}
-	return st.pre.GroupCount()
-}

@@ -217,7 +217,7 @@ func TestPauseNonULLRejected(t *testing.T) {
 func TestResumeWithoutPrepare(t *testing.T) {
 	e := newEngine(t)
 	sb := ullSandbox(t, e, 1)
-	if _, err := e.Hypervisor().Pause(sb); err != nil {
+	if _, err := e.Hypervisor().AppendPause(nil, sb); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Resume(sb, Horse); !errors.Is(err, ErrNotPrepared) {
@@ -299,9 +299,9 @@ func TestULLQueueLoadBalancing(t *testing.T) {
 		}
 	}
 	// Paused sandboxes spread across the three ull queues by observer count.
-	for _, q := range h.ULLQueues() {
+	for i, q := range h.ULLQueues() {
 		if q.ObserverCount() != 2 {
-			t.Fatalf("queue %d observers = %d, want balanced 2", q.ID(), q.ObserverCount())
+			t.Fatalf("queue %d observers = %d, want balanced 2", i, q.ObserverCount())
 		}
 	}
 }
@@ -325,21 +325,6 @@ func TestForgetReleasesState(t *testing.T) {
 	}
 }
 
-func TestMergeThreadCount(t *testing.T) {
-	e := newEngine(t)
-	sb := ullSandbox(t, e, 4)
-	if got := e.MergeThreadCount(sb); got != 0 {
-		t.Fatalf("unprepared MergeThreadCount = %d, want 0", got)
-	}
-	if _, err := e.Pause(sb, Horse); err != nil {
-		t.Fatal(err)
-	}
-	// All vCPUs share one splice point on an empty queue: one group.
-	if got := e.MergeThreadCount(sb); got != 1 {
-		t.Fatalf("MergeThreadCount = %d, want 1", got)
-	}
-}
-
 func TestCoalResumePlacesOnULLQueue(t *testing.T) {
 	e := newEngine(t)
 	rr := pauseResume(t, e, 6, Coal)
@@ -347,21 +332,20 @@ func TestCoalResumePlacesOnULLQueue(t *testing.T) {
 	if q.Len() != 6 {
 		t.Fatalf("ull queue len = %d, want 6", q.Len())
 	}
-	// Exactly one coalesced load update ran.
-	if got := q.Load().Updates(); got != 1 {
-		t.Fatalf("load updates = %d, want 1", got)
+	// Exactly one coalesced load update ran, and no per-vCPU one.
+	if got, ok := lookupStep(rr, vmm.StepCoalesce); !ok || got != e.Hypervisor().Costs().CoalescedUpdate {
+		t.Fatalf("coalesce step = %v (recorded %v), want one CoalescedUpdate", got, ok)
 	}
-	if _, ok := lookupStep(rr, vmm.StepCoalesce); !ok {
-		t.Fatal("coal resume missing coalesce step")
+	if _, ok := lookupStep(rr, vmm.StepLoad); ok {
+		t.Fatal("coal resume charged per-vCPU load updates")
 	}
 }
 
 func TestPPSMResumeLoadUpdatesPerVCPU(t *testing.T) {
 	e := newEngine(t)
-	pauseResume(t, e, 6, PPSM)
-	q := e.Hypervisor().ULLQueues()[0]
-	if got := q.Load().Updates(); got != 6 {
-		t.Fatalf("load updates = %d, want 6 (per vCPU)", got)
+	rr := pauseResume(t, e, 6, PPSM)
+	if got, _ := lookupStep(rr, vmm.StepLoad); got != 6*e.Hypervisor().Costs().LoadUpdate {
+		t.Fatalf("load step = %v, want 6 per-vCPU updates (%v each)", got, e.Hypervisor().Costs().LoadUpdate)
 	}
 }
 

@@ -47,7 +47,6 @@ var (
 type account struct {
 	credit Credit
 	weight int
-	burned simtime.Duration
 }
 
 // Ledger tracks the credit of a pool of schedulable entities sharing an
@@ -57,8 +56,6 @@ type account struct {
 // scheduling accounting under its locks.
 type Ledger struct {
 	accounts map[string]*account
-	epochs   uint64
-	resets   uint64
 }
 
 // NewLedger returns an empty ledger.
@@ -90,31 +87,6 @@ func (l *Ledger) Unregister(id string) {
 // Len returns the number of registered entities.
 func (l *Ledger) Len() int { return len(l.accounts) }
 
-// Epochs returns how many allocation epochs have occurred (including the
-// implicit first one).
-func (l *Ledger) Epochs() uint64 { return l.epochs + 1 }
-
-// Resets returns how many credit resets were triggered by Burn.
-func (l *Ledger) Resets() uint64 { return l.resets }
-
-// CreditOf returns the entity's current credit.
-func (l *Ledger) CreditOf(id string) (Credit, error) {
-	a, ok := l.accounts[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownEntity, id)
-	}
-	return a.credit, nil
-}
-
-// BurnedOf returns the total CPU time the entity has been charged for.
-func (l *Ledger) BurnedOf(id string) (simtime.Duration, error) {
-	a, ok := l.accounts[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownEntity, id)
-	}
-	return a.burned, nil
-}
-
 // Burn charges an entity for ran CPU time, scaled by its weight as in
 // credit2 (an entity of twice the default weight burns half as fast).
 // If the entity's credit drops below CreditMin, a new allocation epoch
@@ -129,7 +101,6 @@ func (l *Ledger) Burn(id string, ran simtime.Duration) (Credit, error) {
 	if ran < 0 {
 		return 0, fmt.Errorf("credit2: negative runtime %v", ran)
 	}
-	a.burned += ran
 	a.credit -= int64(ran) * DefaultWeight / int64(a.weight)
 	if a.credit < CreditMin {
 		l.reset()
@@ -139,26 +110,10 @@ func (l *Ledger) Burn(id string, ran simtime.Duration) (Credit, error) {
 
 // reset starts a new allocation epoch.
 func (l *Ledger) reset() {
-	l.epochs++
-	l.resets++
 	for _, a := range l.accounts {
 		a.credit += CreditInit
 		if a.credit > CreditInit {
 			a.credit = CreditInit
 		}
 	}
-}
-
-// MinCredit returns the lowest credit across the pool and the entity
-// holding it; ok is false for an empty ledger. The least-credit entity
-// is the one a credit-sorted run queue dispatches first (§3.1).
-func (l *Ledger) MinCredit() (id string, credit Credit, ok bool) {
-	first := true
-	for eid, a := range l.accounts {
-		if first || a.credit < credit || (a.credit == credit && eid < id) {
-			id, credit, ok = eid, a.credit, true
-			first = false
-		}
-	}
-	return id, credit, ok
 }

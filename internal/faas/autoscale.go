@@ -17,8 +17,7 @@ type PoolStats struct {
 	// deployment's per-sandbox MemoryMB). Memory attribution is computed
 	// here, where the pools live, so cluster-level admission and tenant
 	// quota checks charge exactly what the platform has committed — a
-	// ledger kept elsewhere could drift across reaping and destroy
-	// failures.
+	// ledger kept elsewhere could drift across destroy failures.
 	CommittedMB int
 	// OldestIdle is the longest a pooled sandbox has sat paused.
 	OldestIdle simtime.Duration
@@ -78,7 +77,11 @@ func (p *Platform) ScaleTo(name string, target int, policy core.Policy) error {
 }
 
 // shrinkPool destroys n pool entries of the given policy, oldest first.
+// An entry leaves the pool only once its sandbox is destroyed, so a
+// failed destroy leaves it pooled (still paused, still prepared), and
+// the pool gauge is refreshed on every exit.
 func (p *Platform) shrinkPool(d *Deployment, n int, policy core.Policy) error {
+	defer p.updatePoolGauge()
 	for ; n > 0; n-- {
 		oldest := -1
 		for i, ps := range d.pool {
@@ -93,26 +96,11 @@ func (p *Platform) shrinkPool(d *Deployment, n int, policy core.Policy) error {
 			return fmt.Errorf("faas: pool shrink found no %q entries", policy)
 		}
 		ps := d.pool[oldest]
-		d.pool = append(d.pool[:oldest], d.pool[oldest+1:]...)
-		p.engine.Forget(ps.sb)
 		if err := p.h.DestroySandbox(ps.sb); err != nil {
 			return err
 		}
-	}
-	p.updatePoolGauge()
-	return nil
-}
-
-// EnsureWarm tops the pool up so at least target sandboxes armed for the
-// policy are ready, without ever shrinking — the reconciliation step a
-// background autoscaler runs after every burst of triggers.
-func (p *Platform) EnsureWarm(name string, target int, policy core.Policy) error {
-	stats, err := p.PoolStats(name)
-	if err != nil {
-		return err
-	}
-	if have := stats.ByPolicy[policy]; have < target {
-		return p.Provision(name, target-have, policy)
+		d.pool = append(d.pool[:oldest], d.pool[oldest+1:]...)
+		p.engine.Forget(ps.sb)
 	}
 	return nil
 }

@@ -112,26 +112,6 @@ func TestScaleToValidation(t *testing.T) {
 	}
 }
 
-func TestEnsureWarmTopsUpOnly(t *testing.T) {
-	p := newPlatform(t)
-	registerScan(t, p)
-	if err := p.EnsureWarm("scan", 2, core.Horse); err != nil {
-		t.Fatal(err)
-	}
-	stats, _ := p.PoolStats("scan")
-	if stats.ByPolicy[core.Horse] != 2 {
-		t.Fatalf("pool = %v, want 2", stats.ByPolicy)
-	}
-	// Already above target: no shrink.
-	if err := p.EnsureWarm("scan", 1, core.Horse); err != nil {
-		t.Fatal(err)
-	}
-	stats, _ = p.PoolStats("scan")
-	if stats.ByPolicy[core.Horse] != 2 {
-		t.Fatalf("EnsureWarm shrank the pool: %v", stats.ByPolicy)
-	}
-}
-
 func TestAutoscaleUnderTriggerLoad(t *testing.T) {
 	p := newPlatform(t)
 	if _, err := p.Register(workload.DefaultNAT(), SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
@@ -141,17 +121,14 @@ func TestAutoscaleUnderTriggerLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := mustJSON(t, workload.NATPacket{DstIP: "203.0.113.10", DstPort: 80})
-	// Triggers consume and re-pause pool entries; the reconciler keeps
-	// the pool at target throughout.
+	// Triggers consume and re-pause pool entries, so the pool stays at
+	// target throughout.
 	for i := 0; i < 30; i++ {
 		if _, err := p.Trigger("nat", ModeHorse, payload); err != nil {
 			t.Fatalf("trigger %d: %v", i, err)
 		}
-		if err := p.EnsureWarm("nat", 3, core.Horse); err != nil {
-			t.Fatal(err)
-		}
 		stats, _ := p.PoolStats("nat")
-		if stats.ByPolicy[core.Horse] < 3 {
+		if stats.ByPolicy[core.Horse] != 3 {
 			t.Fatalf("trigger %d: pool fell to %v", i, stats.ByPolicy)
 		}
 	}

@@ -18,7 +18,6 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faultinject"
@@ -89,11 +88,6 @@ type SandboxSpec struct {
 // restore-mode snapshot maps eagerly (FaaSnap-style working set).
 const snapshotWorkingSet = 0.05
 
-// DefaultKeepAlive is how long an idle warm sandbox survives before the
-// reaper destroys it. It mirrors the fixed keep-alive windows of
-// production platforms (paper §1's keep-alive strategy references).
-const DefaultKeepAlive = 10 * 60 * simtime.Second
-
 type pooledSandbox struct {
 	sb       *vmm.Sandbox
 	policy   core.Policy
@@ -148,7 +142,6 @@ type Platform struct {
 	clock  *simtime.Clock
 
 	deployments map[string]*Deployment
-	reaped      uint64
 
 	faults   *faultinject.Injector
 	fallback FallbackConfig
@@ -242,9 +235,6 @@ func (p *Platform) Engine() *core.Engine { return p.engine }
 
 // Clock returns the platform's virtual clock.
 func (p *Platform) Clock() *simtime.Clock { return p.clock }
-
-// Reaped returns how many idle sandboxes the keep-alive reaper destroyed.
-func (p *Platform) Reaped() uint64 { return p.reaped }
 
 // Register deploys a function.
 func (p *Platform) Register(fn workload.Function, spec SandboxSpec) (*Deployment, error) {
@@ -587,56 +577,6 @@ func (p *Platform) releaseFailedResume(d *Deployment, ps pooledSandbox, rerr err
 	}
 	p.updatePoolGauge()
 	return rerr
-}
-
-// Reap destroys pooled sandboxes idle past their deployment's keep-alive
-// window and returns how many were destroyed. Deployments are visited in
-// name order so a fault-injected run reaps deterministically.
-//
-// A failed destroy stops the sweep but leaves every pool consistent: the
-// undestroyed sandbox and everything not yet visited stay pooled (still
-// paused, still prepared, still resumable), sandboxes already destroyed
-// are gone from their pool, and the reap counters and pool gauge reflect
-// exactly what happened.
-func (p *Platform) Reap() (int, error) {
-	reaped := 0
-	now := p.clock.Now()
-	names := make([]string, 0, len(p.deployments))
-	for name := range p.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sweepErr error
-	for _, name := range names {
-		d := p.deployments[name]
-		// kept aliases the pool's prefix; at index i it holds at most i
-		// elements, so both appends below copy leftward and never clobber
-		// an unread entry.
-		kept := d.pool[:0]
-		for i, ps := range d.pool {
-			if now.Sub(ps.pausedAt) > DefaultKeepAlive {
-				if err := p.h.DestroySandbox(ps.sb); err != nil {
-					kept = append(kept, d.pool[i:]...)
-					sweepErr = fmt.Errorf("faas: reaping %q: %w", name, err)
-					break
-				}
-				p.engine.Forget(ps.sb)
-				reaped++
-				continue
-			}
-			kept = append(kept, ps)
-		}
-		d.pool = kept
-		if sweepErr != nil {
-			break
-		}
-	}
-	p.reaped += uint64(reaped)
-	if m := p.h.Metrics(); m != nil && reaped > 0 {
-		m.Counter("faas_keepalive_expirations_total").Add(uint64(reaped))
-	}
-	p.updatePoolGauge()
-	return reaped, sweepErr
 }
 
 // recordPoolLookup counts a warm-pool hit or miss and refreshes the pool

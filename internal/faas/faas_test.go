@@ -259,49 +259,6 @@ func TestInvokeErrorDestroysSandbox(t *testing.T) {
 	}
 }
 
-func TestReapKeepAlive(t *testing.T) {
-	p := newPlatform(t)
-	d := registerScan(t, p)
-	if err := p.Provision("scan", 2, core.Horse); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := p.Reap(); err != nil || n != 0 {
-		t.Fatalf("early reap = %d, %v", n, err)
-	}
-	// Each pause takes virtual time, so the second sandbox was pooled
-	// later than the first.
-	first, last := d.pool[0].pausedAt, d.pool[1].pausedAt
-	if !first.Before(last) {
-		t.Fatalf("pausedAt %v, %v: want the second pooled later", first, last)
-	}
-	// At exactly DefaultKeepAlive idle the second sandbox survives; the
-	// first, idle longer, is reaped.
-	p.Clock().Advance(last.Add(DefaultKeepAlive).Sub(p.Clock().Now()))
-	if n, err := p.Reap(); err != nil || n != 1 {
-		t.Fatalf("reap at the window boundary = %d, %v; want 1", n, err)
-	}
-	if d.WarmPoolSize() != 1 || d.pool[0].pausedAt != last {
-		t.Fatalf("pool = %d, want only the sandbox idle for exactly DefaultKeepAlive", d.WarmPoolSize())
-	}
-	// One nanosecond later it has outlived the window.
-	p.Clock().Advance(simtime.Nanosecond)
-	if n, err := p.Reap(); err != nil || n != 1 {
-		t.Fatalf("reap 1ns past the window = %d, %v; want 1", n, err)
-	}
-	if p.Reaped() != 2 {
-		t.Fatalf("Reaped() = %d, want 2", p.Reaped())
-	}
-	if d.WarmPoolSize() != 0 {
-		t.Fatal("pool not emptied")
-	}
-	if p.Engine().PreparedSandboxes() != 0 {
-		t.Fatal("reaper leaked prepared HORSE state")
-	}
-	if p.Hypervisor().Sandboxes() != 0 {
-		t.Fatal("reaper leaked sandboxes")
-	}
-}
-
 func TestStartModeString(t *testing.T) {
 	tests := []struct {
 		give StartMode

@@ -14,7 +14,6 @@ import (
 	"github.com/horse-faas/horse/internal/trace"
 	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/vmm"
-	"github.com/horse-faas/horse/internal/workload"
 )
 
 // newFaultyPlatform builds a platform with a metrics registry, an armed
@@ -202,52 +201,72 @@ func TestWarmMissLeavesClockUntouched(t *testing.T) {
 	}
 }
 
-// TestReapDestroyErrorKeepsPoolConsistent is the regression test for the
-// in-place filter corruption: a mid-sweep destroy failure must leave the
-// pool holding exactly the undestroyed sandboxes, in agreement with the
-// gauge, and a later sweep finishes the job.
-func TestReapDestroyErrorKeepsPoolConsistent(t *testing.T) {
-	inj := mustInjector(t, 1, faultinject.Rule{Site: faultinject.SiteDestroy, Nth: 2})
+// TestShrinkDestroyErrorKeepsPoolConsistent pins DESIGN.md §10's "pool
+// and gauge stay consistent" for a failed shrink: the entry whose
+// destroy failed stays pooled (still paused, still prepared), the gauge
+// agrees with the pool and the hypervisor, and a later shrink finishes
+// the job.
+func TestShrinkDestroyErrorKeepsPoolConsistent(t *testing.T) {
+	inj := mustInjector(t, 1, faultinject.Rule{Site: faultinject.SiteDestroy, Nth: 1})
 	p := newFaultyPlatform(t, inj, FallbackConfig{})
-	if _, err := p.Register(workload.NewScan(1), SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
+	d := registerScan(t, p)
+	if err := p.ScaleTo("scan", 3, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Provision("scan", 3, core.Horse); err != nil {
-		t.Fatal(err)
+	if err := p.ScaleTo("scan", 1, core.Horse); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("shrink err = %v, want injected destroy fault", err)
 	}
-	p.Clock().Advance(2 * DefaultKeepAlive)
-	n, err := p.Reap()
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("reap err = %v, want injected destroy fault", err)
-	}
-	if n != 1 {
-		t.Fatalf("reaped = %d, want 1 before the failure", n)
-	}
-	d, _ := p.Deployment("scan")
 	m := p.Hypervisor().Metrics()
-	if d.WarmPoolSize() != 2 {
-		t.Fatalf("pool = %d after failed sweep, want 2", d.WarmPoolSize())
+	check := func(stage string, want int) {
+		t.Helper()
+		if d.WarmPoolSize() != want {
+			t.Fatalf("%s: pool = %d, want %d", stage, d.WarmPoolSize(), want)
+		}
+		if got := m.Gauge("faas_warm_pool_size").Value(); got != int64(want) {
+			t.Fatalf("%s: pool gauge = %d, want %d", stage, got, want)
+		}
+		if n := p.Hypervisor().Sandboxes(); n != want {
+			t.Fatalf("%s: hypervisor sandboxes = %d, want %d", stage, n, want)
+		}
+		if n := p.Engine().PreparedSandboxes(); n != want {
+			t.Fatalf("%s: prepared sandboxes = %d, want %d", stage, n, want)
+		}
+	}
+	check("after failed shrink", 3)
+	// The nth=1 fault is one-shot: the retry destroys the two oldest.
+	if err := p.ScaleTo("scan", 1, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	check("after retry", 1)
+}
+
+// TestInvokeAndDestroyFaultsBothReported covers a guest crash whose
+// sandbox then fails to destroy: the trigger's error carries both
+// faults, and the pool and its gauge still agree.
+func TestInvokeAndDestroyFaultsBothReported(t *testing.T) {
+	inj := mustInjector(t, 1,
+		faultinject.Rule{Site: faultinject.SiteInvoke, Nth: 1},
+		faultinject.Rule{Site: faultinject.SiteDestroy, Nth: 1})
+	p := newFaultyPlatform(t, inj, FallbackConfig{})
+	d := registerScan(t, p)
+	if err := p.Provision("scan", 2, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	_, err := p.Trigger("scan", ModeHorse, scanPayload(t))
+	if !errors.Is(err, ErrInvokeFailed) {
+		t.Fatalf("err = %v, want ErrInvokeFailed", err)
+	}
+	for _, site := range []faultinject.Site{faultinject.SiteInvoke, faultinject.SiteDestroy} {
+		if !strings.Contains(err.Error(), "injected fault at "+string(site)) {
+			t.Fatalf("err = %v, want the %s fault", err, site)
+		}
+	}
+	m := p.Hypervisor().Metrics()
+	if d.WarmPoolSize() != 1 {
+		t.Fatalf("pool = %d, want 1 (the crashed sandbox is not re-pooled)", d.WarmPoolSize())
 	}
 	if got := m.Gauge("faas_warm_pool_size").Value(); got != int64(d.WarmPoolSize()) {
 		t.Fatalf("pool gauge = %d, pool = %d", got, d.WarmPoolSize())
-	}
-	if p.Reaped() != 1 {
-		t.Fatalf("Reaped() = %d, want 1", p.Reaped())
-	}
-	// The surviving entries are intact — still paused, still prepared —
-	// so the next sweep (the nth=2 fault is one-shot) reaps them all.
-	n, err = p.Reap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || d.WarmPoolSize() != 0 {
-		t.Fatalf("second sweep reaped %d, pool %d; want 2 and 0", n, d.WarmPoolSize())
-	}
-	if got := m.Gauge("faas_warm_pool_size").Value(); got != 0 {
-		t.Fatalf("pool gauge = %d after full sweep, want 0", got)
-	}
-	if n := p.Hypervisor().Sandboxes(); n != 0 {
-		t.Fatalf("hypervisor sandboxes = %d, want 0", n)
 	}
 }
 

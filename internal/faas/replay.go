@@ -62,8 +62,8 @@ var ErrEmptyReplay = errors.New("faas: replay matched no deployed function")
 // the same server node where it will run").
 //
 // Arrivals for unregistered functions are counted and skipped. For warm
-// and HORSE modes the deployments must hold provisioned sandboxes; use
-// EnsureWarm between bursts or provision enough ahead of time.
+// and HORSE modes the deployments must hold provisioned sandboxes;
+// provision enough ahead of time.
 func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads PayloadFunc) (ReplayReport, error) {
 	if payloads == nil {
 		return ReplayReport{}, errors.New("faas: nil payload function")

@@ -126,7 +126,7 @@ func TestTracedTriggerStampsSpans(t *testing.T) {
 	}
 }
 
-func TestPoolMissAndReapMetrics(t *testing.T) {
+func TestPoolMissAndShrinkMetrics(t *testing.T) {
 	m := telemetry.NewRegistry()
 	p := newTracedPlatform(t, nil, m)
 	registerScan(t, p)
@@ -140,19 +140,14 @@ func TestPoolMissAndReapMetrics(t *testing.T) {
 	if err := p.Provision("scan", 2, core.Vanilla); err != nil {
 		t.Fatal(err)
 	}
-	p.Clock().Advance(2 * DefaultKeepAlive)
-	n, err := p.Reap()
-	if err != nil {
+	if got := m.Gauge("faas_warm_pool_size").Value(); got != 2 {
+		t.Fatalf("pool gauge after provision = %d", got)
+	}
+	if err := p.ScaleTo("scan", 0, core.Vanilla); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("reaped %d, want 2", n)
-	}
-	if got := m.Counter("faas_keepalive_expirations_total").Value(); got != 2 {
-		t.Fatalf("expirations = %d", got)
-	}
 	if got := m.Gauge("faas_warm_pool_size").Value(); got != 0 {
-		t.Fatalf("pool gauge after reap = %d", got)
+		t.Fatalf("pool gauge after shrink = %d", got)
 	}
 }
 

@@ -57,8 +57,8 @@ const (
 	// simulating a function crash.
 	SiteInvoke Site = "invoke"
 	// SiteDestroy fires at sandbox destruction (vmm.DestroySandbox),
-	// the failure mode that exercised the keep-alive reaper's pool
-	// consistency.
+	// the failure mode that tests pool consistency on a shrink or a
+	// crashed invocation.
 	SiteDestroy Site = "destroy"
 	// SiteNodeFail fires on the cluster routing path, checked once per
 	// routing decision; a fired fault kills the node that was about to
@@ -157,10 +157,9 @@ func (r Rule) validate() error {
 //
 //horselint:shardlocal
 type siteState struct {
-	rng      *rand.Rand
-	rules    []Rule
-	visits   uint64
-	injected uint64
+	rng    *rand.Rand
+	rules  []Rule
+	visits uint64
 }
 
 // Injector evaluates the armed rules at each Check. The zero value and
@@ -259,44 +258,10 @@ func (in *Injector) Check(site Site) error {
 			fire = st.rng.Float64() < r.Rate
 		}
 		if fire {
-			st.injected++
 			return &Error{Site: site, Visit: st.visits, Err: r.Err}
 		}
 	}
 	return nil
-}
-
-// Stats summarizes one site's activity.
-type Stats struct {
-	// Visits counts Check calls at the site.
-	Visits uint64
-	// Injected counts the visits at which a fault fired.
-	Injected uint64
-}
-
-// SiteStats returns the counters for one site. Safe on a nil injector.
-func (in *Injector) SiteStats(site Site) Stats {
-	if in == nil {
-		return Stats{}
-	}
-	st, ok := in.sites[site]
-	if !ok {
-		return Stats{}
-	}
-	return Stats{Visits: st.visits, Injected: st.injected}
-}
-
-// AllStats snapshots the counters of every armed or visited site. The
-// caller owns the returned map. Safe on a nil injector.
-func (in *Injector) AllStats() map[Site]Stats {
-	if in == nil {
-		return nil
-	}
-	out := make(map[Site]Stats, len(in.sites))
-	for s, st := range in.sites {
-		out[s] = Stats{Visits: st.visits, Injected: st.injected}
-	}
-	return out
 }
 
 // String renders the armed rules back in ParseSpec syntax, in stable

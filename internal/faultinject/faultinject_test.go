@@ -13,12 +13,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if err := in.Check(SiteResume); err != nil {
 		t.Fatalf("nil injector injected: %v", err)
 	}
-	if got := in.SiteStats(SiteResume); got != (Stats{}) {
-		t.Fatalf("nil injector stats = %+v", got)
-	}
-	if in.AllStats() != nil {
-		t.Fatal("nil injector AllStats != nil")
-	}
 	if in.String() != "" {
 		t.Fatalf("nil injector String = %q", in.String())
 	}
@@ -54,9 +48,8 @@ func TestNthFiresExactlyOnce(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 3 {
 		t.Fatalf("nth=3 fired at visits %v, want [3]", fired)
 	}
-	st := in.SiteStats(SiteResume)
-	if st.Visits != 10 || st.Injected != 1 {
-		t.Fatalf("stats = %+v, want 10 visits, 1 injected", st)
+	if got := in.sites[SiteResume].visits; got != 10 {
+		t.Fatalf("visits = %d, want 10", got)
 	}
 }
 
@@ -336,7 +329,7 @@ func TestDeriveIndependentDeterministicStreams(t *testing.T) {
 		t.Fatalf("child visit 3 = %v, want injected fault", err)
 	}
 	// Deriving never perturbs the parent's own counters or streams.
-	if got := parent.SiteStats(SiteResume).Visits; got != 2 {
+	if got := parent.sites[SiteResume].visits; got != 2 {
 		t.Fatalf("parent resume visits = %d, want 2", got)
 	}
 }

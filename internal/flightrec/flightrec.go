@@ -84,16 +84,14 @@ type Buffer[T any] struct {
 	score   func(T) simtime.Duration
 	release func(T)
 
-	ring    []slot[T]
-	head    int
-	cap     int
-	evicted uint64
+	ring []slot[T]
+	head int
+	cap  int
 
 	worst []scored[T] // ascending by (score, then descending seq): worst[0] is the eviction candidate
 	k     int
 
 	offered uint64
-	kept    uint64
 }
 
 // New builds a buffer. capacity bounds the must-keep ring and worstK
@@ -136,7 +134,6 @@ func (b *Buffer[T]) Offer(item T, mustKeep bool) Reason {
 			old := b.ring[b.head]
 			b.ring[b.head] = slot[T]{item: item, seq: seq}
 			b.head = (b.head + 1) % b.cap
-			b.evicted++
 			if !b.leaveRing(old.seq) {
 				b.free(old.item)
 			}
@@ -148,8 +145,6 @@ func (b *Buffer[T]) Offer(item T, mustKeep bool) Reason {
 	}
 	if reason == ReasonDropped {
 		b.free(item)
-	} else {
-		b.kept++
 	}
 	return reason
 }
@@ -228,11 +223,9 @@ func (b *Buffer[T]) Reset() {
 	clear(b.ring)
 	b.ring = b.ring[:0]
 	b.head = 0
-	b.evicted = 0
 	clear(b.worst)
 	b.worst = b.worst[:0]
 	b.offered = 0
-	b.kept = 0
 }
 
 // Ring returns the must-keep ring, oldest first. The caller owns the
@@ -266,47 +259,4 @@ func (b *Buffer[T]) Worst() []T {
 		out = append(out, b.worst[i].item)
 	}
 	return out
-}
-
-// Offered returns how many items have been submitted.
-func (b *Buffer[T]) Offered() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.offered
-}
-
-// Kept returns how many offers were retained (must-keep or worst-K) at
-// the moment they were offered; ring eviction and worst-K displacement
-// can later drop them again.
-func (b *Buffer[T]) Kept() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.kept
-}
-
-// Evicted returns how many must-keep items the ring overwrote.
-func (b *Buffer[T]) Evicted() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.evicted
-}
-
-// Len returns the current ring occupancy plus worst-K occupancy (items
-// may appear in both).
-func (b *Buffer[T]) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.ring) + len(b.worst)
 }

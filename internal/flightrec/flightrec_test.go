@@ -34,9 +34,6 @@ func TestNilBufferIsInert(t *testing.T) {
 	if b.Ring() != nil || b.Worst() != nil {
 		t.Fatal("nil buffer returned non-nil contents")
 	}
-	if b.Offered() != 0 || b.Kept() != 0 || b.Evicted() != 0 || b.Len() != 0 {
-		t.Fatal("nil buffer reported non-zero counters")
-	}
 }
 
 func TestDefaultsApplied(t *testing.T) {
@@ -55,9 +52,6 @@ func TestMustKeepRingEvictsOldest(t *testing.T) {
 	}
 	if got, want := ids(b.Ring()), []int{3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Ring = %v, want %v", got, want)
-	}
-	if b.Evicted() != 2 {
-		t.Fatalf("Evicted = %d, want 2", b.Evicted())
 	}
 }
 
@@ -99,8 +93,8 @@ func TestOfferReasonPrecedence(t *testing.T) {
 	if got := b.Offer(item{id: 3, score: 1}, false); got != ReasonDropped {
 		t.Fatalf("Offer = %q, want %q", got, ReasonDropped)
 	}
-	if b.Offered() != 3 || b.Kept() != 2 {
-		t.Fatalf("Offered/Kept = %d/%d, want 3/2", b.Offered(), b.Kept())
+	if b.offered != 3 {
+		t.Fatalf("offered = %d, want 3", b.offered)
 	}
 }
 
@@ -140,8 +134,8 @@ func TestConcurrentOffers(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := b.Offered(), uint64(workers*perWorker); got != want {
-		t.Fatalf("Offered = %d, want %d", got, want)
+	if got, want := b.offered, uint64(workers*perWorker); got != want {
+		t.Fatalf("offered = %d, want %d", got, want)
 	}
 	if got := len(b.Ring()); got != 8 {
 		t.Fatalf("ring occupancy = %d, want 8", got)
@@ -168,7 +162,7 @@ func TestResetReturnsBufferToFreshState(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Offer(item{id: i, score: simtime.Duration(i * 10)}, true)
 	}
-	if b.Evicted() == 0 || b.Len() == 0 {
+	if len(b.Ring()) == 0 || len(b.Worst()) == 0 {
 		t.Fatal("setup did not populate ring and worst-K")
 	}
 
@@ -180,9 +174,8 @@ func TestResetReturnsBufferToFreshState(t *testing.T) {
 	if got := b.Worst(); len(got) != 0 {
 		t.Fatalf("Worst after Reset = %v, want empty", got)
 	}
-	if b.Offered() != 0 || b.Kept() != 0 || b.Evicted() != 0 || b.Len() != 0 {
-		t.Fatalf("counters after Reset = offered %d kept %d evicted %d len %d, want all zero",
-			b.Offered(), b.Kept(), b.Evicted(), b.Len())
+	if b.offered != 0 || b.head != 0 {
+		t.Fatalf("after Reset offered = %d, head = %d; want both zero", b.offered, b.head)
 	}
 
 	// The buffer must behave exactly like a freshly built one: offer
@@ -196,9 +189,6 @@ func TestResetReturnsBufferToFreshState(t *testing.T) {
 	}
 	if got := ids(b.Worst()); len(got) != 2 || got[0] != 100 || got[1] != 101 {
 		t.Fatalf("Worst after Reset+offers = %v, want earliest offers [100 101]", got)
-	}
-	if b.Evicted() != 1 {
-		t.Fatalf("Evicted after Reset+offers = %d, want 1", b.Evicted())
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package metrics provides the statistics used by every experiment
-// harness: exact percentiles over recorded samples, mean with a 95%
-// confidence interval (the paper repeats each experiment 10× and reports
-// CIs <= 3%), and fixed-width histograms for streaming summaries.
+// harness: exact percentiles and means over recorded samples, and
+// fixed-width histograms for streaming summaries.
 package metrics
 
 import (
@@ -114,14 +113,6 @@ func (s *Series) Mean() (simtime.Duration, error) {
 	return simtime.Duration(int64(s.sum) / int64(s.n)), nil
 }
 
-// Min returns the smallest sample.
-func (s *Series) Min() (simtime.Duration, error) {
-	if s.n == 0 {
-		return 0, ErrNoSamples
-	}
-	return s.at(1), nil
-}
-
 // Max returns the largest sample.
 func (s *Series) Max() (simtime.Duration, error) {
 	if s.n == 0 {
@@ -178,82 +169,6 @@ func (s *Series) Summarize() (Summary, error) {
 	p95, _ := s.Percentile(95)
 	p99, _ := s.Percentile(99)
 	return Summary{Count: s.n, Mean: mean, Min: s.at(1), Max: s.at(s.n), P50: p50, P95: p95, P99: p99}, nil
-}
-
-// MeanCI95 is a mean with its 95% confidence half-width.
-type MeanCI95 struct {
-	Mean      float64
-	HalfWidth float64
-}
-
-// RelativeWidth returns the half-width as a fraction of the mean
-// (the paper targets <= 3%); it is +Inf for a zero mean with nonzero
-// half-width and 0 when both are zero.
-func (m MeanCI95) RelativeWidth() float64 {
-	if m.Mean == 0 {
-		if m.HalfWidth == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(m.HalfWidth / m.Mean)
-}
-
-// tTable holds two-sided 97.5% t-quantiles for small degrees of freedom;
-// beyond 30 the normal approximation 1.96 is used.
-var tTable = map[int]float64{
-	1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-	6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-	15: 2.131, 20: 2.086, 25: 2.060, 30: 2.042,
-}
-
-func tQuantile(df int) float64 {
-	if v, ok := tTable[df]; ok {
-		return v
-	}
-	if df > 30 {
-		return 1.96
-	}
-	// Untabulated df (11-14, 16-19, 21-24, 26-29) fall back to the
-	// largest tabulated df below the request — equivalently, the smallest
-	// tabulated quantile at or below df, since t-quantiles decrease
-	// monotonically in df. That neighbour's quantile is strictly larger
-	// than the exact value (e.g. df=11 uses the df=10 value 2.228 instead
-	// of the true 2.201), so the resulting confidence interval is
-	// conservative: never narrower than Student's t prescribes. df < 1
-	// never occurs (CI95 needs n >= 2) but would get the widest entry.
-	best := 12.706
-	for k, v := range tTable {
-		if k <= df && v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// CI95 computes the mean and 95% confidence half-width of raw repeated
-// measurements (Student's t).
-func CI95(values []float64) (MeanCI95, error) {
-	n := len(values)
-	if n == 0 {
-		return MeanCI95{}, ErrNoSamples
-	}
-	var sum float64
-	for _, v := range values {
-		sum += v
-	}
-	mean := sum / float64(n)
-	if n == 1 {
-		return MeanCI95{Mean: mean}, nil
-	}
-	var acc float64
-	for _, v := range values {
-		d := v - mean
-		acc += d * d
-	}
-	sd := math.Sqrt(acc / float64(n-1))
-	half := tQuantile(n-1) * sd / math.Sqrt(float64(n))
-	return MeanCI95{Mean: mean, HalfWidth: half}, nil
 }
 
 // Histogram is a fixed-width bucket histogram over durations, used for

@@ -24,9 +24,6 @@ func TestSeriesEmpty(t *testing.T) {
 	if _, err := s.Mean(); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("Mean err = %v", err)
 	}
-	if _, err := s.Min(); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("Min err = %v", err)
-	}
 	if _, err := s.Max(); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("Max err = %v", err)
 	}
@@ -43,8 +40,8 @@ func TestSeriesBasicStats(t *testing.T) {
 	if got, _ := s.Mean(); got != 25 {
 		t.Fatalf("Mean = %v, want 25", got)
 	}
-	if got, _ := s.Min(); got != 10 {
-		t.Fatalf("Min = %v, want 10", got)
+	if sum, _ := s.Summarize(); sum.Min != 10 {
+		t.Fatalf("Min = %v, want 10", sum.Min)
 	}
 	if got, _ := s.Max(); got != 40 {
 		t.Fatalf("Max = %v, want 40", got)
@@ -93,12 +90,12 @@ func TestSeriesPercentileNearestRank(t *testing.T) {
 
 func TestSeriesRecordAfterSortedQuery(t *testing.T) {
 	s := seriesOf(5, 1)
-	if got, _ := s.Min(); got != 1 {
-		t.Fatalf("Min = %v", got)
+	if sum, _ := s.Summarize(); sum.Min != 1 {
+		t.Fatalf("Min = %v", sum.Min)
 	}
 	s.Record(0) // lands after a fold
-	if got, _ := s.Min(); got != 0 {
-		t.Fatalf("Min after Record = %v, want 0", got)
+	if sum, _ := s.Summarize(); sum.Min != 0 {
+		t.Fatalf("Min after Record = %v, want 0", sum.Min)
 	}
 }
 
@@ -116,50 +113,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if sum.P50 != 500 || sum.P95 != 950 || sum.P99 != 990 {
 		t.Fatalf("percentiles = %+v", sum)
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if _, err := CI95(nil); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("err = %v", err)
-	}
-	one, err := CI95([]float64{42})
-	if err != nil || one.Mean != 42 || one.HalfWidth != 0 {
-		t.Fatalf("single CI = %+v, %v", one, err)
-	}
-	// Ten identical values: zero-width interval.
-	same := make([]float64, 10)
-	for i := range same {
-		same[i] = 7
-	}
-	ci, err := CI95(same)
-	if err != nil || ci.Mean != 7 || ci.HalfWidth != 0 {
-		t.Fatalf("identical CI = %+v, %v", ci, err)
-	}
-	if ci.RelativeWidth() != 0 {
-		t.Fatalf("RelativeWidth = %v, want 0", ci.RelativeWidth())
-	}
-	// Known case: n=10, df=9, t=2.262.
-	vals := []float64{10, 12, 9, 11, 10, 10, 11, 9, 10, 8}
-	ci, err = CI95(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Mean != 10 {
-		t.Fatalf("Mean = %v, want 10", ci.Mean)
-	}
-	if ci.HalfWidth <= 0 || ci.RelativeWidth() > 0.1 {
-		t.Fatalf("CI = %+v", ci)
-	}
-}
-
-func TestCI95ZeroMeanNonzeroSpread(t *testing.T) {
-	ci, err := CI95([]float64{-1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(ci.RelativeWidth(), 1) {
-		t.Fatalf("RelativeWidth = %v, want +Inf", ci.RelativeWidth())
 	}
 }
 
@@ -274,7 +227,8 @@ func TestPercentileOracleProperty(t *testing.T) {
 					return false
 				}
 			}
-			minV, _ := s.Min()
+			summary, _ := s.Summarize()
+			minV := summary.Min
 			maxV, _ := s.Max()
 			mean, _ := s.Mean()
 			return s.Len() == k && minV == sorted[0] && maxV == sorted[k-1] &&
@@ -387,40 +341,9 @@ func TestHistogramQuantileUpperBoundProperty(t *testing.T) {
 	}
 }
 
-func TestTQuantileRegimes(t *testing.T) {
-	// df in the table, df requiring the next-lower tabulated value, and
-	// the large-sample normal approximation.
-	mk := func(n int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = float64(i % 5)
-		}
-		return out
-	}
-	small, err := CI95(mk(11)) // df=10, tabulated 2.228
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := CI95(mk(13)) // df=12, falls back to df=10's quantile
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := CI95(mk(100)) // df=99 → 1.96
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.HalfWidth <= 0 || mid.HalfWidth <= 0 || large.HalfWidth <= 0 {
-		t.Fatalf("half widths: %v %v %v", small.HalfWidth, mid.HalfWidth, large.HalfWidth)
-	}
-	// Wider interval for fewer samples (same underlying distribution).
-	if !(small.HalfWidth > large.HalfWidth) {
-		t.Fatalf("CI did not shrink with samples: %v vs %v", small.HalfWidth, large.HalfWidth)
-	}
-}
-
 func TestSeriesReset(t *testing.T) {
 	s := seriesOf(3, 1, 2)
-	if _, err := s.Min(); err != nil { // force a fold
+	if _, err := s.Max(); err != nil { // force a fold
 		t.Fatal(err)
 	}
 	s.Reset()
@@ -433,8 +356,8 @@ func TestSeriesReset(t *testing.T) {
 	// The series must be fully usable again, with nothing left to fold.
 	s.Record(5)
 	s.Record(4)
-	if min, err := s.Min(); err != nil || min != 4 {
-		t.Fatalf("min after refill = %v, %v", min, err)
+	if sum, err := s.Summarize(); err != nil || sum.Min != 4 {
+		t.Fatalf("min after refill = %v, %v", sum.Min, err)
 	}
 }
 
@@ -445,47 +368,6 @@ func TestHistogramShapeAccessors(t *testing.T) {
 	}
 	if h.BucketWidth() != 50*simtime.Nanosecond || h.NumBuckets() != 100 {
 		t.Fatalf("shape = %v x %d", h.BucketWidth(), h.NumBuckets())
-	}
-}
-
-// TestTQuantilePinned pins the exact fallback behaviour for every df
-// regime, in particular the untabulated 11-14 band: each falls back to
-// the largest tabulated df below it (df=10's 2.228), which over-covers
-// because t-quantiles decrease monotonically in df.
-func TestTQuantilePinned(t *testing.T) {
-	cases := []struct {
-		df   int
-		want float64
-	}{
-		{1, 12.706}, // tabulated
-		{5, 2.571},  // tabulated
-		{10, 2.228}, // tabulated
-		{11, 2.228}, // untabulated: falls back to df=10
-		{12, 2.228},
-		{13, 2.228},
-		{14, 2.228},
-		{15, 2.131}, // tabulated
-		{16, 2.131}, // untabulated: falls back to df=15
-		{19, 2.131},
-		{20, 2.086}, // tabulated
-		{24, 2.086}, // untabulated: falls back to df=20
-		{26, 2.060}, // untabulated: falls back to df=25
-		{30, 2.042}, // tabulated
-		{31, 1.96},  // normal approximation
-		{1000, 1.96},
-	}
-	for _, tc := range cases {
-		if got := tQuantile(tc.df); got != tc.want {
-			t.Errorf("tQuantile(%d) = %v, want %v", tc.df, got, tc.want)
-		}
-	}
-	// The conservative property itself: every fallback value must be at
-	// least the true quantile of the next tabulated df above (approx by
-	// the normal bound 1.96 for df <= 30).
-	for df := 1; df <= 30; df++ {
-		if got := tQuantile(df); got < 1.96 {
-			t.Errorf("tQuantile(%d) = %v below the normal bound", df, got)
-		}
 	}
 }
 

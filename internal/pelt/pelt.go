@@ -97,15 +97,13 @@ func IterUpdate(x, alpha, beta float64, n int) float64 {
 // RunqueueLoad is the lock-protected load variable of one run queue
 // (paper abstract: "the update of a lock-protected variable, which
 // represents the vCPUs' load on each CPU"). The mutex models the real
-// contention point; Updates counts lock acquisitions so the overhead
-// experiment can compare vanilla (n acquisitions per resume) with HORSE
-// (one).
+// contention point: vanilla takes it once per vCPU, HORSE once per
+// resume.
 type RunqueueLoad struct {
-	mu      sync.Mutex
-	load    float64
-	alpha   float64
-	beta    float64
-	updates uint64
+	mu    sync.Mutex
+	load  float64
+	alpha float64
+	beta  float64
 }
 
 // NewRunqueueLoad returns a load tracker with the given affine constants.
@@ -133,63 +131,31 @@ func (r *RunqueueLoad) Load() float64 {
 	return r.load
 }
 
-// Updates returns the number of locked update operations performed.
-func (r *RunqueueLoad) Updates() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.updates
-}
-
 // PlaceEntity performs one vanilla step-⑤ update under the lock, as the
 // unmodified resume path does for every vCPU.
-func (r *RunqueueLoad) PlaceEntity() float64 {
+func (r *RunqueueLoad) PlaceEntity() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.load = Update(r.load, r.alpha, r.beta)
-	r.updates++
-	return r.load
 }
 
 // PlaceCoalesced applies precomputed coefficients in a single locked
 // update — HORSE's step-⑤ replacement.
-func (r *RunqueueLoad) PlaceCoalesced(c Coefficients) float64 {
+func (r *RunqueueLoad) PlaceCoalesced(c Coefficients) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.load = c.Apply(r.load)
-	r.updates++
-	return r.load
 }
 
 // RemoveEntity subtracts one entity's contribution when a vCPU leaves the
 // queue (sandbox pause). The inverse of the affine placement is
 // approximate in real PELT; we model the kernel's behaviour of removing
 // the entity's tracked contribution directly.
-func (r *RunqueueLoad) RemoveEntity() float64 {
+func (r *RunqueueLoad) RemoveEntity() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.load -= r.beta
 	if r.load < 0 {
 		r.load = 0
 	}
-	r.updates++
-	return r.load
-}
-
-// Decay ages the load by n idle periods (load := αⁿ·load), as the
-// governor tick does for queues that received no contributions.
-func (r *RunqueueLoad) Decay(n int) float64 {
-	if n <= 0 {
-		return r.Load()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.load *= math.Pow(r.alpha, float64(n))
-	return r.load
-}
-
-// SetForTest overwrites the load figure; only tests use it.
-func (r *RunqueueLoad) SetForTest(v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.load = v
 }

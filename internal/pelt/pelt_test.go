@@ -109,9 +109,6 @@ func TestRunqueueLoadPlaceAndRemove(t *testing.T) {
 	if got := r.Load(); got != 150 {
 		t.Fatalf("Load = %v, want 150", got)
 	}
-	if got := r.Updates(); got != 2 {
-		t.Fatalf("Updates = %d, want 2", got)
-	}
 	r.RemoveEntity()
 	if got := r.Load(); got != 50 {
 		t.Fatalf("Load after remove = %v, want 50", got)
@@ -125,8 +122,10 @@ func TestRunqueueLoadPlaceAndRemove(t *testing.T) {
 func TestRunqueueLoadCoalescedEqualsIterated(t *testing.T) {
 	vanilla := NewRunqueueLoad(0.9, 64)
 	fast := NewRunqueueLoad(0.9, 64)
-	vanilla.SetForTest(512)
-	fast.SetForTest(512)
+	for i := 0; i < 8; i++ { // the same non-zero starting load
+		vanilla.PlaceEntity()
+		fast.PlaceEntity()
+	}
 
 	const n = 36
 	for i := 0; i < n; i++ {
@@ -140,23 +139,6 @@ func TestRunqueueLoadCoalescedEqualsIterated(t *testing.T) {
 
 	if diff := math.Abs(vanilla.Load() - fast.Load()); diff > 1e-6 {
 		t.Fatalf("vanilla %v != coalesced %v", vanilla.Load(), fast.Load())
-	}
-	// The whole point: 36 locked updates collapse into one.
-	if vanilla.Updates() != n || fast.Updates() != 1 {
-		t.Fatalf("updates vanilla=%d fast=%d, want 36 and 1", vanilla.Updates(), fast.Updates())
-	}
-}
-
-func TestRunqueueLoadDecay(t *testing.T) {
-	r := NewRunqueueLoad(0.5, 100)
-	r.SetForTest(800)
-	r.Decay(3) // 800 * 0.125
-	if got := r.Load(); got != 100 {
-		t.Fatalf("Decay = %v, want 100", got)
-	}
-	r.Decay(0)
-	if got := r.Load(); got != 100 {
-		t.Fatalf("Decay(0) changed load to %v", got)
 	}
 }
 
@@ -176,8 +158,5 @@ func TestRunqueueLoadConcurrentSafety(t *testing.T) {
 	wg.Wait()
 	if got := r.Load(); got != workers*per {
 		t.Fatalf("Load = %v, want %d", got, workers*per)
-	}
-	if got := r.Updates(); got != workers*per {
-		t.Fatalf("Updates = %d, want %d", got, workers*per)
 	}
 }

@@ -104,18 +104,6 @@ func (l *List[V]) InsertPosition(key int64) int {
 	return pos
 }
 
-// At returns the element at 0-based position i, or nil if out of range.
-func (l *List[V]) At(i int) *Element[V] {
-	if i < 0 || i >= l.length {
-		return nil
-	}
-	e := l.sentinel.next
-	for ; i > 0; i-- {
-		e = e.next
-	}
-	return e
-}
-
 // Remove unlinks e from the list. It reports whether e was found. Cost is
 // O(n): the singly-linked representation requires a predecessor scan, as
 // in the run-queue structures HORSE patches.
@@ -129,55 +117,6 @@ func (l *List[V]) Remove(e *Element[V]) bool {
 		}
 	}
 	return false
-}
-
-// RemoveIf unlinks every element the predicate selects, in one pass, and
-// returns how many were removed. It is the bulk counterpart of Remove
-// (which costs a predecessor scan per element).
-func (l *List[V]) RemoveIf(pred func(*Element[V]) bool) int {
-	removed := 0
-	for prev := &l.sentinel; prev.next != nil; {
-		if pred(prev.next) {
-			e := prev.next
-			prev.next = e.next
-			e.next = nil
-			l.length--
-			removed++
-			continue
-		}
-		prev = prev.next
-	}
-	return removed
-}
-
-// PopFront unlinks and returns the first element, or nil if empty.
-func (l *List[V]) PopFront() *Element[V] {
-	e := l.sentinel.next
-	if e == nil {
-		return nil
-	}
-	l.sentinel.next = e.next
-	e.next = nil
-	l.length--
-	return e
-}
-
-// Keys returns the element keys in list order.
-func (l *List[V]) Keys() []int64 {
-	out := make([]int64, 0, l.length)
-	for e := l.sentinel.next; e != nil; e = e.next {
-		out = append(out, e.key)
-	}
-	return out
-}
-
-// Values returns the element payloads in list order.
-func (l *List[V]) Values() []V {
-	out := make([]V, 0, l.length)
-	for e := l.sentinel.next; e != nil; e = e.next {
-		out = append(out, e.value)
-	}
-	return out
 }
 
 // IsSorted reports whether keys are in non-decreasing order. It always
@@ -208,11 +147,9 @@ func (l *List[V]) Clear() {
 // §3.1 step ④). src is emptied. Cost is O(|src| · |dst|); it exists as the
 // reference baseline for P²SM's O(1) merge.
 func SequentialMerge[V any](dst, src *List[V]) {
-	for {
-		e := src.PopFront()
-		if e == nil {
-			return
-		}
+	for e := src.sentinel.next; e != nil; e = src.sentinel.next {
+		src.sentinel.next, e.next = e.next, nil
+		src.length--
 		dst.insertElement(e)
 	}
 }

@@ -2,10 +2,29 @@ package psm
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// keysOf returns l's keys front to back.
+func keysOf[V any](l *List[V]) []int64 {
+	var out []int64
+	for e := l.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Key())
+	}
+	return out
+}
+
+// nth returns l's element at 0-based position i.
+func nth[V any](l *List[V], i int) *Element[V] {
+	e := l.Front()
+	for ; i > 0; i-- {
+		e = e.Next()
+	}
+	return e
+}
 
 func TestListInsertKeepsSorted(t *testing.T) {
 	l := NewList[string]()
@@ -13,7 +32,7 @@ func TestListInsertKeepsSorted(t *testing.T) {
 		l.Insert(k, "v")
 	}
 	want := []int64{1, 3, 5, 7, 9}
-	got := l.Keys()
+	got := keysOf(l)
 	if len(got) != len(want) {
 		t.Fatalf("Keys = %v, want %v", got, want)
 	}
@@ -36,12 +55,12 @@ func TestListEqualKeysFIFO(t *testing.T) {
 	l.Insert(2, "second")
 	l.Insert(2, "third")
 	l.Insert(1, "before")
-	got := l.Values()
-	want := []string{"before", "first", "second", "third"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Values = %v, want %v", got, want)
-		}
+	var got []string
+	for e := l.Front(); e != nil; e = e.Next() {
+		got = append(got, e.Value())
+	}
+	if want := []string{"before", "first", "second", "third"}; !slices.Equal(got, want) {
+		t.Fatalf("values = %v, want %v", got, want)
 	}
 }
 
@@ -72,21 +91,9 @@ func TestListInsertPosition(t *testing.T) {
 	for _, tt := range tests {
 		want := l.InsertPosition(tt.give)
 		e, got := l.Insert(tt.give, 0)
-		if got != want || l.At(got) != e {
+		if got != want || nth(l, got) != e {
 			t.Errorf("Insert(%d) reported position %d, want %d", tt.give, got, want)
 		}
-	}
-}
-
-func TestListAt(t *testing.T) {
-	l := NewList[int]()
-	e0, _ := l.Insert(1, 100)
-	e1, _ := l.Insert(2, 200)
-	if l.At(0) != e0 || l.At(1) != e1 {
-		t.Fatal("At returned wrong elements")
-	}
-	if l.At(-1) != nil || l.At(2) != nil {
-		t.Fatal("At out of range should return nil")
 	}
 }
 
@@ -109,22 +116,6 @@ func TestListRemove(t *testing.T) {
 	}
 	if l.Len() != 0 || l.Front() != nil {
 		t.Fatal("list not empty after removing all")
-	}
-}
-
-func TestListPopFront(t *testing.T) {
-	l := NewList[int]()
-	if l.PopFront() != nil {
-		t.Fatal("PopFront on empty returned element")
-	}
-	l.Insert(2, 20)
-	l.Insert(1, 10)
-	e := l.PopFront()
-	if e == nil || e.Key() != 1 || e.Value() != 10 {
-		t.Fatalf("PopFront = %v, want key 1", e)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", l.Len())
 	}
 }
 
@@ -152,7 +143,7 @@ func TestSequentialMerge(t *testing.T) {
 		t.Fatalf("source not drained: %d left", src.Len())
 	}
 	want := []int64{0, 1, 4, 5, 5, 9, 10}
-	got := dst.Keys()
+	got := keysOf(dst)
 	if len(got) != len(want) {
 		t.Fatalf("Keys = %v, want %v", got, want)
 	}
@@ -177,7 +168,7 @@ func TestListInsertProperty(t *testing.T) {
 		if l.Len() != len(keys) {
 			return false
 		}
-		got := l.Keys()
+		got := keysOf(l)
 		want := make([]int64, len(keys))
 		for i, k := range keys {
 			want[i] = int64(k)
@@ -221,40 +212,5 @@ func TestListMutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRemoveIf(t *testing.T) {
-	l := NewList[int]()
-	for _, k := range []int64{1, 2, 3, 4, 5, 6} {
-		l.Insert(k, int(k))
-	}
-	removed := l.RemoveIf(func(e *Element[int]) bool { return e.Key()%2 == 0 })
-	if removed != 3 {
-		t.Fatalf("removed = %d, want 3", removed)
-	}
-	want := []int64{1, 3, 5}
-	got := l.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("keys = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", got, want)
-		}
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	// Removing everything, including head runs.
-	if n := l.RemoveIf(func(*Element[int]) bool { return true }); n != 3 {
-		t.Fatalf("removed = %d, want 3", n)
-	}
-	if l.Len() != 0 || l.Front() != nil {
-		t.Fatal("list not empty")
-	}
-	// No-op on empty list.
-	if n := l.RemoveIf(func(*Element[int]) bool { return true }); n != 0 {
-		t.Fatalf("removed = %d on empty", n)
 	}
 }

@@ -30,15 +30,14 @@ type group[V any] struct {
 //
 // In HORSE, one Precomputed exists per paused uLL sandbox: the source is
 // the sandbox's merge_vcpus list and the target is the reserved
-// ull_runqueue. The structures are kept current by calling AddSource /
-// RemoveSource when the sandbox's vCPU set changes and TargetInserted /
+// ull_runqueue. The structures are kept current by calling AddSource
+// when a vCPU joins the sandbox's merge list and TargetInserted /
 // TargetRemoved whenever the ull_runqueue changes (paper §4.1.3).
 //
 // Maintenance costs (documented per paper §4.1.1, with the honest
 // complexity of this implementation in parentheses):
 //
 //   - AddSource: O(|B|) position scan + O(1) group insert (as in paper);
-//   - RemoveSource: O(|A|) worst case (as in paper);
 //   - TargetInserted/TargetRemoved: the paper claims O(1); a positional
 //     index cannot be updated in true O(1), so this implementation pays
 //     O(|B|) for the arrayB shift and O(#groups + group size) for in-place
@@ -82,7 +81,7 @@ func (p *Precomputed[V]) Reset(target *List[V]) {
 }
 
 // Source returns the source list A (merge_vcpus). Callers must mutate it
-// only through AddSource/RemoveSource so the groups stay consistent.
+// only through AddSource so the groups stay consistent.
 func (p *Precomputed[V]) Source() *List[V] { return p.source }
 
 // Target returns the target list B.
@@ -183,53 +182,6 @@ func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 		g.tail = e
 	}
 	g.count++
-}
-
-// RemoveSource unlinks a source element and updates its group. It reports
-// whether the element was present.
-func (p *Precomputed[V]) RemoveSource(e *Element[V]) bool {
-	i, ok := p.find(p.spliceKeyFor(e.key))
-	if !ok || !p.groupContains(&p.groups[i], e) {
-		return false
-	}
-	// Fix the group's boundaries before the list forgets e's links.
-	if g := &p.groups[i]; g.count == 1 {
-		p.groups = slices.Delete(p.groups, i, i+1)
-	} else {
-		switch {
-		case g.head == e:
-			g.head = e.next
-		case g.tail == e:
-			g.tail = p.predecessorInGroup(g, e)
-			if g.tail == nil {
-				return false
-			}
-		}
-		g.count--
-	}
-	return p.source.Remove(e)
-}
-
-// groupContains reports whether e appears in the group's run.
-func (p *Precomputed[V]) groupContains(g *group[V], e *Element[V]) bool {
-	for cur := g.head; ; cur = cur.next {
-		if cur == e {
-			return true
-		}
-		if cur == g.tail || cur == nil {
-			return false
-		}
-	}
-}
-
-// predecessorInGroup walks the group's run to find the element before e.
-func (p *Precomputed[V]) predecessorInGroup(g *group[V], e *Element[V]) *Element[V] {
-	for cur := g.head; cur != nil && cur != g.tail.next; cur = cur.next {
-		if cur.next == e {
-			return cur
-		}
-	}
-	return nil
 }
 
 // TargetInserted records that the target list gained element e at 0-based

@@ -29,7 +29,7 @@ func buildTarget(t *testing.T, keys ...int64) (*List[int], *Precomputed[int]) {
 
 func assertKeys(t *testing.T, l *List[int], want ...int64) {
 	t.Helper()
-	got := l.Keys()
+	got := keysOf(l)
 	if len(got) != len(want) {
 		t.Fatalf("keys = %v, want %v", got, want)
 	}
@@ -123,7 +123,7 @@ func TestMergeEqualKeysQueueBehindTarget(t *testing.T) {
 	}
 	assertKeys(t, target, 10, 20, 20)
 	// FIFO among equals: the pre-existing target element stays first.
-	if target.At(1).Value() == 999 {
+	if nth(target, 1).Value() == 999 {
 		t.Fatal("merged element jumped ahead of equal-key target element")
 	}
 }
@@ -154,47 +154,6 @@ func TestRebuildReArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertKeys(t, target, 5, 7, 10)
-}
-
-func TestRemoveSource(t *testing.T) {
-	target, p := buildTarget(t, 10, 20)
-	a := p.AddSource(12, 0)
-	b := p.AddSource(14, 0)
-	c := p.AddSource(16, 0)
-	if !p.RemoveSource(b) {
-		t.Fatal("RemoveSource(middle) = false")
-	}
-	if p.RemoveSource(b) {
-		t.Fatal("RemoveSource twice succeeded")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.RemoveSource(a) || !p.RemoveSource(c) {
-		t.Fatal("RemoveSource head/tail failed")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.GroupCount() != 0 {
-		t.Fatalf("groups = %d, want 0", p.GroupCount())
-	}
-	if _, err := p.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	assertKeys(t, target, 10, 20)
-}
-
-func TestRemoveSourceForeignElement(t *testing.T) {
-	_, p := buildTarget(t, 10)
-	p.AddSource(5, 0)
-	foreign, _ := NewList[int]().Insert(5, 0) // same key, different list
-	if p.RemoveSource(foreign) {
-		t.Fatal("RemoveSource accepted element from another list")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("bookkeeping corrupted by rejected removal: %v", err)
-	}
 }
 
 func TestTargetInsertedSplitsGroup(t *testing.T) {
@@ -242,7 +201,7 @@ func TestTargetRemovedMergesGroups(t *testing.T) {
 	target, p := buildTarget(t, 10, 20, 30)
 	p.AddSource(15, 0) // group keyed 0
 	p.AddSource(25, 0) // group keyed 1
-	removed := target.At(1)
+	removed := nth(target, 1)
 	target.Remove(removed)
 	if err := p.TargetRemoved(1); err != nil {
 		t.Fatal(err)
@@ -262,7 +221,7 @@ func TestTargetRemovedMergesGroups(t *testing.T) {
 func TestTargetRemovedHead(t *testing.T) {
 	target, p := buildTarget(t, 10, 20)
 	p.AddSource(15, 0)
-	removed := target.At(0)
+	removed := nth(target, 0)
 	target.Remove(removed)
 	if err := p.TargetRemoved(0); err != nil {
 		t.Fatal(err)
@@ -311,7 +270,7 @@ func TestMergeSequentialBaselineMatches(t *testing.T) {
 	if _, err := pb.MergeSequentialBaseline(); err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := targetA.Keys(), targetB.Keys()
+	ka, kb := keysOf(targetA), keysOf(targetB)
 	if len(ka) != len(kb) {
 		t.Fatalf("lengths differ: %v vs %v", ka, kb)
 	}
@@ -364,7 +323,7 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		for i, pl := range placed {
-			if pl.e != sources[i] || target.At(pl.pos) != pl.e {
+			if pl.e != sources[i] || nth(target, pl.pos) != pl.e {
 				return false
 			}
 			if i > 0 && pl.pos <= placed[i-1].pos {
@@ -382,7 +341,7 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 			want = append(want, int64(k))
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := target.Keys()
+		got := keysOf(target)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -396,7 +355,7 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 }
 
 // Property: the continuous-maintenance path (paper §4.1.3) — interleaved
-// source adds/removes and target inserts/removes — always leaves the
+// source adds and target inserts/removes — always leaves the
 // structures valid, and a final merge is still exact.
 func TestMaintenanceProperty(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -404,30 +363,21 @@ func TestMaintenanceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		target := NewList[int]()
 		p := NewPrecomputed(target)
-		var sourceElems []*Element[int]
 		for _, op := range ops {
 			key := int64(rng.Intn(100))
-			switch op % 4 {
+			switch op % 3 {
 			case 0: // add to source
-				sourceElems = append(sourceElems, p.AddSource(key, 0))
-			case 1: // remove from source
-				if len(sourceElems) > 0 {
-					i := rng.Intn(len(sourceElems))
-					if !p.RemoveSource(sourceElems[i]) {
-						return false
-					}
-					sourceElems = append(sourceElems[:i], sourceElems[i+1:]...)
-				}
-			case 2: // ull_runqueue gains an element
+				p.AddSource(key, 0)
+			case 1: // ull_runqueue gains an element
 				pos := target.InsertPosition(key)
 				e, _ := target.Insert(key, 0)
 				if p.TargetInserted(e, pos) != nil {
 					return false
 				}
-			case 3: // ull_runqueue loses an element
+			case 2: // ull_runqueue loses an element
 				if target.Len() > 0 {
 					pos := rng.Intn(target.Len())
-					target.Remove(target.At(pos))
+					target.Remove(nth(target, pos))
 					if p.TargetRemoved(pos) != nil {
 						return false
 					}

@@ -34,7 +34,7 @@ func TestResetRearmsInPlace(t *testing.T) {
 
 	// The elements the first merge spliced into first are recycled once
 	// first drops them.
-	a, b := first.At(1), first.At(3) // keys 15 and 25
+	a, b := nth(first, 1), nth(first, 3) // keys 15 and 25
 	first.Remove(a)
 	first.Remove(b)
 	if got := p.AddSourceElement(a, 30, 7); got != a || a.Key() != 30 || a.Value() != 7 {

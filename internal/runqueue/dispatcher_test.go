@@ -12,7 +12,7 @@ import (
 
 func dispatchSetup(t *testing.T) (*simtime.Clock, *Queue) {
 	t.Helper()
-	return simtime.NewClock(), New(0, true)
+	return simtime.NewClock(), New(true)
 }
 
 func TestDispatchSingleQuantumCompletion(t *testing.T) {
@@ -92,7 +92,7 @@ func TestDispatchErrors(t *testing.T) {
 	if _, err := Dispatch(clock, q, map[string]simtime.Duration{}); !errors.Is(err, ErrUnknownWork) {
 		t.Fatalf("missing work err = %v", err)
 	}
-	q2 := New(1, true)
+	q2 := New(true)
 	if _, _, err := q2.Insert(vcpu("y", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDispatchConservationProperty(t *testing.T) {
 			demands = demands[:24]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		clock, q := simtime.NewClock(), New(0, true)
+		clock, q := simtime.NewClock(), New(true)
 		work := make(map[string]simtime.Duration, len(demands))
 		var total simtime.Duration
 		for i, d := range demands {

@@ -97,24 +97,16 @@ var (
 // simulation is single-threaded; the P²SM merge runs on the caller's
 // goroutine (MergePSM).
 type Queue struct {
-	id        int
-	reserved  bool
 	timeslice simtime.Duration
 	list      *psm.List[*Entity]
 	load      *pelt.RunqueueLoad
 	observers []Observer
-
-	inserts uint64
-	removes uint64
 }
 
-// New returns an empty run queue with the given id. A reserved queue is a
-// ull_runqueue: reserved for uLL sandboxes and running with the 1 µs
-// timeslice.
-func New(id int, reserved bool) *Queue {
+// New returns an empty run queue. A reserved queue is a ull_runqueue:
+// reserved for uLL sandboxes and running with the 1 µs timeslice.
+func New(reserved bool) *Queue {
 	q := &Queue{
-		id:        id,
-		reserved:  reserved,
 		timeslice: DefaultTimeslice,
 		list:      psm.NewList[*Entity](),
 		load:      pelt.NewRunqueueLoad(0, 0),
@@ -124,12 +116,6 @@ func New(id int, reserved bool) *Queue {
 	}
 	return q
 }
-
-// ID returns the queue's identifier (its CPU index).
-func (q *Queue) ID() int { return q.id }
-
-// Reserved reports whether this is a ull_runqueue.
-func (q *Queue) Reserved() bool { return q.reserved }
 
 // Timeslice returns the queue's scheduling quantum.
 func (q *Queue) Timeslice() simtime.Duration { return q.timeslice }
@@ -143,12 +129,6 @@ func (q *Queue) Load() *pelt.RunqueueLoad { return q.load }
 // List exposes the underlying sorted list so P²SM precomputed state can
 // target it. Mutate the queue only through Queue methods.
 func (q *Queue) List() *psm.List[*Entity] { return q.list }
-
-// Inserts returns the number of entities ever inserted.
-func (q *Queue) Inserts() uint64 { return q.inserts }
-
-// Removes returns the number of entities ever removed.
-func (q *Queue) Removes() uint64 { return q.removes }
 
 // Observe registers an observer for structural changes. psm.Precomputed
 // values targeting this queue must be registered here; HORSE registers
@@ -176,7 +156,6 @@ func (q *Queue) Insert(ent *Entity) (*Element, int, error) {
 		return nil, 0, errors.New("runqueue: nil entity")
 	}
 	e, pos := q.list.Insert(ent.Credit, ent)
-	q.inserts++
 	for _, o := range q.observers {
 		if err := o.TargetInserted(e, pos); err != nil {
 			return nil, 0, fmt.Errorf("runqueue: observer rejected insert: %w", err)
@@ -193,7 +172,6 @@ func (q *Queue) Remove(e *Element) error {
 		return ErrNotOnQueue
 	}
 	q.list.Remove(e)
-	q.removes++
 	for _, o := range q.observers {
 		if err := o.TargetRemoved(pos); err != nil {
 			return fmt.Errorf("runqueue: observer rejected remove: %w", err)
@@ -211,15 +189,6 @@ func (q *Queue) PopFront() *Entity {
 	}
 	// Remove via the common path so observers stay consistent.
 	if err := q.Remove(e); err != nil {
-		return nil
-	}
-	return e.Value()
-}
-
-// Peek returns the least-credit entity without dequeuing it.
-func (q *Queue) Peek() *Entity {
-	e := q.list.Front()
-	if e == nil {
 		return nil
 	}
 	return e.Value()
@@ -288,22 +257,8 @@ func (q *Queue) MergePSM(p *psm.Precomputed[*Entity]) (psm.MergeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	q.inserts += uint64(res.Merged)
 	if resync != nil {
 		return res, fmt.Errorf("runqueue: observer resync: %w", resync)
 	}
 	return res, nil
-}
-
-// Drain removes every entity, notifying observers, and returns the
-// drained entities in queue order. Tests and teardown paths use it.
-func (q *Queue) Drain() []*Entity {
-	var out []*Entity
-	for {
-		ent := q.PopFront()
-		if ent == nil {
-			return out
-		}
-		out = append(out, ent)
-	}
 }

@@ -23,30 +23,21 @@ func queueIDs(q *Queue) []string {
 }
 
 func TestNewDefaults(t *testing.T) {
-	q := New(3, false)
-	if q.ID() != 3 {
-		t.Fatalf("ID = %d, want 3", q.ID())
-	}
-	if q.Reserved() {
-		t.Fatal("default queue should not be reserved")
-	}
+	q := New(false)
 	if q.Timeslice() != DefaultTimeslice {
 		t.Fatalf("Timeslice = %v, want default", q.Timeslice())
 	}
 }
 
 func TestReservedOption(t *testing.T) {
-	q := New(0, true)
-	if !q.Reserved() {
-		t.Fatal("reserved queue does not report Reserved")
-	}
+	q := New(true)
 	if q.Timeslice() != ULLTimeslice {
 		t.Fatalf("ull timeslice = %v, want 1µs", q.Timeslice())
 	}
 }
 
 func TestInsertSortsByCredit(t *testing.T) {
-	q := New(0, false)
+	q := New(false)
 	for i, c := range []int64{50, 10, 30} {
 		if _, _, err := q.Insert(vcpu(fmt.Sprintf("v%d", i), c)); err != nil {
 			t.Fatal(err)
@@ -59,20 +50,20 @@ func TestInsertSortsByCredit(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-	if q.Len() != 3 || q.Inserts() != 3 {
-		t.Fatalf("Len=%d Inserts=%d", q.Len(), q.Inserts())
+	if q.Len() != 3 {
+		t.Fatalf("Len=%d, want 3", q.Len())
 	}
 }
 
 func TestInsertNil(t *testing.T) {
-	q := New(0, false)
+	q := New(false)
 	if _, _, err := q.Insert(nil); err == nil {
 		t.Fatal("nil entity accepted")
 	}
 }
 
 func TestRemoveAndPop(t *testing.T) {
-	q := New(0, false)
+	q := New(false)
 	e1, _, _ := q.Insert(vcpu("a", 1))
 	q.Insert(vcpu("b", 2))
 	if err := q.Remove(e1); err != nil {
@@ -81,22 +72,16 @@ func TestRemoveAndPop(t *testing.T) {
 	if err := q.Remove(e1); !errors.Is(err, ErrNotOnQueue) {
 		t.Fatalf("double remove err = %v, want ErrNotOnQueue", err)
 	}
-	if got := q.Peek(); got == nil || got.ID != "b" {
-		t.Fatalf("Peek = %v, want b", got)
-	}
 	if got := q.PopFront(); got == nil || got.ID != "b" {
 		t.Fatalf("PopFront = %v, want b", got)
 	}
-	if q.PopFront() != nil || q.Peek() != nil {
+	if q.PopFront() != nil || q.Len() != 0 {
 		t.Fatal("empty queue returned entity")
-	}
-	if q.Removes() != 2 {
-		t.Fatalf("Removes = %d, want 2", q.Removes())
 	}
 }
 
 func TestPrecomputedStaysCurrentThroughQueueChanges(t *testing.T) {
-	q := New(0, true)
+	q := New(true)
 	q.Insert(vcpu("q1", 10))
 	q.Insert(vcpu("q2", 30))
 
@@ -142,7 +127,7 @@ func TestPrecomputedStaysCurrentThroughQueueChanges(t *testing.T) {
 }
 
 func TestMergePSMResyncsOtherObservers(t *testing.T) {
-	q := New(0, true)
+	q := New(true)
 	q.Insert(vcpu("q1", 10))
 	q.Insert(vcpu("q2", 40))
 
@@ -176,8 +161,8 @@ func TestMergePSMResyncsOtherObservers(t *testing.T) {
 }
 
 func TestMergePSMWrongTarget(t *testing.T) {
-	q1 := New(0, false)
-	q2 := New(1, false)
+	q1 := New(false)
+	q2 := New(false)
 	p := q1.NewPrecomputed()
 	if _, err := q2.MergePSM(p); !errors.Is(err, ErrWrongTarget) {
 		t.Fatalf("err = %v, want ErrWrongTarget", err)
@@ -190,7 +175,7 @@ func TestMergePSMWrongTarget(t *testing.T) {
 // by the sequential baseline while still registered keeps its single
 // registration.
 func TestMergePSMConsumedStateRestoresObserver(t *testing.T) {
-	q := New(0, false)
+	q := New(false)
 	p := q.NewPrecomputed()
 	p.AddSource(1, vcpu("s", 1))
 	if _, err := q.MergePSM(p); err != nil {
@@ -217,26 +202,13 @@ func TestMergePSMConsumedStateRestoresObserver(t *testing.T) {
 }
 
 func TestUnobserve(t *testing.T) {
-	q := New(0, false)
+	q := New(false)
 	p := q.NewPrecomputed()
 	q.Unobserve(p)
 	if q.ObserverCount() != 0 {
 		t.Fatal("Unobserve did not remove observer")
 	}
 	q.Unobserve(p) // no-op, must not panic
-}
-
-func TestDrain(t *testing.T) {
-	q := New(0, false)
-	q.Insert(vcpu("a", 2))
-	q.Insert(vcpu("b", 1))
-	out := q.Drain()
-	if len(out) != 2 || out[0].ID != "b" || out[1].ID != "a" {
-		t.Fatalf("Drain = %v", out)
-	}
-	if q.Len() != 0 {
-		t.Fatal("queue not empty after drain")
-	}
 }
 
 func TestEntityKindString(t *testing.T) {
@@ -263,7 +235,7 @@ func TestEntityKindString(t *testing.T) {
 func TestSharedQueueMaintenanceProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New(0, true)
+		q := New(true)
 		pa := q.NewPrecomputed()
 		pb := q.NewPrecomputed()
 		var onQueue []*Element
@@ -323,7 +295,7 @@ func TestSharedQueueMaintenanceProperty(t *testing.T) {
 // queue, and stays current through its changes; a still-armed one is
 // refused, so no precompute is ever registered twice.
 func TestRearm(t *testing.T) {
-	q := New(0, true)
+	q := New(true)
 	p := q.NewPrecomputed()
 	if err := q.Rearm(p); !errors.Is(err, ErrStillArmed) {
 		t.Fatalf("Rearm of an armed precompute = %v, want ErrStillArmed", err)
@@ -336,7 +308,7 @@ func TestRearm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := New(1, true)
+	other := New(true)
 	if _, _, err := other.Insert(vcpu("x", 10)); err != nil {
 		t.Fatal(err)
 	}

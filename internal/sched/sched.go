@@ -118,17 +118,6 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // CPUs returns the core count.
 func (s *Scheduler) CPUs() int { return len(s.cpus) }
 
-// IdleCPUs returns how many cores are currently idle.
-func (s *Scheduler) IdleCPUs() int {
-	n := 0
-	for _, c := range s.cpus {
-		if c.running == nil {
-			n++
-		}
-	}
-	return n
-}
-
 // QueueLen returns the number of tasks waiting for a core.
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
 
@@ -147,15 +136,6 @@ func (s *Scheduler) Submit(t *Task) error {
 	return nil
 }
 
-// SubmitPreempting dispatches a high-priority task. It prefers an idle
-// core; otherwise it preempts a lower-priority running task (cores are
-// chosen round-robin, see preemptionVictim), which resumes — paying the
-// context-switch overhead plus the task's ExtraPenalty — once the
-// preemptor finishes.
-func (s *Scheduler) SubmitPreempting(t *Task) error {
-	return s.submitPreempting(t, false)
-}
-
 // SubmitPreemptingPinned dispatches a high-priority task whose core was
 // chosen before submission — the situation of a P²SM merge thread, whose
 // placement was fixed when the sandbox was paused (§4.1.3). It preempts a
@@ -165,19 +145,10 @@ func (s *Scheduler) SubmitPreempting(t *Task) error {
 // that both function categories "theoretically have enough available
 // cores" (§5.4).
 func (s *Scheduler) SubmitPreemptingPinned(t *Task) error {
-	return s.submitPreempting(t, true)
-}
-
-func (s *Scheduler) submitPreempting(t *Task, pinned bool) error {
 	if t == nil || t.Duration < 0 {
 		return errors.New("sched: invalid task")
 	}
 	ex := &execution{task: t, submitted: s.eng.Now(), remaining: t.Duration}
-	if !pinned {
-		if c := s.idleCPU(); c != nil {
-			return s.start(c, ex)
-		}
-	}
 	victim := s.preemptionVictim(t.Priority)
 	if victim == nil {
 		if c := s.idleCPU(); c != nil {

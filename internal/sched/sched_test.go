@@ -44,9 +44,6 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IdleCPUs() != 1 {
-		t.Fatalf("IdleCPUs = %d, want 1", s.IdleCPUs())
-	}
 	if err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func TestSubmitInvalid(t *testing.T) {
 	if err := s.Submit(&Task{Duration: -1}); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	if err := s.SubmitPreempting(nil); err == nil {
+	if err := s.SubmitPreemptingPinned(nil); err == nil {
 		t.Fatal("nil preempting task accepted")
 	}
 }
@@ -112,7 +109,7 @@ func TestPreemptionDelaysVictim(t *testing.T) {
 	}
 	// A merge thread arrives at t=200.
 	if _, err := eng.Schedule(200, func(simtime.Time) {
-		if err := s.SubmitPreempting(&Task{
+		if err := s.SubmitPreemptingPinned(&Task{
 			ID:       "merge",
 			Priority: PriorityMerge,
 			Duration: 110,
@@ -142,37 +139,12 @@ func TestPreemptionDelaysVictim(t *testing.T) {
 	}
 }
 
-func TestPreemptingPrefersIdleCPU(t *testing.T) {
-	s, eng := newSched(t, 2)
-	preempted := false
-	if err := s.Submit(&Task{ID: "fn", Duration: 1000,
-		OnDone: func(_, end simtime.Time) {
-			if end != 1000 {
-				preempted = true
-			}
-		}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SubmitPreempting(&Task{ID: "merge", Priority: PriorityMerge, Duration: 50}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if preempted {
-		t.Fatal("merge preempted despite an idle CPU")
-	}
-	if s.Stats().Preemptions != 0 {
-		t.Fatal("preemption counted with idle CPU available")
-	}
-}
-
 func TestPreemptingQueuesAmongEqualPriority(t *testing.T) {
 	s, eng := newSched(t, 1)
-	if err := s.SubmitPreempting(&Task{ID: "m1", Priority: PriorityMerge, Duration: 100}); err != nil {
+	if err := s.SubmitPreemptingPinned(&Task{ID: "m1", Priority: PriorityMerge, Duration: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitPreempting(&Task{ID: "m2", Priority: PriorityMerge, Duration: 100}); err != nil {
+	if err := s.SubmitPreemptingPinned(&Task{ID: "m2", Priority: PriorityMerge, Duration: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if s.QueueLen() != 1 {
@@ -204,7 +176,7 @@ func TestVictimSelectionRotatesAcrossCores(t *testing.T) {
 	// Two merge bursts; rotation must hit different victims.
 	for _, at := range []simtime.Time{100, 300} {
 		if _, err := eng.Schedule(at, func(simtime.Time) {
-			if err := s.SubmitPreempting(&Task{ID: "merge", Priority: PriorityMerge, Duration: 10}); err != nil {
+			if err := s.SubmitPreemptingPinned(&Task{ID: "merge", Priority: PriorityMerge, Duration: 10}); err != nil {
 				t.Fatal(err)
 			}
 		}); err != nil {
@@ -231,7 +203,7 @@ func TestExtraPenaltyChargedToVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := eng.Schedule(500, func(simtime.Time) {
-		if err := s.SubmitPreempting(&Task{
+		if err := s.SubmitPreemptingPinned(&Task{
 			ID: "burst", Priority: PriorityMerge, Duration: 100, ExtraPenalty: 2000,
 		}); err != nil {
 			t.Fatal(err)
@@ -263,7 +235,7 @@ func TestNestedPreemptionResumesLIFO(t *testing.T) {
 	}
 	for _, at := range []simtime.Time{1000, 5000} {
 		if _, err := eng.Schedule(at, func(simtime.Time) {
-			if err := s.SubmitPreempting(&Task{ID: "m", Priority: PriorityMerge, Duration: 100}); err != nil {
+			if err := s.SubmitPreemptingPinned(&Task{ID: "m", Priority: PriorityMerge, Duration: 100}); err != nil {
 				t.Fatal(err)
 			}
 		}); err != nil {
@@ -288,7 +260,7 @@ func TestBusyTimeAccountsAcrossPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := eng.Schedule(500, func(simtime.Time) {
-		if err := s.SubmitPreempting(&Task{ID: "m", Priority: PriorityMerge, Duration: 100}); err != nil {
+		if err := s.SubmitPreemptingPinned(&Task{ID: "m", Priority: PriorityMerge, Duration: 100}); err != nil {
 			t.Fatal(err)
 		}
 	}); err != nil {

@@ -54,12 +54,6 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // Nanoseconds returns the duration as an integer nanosecond count.
 func (d Duration) Nanoseconds() int64 { return int64(d) }
 
-// Microseconds returns the duration as a fractional microsecond count.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
-// Seconds returns the duration as a fractional second count.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
 // Clock is a monotonically advancing virtual clock.
 //
 // Clock is not safe for concurrent use; simulated components run under a
@@ -93,10 +87,6 @@ func (c *Clock) AdvanceTo(t Time) {
 	}
 	c.now = t
 }
-
-// Reset rewinds the clock to the epoch. Only tests and experiment
-// harnesses (between independent runs) should call Reset.
-func (c *Clock) Reset() { c.now = 0 }
 
 // StopwatchResult is one named, costed step recorded by a Stopwatch.
 type StopwatchResult struct {
@@ -153,15 +143,4 @@ func (s *Stopwatch) Total() Duration {
 		total += st.Cost
 	}
 	return total
-}
-
-// Lookup returns the accumulated cost of the step with the given label
-// and whether the label was recorded.
-func (s *Stopwatch) Lookup(label string) (Duration, bool) {
-	for _, st := range s.steps {
-		if st.Label == label {
-			return st.Cost, true
-		}
-	}
-	return 0, false
 }

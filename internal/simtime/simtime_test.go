@@ -44,12 +44,6 @@ func TestTimeArithmetic(t *testing.T) {
 
 func TestDurationConversions(t *testing.T) {
 	d := 1500 * Microsecond
-	if got := d.Microseconds(); got != 1500 {
-		t.Fatalf("Microseconds = %v, want 1500", got)
-	}
-	if got := d.Seconds(); got != 0.0015 {
-		t.Fatalf("Seconds = %v, want 0.0015", got)
-	}
 	if got := d.String(); got != "1.5ms" {
 		t.Fatalf("String = %q, want 1.5ms", got)
 	}
@@ -68,10 +62,6 @@ func TestClockAdvance(t *testing.T) {
 	c.AdvanceTo(Time(100))
 	if got := c.Now(); got != Time(100) {
 		t.Fatalf("Now = %v, want 100", got)
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset did not rewind to epoch")
 	}
 }
 
@@ -118,12 +108,6 @@ func TestStopwatchChargeAccumulates(t *testing.T) {
 	if got := sw.Total(); got != 20 {
 		t.Fatalf("Total = %v, want 20", got)
 	}
-	if cost, ok := sw.Lookup("merge"); !ok || cost != 17 {
-		t.Fatalf("Lookup(merge) = %v,%v want 17,true", cost, ok)
-	}
-	if _, ok := sw.Lookup("absent"); ok {
-		t.Fatal("Lookup(absent) reported present")
-	}
 }
 
 func TestStopwatchStepsIsCopy(t *testing.T) {
@@ -131,7 +115,7 @@ func TestStopwatchStepsIsCopy(t *testing.T) {
 	sw.Charge("a", 1)
 	steps := sw.AppendSteps(nil)
 	steps[0].Cost = 999
-	if cost, _ := sw.Lookup("a"); cost != 1 {
+	if sw.steps[0].Cost != 1 {
 		t.Fatal("AppendSteps(nil) exposed internal state")
 	}
 
@@ -146,7 +130,7 @@ func TestStopwatchStepsIsCopy(t *testing.T) {
 		t.Fatalf("AppendSteps(buf) = %v (in place %v), want %v in place", got, &got[0] == &buf[0], want)
 	}
 	got[1].Cost = 999
-	if cost, _ := sw.Lookup("a"); cost != 1 {
+	if sw.steps[0].Cost != 1 {
 		t.Fatal("AppendSteps(buf) exposed internal state")
 	}
 	if n := testing.AllocsPerRun(100, func() { got = sw.AppendSteps(buf[:0]) }); n != 0 {

@@ -66,9 +66,6 @@ type Snapshot struct {
 	CreatedAt simtime.Time
 }
 
-// SizeBytes returns the on-disk snapshot size (full memory image).
-func (s *Snapshot) SizeBytes() int64 { return int64(s.TotalPages) * PageSize }
-
 // Store keeps snapshots and charges virtual time for create/restore.
 type Store struct {
 	clock  *simtime.Clock
@@ -117,15 +114,6 @@ func (s *Store) Create(cfg vmm.Config, workingSetFraction float64) (*Snapshot, e
 	return snap, nil
 }
 
-// Get looks a snapshot up by id.
-func (s *Store) Get(id string) (*Snapshot, error) {
-	snap, ok := s.snaps[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSnapshot, id)
-	}
-	return snap, nil
-}
-
 // RestoreCost returns the virtual time a restore of snap will take.
 func (s *Store) RestoreCost(snap *Snapshot) simtime.Duration {
 	return s.costs.RestoreBase + simtime.Duration(snap.WorkingSetPages)*s.costs.RestorePerPage
@@ -139,13 +127,4 @@ func (s *Store) Restore(h *vmm.Hypervisor, snap *Snapshot) (*vmm.Sandbox, error)
 	}
 	s.clock.Advance(s.RestoreCost(snap))
 	return h.CreateSandbox(snap.Config)
-}
-
-// Delete removes a snapshot.
-func (s *Store) Delete(id string) error {
-	if _, ok := s.snaps[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSnapshot, id)
-	}
-	delete(s.snaps, id)
-	return nil
 }

@@ -29,15 +29,11 @@ func TestCreateChargesTime(t *testing.T) {
 	if snap.WorkingSetPages != int(float64(snap.TotalPages)*0.05) {
 		t.Fatalf("WorkingSetPages = %d", snap.WorkingSetPages)
 	}
-	if snap.SizeBytes() != int64(snap.TotalPages)*PageSize {
-		t.Fatalf("SizeBytes = %d", snap.SizeBytes())
-	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	got, err := s.Get(snap.ID)
-	if err != nil || got != snap {
-		t.Fatalf("Get = %v, %v", got, err)
+	if got := s.snaps[snap.ID]; got != snap {
+		t.Fatalf("stored snapshot = %v, want %v", got, snap)
 	}
 }
 
@@ -103,23 +99,6 @@ func TestRestoreUnknownSnapshot(t *testing.T) {
 	bogus := &Snapshot{ID: "nope", Config: vmm.Config{VCPUs: 1, MemoryMB: 64}}
 	if _, err := s.Restore(h, bogus); !errors.Is(err, ErrUnknownSnapshot) {
 		t.Fatalf("err = %v, want ErrUnknownSnapshot", err)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	s, _ := newStore(t)
-	snap, err := s.Create(vmm.Config{VCPUs: 1, MemoryMB: 64}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(snap.ID); !errors.Is(err, ErrUnknownSnapshot) {
-		t.Fatalf("double delete err = %v", err)
-	}
-	if _, err := s.Get(snap.ID); !errors.Is(err, ErrUnknownSnapshot) {
-		t.Fatalf("Get after delete err = %v", err)
 	}
 }
 

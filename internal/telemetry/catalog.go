@@ -48,7 +48,6 @@ var catalog = []InstrumentDef{
 	{"faas_triggers_total", KindCounter, []string{"mode"}, "Function triggers per sandbox start mode."},
 	{"faas_warm_pool_hits_total", KindCounter, nil, "Warm-pool lookups that found a pooled sandbox."},
 	{"faas_warm_pool_misses_total", KindCounter, nil, "Warm-pool lookups that found the pool empty."},
-	{"faas_keepalive_expirations_total", KindCounter, nil, "Pooled sandboxes reaped by keep-alive expiry."},
 	{"faas_warm_pool_size", KindGauge, nil, "Paused sandboxes currently in the warm pool."},
 	{"faas_trigger_failures_total", KindCounter, []string{"site"}, "Failed trigger attempts per failure site."},
 	{"faas_fallbacks_total", KindCounter, []string{"from", "to"}, "Trigger fallbacks from one start mode to the next in the degradation chain."},
@@ -83,13 +82,3 @@ var catalogIndex = func() map[string]InstrumentDef {
 	}
 	return out
 }()
-
-// CatalogByFamily returns the catalog indexed by family name. The
-// caller owns the returned map.
-func CatalogByFamily() map[string]InstrumentDef {
-	out := make(map[string]InstrumentDef, len(catalogIndex))
-	for k, v := range catalogIndex {
-		out[k] = v
-	}
-	return out
-}

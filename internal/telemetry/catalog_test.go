@@ -67,7 +67,7 @@ func parseDesignTable(t *testing.T) map[string]InstrumentDef {
 // strings in both directions.
 func TestCatalogMatchesDesignDoc(t *testing.T) {
 	doc := parseDesignTable(t)
-	code := CatalogByFamily()
+	code := catalogIndex
 	for fam, want := range doc {
 		got, ok := code[fam]
 		if !ok {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,15 +53,6 @@ type Gauge struct {
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by delta.
-//
-//horselint:hotpath
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
 	}
 }
 
@@ -316,25 +306,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[k] = v.snapshot()
 	}
 	return snap
-}
-
-// Names returns every instrument name in sorted order, for diagnostics.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	for k := range r.gauges {
-		out = append(out, k)
-	}
-	for k := range r.hists {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -28,7 +27,7 @@ func TestRegistryInstrumentsAccumulate(t *testing.T) {
 	r.Counter("hits_total").Add(2)
 	r.Counter("hits_total", "mode", "horse").Inc()
 	r.Gauge("pool_size").Set(7)
-	r.Gauge("pool_size").Add(-2)
+	r.Gauge("pool_size").Set(5)
 	h := r.Histogram("resume_ns", "policy", "horse")
 	h.Observe(150 * simtime.Nanosecond)
 	h.Observe(150 * simtime.Nanosecond)
@@ -46,7 +45,7 @@ func TestRegistryInstrumentsAccumulate(t *testing.T) {
 	}
 	hs, ok := snap.Histograms[`resume_ns{policy="horse"}`]
 	if !ok {
-		t.Fatalf("histogram missing; names = %v", r.Names())
+		t.Fatalf("histogram missing; snapshot = %+v", snap)
 	}
 	if hs.Count != 3 || hs.Overflow != 1 {
 		t.Fatalf("count=%d overflow=%d", hs.Count, hs.Overflow)
@@ -85,9 +84,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
-	if r.Names() != nil {
-		t.Fatal("nil registry has names")
-	}
 }
 
 func TestRegistryConcurrentAccess(t *testing.T) {
@@ -100,7 +96,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				r.Counter("ops_total").Inc()
 				r.Counter("ops_total", "mode", string(rune('a'+g%4))).Inc()
-				r.Gauge("depth").Add(1)
+				r.Gauge("depth").Set(int64(i))
 				r.Histogram("lat_ns").Observe(simtime.Duration(i % 300))
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -112,11 +108,10 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	if got := r.Counter("ops_total").Value(); got != 8*500 {
 		t.Fatalf("ops_total = %d, want 4000", got)
 	}
-	if got := r.Gauge("depth").Value(); got != 8*500 {
-		t.Fatalf("depth = %d", got)
+	if got := r.Gauge("depth").Value(); got != 499 {
+		t.Fatalf("depth = %d, want every goroutine's last value 499", got)
 	}
-	names := r.Names()
-	if len(names) == 0 || !strings.Contains(strings.Join(names, ","), "lat_ns") {
-		t.Fatalf("names = %v", names)
+	if got := r.Snapshot().Histograms["lat_ns"].Count; got != 8*500 {
+		t.Fatalf("lat_ns count = %d, want 4000", got)
 	}
 }

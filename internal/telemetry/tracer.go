@@ -106,7 +106,6 @@ type Tracer struct {
 	done    []Span
 	cap     int
 	head    int
-	total   uint64
 	dropped uint64
 }
 
@@ -199,17 +198,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Total returns how many spans have finished since construction,
-// including any the ring buffer has since dropped.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped returns how many finished spans the ring buffer overwrote.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
@@ -220,35 +208,8 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// OpenSpans returns how many spans are currently open.
-func (t *Tracer) OpenSpans() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.open)
-}
-
-// Reset discards all finished and open spans but keeps the clock
-// attachment.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.done = t.done[:0]
-	t.head = 0
-	t.total = 0
-	t.dropped = 0
-	t.stack = t.stack[:0]
-	t.open = make(map[SpanID]*Span)
-}
-
 // commit moves a finished span into the ring buffer. Callers hold t.mu.
 func (t *Tracer) commit(sp *Span) {
-	t.total++
 	if len(t.done) < t.cap {
 		t.done = append(t.done, *sp)
 		return

@@ -73,8 +73,8 @@ func TestRingBufferBoundsStorage(t *testing.T) {
 	if len(spans) != 4 {
 		t.Fatalf("ring holds %d spans, want 4", len(spans))
 	}
-	if tr.Total() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("total=%d dropped=%d, want 10/6", tr.Total(), tr.Dropped())
+	if tr.Dropped() != 6 {
+		t.Fatalf("dropped=%d, want 6", tr.Dropped())
 	}
 	// Oldest-first: the survivors are the last four spans.
 	if spans[0].End != 7 || spans[3].End != 10 {
@@ -120,7 +120,7 @@ func TestDisabledAndNilTracersAreInert(t *testing.T) {
 	sp.Attr("k", "v")
 	sp.Step("s", 1)
 	sp.End()
-	if nilTracer.Enabled() || nilTracer.Total() != 0 || nilTracer.Spans() != nil {
+	if nilTracer.Enabled() || nilTracer.Dropped() != 0 || nilTracer.Spans() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
 
@@ -130,7 +130,7 @@ func TestDisabledAndNilTracersAreInert(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderEndAndReset(t *testing.T) {
+func TestOutOfOrderEnd(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
 	clock := simtime.NewClock()
 	tr.AttachClock(clock)
@@ -140,12 +140,8 @@ func TestOutOfOrderEndAndReset(t *testing.T) {
 	clock.Advance(5)
 	b.End()
 	b.End() // double-end is a no-op
-	if tr.OpenSpans() != 0 || tr.Total() != 2 {
-		t.Fatalf("open=%d total=%d", tr.OpenSpans(), tr.Total())
-	}
-	tr.Reset()
-	if tr.Total() != 0 || len(tr.Spans()) != 0 {
-		t.Fatal("reset did not clear spans")
+	if len(tr.open) != 0 || len(tr.Spans()) != 2 {
+		t.Fatalf("open=%d finished=%d, want 0 and 2", len(tr.open), len(tr.Spans()))
 	}
 }
 
@@ -166,10 +162,10 @@ func TestTracerConcurrentUseIsSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Total() != 8*200 {
-		t.Fatalf("total = %d, want 1600", tr.Total())
+	if got := uint64(len(tr.Spans())) + tr.Dropped(); got != 8*200 {
+		t.Fatalf("finished spans = %d, want 1600", got)
 	}
-	if tr.OpenSpans() != 0 {
-		t.Fatalf("open spans = %d", tr.OpenSpans())
+	if len(tr.open) != 0 {
+		t.Fatalf("open spans = %d", len(tr.open))
 	}
 }

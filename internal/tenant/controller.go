@@ -65,12 +65,6 @@ type state struct {
 	quantum float64
 	rate    float64 // weighted uLL refill rate, tokens per virtual second
 
-	// Run tallies, reset by ResetCounters.
-	admitted      uint64
-	rejectedRate  uint64
-	rejectedShare uint64
-	borrowed      uint64
-
 	// Prebound instruments (nil registry ⇒ nil handles, inert): the
 	// admission path must not pay the registry's name-format +
 	// map-lookup cost.
@@ -215,11 +209,10 @@ func entitlements(specs []Spec, slots int) []int {
 	return out
 }
 
-// ResetCounters returns the controller to its start-of-run state: run
-// tallies zeroed, rate buckets and DRR deficits refilled to their caps
-// (a run begins with every burst allowance intact), and the refill
-// clocks cleared so the first admission re-anchors them at its own
-// instant. Cluster.Run calls this from resetRunState so back-to-back
+// ResetCounters returns the controller to its start-of-run state: rate
+// buckets and DRR deficits refilled to their caps (a run begins with
+// every burst allowance intact), and the refill clocks cleared so the
+// first admission re-anchors them at its own instant. Cluster.Run calls this from resetRunState so back-to-back
 // runs admit identically. Safe on a nil controller.
 //
 //horselint:coordinator
@@ -232,10 +225,6 @@ func (c *Controller) ResetCounters() {
 		st.tokens = c.specs[i].Burst
 		st.last = simtime.Time(0)
 		st.deficit = st.quantum
-		st.admitted = 0
-		st.rejectedRate = 0
-		st.rejectedShare = 0
-		st.borrowed = 0
 		st.tokensG.Set(int64(st.tokens))
 	}
 	c.spill = c.spillCap
@@ -304,7 +293,6 @@ func (c *Controller) Admit(idx int, now simtime.Time, ull bool) Verdict {
 	if c.specs[idx].Rate > 0 {
 		c.refillRate(idx, now)
 		if st.tokens < 1 {
-			st.rejectedRate++
 			st.rejRateC.Inc()
 			return RejectedRate
 		}
@@ -314,12 +302,10 @@ func (c *Controller) Admit(idx int, now simtime.Time, ull bool) Verdict {
 	if ull && c.ullRate > 0 {
 		c.refillShares(now)
 		if !c.takeShare(idx) {
-			st.rejectedShare++
 			st.rejShareC.Inc()
 			return RejectedShare
 		}
 	}
-	st.admitted++
 	st.admittedC.Inc()
 	return Admitted
 }
@@ -389,7 +375,6 @@ func (c *Controller) takeShare(idx int) bool {
 	}
 	if c.spill >= 1 {
 		c.spill--
-		st.borrowed++
 		return true
 	}
 	return false
@@ -413,16 +398,4 @@ func (c *Controller) TokensAvailable(idx int) float64 {
 		return 0
 	}
 	return c.states[idx].tokens
-}
-
-// Counts returns tenant idx's run tallies: admitted arrivals, rate
-// rejects, fair-share rejects, and spill-bucket borrows.
-//
-//horselint:coordinator
-func (c *Controller) Counts(idx int) (admitted, rejectedRate, rejectedShare, borrowed uint64) {
-	if c == nil || idx < 0 {
-		return 0, 0, 0, 0
-	}
-	st := &c.states[idx]
-	return st.admitted, st.rejectedRate, st.rejectedShare, st.borrowed
 }

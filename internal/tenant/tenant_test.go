@@ -199,10 +199,6 @@ func TestAdmitRateBucket(t *testing.T) {
 	if v := ctrl.Admit(idx, at(1_000_000), false); v != RejectedRate {
 		t.Fatalf("second same-instant admit: got %v, want RejectedRate", v)
 	}
-	admitted, rejRate, rejShare, _ := ctrl.Counts(idx)
-	if admitted != 6 || rejRate != 2 || rejShare != 0 {
-		t.Errorf("counts = %d admitted, %d rate, %d share; want 6, 2, 0", admitted, rejRate, rejShare)
-	}
 }
 
 func TestAdmitUnlimitedTenantAndUntenanted(t *testing.T) {
@@ -233,13 +229,17 @@ func TestAdmitFairShare(t *testing.T) {
 	// Both tenants offer 4000/s each against the 4000/s aggregate: one
 	// arrival per tenant every 250 µs over 1 s.
 	var heavyAdmitted, lightAdmitted float64
+	lightRejShare := 0
 	for i := int64(0); i < 4000; i++ {
 		now := at(i * 250_000)
 		if ctrl.Admit(heavy, now, true) == Admitted {
 			heavyAdmitted++
 		}
-		if ctrl.Admit(light, now, true) == Admitted {
+		switch ctrl.Admit(light, now, true) {
+		case Admitted:
 			lightAdmitted++
+		case RejectedShare:
+			lightRejShare++
 		}
 	}
 	// Aggregate supply over 1 s is ~4000 admissions (+ initial quanta);
@@ -250,8 +250,7 @@ func TestAdmitFairShare(t *testing.T) {
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Errorf("heavy:light admission ratio = %.2f (heavy %v, light %v), want ≈3", ratio, heavyAdmitted, lightAdmitted)
 	}
-	_, _, rejShare, _ := ctrl.Counts(light)
-	if rejShare == 0 {
+	if lightRejShare == 0 {
 		t.Error("contested light tenant recorded no ull-share rejects")
 	}
 }
@@ -274,10 +273,6 @@ func TestAdmitBorrowIdleShare(t *testing.T) {
 	// 2000/s; without it, it would cap near its guaranteed 1000.
 	if admitted < 1800 {
 		t.Errorf("busy admitted %d of 2000 with an idle peer, want ≥1800 (borrowing)", admitted)
-	}
-	_, _, _, borrowed := ctrl.Counts(busy)
-	if borrowed == 0 {
-		t.Error("busy tenant recorded no spill-bucket borrows")
 	}
 	// The spill bucket is capped: idle's unused share never accumulates
 	// beyond one burst window, so a long-idle system cannot bank an
@@ -315,12 +310,12 @@ func TestAdmitPreemptionProtection(t *testing.T) {
 }
 
 // TestResetCounters pins run-to-run determinism: after a reset, an
-// identical arrival sequence yields identical verdicts and tallies.
+// identical arrival sequence yields identical verdicts.
 func TestResetCounters(t *testing.T) {
 	ctrl := mustController(t, "a:weight=2,rate=2000/s;b:weight=1", Options{ULLRate: 3000})
 	ai, _ := ctrl.Lookup("a")
 	bi, _ := ctrl.Lookup("b")
-	drive := func() ([]Verdict, [4]uint64) {
+	drive := func() []Verdict {
 		var vs []Verdict
 		for i := int64(0); i < 3000; i++ {
 			vs = append(vs, ctrl.Admit(ai, at(i*300_000), true))
@@ -328,13 +323,11 @@ func TestResetCounters(t *testing.T) {
 				vs = append(vs, ctrl.Admit(bi, at(i*300_000), true))
 			}
 		}
-		var counts [4]uint64
-		counts[0], counts[1], counts[2], counts[3] = ctrl.Counts(ai)
-		return vs, counts
+		return vs
 	}
-	first, c1 := drive()
+	first := drive()
 	ctrl.ResetCounters()
-	second, c2 := drive()
+	second := drive()
 	if len(first) != len(second) {
 		t.Fatalf("verdict counts differ: %d vs %d", len(first), len(second))
 	}
@@ -342,9 +335,6 @@ func TestResetCounters(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("verdict %d differs after reset: %v vs %v", i, first[i], second[i])
 		}
-	}
-	if c1 != c2 {
-		t.Errorf("tallies differ after reset: %v vs %v", c1, c2)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // arrival.
 func benchStages(tc Context) {
 	tc.RecordOn(StagePlacement, 0, 0, "node-0", "", "least-loaded")
-	tc.Record(StageQueueWait, 0, 100)
+	tc.RecordOn(StageQueueWait, 0, 100, "", "", "")
 	tc.RecordOn(StagePoolTake, 100, 0, "node-0", "horse", "")
 	tc.RecordOn(StageResume, 100, 200, "node-0", "horse", "")
 	tc.RecordOn(StageInvoke, 300, 300, "node-0", "horse", "")
@@ -55,7 +55,7 @@ func BenchmarkFlightOffer(b *testing.B) {
 	rec := NewRecorder(RecorderOptions{Seed: 1, WorstK: 8})
 	for i := 0; i < 8; i++ {
 		tc := rec.Start(uint64(i), "seed", "horse", 0, 0)
-		tc.Record(StageInvoke, 0, simtime.Duration(1_000_000+i))
+		tc.RecordOn(StageInvoke, 0, simtime.Duration(1_000_000+i), "", "", "")
 		tc.Complete(Outcome{Served: "horse", Latency: simtime.Duration(1_000_000 + i)})
 	}
 	tr := &TriggerTrace{EndToEnd: 10}

@@ -5,7 +5,6 @@ import "testing"
 // Allocation sinks keep the pinned calls from being optimized away.
 var (
 	sinkBool bool
-	sinkID   TraceID
 	sinkInt  int
 )
 
@@ -22,11 +21,6 @@ func TestHotPathAllocFree(t *testing.T) {
 		sinkBool = tc.Active() || inert.Active()
 	}); n != 0 {
 		t.Errorf("Context.Active allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		sinkID = tc.ID() + inert.ID()
-	}); n != 0 {
-		t.Errorf("Context.ID allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		tc.SetNode("node-0")

@@ -55,7 +55,6 @@ type Recorder struct {
 	// code must never reach them (reconcile counts traces whose serving
 	// stages did not sum to latency).
 	agg       map[aggKey]*metrics.Series //horselint:coordinator
-	finished  uint64                     //horselint:coordinator
 	violated  uint64                     //horselint:coordinator
 	reconcile uint64                     //horselint:coordinator
 
@@ -131,7 +130,7 @@ func (r *Recorder) Claim() error {
 	}
 	r.claimed = true
 	clear(r.agg)
-	r.finished, r.violated, r.reconcile = 0, 0, 0
+	r.violated, r.reconcile = 0, 0
 	r.flight.Reset()
 	return nil
 }
@@ -146,14 +145,6 @@ func (r *Recorder) Release() {
 	r.mu.Lock()
 	r.claimed = false
 	r.mu.Unlock()
-}
-
-// Seed returns the seed trace IDs derive from.
-func (r *Recorder) Seed() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.seed
 }
 
 // Start mints the trace context for arrival seq. A nil recorder
@@ -219,7 +210,6 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	}
 
 	r.mu.Lock()
-	r.finished++
 	if tr.Violated {
 		r.violated++
 	}
@@ -252,16 +242,6 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	}
 }
 
-// Finished returns how many traces have completed.
-func (r *Recorder) Finished() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finished
-}
-
 // Violations returns how many finished traces missed their SLO.
 func (r *Recorder) Violations() uint64 {
 	if r == nil {
@@ -282,15 +262,6 @@ func (r *Recorder) ReconcileFailures() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.reconcile
-}
-
-// Evicted returns how many SLO violators the flight recorder's
-// must-keep ring overwrote.
-func (r *Recorder) Evicted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.flight.Evicted()
 }
 
 // Traces returns copies of the retained span trees — the SLO-violator

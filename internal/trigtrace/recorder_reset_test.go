@@ -30,8 +30,8 @@ func TestRecorderResetClearsRunState(t *testing.T) {
 	record(0, false)
 	record(1, true)
 	record(2, true)
-	if rec.Finished() != 3 || rec.Violations() != 2 {
-		t.Fatalf("setup: Finished=%d Violations=%d, want 3/2", rec.Finished(), rec.Violations())
+	if rec.Violations() != 2 {
+		t.Fatalf("setup: Violations=%d, want 2", rec.Violations())
 	}
 	if len(rec.Traces()) == 0 || len(rec.Attribution()) == 0 {
 		t.Fatal("setup did not retain traces and aggregates")
@@ -41,9 +41,9 @@ func TestRecorderResetClearsRunState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if rec.Finished() != 0 || rec.Violations() != 0 || rec.ReconcileFailures() != 0 {
-		t.Fatalf("after Claim: Finished=%d Violations=%d Reconcile=%d, want all zero",
-			rec.Finished(), rec.Violations(), rec.ReconcileFailures())
+	if rec.Violations() != 0 || rec.ReconcileFailures() != 0 {
+		t.Fatalf("after Claim: Violations=%d Reconcile=%d, want both zero",
+			rec.Violations(), rec.ReconcileFailures())
 	}
 	if got := rec.Traces(); len(got) != 0 {
 		t.Fatalf("after Claim: %d retained traces, want none", len(got))
@@ -51,14 +51,14 @@ func TestRecorderResetClearsRunState(t *testing.T) {
 	if got := rec.Attribution(); len(got) != 0 {
 		t.Fatalf("after Claim: %d attribution rows, want none", len(got))
 	}
-	if rec.Seed() != 11 {
-		t.Fatalf("Claim changed seed to %d", rec.Seed())
+	if rec.seed != 11 {
+		t.Fatalf("Claim changed seed to %d", rec.seed)
 	}
 
 	// Recording after Claim aggregates freshly, as on a new recorder.
 	record(0, true)
-	if rec.Finished() != 1 || rec.Violations() != 1 {
-		t.Fatalf("after Claim+record: Finished=%d Violations=%d, want 1/1", rec.Finished(), rec.Violations())
+	if rec.Violations() != 1 {
+		t.Fatalf("after Claim+record: Violations=%d, want 1", rec.Violations())
 	}
 	rows := rec.Attribution()
 	if len(rows) != 1 || rows[0].Count != 1 {

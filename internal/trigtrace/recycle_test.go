@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/horse-faas/horse/internal/simtime"
+	"github.com/horse-faas/horse/internal/telemetry"
 )
 
 // recordArrival records one trigger on rec: a clean serve of latency
@@ -16,7 +17,7 @@ func recordArrival(rec *Recorder, seq uint64, lat simtime.Duration, fail bool) {
 	tc.SetTenant("acme")
 	tc.SetNode("node-0")
 	tc.RecordOn(StagePlacement, 0, 0, "node-0", "", "round-robin")
-	tc.Record(StageQueueWait, 0, 10)
+	tc.RecordOn(StageQueueWait, 0, 10, "", "", "")
 	if fail {
 		tc.Reroute(10, "node-0", "node-failed")
 		tc.Complete(Outcome{Err: "no healthy node"})
@@ -53,8 +54,8 @@ func TestTracesSurviveRecycling(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatalf("traces taken before 10k arrivals changed:\nbefore %s\nafter  %s", before, after)
 	}
-	if rec.Evicted() == 0 {
-		t.Fatal("the must-keep ring never evicted, so eviction recycling went untested")
+	if rec.Violations() <= 4 {
+		t.Fatal("the must-keep ring (capacity 4) never overflowed, so eviction recycling went untested")
 	}
 }
 
@@ -121,7 +122,8 @@ func TestRecycledTracePathAllocFree(t *testing.T) {
 // free list is popped by Start and fed by evictions under the
 // recorder's mutex. Run under -race (CI does).
 func TestRecorderConcurrentRecycling(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Seed: 9, Capacity: 4, WorstK: 2})
+	reg := telemetry.NewRegistry()
+	rec := NewRecorder(RecorderOptions{Seed: 9, Capacity: 4, WorstK: 2, Metrics: reg})
 	const workers, perWorker = 4, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,8 +137,8 @@ func TestRecorderConcurrentRecycling(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := rec.Finished(), uint64(workers*perWorker); got != want {
-		t.Fatalf("Finished = %d, want %d", got, want)
+	if got, want := reg.Counter("trigtrace_traces_total").Value(), uint64(workers*perWorker); got != want {
+		t.Fatalf("traces finished = %d, want %d", got, want)
 	}
 	if got := len(rec.Traces()); got == 0 || got > 4+2 {
 		t.Fatalf("retained %d traces, want 1..6 (ring 4 + worst-K 2)", got)

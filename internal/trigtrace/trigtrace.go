@@ -134,16 +134,6 @@ func StageClass(s Stage) Class {
 	}
 }
 
-// Stages returns the full taxonomy in pipeline order, for docs and
-// exporters.
-func Stages() []Stage {
-	return []Stage{
-		StagePlacement, StageReroute, StageQueueWait, StagePoolTake,
-		StageDispatch, StageResume, StageColdInit, StageRestore,
-		StageRetryBackoff, StageFailedAttempt, StageInvoke, StageRepool,
-	}
-}
-
 // StageRecord is one recorded stage: a span in the trigger's tree.
 type StageRecord struct {
 	Stage Stage            `json:"stage"`
@@ -253,17 +243,6 @@ type Context struct {
 //horselint:shardphase
 func (c Context) Active() bool { return c.tr != nil }
 
-// ID returns the trace ID (zero for an inert context).
-//
-//horselint:hotpath
-//horselint:shardphase
-func (c Context) ID() TraceID {
-	if c.tr == nil {
-		return 0
-	}
-	return c.tr.ID
-}
-
 // IDString returns the trace ID annotation ("" for an inert context).
 //
 //horselint:shardphase
@@ -307,18 +286,6 @@ func (tr *TriggerTrace) addStage(r StageRecord) {
 		tr.Stages = make([]StageRecord, 0, 8)
 	}
 	tr.Stages = append(tr.Stages, r)
-}
-
-// Record appends one stage span on the current node.
-//
-//horselint:shardphase
-func (c Context) Record(stage Stage, start simtime.Time, dur simtime.Duration) {
-	if c.tr == nil {
-		return
-	}
-	c.tr.addStage(StageRecord{
-		Stage: stage, Start: start, Dur: dur, Node: c.tr.curNode,
-	})
 }
 
 // RecordOn appends one annotated stage span: node ("" selects the

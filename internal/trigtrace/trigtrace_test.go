@@ -53,15 +53,7 @@ func TestStageClassPartition(t *testing.T) {
 		StageFailedAttempt: ClassOverhead,
 		StageRepool:        ClassPost,
 	}
-	stages := Stages()
-	if len(stages) != len(want) {
-		t.Fatalf("Stages() lists %d stages, want %d", len(stages), len(want))
-	}
-	for _, s := range stages {
-		cls, ok := want[s]
-		if !ok {
-			t.Fatalf("Stages() lists unknown stage %q", s)
-		}
+	for s, cls := range want {
 		if got := StageClass(s); got != cls {
 			t.Fatalf("StageClass(%q) = %q, want %q", s, got, cls)
 		}
@@ -73,10 +65,9 @@ func TestInertContextIsSafe(t *testing.T) {
 	if c.Active() {
 		t.Fatal("zero Context reports active")
 	}
-	if c.ID() != 0 || c.IDString() != "" {
+	if c.IDString() != "" {
 		t.Fatal("zero Context has an ID")
 	}
-	c.Record(StageInvoke, 0, 10)
 	c.RecordOn(StageResume, 0, 5, "n0", "horse", "")
 	c.Reroute(0, "n1", "node-failed")
 	c.CollapseFailed(c.Mark(), 0, 3, "n1", "warm", "resume")
@@ -86,10 +77,10 @@ func TestInertContextIsSafe(t *testing.T) {
 	if got := r.Start(0, "fn", "horse", 0, 0); got.Active() {
 		t.Fatal("nil Recorder minted an active Context")
 	}
-	if r.Finished() != 0 || r.Violations() != 0 || r.ReconcileFailures() != 0 {
+	if r.Violations() != 0 || r.ReconcileFailures() != 0 {
 		t.Fatal("nil Recorder reported non-zero counters")
 	}
-	if r.Traces() != nil || r.Attribution() != nil || r.Evicted() != 0 {
+	if r.Traces() != nil || r.Attribution() != nil {
 		t.Fatal("nil Recorder returned non-nil contents")
 	}
 }
@@ -100,7 +91,7 @@ func TestRecorderFinishAggregates(t *testing.T) {
 
 	// Trigger 0: clean horse-path serve inside budget.
 	tc := rec.Start(0, "echo", "horse", 0, 1000)
-	tc.Record(StageQueueWait, 0, 100)
+	tc.RecordOn(StageQueueWait, 0, 100, "", "", "")
 	tc.RecordOn(StagePoolTake, 100, 0, "n0", "horse", "")
 	tc.RecordOn(StageResume, 100, 200, "n0", "horse", "")
 	tc.RecordOn(StageInvoke, 300, 300, "n0", "horse", "")
@@ -114,7 +105,7 @@ func TestRecorderFinishAggregates(t *testing.T) {
 	tc.RecordOn(StagePoolTake, 1000, 0, "n0", "warm", "")
 	tc.RecordOn(StageResume, 1000, 150, "n0", "warm", "")
 	tc.CollapseFailed(mark, 1000, 150, "n0", "warm", "resume")
-	tc.Record(StageRetryBackoff, 1150, 50)
+	tc.RecordOn(StageRetryBackoff, 1150, 50, "", "", "")
 	tc.RecordOn(StageColdInit, 1200, 900, "n0", "cold", "")
 	tc.RecordOn(StageInvoke, 2100, 300, "n0", "cold", "")
 	tc.Complete(Outcome{Served: "cold", Node: "n0", Latency: 1200})
@@ -125,8 +116,8 @@ func TestRecorderFinishAggregates(t *testing.T) {
 	tc.RecordOn(StageFailedAttempt, 3000, 80, "n0", "horse", "trigger-failed")
 	tc.Complete(Outcome{Err: "cluster: trigger failed", Latency: 0})
 
-	if got := rec.Finished(); got != 3 {
-		t.Fatalf("Finished = %d, want 3", got)
+	if got := reg.Counter("trigtrace_traces_total").Value(); got != 3 {
+		t.Fatalf("traces finished = %d, want 3", got)
 	}
 	if got := rec.Violations(); got != 2 {
 		t.Fatalf("Violations = %d, want 2 (over budget + terminal error)", got)
@@ -195,7 +186,7 @@ func TestRecorderFinishAggregates(t *testing.T) {
 func TestCollapseFailedReplacesPartialStages(t *testing.T) {
 	rec := NewRecorder(RecorderOptions{WorstK: 4})
 	tc := rec.Start(0, "fn", "warm", 0, 0)
-	tc.Record(StageQueueWait, 0, 10)
+	tc.RecordOn(StageQueueWait, 0, 10, "", "", "")
 	mark := tc.Mark()
 	tc.RecordOn(StagePoolTake, 10, 0, "n0", "warm", "")
 	tc.RecordOn(StageResume, 10, 30, "n0", "warm", "")
@@ -229,7 +220,7 @@ func TestFlightRetentionKeepsViolatorsAndWorst(t *testing.T) {
 		if seq%8 == 0 {
 			lat = 200 + simtime.Duration(seq) // violator
 		}
-		tc.Record(StageInvoke, 0, lat)
+		tc.RecordOn(StageInvoke, 0, lat, "", "", "")
 		tc.Complete(Outcome{Served: "horse", Node: "n0", Latency: lat})
 	}
 	traces := rec.Traces()
@@ -246,16 +237,13 @@ func TestFlightRetentionKeepsViolatorsAndWorst(t *testing.T) {
 	if want := []uint64{0, 8, 16, 24}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("retained seqs = %v, want %v", seqs, want)
 	}
-	if got := rec.Evicted(); got != 0 {
-		t.Fatalf("ring evicted %d, want 0", got)
-	}
 }
 
 func TestWritePerfettoDeterministicAndLinked(t *testing.T) {
 	build := func() []*TriggerTrace {
 		rec := NewRecorder(RecorderOptions{Seed: 99, WorstK: 8})
 		tc := rec.Start(0, "echo", "horse", 0, 50)
-		tc.Record(StageQueueWait, 0, 10)
+		tc.RecordOn(StageQueueWait, 0, 10, "", "", "")
 		tc.RecordOn(StageResume, 10, 20, "n0", "horse", "")
 		tc.RecordOn(StageInvoke, 30, 40, "n0", "horse", "")
 		tc.Complete(Outcome{Served: "horse", Node: "n0", Latency: 70})

@@ -138,10 +138,10 @@ func New(opts Options) (*Hypervisor, error) {
 		h.tracer.AttachClock(h.clock)
 	}
 	for i := 0; i < generalCPUs; i++ {
-		h.general = append(h.general, runqueue.New(i, false))
+		h.general = append(h.general, runqueue.New(false))
 	}
 	for i := 0; i < opts.ULLQueues; i++ {
-		h.ull = append(h.ull, runqueue.New(generalCPUs+i, true))
+		h.ull = append(h.ull, runqueue.New(true))
 	}
 	return h, nil
 }
@@ -176,15 +176,6 @@ func (h *Hypervisor) Accounting() Accounting { return h.acct }
 // Ledger returns the credit2-style accounting ledger that supplies every
 // entity's run-queue sort attribute.
 func (h *Hypervisor) Ledger() *credit2.Ledger { return h.ledger }
-
-// Sandbox looks up a sandbox by id.
-func (h *Hypervisor) Sandbox(id string) (*Sandbox, error) {
-	sb, ok := h.sandboxes[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSandbox, id)
-	}
-	return sb, nil
-}
 
 // Sandboxes returns the number of live sandboxes.
 func (h *Hypervisor) Sandboxes() int { return len(h.sandboxes) }
@@ -575,9 +566,6 @@ func (c *ResumeContext) Finish(dst []simtime.StopwatchResult) (ResumeReport, err
 // PolicyVanilla names the unmodified resume path.
 const PolicyVanilla = "vanil"
 
-// Pause performs the vanilla pause: remove every vCPU from its queue.
-func (h *Hypervisor) Pause(sb *Sandbox) (PauseReport, error) { return h.AppendPause(nil, sb) }
-
 // AppendPause is Pause with the report's steps appended to dst, so a
 // caller that reuses one buffer for reports it does not keep pays no
 // allocation for them.
@@ -591,11 +579,6 @@ func (h *Hypervisor) AppendPause(dst []simtime.StopwatchResult, sb *Sandbox) (Pa
 	}
 	return ctx.Finish(dst)
 }
-
-// Resume performs the vanilla resume (paper §3.1): steps ①②③, then for
-// each vCPU a sequential sorted merge into the least-loaded queue (④)
-// followed by a locked load update (⑤), then step ⑥.
-func (h *Hypervisor) Resume(sb *Sandbox) (ResumeReport, error) { return h.AppendResume(nil, sb) }
 
 // AppendResume is Resume with the report's steps appended to dst, as
 // AppendPause.

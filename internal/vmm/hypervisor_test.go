@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/horse-faas/horse/internal/runqueue"
 	"github.com/horse-faas/horse/internal/simtime"
 )
 
@@ -24,7 +25,7 @@ func TestNewDefaults(t *testing.T) {
 	if got := len(h.ULLQueues()); got != 1 {
 		t.Fatalf("ull queues = %d, want 1", got)
 	}
-	if !h.ULLQueues()[0].Reserved() {
+	if h.ULLQueues()[0].Timeslice() != runqueue.ULLTimeslice {
 		t.Fatal("ull queue not reserved")
 	}
 	if h.Costs() != DefaultCostModel() {
@@ -60,9 +61,8 @@ func TestCreateSandboxPlacesVCPUs(t *testing.T) {
 	if h.Sandboxes() != 1 {
 		t.Fatalf("Sandboxes = %d, want 1", h.Sandboxes())
 	}
-	got, err := h.Sandbox(sb.ID())
-	if err != nil || got != sb {
-		t.Fatalf("Sandbox lookup failed: %v", err)
+	if h.sandboxes[sb.ID()] != sb {
+		t.Fatal("sandbox not registered under its id")
 	}
 }
 
@@ -91,7 +91,7 @@ func TestPauseResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := h.Pause(sb)
+	pr, err := h.AppendPause(nil, sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPauseResumeRoundTrip(t *testing.T) {
 		t.Fatalf("pause report = %+v", pr)
 	}
 
-	rr, err := h.Resume(sb)
+	rr, err := h.AppendResume(nil, sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func TestVanillaResumeCostMatchesCalibration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.Pause(sb); err != nil {
+			if _, err := h.AppendPause(nil, sb); err != nil {
 				t.Fatal(err)
 			}
-			rr, err := h.Resume(sb)
+			rr, err := h.AppendResume(nil, sb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,10 +162,10 @@ func TestVanillaTwoOpsShareGrowsWithVCPUs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Pause(sb); err != nil {
+		if _, err := h.AppendPause(nil, sb); err != nil {
 			t.Fatal(err)
 		}
-		rr, err := h.Resume(sb)
+		rr, err := h.AppendResume(nil, sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestResumeRequiresPaused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Resume(sb); !errors.Is(err, ErrNotPaused) {
+	if _, err := h.AppendResume(nil, sb); !errors.Is(err, ErrNotPaused) {
 		t.Fatalf("err = %v, want ErrNotPaused", err)
 	}
 }
@@ -199,10 +199,10 @@ func TestPauseRequiresRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Pause(sb); err != nil {
+	if _, err := h.AppendPause(nil, sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Pause(sb); !errors.Is(err, ErrNotRunning) {
+	if _, err := h.AppendPause(nil, sb); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("double pause err = %v, want ErrNotRunning", err)
 	}
 }
@@ -211,10 +211,10 @@ func TestResumeLockExcludesParallelResume(t *testing.T) {
 	h := newHypervisor(t)
 	sb1, _ := h.CreateSandbox(Config{VCPUs: 1, MemoryMB: 512})
 	sb2, _ := h.CreateSandbox(Config{VCPUs: 1, MemoryMB: 512})
-	if _, err := h.Pause(sb1); err != nil {
+	if _, err := h.AppendPause(nil, sb1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Pause(sb2); err != nil {
+	if _, err := h.AppendPause(nil, sb2); err != nil {
 		t.Fatal(err)
 	}
 	ctx, err := h.BeginResume(sb1, PolicyVanilla, false)
@@ -225,7 +225,7 @@ func TestResumeLockExcludesParallelResume(t *testing.T) {
 		t.Fatalf("err = %v, want ErrResumeBusy", err)
 	}
 	ctx.Abort()
-	if _, err := h.Resume(sb2); err != nil {
+	if _, err := h.AppendResume(nil, sb2); err != nil {
 		t.Fatalf("resume after lock release failed: %v", err)
 	}
 	if h.Accounting().LockWaits != 1 {
@@ -240,7 +240,7 @@ func TestResumeLockExcludesParallelResume(t *testing.T) {
 func TestResumeFinishRequiresAllPlacements(t *testing.T) {
 	h := newHypervisor(t)
 	sb, _ := h.CreateSandbox(Config{VCPUs: 2, MemoryMB: 512})
-	if _, err := h.Pause(sb); err != nil {
+	if _, err := h.AppendPause(nil, sb); err != nil {
 		t.Fatal(err)
 	}
 	ctx, err := h.BeginResume(sb, "broken", false)
@@ -251,7 +251,7 @@ func TestResumeFinishRequiresAllPlacements(t *testing.T) {
 		t.Fatal("Finish accepted a resume that placed no vCPUs")
 	}
 	// The failed Finish must release the lock.
-	if _, err := h.Resume(sb); err != nil {
+	if _, err := h.AppendResume(nil, sb); err != nil {
 		t.Fatalf("lock not released after failed Finish: %v", err)
 	}
 }
@@ -278,7 +278,7 @@ func TestDestroySandbox(t *testing.T) {
 	if err := h.DestroySandbox(sb); !errors.Is(err, ErrUnknownSandbox) {
 		t.Fatalf("double destroy err = %v, want ErrUnknownSandbox", err)
 	}
-	if _, err := h.Pause(sb); !errors.Is(err, ErrStopped) {
+	if _, err := h.AppendPause(nil, sb); !errors.Is(err, ErrStopped) {
 		t.Fatalf("pause stopped err = %v, want ErrStopped", err)
 	}
 }
@@ -288,9 +288,9 @@ func TestLeastLoadedQueueSpreadsPlacements(t *testing.T) {
 	if _, err := h.CreateSandbox(Config{VCPUs: 2 * generalCPUs, MemoryMB: 512}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range h.Queues() {
+	for i, q := range h.Queues() {
 		if q.Len() != 2 {
-			t.Fatalf("queue %d has %d entities, want even spread of 2", q.ID(), q.Len())
+			t.Fatalf("queue %d has %d entities, want even spread of 2", i, q.Len())
 		}
 	}
 }
@@ -309,12 +309,5 @@ func TestSandboxStateString(t *testing.T) {
 		if got := tt.give.String(); got != tt.want {
 			t.Errorf("String = %q, want %q", got, tt.want)
 		}
-	}
-}
-
-func TestUnknownSandboxLookup(t *testing.T) {
-	h := newHypervisor(t)
-	if _, err := h.Sandbox("nope"); !errors.Is(err, ErrUnknownSandbox) {
-		t.Fatalf("err = %v, want ErrUnknownSandbox", err)
 	}
 }

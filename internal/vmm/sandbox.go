@@ -85,10 +85,6 @@ func (s *Sandbox) NumVCPUs() int { return len(s.vcpus) }
 // ULL reports whether the sandbox is flagged for the uLL fast path.
 func (s *Sandbox) ULL() bool { return s.ull }
 
-// SetULL flags the sandbox for the uLL fast path. It may only be changed
-// while the sandbox is running (before its first HORSE pause).
-func (s *Sandbox) SetULL(v bool) { s.ull = v }
-
 // Placements returns where each vCPU currently sits (empty while paused).
 // Callers must not mutate the returned slice.
 func (s *Sandbox) Placements() []Placement { return s.placements }

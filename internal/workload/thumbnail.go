@@ -125,9 +125,6 @@ type Spin struct {
 
 var _ Function = (*Spin)(nil)
 
-// NewSpin returns a CPU hog with the given per-round demand.
-func NewSpin(demand simtime.Duration) *Spin { return &Spin{Demand: demand} }
-
 // Name implements Function.
 func (s *Spin) Name() string { return "spin" }
 

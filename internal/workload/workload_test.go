@@ -30,10 +30,10 @@ func TestCategoryString(t *testing.T) {
 }
 
 func TestVirtualDurationsMatchTable1(t *testing.T) {
-	if d := DefaultFirewall().VirtualDuration(); d.Microseconds() != 17 {
+	if d := DefaultFirewall().VirtualDuration(); d.Nanoseconds() != 17_000 {
 		t.Fatalf("firewall = %v, want 17µs", d)
 	}
-	if d := DefaultNAT().VirtualDuration(); d.Microseconds() != 1.5 {
+	if d := DefaultNAT().VirtualDuration(); d.Nanoseconds() != 1_500 {
 		t.Fatalf("nat = %v, want 1.5µs", d)
 	}
 	if d := NewScan(1).VirtualDuration(); d.Nanoseconds() != 700 {
@@ -257,7 +257,7 @@ func TestThumbnailInvoke(t *testing.T) {
 }
 
 func TestSpin(t *testing.T) {
-	sp := NewSpin(500)
+	sp := &Spin{Demand: 500}
 	if sp.VirtualDuration() != 500 {
 		t.Fatalf("VirtualDuration = %v", sp.VirtualDuration())
 	}
