@@ -9,8 +9,10 @@ import (
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faas"
+	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
+	"github.com/horse-faas/horse/internal/tenant"
 	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/workload"
 )
@@ -106,6 +108,76 @@ func benchShardedCluster(b *testing.B, shards int) *Cluster {
 	return c
 }
 
+// tenantedCluster builds the adversarial-tenants shape under
+// ull-affinity on 8 nodes (2 uLL-reserved, 2 slots each), served on 2
+// shards: three tenants — a steady HORSE scan tenant, a greedy bursty
+// NAT tenant, and a rate-limited batch tenant on firewall warm and
+// restore starts — with resume, invoke and node-failure faults. Most
+// arrivals are refused at the admission gate, so the run is dominated
+// by the coordinator's per-arrival work: admission, trace start and
+// finish, and the report. It returns the cluster and the run over
+// horizon.
+func tenantedCluster(tb testing.TB, horizon simtime.Duration) (*Cluster, RunConfig) {
+	tb.Helper()
+	ws, err := loadgen.ParseWorkloads("scan=poisson:rate=30000/s,mode=horse,tenant=steady;" +
+		"nat=onoff:on=2ms,off=8ms,rate=2000000/s,mode=horse,tenant=greedy;" +
+		"firewall=poisson:rate=20000/s,mode=warm:3+restore:1,tenant=batch")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tenants, err := tenant.ParseSpecs("steady:weight=4,slots=3;greedy:weight=1,rate=25000/s,burst=500,slots=1;" +
+		"batch:weight=1,rate=15000/s,burst=100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	faults, err := faultinject.FromSpec(1, "resume:rate=0.02,invoke:rate=0.001,cluster.node.fail:nth=5000")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	specs := make([]NodeSpec, 8)
+	specs[0].ULLSlots, specs[1].ULLSlots = 2, 2
+	c, err := New(Options{
+		Specs:        specs,
+		Policy:       PolicyULLAffinity,
+		Seed:         1,
+		Faults:       faults,
+		Fallback:     faas.FallbackConfig{Enabled: true},
+		Shards:       2,
+		Tenants:      tenants,
+		ULLAdmitRate: 60000,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fns := map[string]struct {
+		fn     workload.Function
+		req    any
+		policy core.Policy
+	}{
+		"scan":     {workload.NewScan(42), workload.ScanRequest{Threshold: 5000}, core.Horse},
+		"nat":      {workload.DefaultNAT(), workload.NATPacket{DstIP: "203.0.113.10", DstPort: 80}, core.Horse},
+		"firewall": {workload.DefaultFirewall(), workload.FirewallRequest{SrcIP: "10.1.2.3", DstPort: 443}, core.Vanilla},
+	}
+	payloads := make(map[string][]byte, len(ws))
+	for _, w := range ws {
+		f := fns[w.Function]
+		if err := c.RegisterEverywhere(f.fn, faas.SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.BindTenant(w.Function, w.Tenant); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := c.ScaleCluster(w.Function, 4, f.policy); err != nil {
+			tb.Fatal(err)
+		}
+		if payloads[w.Function], err = json.Marshal(f.req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c.Settle()
+	return c, RunConfig{Workloads: ws, Horizon: horizon, Payloads: payloads}
+}
+
 // BenchmarkClusterRun measures the full conservative-PDES run loop at
 // scale: one million-plus arrivals over an 8-node cluster, sequential
 // versus one shard per node. The benchmark's triggers/sec custom
@@ -150,6 +222,22 @@ func BenchmarkClusterRun(b *testing.B) {
 			}
 		})
 	}
+	// The tenanted run: the tenantedCluster shape over a 200 ms horizon,
+	// about 90k arrivals of which about 83% are admission rejects.
+	b.Run("tenanted", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c, cfg := tenantedCluster(b, 200*simtime.Millisecond)
+			b.StartTimer()
+			report, err := c.Run(cfg)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(report.Arrivals)*float64(b.N)/b.Elapsed().Seconds(), "triggers/s")
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkReportBuild measures report assembly plus CSV rendering:
@@ -162,20 +250,23 @@ func BenchmarkReportBuild(b *testing.B) {
 	c := benchCluster(b, PolicyULLAffinity)
 	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 42})
 	c.SetTrace(rec)
-	builder := newReportBuilder(c, 100*simtime.Millisecond, map[string]simtime.Duration{"scan": DefaultULLBudget})
+	c.SetSLOBudget("scan", DefaultULLBudget)
+	builder := newReportBuilder(c, 100*simtime.Millisecond)
 	rng := rand.New(rand.NewSource(1))
-	modes := []string{"horse", "warm"}
+	modes := []faas.StartMode{faas.ModeHorse, faas.ModeWarm}
+	job := &pendingJob{entry: c.deployments["scan"]}
 	for i := 0; i < 100_000; i++ {
-		mode, node := modes[i%len(modes)], c.nodes[i%len(c.nodes)].id
+		job.inv.Mode, job.node = modes[i%len(modes)], c.nodes[i%len(c.nodes)]
+		mode, node := job.inv.Mode.String(), job.node.id
 		wait := simtime.Duration(150 * rng.Intn(1000))
 		invoke := simtime.Duration(1500 + 50*rng.Intn(4))
 		tc := rec.Start(uint64(i), "scan", mode, 0, DefaultULLBudget)
 		tc.RecordOn(trigtrace.StageQueueWait, 0, wait, node, mode, "")
 		tc.RecordOn(trigtrace.StageResume, 0, 150, node, mode, "")
 		tc.RecordOn(trigtrace.StageInvoke, 0, invoke, node, mode, "")
-		latency := wait + 150 + invoke
-		tc.Complete(trigtrace.Outcome{Served: mode, Node: node, Latency: latency})
-		builder.record("scan", mode, node, latency, nil)
+		job.latency = wait + 150 + invoke
+		tc.Complete(trigtrace.Outcome{Served: mode, Node: node, Latency: job.latency})
+		builder.record(job)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

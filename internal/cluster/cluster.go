@@ -58,17 +58,22 @@ const (
 )
 
 // deploymentEntry is the cluster's record of one registered function.
-// tenant is the owning tenant's index in the cluster's controller (-1
-// for untenanted functions, which are never admission-gated);
-// tenantName is its name, carried into traces and the report; rejects
-// holds the tenant's admission errors, indexed by verdict.
+// index is its registration order, the dense key of the report's
+// per-function tallies. tenant is the owning tenant's index in the
+// cluster's controller (-1 for untenanted functions, which are never
+// admission-gated); tenantName is its name, carried into traces and
+// the report; rejects holds the tenant's admission errors, indexed by
+// verdict. slo is the latency budget the function's traces and SLO
+// tallies are judged against (0 = none).
 type deploymentEntry struct {
-	fn         workload.Function
+	name       string
+	index      int
 	spec       faas.SandboxSpec
 	ull        bool
 	tenant     int
 	tenantName string
 	rejects    admissionErrors
+	slo        simtime.Duration //horselint:coordinator
 }
 
 // Options configures a Cluster.
@@ -124,7 +129,10 @@ type Cluster struct {
 	nodes  []*Node
 	router *Router //horselint:coordinator
 
-	deployments map[string]deploymentEntry
+	// deployments looks an entry up by function name; entries lists
+	// the same entries by index.
+	deployments map[string]*deploymentEntry
+	entries     []*deploymentEntry
 	faults      *faultinject.Injector //horselint:coordinator
 	metrics     *telemetry.Registry
 	seed        int64
@@ -136,15 +144,12 @@ type Cluster struct {
 	// of decision the PDES contract centralizes.
 	tenants *tenant.Controller //horselint:coordinator
 
-	// rec, seq, and sloBudgets drive per-trigger tracing: rec mints one
-	// context per arrival (seq is the arrival index its trace ID derives
-	// from), and sloBudgets carries each function's latency budget into
-	// the trace's SLO verdict. rec and sloBudgets are nil when tracing is
-	// off; seq counts every arrival regardless, so arming a recorder
-	// mid-stream does not shift later trace IDs.
-	rec        *trigtrace.Recorder         //horselint:coordinator
-	seq        uint64                      //horselint:coordinator
-	sloBudgets map[string]simtime.Duration //horselint:coordinator
+	// rec and seq drive per-trigger tracing: rec mints one context per
+	// arrival (seq is the arrival index its trace ID derives from). rec
+	// is nil when tracing is off; seq counts every arrival regardless,
+	// so arming a recorder mid-stream does not shift later trace IDs.
+	rec *trigtrace.Recorder //horselint:coordinator
+	seq uint64              //horselint:coordinator
 
 	failovers map[string]uint64 //horselint:coordinator
 
@@ -152,6 +157,9 @@ type Cluster struct {
 	// a run allocates a job only when more are in flight at once than
 	// ever before.
 	freeJobs []*pendingJob //horselint:coordinator
+	// scheduled and retry are serveEpoch's per-wave scratch: the jobs
+	// queued on nodes, and those that must re-route.
+	scheduled, retry []*pendingJob //horselint:coordinator
 }
 
 // New builds a cluster of fresh nodes at the simulation epoch.
@@ -178,7 +186,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		clock:       simtime.NewClock(),
-		deployments: make(map[string]deploymentEntry),
+		deployments: make(map[string]*deploymentEntry),
 		faults:      opts.Faults,
 		metrics:     opts.Metrics,
 		seed:        opts.Seed,
@@ -268,16 +276,16 @@ func (c *Cluster) Trace() *trigtrace.Recorder { return c.rec }
 //horselint:coordinator
 func (c *Cluster) SetTrace(rec *trigtrace.Recorder) { c.rec = rec }
 
-// SetSLOBudget sets the latency budget a function's traces are judged
-// against (0 removes it). Run seeds these from its per-function
-// budgets; direct Trigger callers may set them explicitly.
+// SetSLOBudget sets the latency budget a registered function's traces
+// are judged against (0 removes it; an unregistered name is ignored).
+// Run seeds these from its per-function budgets; direct Trigger
+// callers may set them explicitly.
 //
 //horselint:coordinator
 func (c *Cluster) SetSLOBudget(name string, budget simtime.Duration) {
-	if c.sloBudgets == nil {
-		c.sloBudgets = make(map[string]simtime.Duration)
+	if entry, ok := c.deployments[name]; ok {
+		entry.slo = budget
 	}
-	c.sloBudgets[name] = budget
 }
 
 // node looks a node up by id.
@@ -306,7 +314,9 @@ func (c *Cluster) RegisterEverywhere(fn workload.Function, spec faas.SandboxSpec
 			return fmt.Errorf("cluster: register %q on %s: %w", fn.Name(), n.id, err)
 		}
 	}
-	c.deployments[fn.Name()] = deploymentEntry{fn: fn, spec: spec, ull: fn.Category().ULL(), tenant: -1}
+	entry := &deploymentEntry{name: fn.Name(), index: len(c.entries), spec: spec, ull: fn.Category().ULL(), tenant: -1}
+	c.deployments[entry.name] = entry
+	c.entries = append(c.entries, entry)
 	return nil
 }
 
@@ -512,7 +522,9 @@ func (c *Cluster) Fail(id string) error {
 func (c *Cluster) resetRunState() {
 	c.seq = 0
 	c.failovers = make(map[string]uint64)
-	c.sloBudgets = nil
+	for _, entry := range c.entries {
+		entry.slo = 0
+	}
 	c.router.policy.reset()
 	// The admission controller's buckets, deficits, and tallies are
 	// per-run state; occupancy is republished from the live pools so a
@@ -559,16 +571,12 @@ type Placement struct {
 //
 //horselint:coordinator
 func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faas.Invocation, Placement, error) {
-	if _, ok := c.deployments[name]; !ok {
+	entry, ok := c.deployments[name]
+	if !ok {
 		return faas.Invocation{}, Placement{NodeIndex: -1}, fmt.Errorf("%w: %q", faas.ErrUnknownFunction, name)
 	}
-	job := c.newJob(name, mode, payload, c.clock.Now())
-	for job.err == nil && c.routeJob(job) {
-		c.drain(job.node)
-		if !c.settle(job) {
-			break
-		}
-	}
+	job := c.newJob(entry, mode, payload, c.clock.Now())
+	c.serveAlone(job)
 	c.complete(job)
 	defer c.releaseJob(job)
 	p := Placement{NodeIndex: -1, Failovers: job.failovers}

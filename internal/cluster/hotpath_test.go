@@ -189,9 +189,9 @@ func TestHotPathAllocFree(t *testing.T) {
 	// flight recorder does not keep, re-arms each pause's P²SM
 	// precompute in place, keeps its report and attribution latencies
 	// as counts per distinct value, and decodes each scan request
-	// without allocating. This run allocates about 83 B per arrival,
+	// without allocating. This run allocates about 53 B per arrival,
 	// most of it per-run set-up and report building (at 16× the
-	// arrivals it reads 37 B). A run that made any per-trigger garbage
+	// arrivals it reads 14 B). A run that made any per-trigger garbage
 	// again — a request decode, a trace, a step report, a precompute,
 	// an output, a retained latency sample — would cross 128 B. The
 	// bytes are counted over the Run call only.
@@ -224,6 +224,37 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Logf("Cluster.Run allocates %.0f B per arrival over %d arrivals", perArrival, report.Arrivals)
 		if perArrival > budget {
 			t.Errorf("Cluster.Run allocates %.0f B per arrival, budget %d B", perArrival, budget)
+		}
+	})
+
+	// The tenanted run (tenantedCluster): admission rejects, failovers,
+	// pool misses down the fallback chain, and three tenants' report
+	// rows. A rejected arrival reuses its tenant's cached error and a
+	// pool miss its deployment's; jobs and traces come from free lists,
+	// and the report tallies by dense index. This run allocates about
+	// 135 B per arrival, most of it set-up that a longer run amortizes:
+	// each recycled trace's first stage list, the first jobs and traces,
+	// the restore and cold starts' sandboxes, and the NAT and firewall
+	// bodies' own garbage. Formatting one error or minting one trace per
+	// arrival again would cross 192 B.
+	t.Run("Cluster.Run-tenanted", func(t *testing.T) {
+		c, cfg := tenantedCluster(t, 20*simtime.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		report, err := c.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Arrivals < 1000 || report.Rejected == 0 || len(report.Tenants) != 3 {
+			t.Fatalf("run saw %d arrivals, %d rejected, %d tenants; want 1000+, some, 3",
+				report.Arrivals, report.Rejected, len(report.Tenants))
+		}
+		const budget = 192
+		perArrival := float64(after.TotalAlloc-before.TotalAlloc) / float64(report.Arrivals)
+		t.Logf("tenanted Cluster.Run allocates %.0f B per arrival over %d arrivals", perArrival, report.Arrivals)
+		if perArrival > budget {
+			t.Errorf("tenanted Cluster.Run allocates %.0f B per arrival, budget %d B", perArrival, budget)
 		}
 	})
 }

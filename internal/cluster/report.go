@@ -3,12 +3,12 @@ package cluster
 import (
 	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 
+	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/trigtrace"
@@ -252,27 +252,31 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// reportBuilder accumulates per-arrival outcomes during a run.
+// reportBuilder accumulates per-arrival outcomes during a run. Every
+// tally is dense: latency series by served start mode (byMode), node
+// index (byNode), and tenant index then mode (byTenantMode); function
+// tallies by deployment-entry index (byFn); rejections by outcome. A
+// mode series is created on its first record, and build emits only
+// what was recorded, in name order.
 type reportBuilder struct {
 	cluster *Cluster
 	horizon simtime.Duration
-	budgets map[string]simtime.Duration
 
 	arrivals uint64
 	served   uint64
 	rejected uint64
 	failed   uint64
 
-	byMode     map[string]*metrics.Series
-	byNode     map[string]*metrics.Series
-	byFn       map[string]*fnOutcome
-	rejReasons map[string]uint64
+	byMode     []*metrics.Series
+	byNode     []*metrics.Series
+	byFn       []fnOutcome
+	rejReasons [len(rejectReasons)]uint64
 
 	// byTenant is indexed by the controller's tenant index (nil without
-	// a tenant contract); byTenantMode keys one tenant's one-mode latency
-	// series.
+	// a tenant contract); byTenantMode[tenant][mode] is one tenant's
+	// one-mode latency series.
 	byTenant     []tenantOutcome
-	byTenantMode map[tenantModeKey]*metrics.Series
+	byTenantMode [][]*metrics.Series
 }
 
 type fnOutcome struct {
@@ -291,47 +295,37 @@ type tenantOutcome struct {
 	ullMissed         uint64
 }
 
-type tenantModeKey struct {
-	tenant int
-	mode   string
-}
-
-func newReportBuilder(c *Cluster, horizon simtime.Duration, budgets map[string]simtime.Duration) *reportBuilder {
+func newReportBuilder(c *Cluster, horizon simtime.Duration) *reportBuilder {
 	b := &reportBuilder{
-		cluster:    c,
-		horizon:    horizon,
-		budgets:    budgets,
-		byMode:     make(map[string]*metrics.Series),
-		byNode:     make(map[string]*metrics.Series),
-		byFn:       make(map[string]*fnOutcome),
-		rejReasons: make(map[string]uint64),
+		cluster: c,
+		horizon: horizon,
+		byNode:  make([]*metrics.Series, len(c.nodes)),
+		byFn:    make([]fnOutcome, len(c.entries)),
 	}
-	for _, n := range c.nodes {
-		b.byNode[n.id] = metrics.NewSeries()
+	for i := range b.byNode {
+		b.byNode[i] = metrics.NewSeries()
 	}
 	if c.tenants != nil {
 		b.byTenant = make([]tenantOutcome, c.tenants.Len())
-		b.byTenantMode = make(map[tenantModeKey]*metrics.Series)
+		b.byTenantMode = make([][]*metrics.Series, c.tenants.Len())
 	}
 	return b
 }
 
-// record folds one trigger outcome into the report. Mode latencies are
-// grouped by the mode that actually served (after fallback), because
-// that is the distribution the paper's figures compare. Folding runs
-// on the coordinator during finalize, in arrival order, which is what
-// keeps the report byte-identical at every shard count.
+// record folds one terminal job into the report, in the column its
+// outcome names. Mode latencies are grouped by the mode that actually
+// served (after fallback), because that is the distribution the
+// paper's figures compare; a job that was not served records no mode
+// and no node. Folding runs on the coordinator during finalize, in
+// arrival order, which is what keeps the report byte-identical at
+// every shard count.
 //
 //horselint:coordinator
-func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Duration, err error) {
+func (b *reportBuilder) record(job *pendingJob) {
+	entry := job.entry
 	b.arrivals++
-	out := b.byFn[fn]
-	if out == nil {
-		out = &fnOutcome{}
-		b.byFn[fn] = out
-	}
+	out := &b.byFn[entry.index]
 	out.arrivals++
-	entry := b.cluster.deployments[fn]
 	var to *tenantOutcome
 	if b.byTenant != nil && entry.tenant >= 0 {
 		to = &b.byTenant[entry.tenant]
@@ -340,24 +334,35 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 			to.ullArrivals++
 		}
 	}
-	if err != nil {
-		if isRejection(err) {
-			b.rejected++
-			reason := rejectionReason(err)
-			b.rejReasons[reason]++
-			if to != nil {
-				if reason == RejectReasonAdmission {
-					to.admissionRejected++
-				} else {
-					to.rejected++
-				}
-			}
-		} else {
-			b.failed++
-			if to != nil {
-				to.failed++
+	missed := true
+	switch job.outcome {
+	case outServed:
+		b.served++
+		missed = job.latency > entry.slo
+		mode := int(job.inv.Mode)
+		seriesAt(&b.byMode, mode).Record(job.latency)
+		b.byNode[job.node.index].Record(job.latency)
+		if to != nil {
+			to.served++
+			seriesAt(&b.byTenantMode[entry.tenant], mode).Record(job.latency)
+		}
+	case outAdmission, outNoNodes:
+		b.rejected++
+		b.rejReasons[job.outcome-outAdmission]++
+		if to != nil {
+			if job.outcome == outAdmission {
+				to.admissionRejected++
+			} else {
+				to.rejected++
 			}
 		}
+	default:
+		b.failed++
+		if to != nil {
+			to.failed++
+		}
+	}
+	if missed {
 		out.missed++
 		if to != nil {
 			to.missed++
@@ -365,45 +370,36 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 				to.ullMissed++
 			}
 		}
-		return
 	}
-	b.served++
-	missed := latency > b.budgets[fn]
-	if missed {
-		out.missed++
+}
+
+// seriesAt returns (*s)[i], growing *s and creating the series on first
+// use.
+func seriesAt(s *[]*metrics.Series, i int) *metrics.Series {
+	if i >= len(*s) {
+		*s = append(*s, make([]*metrics.Series, i+1-len(*s))...)
 	}
-	recordInto(b.byMode, servedMode, latency)
-	b.byNode[node].Record(latency)
-	if to != nil {
-		to.served++
-		if missed {
-			to.missed++
-			if entry.ull {
-				to.ullMissed++
-			}
+	if (*s)[i] == nil {
+		(*s)[i] = metrics.NewSeries()
+	}
+	return (*s)[i]
+}
+
+// modesByName returns the start modes with a series in byMode, ordered
+// by mode name.
+func modesByName(byMode []*metrics.Series) []faas.StartMode {
+	var modes []faas.StartMode
+	for i, s := range byMode {
+		if s != nil {
+			modes = append(modes, faas.StartMode(i))
 		}
-		recordInto(b.byTenantMode, tenantModeKey{tenant: entry.tenant, mode: servedMode}, latency)
 	}
+	slices.SortFunc(modes, func(a, b faas.StartMode) int { return cmp.Compare(a.String(), b.String()) })
+	return modes
 }
 
-// recordInto records latency into key's series, creating it on first use.
-func recordInto[K comparable](m map[K]*metrics.Series, key K, latency simtime.Duration) {
-	s := m[key]
-	if s == nil {
-		s = metrics.NewSeries()
-		m[key] = s
-	}
-	s.Record(latency)
-}
-
-// isRejection distinguishes rejections — no eligible node, or refused
-// at the tenant admission gate — from on-node failures.
-func isRejection(err error) bool {
-	return errors.Is(err, ErrNoNodes) || errors.Is(err, ErrAdmissionRejected)
-}
-
-// build assembles the final Report. Every map is drained through a
-// sorted key list so identical runs serialize identically.
+// build assembles the final Report. Every row set is emitted in name
+// order, so identical runs serialize identically.
 //
 //horselint:coordinator
 func (b *reportBuilder) build() Report {
@@ -418,17 +414,19 @@ func (b *reportBuilder) build() Report {
 		Rejected: b.rejected,
 		Failed:   b.failed,
 	}
-	for _, reason := range sortedKeys(b.rejReasons) {
-		r.RejectionReasons = append(r.RejectionReasons, ReasonCount{Reason: reason, Count: b.rejReasons[reason]})
+	for i, count := range b.rejReasons {
+		if count > 0 {
+			r.RejectionReasons = append(r.RejectionReasons, ReasonCount{Reason: rejectReasons[i], Count: count})
+		}
 	}
 	for _, reason := range sortedKeys(c.failovers) {
 		r.Failovers += c.failovers[reason]
 		r.FailoverReasons = append(r.FailoverReasons, ReasonCount{Reason: reason, Count: c.failovers[reason]})
 	}
-	for _, mode := range sortedKeys(b.byMode) {
+	for _, mode := range modesByName(b.byMode) {
 		s := b.byMode[mode]
 		r.Modes = append(r.Modes, ModeLatency{
-			Mode:  mode,
+			Mode:  mode.String(),
 			Count: uint64(s.Len()),
 			P50:   s.RankQuantile(0.50),
 			P95:   s.RankQuantile(0.95),
@@ -438,29 +436,36 @@ func (b *reportBuilder) build() Report {
 	}
 	now := c.clock.Now()
 	for _, n := range c.nodes {
+		s := b.byNode[n.index]
 		r.NodeSummaries = append(r.NodeSummaries, NodeSummary{
 			Node:       n.id,
 			Health:     n.health.String(),
 			Placements: n.placements,
 			Served:     n.served,
 			Lag:        n.Lag(now),
-			P50:        b.byNode[n.id].RankQuantile(0.50),
-			P99:        b.byNode[n.id].RankQuantile(0.99),
+			P50:        s.RankQuantile(0.50),
+			P99:        s.RankQuantile(0.99),
 		})
 	}
+	var recorded []*deploymentEntry
+	for i, out := range b.byFn {
+		if out.arrivals > 0 {
+			recorded = append(recorded, c.entries[i])
+		}
+	}
+	slices.SortFunc(recorded, func(x, y *deploymentEntry) int { return cmp.Compare(x.name, y.name) })
 	var ullArrivals, ullMissed uint64
-	for _, fn := range sortedKeys(b.byFn) {
-		out := b.byFn[fn]
-		ull := c.deployments[fn].ull
+	for _, entry := range recorded {
+		out := b.byFn[entry.index]
 		r.SLOs = append(r.SLOs, SLOSummary{
-			Function:   fn,
-			ULL:        ull,
-			Budget:     b.budgets[fn],
+			Function:   entry.name,
+			ULL:        entry.ull,
+			Budget:     entry.slo,
 			Arrivals:   out.arrivals,
 			Missed:     out.missed,
 			Attainment: attainment(out.missed, out.arrivals),
 		})
-		if ull {
+		if entry.ull {
 			ullArrivals += out.arrivals
 			ullMissed += out.missed
 		}
@@ -488,24 +493,19 @@ func (b *reportBuilder) build() Report {
 				TokensAvailable:   c.tenants.TokensAvailable(i),
 			})
 		}
-		keys := make([]tenantModeKey, 0, len(b.byTenantMode))
-		for key := range b.byTenantMode {
-			keys = append(keys, key)
-		}
-		slices.SortFunc(keys, func(a, b tenantModeKey) int {
-			return cmp.Or(cmp.Compare(a.tenant, b.tenant), cmp.Compare(a.mode, b.mode))
-		})
-		for _, key := range keys {
-			s := b.byTenantMode[key]
-			r.TenantModes = append(r.TenantModes, TenantModeLatency{
-				Tenant: c.tenants.Spec(key.tenant).Name,
-				Mode:   key.mode,
-				Count:  uint64(s.Len()),
-				P50:    s.RankQuantile(0.50),
-				P95:    s.RankQuantile(0.95),
-				P99:    s.RankQuantile(0.99),
-				Max:    s.RankQuantile(1),
-			})
+		for i, byMode := range b.byTenantMode {
+			for _, mode := range modesByName(byMode) {
+				s := byMode[mode]
+				r.TenantModes = append(r.TenantModes, TenantModeLatency{
+					Tenant: c.tenants.Spec(i).Name,
+					Mode:   mode.String(),
+					Count:  uint64(s.Len()),
+					P50:    s.RankQuantile(0.50),
+					P95:    s.RankQuantile(0.95),
+					P99:    s.RankQuantile(0.99),
+					Max:    s.RankQuantile(1),
+				})
+			}
 		}
 	}
 	r.Attribution = c.rec.Attribution()

@@ -60,9 +60,7 @@ type RunConfig struct {
 // node before a barrier and takes it back after — so its fields need
 // no locks.
 type pendingJob struct {
-	seq     uint64
-	fn      string
-	ull     bool
+	entry   *deploymentEntry
 	mode    faas.StartMode
 	payload []byte
 	arrival simtime.Time
@@ -92,14 +90,50 @@ type pendingJob struct {
 	attemptErr error
 	failedAt   simtime.Time
 
-	// Terminal outcome, coordinator-owned. err is what the report
-	// records; outErr is the trace outcome's error string (for
-	// invocation failures the trace keeps the platform's own error,
-	// while the report's err carries the ErrInvokeNotRetried wrap).
-	err    error  //horselint:coordinator
-	outErr string //horselint:coordinator
+	// Terminal outcome, coordinator-owned, set together by end. err is
+	// the job's error; outcome is the report column it counts in;
+	// outErr is the trace outcome's error string (for invocation
+	// failures the trace keeps the platform's own error, while err
+	// carries the ErrInvokeNotRetried wrap).
+	err     error   //horselint:coordinator
+	outcome outcome //horselint:coordinator
+	outErr  string  //horselint:coordinator
 
 	latency simtime.Duration
+}
+
+// outcome is a job's terminal classification: the report column it is
+// counted in. Each error site in the run loop knows which it is, so a
+// job is classified once, where its error is set, and the report never
+// walks an error chain.
+type outcome uint8
+
+// The job outcomes. The two rejections are adjacent, in the report's
+// rejection-reason order.
+const (
+	// outServed is a trigger that completed (err is nil).
+	outServed outcome = iota
+	// outAdmission is a trigger refused at the tenant admission gate
+	// (ErrAdmissionRejected).
+	outAdmission
+	// outNoNodes is a trigger that found no eligible node (ErrNoNodes,
+	// wrapped with the last node error after a failover).
+	outNoNodes
+	// outFailed is a trigger whose invocation died on-node
+	// (ErrInvokeNotRetried), or that any other error ended.
+	outFailed
+)
+
+// rejectReasons names the rejection outcomes, indexed by outcome -
+// outAdmission.
+var rejectReasons = [2]string{RejectReasonAdmission, RejectReasonNoNodes}
+
+// end makes the job terminal: err counted as out, with traceErr as the
+// trace outcome's error string.
+//
+//horselint:coordinator
+func (j *pendingJob) end(err error, out outcome, traceErr string) {
+	j.err, j.outcome, j.outErr = err, out, traceErr
 }
 
 // exclude rules a node out of this job's remaining routing decisions.
@@ -131,8 +165,12 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	if cfg.Horizon <= 0 {
 		return Report{}, errors.New("cluster: run horizon must be positive")
 	}
-	budgets := make(map[string]simtime.Duration, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
+	// Arrivals name their workload by index, so the run maps each
+	// workload to its deployment entry, payload and SLO budget once.
+	entries := make([]*deploymentEntry, len(cfg.Workloads))
+	payloads := make([][]byte, len(cfg.Workloads))
+	budgets := make([]simtime.Duration, len(cfg.Workloads))
+	for i, w := range cfg.Workloads {
 		entry, ok := c.deployments[w.Function]
 		if !ok {
 			return Report{}, fmt.Errorf("cluster: workload function %q is not registered", w.Function)
@@ -153,7 +191,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 		if budget <= 0 {
 			return Report{}, fmt.Errorf("cluster: non-positive SLO budget for %q", w.Function)
 		}
-		budgets[w.Function] = budget
+		entries[i], payloads[i], budgets[i] = entry, cfg.Payloads[w.Function], budget
 	}
 	// Arm per-trigger tracing so every run yields the tail-latency
 	// attribution table; a caller-supplied recorder (SetTrace) is
@@ -171,14 +209,14 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	// back-to-back runs on one cluster report exactly what a fresh
 	// cluster would.
 	c.resetRunState()
-	for name, budget := range budgets {
-		c.SetSLOBudget(name, budget)
+	for i, entry := range entries {
+		entry.slo = budgets[i]
 	}
 	gen, err := loadgen.New(c.seed, cfg.Workloads, loadgen.Options{Metrics: c.metrics})
 	if err != nil {
 		return Report{}, err
 	}
-	builder := newReportBuilder(c, cfg.Horizon, budgets)
+	builder := newReportBuilder(c, cfg.Horizon)
 	// Setup work (provisioning, registration) charged the node-local
 	// clocks; settle so it does not read as backlog to the first
 	// arrivals.
@@ -206,7 +244,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 					eventsim.ErrMaxEvents, pulled, cfg.MaxEvents)
 			}
 			pulled++
-			epoch = append(epoch, c.newJob(a.Function, a.Mode, cfg.Payloads[a.Function], a.At))
+			epoch = append(epoch, c.newJob(entries[a.Workload], a.Mode, payloads[a.Workload], a.At))
 		}
 		c.clock.AdvanceTo(next)
 		if len(epoch) > 0 {
@@ -220,18 +258,15 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	return builder.build(), nil
 }
 
-// newJob mints one arrival on the coordinator: it starts the trace
-// context under the next arrival index, tags the tenant, and runs the
-// tenant admission gate — in arrival order, identically at every shard
-// count. A rejected job is terminal before routing: it consumes no
-// placement and goes straight to complete. seq advances once per
-// arrival whether or not a recorder is armed.
+// newJob mints one arrival of entry's function on the coordinator: it
+// starts the trace context under the next arrival index, tags the
+// tenant, and runs the tenant admission gate — in arrival order,
+// identically at every shard count. A rejected job is terminal before
+// routing: it consumes no placement and goes straight to complete. seq
+// advances once per arrival whether or not a recorder is armed.
 //
 //horselint:coordinator
-func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simtime.Time) *pendingJob {
-	entry := c.deployments[fn]
-	tc := c.rec.Start(c.seq, fn, mode.String(), at, c.sloBudgets[fn])
-	tc.SetTenant(entry.tenantName)
+func (c *Cluster) newJob(entry *deploymentEntry, mode faas.StartMode, payload []byte, at simtime.Time) *pendingJob {
 	var job *pendingJob
 	if k := len(c.freeJobs) - 1; k >= 0 {
 		job = c.freeJobs[k]
@@ -239,19 +274,18 @@ func (c *Cluster) newJob(fn string, mode faas.StartMode, payload []byte, at simt
 	} else {
 		job = new(pendingJob)
 	}
-	*job = pendingJob{
-		seq:     c.seq,
-		fn:      fn,
-		ull:     entry.ull,
-		mode:    mode,
-		payload: payload,
-		arrival: at,
-		tc:      tc,
-	}
+	// A job from either source is zeroed (releaseJob zeroes), so only
+	// the arrival's own fields are set.
+	job.entry = entry
+	job.mode = mode
+	job.payload = payload
+	job.arrival = at
+	job.tc = c.rec.Start(c.seq, entry.name, mode.String(), at, entry.slo)
+	job.tc.SetTenant(entry.tenantName)
 	c.seq++
 	if v := c.tenants.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
-		job.err = entry.rejects[v]
-		job.outErr = job.err.Error()
+		err := entry.rejects[v]
+		job.end(err, outAdmission, err.Error())
 	}
 	return job
 }
@@ -278,7 +312,7 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 	shards := group.Shards()
 	pending := jobs
 	for len(pending) > 0 {
-		scheduled := pending[:0:0]
+		scheduled := c.scheduled[:0]
 		for _, job := range pending {
 			// Jobs the admission gate already rejected at the pump are
 			// terminal: they skip routing and go straight to finalize.
@@ -289,6 +323,7 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 				scheduled = append(scheduled, job)
 			}
 		}
+		c.scheduled = scheduled
 		if len(scheduled) == 0 {
 			break
 		}
@@ -306,12 +341,15 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 		}); err != nil {
 			return err
 		}
-		var retry []*pendingJob
+		// After the first wave pending is c.retry itself; it is read no
+		// more this wave, so the next wave's retries may overwrite it.
+		retry := c.retry[:0]
 		for _, job := range scheduled {
 			if c.settle(job) {
 				retry = append(retry, job)
 			}
 		}
+		c.retry = retry
 		pending = retry
 	}
 	// Complete in arrival order so trace completion — and with it the
@@ -319,17 +357,24 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 	// every shard count.
 	for _, job := range jobs {
 		c.complete(job)
-		if job.err != nil {
-			// The error path records no served mode and no node: the
-			// trigger was not served, so a zero-value placement must not
-			// leak mode/node labels into the report's distributions.
-			builder.record(job.fn, "", "", 0, job.err)
-		} else {
-			builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
-		}
+		builder.record(job)
 		c.releaseJob(job)
 	}
 	return nil
+}
+
+// serveAlone routes, serves and settles one job until it is terminal:
+// a one-arrival epoch, with the picked node's queue drained in place of
+// the shard barrier.
+//
+//horselint:coordinator
+func (c *Cluster) serveAlone(job *pendingJob) {
+	for job.err == nil && c.routeJob(job) {
+		c.drain(job.node)
+		if !c.settle(job) {
+			return
+		}
+	}
 }
 
 // settle classifies a served attempt on the coordinator and reports
@@ -347,8 +392,7 @@ func (c *Cluster) settle(job *pendingJob) (retry bool) {
 	if errors.Is(terr, faas.ErrInvokeFailed) {
 		// The function body ran and died; retrying on another node
 		// would double-execute user code.
-		job.err = fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr)
-		job.outErr = terr.Error()
+		job.end(fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr), outFailed, terr.Error())
 		return false
 	}
 	c.countFailover(ReasonTriggerFailed)
@@ -380,13 +424,13 @@ func (c *Cluster) complete(job *pendingJob) {
 func (c *Cluster) routeJob(job *pendingJob) bool {
 	job.node = nil
 	for {
-		n, err := c.router.Pick(c, job.fn, job.ull, job.excluded, job.arrival)
+		n, err := c.router.Pick(c, job.entry.name, job.entry.ull, job.excluded, job.arrival)
 		if err != nil {
+			// Every policy's only error is ErrNoNodes.
 			if job.lastErr != nil {
 				err = fmt.Errorf("%w (last node error: %v)", err, job.lastErr)
 			}
-			job.err = err
-			job.outErr = err.Error()
+			job.end(err, outNoNodes, err.Error())
 			return false
 		}
 		// One fault check per routing decision: the node we were about to
@@ -394,8 +438,7 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 		if ferr := c.faults.Check(faultinject.SiteNodeFail); ferr != nil {
 			if err := c.Fail(n.id); err != nil {
 				// Unreachable: the router only picks Up nodes.
-				job.err = err
-				job.outErr = err.Error()
+				job.end(err, outFailed, err.Error())
 				return false
 			}
 			c.countFailover(ReasonNodeFailed)
@@ -464,7 +507,7 @@ func (c *Cluster) serveJob(job *pendingJob) {
 	job.tc.SetNode(n.id)
 	job.tc.RecordOn(trigtrace.StagePlacement, job.arrival, 0, n.id, "", job.policy)
 	job.tc.RecordOn(trigtrace.StageQueueWait, job.arrival, wait, n.id, "", "")
-	inv, terr := n.platform.TriggerTraced(job.tc, n.out[:0], job.fn, job.mode, job.payload)
+	inv, terr := n.platform.TriggerTraced(job.tc, n.out[:0], job.entry.name, job.mode, job.payload)
 	if terr != nil {
 		consumed := local.Now().Sub(job.arrival)
 		detail := ReasonTriggerFailed

@@ -50,15 +50,6 @@ func newAdmissionErrors(tenantName string) admissionErrors {
 	return errs
 }
 
-// rejectionReason classifies a rejection error for the report's
-// breakdown. Callers have already established isRejection(err).
-func rejectionReason(err error) string {
-	if errors.Is(err, ErrAdmissionRejected) {
-		return RejectReasonAdmission
-	}
-	return RejectReasonNoNodes
-}
-
 // Tenants returns the cluster's tenant admission controller (nil when
 // the cluster was built without a tenant contract).
 func (c *Cluster) Tenants() *tenant.Controller { return c.tenants }
@@ -95,7 +86,6 @@ func (c *Cluster) BindTenant(name, tenantName string) error {
 	entry.tenant = idx
 	entry.tenantName = tenantName
 	entry.rejects = newAdmissionErrors(tenantName)
-	c.deployments[name] = entry
 	return nil
 }
 

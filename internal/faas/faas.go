@@ -101,6 +101,23 @@ type Deployment struct {
 	spec     SandboxSpec
 	snapshot *snapshot.Snapshot
 	pool     []pooledSandbox
+	// missWarm and missHorse are the ErrNoWarmSandbox errors a warm or
+	// HORSE pool miss returns, built on the first such miss (missError).
+	missWarm, missHorse error
+}
+
+// missError returns the error of a pool miss under mode (ModeWarm or
+// ModeHorse), built once per deployment and mode so a miss formats
+// nothing.
+func (d *Deployment) missError(mode StartMode) error {
+	miss := &d.missWarm
+	if mode == ModeHorse {
+		miss = &d.missHorse
+	}
+	if *miss == nil {
+		*miss = fmt.Errorf("%w: %q (%s)", ErrNoWarmSandbox, d.fn.Name(), mode)
+	}
+	return *miss
 }
 
 // WarmPoolSize returns how many paused sandboxes are ready.
@@ -451,7 +468,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		if !ok {
 			// No dispatch happened, so no dispatch time is charged: a
 			// miss must leave the clock untouched.
-			return Invocation{}, fmt.Errorf("%w: %q (warm)", ErrNoWarmSandbox, name)
+			return Invocation{}, d.missError(mode)
 		}
 		tc.RecordOn(trigtrace.StagePoolTake, start, 0, "", modeStr, "vanilla")
 		p.clock.Advance(p.h.Costs().WarmDispatch)
@@ -466,7 +483,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		ps, ok := d.takeWarm(core.Horse)
 		p.recordPoolLookup(ok)
 		if !ok {
-			return Invocation{}, fmt.Errorf("%w: %q (horse)", ErrNoWarmSandbox, name)
+			return Invocation{}, d.missError(mode)
 		}
 		tc.RecordOn(trigtrace.StagePoolTake, start, 0, "", modeStr, "horse")
 		sb = ps.sb

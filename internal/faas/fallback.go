@@ -145,6 +145,11 @@ func (p *Platform) countFallback(from, to StartMode) {
 // their site; everything else is inferred from sentinel errors and the
 // attempted mode.
 func failureSite(mode StartMode, err error) string {
+	// A pool miss carries no injected fault, and is checked first: the
+	// errors.As target below escapes, so the miss path would allocate.
+	if errors.Is(err, ErrNoWarmSandbox) {
+		return "pool"
+	}
 	var fe *faultinject.Error
 	if errors.As(err, &fe) {
 		return string(fe.Site)
@@ -152,8 +157,6 @@ func failureSite(mode StartMode, err error) string {
 	switch {
 	case errors.Is(err, ErrInvokeFailed):
 		return string(faultinject.SiteInvoke)
-	case errors.Is(err, ErrNoWarmSandbox):
-		return "pool"
 	case errors.Is(err, ErrRepoolFailed):
 		return string(faultinject.SitePause)
 	}

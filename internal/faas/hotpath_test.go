@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
@@ -44,5 +45,20 @@ func TestHotPathAllocFree(t *testing.T) {
 		d.pool = append(d.pool, ps)
 	}); n != 0 {
 		t.Errorf("Deployment.takeWarm allocates %v per run, want 0", n)
+	}
+
+	// A warm or HORSE trigger on an empty pool returns the deployment's
+	// ErrNoWarmSandbox wrap for that mode, built by its first miss (the
+	// warm-up run), so later misses format nothing.
+	p := newPlatform(t)
+	registerScan(t, p)
+	for _, mode := range []StartMode{ModeWarm, ModeHorse} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := p.Trigger("scan", mode, nil); !errors.Is(err, ErrNoWarmSandbox) {
+				t.Fatalf("%v trigger on an empty pool = %v, want ErrNoWarmSandbox", mode, err)
+			}
+		}); n != 0 {
+			t.Errorf("%v pool miss allocates %v per run, want 0", mode, n)
+		}
 	}
 }

@@ -441,6 +441,9 @@ type Arrival struct {
 	Function string
 	// Mode is the start mode drawn from the workload's mix.
 	Mode faas.StartMode
+	// Workload is the index of the workload that fired it, in the
+	// generator's workload order.
+	Workload int
 }
 
 // Generator produces open-loop arrivals for a set of workloads.
@@ -484,8 +487,9 @@ func New(seed int64, workloads []Workload, opts Options) (*Generator, error) {
 // source is the per-workload generation state: its own PRNG stream,
 // its ON/OFF phase bookkeeping, and its next drawn arrival instant.
 type source struct {
-	w   Workload
-	rng *rand.Rand
+	w     Workload
+	index int // w's position in the generator's workloads
+	rng   *rand.Rand
 	// at is the source's next arrival instant and drawn the stream-wide
 	// order in which it was drawn; a source whose instant reaches the
 	// horizon is exhausted.
@@ -504,8 +508,9 @@ func newSource(seed int64, index int, w Workload) *source {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d:%s", index, w.Function)
 	return &source{
-		w:   w,
-		rng: rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
+		w:     w,
+		index: index,
+		rng:   rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
 	}
 }
 
@@ -598,6 +603,7 @@ func (s *Stream) Next(until simtime.Time) (a Arrival, ok bool) {
 		At:       src.at,
 		Function: src.w.Function,
 		Mode:     src.w.Mix.draw(src.rng.Float64()),
+		Workload: src.index,
 	}
 	s.seq++
 	src.arrivals.Inc()

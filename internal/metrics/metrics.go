@@ -4,6 +4,7 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -20,11 +21,15 @@ var ErrNoSamples = errors.New("metrics: no samples recorded")
 // under a thousand distinct values), so it keeps each distinct value
 // once with its count: Record appends to a pending buffer, and once that
 // outgrows the folded pairs, fold sorts it and merges it into them.
-// Memory is bounded by the distinct values, not the samples.
+// A sample equal to the last one the previous fold took in is counted
+// in its pair directly, so a run of one value, such as a constant-cost
+// trace stage's durations, sorts nothing. Memory is bounded by the
+// distinct values, not the samples.
 type Series struct {
 	bins    []bin              // folded: ascending distinct values with their counts
 	pending []simtime.Duration // recorded since the last fold, in arrival order
 	spare   []bin              // fold's output buffer, swapped with bins
+	hot     int                // index in bins of the last sample the last fold took in
 	n       int
 	sum     simtime.Duration
 }
@@ -46,6 +51,10 @@ func NewSeries() *Series { return &Series{} }
 func (s *Series) Record(d simtime.Duration) {
 	s.n++
 	s.sum += d
+	if s.hot < len(s.bins) && s.bins[s.hot].v == d {
+		s.bins[s.hot].n++
+		return
+	}
 	if len(s.pending) >= max(minPending, len(s.bins)) {
 		s.fold()
 	}
@@ -57,6 +66,7 @@ func (s *Series) Record(d simtime.Duration) {
 // the old pairs become the next spare, so a series that has seen its
 // distinct values folds without allocating.
 func (s *Series) fold() {
+	last := s.pending[len(s.pending)-1]
 	slices.Sort(s.pending)
 	fresh := 1
 	for i := 1; i < len(s.pending); i++ {
@@ -76,6 +86,7 @@ func (s *Series) fold() {
 		}
 	}
 	s.bins, s.spare, s.pending = append(out, old...), s.bins[:0], s.pending[:0]
+	s.hot, _ = slices.BinarySearchFunc(s.bins, last, func(b bin, v simtime.Duration) int { return cmp.Compare(b.v, v) })
 }
 
 // at returns the sample of 1-based rank (1 <= rank <= Len) in ascending

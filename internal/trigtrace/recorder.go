@@ -53,10 +53,16 @@ type Recorder struct {
 	// The aggregates below are the coordinator's run tallies: finish
 	// folds into them strictly between serve barriers, so shard-phase
 	// code must never reach them (reconcile counts traces whose serving
-	// stages did not sum to latency).
-	agg       map[aggKey]*metrics.Series //horselint:coordinator
-	violated  uint64                     //horselint:coordinator
-	reconcile uint64                     //horselint:coordinator
+	// stages did not sum to latency). The attribution table is dense:
+	// cells[row][col] is one latency series per (served mode, stage),
+	// a row per mode in modes and a column per stage — the taxonomy's
+	// stages by stageIndex, then any stage outside it in extra. A cell
+	// is created on its first record.
+	modes     []string            //horselint:coordinator
+	extra     []Stage             //horselint:coordinator
+	cells     [][]*metrics.Series //horselint:coordinator
+	violated  uint64              //horselint:coordinator
+	reconcile uint64              //horselint:coordinator
 
 	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
 	// free holds finished traces no retention set holds any more;
@@ -72,13 +78,6 @@ type Recorder struct {
 	retainedWorst   *telemetry.Counter
 }
 
-// aggKey indexes the attribution aggregates: one latency series per
-// (served mode, stage) pair.
-type aggKey struct {
-	mode  string
-	stage Stage
-}
-
 // ErrRecorderInUse is Claim's refusal: another run holds the recorder.
 var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run")
 
@@ -86,10 +85,7 @@ var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run"
 //
 //horselint:coordinator
 func NewRecorder(opts RecorderOptions) *Recorder {
-	r := &Recorder{
-		seed: opts.Seed,
-		agg:  make(map[aggKey]*metrics.Series),
-	}
+	r := &Recorder{seed: opts.Seed}
 	r.flight = flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
 		return t.EndToEnd
 	}, r.recycle)
@@ -129,7 +125,7 @@ func (r *Recorder) Claim() error {
 		return ErrRecorderInUse
 	}
 	r.claimed = true
-	clear(r.agg)
+	r.modes, r.extra, r.cells = nil, nil, nil
 	r.violated, r.reconcile = 0, 0
 	r.flight.Reset()
 	return nil
@@ -190,7 +186,8 @@ func (r *Recorder) start(seq uint64, function, requested string, arrival simtime
 }
 
 // finish folds one completed trace into the aggregates and offers its
-// span tree to the flight recorder.
+// span tree to the flight recorder. One pass over the stages sums the
+// serving and overhead totals and records each stage's cell.
 //
 //horselint:coordinator
 func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
@@ -201,8 +198,6 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	tr.Node = out.Node
 	tr.Latency = out.Latency
 	tr.Err = out.Err
-	tr.EndToEnd = out.Latency + tr.OverheadTotal()
-	tr.Violated = out.Err != "" || (tr.Budget > 0 && tr.Latency > tr.Budget)
 
 	mode := out.Served
 	if mode == "" {
@@ -210,20 +205,31 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	}
 
 	r.mu.Lock()
+	row := r.row(mode)
+	var serving, overhead simtime.Duration
+	for i := range tr.Stages {
+		s := &tr.Stages[i]
+		col, class := stageIndex(s.Stage), ClassOverhead
+		if col >= 0 {
+			class = taxonomy[col].class
+		} else {
+			col = r.extraColumn(s.Stage)
+		}
+		switch class {
+		case ClassServing:
+			serving += s.Dur
+		case ClassOverhead:
+			overhead += s.Dur
+		}
+		r.cell(row, col).Record(s.Dur)
+	}
+	tr.EndToEnd = out.Latency + overhead
+	tr.Violated = out.Err != "" || (tr.Budget > 0 && tr.Latency > tr.Budget)
 	if tr.Violated {
 		r.violated++
 	}
-	if tr.ServingTotal() != tr.Latency {
+	if serving != tr.Latency {
 		r.reconcile++
-	}
-	for _, s := range tr.Stages {
-		key := aggKey{mode: mode, stage: s.Stage}
-		cell := r.agg[key]
-		if cell == nil {
-			cell = metrics.NewSeries()
-			r.agg[key] = cell
-		}
-		cell.Record(s.Dur)
 	}
 	violated := tr.Violated
 	// From the offer on, tr may be back on the free list.
@@ -240,6 +246,51 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	case flightrec.ReasonWorstK:
 		r.retainedWorst.Inc()
 	}
+}
+
+// row returns the attribution-table row of a served mode, adding it on
+// first use. A run serves a handful of modes, so the scan is short.
+//
+//horselint:coordinator
+func (r *Recorder) row(mode string) int {
+	for i, m := range r.modes {
+		if m == mode {
+			return i
+		}
+	}
+	r.modes = append(r.modes, mode)
+	r.cells = append(r.cells, make([]*metrics.Series, len(taxonomy)))
+	return len(r.modes) - 1
+}
+
+// extraColumn returns the attribution-table column of a stage outside
+// the taxonomy, adding it on first use.
+//
+//horselint:coordinator
+func (r *Recorder) extraColumn(stage Stage) int {
+	for i, s := range r.extra {
+		if s == stage {
+			return len(taxonomy) + i
+		}
+	}
+	r.extra = append(r.extra, stage)
+	return len(taxonomy) + len(r.extra) - 1
+}
+
+// cell returns the series of one attribution-table cell, creating it
+// (and growing the row for an extra column) on first use.
+//
+//horselint:coordinator
+func (r *Recorder) cell(row, col int) *metrics.Series {
+	cells := r.cells[row]
+	if col >= len(cells) {
+		cells = append(cells, make([]*metrics.Series, col+1-len(cells))...)
+		r.cells[row] = cells
+	}
+	if cells[col] == nil {
+		cells[col] = metrics.NewSeries()
+	}
+	return cells[col]
 }
 
 // Violations returns how many finished traces missed their SLO.
@@ -317,26 +368,40 @@ func (r *Recorder) Attribution() []StageLatency {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keys := make([]aggKey, 0, len(r.agg))
-	for key := range r.agg {
-		keys = append(keys, key)
+	rows := make([]int, len(r.modes))
+	for i := range rows {
+		rows[i] = i
 	}
-	slices.SortFunc(keys, func(a, b aggKey) int {
-		return cmp.Or(cmp.Compare(a.mode, b.mode), cmp.Compare(a.stage, b.stage))
-	})
-	out := make([]StageLatency, 0, len(keys))
-	for _, key := range keys {
-		cell := r.agg[key]
-		out = append(out, StageLatency{
-			Mode:  key.mode,
-			Stage: key.stage,
-			Class: StageClass(key.stage),
-			Count: uint64(cell.Len()),
-			Total: cell.Sum(),
-			P50:   cell.RankQuantile(0.50),
-			P99:   cell.RankQuantile(0.99),
-			Max:   cell.RankQuantile(1),
-		})
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(r.modes[a], r.modes[b]) })
+	stages := make([]Stage, len(taxonomy), len(taxonomy)+len(r.extra))
+	for i, t := range taxonomy {
+		stages[i] = t.stage
+	}
+	stages = append(stages, r.extra...)
+	cols := make([]int, len(stages))
+	for i := range cols {
+		cols[i] = i
+	}
+	slices.SortFunc(cols, func(a, b int) int { return cmp.Compare(stages[a], stages[b]) })
+	out := make([]StageLatency, 0, len(rows)*len(cols))
+	for _, row := range rows {
+		cells := r.cells[row]
+		for _, col := range cols {
+			if col >= len(cells) || cells[col] == nil {
+				continue
+			}
+			cell := cells[col]
+			out = append(out, StageLatency{
+				Mode:  r.modes[row],
+				Stage: stages[col],
+				Class: StageClass(stages[col]),
+				Count: uint64(cell.Len()),
+				Total: cell.Sum(),
+				P50:   cell.RankQuantile(0.50),
+				P99:   cell.RankQuantile(0.99),
+				Max:   cell.RankQuantile(1),
+			})
+		}
 	}
 	return out
 }

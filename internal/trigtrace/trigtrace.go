@@ -21,7 +21,6 @@ package trigtrace
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"hash/fnv"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -31,16 +30,26 @@ import (
 // same seeded run mints the same IDs.
 type TraceID uint64
 
+// FNV-1a constants (hash/fnv's, open-coded so minting an ID needs no
+// hash object).
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
 // NewTraceID derives the trace ID for arrival seq of a run seeded with
 // seed, by the same FNV-1a seed-mixing construction faultinject and
-// loadgen use for their per-site PRNG streams.
+// loadgen use for their per-site PRNG streams: FNV-1a over seed's and
+// then seq's eight little-endian bytes.
 func NewTraceID(seed int64, seq uint64) TraceID {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	h := fnv.New64a()
-	h.Write(buf[:])
-	return TraceID(h.Sum64())
+	h := fnvOffset64
+	for _, word := range [2]uint64{uint64(seed), seq} {
+		for shift := 0; shift < 64; shift += 8 {
+			h ^= word >> shift & 0xff
+			h *= fnvPrime64
+		}
+	}
+	return TraceID(h)
 }
 
 // String renders the ID as fixed-width hex, the form carried in span
@@ -120,18 +129,65 @@ const (
 	ClassPost Class = "post"
 )
 
+// taxonomy lists every stage with its class. A stage's position here
+// is its column in a Recorder's attribution table (stageIndex).
+var taxonomy = [...]struct {
+	stage Stage
+	class Class
+}{
+	{StageQueueWait, ClassServing},
+	{StagePlacement, ClassServing},
+	{StageReroute, ClassOverhead},
+	{StagePoolTake, ClassServing},
+	{StageDispatch, ClassServing},
+	{StageResume, ClassServing},
+	{StageColdInit, ClassServing},
+	{StageRestore, ClassServing},
+	{StageRetryBackoff, ClassOverhead},
+	{StageFailedAttempt, ClassOverhead},
+	{StageInvoke, ClassServing},
+	{StageRepool, ClassPost},
+}
+
+// stageIndex returns s's position in taxonomy, or -1 for a stage
+// outside it.
+func stageIndex(s Stage) int {
+	switch s {
+	case StageQueueWait:
+		return 0
+	case StagePlacement:
+		return 1
+	case StageReroute:
+		return 2
+	case StagePoolTake:
+		return 3
+	case StageDispatch:
+		return 4
+	case StageResume:
+		return 5
+	case StageColdInit:
+		return 6
+	case StageRestore:
+		return 7
+	case StageRetryBackoff:
+		return 8
+	case StageFailedAttempt:
+		return 9
+	case StageInvoke:
+		return 10
+	case StageRepool:
+		return 11
+	}
+	return -1
+}
+
 // StageClass returns the class of a stage. Unknown stages class as
 // overhead, the conservative choice for the reconciliation invariant.
 func StageClass(s Stage) Class {
-	switch s {
-	case StageQueueWait, StagePlacement, StagePoolTake, StageDispatch,
-		StageResume, StageColdInit, StageRestore, StageInvoke:
-		return ClassServing
-	case StageRepool:
-		return ClassPost
-	default:
-		return ClassOverhead
+	if i := stageIndex(s); i >= 0 {
+		return taxonomy[i].class
 	}
+	return ClassOverhead
 }
 
 // StageRecord is one recorded stage: a span in the trigger's tree.
@@ -202,28 +258,6 @@ func (t *TriggerTrace) IDString() string {
 	return t.idString
 }
 
-// ServingTotal sums the serving-class stage durations.
-func (t *TriggerTrace) ServingTotal() simtime.Duration {
-	var sum simtime.Duration
-	for _, s := range t.Stages {
-		if StageClass(s.Stage) == ClassServing {
-			sum += s.Dur
-		}
-	}
-	return sum
-}
-
-// OverheadTotal sums the overhead-class stage durations.
-func (t *TriggerTrace) OverheadTotal() simtime.Duration {
-	var sum simtime.Duration
-	for _, s := range t.Stages {
-		if StageClass(s.Stage) == ClassOverhead {
-			sum += s.Dur
-		}
-	}
-	return sum
-}
-
 // Context is the handle one in-flight trigger carries through the
 // router, the platform's fallback chain, and the hypervisor. The zero
 // value is inert: every method returns immediately without allocating,
@@ -279,10 +313,12 @@ func (c Context) SetTenant(tenant string) {
 }
 
 // addStage appends one stage span; the first allocates room for eight.
+// A trace recycled from a rejected trigger carries an empty stage list
+// with no room, which counts as none.
 //
 //horselint:shardphase
 func (tr *TriggerTrace) addStage(r StageRecord) {
-	if tr.Stages == nil {
+	if cap(tr.Stages) == 0 {
 		tr.Stages = make([]StageRecord, 0, 8)
 	}
 	tr.Stages = append(tr.Stages, r)

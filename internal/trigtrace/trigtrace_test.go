@@ -2,8 +2,11 @@ package trigtrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +28,35 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	}
 	if s := a.String(); len(s) != 16 {
 		t.Fatalf("ID string %q not fixed-width hex", s)
+	}
+}
+
+// TestTraceIDMatchesFNV pins NewTraceID, and the IDs a recorder mints,
+// to hash/fnv's FNV-1a over the seed's and then the sequence number's
+// eight little-endian bytes: the open-coded hash must mint the IDs it
+// always has.
+func TestTraceIDMatchesFNV(t *testing.T) {
+	oracle := func(seed int64, seq uint64) TraceID {
+		var buf [16]byte
+		binary.LittleEndian.PutUint64(buf[0:8], uint64(seed))
+		binary.LittleEndian.PutUint64(buf[8:16], seq)
+		h := fnv.New64a()
+		h.Write(buf[:])
+		return TraceID(h.Sum64())
+	}
+	seeds := []int64{0, 1, 42, -1, -7, math.MinInt64, math.MaxInt64}
+	seqs := []uint64{0, 1, 7, 1 << 32, math.MaxUint64}
+	for _, seed := range seeds {
+		rec := NewRecorder(RecorderOptions{Seed: seed})
+		for _, seq := range seqs {
+			want := oracle(seed, seq)
+			if got := NewTraceID(seed, seq); got != want {
+				t.Errorf("NewTraceID(%d, %d) = %v, want %v", seed, seq, got, want)
+			}
+			if got := rec.Start(seq, "fn", "horse", 0, 0).IDString(); got != want.String() {
+				t.Errorf("recorder seeded %d minted %s for seq %d, want %v", seed, got, seq, want)
+			}
+		}
 	}
 }
 
@@ -207,9 +239,20 @@ func TestCollapseFailedReplacesPartialStages(t *testing.T) {
 	if fa := tr.Stages[1]; fa.Detail != "resume" || fa.Dur != 30 {
 		t.Fatalf("failed-attempt span = %+v, want site resume, dur 30", fa)
 	}
-	if tr.ServingTotal() != 35 || tr.OverheadTotal() != 30 {
-		t.Fatalf("serving/overhead = %d/%d, want 35/30", tr.ServingTotal(), tr.OverheadTotal())
+	if serving, overhead := classTotal(tr, ClassServing), classTotal(tr, ClassOverhead); serving != 35 || overhead != 30 {
+		t.Fatalf("serving/overhead = %d/%d, want 35/30", serving, overhead)
 	}
+}
+
+// classTotal sums the durations of tr's stages of one class.
+func classTotal(tr *TriggerTrace, class Class) simtime.Duration {
+	var sum simtime.Duration
+	for _, s := range tr.Stages {
+		if StageClass(s.Stage) == class {
+			sum += s.Dur
+		}
+	}
+	return sum
 }
 
 func TestFlightRetentionKeepsViolatorsAndWorst(t *testing.T) {
@@ -331,5 +374,59 @@ func TestStagelessTraceKeepsEmptyStages(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"stages":[]`)) {
 		t.Fatalf("stage-less trace encodes as %s, want \"stages\":[]", raw)
+	}
+}
+
+// TestAttributionStageOutsideTaxonomy covers the attribution table's
+// extra columns: a stage the taxonomy does not name gets its own
+// overhead-class row, sorted by name among the taxonomy's stages, and
+// counts toward end-to-end as overhead.
+func TestAttributionStageOutsideTaxonomy(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{Seed: 1})
+	for seq := uint64(0); seq < 2; seq++ {
+		tc := rec.Start(seq, "fn", "horse", 0, 0)
+		tc.RecordOn(StageQueueWait, 0, 10, "n0", "horse", "")
+		tc.RecordOn(Stage("backoff-custom"), 10, 5, "n0", "horse", "")
+		tc.RecordOn(Stage("audit"), 15, 7, "n0", "horse", "")
+		tc.RecordOn(StageInvoke, 22, 30, "n0", "horse", "")
+		tc.Complete(Outcome{Served: "horse", Node: "n0", Latency: 40})
+	}
+	var got []string
+	for _, row := range rec.Attribution() {
+		got = append(got, fmt.Sprintf("%s/%s/%s/%d/%d", row.Mode, row.Stage, row.Class, row.Count, row.Total))
+	}
+	want := []string{
+		"horse/audit/overhead/2/14",
+		"horse/backoff-custom/overhead/2/10",
+		"horse/invoke/serving/2/60",
+		"horse/queue-wait/serving/2/20",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("attribution rows\n got %q\nwant %q", got, want)
+	}
+	if tr := rec.Traces()[0]; tr.EndToEnd != 40+12 {
+		t.Fatalf("end-to-end = %d, want latency 40 + overhead 12", tr.EndToEnd)
+	}
+	if rec.ReconcileFailures() != 0 {
+		t.Fatalf("reconcile failures = %d, want 0", rec.ReconcileFailures())
+	}
+}
+
+// TestStageIndexMatchesTaxonomy keeps stageIndex's switch and the
+// taxonomy table, which must list the stages in the same order, in
+// step.
+func TestStageIndexMatchesTaxonomy(t *testing.T) {
+	seen := map[Stage]bool{}
+	for i, e := range taxonomy {
+		if got := stageIndex(e.stage); got != i {
+			t.Errorf("stageIndex(%q) = %d, want its taxonomy position %d", e.stage, got, i)
+		}
+		if seen[e.stage] {
+			t.Errorf("stage %q listed twice", e.stage)
+		}
+		seen[e.stage] = true
+	}
+	if got := stageIndex("no-such-stage"); got != -1 {
+		t.Errorf("stageIndex of an unknown stage = %d, want -1", got)
 	}
 }
