@@ -32,7 +32,7 @@ func runCluster(args []string, w io.Writer) error {
 			"workload list, e.g. scan=poisson:rate=2000/s;thumbnail=onoff:on=10ms,off=90ms,rate=500/s,mode=warm")
 		horizon = fs.Duration("horizon", 200*time.Millisecond, "virtual span to generate arrivals over")
 		seed    = fs.Int64("seed", 1, "seed for the arrival PRNG streams and the fault injector")
-		shards  = fs.Int("shards", 1, "worker goroutines for the parallel serve phase (clamped to [1, nodes]; the report is byte-identical at every value)")
+		shards  = fs.Int("shards", 1, "shards for the parallel serve phase (clamped to [1, nodes]; the report is byte-identical at every value)")
 		faults  = fs.String("faults", "", "fault-injection spec, e.g. cluster.node.fail:nth=20,resume:rate=0.05")
 		tenants = fs.String("tenants", "",
 			"tenant contracts, e.g. steady:weight=4,slots=3;greedy:weight=1,rate=2500/s,burst=50 (workloads opt in via tenant=name)")

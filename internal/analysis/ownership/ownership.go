@@ -5,9 +5,10 @@
 // The conservative-PDES cluster run alternates two phases. Between
 // barriers the coordinator runs alone: it pumps arrivals, routes them,
 // retries failures, and folds outcomes into the report. During a serve
-// barrier a ShardGroup of worker goroutines drains the node-local
-// engines in parallel, and the only state a shard may touch is state
-// owned by its own nodes. Three directives make that contract explicit:
+// barrier a ShardGroup drains the node-local engines in parallel, on
+// the coordinator and its worker goroutines, and the only state a
+// shard may touch is state owned by its own nodes. Three directives
+// make that contract explicit:
 //
 //	//horselint:shardphase   on a function: may run inside a serve
 //	                         barrier (an Each handler or anything it

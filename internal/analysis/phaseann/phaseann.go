@@ -15,11 +15,14 @@
 // shard-phase reachability discovers without an annotation is an
 // error, not a silent merge: the author must decide which phase it
 // belongs to. The pass also pins the barrier discipline: only a
-// coordinator function may call Each, and every handler must be a
-// function literal so the root set stays closed.
+// coordinator function may call Each, and every function-typed
+// argument must be a function literal so the root set stays closed.
 package phaseann
 
 import (
+	"go/ast"
+	"go/types"
+
 	"github.com/horse-faas/horse/internal/analysis/hotpath"
 	"github.com/horse-faas/horse/internal/analysis/lint"
 	"github.com/horse-faas/horse/internal/analysis/ownership"
@@ -119,9 +122,23 @@ func run(pass *lint.Pass) error {
 		if !info.CoordContext(ec.Caller) {
 			pass.Reportf(ec.Call.Pos(), "ShardGroup.Each erects a serve barrier; only a //horselint:coordinator function may call it (caller %s)", ec.Caller.DisplayName())
 		}
-		if len(ec.Handlers) != len(ec.Call.Args) {
+		if len(ec.Handlers) != funcArgs(pass.Pkg.Info, ec.Call) {
 			pass.Reportf(ec.Call.Pos(), "ShardGroup.Each handler must be a function literal so the shard-phase root set stays closed")
 		}
 	}
 	return nil
+}
+
+// funcArgs counts a call's function-typed arguments: the handlers, as
+// opposed to data such as Each's busy set.
+func funcArgs(info *types.Info, call *ast.CallExpr) int {
+	n := 0
+	for _, arg := range call.Args {
+		if t := info.TypeOf(arg); t != nil {
+			if _, ok := t.Underlying().(*types.Signature); ok {
+				n++
+			}
+		}
+	}
+	return n
 }

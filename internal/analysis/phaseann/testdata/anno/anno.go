@@ -7,7 +7,7 @@ package anno
 type ShardGroup struct{}
 
 //horselint:coordinator
-func (g *ShardGroup) Each(fn func(shard int) error) error { return fn(0) }
+func (g *ShardGroup) Each(busy []bool, fn func(shard int) error) error { return fn(0) }
 
 // state participates in the ownership contract.
 type state struct {
@@ -51,11 +51,12 @@ type a2 struct {
 }
 
 // runBarrier's handler drags both2 into the shard phase; the closure
-// edge from runBarrier keeps it coordinator-reachable too.
+// edge from runBarrier keeps it coordinator-reachable too. The busy set
+// is data, not a handler, so passing it as a variable is clean.
 //
 //horselint:coordinator
-func runBarrier(g *ShardGroup, s *state) error {
-	return g.Each(func(shard int) error {
+func runBarrier(g *ShardGroup, s *state, busy []bool) error {
+	return g.Each(busy, func(shard int) error {
 		both2()
 		return nil
 	})
@@ -72,15 +73,15 @@ func both2() {} // want `both2 is reachable from both the shard phase and the co
 
 // naked erects a barrier without being coordinator-annotated.
 func naked(g *ShardGroup) error {
-	return g.Each(func(shard int) error { return nil }) // want `ShardGroup\.Each erects a serve barrier; only a //horselint:coordinator function may call it \(caller naked\)`
+	return g.Each(nil, func(shard int) error { return nil }) // want `ShardGroup\.Each erects a serve barrier; only a //horselint:coordinator function may call it \(caller naked\)`
 }
 
 // named passes a function value instead of a literal, so the root set
 // is not syntactically closed.
 //
 //horselint:coordinator
-func named(g *ShardGroup) error {
-	return g.Each(handlerFn) // want `ShardGroup\.Each handler must be a function literal so the shard-phase root set stays closed`
+func named(g *ShardGroup, busy []bool) error {
+	return g.Each(busy, handlerFn) // want `ShardGroup\.Each handler must be a function literal so the shard-phase root set stays closed`
 }
 
 //horselint:shardphase

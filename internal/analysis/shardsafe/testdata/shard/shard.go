@@ -8,7 +8,7 @@ package shard
 type ShardGroup struct{}
 
 //horselint:coordinator
-func (g *ShardGroup) Each(fn func(shard int) error) error { return fn(0) }
+func (g *ShardGroup) Each(busy []bool, fn func(shard int) error) error { return fn(0) }
 
 // sim is the cluster-like state under test.
 type sim struct {
@@ -22,7 +22,7 @@ type sim struct {
 //
 //horselint:coordinator
 func (s *sim) run(g *ShardGroup) error {
-	return g.Each(func(shard int) error {
+	return g.Each(nil, func(shard int) error {
 		s.local++        // shard-local: fine inside a handler
 		_ = s.cursor     // want `shard-phase function \(sim\)\.run\$1: reads coordinator-owned field sim\.cursor`
 		s.tally += shard // want `shard-phase function \(sim\)\.run\$1: writes coordinator-owned field sim\.tally`

@@ -9,7 +9,7 @@ import "math/rand"
 type ShardGroup struct{}
 
 //horselint:coordinator
-func (g *ShardGroup) Each(fn func(shard int) error) error { return fn(0) }
+func (g *ShardGroup) Each(busy []bool, fn func(shard int) error) error { return fn(0) }
 
 // Rand is a stream type by name; Derive is the sanctioned re-key.
 type Rand struct{}
@@ -66,7 +66,7 @@ func (w *world) mix() int { return w.rng.Intn(2) }
 //
 //horselint:coordinator
 func run(g *ShardGroup) error {
-	return g.Each(func(shard int) error {
+	return g.Each(nil, func(shard int) error {
 		_ = rand.Float64() // want `shard-phase function run\$1: draws from the process-global rand\.Float64 stream` `global rand\.Float64 draws from the shared process-wide source`
 		return nil
 	})

@@ -109,15 +109,15 @@ func benchShardedCluster(b *testing.B, shards int) *Cluster {
 }
 
 // tenantedCluster builds the adversarial-tenants shape under
-// ull-affinity on 8 nodes (2 uLL-reserved, 2 slots each), served on 2
-// shards: three tenants — a steady HORSE scan tenant, a greedy bursty
+// ull-affinity on 8 nodes (2 uLL-reserved, 2 slots each), served on
+// the given number of shards: three tenants — a steady HORSE scan tenant, a greedy bursty
 // NAT tenant, and a rate-limited batch tenant on firewall warm and
 // restore starts — with resume, invoke and node-failure faults. Most
 // arrivals are refused at the admission gate, so the run is dominated
 // by the coordinator's per-arrival work: admission, trace start and
 // finish, and the report. It returns the cluster and the run over
 // horizon.
-func tenantedCluster(tb testing.TB, horizon simtime.Duration) (*Cluster, RunConfig) {
+func tenantedCluster(tb testing.TB, horizon simtime.Duration, shards int) (*Cluster, RunConfig) {
 	tb.Helper()
 	ws, err := loadgen.ParseWorkloads("scan=poisson:rate=30000/s,mode=horse,tenant=steady;" +
 		"nat=onoff:on=2ms,off=8ms,rate=2000000/s,mode=horse,tenant=greedy;" +
@@ -142,7 +142,7 @@ func tenantedCluster(tb testing.TB, horizon simtime.Duration) (*Cluster, RunConf
 		Seed:         1,
 		Faults:       faults,
 		Fallback:     faas.FallbackConfig{Enabled: true},
-		Shards:       2,
+		Shards:       shards,
 		Tenants:      tenants,
 		ULLAdmitRate: 60000,
 	})
@@ -227,7 +227,7 @@ func BenchmarkClusterRun(b *testing.B) {
 	b.Run("tenanted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c, cfg := tenantedCluster(b, 200*simtime.Millisecond)
+			c, cfg := tenantedCluster(b, 200*simtime.Millisecond, 2)
 			b.StartTimer()
 			report, err := c.Run(cfg)
 			b.StopTimer()

@@ -107,8 +107,9 @@ type Options struct {
 	// weighted fair shares divide (0 disables the share gate; per-tenant
 	// rate limits still apply).
 	ULLAdmitRate float64
-	// Shards is how many worker goroutines Run's conservative-PDES
-	// serve phase drains the node queues on (DESIGN.md §13).
+	// Shards is how many shards Run's conservative-PDES serve phase
+	// splits the node queues into (DESIGN.md §13): the coordinator
+	// serves the lowest busy shard itself, Shards−1 workers the rest.
 	// Values outside [1, len(nodes)] are clamped; 0 selects 1
 	// (sequential). The report is byte-identical at every shard count:
 	// sharding bounds only which goroutine serves which node, never
@@ -157,9 +158,11 @@ type Cluster struct {
 	// a run allocates a job only when more are in flight at once than
 	// ever before.
 	freeJobs []*pendingJob //horselint:coordinator
-	// scheduled and retry are serveEpoch's per-wave scratch: the jobs
-	// queued on nodes, and those that must re-route.
+	// scheduled, retry and busy are serveEpoch's per-wave scratch: the
+	// jobs queued on nodes, those that must re-route, and which shards
+	// own a node with a queued job.
 	scheduled, retry []*pendingJob //horselint:coordinator
+	busy             []bool        //horselint:coordinator
 }
 
 // New builds a cluster of fresh nodes at the simulation epoch.
@@ -192,6 +195,7 @@ func New(opts Options) (*Cluster, error) {
 		seed:        opts.Seed,
 		shards:      shards,
 		failovers:   make(map[string]uint64),
+		busy:        make([]bool, shards),
 	}
 	for i, spec := range specs {
 		id := fmt.Sprintf("node%02d", i)

@@ -62,6 +62,13 @@ func matrixRun(t *testing.T, shards int) (Report, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return report, renderRun(t, c, report)
+}
+
+// renderRun returns a run's full byte surface: the report as JSON and
+// CSV, then the Perfetto export of the cluster's retained traces.
+func renderRun(t *testing.T, c *Cluster, report Report) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -72,7 +79,7 @@ func matrixRun(t *testing.T, shards int) (Report, []byte) {
 	if err := trigtrace.WritePerfetto(&buf, c.Trace().Traces()); err != nil {
 		t.Fatal(err)
 	}
-	return report, buf.Bytes()
+	return buf.Bytes()
 }
 
 // TestRunDeterministicAcrossShardCounts is the conservative-PDES
@@ -104,6 +111,49 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 		prev := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(prev)
 		if _, got := matrixRun(t, 8); !bytes.Equal(got, want) {
+			t.Fatal("GOMAXPROCS=1 sharded run diverged from the sequential run")
+		}
+	})
+}
+
+// TestTenantedRunDeterministicAcrossShardCounts extends the matrix to
+// the tenantedCluster shape: ull-affinity, three tenants, and resume,
+// invoke and cluster.node.fail faults. Most arrivals are refused at
+// admission and ull-affinity places the rest on nodes 0 and 1, so a
+// serve wave has at most two busy shards: at 8 shards six workers stay
+// parked every wave, and about 40% of the waves queue work on one
+// shard only, nearly always node 1's, which the barrier then serves on
+// the coordinator. Which goroutine serves a shard must not move a
+// byte.
+func TestTenantedRunDeterministicAcrossShardCounts(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	run := func(shards int) (Report, []byte) {
+		c, cfg := tenantedCluster(t, 100*simtime.Millisecond, shards)
+		report, err := c.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report, renderRun(t, c, report)
+	}
+	baseline, want := run(1)
+	if baseline.Rejected == 0 || baseline.Failovers == 0 || baseline.Failed == 0 || len(baseline.Tenants) != 3 {
+		t.Fatalf("baseline run misses a path: %d rejected, %d failovers, %d failed, %d tenants",
+			baseline.Rejected, baseline.Failovers, baseline.Failed, len(baseline.Tenants))
+	}
+	for _, shards := range []int{2, 8} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			if _, got := run(shards); !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d produced different bytes than the sequential run (%d vs %d bytes)",
+					shards, len(got), len(want))
+			}
+		})
+	}
+	t.Run("gomaxprocs-1", func(t *testing.T) {
+		testutil.VerifyNoLeaks(t)
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		if _, got := run(8); !bytes.Equal(got, want) {
 			t.Fatal("GOMAXPROCS=1 sharded run diverged from the sequential run")
 		}
 	})

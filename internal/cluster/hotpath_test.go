@@ -232,13 +232,14 @@ func TestHotPathAllocFree(t *testing.T) {
 	// rows. A rejected arrival reuses its tenant's cached error and a
 	// pool miss its deployment's; jobs and traces come from free lists,
 	// and the report tallies by dense index. This run allocates about
-	// 135 B per arrival, most of it set-up that a longer run amortizes:
+	// 131 B per arrival, most of it set-up that a longer run amortizes:
 	// each recycled trace's first stage list, the first jobs and traces,
 	// the restore and cold starts' sandboxes, and the NAT and firewall
-	// bodies' own garbage. Formatting one error or minting one trace per
+	// bodies' own garbage; the serve barrier's handler closure is one
+	// allocation per wave. Formatting one error or minting one trace per
 	// arrival again would cross 192 B.
 	t.Run("Cluster.Run-tenanted", func(t *testing.T) {
-		c, cfg := tenantedCluster(t, 20*simtime.Millisecond)
+		c, cfg := tenantedCluster(t, 20*simtime.Millisecond, 2)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		report, err := c.Run(cfg)

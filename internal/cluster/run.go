@@ -152,13 +152,14 @@ func (j *pendingJob) exclude(idx, nodes int) {
 // in fixed sync quanta of DefaultSyncQuantum, each epoch pulling the
 // stream's arrivals up to the epoch end on the coordinator, routing
 // every arrival through the placement policy in arrival order, then
-// draining the nodes' trigger queues in parallel — one shard per
-// worker — behind a barrier. All cross-node state (router cursors and
-// lag reads, fault checks at the cluster.node.* sites, failover
-// bookkeeping, the report and trace accumulators) is touched only by
-// the coordinator between barriers, so the run is deterministic by
-// construction: same seed, same options ⇒ a byte-identical report at
-// every shard count and GOMAXPROCS.
+// draining the nodes' trigger queues in parallel — only the shards
+// with queued work, the first on the coordinator — behind a barrier.
+// All cross-node state (router cursors and lag reads, fault checks at
+// the cluster.node.* sites, failover bookkeeping, the report and trace
+// accumulators) is touched only by the coordinator between barriers,
+// so the run is deterministic by construction: same seed, same
+// options ⇒ a byte-identical report at every shard count and
+// GOMAXPROCS.
 //
 //horselint:coordinator
 func (c *Cluster) Run(cfg RunConfig) (Report, error) {
@@ -310,9 +311,11 @@ func (c *Cluster) releaseJob(job *pendingJob) {
 //horselint:coordinator
 func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, builder *reportBuilder) error {
 	shards := group.Shards()
+	busy := c.busy
 	pending := jobs
 	for len(pending) > 0 {
 		scheduled := c.scheduled[:0]
+		clear(busy)
 		for _, job := range pending {
 			// Jobs the admission gate already rejected at the pump are
 			// terminal: they skip routing and go straight to finalize.
@@ -321,6 +324,7 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 			}
 			if c.routeJob(job) {
 				scheduled = append(scheduled, job)
+				busy[job.node.index%shards] = true
 			}
 		}
 		c.scheduled = scheduled
@@ -328,10 +332,11 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 			break
 		}
 		// The serve barrier: shard s drains the queues of the nodes it
-		// owns (index mod shards). Node state — platform, local clock,
-		// pools, per-node fault stream, the jobs' attempt slots — is
-		// touched only by its owning shard until Each returns.
-		if err := group.Each(func(shard int) error {
+		// owns (index mod shards), and only shards with a queued job
+		// run. Node state — platform, local clock, pools, per-node
+		// fault stream, the jobs' attempt slots — is touched only by
+		// its owning shard until Each returns.
+		if err := group.Each(busy, func(shard int) error {
 			for _, n := range c.nodes {
 				if n.index%shards == shard {
 					c.drain(n)

@@ -3,6 +3,8 @@ package eventsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -19,7 +21,7 @@ func TestShardGroupEachRunsEveryShard(t *testing.T) {
 	}
 	var hits [4]atomic.Uint64
 	for round := 0; round < 3; round++ {
-		if err := g.Each(func(shard int) error {
+		if err := g.Each(nil, func(shard int) error {
 			hits[shard].Add(1)
 			return nil
 		}); err != nil {
@@ -47,7 +49,7 @@ func TestShardGroupSingleShardIsInline(t *testing.T) {
 	if _, err := e.Schedule(10, func(simtime.Time) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Each(func(shard int) error { return e.Run(0) }); err != nil {
+	if err := g.Each(nil, func(shard int) error { return e.Run(0) }); err != nil {
 		t.Fatal(err)
 	}
 	if e.Now() != 10 {
@@ -61,7 +63,7 @@ func TestShardGroupJoinsErrorsInShardOrder(t *testing.T) {
 	defer g.Close()
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := g.Each(func(shard int) error {
+	err := g.Each(nil, func(shard int) error {
 		switch shard {
 		case 0:
 			return errB
@@ -98,7 +100,7 @@ func TestShardGroupDrivesEnginesInParallelDeterministically(t *testing.T) {
 				}
 			}
 		}
-		if err := g.Each(func(shard int) error {
+		if err := g.Each(nil, func(shard int) error {
 			return engines[shard].Run(0)
 		}); err != nil {
 			t.Fatal(err)
@@ -127,8 +129,16 @@ func TestShardGroupCloseStopsWorkers(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
 			g := NewShardGroup(n)
-			if err := g.Each(func(int) error { return nil }); err != nil {
+			if err := g.Each(nil, func(int) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			// Only the inline shard is busy: workers that were never
+			// woken by this barrier must still exit on Close.
+			busy := make([]bool, n)
+			busy[0] = true
+			if err := g.Each(busy, func(int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			g.Close()
@@ -144,7 +154,7 @@ func TestShardGroupEachAfterCloseReturnsErrClosed(t *testing.T) {
 			g.Close()
 			g.Close() // idempotent
 			ran := false
-			err := g.Each(func(int) error { ran = true; return nil })
+			err := g.Each(nil, func(int) error { ran = true; return nil })
 			if !errors.Is(err, ErrClosed) {
 				t.Fatalf("Each after Close = %v, want ErrClosed", err)
 			}
@@ -152,5 +162,117 @@ func TestShardGroupEachAfterCloseReturnsErrClosed(t *testing.T) {
 				t.Fatal("Each after Close must not run the handler (a closed multi-shard group would silently degrade to an inline single shard)")
 			}
 		})
+	}
+}
+
+// onCaller reports whether the running handler was called from Each on
+// the caller's goroutine rather than from a parked worker.
+func onCaller() bool {
+	buf := make([]byte, 8<<10)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*ShardGroup).Each(")
+}
+
+func TestShardGroupEachRunsOnlyBusyShards(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	g := NewShardGroup(4)
+	defer g.Close()
+	var hits, inline [4]atomic.Uint64
+	busy := []bool{false, true, false, true}
+	if err := g.Each(busy, func(shard int) error {
+		hits[shard].Add(1)
+		if onCaller() {
+			inline[shard].Add(1)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hits {
+		want := uint64(0)
+		if busy[i] {
+			want = 1
+		}
+		if hits[i].Load() != want {
+			t.Errorf("shard %d (busy %v) ran %d times, want %d", i, busy[i], hits[i].Load(), want)
+		}
+	}
+	// The lowest busy shard is served by the caller; the other busy
+	// shard by its worker.
+	if inline[1].Load() != 1 || inline[3].Load() != 0 {
+		t.Errorf("inline runs per shard = [%d %d %d %d], want only shard 1 on the caller",
+			inline[0].Load(), inline[1].Load(), inline[2].Load(), inline[3].Load())
+	}
+}
+
+func TestShardGroupEachAllIdleCallsNothing(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			g := NewShardGroup(n)
+			defer g.Close()
+			ran := false
+			if err := g.Each(make([]bool, n), func(int) error { ran = true; return errors.New("ran") }); err != nil {
+				t.Fatalf("all-idle Each = %v, want nil", err)
+			}
+			if ran {
+				t.Fatal("all-idle Each ran a handler")
+			}
+		})
+	}
+}
+
+func TestShardGroupEachRejectsMisSizedBusySet(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, tc := range []struct {
+		shards int
+		busy   []bool
+	}{
+		{1, []bool{}},
+		{1, []bool{true, true}},
+		{4, []bool{true, true, true}},
+		{4, make([]bool, 5)},
+	} {
+		t.Run(fmt.Sprintf("shards-%d-busy-%d", tc.shards, len(tc.busy)), func(t *testing.T) {
+			g := NewShardGroup(tc.shards)
+			defer g.Close()
+			ran := false
+			err := g.Each(tc.busy, func(int) error { ran = true; return nil })
+			if err == nil {
+				t.Fatal("mis-sized busy set accepted")
+			}
+			if ran {
+				t.Fatal("mis-sized busy set ran a handler")
+			}
+			// The group is still usable afterwards.
+			if err := g.Each(nil, func(int) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestShardGroupJoinsInlineAndWorkerErrorsInShardOrder(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	g := NewShardGroup(4)
+	defer g.Close()
+	// Shard 1 runs inline; shards 2 and 3 on workers, and shard 2 waits
+	// for shard 3 to finish first, so completion order is 1 or 3 before
+	// 2 — the join must still read in shard order.
+	third := make(chan struct{})
+	err := g.Each([]bool{false, true, true, true}, func(shard int) error {
+		switch shard {
+		case 2:
+			<-third
+		case 3:
+			close(third)
+		}
+		return fmt.Errorf("shard %d", shard)
+	})
+	if want := "shard 1\nshard 2\nshard 3"; err == nil || err.Error() != want {
+		t.Fatalf("joined error = %v, want %q", err, want)
+	}
+	// Error slots do not leak into the next barrier.
+	if err := g.Each([]bool{true, false, false, false}, func(int) error { return nil }); err != nil {
+		t.Fatalf("next barrier = %v, want nil", err)
 	}
 }
