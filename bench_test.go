@@ -329,14 +329,14 @@ func BenchmarkCoalesce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		load := pelt.NewRunqueueLoad(0, 0)
+		load := pelt.NewRunqueueLoad()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			load.PlaceCoalesced(coeff)
 		}
 	})
 	b.Run("iterated", func(b *testing.B) {
-		load := pelt.NewRunqueueLoad(0, 0)
+		load := pelt.NewRunqueueLoad()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {

@@ -492,7 +492,7 @@ func (c *Cluster) Drain(id string) error {
 
 // Fail hard-kills a node: health goes to Failed and its pools are lost
 // with it — no re-homing, the capacity must be rebuilt by ScaleCluster
-// or Rebalance on the survivors.
+// on the survivors.
 //
 //horselint:coordinator
 func (c *Cluster) Fail(id string) error {

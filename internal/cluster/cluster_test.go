@@ -16,6 +16,7 @@ import (
 	"github.com/horse-faas/horse/internal/telemetry"
 	"github.com/horse-faas/horse/internal/tenant"
 	"github.com/horse-faas/horse/internal/testutil"
+	"github.com/horse-faas/horse/internal/trigtrace"
 	"github.com/horse-faas/horse/internal/workload"
 )
 
@@ -331,6 +332,57 @@ func TestTriggerDuringDrainRehomesAndFailsOver(t *testing.T) {
 		if p.Node == "node01" {
 			t.Fatal("trigger placed on draining node")
 		}
+	}
+}
+
+// TestDrainRehomeFailureIsRecorded: a drain fault whose re-home fails
+// still fails the trigger over under node-draining, and the re-home
+// error reaches the reroute record and, as the job's last node error,
+// the ErrNoNodes that ends the trigger.
+func TestDrainRehomeFailureIsRecorded(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	// Scaling creates one sandbox per node. The first routing decision
+	// drains node00, whose capacity re-homes onto node01 through
+	// node01's second create, which fails; the second decision fails
+	// node01, leaving no node.
+	faults, err := faultinject.New(7,
+		faultinject.Rule{Site: faultinject.SiteNodeDrain, Nth: 1},
+		faultinject.Rule{Site: faultinject.SiteCreate, Nth: 2},
+		faultinject.Rule{Site: faultinject.SiteNodeFail, Nth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Specs: []NodeSpec{{ULLSlots: 2}, {ULLSlots: 2}}, Policy: PolicyRoundRobin, Seed: 1, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerScan(t, c, faas.SandboxSpec{})
+	if _, err := c.ScaleCluster("scan", 2, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 1})
+	c.SetTrace(rec)
+
+	_, _, terr := c.Trigger("scan", faas.ModeHorse, scanPayload(t))
+	const rehome = "cluster: drain node00: re-home \"scan\""
+	if !errors.Is(terr, ErrNoNodes) || !strings.Contains(terr.Error(), "last node error: "+rehome) {
+		t.Fatalf("trigger = %v, want ErrNoNodes naming the failed re-home", terr)
+	}
+	if got := c.failovers[ReasonNodeDraining]; got != 1 {
+		t.Fatalf("node-draining failovers = %d, want 1", got)
+	}
+	traces := rec.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces, want the failed trigger's", len(traces))
+	}
+	var details []string
+	for _, s := range traces[0].Stages {
+		if s.Stage == trigtrace.StageReroute && s.Node == "node00" {
+			details = append(details, s.Detail)
+		}
+	}
+	if len(details) != 1 || !strings.HasPrefix(details[0], ReasonNodeDraining+": "+rehome) {
+		t.Fatalf("node00 reroute details = %q, want one %q naming the re-home error", details, ReasonNodeDraining)
 	}
 }
 

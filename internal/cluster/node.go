@@ -151,8 +151,8 @@ func (n *Node) Lag(now simtime.Time) simtime.Duration {
 // committedMB returns the node's live sandbox-memory commitment: the
 // sum over deployments of the platform's own pool attribution
 // (PoolStats.CommittedMB). It is computed from the pools rather than
-// kept as a ledger so reaping, destroy failures, and pool churn inside
-// the platform can never make the admission check drift.
+// kept as a ledger so destroy failures and pool churn inside the
+// platform can never make the admission check drift.
 func (n *Node) committedMB(c *Cluster) int {
 	total := 0
 	for _, name := range c.DeploymentNames() {
@@ -171,11 +171,11 @@ func (n *Node) committedMB(c *Cluster) int {
 // poolCount returns the node's warm-pool entries for one deployment and
 // policy (0 when the deployment is unknown here).
 func (n *Node) poolCount(name string, policy core.Policy) int {
-	stats, err := n.platform.PoolStats(name)
+	d, err := n.platform.Deployment(name)
 	if err != nil {
 		return 0
 	}
-	return stats.ByPolicy[policy]
+	return d.PoolCount(policy)
 }
 
 // horseOccupied returns the node's HORSE pool entries held by every

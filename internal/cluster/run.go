@@ -453,12 +453,17 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 			continue
 		}
 		if ferr := c.faults.Check(faultinject.SiteNodeDrain); ferr != nil {
+			// A failed re-home only degrades capacity: the node is
+			// draining regardless, and the failover below applies. Its
+			// error rides on the reroute record and, as the job's last
+			// node error, on a later ErrNoNodes.
+			detail := ReasonNodeDraining
 			if err := c.Drain(n.id); err != nil {
-				// A partial re-home only degrades capacity: the node is
-				// draining regardless, and the failover below applies.
+				detail += ": " + err.Error()
+				job.lastErr = err
 			}
 			c.countFailover(ReasonNodeDraining)
-			job.tc.Reroute(job.arrival, n.id, ReasonNodeDraining)
+			job.tc.Reroute(job.arrival, n.id, detail)
 			job.exclude(n.index, len(c.nodes))
 			job.failovers++
 			continue

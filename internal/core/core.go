@@ -184,8 +184,7 @@ func (e *Engine) pauseULL(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy
 	if policy == Coal || policy == Horse {
 		// Validate the coalescing parameters before touching the queues
 		// so a failure leaves the sandbox untouched.
-		load := q.Load()
-		coal, cerr := pelt.Coalesce(load.Alpha(), load.Beta(), sb.NumVCPUs())
+		coal, cerr := pelt.Coalesce(pelt.DefaultAlpha, pelt.DefaultBeta, sb.NumVCPUs())
 		if cerr != nil {
 			return vmm.PauseReport{}, cerr
 		}

@@ -6,12 +6,12 @@
 //
 // The accounting provides the *sort attribute* of every run queue in
 // this repository. Entities burn credit in proportion to the CPU time
-// they consume scaled by their weight, and when any runnable entity's
-// credit falls below the reset threshold, the whole pool receives a new
-// allocation epoch. Because credits change between pause/resume cycles,
-// the sorted position of a sandbox's vCPUs changes too — which is
-// precisely why the vanilla resume must re-merge them and why HORSE
-// maintains merge_vcpus continuously while paused.
+// they consume, and when any runnable entity's credit falls below the
+// reset threshold, the whole pool receives a new allocation epoch.
+// Because credits change between pause/resume cycles, the sorted
+// position of a sandbox's vCPUs changes too — which is precisely why
+// the vanilla resume must re-merge them and why HORSE maintains
+// merge_vcpus continuously while paused.
 package credit2
 
 import (
@@ -22,7 +22,8 @@ import (
 )
 
 // Credit is a credit balance. Like credit2, one unit corresponds to one
-// nanosecond of CPU time for an entity of default weight.
+// nanosecond of CPU time for an entity of default weight, the only
+// weight this ledger models.
 type Credit = int64
 
 // Accounting constants, mirroring credit2's defaults.
@@ -33,20 +34,13 @@ const (
 	// CreditMin is the threshold below which an entity triggers a new
 	// allocation epoch for the whole pool.
 	CreditMin Credit = -500_000
-	// DefaultWeight is the weight of an unconfigured entity
-	// (CSCHED2_DEFAULT_WEIGHT = 256).
-	DefaultWeight = 256
 )
 
-// Errors reported by the ledger.
-var (
-	ErrUnknownEntity = errors.New("credit2: unknown entity")
-	ErrBadWeight     = errors.New("credit2: weight must be positive")
-)
+// ErrUnknownEntity reports a Burn for an entity never registered.
+var ErrUnknownEntity = errors.New("credit2: unknown entity")
 
 type account struct {
 	credit Credit
-	weight int
 }
 
 // Ledger tracks the credit of a pool of schedulable entities sharing an
@@ -63,19 +57,12 @@ func NewLedger() *Ledger {
 	return &Ledger{accounts: make(map[string]*account)}
 }
 
-// Register adds an entity with the given weight (0 selects
-// DefaultWeight) and grants it the initial allocation.
-func (l *Ledger) Register(id string, weight int) error {
-	if weight == 0 {
-		weight = DefaultWeight
-	}
-	if weight < 0 {
-		return fmt.Errorf("%w: %d", ErrBadWeight, weight)
-	}
+// Register adds an entity and grants it the initial allocation.
+func (l *Ledger) Register(id string) error {
 	if _, ok := l.accounts[id]; ok {
 		return fmt.Errorf("credit2: entity %q already registered", id)
 	}
-	l.accounts[id] = &account{credit: CreditInit, weight: weight}
+	l.accounts[id] = &account{credit: CreditInit}
 	return nil
 }
 
@@ -87,8 +74,7 @@ func (l *Ledger) Unregister(id string) {
 // Len returns the number of registered entities.
 func (l *Ledger) Len() int { return len(l.accounts) }
 
-// Burn charges an entity for ran CPU time, scaled by its weight as in
-// credit2 (an entity of twice the default weight burns half as fast).
+// Burn charges an entity for ran CPU time, one credit per nanosecond.
 // If the entity's credit drops below CreditMin, a new allocation epoch
 // begins: every entity gains CreditInit, and balances are clipped so an
 // entity cannot hoard more than CreditInit (credit2's anti-starvation
@@ -101,7 +87,7 @@ func (l *Ledger) Burn(id string, ran simtime.Duration) (Credit, error) {
 	if ran < 0 {
 		return 0, fmt.Errorf("credit2: negative runtime %v", ran)
 	}
-	a.credit -= int64(ran) * DefaultWeight / int64(a.weight)
+	a.credit -= int64(ran)
 	if a.credit < CreditMin {
 		l.reset()
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestRegisterAndDefaults(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
 	if c := l.accounts["a"].credit; c != CreditInit {
@@ -24,13 +24,10 @@ func TestRegisterAndDefaults(t *testing.T) {
 
 func TestRegisterErrors(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", -1); !errors.Is(err, ErrBadWeight) {
-		t.Fatalf("err = %v, want ErrBadWeight", err)
-	}
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Register("a", 0); err == nil {
+	if err := l.Register("a"); err == nil {
 		t.Fatal("double register accepted")
 	}
 }
@@ -44,7 +41,7 @@ func TestUnknownEntity(t *testing.T) {
 
 func TestBurnDefaultWeight(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
 	c, err := l.Burn("a", 1000*simtime.Nanosecond)
@@ -56,27 +53,9 @@ func TestBurnDefaultWeight(t *testing.T) {
 	}
 }
 
-func TestBurnWeightScaling(t *testing.T) {
-	l := NewLedger()
-	if err := l.Register("heavy", 2*DefaultWeight); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Register("light", DefaultWeight/2); err != nil {
-		t.Fatal(err)
-	}
-	ch, _ := l.Burn("heavy", 1000)
-	cl, _ := l.Burn("light", 1000)
-	if CreditInit-ch != 500 {
-		t.Fatalf("heavy burned %d, want 500 (half rate)", CreditInit-ch)
-	}
-	if CreditInit-cl != 2000 {
-		t.Fatalf("light burned %d, want 2000 (double rate)", CreditInit-cl)
-	}
-}
-
 func TestBurnNegativeRuntime(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Burn("a", -5); err == nil {
@@ -86,10 +65,10 @@ func TestBurnNegativeRuntime(t *testing.T) {
 
 func TestResetEpochTriggersOnThreshold(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Register("b", 0); err != nil {
+	if err := l.Register("b"); err != nil {
 		t.Fatal(err)
 	}
 	// Burn "a" past CreditInit - CreditMin: triggers an epoch.
@@ -111,7 +90,7 @@ func TestResetEpochTriggersOnThreshold(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	l := NewLedger()
-	if err := l.Register("a", 0); err != nil {
+	if err := l.Register("a"); err != nil {
 		t.Fatal(err)
 	}
 	l.Unregister("a")
@@ -122,21 +101,21 @@ func TestUnregister(t *testing.T) {
 }
 
 // Property: credits never exceed CreditInit, and every burn lowers the
-// burning entity's credit by its weighted runtime, or by that less one
-// new allocation when the burn starts an epoch.
+// burning entity's credit by its runtime, or by that less one new
+// allocation when the burn starts an epoch.
 func TestLedgerInvariantsProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		l := NewLedger()
 		const entities = 4
 		for i := 0; i < entities; i++ {
-			if err := l.Register(fmt.Sprintf("e%d", i), (i+1)*128); err != nil {
+			if err := l.Register(fmt.Sprintf("e%d", i)); err != nil {
 				return false
 			}
 		}
 		for _, op := range ops {
 			a := l.accounts[fmt.Sprintf("e%d", int(op)%entities)]
 			ran := simtime.Duration(op) * 1000
-			want := a.credit - int64(ran)*DefaultWeight/int64(a.weight)
+			want := a.credit - int64(ran)
 			if want < CreditMin {
 				want = min(want+CreditInit, CreditInit)
 			}

@@ -4,23 +4,18 @@ import (
 	"fmt"
 
 	"github.com/horse-faas/horse/internal/core"
-	"github.com/horse-faas/horse/internal/simtime"
 )
 
 // PoolStats summarizes one deployment's warm pool.
 type PoolStats struct {
 	// Size is the number of paused sandboxes ready to serve triggers.
 	Size int
-	// ByPolicy counts pool entries per resume policy.
-	ByPolicy map[core.Policy]int
 	// CommittedMB is the sandbox memory the pool holds (Size × the
 	// deployment's per-sandbox MemoryMB). Memory attribution is computed
 	// here, where the pools live, so cluster-level admission and tenant
 	// quota checks charge exactly what the platform has committed — a
 	// ledger kept elsewhere could drift across destroy failures.
 	CommittedMB int
-	// OldestIdle is the longest a pooled sandbox has sat paused.
-	OldestIdle simtime.Duration
 }
 
 // PoolStats returns the deployment's current pool summary.
@@ -29,19 +24,7 @@ func (p *Platform) PoolStats(name string) (PoolStats, error) {
 	if err != nil {
 		return PoolStats{}, err
 	}
-	stats := PoolStats{
-		Size:        len(d.pool),
-		ByPolicy:    make(map[core.Policy]int),
-		CommittedMB: len(d.pool) * d.spec.MemoryMB,
-	}
-	now := p.clock.Now()
-	for _, ps := range d.pool {
-		stats.ByPolicy[ps.policy]++
-		if idle := now.Sub(ps.pausedAt); idle > stats.OldestIdle {
-			stats.OldestIdle = idle
-		}
-	}
-	return stats, nil
+	return PoolStats{Size: len(d.pool), CommittedMB: len(d.pool) * d.spec.MemoryMB}, nil
 }
 
 // ScaleTo adjusts the deployment's pool of sandboxes armed for the given
@@ -60,12 +43,7 @@ func (p *Platform) ScaleTo(name string, target int, policy core.Policy) error {
 	if err != nil {
 		return err
 	}
-	current := 0
-	for _, ps := range d.pool {
-		if ps.policy == policy {
-			current++
-		}
-	}
+	current := d.PoolCount(policy)
 	switch {
 	case current < target:
 		return p.Provision(name, target-current, policy)

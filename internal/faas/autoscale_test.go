@@ -8,6 +8,16 @@ import (
 	"github.com/horse-faas/horse/internal/workload"
 )
 
+// poolCount returns the named deployment's pool entries for policy.
+func poolCount(t *testing.T, p *Platform, name string, policy core.Policy) int {
+	t.Helper()
+	d, err := p.Deployment(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.PoolCount(policy)
+}
+
 func TestPoolStats(t *testing.T) {
 	p := newPlatform(t)
 	registerScan(t, p)
@@ -25,11 +35,8 @@ func TestPoolStats(t *testing.T) {
 	if stats.Size != 3 {
 		t.Fatalf("Size = %d, want 3", stats.Size)
 	}
-	if stats.ByPolicy[core.Horse] != 2 || stats.ByPolicy[core.Vanilla] != 1 {
-		t.Fatalf("ByPolicy = %v", stats.ByPolicy)
-	}
-	if stats.OldestIdle < 3*simtime.Second {
-		t.Fatalf("OldestIdle = %v, want >= 3s", stats.OldestIdle)
+	if h, v := poolCount(t, p, "scan", core.Horse), poolCount(t, p, "scan", core.Vanilla); h != 2 || v != 1 {
+		t.Fatalf("pool counts horse %d, vanilla %d; want 2, 1", h, v)
 	}
 	if _, err := p.PoolStats("missing"); err == nil {
 		t.Fatal("unknown deployment accepted")
@@ -42,15 +49,14 @@ func TestScaleToGrows(t *testing.T) {
 	if err := p.ScaleTo("scan", 4, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ := p.PoolStats("scan")
-	if stats.ByPolicy[core.Horse] != 4 {
-		t.Fatalf("pool = %v, want 4 horse entries", stats.ByPolicy)
+	if got := poolCount(t, p, "scan", core.Horse); got != 4 {
+		t.Fatalf("pool = %d, want 4 horse entries", got)
 	}
 	// Idempotent at target.
 	if err := p.ScaleTo("scan", 4, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ = p.PoolStats("scan")
+	stats, _ := p.PoolStats("scan")
 	if stats.Size != 4 {
 		t.Fatalf("Size = %d after no-op scale, want 4", stats.Size)
 	}
@@ -69,13 +75,16 @@ func TestScaleToShrinksOldestFirst(t *testing.T) {
 	if err := p.ScaleTo("scan", 1, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ := p.PoolStats("scan")
-	if stats.ByPolicy[core.Horse] != 1 {
-		t.Fatalf("pool = %v, want 1", stats.ByPolicy)
+	d, err := p.Deployment("scan")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The survivor is one of the fresher sandboxes.
-	if stats.OldestIdle >= simtime.Second {
-		t.Fatalf("OldestIdle = %v; shrink did not evict the oldest", stats.OldestIdle)
+	if len(d.pool) != 1 || d.pool[0].policy != core.Horse {
+		t.Fatalf("pool = %+v, want 1 horse entry", d.pool)
+	}
+	// The survivor is one of the fresher sandboxes, paused a second in.
+	if d.pool[0].pausedAt < simtime.Time(simtime.Second) {
+		t.Fatalf("survivor paused at %v; shrink did not evict the oldest", d.pool[0].pausedAt)
 	}
 	if p.Hypervisor().Sandboxes() != 1 {
 		t.Fatalf("live sandboxes = %d, want 1", p.Hypervisor().Sandboxes())
@@ -95,9 +104,8 @@ func TestScaleToPolicyIsolation(t *testing.T) {
 	if err := p.ScaleTo("scan", 0, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ := p.PoolStats("scan")
-	if stats.ByPolicy[core.Vanilla] != 2 {
-		t.Fatalf("vanilla pool disturbed: %v", stats.ByPolicy)
+	if got := poolCount(t, p, "scan", core.Vanilla); got != 2 {
+		t.Fatalf("vanilla pool disturbed: %d entries, want 2", got)
 	}
 }
 
@@ -127,9 +135,8 @@ func TestAutoscaleUnderTriggerLoad(t *testing.T) {
 		if _, err := p.Trigger("nat", ModeHorse, payload); err != nil {
 			t.Fatalf("trigger %d: %v", i, err)
 		}
-		stats, _ := p.PoolStats("nat")
-		if stats.ByPolicy[core.Horse] != 3 {
-			t.Fatalf("trigger %d: pool fell to %v", i, stats.ByPolicy)
+		if got := poolCount(t, p, "nat", core.Horse); got != 3 {
+			t.Fatalf("trigger %d: pool fell to %d", i, got)
 		}
 	}
 }

@@ -123,6 +123,17 @@ func (d *Deployment) missError(mode StartMode) error {
 // WarmPoolSize returns how many paused sandboxes are ready.
 func (d *Deployment) WarmPoolSize() int { return len(d.pool) }
 
+// PoolCount returns how many pooled sandboxes are armed for policy.
+func (d *Deployment) PoolCount(policy core.Policy) int {
+	n := 0
+	for _, ps := range d.pool {
+		if ps.policy == policy {
+			n++
+		}
+	}
+	return n
+}
+
 // Invocation is the outcome of one trigger.
 type Invocation struct {
 	Function string

@@ -96,33 +96,17 @@ func IterUpdate(x, alpha, beta float64, n int) float64 {
 
 // RunqueueLoad is the lock-protected load variable of one run queue
 // (paper abstract: "the update of a lock-protected variable, which
-// represents the vCPUs' load on each CPU"). The mutex models the real
+// represents the vCPUs' load on each CPU"), updated with the package
+// constants DefaultAlpha and DefaultBeta. The mutex models the real
 // contention point: vanilla takes it once per vCPU, HORSE once per
 // resume.
 type RunqueueLoad struct {
-	mu    sync.Mutex
-	load  float64
-	alpha float64
-	beta  float64
+	mu   sync.Mutex
+	load float64
 }
 
-// NewRunqueueLoad returns a load tracker with the given affine constants.
-// Zero alpha/beta select the package defaults.
-func NewRunqueueLoad(alpha, beta float64) *RunqueueLoad {
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	if beta == 0 {
-		beta = DefaultBeta
-	}
-	return &RunqueueLoad{alpha: alpha, beta: beta}
-}
-
-// Alpha returns the decay constant α.
-func (r *RunqueueLoad) Alpha() float64 { return r.alpha }
-
-// Beta returns the per-entity contribution β.
-func (r *RunqueueLoad) Beta() float64 { return r.beta }
+// NewRunqueueLoad returns an empty load tracker.
+func NewRunqueueLoad() *RunqueueLoad { return &RunqueueLoad{} }
 
 // Load returns the current load figure.
 func (r *RunqueueLoad) Load() float64 {
@@ -136,7 +120,7 @@ func (r *RunqueueLoad) Load() float64 {
 func (r *RunqueueLoad) PlaceEntity() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.load = Update(r.load, r.alpha, r.beta)
+	r.load = Update(r.load, DefaultAlpha, DefaultBeta)
 }
 
 // PlaceCoalesced applies precomputed coefficients in a single locked
@@ -154,7 +138,7 @@ func (r *RunqueueLoad) PlaceCoalesced(c Coefficients) {
 func (r *RunqueueLoad) RemoveEntity() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.load -= r.beta
+	r.load -= DefaultBeta
 	if r.load < 0 {
 		r.load = 0
 	}

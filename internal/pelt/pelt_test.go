@@ -96,32 +96,38 @@ func TestCoalesceIdentityProperty(t *testing.T) {
 }
 
 func TestRunqueueLoadDefaults(t *testing.T) {
-	r := NewRunqueueLoad(0, 0)
-	if r.Alpha() != DefaultAlpha || r.Beta() != DefaultBeta {
-		t.Fatalf("defaults not applied: alpha=%v beta=%v", r.Alpha(), r.Beta())
+	r := NewRunqueueLoad()
+	r.PlaceEntity()
+	if got := r.Load(); got != DefaultBeta {
+		t.Fatalf("Load after one placement = %v, want DefaultBeta %v", got, DefaultBeta)
+	}
+	r.PlaceEntity()
+	if got, want := r.Load(), DefaultAlpha*DefaultBeta+DefaultBeta; got != want {
+		t.Fatalf("Load after two placements = %v, want %v", got, want)
 	}
 }
 
 func TestRunqueueLoadPlaceAndRemove(t *testing.T) {
-	r := NewRunqueueLoad(0.5, 100)
-	r.PlaceEntity() // 0*0.5+100 = 100
-	r.PlaceEntity() // 100*0.5+100 = 150
-	if got := r.Load(); got != 150 {
-		t.Fatalf("Load = %v, want 150", got)
+	r := NewRunqueueLoad()
+	r.PlaceEntity() // 0·α + β = β
+	r.PlaceEntity() // β·α + β
+	placed := IterUpdate(0, DefaultAlpha, DefaultBeta, 2)
+	if got := r.Load(); got != placed {
+		t.Fatalf("Load = %v, want %v", got, placed)
 	}
 	r.RemoveEntity()
-	if got := r.Load(); got != 50 {
-		t.Fatalf("Load after remove = %v, want 50", got)
+	if got, want := r.Load(), placed-DefaultBeta; got != want {
+		t.Fatalf("Load after remove = %v, want %v", got, want)
 	}
-	r.RemoveEntity() // clamps at zero
+	r.RemoveEntity() // β·α - β < 0 clamps at zero
 	if got := r.Load(); got != 0 {
 		t.Fatalf("Load = %v, want clamp at 0", got)
 	}
 }
 
 func TestRunqueueLoadCoalescedEqualsIterated(t *testing.T) {
-	vanilla := NewRunqueueLoad(0.9, 64)
-	fast := NewRunqueueLoad(0.9, 64)
+	vanilla := NewRunqueueLoad()
+	fast := NewRunqueueLoad()
 	for i := 0; i < 8; i++ { // the same non-zero starting load
 		vanilla.PlaceEntity()
 		fast.PlaceEntity()
@@ -131,7 +137,7 @@ func TestRunqueueLoadCoalescedEqualsIterated(t *testing.T) {
 	for i := 0; i < n; i++ {
 		vanilla.PlaceEntity()
 	}
-	c, err := Coalesce(0.9, 64, n)
+	c, err := Coalesce(DefaultAlpha, DefaultBeta, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +149,7 @@ func TestRunqueueLoadCoalescedEqualsIterated(t *testing.T) {
 }
 
 func TestRunqueueLoadConcurrentSafety(t *testing.T) {
-	r := NewRunqueueLoad(1, 1)
+	r := NewRunqueueLoad()
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -156,7 +162,9 @@ func TestRunqueueLoadConcurrentSafety(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Load(); got != workers*per {
-		t.Fatalf("Load = %v, want %d", got, workers*per)
+	// Every placement is the same affine step, so any interleaving
+	// of whole locked updates lands on the iterated value exactly.
+	if got, want := r.Load(), IterUpdate(0, DefaultAlpha, DefaultBeta, workers*per); got != want {
+		t.Fatalf("Load = %v, want %v", got, want)
 	}
 }

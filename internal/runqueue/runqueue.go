@@ -109,7 +109,7 @@ func New(reserved bool) *Queue {
 	q := &Queue{
 		timeslice: DefaultTimeslice,
 		list:      psm.NewList[*Entity](),
-		load:      pelt.NewRunqueueLoad(0, 0),
+		load:      pelt.NewRunqueueLoad(),
 	}
 	if reserved {
 		q.timeslice = ULLTimeslice

@@ -62,7 +62,7 @@ func BenchmarkFlightOffer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.flight.Offer(tr, false)
+		rec.offer(tr, false)
 		// The declined trace went to the free list; take it back so
 		// the one trace can be offered again.
 		rec.free = rec.free[:0]

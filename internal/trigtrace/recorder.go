@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/horse-faas/horse/internal/flightrec"
 	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
@@ -18,14 +17,20 @@ type RecorderOptions struct {
 	// cluster run's seed so IDs are reproducible.
 	Seed int64
 	// Capacity bounds the flight recorder's must-keep ring of
-	// SLO-violating span trees (0 selects flightrec.DefaultCapacity).
+	// SLO-violating span trees (0 selects 256).
 	Capacity int
 	// WorstK bounds the worst-by-end-to-end-latency retention set
-	// (0 selects flightrec.DefaultWorstK).
+	// (0 selects 8).
 	WorstK int
 	// Metrics, when non-nil, receives the trigtrace_* instruments.
 	Metrics *telemetry.Registry
 }
+
+// Default retention sizing, for RecorderOptions left at zero.
+const (
+	defaultCapacity = 256
+	defaultWorstK   = 8
+)
 
 // Recorder mints trigger trace contexts, aggregates finished traces
 // into the per-stage attribution table, and retains SLO-violating and
@@ -43,11 +48,12 @@ type RecorderOptions struct {
 type Recorder struct {
 	seed int64
 
-	// mu guards the aggregates, the free list and the claim. Cluster
-	// runs call Start and Complete only on the coordinator, but a
-	// recorder passed to Cluster.SetTrace may be shared by clusters on
-	// different goroutines: their runs take turns through Claim, while
-	// direct Trigger callers may interleave Start and finish.
+	// mu guards the aggregates, retention, the free list and the
+	// claim. Cluster runs call Start and Complete only on the
+	// coordinator, but a recorder passed to Cluster.SetTrace may be
+	// shared by clusters on different goroutines: their runs take turns
+	// through Claim, while direct Trigger callers may interleave Start
+	// and finish.
 	mu      sync.Mutex
 	claimed bool // a run holds the recorder (Claim, Release)
 	// The aggregates below are the coordinator's run tallies: finish
@@ -64,7 +70,16 @@ type Recorder struct {
 	violated  uint64              //horselint:coordinator
 	reconcile uint64              //horselint:coordinator
 
-	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
+	// The flight recorder (offer): ring is the must-keep ring of
+	// violators, oldest at ringHead once full; worst is the worst-K set
+	// by end-to-end latency, ascending, so worst[0] is the next to go.
+	// offered numbers the offers for the worst-K tie-break.
+	ring     []*TriggerTrace //horselint:coordinator
+	ringHead int             //horselint:coordinator
+	ringCap  int             //horselint:coordinator
+	worst    []worstEntry    //horselint:coordinator
+	worstK   int             //horselint:coordinator
+	offered  uint64          //horselint:coordinator
 	// free holds finished traces no retention set holds any more;
 	// Start pops them.
 	free []*TriggerTrace //horselint:coordinator
@@ -78,6 +93,25 @@ type Recorder struct {
 	retainedWorst   *telemetry.Counter
 }
 
+// worstEntry is one worst-K trace with its score and offer number.
+// inRing marks a trace the must-keep ring also holds, so leaving one
+// set does not recycle it while the other still holds it.
+type worstEntry struct {
+	tr     *TriggerTrace
+	score  simtime.Duration
+	seq    uint64
+	inRing bool
+}
+
+// retention says which set, if any, took an offered trace.
+type retention uint8
+
+const (
+	notKept      retention = iota // aggregated; the span tree is not kept
+	keptViolator                  // entered the must-keep ring
+	keptWorst                     // entered the worst-K set only
+)
+
 // ErrRecorderInUse is Claim's refusal: another run holds the recorder.
 var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run")
 
@@ -85,25 +119,19 @@ var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run"
 //
 //horselint:coordinator
 func NewRecorder(opts RecorderOptions) *Recorder {
-	r := &Recorder{seed: opts.Seed}
-	r.flight = flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
-		return t.EndToEnd
-	}, r.recycle)
+	r := &Recorder{seed: opts.Seed, ringCap: opts.Capacity, worstK: opts.WorstK}
+	if r.ringCap <= 0 {
+		r.ringCap = defaultCapacity
+	}
+	if r.worstK <= 0 {
+		r.worstK = defaultWorstK
+	}
 	m := opts.Metrics
 	r.tracesTotal = m.Counter("trigtrace_traces_total")
 	r.violationsTotal = m.Counter("trigtrace_slo_violations_total")
 	r.retainedViol = m.Counter("trigtrace_retained_total", "reason", "slo-violation")
 	r.retainedWorst = m.Counter("trigtrace_retained_total", "reason", "worst-k")
 	return r
-}
-
-// recycle is the flight recorder's release func: a trace no retention
-// set holds any more goes back on the free list. It runs only inside
-// finish's Offer, which holds r.mu.
-//
-//horselint:coordinator
-func (r *Recorder) recycle(t *TriggerTrace) {
-	r.free = append(r.free, t)
 }
 
 // Claim takes the recorder for one run until Release and returns it to
@@ -127,7 +155,10 @@ func (r *Recorder) Claim() error {
 	r.claimed = true
 	r.modes, r.extra, r.cells = nil, nil, nil
 	r.violated, r.reconcile = 0, 0
-	r.flight.Reset()
+	clear(r.ring)
+	r.ring, r.ringHead = r.ring[:0], 0
+	clear(r.worst)
+	r.worst, r.offered = r.worst[:0], 0
 	return nil
 }
 
@@ -233,19 +264,94 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	}
 	violated := tr.Violated
 	// From the offer on, tr may be back on the free list.
-	reason := r.flight.Offer(tr, violated)
+	kept := r.offer(tr, violated)
 	r.mu.Unlock()
 
 	r.tracesTotal.Inc()
 	if violated {
 		r.violationsTotal.Inc()
 	}
-	switch reason {
-	case flightrec.ReasonMustKeep:
+	switch kept {
+	case keptViolator:
 		r.retainedViol.Inc()
-	case flightrec.ReasonWorstK:
+	case keptWorst:
 		r.retainedWorst.Inc()
 	}
+}
+
+// offer is the flight recorder's retention decision for one finished
+// trace. A violator enters the must-keep ring, evicting the oldest when
+// full; every trace also competes for the worst-K set by end-to-end
+// latency, where ties keep the earlier offer. The result is the
+// strongest retention that applied: must-keep beats worst-K beats
+// dropped. A trace no set holds any more (tr when dropped, or one this
+// offer evicts from the last set holding it) goes on the free list.
+// Retention is deterministic: same offers, same retained set. Callers
+// hold r.mu.
+//
+//horselint:coordinator
+func (r *Recorder) offer(tr *TriggerTrace, violated bool) retention {
+	seq := r.offered
+	r.offered++
+	kept := notKept
+	if violated {
+		kept = keptViolator
+		if len(r.ring) < r.ringCap {
+			r.ring = append(r.ring, tr)
+		} else {
+			old := r.ring[r.ringHead]
+			r.ring[r.ringHead] = tr
+			r.ringHead = (r.ringHead + 1) % r.ringCap
+			r.leaveRing(old)
+		}
+	}
+	if r.offerWorst(tr, seq, violated) && kept == notKept {
+		kept = keptWorst
+	}
+	if kept == notKept {
+		r.free = append(r.free, tr)
+	}
+	return kept
+}
+
+// leaveRing handles a trace the ring evicted: the worst-K set may still
+// hold it, and otherwise it is free.
+//
+//horselint:coordinator
+func (r *Recorder) leaveRing(tr *TriggerTrace) {
+	for i := range r.worst {
+		if r.worst[i].tr == tr {
+			r.worst[i].inRing = false
+			return
+		}
+	}
+	r.free = append(r.free, tr)
+}
+
+// offerWorst inserts tr into the worst-K set if it outranks the
+// current minimum, freeing the entry it displaces unless the ring still
+// holds that one, and reports whether tr went in. Among equal scores
+// the later offer sits nearer eviction, so the earliest survives.
+//
+//horselint:coordinator
+func (r *Recorder) offerWorst(tr *TriggerTrace, seq uint64, inRing bool) bool {
+	s := tr.EndToEnd
+	if len(r.worst) >= r.worstK {
+		if s <= r.worst[0].score {
+			return false
+		}
+		if out := r.worst[0]; !out.inRing {
+			r.free = append(r.free, out.tr)
+		}
+		copy(r.worst, r.worst[1:])
+		r.worst = r.worst[:len(r.worst)-1]
+	}
+	i := 0
+	for i < len(r.worst) && (r.worst[i].score < s || (r.worst[i].score == s && r.worst[i].seq > seq)) {
+		i++
+	}
+	r.worst = slices.Insert(r.worst, i, worstEntry{tr: tr, score: s, seq: seq, inRing: inRing})
+	return true
 }
 
 // row returns the attribution-table row of a served mode, adding it on
@@ -316,9 +422,9 @@ func (r *Recorder) ReconcileFailures() uint64 {
 }
 
 // Traces returns copies of the retained span trees — the SLO-violator
-// ring plus the worst-K set, deduplicated — sorted by arrival sequence.
-// The caller owns the slice and the traces: the recorder recycles its
-// own once they leave retention, and never these.
+// ring plus the worst-K set, each trace once — sorted by arrival
+// sequence. The caller owns the slice and the traces: the recorder
+// recycles its own once they leave retention, and never these.
 //
 //horselint:coordinator
 func (r *Recorder) Traces() []*TriggerTrace {
@@ -327,14 +433,18 @@ func (r *Recorder) Traces() []*TriggerTrace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := make(map[uint64]bool)
 	var out []*TriggerTrace
-	for _, t := range append(r.flight.Ring(), r.flight.Worst()...) {
-		if !seen[t.Seq] {
-			seen[t.Seq] = true
-			cp := *t
-			cp.Stages = slices.Clone(t.Stages)
-			out = append(out, &cp)
+	keep := func(t *TriggerTrace) {
+		cp := *t
+		cp.Stages = slices.Clone(t.Stages)
+		out = append(out, &cp)
+	}
+	for _, t := range r.ring {
+		keep(t)
+	}
+	for _, w := range r.worst {
+		if !w.inRing { // an in-ring entry was copied above
+			keep(w.tr)
 		}
 	}
 	slices.SortFunc(out, func(a, b *TriggerTrace) int { return cmp.Compare(a.Seq, b.Seq) })

@@ -13,9 +13,9 @@
 // budget pinned in BENCH_trace.json). When on, every finished trace is
 // folded into the per-stage/per-mode attribution aggregates, and full
 // span trees are retained only for SLO-violating triggers and the
-// worst-K by end-to-end latency (internal/flightrec), so memory stays
-// bounded on million-arrival runs; a trace no longer retained is
-// recycled for a later trigger.
+// worst-K by end-to-end latency (the recorder's flight recorder), so
+// memory stays bounded on million-arrival runs; a trace no longer
+// retained is recycled for a later trigger.
 package trigtrace
 
 import (

@@ -208,7 +208,7 @@ func (h *Hypervisor) CreateSandbox(cfg Config) (*Sandbox, error) {
 			Credit:  InitialCredit,
 			Sandbox: sb.id,
 		}
-		if err := h.ledger.Register(v.ID, 0); err != nil {
+		if err := h.ledger.Register(v.ID); err != nil {
 			return nil, err
 		}
 		sb.vcpus = append(sb.vcpus, v)
