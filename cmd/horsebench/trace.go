@@ -16,25 +16,21 @@ import (
 // traceCmd runs an experiment with the telemetry layer attached and
 // exports the results: a Chrome/Perfetto trace-event JSON file, a JSON
 // metrics snapshot, and a Prometheus text exposition — plus, optionally,
-// a live /metrics endpoint while the run executes.
+// a live /metrics endpoint while the run executes. fig2 and fig3 lay
+// each run's pause and resume reports out step by step; replay writes
+// one trigger trace per arrival.
 func traceCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	experiment := fs.String("experiment", "fig3", "experiment to trace: fig2|fig3|replay")
 	out := fs.String("out", "horse", "output file prefix (<out>.trace.json, <out>.metrics.json, <out>.prom)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this address during the run (e.g. :8080 or 127.0.0.1:0)")
 	hold := fs.Duration("hold", 0, "keep the /metrics endpoint up this long after the run")
-	spanBuffer := fs.Int("span-buffer", 16384, "span ring-buffer capacity")
 	invocations := fs.Int("n", 200, "replay experiment: number of trigger arrivals")
 	faults := fs.String("faults", "", "replay experiment: fault-injection spec, e.g. resume:rate=0.05,invoke:nth=7")
 	faultSeed := fs.Int64("fault-seed", 1, "replay experiment: fault injector seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *spanBuffer < 1 {
-		return fmt.Errorf("trace: -span-buffer %d must be >= 1", *spanBuffer)
-	}
-
-	tracer := horse.NewTracer(horse.TracerOptions{Capacity: *spanBuffer})
 	registry := horse.NewMetricsRegistry()
 
 	var srv *http.Server
@@ -51,26 +47,35 @@ func traceCmd(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	var runErr error
+	var (
+		writeTrace func(io.Writer) error
+		recorded   string
+	)
 	switch *experiment {
-	case "fig2":
-		_, runErr = horse.RunFig2Traced(nil, horse.ExperimentTelemetry{Tracer: tracer, Metrics: registry})
-	case "fig3":
-		_, runErr = horse.RunFig3Traced(nil, horse.ExperimentTelemetry{Tracer: tracer, Metrics: registry})
+	case "fig2", "fig3":
+		policies := []horse.Policy{horse.PolicyVanilla}
+		if *experiment == "fig3" {
+			policies = horse.Fig3Policies()
+		}
+		runs, err := horse.RunResumeSweep(nil, policies, horse.ExperimentTelemetry{Metrics: registry})
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		writeTrace = func(f io.Writer) error { return horse.WriteStepTimeline(f, runs) }
+		recorded = fmt.Sprintf("%d pause/resume runs", len(runs))
 	case "replay":
-		runErr = tracedReplay(w, tracer, registry, *invocations, *faults, *faultSeed)
+		traces, err := tracedReplay(w, registry, *invocations, *faults, *faultSeed)
+		if err != nil {
+			return err
+		}
+		writeTrace = func(f io.Writer) error { return horse.WriteTriggerPerfetto(f, traces) }
+		recorded = fmt.Sprintf("%d trigger traces", len(traces))
 	default:
 		return fmt.Errorf("trace: unknown experiment %q (want fig2|fig3|replay)", *experiment)
 	}
-	if runErr != nil {
-		return runErr
-	}
 
-	spans := tracer.Spans()
 	tracePath := *out + ".trace.json"
-	if err := writeFileWith(tracePath, func(f io.Writer) error {
-		return horse.WritePerfettoTrace(f, spans)
-	}); err != nil {
+	if err := writeFileWith(tracePath, writeTrace); err != nil {
 		return err
 	}
 	snap := registry.Snapshot()
@@ -89,8 +94,7 @@ func traceCmd(w io.Writer, args []string) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "experiment %s: %d spans recorded (%d dropped)\n",
-		*experiment, len(spans), tracer.Dropped())
+	fmt.Fprintf(w, "experiment %s: %s recorded\n", *experiment, recorded)
 	fmt.Fprintf(w, "wrote %s (open at https://ui.perfetto.dev)\n", tracePath)
 	fmt.Fprintf(w, "wrote %s\n", metricsPath)
 	fmt.Fprintf(w, "wrote %s\n", promPath)
@@ -103,36 +107,38 @@ func traceCmd(w io.Writer, args []string) error {
 }
 
 // tracedReplay replays a synthetic scan-function arrival burst in HORSE
-// mode with telemetry attached, so invocation spans nest resume spans.
-// A non-empty fault spec arms the injector and enables the fallback
+// mode with telemetry attached and returns every trigger's trace: the
+// recorder's worst-K set is sized to n, so it keeps them all. A
+// non-empty fault spec arms the injector and enables the fallback
 // chain, so the exported metrics include the degradation counters.
-func tracedReplay(w io.Writer, tracer *horse.Tracer, registry *horse.MetricsRegistry, n int, faults string, faultSeed int64) error {
+func tracedReplay(w io.Writer, registry *horse.MetricsRegistry, n int, faults string, faultSeed int64) ([]*horse.TriggerTrace, error) {
 	if n < 1 {
-		return fmt.Errorf("trace: replay needs at least 1 invocation, got %d", n)
+		return nil, fmt.Errorf("trace: replay needs at least 1 invocation, got %d", n)
 	}
 	injector, err := horse.FaultInjectorFromSpec(faultSeed, faults)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	rec := horse.NewTraceRecorder(horse.TraceRecorderOptions{Seed: faultSeed, WorstK: n})
 	p, err := horse.NewPlatformWith(horse.PlatformOptions{
-		Tracer:   tracer,
+		Tracer:   rec,
 		Metrics:  registry,
 		Faults:   injector,
 		Fallback: horse.FallbackConfig{Enabled: injector != nil},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fn := horse.NewScanFunction(42)
 	if _, err := p.Register(fn, horse.SandboxSpec{VCPUs: 2, MemoryMB: 512}); err != nil {
-		return err
+		return nil, err
 	}
 	if err := p.Provision(fn.Name(), 1, horse.PolicyHorse); err != nil {
-		return err
+		return nil, err
 	}
 	payload, err := json.Marshal(horse.ScanRequest{Threshold: 512})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	arrivals := make([]horse.Arrival, n)
 	for i := range arrivals {
@@ -145,13 +151,13 @@ func tracedReplay(w io.Writer, tracer *horse.Tracer, registry *horse.MetricsRegi
 		return payload, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(report.Failures) > 0 {
 		fmt.Fprintf(w, "replay: %d/%d triggers failed under fault spec %q\n",
 			len(report.Failures), n, faults)
 	}
-	return nil
+	return rec.Traces(), nil
 }
 
 func writeFileWith(path string, fill func(io.Writer) error) error {

@@ -51,9 +51,9 @@ func runTrace(t *testing.T, args ...string) (traceDoc, string, string) {
 }
 
 // TestTraceFig3PerfettoFormat checks the acceptance shape of the fig3
-// trace: valid trace-event JSON whose resume spans carry per-step events
-// for all four policies, with HORSE's resume duration flat in the vCPU
-// count while vanilla's grows linearly.
+// trace: valid trace-event JSON whose resume slices are tiled by their
+// step slices for all four policies, with HORSE's resume duration flat
+// in the vCPU count while vanilla's grows linearly.
 func TestTraceFig3PerfettoFormat(t *testing.T) {
 	doc, prom, _ := runTrace(t, "-experiment", "fig3")
 	if doc.DisplayTimeUnit != "ns" {
@@ -61,11 +61,10 @@ func TestTraceFig3PerfettoFormat(t *testing.T) {
 	}
 
 	type resume struct {
-		vcpus    int
-		dur      float64
-		ts       float64
-		tid      int
-		hasSteps bool
+		vcpus int
+		dur   float64
+		ts    float64
+		tid   int
 	}
 	byPolicy := map[string][]resume{}
 	var steps []traceEvent
@@ -92,17 +91,22 @@ func TestTraceFig3PerfettoFormat(t *testing.T) {
 		if len(runs) == 0 {
 			t.Fatalf("no resume spans for policy %q", policy)
 		}
-		// Each run sits on its own track; a resume's steps are the step
-		// events inside its window on that track.
-		for i := range runs {
+		// Each run sits on its own track; a resume's steps lie inside
+		// its window on that track, one after another, and tile it.
+		for _, run := range runs {
+			n, at := 0, run.ts
 			for _, st := range steps {
-				if st.Tid == runs[i].tid && st.Ts >= runs[i].ts && st.Ts <= runs[i].ts+runs[i].dur {
-					runs[i].hasSteps = true
-					break
+				if st.Tid != run.tid || st.Args["span"] != "resume" {
+					continue
 				}
+				if diff := st.Ts - at; diff < -1e-9 || diff > 1e-9 {
+					t.Fatalf("policy %q resume at %d vCPUs: step %s starts at %v µs, want %v", policy, run.vcpus, st.Name, st.Ts, at)
+				}
+				n++
+				at += st.Dur
 			}
-			if !runs[i].hasSteps {
-				t.Fatalf("policy %q resume at %d vCPUs has no step events", policy, runs[i].vcpus)
+			if diff := at - (run.ts + run.dur); n == 0 || diff < -1e-9 || diff > 1e-9 {
+				t.Fatalf("policy %q resume at %d vCPUs: %d steps end at %v µs, resume ends at %v", policy, run.vcpus, n, at, run.ts+run.dur)
 			}
 		}
 		sort.Slice(runs, func(i, j int) bool { return runs[i].vcpus < runs[j].vcpus })
@@ -149,29 +153,77 @@ func TestTraceFig3PerfettoFormat(t *testing.T) {
 	}
 }
 
-// TestTraceReplayNestsInvocations checks the replay experiment's span
-// hierarchy end to end: invocation spans with exec steps, resume spans
-// with fast-path steps, and the trigger metrics.
+// TestTraceReplayNestsInvocations checks the replay experiment's trigger
+// traces end to end: one track per trigger, each trigger slice nesting
+// its resume and invoke stages, and the trigger metrics.
 func TestTraceReplayNestsInvocations(t *testing.T) {
 	doc, prom, out := runTrace(t, "-experiment", "replay", "-n", "25")
-	counts := map[string]int{}
+	tracks := map[int]bool{}
+	type window struct{ ts, end float64 }
+	roots := map[int]window{}
+	stages := map[int]map[string]int{}
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			counts[ev.Name]++
+		switch {
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			tracks[ev.Tid] = true
+		case ev.Ph == "X" && ev.Cat == "trigger":
+			roots[ev.Tid] = window{ev.Ts, ev.Ts + ev.Dur}
+		case ev.Ph == "X":
+			root, ok := roots[ev.Tid]
+			if !ok || ev.Ts < root.ts || (ev.Cat == "serving" && ev.Ts+ev.Dur > root.end+1e-9) {
+				t.Fatalf("stage %s on track %d lies outside its trigger %+v", ev.Name, ev.Tid, root)
+			}
+			if stages[ev.Tid] == nil {
+				stages[ev.Tid] = map[string]int{}
+			}
+			stages[ev.Tid][ev.Name]++
 		}
 	}
-	for name, want := range map[string]int{
-		"replay": 1, "invocation": 25, "resume": 25, "exec": 25, "fastpath": 25,
-	} {
-		if counts[name] != want {
-			t.Fatalf("%s events = %d, want %d (all: %v)", name, counts[name], want, counts)
+	if len(tracks) != 25 || len(roots) != 25 {
+		t.Fatalf("tracks = %d, trigger slices = %d, want 25 each", len(tracks), len(roots))
+	}
+	for tid := range roots {
+		if stages[tid]["resume"] != 1 || stages[tid]["invoke"] != 1 {
+			t.Fatalf("track %d stages = %v, want one resume and one invoke", tid, stages[tid])
 		}
 	}
 	if !strings.Contains(prom, `faas_triggers_total{mode="horse"} 25`) {
 		t.Fatalf("exposition:\n%s", prom)
 	}
-	if !strings.Contains(out, "spans recorded") {
+	if !strings.Contains(out, "25 trigger traces recorded") {
 		t.Fatalf("output: %s", out)
+	}
+}
+
+// TestTraceIsDeterministic pins that the trace command's files depend
+// on its arguments alone: two runs with the same arguments write the
+// same bytes, so no map order or wall clock leaks into them.
+func TestTraceIsDeterministic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "fig3"},
+		{"-experiment", "replay", "-n", "25", "-faults", "resume:rate=0.1"},
+	} {
+		var files [2]map[string][]byte
+		for i := range files {
+			prefix := filepath.Join(t.TempDir(), "horse")
+			var buf bytes.Buffer
+			if err := run(append([]string{"trace", "-out", prefix}, args...), &buf); err != nil {
+				t.Fatalf("trace %v: %v\n%s", args, err, buf.String())
+			}
+			files[i] = map[string][]byte{}
+			for _, ext := range []string{".trace.json", ".metrics.json", ".prom"} {
+				raw, err := os.ReadFile(prefix + ext)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[i][ext] = raw
+			}
+		}
+		for ext, first := range files[0] {
+			if !bytes.Equal(first, files[1][ext]) {
+				t.Errorf("trace %v: %s differs between two runs", args, ext)
+			}
+		}
 	}
 }
 
@@ -197,8 +249,6 @@ func TestTraceRejectsUnknownExperiment(t *testing.T) {
 
 func TestTraceBadArguments(t *testing.T) {
 	for _, args := range [][]string{
-		{"-span-buffer", "-1"},
-		{"-span-buffer", "0"},
 		{"-experiment", "replay", "-n", "0"},
 	} {
 		var buf bytes.Buffer

@@ -298,39 +298,43 @@ func RunULLDispatch() ([]DispatchResult, error) {
 // paper's claims — the machine-checkable version of EXPERIMENTS.md.
 func VerifyClaims() ([]ClaimResult, error) { return experiments.VerifyClaims() }
 
-// Observability (see DESIGN.md "Observability"): a virtual-clock span
-// tracer, a concurrent metrics registry, and the Perfetto/Prometheus
-// exporters. All tracer and registry operations are nil-safe no-ops, so
-// instrumented code needs no conditional wiring.
+// Observability (see DESIGN.md "Observability"): a concurrent metrics
+// registry with Prometheus exporters, and Perfetto step timelines built
+// from the pause and resume reports. Registry operations on a nil
+// registry are no-ops, so instrumented code needs no conditional
+// wiring. Per-trigger traces are the TraceRecorder's (below).
 type (
-	// Tracer records hierarchical spans against virtual time.
-	Tracer = telemetry.Tracer
-	// TracerOptions configures NewTracer.
-	TracerOptions = telemetry.TracerOptions
-	// Span is one finished span (with its per-step events).
-	Span = telemetry.Span
-	// SpanRef is a live handle onto an open span.
-	SpanRef = telemetry.SpanRef
 	// MetricsRegistry is the concurrent named-instrument registry.
 	MetricsRegistry = telemetry.Registry
 	// MetricsSnapshot is a point-in-time registry export.
 	MetricsSnapshot = telemetry.Snapshot
-	// ExperimentTelemetry bundles the sinks the traced experiment
+	// ExperimentTelemetry carries the metrics sink the traced experiment
 	// harnesses thread into every hypervisor they build.
 	ExperimentTelemetry = experiments.Telemetry
+	// ResumeRun is one pause and resume of a fresh sandbox: both
+	// per-step reports.
+	ResumeRun = experiments.ResumeRun
 )
-
-// NewTracer builds a span tracer (ring-buffered, always recording; a
-// nil *Tracer is the disabled one).
-func NewTracer(opts TracerOptions) *Tracer { return telemetry.NewTracer(opts) }
 
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
-// WritePerfettoTrace emits spans as Chrome/Perfetto trace-event JSON
-// (load the file at https://ui.perfetto.dev).
-func WritePerfettoTrace(w io.Writer, spans []Span) error {
-	return telemetry.WritePerfetto(w, spans)
+// Fig3Policies returns the four Figure 3 setups in plotting order.
+func Fig3Policies() []Policy { return experiments.Fig3Policies() }
+
+// RunResumeSweep pauses and resumes a fresh uLL sandbox at each vCPU
+// count (nil selects the figures' 1..36 sweep) under each policy in
+// turn, each on its own hypervisor, and returns every run's reports:
+// the runs behind Figures 2 and 3.
+func RunResumeSweep(vcpus []int, policies []Policy, tel ExperimentTelemetry) ([]ResumeRun, error) {
+	return experiments.RunResumeSweep(vcpus, policies, tel)
+}
+
+// WriteStepTimeline emits runs as Chrome/Perfetto trace-event JSON
+// (load the file at https://ui.perfetto.dev): one track per run, its
+// pause and resume slices each tiled by their steps.
+func WriteStepTimeline(w io.Writer, runs []ResumeRun) error {
+	return experiments.WriteStepTimeline(w, runs)
 }
 
 // WritePrometheusText emits a snapshot in Prometheus text exposition
@@ -464,6 +468,9 @@ type (
 	// A nil recorder records nothing. Traces it does not retain are
 	// recycled; Traces returns copies.
 	TraceRecorder = trigtrace.Recorder
+	// TraceRecorderOptions configures NewTraceRecorder: the trace-ID
+	// seed, the retention sizing, and an optional metrics registry.
+	TraceRecorderOptions = trigtrace.RecorderOptions
 	// TriggerTrace is one trigger's span tree: typed stage records plus
 	// the end-to-end outcome.
 	TriggerTrace = trigtrace.TriggerTrace
@@ -475,6 +482,12 @@ type (
 // ErrTraceRecorderInUse is the error of a Cluster.Run whose trace
 // recorder another cluster's run still holds.
 var ErrTraceRecorderInUse = trigtrace.ErrRecorderInUse
+
+// NewTraceRecorder builds a trigger recorder, to hand to
+// Cluster.SetTrace or to PlatformOptions.Tracer for traced replays.
+func NewTraceRecorder(opts TraceRecorderOptions) *TraceRecorder {
+	return trigtrace.NewRecorder(opts)
+}
 
 // WriteTriggerPerfetto emits trigger span trees as Chrome/Perfetto
 // trace-event JSON (one track per trigger, flow-linked stages), loadable

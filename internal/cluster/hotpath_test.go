@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
@@ -21,6 +22,7 @@ var (
 	sinkHash    uint64
 	sinkDur     simtime.Duration
 	sinkVerdict tenant.Verdict
+	sinkInt     int
 )
 
 // hotpathCluster builds the 8-node routing topology (2 uLL-reserved
@@ -154,6 +156,28 @@ func TestHotPathAllocFree(t *testing.T) {
 			}
 		}); n > budget {
 			t.Errorf("Cluster.Trigger allocates %v per run, budget %v (BENCH_cluster.json)", n, budget)
+		}
+	})
+
+	// Every rescale sums each node's committed pool memory over the
+	// deployments. The sum walks them in place: it lists and sorts no
+	// names.
+	t.Run("Node.committedMB", func(t *testing.T) {
+		c := benchCluster(t, PolicyULLAffinity)
+		if err := c.RegisterEverywhere(workload.NewThumbnail(), faas.SandboxSpec{VCPUs: 1, MemoryMB: 256}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ScaleCluster("thumbnail", 8, core.Vanilla); err != nil {
+			t.Fatal(err)
+		}
+		node := c.nodes[0]
+		if got := node.committedMB(c); got == 0 {
+			t.Fatal("node 0 commits no pool memory; the pin would measure an empty sum")
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			sinkInt = node.committedMB(c)
+		}); n != 0 {
+			t.Errorf("Node.committedMB allocates %v per run, want 0", n)
 		}
 	})
 

@@ -152,11 +152,12 @@ func (n *Node) Lag(now simtime.Time) simtime.Duration {
 // sum over deployments of the platform's own pool attribution
 // (PoolStats.CommittedMB). It is computed from the pools rather than
 // kept as a ledger so destroy failures and pool churn inside the
-// platform can never make the admission check drift.
+// platform can never make the admission check drift. A sum needs no
+// order, so it walks the entries in registration order.
 func (n *Node) committedMB(c *Cluster) int {
 	total := 0
-	for _, name := range c.DeploymentNames() {
-		stats, err := n.platform.PoolStats(name)
+	for _, entry := range c.entries {
+		stats, err := n.platform.PoolStats(entry.name)
 		if err != nil {
 			// The deployment is registered on every node by construction;
 			// a lookup failure means it was never registered here, which

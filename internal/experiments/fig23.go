@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 
 	"github.com/horse-faas/horse/internal/core"
 	"github.com/horse-faas/horse/internal/simtime"
@@ -9,14 +11,9 @@ import (
 	"github.com/horse-faas/horse/internal/vmm"
 )
 
-// Telemetry carries the optional observability sinks an experiment
-// threads into every hypervisor it builds. The zero value disables both.
-// Because each (vcpus, policy) run rebuilds the hypervisor with a fresh
-// virtual clock, the shared tracer re-attaches per run: its monotonic
-// offset keeps the merged timeline ordered and each run lands on its own
-// Perfetto track.
+// Telemetry carries the optional metrics sink an experiment threads
+// into every hypervisor it builds. The zero value records nothing.
 type Telemetry struct {
-	Tracer  *telemetry.Tracer
 	Metrics *telemetry.Registry
 }
 
@@ -41,21 +38,18 @@ func RunFig2(vcpuCounts []int) ([]Fig2Point, error) {
 
 // RunFig2Traced is RunFig2 with telemetry sinks threaded into every run.
 func RunFig2Traced(vcpuCounts []int, tel Telemetry) ([]Fig2Point, error) {
-	if len(vcpuCounts) == 0 {
-		vcpuCounts = DefaultVCPUSweep()
+	runs, err := RunResumeSweep(vcpuCounts, []core.Policy{core.Vanilla}, tel)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fig2 %w", err)
 	}
-	var out []Fig2Point
-	for _, n := range vcpuCounts {
-		report, err := resumeOnce(n, core.Vanilla, tel)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig2 vcpus=%d: %w", n, err)
+	out := make([]Fig2Point, len(runs))
+	for i, run := range runs {
+		out[i] = Fig2Point{
+			VCPUs:       run.Resume.VCPUs,
+			Total:       run.Resume.Total,
+			Steps:       run.Resume.Steps,
+			TwoOpsShare: run.Resume.TwoOpsShare(),
 		}
-		out = append(out, Fig2Point{
-			VCPUs:       n,
-			Total:       report.Total,
-			Steps:       report.Steps,
-			TwoOpsShare: report.TwoOpsShare(),
-		})
 	}
 	return out, nil
 }
@@ -79,18 +73,16 @@ func RunFig3(vcpuCounts []int) ([]Fig3Point, error) {
 
 // RunFig3Traced is RunFig3 with telemetry sinks threaded into every run.
 func RunFig3Traced(vcpuCounts []int, tel Telemetry) ([]Fig3Point, error) {
-	if len(vcpuCounts) == 0 {
-		vcpuCounts = DefaultVCPUSweep()
+	policies := Fig3Policies()
+	runs, err := RunResumeSweep(vcpuCounts, policies, tel)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fig3 %w", err)
 	}
 	var out []Fig3Point
-	for _, n := range vcpuCounts {
-		point := Fig3Point{VCPUs: n, Totals: make(map[core.Policy]simtime.Duration, 4)}
-		for _, policy := range Fig3Policies() {
-			report, err := resumeOnce(n, policy, tel)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig3 vcpus=%d policy=%s: %w", n, policy, err)
-			}
-			point.Totals[policy] = report.Total
+	for ; len(runs) > 0; runs = runs[len(policies):] {
+		point := Fig3Point{VCPUs: runs[0].Resume.VCPUs, Totals: make(map[core.Policy]simtime.Duration, len(policies))}
+		for i, policy := range policies {
+			point.Totals[policy] = runs[i].Resume.Total
 		}
 		out = append(out, point)
 	}
@@ -131,21 +123,71 @@ func SummarizeFig3(points []Fig3Point) (Fig3Summary, error) {
 	}, nil
 }
 
-// resumeOnce builds a fresh hypervisor, creates a uLL sandbox with n
-// vCPUs, pauses and resumes it under the policy, and returns the resume
-// breakdown.
-func resumeOnce(n int, policy core.Policy, tel Telemetry) (vmm.ResumeReport, error) {
-	h, err := vmm.New(vmm.Options{Tracer: tel.Tracer, Metrics: tel.Metrics})
+// ResumeRun is one ResumeOnce measurement: the pause that armed the
+// sandbox and the resume the figures plot.
+type ResumeRun struct {
+	Pause  vmm.PauseReport
+	Resume vmm.ResumeReport
+}
+
+// ResumeOnce builds a fresh hypervisor, creates a uLL sandbox with n
+// vCPUs, pauses and resumes it under the policy, and returns both
+// reports.
+func ResumeOnce(n int, policy core.Policy, tel Telemetry) (ResumeRun, error) {
+	h, err := vmm.New(vmm.Options{Metrics: tel.Metrics})
 	if err != nil {
-		return vmm.ResumeReport{}, err
+		return ResumeRun{}, err
 	}
 	engine := core.NewEngine(h)
 	sb, err := h.CreateSandbox(vmm.Config{VCPUs: n, MemoryMB: 512, ULL: true})
 	if err != nil {
-		return vmm.ResumeReport{}, err
+		return ResumeRun{}, err
 	}
-	if _, err := engine.Pause(sb, policy); err != nil {
-		return vmm.ResumeReport{}, err
+	pause, err := engine.Pause(sb, policy)
+	if err != nil {
+		return ResumeRun{}, err
 	}
-	return engine.Resume(sb, policy)
+	resume, err := engine.Resume(sb, policy)
+	if err != nil {
+		return ResumeRun{}, err
+	}
+	return ResumeRun{Pause: pause, Resume: resume}, nil
+}
+
+// RunResumeSweep runs ResumeOnce at each vCPU count (nil selects
+// DefaultVCPUSweep) under each policy in turn: the runs behind Figures
+// 2 and 3, in the order their harnesses make them.
+func RunResumeSweep(vcpuCounts []int, policies []core.Policy, tel Telemetry) ([]ResumeRun, error) {
+	if len(vcpuCounts) == 0 {
+		vcpuCounts = DefaultVCPUSweep()
+	}
+	runs := make([]ResumeRun, 0, len(vcpuCounts)*len(policies))
+	for _, n := range vcpuCounts {
+		for _, policy := range policies {
+			run, err := ResumeOnce(n, policy, tel)
+			if err != nil {
+				return nil, fmt.Errorf("vcpus=%d policy=%s: %w", n, policy, err)
+			}
+			runs = append(runs, run)
+		}
+	}
+	return runs, nil
+}
+
+// WriteStepTimeline writes runs as Chrome/Perfetto trace-event JSON,
+// each run on its own track: a pause slice from zero, then a resume
+// slice from where the pause ends, each tiled by its steps in
+// first-charge order. Every run has its own hypervisor, whose clock
+// starts at zero, so the tracks line up for comparison.
+func WriteStepTimeline(w io.Writer, runs []ResumeRun) error {
+	spans := make([]telemetry.Span, 0, 2*len(runs))
+	for _, run := range runs {
+		r := run.Resume
+		track := fmt.Sprintf("%s vcpus=%d", r.Policy, r.VCPUs)
+		args := map[string]string{"sandbox": r.Sandbox, "policy": r.Policy, "vcpus": strconv.Itoa(r.VCPUs)}
+		spans = append(spans,
+			telemetry.Span{Track: track, Name: "pause", Cat: r.Policy, Args: args, Steps: run.Pause.Steps},
+			telemetry.Span{Track: track, Name: "resume", Cat: r.Policy, Start: simtime.Time(run.Pause.Total), Args: args, Steps: r.Steps})
+	}
+	return telemetry.WritePerfetto(w, spans)
 }

@@ -173,6 +173,8 @@ type Platform struct {
 
 	faults   *faultinject.Injector
 	fallback FallbackConfig
+	// rec traces every trigger a Replay fires (nil traces none).
+	rec *trigtrace.Recorder
 
 	// inst holds the prebound handles for the per-trigger instruments.
 	// Binding once at construction keeps the trigger hot path free of
@@ -217,8 +219,9 @@ type Options struct {
 	// Costs overrides the hypervisor cost model (zero selects
 	// vmm.DefaultCostModel; vmm.XenCostModel selects the Xen flavor).
 	Costs vmm.CostModel
-	// Tracer is handed to the platform's hypervisor.
-	Tracer *telemetry.Tracer
+	// Tracer, if non-nil, records one trigger trace per arrival that
+	// Replay fires; each Replay claims it for its whole run.
+	Tracer *trigtrace.Recorder
 	// Metrics is handed to the platform's hypervisor.
 	Metrics *telemetry.Registry
 	// Faults is the deterministic fault injector threaded through both
@@ -235,7 +238,6 @@ func New(opts Options) (*Platform, error) {
 	h, err := vmm.New(vmm.Options{
 		ULLQueues: opts.ULLQueues,
 		Costs:     opts.Costs,
-		Tracer:    opts.Tracer,
 		Metrics:   opts.Metrics,
 		Faults:    opts.Faults,
 	})
@@ -250,6 +252,7 @@ func New(opts Options) (*Platform, error) {
 		deployments: make(map[string]*Deployment),
 		faults:      opts.Faults,
 		fallback:    opts.Fallback,
+		rec:         opts.Tracer,
 	}
 	p.inst.bind(h.Metrics())
 	return p, nil
@@ -423,10 +426,11 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, 
 	return Invocation{}, lastErr
 }
 
-// attempt runs one trigger attempt under exactly one start mode. It owns
-// the per-attempt invocation span and leaves the warm pool and its gauge
-// consistent on every exit path: a retryably-failed resume re-pools the
-// still-paused sandbox, every other sandbox casualty is destroyed.
+// attempt runs one trigger attempt under exactly one start mode. It
+// records the attempt's stages on tc and leaves the warm pool and its
+// gauge consistent on every exit path: a retryably-failed resume
+// re-pools the still-paused sandbox, every other sandbox casualty is
+// destroyed.
 func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
 	if mode == ModeRestore {
 		// Cutting the snapshot is a deploy-time operation; it must not
@@ -434,19 +438,6 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		if err := p.EnsureSnapshot(name); err != nil {
 			return Invocation{}, err
 		}
-	}
-	span := p.h.Tracer().StartSpan("invocation")
-	defer span.End()
-	span.Attr("function", name)
-	span.Attr("mode", mode.String())
-	if tc.Active() && p.h.Tracer().Enabled() {
-		// Stamp the trigger's trace ID onto this attempt's spans — the
-		// invocation span here and the pause/resume spans the hypervisor
-		// opens underneath it — so they join the trigger's causal tree.
-		// A disabled tracer records no span, so the ID is not formatted.
-		span.Attr("trigger", tc.IDString())
-		p.h.SetTraceTag(tc.IDString())
-		defer p.h.SetTraceTag("")
 	}
 	start := p.clock.Now()
 	modeStr := mode.String()
@@ -508,7 +499,6 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 	}
 
 	ready := p.clock.Now()
-	span.Step("init", ready.Sub(start))
 
 	// Execute the real function logic and charge the calibrated virtual
 	// execution time.
@@ -526,7 +516,6 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 	}
 	p.clock.Advance(d.fn.VirtualDuration())
 	end := p.clock.Now()
-	span.Step("exec", end.Sub(ready))
 	tc.RecordOn(trigtrace.StageInvoke, ready, end.Sub(ready), "", modeStr, "")
 
 	if invokeErr != nil {

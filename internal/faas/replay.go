@@ -3,11 +3,11 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/trace"
+	"github.com/horse-faas/horse/internal/trigtrace"
 )
 
 // PayloadFunc supplies the trigger payload for a function named in a
@@ -64,22 +64,30 @@ var ErrEmptyReplay = errors.New("faas: replay matched no deployed function")
 // Arrivals for unregistered functions are counted and skipped. For warm
 // and HORSE modes the deployments must hold provisioned sandboxes;
 // provision enough ahead of time.
+//
+// With Options.Tracer set, the replay claims the recorder for its run,
+// as Cluster.Run does, and traces every arrival it fires under the
+// arrival's index: a queue-wait stage for the time the serial
+// dispatcher held it, then the trigger's own stages, so the serving
+// stages sum to the trigger's latency (queue wait plus init and exec).
+// A trigger that fails is traced as one failed-attempt span carrying
+// its error.
 func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads PayloadFunc) (ReplayReport, error) {
 	if payloads == nil {
 		return ReplayReport{}, errors.New("faas: nil payload function")
 	}
+	if err := p.rec.Claim(); err != nil {
+		return ReplayReport{}, err
+	}
+	defer p.rec.Release()
 	report := ReplayReport{Mode: mode}
-	span := p.h.Tracer().StartSpan("replay")
-	defer span.End()
-	span.Attr("mode", mode.String())
-	span.Attr("arrivals", strconv.Itoa(len(arrivals)))
 	var (
 		inits     = metrics.NewSeries()
 		execs     = metrics.NewSeries()
 		latencies = metrics.NewSeries()
 	)
 	base := p.clock.Now()
-	for _, a := range arrivals {
+	for i, a := range arrivals {
 		if _, err := p.Deployment(a.Function); err != nil {
 			report.Skipped++
 			continue
@@ -93,16 +101,25 @@ func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads Pay
 		if err != nil {
 			return ReplayReport{}, fmt.Errorf("faas: replay payload for %q: %w", a.Function, err)
 		}
-		inv, err := p.Trigger(a.Function, mode, payload)
+		wait := p.clock.Now().Sub(arrivalAt)
+		tc := p.rec.Start(uint64(i), a.Function, mode.String(), arrivalAt, 0)
+		tc.RecordOn(trigtrace.StageQueueWait, arrivalAt, wait, "", "", "")
+		inv, err := p.TriggerTraced(tc, nil, a.Function, mode, payload)
 		if err != nil {
-			report.Failures = append(report.Failures, TriggerFailure{
+			failure := TriggerFailure{
 				Function: a.Function,
 				At:       simtime.Duration(a.At),
 				Mode:     mode,
 				Err:      err.Error(),
-			})
+			}
+			// A failed trigger served nothing: as a failed cluster hop,
+			// its queue wait and attempts become one failed-attempt span.
+			tc.CollapseFailed(0, arrivalAt, p.clock.Now().Sub(arrivalAt), "", mode.String(), failureSite(mode, err))
+			tc.Complete(trigtrace.Outcome{Err: failure.Err})
+			report.Failures = append(report.Failures, failure)
 			continue
 		}
+		tc.Complete(trigtrace.Outcome{Served: inv.Mode.String(), Latency: wait + inv.Total()})
 		report.Invocations++
 		inits.Record(inv.Init)
 		execs.Record(inv.Exec)

@@ -1,76 +1,69 @@
 package faas
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
+	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 	"github.com/horse-faas/horse/internal/testutil"
+	"github.com/horse-faas/horse/internal/trace"
 	"github.com/horse-faas/horse/internal/trigtrace"
-	"github.com/horse-faas/horse/internal/vmm"
 	"github.com/horse-faas/horse/internal/workload"
 )
 
-func newTracedPlatform(t *testing.T, tr *telemetry.Tracer, m *telemetry.Registry) *Platform {
+func newMeteredPlatform(t *testing.T, m *telemetry.Registry) *Platform {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
-	p, err := New(Options{Tracer: tr, Metrics: m})
+	p, err := New(Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
+// TestTriggerEmitsSpansAndMetrics checks what one traced HORSE trigger
+// leaves behind: its stage spans in the trigger trace, in causal order
+// and reconciling with its latency, and the platform and hypervisor
+// metrics.
 func TestTriggerEmitsSpansAndMetrics(t *testing.T) {
-	tr := telemetry.NewTracer(telemetry.TracerOptions{})
 	m := telemetry.NewRegistry()
-	p := newTracedPlatform(t, tr, m)
+	p := newMeteredPlatform(t, m)
 	registerScan(t, p)
 	if err := p.Provision("scan", 1, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Trigger("scan", ModeHorse, scanPayload(t)); err != nil {
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 9})
+	tc := rec.Start(0, "scan", ModeHorse.String(), p.Clock().Now(), simtime.Millisecond)
+	inv, err := p.TriggerTraced(tc, nil, "scan", ModeHorse, scanPayload(t))
+	if err != nil {
 		t.Fatal(err)
 	}
+	tc.Complete(trigtrace.Outcome{Served: inv.Mode.String(), Latency: inv.Total()})
 
-	byName := map[string]telemetry.Span{}
-	for _, sp := range tr.Spans() {
-		byName[sp.Name] = sp
+	traces := rec.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("traces = %d, want 1", len(traces))
 	}
-	inv, ok := byName["invocation"]
-	if !ok {
-		t.Fatalf("no invocation span; got %v", names(tr.Spans()))
-	}
-	if mode, _ := inv.Attr("mode"); mode != "horse" {
-		t.Fatalf("invocation mode attr = %q", mode)
-	}
-	var sawExec bool
-	for _, ev := range inv.Events {
-		if ev.Name == "exec" && ev.Dur > 0 {
-			sawExec = true
+	var stages []trigtrace.Stage
+	for _, s := range traces[0].Stages {
+		stages = append(stages, s.Stage)
+		if s.Mode != "horse" {
+			t.Fatalf("%s stage mode = %q", s.Stage, s.Mode)
 		}
 	}
-	if !sawExec {
-		t.Fatalf("invocation events = %+v", inv.Events)
+	want := []trigtrace.Stage{trigtrace.StagePoolTake, trigtrace.StageResume, trigtrace.StageInvoke, trigtrace.StageRepool}
+	if !slices.Equal(stages, want) {
+		t.Fatalf("stages = %v, want %v", stages, want)
 	}
-	res, ok := byName["resume"]
-	if !ok {
-		t.Fatalf("no resume span; got %v", names(tr.Spans()))
+	if got := traces[0].Stages[2].Dur; got != inv.Exec || got <= 0 {
+		t.Fatalf("invoke stage = %v, exec = %v", got, inv.Exec)
 	}
-	// The resume nests under the invocation via the implicit span stack.
-	if res.Parent != inv.ID {
-		t.Fatalf("resume parent = %d, want invocation %d", res.Parent, inv.ID)
-	}
-	var sawFast bool
-	for _, ev := range res.Events {
-		if ev.Name == vmm.StepFastPath {
-			sawFast = true
-		}
-	}
-	if !sawFast {
-		t.Fatalf("resume events = %+v", res.Events)
+	if rec.ReconcileFailures() != 0 {
+		t.Fatalf("reconcile failures = %d", rec.ReconcileFailures())
 	}
 
 	snap := m.Snapshot()
@@ -92,43 +85,93 @@ func TestTriggerEmitsSpansAndMetrics(t *testing.T) {
 	}
 }
 
-// TestTracedTriggerStampsSpans checks that with the span tracer enabled
-// a traced trigger still stamps its trace ID onto the invocation span
-// and the pause/resume spans the hypervisor opens under it. (With the
-// tracer disabled the stamp is skipped, and no span is recorded to
-// carry it.)
-func TestTracedTriggerStampsSpans(t *testing.T) {
-	tr := telemetry.NewTracer(telemetry.TracerOptions{})
-	p := newTracedPlatform(t, tr, nil)
+// TestTracedReplayUnderFaults replays a burst through injected resume
+// faults with the fallback chain on, plus one function crash and one
+// arrival for an undeployed function. Every arrival the replay fires
+// gets exactly one trace under its arrival index; the serving stages of
+// every trace, queued and fallen back ones included, sum to its
+// latency; and a failed trigger's trace carries the replay's error.
+func TestTracedReplayUnderFaults(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	inj, err := faultinject.FromSpec(4, "resume:rate=0.2,invoke:nth=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 4, WorstK: n})
+	p, err := New(Options{Tracer: rec, Faults: inj, Fallback: FallbackConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	registerScan(t, p)
-	if err := p.Provision("scan", 1, core.Horse); err != nil {
+	if err := p.Provision("scan", 2, core.Horse); err != nil {
 		t.Fatal(err)
 	}
-	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 9})
-	tc := rec.Start(0, "scan", ModeHorse.String(), p.Clock().Now(), simtime.Millisecond)
-	if _, err := p.TriggerTraced(tc, nil, "scan", ModeHorse, scanPayload(t)); err != nil {
-		t.Fatal(err)
+	arrivals := make([]trace.Arrival, n)
+	for i := range arrivals {
+		arrivals[i] = trace.Arrival{At: simtime.Time(simtime.Duration(i) * 5 * simtime.Microsecond), Function: "scan"}
 	}
-	want := trigtrace.NewTraceID(9, 0).String()
-	stamped := map[string]bool{}
-	for _, sp := range tr.Spans() {
-		if id, ok := sp.Attr("trigger"); ok {
-			if id != want {
-				t.Fatalf("%s span trigger attr = %q, want %q", sp.Name, id, want)
+	arrivals[7].Function = "undeployed"
+	base := p.Clock().Now()
+	report, err := p.Replay(arrivals, ModeHorse, scanPayloads(t))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if report.Skipped != 1 || len(report.Failures) == 0 {
+		t.Fatalf("report = %+v, want one skip and some failures", report)
+	}
+
+	traces := rec.Traces()
+	if len(traces) != n-1 {
+		t.Fatalf("traces = %d, want one per fired arrival (%d)", len(traces), n-1)
+	}
+	failed := map[simtime.Duration]string{}
+	for _, f := range report.Failures {
+		failed[f.At] = f.Err
+	}
+	var queued, fellBack int
+	for k, tr := range traces {
+		seq := uint64(k)
+		if k >= 7 {
+			seq++ // arrival 7 was skipped
+		}
+		at := tr.Arrival.Sub(base)
+		if tr.Seq != seq || at != simtime.Duration(arrivals[seq].At) {
+			t.Fatalf("trace %d: seq %d at +%v, want arrival %d at +%v", k, tr.Seq, at, seq, arrivals[seq].At)
+		}
+		if want, ok := failed[at]; ok {
+			if tr.Err != want || tr.Err == "" || tr.Served != "" {
+				t.Fatalf("failed trigger %d: trace err %q served %q, want err %q", seq, tr.Err, tr.Served, want)
 			}
-			stamped[sp.Name] = true
+			continue
+		}
+		if tr.Err != "" || tr.Served == "" {
+			t.Fatalf("trigger %d: trace err %q served %q", seq, tr.Err, tr.Served)
+		}
+		if tr.Stages[0].Stage != trigtrace.StageQueueWait {
+			t.Fatalf("trigger %d: first stage %s, want queue-wait", seq, tr.Stages[0].Stage)
+		}
+		if tr.Stages[0].Dur > 0 {
+			queued++
+		}
+		if tr.Served != tr.Requested {
+			fellBack++
 		}
 	}
-	for _, name := range []string{"invocation", "resume", "pause"} {
-		if !stamped[name] {
-			t.Errorf("%s span carries no trigger attribute; stamped: %v (spans %v)", name, stamped, names(tr.Spans()))
-		}
+	if queued == 0 || fellBack == 0 {
+		t.Fatalf("queued %d, fell back %d: the burst exercised neither", queued, fellBack)
+	}
+	if got := rec.ReconcileFailures(); got != 0 {
+		t.Fatalf("reconcile failures = %d, want 0", got)
+	}
+	if got := rec.Violations(); got != uint64(len(report.Failures)) {
+		t.Fatalf("violations = %d, want the %d failures", got, len(report.Failures))
 	}
 }
 
 func TestPoolMissAndShrinkMetrics(t *testing.T) {
 	m := telemetry.NewRegistry()
-	p := newTracedPlatform(t, nil, m)
+	p := newMeteredPlatform(t, m)
 	registerScan(t, p)
 	if _, err := p.Trigger("scan", ModeWarm, scanPayload(t)); err == nil {
 		t.Fatal("warm trigger on empty pool succeeded")
@@ -152,20 +195,20 @@ func TestPoolMissAndShrinkMetrics(t *testing.T) {
 }
 
 // TestConcurrentTracedReplays drives independent platforms in parallel
-// goroutines, each with tracing enabled and all sharing one metrics
-// registry — the shape `go test -race` exercises to prove the telemetry
-// layer is safe under concurrent simulations. Each platform gets its own
-// tracer because a tracer reads its attached virtual clock, and clocks
-// are single-goroutine simulation objects; the registry is the sink
-// designed for cross-goroutine sharing.
+// goroutines, each tracing its replay into its own trigger recorder and
+// all sharing one metrics registry, which the recorders report into
+// too — the shape `go test -race` exercises to prove the telemetry
+// layer is safe under concurrent simulations. A recorder takes one run
+// at a time (Claim), so each replay gets its own; the registry is the
+// sink designed for cross-goroutine sharing.
 func TestConcurrentTracedReplays(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	m := telemetry.NewRegistry()
 
 	const replays = 4
-	tracers := make([]*telemetry.Tracer, replays)
-	for i := range tracers {
-		tracers[i] = telemetry.NewTracer(telemetry.TracerOptions{Capacity: 1024})
+	recs := make([]*trigtrace.Recorder, replays)
+	for i := range recs {
+		recs[i] = trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: int64(i), Metrics: m})
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, replays)
@@ -174,7 +217,7 @@ func TestConcurrentTracedReplays(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = func() error {
-				p, err := New(Options{Tracer: tracers[i], Metrics: m})
+				p, err := New(Options{Tracer: recs[i], Metrics: m})
 				if err != nil {
 					return err
 				}
@@ -206,24 +249,16 @@ func TestConcurrentTracedReplays(t *testing.T) {
 	if got := snap.Counters["horse_splice_ops_total"]; got != replays*4 {
 		t.Fatalf("splices = %d, want %d", got, replays*4)
 	}
-	// Every platform recorded a replay span and per-trigger spans.
-	var replaySpans int
-	for _, tr := range tracers {
-		for _, sp := range tr.Spans() {
-			if sp.Name == "replay" {
-				replaySpans++
-			}
+	if got := snap.Counters["trigtrace_traces_total"]; got != replays*4 {
+		t.Fatalf("traces = %d, want %d", got, replays*4)
+	}
+	// Every recorder kept its own replay's four traces.
+	for i, rec := range recs {
+		if got := len(rec.Traces()); got != 4 {
+			t.Fatalf("recorder %d kept %d traces, want 4", i, got)
+		}
+		if got := rec.ReconcileFailures(); got != 0 {
+			t.Fatalf("recorder %d: %d reconcile failures", i, got)
 		}
 	}
-	if replaySpans != replays {
-		t.Fatalf("replay spans = %d, want %d", replaySpans, replays)
-	}
-}
-
-func names(spans []telemetry.Span) []string {
-	out := make([]string, len(spans))
-	for i, sp := range spans {
-		out[i] = sp.Name
-	}
-	return out
 }

@@ -11,25 +11,19 @@ import (
 	"github.com/horse-faas/horse/internal/simtime"
 )
 
-func sampleSpans(t *testing.T) []Span {
-	t.Helper()
-	tr := NewTracer(TracerOptions{})
-	clock := simtime.NewClock()
-	tr.AttachClock(clock)
-	res := tr.StartSpan("resume")
-	res.Attr("policy", "horse")
-	res.Attr("vcpus", "36")
-	clock.Advance(34)
-	res.Step("fastpath", 34)
-	clock.Advance(110)
-	res.Step("psm-merge", 110)
-	res.End()
-	return tr.Spans()
+func sampleSpans() []Span {
+	return []Span{{
+		Track: "horse vcpus=36",
+		Name:  "resume",
+		Cat:   "horse",
+		Args:  map[string]string{"policy": "horse", "vcpus": "36"},
+		Steps: []simtime.StopwatchResult{{Label: "fastpath", Cost: 34}, {Label: "psm-merge", Cost: 110}},
+	}}
 }
 
 func TestWritePerfettoFormat(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, sampleSpans(t)); err != nil {
+	if err := WritePerfetto(&buf, sampleSpans()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

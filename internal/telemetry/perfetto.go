@@ -2,17 +2,17 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+
+	"github.com/horse-faas/horse/internal/simtime"
 )
 
 // The Chrome trace-event JSON format (also read by ui.perfetto.dev):
 // https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //
-// Each finished span becomes a complete ("X") event; each step event
-// inside a span becomes a nested complete event on the same track, so
-// Perfetto renders the resume breakdown as a flame of per-step slices.
+// Each span becomes a complete ("X") event; each of its steps becomes a
+// nested complete event on the same track, so Perfetto renders a
+// resume breakdown as a row of per-step slices under the resume slice.
 // Timestamps are microseconds (float), the format's native unit.
 
 // TraceEvent is one Chrome trace-event record. It is the one encoding
@@ -50,68 +50,75 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 	}{events, "ns"})
 }
 
-// perfettoPID is the single simulated process all tracks belong to.
+// perfettoPID is the single simulated process all span tracks belong to.
 const perfettoPID = 1
 
-// WritePerfetto emits the spans as Chrome/Perfetto trace-event JSON.
-// Load the output at ui.perfetto.dev or chrome://tracing.
+// Span is one slice of the virtual timeline, tiled by its steps: the
+// first step starts at Start and each next one where the last ended, so
+// the span covers exactly the steps' summed cost. A pause or resume
+// report's steps, in first-charge order, are such a tiling.
+type Span struct {
+	// Track names the lane the span is drawn on; spans that share a
+	// track share a lane.
+	Track string
+	Name  string
+	// Cat is the span's trace-event category.
+	Cat   string
+	Start simtime.Time
+	Args  map[string]string
+	Steps []simtime.StopwatchResult
+}
+
+// WritePerfetto emits the spans as Chrome/Perfetto trace-event JSON: a
+// named track per distinct Track, numbered in order of first
+// appearance, a complete ("X") event per span, and one nested "step"
+// event per step. Load the output at ui.perfetto.dev or
+// chrome://tracing.
 func WritePerfetto(w io.Writer, spans []Span) error {
 	var events []TraceEvent
-
-	// Name each track so runs read as "track 3" lanes instead of bare
-	// thread ids.
-	tracks := map[int]bool{}
+	tids := map[string]int{}
 	for _, sp := range spans {
-		tracks[sp.Track] = true
-	}
-	ids := make([]int, 0, len(tracks))
-	for id := range tracks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+		if _, ok := tids[sp.Track]; ok {
+			continue
+		}
+		tids[sp.Track] = len(tids) + 1
 		events = append(events, TraceEvent{
 			Name: "thread_name",
 			Ph:   "M",
 			Pid:  perfettoPID,
-			Tid:  id,
-			Args: map[string]string{"name": fmt.Sprintf("track %d", id)},
+			Tid:  len(tids),
+			Args: map[string]string{"name": sp.Track},
 		})
 	}
-
 	for _, sp := range spans {
-		cat := "span"
-		if policy, ok := sp.Attr("policy"); ok {
-			cat = policy
-		}
-		args := make(map[string]string, len(sp.Attrs)+1)
-		for _, a := range sp.Attrs {
-			args[a.Key] = a.Value // last value wins
-		}
-		dur := Micros(int64(sp.Duration()))
+		tid := tids[sp.Track]
+		span := len(events)
 		events = append(events, TraceEvent{
 			Name: sp.Name,
-			Cat:  cat,
+			Cat:  sp.Cat,
 			Ph:   "X",
 			Ts:   Micros(int64(sp.Start)),
-			Dur:  &dur,
 			Pid:  perfettoPID,
-			Tid:  sp.Track,
-			Args: args,
+			Tid:  tid,
+			Args: sp.Args,
 		})
-		for _, ev := range sp.Events {
-			evDur := Micros(int64(ev.Dur))
+		at := sp.Start
+		for _, st := range sp.Steps {
+			dur := Micros(int64(st.Cost))
 			events = append(events, TraceEvent{
-				Name: ev.Name,
+				Name: st.Label,
 				Cat:  "step",
 				Ph:   "X",
-				Ts:   Micros(int64(ev.Start)),
-				Dur:  &evDur,
+				Ts:   Micros(int64(at)),
+				Dur:  &dur,
 				Pid:  perfettoPID,
-				Tid:  sp.Track,
+				Tid:  tid,
 				Args: map[string]string{"span": sp.Name},
 			})
+			at = at.Add(st.Cost)
 		}
+		dur := Micros(int64(at.Sub(sp.Start)))
+		events[span].Dur = &dur
 	}
 	return WriteTraceEvents(w, events)
 }

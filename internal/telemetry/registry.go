@@ -1,3 +1,18 @@
+// Package telemetry is the virtual-time observability layer of the
+// reproduction: a concurrent metrics registry recorded against the
+// simulation's virtual clock, with Prometheus text and JSON exporters,
+// and a Chrome/Perfetto trace-event exporter for step timelines.
+//
+// The paper's argument is a per-step cost breakdown of the pause and
+// resume paths (Figures 2 and 3). Every pause and resume already
+// returns that breakdown as a report, so this package records no spans
+// of its own: a Span is a plain value built from a report's steps, and
+// WritePerfetto lays such values out on named tracks. Per-trigger
+// timelines come from internal/trigtrace.
+//
+// Metrics cost nothing when off: a nil *Registry hands out nil
+// instruments whose methods return at once, so instrumentation stays
+// wired through the hot paths unconditionally.
 package telemetry
 
 import (

@@ -20,8 +20,9 @@ import (
 // encoding/json, which sorts keys — no map iteration order leaks.
 
 // triggerPID is the simulated process the trigger tracks belong to. It
-// is distinct from telemetry's perfettoPID so a merged view keeps
-// hypervisor tracks and trigger tracks in separate process groups.
+// is distinct from the process of telemetry's step timelines, so a
+// merged view keeps pause/resume step tracks and trigger tracks in
+// separate process groups.
 const triggerPID = 2
 
 // WritePerfetto emits the retained trigger span trees as

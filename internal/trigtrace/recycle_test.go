@@ -72,7 +72,7 @@ func TestRecycledTraceIsClean(t *testing.T) {
 	old.SetNode("node-3")
 	old.Reroute(10, "node-3", "node-failed")
 	old.RecordOn(StageInvoke, 10, 50, "", "warm", "")
-	if old.IDString() == "" {
+	if old.tr.IDString() == "" {
 		t.Fatal("no ID text cached")
 	}
 	oldTrace := old.tr
@@ -94,7 +94,7 @@ func TestRecycledTraceIsClean(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recycled trace = %+v, want %+v", got, want)
 	}
-	if id := next.IDString(); id != NewTraceID(5, 2).String() {
+	if id := next.tr.IDString(); id != NewTraceID(5, 2).String() {
 		t.Fatalf("IDString = %q, want the new trace's ID", id)
 	}
 }

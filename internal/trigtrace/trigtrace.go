@@ -1,10 +1,11 @@
 // Package trigtrace is the per-trigger distributed-tracing layer of the
-// cluster (DESIGN.md §12). Where internal/telemetry records what one
-// hypervisor did (pause/resume spans on one node's timeline), trigtrace
-// follows one trigger end to end — router, failovers, queue wait, pool
-// take, resume, retries, invoke — producing a causally linked span tree
-// per trigger with a deterministic trace ID derived from the run seed
-// and the arrival index, never from a wall clock.
+// cluster and of traced replays (DESIGN.md §12). Where a pause or
+// resume report breaks one hypervisor operation into its steps (which
+// internal/telemetry lays out as a step timeline), trigtrace follows
+// one trigger end to end — router, failovers, queue wait, pool take,
+// resume, retries, invoke — producing a causally linked span tree per
+// trigger with a deterministic trace ID derived from the run seed and
+// the arrival index, never from a wall clock.
 //
 // The layer is built to cost nothing when off: an inert Context (the
 // zero value, or anything minted by a nil Recorder) early-returns from
@@ -247,8 +248,8 @@ type TriggerTrace struct {
 	curNode string
 }
 
-// IDString returns the trace ID in the fixed-width hex form used by
-// span annotations (precomputed once per trace).
+// IDString returns the trace ID in the fixed-width hex form the
+// Perfetto export writes (computed once per trace).
 //
 //horselint:shardphase
 func (t *TriggerTrace) IDString() string {
@@ -259,9 +260,9 @@ func (t *TriggerTrace) IDString() string {
 }
 
 // Context is the handle one in-flight trigger carries through the
-// router, the platform's fallback chain, and the hypervisor. The zero
-// value is inert: every method returns immediately without allocating,
-// which is the tracing-disabled hot path.
+// router and the platform's fallback chain. The zero value is inert:
+// every method returns immediately without allocating, which is the
+// tracing-disabled hot path.
 //
 // A Context is owned by the single goroutine serving its trigger;
 // cross-goroutine safety begins at Finish, where the trace is handed to
@@ -276,16 +277,6 @@ type Context struct {
 //horselint:hotpath
 //horselint:shardphase
 func (c Context) Active() bool { return c.tr != nil }
-
-// IDString returns the trace ID annotation ("" for an inert context).
-//
-//horselint:shardphase
-func (c Context) IDString() string {
-	if c.tr == nil {
-		return ""
-	}
-	return c.tr.IDString()
-}
 
 // SetNode sets the node subsequent stages default to when recorded
 // without an explicit one; the cluster calls it once per placement.

@@ -3,7 +3,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"github.com/horse-faas/horse/internal/credit2"
 	"github.com/horse-faas/horse/internal/faultinject"
@@ -64,22 +63,13 @@ type Hypervisor struct {
 	resumeLock bool
 	acct       Accounting
 
-	// tracer and metrics are the optional observability sinks; both are
-	// nil-safe no-ops when unset, so the pause/resume hot paths stay
-	// instrumented unconditionally.
-	tracer  *telemetry.Tracer
+	// metrics is the optional metrics sink (nil records nothing).
 	metrics *telemetry.Registry
 
 	// faults is the optional deterministic fault injector; Check on a
 	// nil injector is a no-op, so the lifecycle entry points consult it
 	// unconditionally.
 	faults *faultinject.Injector
-
-	// traceTag, when non-empty, annotates every pause/resume span with
-	// the trigger trace ID currently being served (attr "trigger"), so
-	// hypervisor spans join the trigger's causal tree in a merged
-	// Perfetto view. The FaaS layer sets it around each traced attempt.
-	traceTag string
 
 	// pauseFrame and resumeFrame are reusable lifecycle frames: the
 	// hypervisor runs on one goroutine and frames of the same kind never
@@ -102,9 +92,6 @@ type Options struct {
 	// ULLQueues is the number of reserved ull_runqueues (default 1,
 	// §4.1.3; raise it for high uLL trigger rates).
 	ULLQueues int
-	// Tracer, if non-nil, records a span per pause/resume with per-step
-	// events; the hypervisor attaches it to its clock.
-	Tracer *telemetry.Tracer
 	// Metrics, if non-nil, receives lifecycle counters and the
 	// policy-labelled pause/resume duration histograms.
 	Metrics *telemetry.Registry
@@ -130,12 +117,8 @@ func New(opts Options) (*Hypervisor, error) {
 		costs:     opts.Costs,
 		sandboxes: make(map[string]*Sandbox),
 		ledger:    credit2.NewLedger(),
-		tracer:    opts.Tracer,
 		metrics:   opts.Metrics,
 		faults:    opts.Faults,
-	}
-	if h.tracer != nil {
-		h.tracer.AttachClock(h.clock)
 	}
 	for i := 0; i < generalCPUs; i++ {
 		h.general = append(h.general, runqueue.New(false))
@@ -149,17 +132,9 @@ func New(opts Options) (*Hypervisor, error) {
 // Clock returns the hypervisor's virtual clock.
 func (h *Hypervisor) Clock() *simtime.Clock { return h.clock }
 
-// Tracer returns the attached span tracer (possibly nil; all tracer
-// operations are nil-safe).
-func (h *Hypervisor) Tracer() *telemetry.Tracer { return h.tracer }
-
 // Metrics returns the attached metrics registry (possibly nil; all
 // registry operations are nil-safe).
 func (h *Hypervisor) Metrics() *telemetry.Registry { return h.metrics }
-
-// SetTraceTag sets (or, with "", clears) the trigger trace ID stamped
-// onto pause/resume spans opened while it is set.
-func (h *Hypervisor) SetTraceTag(tag string) { h.traceTag = tag }
 
 // Costs returns the active cost model.
 func (h *Hypervisor) Costs() CostModel { return h.costs }
@@ -324,7 +299,6 @@ type PauseContext struct {
 	h        *Hypervisor
 	sb       *Sandbox
 	sw       *simtime.Stopwatch
-	span     telemetry.SpanRef
 	policy   string
 	done     bool
 	unplaced []Placement
@@ -343,12 +317,6 @@ func (h *Hypervisor) BeginPause(sb *Sandbox, policy string) (*PauseContext, erro
 	if sb.state != StateRunning {
 		return nil, fmt.Errorf("%w: %s is %s", ErrNotRunning, sb.id, sb.state)
 	}
-	span := h.tracer.StartSpan("pause")
-	span.Attr("sandbox", sb.id)
-	span.Attr("policy", policy)
-	if h.traceTag != "" {
-		span.Attr("trigger", h.traceTag)
-	}
 	c := h.pauseFrame
 	if c == nil || !c.done {
 		c = &PauseContext{sw: simtime.NewStopwatch(h.clock), done: true}
@@ -358,18 +326,16 @@ func (h *Hypervisor) BeginPause(sb *Sandbox, policy string) (*PauseContext, erro
 	}
 	sw := c.sw
 	sw.Reset(h.clock)
-	*c = PauseContext{h: h, sb: sb, sw: sw, span: span, policy: policy}
+	*c = PauseContext{h: h, sb: sb, sw: sw, policy: policy}
 	return c, nil
 }
 
 // Sandbox returns the sandbox being paused.
 func (c *PauseContext) Sandbox() *Sandbox { return c.sb }
 
-// Charge records a costed step on the pause stopwatch and, when tracing,
-// as a step event on the pause span.
+// Charge records a costed step on the pause stopwatch.
 func (c *PauseContext) Charge(label string, d simtime.Duration) {
 	c.sw.Charge(label, d)
-	c.span.Step(label, d)
 }
 
 // RemoveVCPUs pulls every vCPU off its run queue (the consequence of
@@ -380,7 +346,6 @@ func (c *PauseContext) RemoveVCPUs() error {
 	for _, pl := range c.sb.placements {
 		c.Charge(StepPauseRemove, c.h.costs.PauseVCPURemove)
 		if err := pl.Queue.Remove(pl.Element); err != nil {
-			c.span.End()
 			return fmt.Errorf("vmm: pause %s: %w", c.sb.id, err)
 		}
 		pl.Queue.Load().RemoveEntity()
@@ -390,7 +355,6 @@ func (c *PauseContext) RemoveVCPUs() error {
 		ent := pl.Element.Value()
 		credit, err := c.h.ledger.Burn(ent.ID, ran)
 		if err != nil {
-			c.span.End()
 			return fmt.Errorf("vmm: pause %s: %w", c.sb.id, err)
 		}
 		ent.Credit = credit
@@ -421,7 +385,6 @@ func (c *PauseContext) Finish(dst []simtime.StopwatchResult) (PauseReport, error
 	c.sb.state = StatePaused
 	c.h.acct.Pauses++
 	c.h.acct.PauseWork += c.sw.Total()
-	c.span.End()
 	if m := c.h.metrics; m != nil {
 		m.Counter("vmm_pauses_total", "policy", c.policy).Inc()
 		m.Histogram("vmm_pause_ns", "policy", c.policy).Observe(c.sw.Total())
@@ -441,7 +404,6 @@ type ResumeContext struct {
 	h      *Hypervisor
 	sb     *Sandbox
 	sw     *simtime.Stopwatch
-	span   telemetry.SpanRef
 	policy string
 	fast   bool
 	done   bool
@@ -463,13 +425,6 @@ func (h *Hypervisor) BeginResume(sb *Sandbox, policy string, fast bool) (*Resume
 		}
 		return nil, fmt.Errorf("%w: resuming %s", ErrResumeBusy, sb.id)
 	}
-	span := h.tracer.StartSpan("resume")
-	span.Attr("sandbox", sb.id)
-	span.Attr("policy", policy)
-	span.Attr("vcpus", strconv.Itoa(sb.NumVCPUs()))
-	if h.traceTag != "" {
-		span.Attr("trigger", h.traceTag)
-	}
 	c := h.resumeFrame
 	if c == nil || !c.done {
 		c = &ResumeContext{sw: simtime.NewStopwatch(h.clock), done: true}
@@ -479,7 +434,7 @@ func (h *Hypervisor) BeginResume(sb *Sandbox, policy string, fast bool) (*Resume
 	}
 	sw := c.sw
 	sw.Reset(h.clock)
-	*c = ResumeContext{h: h, sb: sb, sw: sw, span: span, policy: policy, fast: fast}
+	*c = ResumeContext{h: h, sb: sb, sw: sw, policy: policy, fast: fast}
 	if fast {
 		c.Charge(StepFastPath, h.costs.HorseFixed)
 	} else {
@@ -488,12 +443,10 @@ func (h *Hypervisor) BeginResume(sb *Sandbox, policy string, fast bool) (*Resume
 		c.Charge(StepSanity, h.costs.Sanity)
 	}
 	if sb.state == StateStopped {
-		span.End()
 		c.done = true
 		return nil, fmt.Errorf("%w: %s", ErrStopped, sb.id)
 	}
 	if sb.state != StatePaused {
-		span.End()
 		c.done = true
 		return nil, fmt.Errorf("%w: %s is %s", ErrNotPaused, sb.id, sb.state)
 	}
@@ -507,11 +460,9 @@ func (c *ResumeContext) Sandbox() *Sandbox { return c.sb }
 // Hypervisor returns the owning hypervisor.
 func (c *ResumeContext) Hypervisor() *Hypervisor { return c.h }
 
-// Charge records a costed step on the resume stopwatch and, when
-// tracing, as a step event on the resume span.
+// Charge records a costed step on the resume stopwatch.
 func (c *ResumeContext) Charge(label string, d simtime.Duration) {
 	c.sw.Charge(label, d)
-	c.span.Step(label, d)
 }
 
 // Place records that a vCPU now sits on the given queue.
@@ -524,7 +475,6 @@ func (c *ResumeContext) Abort() {
 	if !c.done {
 		c.done = true
 		c.h.resumeLock = false
-		c.span.End()
 	}
 }
 
@@ -549,7 +499,6 @@ func (c *ResumeContext) Finish(dst []simtime.StopwatchResult) (ResumeReport, err
 	c.h.resumeLock = false
 	c.h.acct.Resumes++
 	c.h.acct.ResumeWork += c.sw.Total()
-	c.span.End()
 	if m := c.h.metrics; m != nil {
 		m.Counter("vmm_resumes_total", "policy", c.policy).Inc()
 		m.Histogram("vmm_resume_ns", "policy", c.policy).Observe(c.sw.Total())
