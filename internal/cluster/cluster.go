@@ -64,10 +64,13 @@ const (
 // admission-gated); tenantName is its name, carried into traces and
 // the report; rejects holds the tenant's admission errors, indexed by
 // verdict. slo is the latency budget the function's traces and SLO
-// tallies are judged against (0 = none).
+// tallies are judged against (0 = none). deps holds the function's
+// deployment on each node, by node index, so serving a trigger looks
+// nothing up by name.
 type deploymentEntry struct {
 	name       string
 	index      int
+	deps       []*faas.Deployment
 	spec       faas.SandboxSpec
 	ull        bool
 	tenant     int
@@ -313,12 +316,15 @@ func (c *Cluster) RegisterEverywhere(fn workload.Function, spec faas.SandboxSpec
 	if _, ok := c.deployments[fn.Name()]; ok {
 		return fmt.Errorf("%w: %q", faas.ErrAlreadyDeployed, fn.Name())
 	}
-	for _, n := range c.nodes {
-		if _, err := n.platform.Register(fn, spec); err != nil {
+	deps := make([]*faas.Deployment, len(c.nodes))
+	for i, n := range c.nodes {
+		d, err := n.platform.Register(fn, spec)
+		if err != nil {
 			return fmt.Errorf("cluster: register %q on %s: %w", fn.Name(), n.id, err)
 		}
+		deps[i] = d
 	}
-	entry := &deploymentEntry{name: fn.Name(), index: len(c.entries), spec: spec, ull: fn.Category().ULL(), tenant: -1}
+	entry := &deploymentEntry{name: fn.Name(), index: len(c.entries), deps: deps, spec: spec, ull: fn.Category().ULL(), tenant: -1}
 	c.deployments[entry.name] = entry
 	c.entries = append(c.entries, entry)
 	return nil

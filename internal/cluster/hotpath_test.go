@@ -42,6 +42,10 @@ func hotpathCluster(t *testing.T, policy string) *Cluster {
 	return c
 }
 
+// raceEnabled is set by race_test.go under -race, where sync.Pool
+// drops pooled items at random and a run allocates more.
+var raceEnabled bool
+
 // Allocation pins for every //horselint:hotpath function in this
 // package: the routing decision every trigger pays — policy pick, ring
 // hash, lag reads — must be allocation-free, matching the hotpath
@@ -255,13 +259,16 @@ func TestHotPathAllocFree(t *testing.T) {
 	// pool misses down the fallback chain, and three tenants' report
 	// rows. A rejected arrival reuses its tenant's cached error and a
 	// pool miss its deployment's; jobs and traces come from free lists,
-	// and the report tallies by dense index. This run allocates about
-	// 131 B per arrival, most of it set-up that a longer run amortizes:
-	// each recycled trace's first stage list, the first jobs and traces,
-	// the restore and cold starts' sandboxes, and the NAT and firewall
-	// bodies' own garbage; the serve barrier's handler closure is one
-	// allocation per wave. Formatting one error or minting one trace per
-	// arrival again would cross 192 B.
+	// and the report tallies by dense index. This run allocates 114-115
+	// B per arrival over 30 runs (132 B in 25 runs under -race, where
+	// sync.Pool drops pooled items at random), most of it set-up that a
+	// longer run amortizes: each recycled trace's first stage list, the
+	// first jobs and traces, the restore and cold starts' sandboxes, and
+	// the NAT and firewall bodies' address strings; the serve barrier's
+	// handler closure is one allocation per wave. The budgets sit 5-6 B above
+	// those maxima and below the 122-123 B (144 B) the NAT reads encoding its
+	// result with json.Marshal again; formatting one error or minting one
+	// trace per arrival would cross them further.
 	t.Run("Cluster.Run-tenanted", func(t *testing.T) {
 		c, cfg := tenantedCluster(t, 20*simtime.Millisecond, 2)
 		var before, after runtime.MemStats
@@ -275,11 +282,14 @@ func TestHotPathAllocFree(t *testing.T) {
 			t.Fatalf("run saw %d arrivals, %d rejected, %d tenants; want 1000+, some, 3",
 				report.Arrivals, report.Rejected, len(report.Tenants))
 		}
-		const budget = 192
+		budget := 120.0
+		if raceEnabled {
+			budget = 138
+		}
 		perArrival := float64(after.TotalAlloc-before.TotalAlloc) / float64(report.Arrivals)
 		t.Logf("tenanted Cluster.Run allocates %.0f B per arrival over %d arrivals", perArrival, report.Arrivals)
 		if perArrival > budget {
-			t.Errorf("tenanted Cluster.Run allocates %.0f B per arrival, budget %d B", perArrival, budget)
+			t.Errorf("tenanted Cluster.Run allocates %.0f B per arrival, budget %.0f B", perArrival, budget)
 		}
 	})
 }

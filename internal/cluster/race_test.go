@@ -1,5 +1,5 @@
 //go:build race
 
-package workload
+package cluster
 
 func init() { raceEnabled = true }

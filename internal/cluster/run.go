@@ -517,7 +517,7 @@ func (c *Cluster) serveJob(job *pendingJob) {
 	job.tc.SetNode(n.id)
 	job.tc.RecordOn(trigtrace.StagePlacement, job.arrival, 0, n.id, "", job.policy)
 	job.tc.RecordOn(trigtrace.StageQueueWait, job.arrival, wait, n.id, "", "")
-	inv, terr := n.platform.TriggerTraced(job.tc, n.out[:0], job.entry.name, job.mode, job.payload)
+	terr := n.platform.TriggerInto(&job.inv, job.tc, n.out[:0], job.entry.deps[n.index], job.mode, job.payload)
 	if terr != nil {
 		consumed := local.Now().Sub(job.arrival)
 		detail := ReasonTriggerFailed
@@ -529,17 +529,16 @@ func (c *Cluster) serveJob(job *pendingJob) {
 		job.failedAt = local.Now()
 		return
 	}
-	job.inv = inv
 	// An appending body returns n.out or its grown replacement; a body
 	// with only Invoke returns a fresh buffer, kept only if it is larger.
-	if cap(inv.Output) > cap(n.out) {
-		n.out = inv.Output
+	if out := job.inv.Output; cap(out) > cap(n.out) {
+		n.out = out
 	}
 	n.served++
 	// Caller-observed latency ends when the function's response is
 	// ready; the re-pool pause after it is node housekeeping and shows
 	// up only as backlog (Lag) for later triggers.
-	job.latency = wait + inv.Total()
+	job.latency = wait + job.inv.Total()
 	n.triggers.Inc()
 	n.load.Set(int64(n.Lag(job.arrival)))
 }

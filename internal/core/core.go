@@ -77,8 +77,11 @@ type pausedState struct {
 // simulation that drives it (the real system serializes these paths under
 // the hypervisor's pause/resume locks).
 type Engine struct {
-	h      *vmm.Hypervisor
-	states map[string]*pausedState
+	h *vmm.Hypervisor
+	// states holds each prepared sandbox's state, keyed by the sandbox
+	// itself: a pointer hashes in one word, where its ID would hash as
+	// a string on every pause and resume.
+	states map[*vmm.Sandbox]*pausedState
 
 	// syncWork accumulates the background cost of keeping paused
 	// sandboxes' arrayB/posA synchronized when the ull_runqueue changes;
@@ -113,7 +116,7 @@ func NewEngine(h *vmm.Hypervisor) *Engine {
 	m := h.Metrics()
 	return &Engine{
 		h:            h,
-		states:       make(map[string]*pausedState),
+		states:       make(map[*vmm.Sandbox]*pausedState),
 		prepared:     m.Gauge("horse_prepared_sandboxes"),
 		coalesced:    m.Counter("horse_coalesced_updates_total"),
 		spliceOps:    m.Counter("horse_splice_ops_total"),
@@ -217,7 +220,7 @@ func (e *Engine) pauseULL(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy
 		}
 	}
 
-	e.states[sb.ID()] = st
+	e.states[sb] = st
 	e.prepared.Set(int64(len(e.states)))
 	return ctx.Finish(dst)
 }
@@ -245,7 +248,7 @@ func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error
 func (e *Engine) AppendResume(dst []simtime.StopwatchResult, sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error) {
 	switch policy {
 	case Vanilla:
-		if st, ok := e.states[sb.ID()]; ok {
+		if st, ok := e.states[sb]; ok {
 			return vmm.ResumeReport{}, fmt.Errorf("%w: paused as %q, resumed as %q",
 				ErrPolicyMismatch, st.policy, policy)
 		}
@@ -254,7 +257,7 @@ func (e *Engine) AppendResume(dst []simtime.StopwatchResult, sb *vmm.Sandbox, po
 	default:
 		return vmm.ResumeReport{}, fmt.Errorf("%w: %q", ErrUnknownPolicy, policy)
 	}
-	st, ok := e.states[sb.ID()]
+	st, ok := e.states[sb]
 	if !ok {
 		return vmm.ResumeReport{}, fmt.Errorf("%w: %s", ErrNotPrepared, sb.ID())
 	}
@@ -288,7 +291,7 @@ func (e *Engine) AppendResume(dst []simtime.StopwatchResult, sb *vmm.Sandbox, po
 		}
 		return vmm.ResumeReport{}, err
 	}
-	delete(e.states, sb.ID())
+	delete(e.states, sb)
 	e.prepared.Set(int64(len(e.states)))
 	e.recycle(st)
 	return report, nil
@@ -415,7 +418,7 @@ func (e *Engine) accountSync(q *runqueue.Queue, n int) {
 // Forget releases the prepared state of a paused sandbox without resuming
 // it (e.g. the keep-alive window expired and the platform destroys it).
 func (e *Engine) Forget(sb *vmm.Sandbox) {
-	st, ok := e.states[sb.ID()]
+	st, ok := e.states[sb]
 	if !ok {
 		return
 	}
@@ -426,7 +429,7 @@ func (e *Engine) dropState(sb *vmm.Sandbox, st *pausedState) {
 	if st.pre != nil {
 		st.queue.Unobserve(st.pre)
 	}
-	delete(e.states, sb.ID())
+	delete(e.states, sb)
 	e.prepared.Set(int64(len(e.states)))
 }
 
@@ -436,15 +439,15 @@ func (e *Engine) dropState(sb *vmm.Sandbox, st *pausedState) {
 // engine always validates cleanly because the structures are maintained
 // on every queue update.
 func (e *Engine) Validate() error {
-	for id, st := range e.states {
+	for sb, st := range e.states {
 		if st.pre == nil {
 			continue
 		}
 		if st.pre.Target() != st.queue.List() {
-			return fmt.Errorf("core: %s precompute targets the wrong queue", id)
+			return fmt.Errorf("core: %s precompute targets the wrong queue", sb.ID())
 		}
 		if err := st.pre.Validate(); err != nil {
-			return fmt.Errorf("core: %s: %w", id, err)
+			return fmt.Errorf("core: %s: %w", sb.ID(), err)
 		}
 	}
 	return nil

@@ -373,7 +373,7 @@ func TestResumePoisonedAfterMidFlightFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	e.states[sb.ID()].queue.Observe(rejectingObserver{err: boom})
+	e.states[sb].queue.Observe(rejectingObserver{err: boom})
 	_, err := e.Resume(sb, Coal)
 	if !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("err = %v, want ErrPoisoned", err)

@@ -51,7 +51,7 @@ func TestPauseReusesPrecomputeAndElements(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("pause a")
-		st := e.states[a.ID()]
+		st := e.states[a]
 		for el := st.pre.Source().Front(); el != nil; el = el.Next() {
 			if !before[el] {
 				t.Fatalf("cycle %d: source element %p is not one a's pause removed", cycle, el)
@@ -71,7 +71,7 @@ func TestPauseReusesPrecomputeAndElements(t *testing.T) {
 		if _, err := e.Pause(a, Horse); err != nil {
 			t.Fatal(err)
 		}
-		if e.states[a.ID()].pre != pre {
+		if e.states[a].pre != pre {
 			t.Fatalf("cycle %d: the next pause built a new precompute", cycle)
 		}
 		check("re-pause a")

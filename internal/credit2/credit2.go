@@ -36,11 +36,19 @@ const (
 	CreditMin Credit = -500_000
 )
 
-// ErrUnknownEntity reports a Burn for an entity never registered.
+// ErrUnknownEntity reports a Burn of an account that is not registered
+// in the ledger: unregistered, or registered in another ledger.
 var ErrUnknownEntity = errors.New("credit2: unknown entity")
 
-type account struct {
+// Account is one registered entity's balance. Register returns it as the
+// entity's handle, so a caller that burns often (the hypervisor, once
+// per vCPU per pause) charges it directly instead of by name.
+type Account struct {
+	id     string
 	credit Credit
+	// ledger is the ledger the account is registered in, nil once
+	// unregistered.
+	ledger *Ledger
 }
 
 // Ledger tracks the credit of a pool of schedulable entities sharing an
@@ -49,26 +57,32 @@ type account struct {
 // Ledger is not safe for concurrent use; the hypervisor serializes
 // scheduling accounting under its locks.
 type Ledger struct {
-	accounts map[string]*account
+	accounts map[string]*Account
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{accounts: make(map[string]*account)}
+	return &Ledger{accounts: make(map[string]*Account)}
 }
 
-// Register adds an entity and grants it the initial allocation.
-func (l *Ledger) Register(id string) error {
+// Register adds an entity, grants it the initial allocation and returns
+// its account handle.
+func (l *Ledger) Register(id string) (*Account, error) {
 	if _, ok := l.accounts[id]; ok {
-		return fmt.Errorf("credit2: entity %q already registered", id)
+		return nil, fmt.Errorf("credit2: entity %q already registered", id)
 	}
-	l.accounts[id] = &account{credit: CreditInit}
-	return nil
+	a := &Account{id: id, credit: CreditInit, ledger: l}
+	l.accounts[id] = a
+	return a, nil
 }
 
-// Unregister removes an entity.
-func (l *Ledger) Unregister(id string) {
-	delete(l.accounts, id)
+// Unregister removes the entity a is the handle of; a burns no more.
+func (l *Ledger) Unregister(a *Account) {
+	if a == nil || a.ledger != l {
+		return
+	}
+	delete(l.accounts, a.id)
+	a.ledger = nil
 }
 
 // Len returns the number of registered entities.
@@ -79,10 +93,12 @@ func (l *Ledger) Len() int { return len(l.accounts) }
 // begins: every entity gains CreditInit, and balances are clipped so an
 // entity cannot hoard more than CreditInit (credit2's anti-starvation
 // clip). It returns the entity's post-burn credit.
-func (l *Ledger) Burn(id string, ran simtime.Duration) (Credit, error) {
-	a, ok := l.accounts[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownEntity, id)
+func (l *Ledger) Burn(a *Account, ran simtime.Duration) (Credit, error) {
+	if a == nil {
+		return 0, ErrUnknownEntity
+	}
+	if a.ledger != l {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownEntity, a.id)
 	}
 	if ran < 0 {
 		return 0, fmt.Errorf("credit2: negative runtime %v", ran)
@@ -94,7 +110,8 @@ func (l *Ledger) Burn(id string, ran simtime.Duration) (Credit, error) {
 	return a.credit, nil
 }
 
-// reset starts a new allocation epoch.
+// reset starts a new allocation epoch. Each account's new balance
+// depends only on its own, so the walk's order does not matter.
 func (l *Ledger) reset() {
 	for _, a := range l.accounts {
 		a.credit += CreditInit

@@ -96,6 +96,7 @@ type pooledSandbox struct {
 
 // Deployment is one registered function plus its sandbox pool.
 type Deployment struct {
+	name     string // fn.Name(), read once at registration
 	fn       workload.Function
 	app      workload.Appender // fn as an Appender; nil when fn has only Invoke
 	spec     SandboxSpec
@@ -115,7 +116,7 @@ func (d *Deployment) missError(mode StartMode) error {
 		miss = &d.missHorse
 	}
 	if *miss == nil {
-		*miss = fmt.Errorf("%w: %q (%s)", ErrNoWarmSandbox, d.fn.Name(), mode)
+		*miss = fmt.Errorf("%w: %q (%s)", ErrNoWarmSandbox, d.name, mode)
 	}
 	return *miss
 }
@@ -278,9 +279,9 @@ func (p *Platform) Register(fn workload.Function, spec SandboxSpec) (*Deployment
 	if spec.VCPUs < 1 || spec.MemoryMB <= 0 {
 		return nil, fmt.Errorf("faas: invalid spec %+v", spec)
 	}
-	d := &Deployment{fn: fn, spec: spec}
+	d := &Deployment{name: fn.Name(), fn: fn, spec: spec}
 	d.app, _ = fn.(workload.Appender)
-	p.deployments[fn.Name()] = d
+	p.deployments[d.name] = d
 	return d, nil
 }
 
@@ -341,6 +342,11 @@ func (p *Platform) EnsureSnapshot(name string) error {
 	if err != nil {
 		return err
 	}
+	return p.ensureSnapshot(d)
+}
+
+// ensureSnapshot is EnsureSnapshot for a deployment already looked up.
+func (p *Platform) ensureSnapshot(d *Deployment) error {
 	if d.snapshot != nil {
 		return nil
 	}
@@ -398,6 +404,19 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, 
 	if err != nil {
 		return Invocation{}, err
 	}
+	var inv Invocation
+	if err := p.TriggerInto(&inv, tc, dst, d, mode, payload); err != nil {
+		return Invocation{}, err
+	}
+	return inv, nil
+}
+
+// TriggerInto is TriggerTraced for a deployment of p already looked up
+// (Register returns it), writing the invocation into *inv, a slot the
+// caller owns, so a caller that triggers once per arrival neither looks
+// the function up by name nor copies the record back. *inv is written
+// only when the trigger succeeds.
+func (p *Platform) TriggerInto(inv *Invocation, tc trigtrace.Context, dst []byte, d *Deployment, mode StartMode, payload []byte) error {
 	if mode >= ModeCold && mode <= ModeHorse {
 		p.inst.triggers[mode].Inc()
 	}
@@ -408,14 +427,14 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, 
 		if i > 0 {
 			p.countFallback(chain[i-1], attempted)
 		}
-		inv, aerr := p.attemptWithRetry(tc, dst, d, name, attempted, payload)
+		aerr := p.attemptWithRetry(inv, tc, dst, d, attempted, payload)
 		if aerr == nil {
-			return inv, nil
+			return nil
 		}
 		if errors.Is(aerr, ErrUnknownMode) {
 			// A caller error, not a runtime failure: neither counted nor
 			// degraded.
-			return Invocation{}, aerr
+			return aerr
 		}
 		p.countTriggerFailure(attempted, aerr)
 		lastErr = aerr
@@ -423,20 +442,20 @@ func (p *Platform) TriggerTraced(tc trigtrace.Context, dst []byte, name string, 
 			break
 		}
 	}
-	return Invocation{}, lastErr
+	return lastErr
 }
 
-// attempt runs one trigger attempt under exactly one start mode. It
-// records the attempt's stages on tc and leaves the warm pool and its
-// gauge consistent on every exit path: a retryably-failed resume
-// re-pools the still-paused sandbox, every other sandbox casualty is
-// destroyed.
-func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
+// attempt runs one trigger attempt under exactly one start mode and,
+// when it succeeds, writes the invocation into *inv. It records the
+// attempt's stages on tc and leaves the warm pool and its gauge
+// consistent on every exit path: a retryably-failed resume re-pools
+// the still-paused sandbox, every other sandbox casualty is destroyed.
+func (p *Platform) attempt(inv *Invocation, tc trigtrace.Context, dst []byte, d *Deployment, mode StartMode, payload []byte) error {
 	if mode == ModeRestore {
 		// Cutting the snapshot is a deploy-time operation; it must not
 		// count toward the trigger's initialization window.
-		if err := p.EnsureSnapshot(name); err != nil {
-			return Invocation{}, err
+		if err := p.ensureSnapshot(d); err != nil {
+			return err
 		}
 	}
 	start := p.clock.Now()
@@ -452,16 +471,16 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		p.clock.Advance(p.h.Costs().ColdInit)
 		sb, err = p.h.CreateSandbox(d.sandboxConfig(false))
 		if err != nil {
-			return Invocation{}, err
+			return err
 		}
 		tc.RecordOn(trigtrace.StageColdInit, start, p.clock.Now().Sub(start), "", modeStr, "")
 	case ModeRestore:
 		if err := p.faults.Check(faultinject.SiteRestore); err != nil {
-			return Invocation{}, err
+			return err
 		}
 		sb, err = p.snaps.Restore(p.h, d.snapshot)
 		if err != nil {
-			return Invocation{}, err
+			return err
 		}
 		tc.RecordOn(trigtrace.StageRestore, start, p.clock.Now().Sub(start), "", modeStr, "")
 	case ModeWarm:
@@ -470,7 +489,7 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		if !ok {
 			// No dispatch happened, so no dispatch time is charged: a
 			// miss must leave the clock untouched.
-			return Invocation{}, d.missError(mode)
+			return d.missError(mode)
 		}
 		tc.RecordOn(trigtrace.StagePoolTake, start, 0, "", modeStr, "vanilla")
 		p.clock.Advance(p.h.Costs().WarmDispatch)
@@ -478,24 +497,24 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 		tc.RecordOn(trigtrace.StageDispatch, start, dispatched.Sub(start), "", modeStr, "")
 		sb = ps.sb
 		if rerr := p.resume(sb, core.Vanilla); rerr != nil {
-			return Invocation{}, p.releaseFailedResume(d, ps, rerr)
+			return p.releaseFailedResume(d, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, dispatched, p.clock.Now().Sub(dispatched), "", modeStr, "")
 	case ModeHorse:
 		ps, ok := d.takeWarm(core.Horse)
 		p.recordPoolLookup(ok)
 		if !ok {
-			return Invocation{}, d.missError(mode)
+			return d.missError(mode)
 		}
 		tc.RecordOn(trigtrace.StagePoolTake, start, 0, "", modeStr, "horse")
 		sb = ps.sb
 		policy = core.Horse
 		if rerr := p.resume(sb, core.Horse); rerr != nil {
-			return Invocation{}, p.releaseFailedResume(d, ps, rerr)
+			return p.releaseFailedResume(d, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, start, p.clock.Now().Sub(start), "", modeStr, "")
 	default:
-		return Invocation{}, fmt.Errorf("%w: %d", ErrUnknownMode, int(mode))
+		return fmt.Errorf("%w: %d", ErrUnknownMode, int(mode))
 	}
 
 	ready := p.clock.Now()
@@ -521,42 +540,37 @@ func (p *Platform) attempt(tc trigtrace.Context, dst []byte, d *Deployment, name
 	if invokeErr != nil {
 		// The guest died mid-invocation; its state is suspect, so it must
 		// not poison the warm pool.
-		ierr := fmt.Errorf("%w: %q: %w", ErrInvokeFailed, name, invokeErr)
+		ierr := fmt.Errorf("%w: %q: %w", ErrInvokeFailed, d.name, invokeErr)
 		p.engine.Forget(sb)
 		if derr := p.h.DestroySandbox(sb); derr != nil {
 			ierr = errors.Join(ierr, derr)
 		}
 		p.updatePoolGauge()
-		return Invocation{}, ierr
+		return ierr
 	}
 
-	inv := Invocation{
-		Function: name,
-		Mode:     mode,
-		Init:     ready.Sub(start),
-		Exec:     end.Sub(ready),
-		Output:   output,
-		Sandbox:  sb.ID(),
-	}
+	inv.Function, inv.Mode = d.name, mode
+	inv.Init, inv.Exec = ready.Sub(start), end.Sub(ready)
+	inv.Output, inv.Sandbox = output, sb.ID()
 
 	// Return the sandbox to the pool, re-armed for the same path. A
 	// sandbox that served its invocation but cannot re-arm is destroyed;
 	// the invocation itself still succeeded, so only the loss is counted.
 	if perr := p.pause(sb, policy); perr != nil {
-		p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, name, perr))
+		p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, d.name, perr))
 		p.engine.Forget(sb)
 		if derr := p.h.DestroySandbox(sb); derr != nil {
 			// The sandbox is already forgotten and off the pool either
 			// way; a destroy failure on top of the re-pool failure is a
 			// second loss on the same trigger, counted like the first.
-			p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, name, derr))
+			p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, d.name, derr))
 		}
 	} else {
 		d.pool = append(d.pool, pooledSandbox{sb: sb, policy: policy, pausedAt: p.clock.Now()})
 	}
 	tc.RecordOn(trigtrace.StageRepool, end, p.clock.Now().Sub(end), "", modeStr, "")
 	p.updatePoolGauge()
-	return inv, nil
+	return nil
 }
 
 // pause pauses sb under policy, its report's steps discarded into the

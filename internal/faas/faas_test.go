@@ -326,10 +326,10 @@ func mustJSON(t *testing.T, v any) []byte {
 func TestTriggerTracedAppendsIntoDst(t *testing.T) {
 	p := newPlatform(t)
 	registerScan(t, p)
-	if _, err := p.Register(workload.DefaultNAT(), SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
+	if _, err := p.Register(echoFunction{}, SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"scan", "nat"} {
+	for _, name := range []string{"scan", "echo"} {
 		if err := p.Provision(name, 1, core.Horse); err != nil {
 			t.Fatal(err)
 		}
@@ -354,12 +354,22 @@ func TestTriggerTracedAppendsIntoDst(t *testing.T) {
 		t.Fatal("scan output was not written into dst")
 	}
 
-	nat := mustJSON(t, workload.NATPacket{DstIP: "203.0.113.10", DstPort: 80})
-	inv, err = p.TriggerTraced(trigtrace.Context{}, dst, "nat", ModeHorse, nat)
+	inv, err = p.TriggerTraced(trigtrace.Context{}, dst, "echo", ModeHorse, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inv.Output) == 0 || &inv.Output[0] == &dst[:1][0] {
-		t.Fatal("nat output aliases dst; a body with only Invoke must return a fresh buffer")
+	if string(inv.Output) != "ping" || &inv.Output[0] == &dst[:1][0] {
+		t.Fatalf("echo output %q aliases dst; a body with only Invoke must return a fresh buffer", inv.Output)
 	}
+}
+
+// echoFunction is a uLL body with only Invoke, which returns a copy of
+// its payload.
+type echoFunction struct{}
+
+func (echoFunction) Name() string                      { return "echo" }
+func (echoFunction) Category() workload.Category       { return workload.Category2 }
+func (echoFunction) VirtualDuration() simtime.Duration { return workload.NATDuration }
+func (echoFunction) Invoke(payload []byte) ([]byte, error) {
+	return append([]byte(nil), payload...), nil
 }

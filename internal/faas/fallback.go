@@ -100,7 +100,7 @@ func (c FallbackConfig) chainFrom(mode StartMode) []StartMode {
 // covering exactly the virtual time the attempt consumed, so failed
 // work never leaks into the serving-path sums; each backoff wait is
 // recorded as its own retry-backoff span.
-func (p *Platform) attemptWithRetry(tc trigtrace.Context, dst []byte, d *Deployment, name string, mode StartMode, payload []byte) (Invocation, error) {
+func (p *Platform) attemptWithRetry(inv *Invocation, tc trigtrace.Context, dst []byte, d *Deployment, mode StartMode, payload []byte) error {
 	retries := 0
 	if p.fallback.Enabled {
 		retries = DefaultMaxRetries
@@ -109,13 +109,13 @@ func (p *Platform) attemptWithRetry(tc trigtrace.Context, dst []byte, d *Deploym
 	for attempt := 0; ; attempt++ {
 		mark := tc.Mark()
 		attemptStart := p.clock.Now()
-		inv, err := p.attempt(tc, dst, d, name, mode, payload)
+		err := p.attempt(inv, tc, dst, d, mode, payload)
 		if err != nil {
 			tc.CollapseFailed(mark, attemptStart, p.clock.Now().Sub(attemptStart),
 				"", mode.String(), failureSite(mode, err))
 		}
 		if err == nil || attempt >= retries || !errors.Is(err, vmm.ErrResumeBusy) {
-			return inv, err
+			return err
 		}
 		p.inst.retries.Inc()
 		tc.RecordOn(trigtrace.StageRetryBackoff, p.clock.Now(), backoff, "", mode.String(), "")

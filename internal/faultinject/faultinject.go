@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -70,9 +70,40 @@ const (
 	SiteNodeDrain Site = "cluster.node.drain"
 )
 
+// numSites is the number of defined injection sites.
+const numSites = 8
+
 // Sites returns every defined injection site in stable order.
 func Sites() []Site {
 	return []Site{SiteCreate, SitePause, SiteResume, SiteRestore, SiteInvoke, SiteDestroy, SiteNodeFail, SiteNodeDrain}
+}
+
+// siteIndex returns s's position in Sites, the index of its state in an
+// Injector, or -1 for a name that is no defined site. The switch
+// compares lengths before bytes, so a check never hashes the name.
+//
+//horselint:hotpath
+//horselint:shardphase
+func siteIndex(s Site) int {
+	switch s {
+	case SiteCreate:
+		return 0
+	case SitePause:
+		return 1
+	case SiteResume:
+		return 2
+	case SiteRestore:
+		return 3
+	case SiteInvoke:
+		return 4
+	case SiteDestroy:
+		return 5
+	case SiteNodeFail:
+		return 6
+	case SiteNodeDrain:
+		return 7
+	}
+	return -1
 }
 
 // ErrInjected is the sentinel every injected fault matches with
@@ -128,6 +159,9 @@ func (r Rule) validate() error {
 	if r.Site == "" {
 		return errors.New("faultinject: rule has no site")
 	}
+	if siteIndex(r.Site) < 0 {
+		return fmt.Errorf("faultinject: unknown site %q (known: %s)", r.Site, siteList())
+	}
 	set := 0
 	if r.Rate != 0 {
 		// Written as a negated range so NaN, which compares false with
@@ -163,43 +197,58 @@ type siteState struct {
 }
 
 // Injector evaluates the armed rules at each Check. The zero value and
-// the nil pointer are inert: Check always returns nil.
+// the nil pointer are inert: Check always returns nil. sites holds each
+// armed site's state at its siteIndex; an unarmed site's is nil.
 //
 //horselint:shardlocal
 type Injector struct {
 	seed  int64
-	sites map[Site]*siteState
+	sites [numSites]*siteState
 }
 
-// New builds an injector from an explicit seed and a rule set.
+// New builds an injector from an explicit seed and a rule set. Every
+// rule must name a defined site.
 //
 //horselint:coordinator
 func New(seed int64, rules ...Rule) (*Injector, error) {
-	in := &Injector{seed: seed, sites: make(map[Site]*siteState)}
+	in := &Injector{seed: seed}
 	for _, r := range rules {
 		if err := r.validate(); err != nil {
 			return nil, err
 		}
-		st := in.site(r.Site)
+		st := in.arm(r.Site)
 		st.rules = append(st.rules, r)
 	}
 	return in, nil
 }
 
-// site returns (creating if needed) the state for s, with a PRNG whose
-// seed mixes the injector seed and the site name, so the draw sequence
-// of one site is independent of how often the others are checked.
+// arm returns (creating if needed) the state for s, a defined site,
+// with a PRNG whose seed mixes the injector seed and the site name, so
+// the draw sequence of one site is independent of how often the others
+// are checked.
 //
 //horselint:coordinator
-func (in *Injector) site(s Site) *siteState {
-	if st, ok := in.sites[s]; ok {
+func (in *Injector) arm(s Site) *siteState {
+	i := siteIndex(s)
+	if st := in.sites[i]; st != nil {
 		return st
 	}
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	st := &siteState{rng: rand.New(rand.NewSource(in.seed ^ int64(h.Sum64())))}
-	in.sites[s] = st
+	in.sites[i] = st
 	return st
+}
+
+// state returns the state of site s, or nil when s is unarmed or no
+// defined site.
+//
+//horselint:shardphase
+func (in *Injector) state(s Site) *siteState {
+	if i := siteIndex(s); i >= 0 {
+		return in.sites[i]
+	}
+	return nil
 }
 
 // Derive returns a child injector arming the same rules under a
@@ -220,15 +269,11 @@ func (in *Injector) Derive(scope string) *Injector {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(scope))
-	child := &Injector{seed: in.seed ^ int64(h.Sum64()), sites: make(map[Site]*siteState)}
-	sites := make([]Site, 0, len(in.sites))
-	for s := range in.sites {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, s := range sites {
-		st := child.site(s)
-		st.rules = append(st.rules, in.sites[s].rules...)
+	child := &Injector{seed: in.seed ^ int64(h.Sum64())}
+	for i, s := range Sites() {
+		if st := in.sites[i]; st != nil {
+			child.arm(s).rules = append([]Rule(nil), st.rules...)
+		}
 	}
 	return child
 }
@@ -241,8 +286,16 @@ func (in *Injector) Check(site Site) error {
 	if in == nil {
 		return nil
 	}
-	st, ok := in.sites[site]
-	if !ok {
+	return in.check(site)
+}
+
+// check is Check on a non-nil injector; the split keeps Check's nil
+// check inlinable into the many call sites of an unarmed platform.
+//
+//horselint:shardphase
+func (in *Injector) check(site Site) error {
+	st := in.state(site)
+	if st == nil {
 		return nil
 	}
 	st.visits++
@@ -270,14 +323,16 @@ func (in *Injector) String() string {
 	if in == nil {
 		return ""
 	}
-	sites := make([]string, 0, len(in.sites))
-	for s := range in.sites {
-		sites = append(sites, string(s))
+	var sites []Site
+	for _, s := range Sites() {
+		if in.state(s) != nil {
+			sites = append(sites, s)
+		}
 	}
-	sort.Strings(sites)
+	slices.Sort(sites)
 	var parts []string
 	for _, s := range sites {
-		for _, r := range in.sites[Site(s)].rules {
+		for _, r := range in.state(s).rules {
 			switch {
 			case r.Nth > 0:
 				parts = append(parts, fmt.Sprintf("%s:nth=%d", s, r.Nth))
@@ -290,15 +345,6 @@ func (in *Injector) String() string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// knownSites indexes the defined sites for spec validation.
-var knownSites = func() map[Site]bool {
-	out := make(map[Site]bool)
-	for _, s := range Sites() {
-		out[s] = true
-	}
-	return out
-}()
 
 // ParseSpec parses the -faults flag syntax: comma-separated
 // site:trigger=value clauses, e.g.
@@ -342,7 +388,7 @@ func parseFaultClause(clause string, base int) (Rule, error) {
 	if !ok {
 		return Rule{}, fmt.Errorf("%w: clause %q at offset %d: want site:trigger=value", ErrBadSpec, clause, base)
 	}
-	if !knownSites[Site(site)] {
+	if siteIndex(Site(site)) < 0 {
 		return Rule{}, fmt.Errorf("%w: unknown site %q at offset %d (known: %s)", ErrBadSpec, site, base, siteList())
 	}
 	key, value, ok := strings.Cut(trigger, "=")
@@ -390,7 +436,7 @@ func FromSpec(seed int64, spec string) (*Injector, error) {
 }
 
 func siteList() string {
-	names := make([]string, 0, len(knownSites))
+	names := make([]string, 0, numSites)
 	for _, s := range Sites() {
 		names = append(names, string(s))
 	}

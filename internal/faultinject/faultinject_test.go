@@ -48,7 +48,7 @@ func TestNthFiresExactlyOnce(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 3 {
 		t.Fatalf("nth=3 fired at visits %v, want [3]", fired)
 	}
-	if got := in.sites[SiteResume].visits; got != 10 {
+	if got := in.state(SiteResume).visits; got != 10 {
 		t.Fatalf("visits = %d, want 10", got)
 	}
 }
@@ -167,6 +167,7 @@ func TestRuleValidation(t *testing.T) {
 		rule Rule
 	}{
 		{"no site", Rule{Rate: 0.5}},
+		{"unknown site", Rule{Site: "reboot", Nth: 1}},
 		{"no trigger", Rule{Site: SiteResume}},
 		{"two triggers", Rule{Site: SiteResume, Rate: 0.5, Nth: 1}},
 		{"rate above 1", Rule{Site: SiteResume, Rate: 1.5}},
@@ -329,7 +330,7 @@ func TestDeriveIndependentDeterministicStreams(t *testing.T) {
 		t.Fatalf("child visit 3 = %v, want injected fault", err)
 	}
 	// Deriving never perturbs the parent's own counters or streams.
-	if got := parent.sites[SiteResume].visits; got != 2 {
+	if got := parent.state(SiteResume).visits; got != 2 {
 		t.Fatalf("parent resume visits = %d, want 2", got)
 	}
 }

@@ -72,8 +72,9 @@ type Recorder struct {
 
 	// The flight recorder (offer): ring is the must-keep ring of
 	// violators, oldest at ringHead once full; worst is the worst-K set
-	// by end-to-end latency, ascending, so worst[0] is the next to go.
-	// offered numbers the offers for the worst-K tie-break.
+	// by end-to-end latency, a binary min-heap in evictBefore order, so
+	// worst[0] is the next to go. offered numbers the offers for the
+	// worst-K tie-break.
 	ring     []*TriggerTrace //horselint:coordinator
 	ringHead int             //horselint:coordinator
 	ringCap  int             //horselint:coordinator
@@ -94,13 +95,16 @@ type Recorder struct {
 }
 
 // worstEntry is one worst-K trace with its score and offer number.
-// inRing marks a trace the must-keep ring also holds, so leaving one
-// set does not recycle it while the other still holds it.
 type worstEntry struct {
-	tr     *TriggerTrace
-	score  simtime.Duration
-	seq    uint64
-	inRing bool
+	tr    *TriggerTrace
+	score simtime.Duration
+	seq   uint64
+}
+
+// evictBefore reports whether the worst-K set lets a go before b: a has
+// the lower score, or the same score and the later offer.
+func evictBefore(a, b *worstEntry) bool {
+	return a.score < b.score || (a.score == b.score && a.seq > b.seq)
 }
 
 // retention says which set, if any, took an offered trace.
@@ -204,15 +208,17 @@ func (r *Recorder) start(seq uint64, function, requested string, arrival simtime
 	if tr == nil {
 		tr = new(TriggerTrace)
 	}
-	*tr = TriggerTrace{
-		ID:        NewTraceID(r.seed, seq),
-		Seq:       seq,
-		Function:  function,
-		Requested: requested,
-		Arrival:   arrival,
-		Budget:    budget,
-		Stages:    tr.Stages[:0],
-	}
+	// Field by field, not a composite literal: the literal is built on
+	// the stack and block-copied over the whole trace.
+	tr.ID, tr.Seq = NewTraceID(r.seed, seq), seq
+	tr.Function, tr.Tenant, tr.Requested = function, "", requested
+	tr.Served, tr.Node = "", ""
+	tr.Arrival, tr.Budget = arrival, budget
+	tr.Latency, tr.EndToEnd = 0, 0
+	tr.Err, tr.Violated, tr.Failovers = "", false, 0
+	tr.Stages = tr.Stages[:0]
+	tr.idString, tr.curNode = "", ""
+	tr.inRing, tr.inWorst = false, false
 	return Context{rec: r, tr: tr}
 }
 
@@ -296,16 +302,20 @@ func (r *Recorder) offer(tr *TriggerTrace, violated bool) retention {
 	kept := notKept
 	if violated {
 		kept = keptViolator
+		tr.inRing = true
 		if len(r.ring) < r.ringCap {
 			r.ring = append(r.ring, tr)
 		} else {
 			old := r.ring[r.ringHead]
 			r.ring[r.ringHead] = tr
 			r.ringHead = (r.ringHead + 1) % r.ringCap
-			r.leaveRing(old)
+			old.inRing = false
+			if !old.inWorst {
+				r.free = append(r.free, old)
+			}
 		}
 	}
-	if r.offerWorst(tr, seq, violated) && kept == notKept {
+	if r.offerWorst(tr, seq) && kept == notKept {
 		kept = keptWorst
 	}
 	if kept == notKept {
@@ -314,44 +324,65 @@ func (r *Recorder) offer(tr *TriggerTrace, violated bool) retention {
 	return kept
 }
 
-// leaveRing handles a trace the ring evicted: the worst-K set may still
-// hold it, and otherwise it is free.
+// offerWorst puts tr into the worst-K set if it outranks the current
+// minimum, freeing the entry it displaces unless the ring still holds
+// that one, and reports whether tr went in. Among equal scores the
+// later offer goes first, so the earliest survives. Each offer costs
+// O(log K): the set is a heap, not a sorted list.
 //
 //horselint:coordinator
-func (r *Recorder) leaveRing(tr *TriggerTrace) {
-	for i := range r.worst {
-		if r.worst[i].tr == tr {
-			r.worst[i].inRing = false
-			return
-		}
-	}
-	r.free = append(r.free, tr)
-}
-
-// offerWorst inserts tr into the worst-K set if it outranks the
-// current minimum, freeing the entry it displaces unless the ring still
-// holds that one, and reports whether tr went in. Among equal scores
-// the later offer sits nearer eviction, so the earliest survives.
-//
-//horselint:coordinator
-func (r *Recorder) offerWorst(tr *TriggerTrace, seq uint64, inRing bool) bool {
+func (r *Recorder) offerWorst(tr *TriggerTrace, seq uint64) bool {
 	s := tr.EndToEnd
-	if len(r.worst) >= r.worstK {
-		if s <= r.worst[0].score {
+	h := r.worst
+	if len(h) >= r.worstK {
+		if s <= h[0].score {
 			return false
 		}
-		if out := r.worst[0]; !out.inRing {
-			r.free = append(r.free, out.tr)
+		out := h[0].tr
+		out.inWorst = false
+		if !out.inRing {
+			r.free = append(r.free, out)
 		}
-		copy(r.worst, r.worst[1:])
-		r.worst = r.worst[:len(r.worst)-1]
+		last := len(h) - 1
+		h[0] = h[last]
+		h[last] = worstEntry{}
+		h = h[:last]
+		siftDown(h, 0)
 	}
-	i := 0
-	for i < len(r.worst) && (r.worst[i].score < s || (r.worst[i].score == s && r.worst[i].seq > seq)) {
-		i++
-	}
-	r.worst = slices.Insert(r.worst, i, worstEntry{tr: tr, score: s, seq: seq, inRing: inRing})
+	h = append(h, worstEntry{tr: tr, score: s, seq: seq})
+	siftUp(h, len(h)-1)
+	tr.inWorst = true
+	r.worst = h
 	return true
+}
+
+// siftUp restores the heap order of h after its entry i moved.
+func siftUp(h []worstEntry, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !evictBefore(&h[i], &h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// siftDown restores the heap order of h after its entry i moved.
+func siftDown(h []worstEntry, i int) {
+	for {
+		least := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(h) && evictBefore(&h[child], &h[least]) {
+				least = child
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // row returns the attribution-table row of a served mode, adding it on
@@ -443,7 +474,7 @@ func (r *Recorder) Traces() []*TriggerTrace {
 		keep(t)
 	}
 	for _, w := range r.worst {
-		if !w.inRing { // an in-ring entry was copied above
+		if !w.tr.inRing { // an in-ring entry was copied above
 			keep(w.tr)
 		}
 	}

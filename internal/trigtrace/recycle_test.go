@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
@@ -96,6 +97,45 @@ func TestRecycledTraceIsClean(t *testing.T) {
 	}
 	if id := next.tr.IDString(); id != NewTraceID(5, 2).String() {
 		t.Fatalf("IDString = %q, want the new trace's ID", id)
+	}
+}
+
+// TestStartResetsEveryField dirties every field of a free trace,
+// exported or not, and pins that Start resets each one: Start assigns
+// the fields one by one, so a field added to TriggerTrace and not to
+// Start fails here.
+func TestStartResetsEveryField(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{Seed: 3})
+	dirty := &TriggerTrace{Stages: make([]StageRecord, 2, 4)}
+	v := reflect.ValueOf(dirty).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Slice:
+		default:
+			t.Fatalf("field %s has kind %s, which this test cannot dirty", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	rec.free = append(rec.free, dirty)
+	got := rec.Start(4, "scan", "warm", 10, 1000).tr
+	if got != dirty {
+		t.Fatal("Start did not reuse the free trace")
+	}
+	if len(got.Stages) != 0 || cap(got.Stages) != 4 {
+		t.Fatalf("stage list len %d cap %d, want empty with its backing array kept", len(got.Stages), cap(got.Stages))
+	}
+	want := TriggerTrace{ID: NewTraceID(3, 4), Seq: 4, Function: "scan", Requested: "warm", Arrival: 10, Budget: 1000, Stages: got.Stages}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("recycled trace = %+v, want %+v", *got, want)
 	}
 }
 

@@ -43,11 +43,23 @@ func ringSeqs(r *Recorder) []uint64 {
 	return out
 }
 
-// worstSeqs lists the worst-K set highest score first.
+// worstSeqs lists the worst-K set highest score first, the earlier
+// offer first on ties: the reverse of the order it lets traces go in,
+// whatever the heap's layout.
 func worstSeqs(r *Recorder) []uint64 {
+	ws := slices.Clone(r.worst)
+	slices.SortFunc(ws, func(a, b worstEntry) int {
+		switch {
+		case evictBefore(&b, &a):
+			return -1
+		case evictBefore(&a, &b):
+			return 1
+		}
+		return 0
+	})
 	var out []uint64
-	for i := len(r.worst) - 1; i >= 0; i-- {
-		out = append(out, r.worst[i].tr.Seq)
+	for _, w := range ws {
+		out = append(out, w.tr.Seq)
 	}
 	return out
 }
@@ -83,6 +95,15 @@ func TestFlightRetention(t *testing.T) {
 			offers: []offered{{0, 50, false}, {1, 10, false}, {2, 70, false}, {3, 30, false}, {4, 90, false}, {5, 20, false}},
 			kept:   []retention{w, w, w, w, w, n},
 			worst:  []uint64{4, 2, 0},
+		},
+		{
+			// The heap's layout ends unsorted here, so this checks the
+			// retained set and its order, not the layout.
+			name: "worst-k-heap-order", capacity: 1, worstK: 5,
+			offers: []offered{{0, 30, false}, {1, 10, false}, {2, 50, false}, {3, 20, false},
+				{4, 40, false}, {5, 30, false}, {6, 5, false}, {7, 60, false}},
+			kept:  []retention{w, w, w, w, w, w, n, w},
+			worst: []uint64{7, 2, 4, 0, 5},
 		},
 		{
 			name: "ties-keep-earlier", capacity: 1, worstK: 2,

@@ -246,6 +246,10 @@ type TriggerTrace struct {
 	// the cluster sets it once per placement so the node-agnostic FaaS
 	// layer need not thread node identity through its attempt path.
 	curNode string
+	// inRing and inWorst mark a trace the recorder's must-keep ring or
+	// worst-K set holds; a trace leaving one set is recycled only when
+	// the other does not hold it.
+	inRing, inWorst bool
 }
 
 // IDString returns the trace ID in the fixed-width hex form the
@@ -303,16 +307,34 @@ func (c Context) SetTenant(tenant string) {
 	c.tr.Tenant = tenant
 }
 
-// addStage appends one stage span; the first allocates room for eight.
-// A trace recycled from a rejected trigger carries an empty stage list
-// with no room, which counts as none.
+// addStage appends one stage span on node ("" selects the current
+// node), filled in place; the first allocates room for eight. A trace
+// recycled from a rejected trigger carries an empty stage list with no
+// room, which counts as none.
 //
+// It stays out of line so that RecordOn, Reroute and CollapseFailed,
+// which call it only for an active trace, are small enough to inline:
+// the disabled path every trigger pays is then their nil check alone
+// (BenchmarkContextDisabled).
+//
+//go:noinline
 //horselint:shardphase
-func (tr *TriggerTrace) addStage(r StageRecord) {
-	if cap(tr.Stages) == 0 {
-		tr.Stages = make([]StageRecord, 0, 8)
+func (tr *TriggerTrace) addStage(stage Stage, start simtime.Time, dur simtime.Duration, node, mode, detail string) {
+	if node == "" {
+		node = tr.curNode
 	}
-	tr.Stages = append(tr.Stages, r)
+	n := len(tr.Stages)
+	switch {
+	case cap(tr.Stages) == 0:
+		tr.Stages = make([]StageRecord, 1, 8)
+	case n == cap(tr.Stages):
+		tr.Stages = append(tr.Stages, StageRecord{})
+	default:
+		tr.Stages = tr.Stages[:n+1]
+	}
+	s := &tr.Stages[n]
+	s.Stage, s.Start, s.Dur = stage, start, dur
+	s.Node, s.Mode, s.Detail = node, mode, detail
 }
 
 // RecordOn appends one annotated stage span: node ("" selects the
@@ -324,15 +346,11 @@ func (c Context) RecordOn(stage Stage, start simtime.Time, dur simtime.Duration,
 	if c.tr == nil {
 		return
 	}
-	if node == "" {
-		node = c.tr.curNode
-	}
-	c.tr.addStage(StageRecord{
-		Stage: stage, Start: start, Dur: dur, Node: node, Mode: mode, Detail: detail,
-	})
+	c.tr.addStage(stage, start, dur, node, mode, detail)
 }
 
-// Reroute records one voided routing decision.
+// Reroute records one voided routing decision on node ("" selects the
+// current node).
 //
 //horselint:shardphase
 func (c Context) Reroute(start simtime.Time, node, reason string) {
@@ -340,9 +358,7 @@ func (c Context) Reroute(start simtime.Time, node, reason string) {
 		return
 	}
 	c.tr.Failovers++
-	c.tr.addStage(StageRecord{
-		Stage: StageReroute, Start: start, Node: node, Detail: reason,
-	})
+	c.tr.addStage(StageReroute, start, 0, node, "", reason)
 }
 
 // Mark returns a position in the stage list for a later CollapseFailed.
@@ -366,16 +382,10 @@ func (c Context) CollapseFailed(mark int, start simtime.Time, dur simtime.Durati
 	if c.tr == nil {
 		return
 	}
-	if mark < 0 || mark > len(c.tr.Stages) {
-		mark = len(c.tr.Stages)
+	if mark >= 0 && mark < len(c.tr.Stages) {
+		c.tr.Stages = c.tr.Stages[:mark]
 	}
-	if node == "" {
-		node = c.tr.curNode
-	}
-	c.tr.Stages = c.tr.Stages[:mark]
-	c.tr.addStage(StageRecord{
-		Stage: StageFailedAttempt, Start: start, Dur: dur, Node: node, Mode: mode, Detail: site,
-	})
+	c.tr.addStage(StageFailedAttempt, start, dur, node, mode, site)
 }
 
 // Outcome is what Finish needs to close a trace.

@@ -1,9 +1,11 @@
 package vmm
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/credit2"
+	"github.com/horse-faas/horse/internal/runqueue"
 	"github.com/horse-faas/horse/internal/simtime"
 )
 
@@ -115,5 +117,48 @@ func TestXenCostModelFlavor(t *testing.T) {
 	}
 	if rr.Total < 1000*simtime.Nanosecond || rr.Total > 1400*simtime.Nanosecond {
 		t.Fatalf("Xen vanilla resume at 36 vCPUs = %v", rr.Total)
+	}
+}
+
+// TestSandboxIDText pins the sandbox and vCPU IDs to the text
+// fmt.Sprintf gave them, past the widths a stack buffer holds at once.
+func TestSandboxIDText(t *testing.T) {
+	h := newHypervisor(t)
+	for n := 1; n <= 120; n++ {
+		sb, err := h.CreateSandbox(Config{VCPUs: 12, MemoryMB: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("sb%d", n); sb.ID() != want {
+			t.Fatalf("sandbox ID %q, want %q", sb.ID(), want)
+		}
+		for i, v := range sb.VCPUs() {
+			if want := fmt.Sprintf("%s/vcpu%d", sb.ID(), i); v.ID != want {
+				t.Fatalf("vCPU ID %q, want %q", v.ID, want)
+			}
+		}
+	}
+	if got := formatID("sandbox-with-a-long-name", "/vcpu", 1234567); got != "sandbox-with-a-long-name/vcpu1234567" {
+		t.Fatalf("formatID past its buffer = %q", got)
+	}
+}
+
+// TestAccountFollowsVCPU pins the handle a pause burns to the vCPU it
+// removes, wherever that vCPU was placed.
+func TestAccountFollowsVCPU(t *testing.T) {
+	h := newHypervisor(t)
+	sb, err := h.CreateSandbox(Config{VCPUs: 3, MemoryMB: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range sb.VCPUs() {
+		for pos := range 4 {
+			if got := sb.account(v, pos); got != sb.accounts[i] {
+				t.Fatalf("vCPU %d at placement %d: account %p, want %p", i, pos, got, sb.accounts[i])
+			}
+		}
+	}
+	if sb.account(&runqueue.Entity{}, 0) != nil {
+		t.Fatal("a foreign entity found an account")
 	}
 }

@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/horse-faas/horse/internal/credit2"
 	"github.com/horse-faas/horse/internal/faultinject"
@@ -171,22 +172,26 @@ func (h *Hypervisor) CreateSandbox(cfg Config) (*Sandbox, error) {
 	}
 	h.nextID++
 	sb := &Sandbox{
-		id:       fmt.Sprintf("sb%d", h.nextID),
+		id:       formatID("sb", "", h.nextID),
 		memoryMB: cfg.MemoryMB,
 		state:    StateRunning,
 		ull:      cfg.ULL,
+		vcpus:    make([]*runqueue.Entity, 0, cfg.VCPUs),
+		accounts: make([]*credit2.Account, 0, cfg.VCPUs),
 	}
 	for i := 0; i < cfg.VCPUs; i++ {
 		v := &runqueue.Entity{
-			ID:      fmt.Sprintf("%s/vcpu%d", sb.id, i),
+			ID:      formatID(sb.id, "/vcpu", i),
 			Kind:    runqueue.KindVCPU,
 			Credit:  InitialCredit,
 			Sandbox: sb.id,
 		}
-		if err := h.ledger.Register(v.ID); err != nil {
+		acct, err := h.ledger.Register(v.ID)
+		if err != nil {
 			return nil, err
 		}
 		sb.vcpus = append(sb.vcpus, v)
+		sb.accounts = append(sb.accounts, acct)
 	}
 	sb.resumedAt = h.clock.Now()
 	if err := h.placeAll(sb); err != nil {
@@ -213,11 +218,19 @@ func (h *Hypervisor) DestroySandbox(sb *Sandbox) error {
 	}
 	sb.placements = nil
 	sb.state = StateStopped
-	for _, v := range sb.vcpus {
-		h.ledger.Unregister(v.ID)
+	for _, a := range sb.accounts {
+		h.ledger.Unregister(a)
 	}
 	delete(h.sandboxes, sb.id)
 	return nil
+}
+
+// formatID returns the text a+b+n, the same as fmt.Sprintf("%s%s%d",
+// a, b, n), in one allocation when it fits in 32 bytes.
+func formatID(a, b string, n int) string {
+	var buf [32]byte
+	id := append(append(buf[:0], a...), b...)
+	return string(strconv.AppendInt(id, int64(n), 10))
 }
 
 // placeAll puts every vCPU on the least-loaded general queue.
@@ -343,7 +356,7 @@ func (c *PauseContext) Charge(label string, d simtime.Duration) {
 // charging the per-vCPU removal cost and decrementing queue loads.
 func (c *PauseContext) RemoveVCPUs() error {
 	ran := c.h.clock.Now().Sub(c.sb.resumedAt)
-	for _, pl := range c.sb.placements {
+	for i, pl := range c.sb.placements {
 		c.Charge(StepPauseRemove, c.h.costs.PauseVCPURemove)
 		if err := pl.Queue.Remove(pl.Element); err != nil {
 			return fmt.Errorf("vmm: pause %s: %w", c.sb.id, err)
@@ -353,7 +366,7 @@ func (c *PauseContext) RemoveVCPUs() error {
 		// resume; the refreshed credit is the sort attribute the next
 		// merge (vanilla or P²SM) orders by.
 		ent := pl.Element.Value()
-		credit, err := c.h.ledger.Burn(ent.ID, ran)
+		credit, err := c.h.ledger.Burn(c.sb.account(ent, i), ran)
 		if err != nil {
 			return fmt.Errorf("vmm: pause %s: %w", c.sb.id, err)
 		}

@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 
+	"github.com/horse-faas/horse/internal/credit2"
 	"github.com/horse-faas/horse/internal/runqueue"
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -51,8 +52,10 @@ type Placement struct {
 // Hypervisor. Resume-path implementations (package core) manipulate
 // placements through the ResumeContext/PauseContext frames.
 type Sandbox struct {
-	id         string
-	vcpus      []*runqueue.Entity
+	id    string
+	vcpus []*runqueue.Entity
+	// accounts holds each vCPU's credit2 handle, by vCPU index.
+	accounts   []*credit2.Account
 	memoryMB   int
 	state      SandboxState
 	placements []Placement
@@ -64,6 +67,20 @@ type Sandbox struct {
 	// resumedAt is when the sandbox last became runnable; pause burns
 	// each vCPU's credit for the span since then.
 	resumedAt simtime.Time
+}
+
+// account returns the credit2 handle of vCPU v, placed i-th. Placements
+// mostly follow vCPU order, so vCPU i is tried first.
+func (s *Sandbox) account(v *runqueue.Entity, i int) *credit2.Account {
+	if i < len(s.vcpus) && s.vcpus[i] == v {
+		return s.accounts[i]
+	}
+	for j, w := range s.vcpus {
+		if w == v {
+			return s.accounts[j]
+		}
+	}
+	return nil
 }
 
 // ID returns the sandbox identifier.

@@ -9,7 +9,8 @@ import (
 
 // FuzzFirewallInvoke checks the firewall tolerates arbitrary payloads:
 // it must either return ErrBadPayload or exactly json.Marshal of the
-// decision Decide reaches, never panic.
+// decision Decide reaches, never panic. AppendInvoke must append the
+// same bytes (assertAppends).
 func FuzzFirewallInvoke(f *testing.F) {
 	f.Add([]byte(`{"srcIp":"10.0.0.1","dstPort":443}`))
 	f.Add([]byte(`{"srcIp":"not-an-ip"}`))
@@ -36,12 +37,14 @@ func FuzzFirewallInvoke(f *testing.F) {
 			t.Fatalf("invoke succeeded where Decide fails: %v", derr)
 		}
 		assertMarshalled(t, out, dec)
+		assertAppends(t, fw, payload, dec)
 	})
 }
 
 // FuzzNATInvoke checks the NAT tolerates arbitrary payloads and that a
 // successful invoke is exactly json.Marshal of the translated header,
-// including the escaping of an echoed address.
+// including the escaping of an echoed address, and that AppendInvoke
+// appends the same bytes (assertAppends).
 func FuzzNATInvoke(f *testing.F) {
 	f.Add([]byte(`{"dstIp":"203.0.113.10","dstPort":80}`))
 	f.Add([]byte(`{"dstIp":""}`))
@@ -69,8 +72,53 @@ func FuzzNATInvoke(f *testing.F) {
 		if jerr := json.Unmarshal(payload, &pkt); jerr != nil {
 			t.Fatalf("invoke accepted a payload json.Unmarshal rejects: %v", jerr)
 		}
-		assertMarshalled(t, out, nat.Translate(pkt))
+		res := nat.Translate(pkt)
+		assertMarshalled(t, out, res)
+		assertAppends(t, nat, payload, res)
 	})
+}
+
+// assertAppends appends app's result for payload behind a junk prefix,
+// once into a buffer with spare room and once into one without. The
+// prefix must survive and the appended bytes must be json.Marshal(want).
+// With room, the result must be written in place and no spare byte
+// past it touched; without, the buffer must grow to exactly its new
+// length.
+func assertAppends(t *testing.T, app Appender, payload []byte, want any) {
+	t.Helper()
+	const guard = 0x5A
+	prefix := []byte(`junk{"prefix":[`)
+	wantLen := len(prefix) + len(mustMarshal(want))
+	for _, spare := range []int{wantLen - len(prefix) + 9, 0} {
+		dst := make([]byte, len(prefix), len(prefix)+spare)
+		copy(dst, prefix)
+		room := dst[len(dst):cap(dst)]
+		for i := range room {
+			room[i] = guard
+		}
+		got, err := app.AppendInvoke(dst, payload)
+		if err != nil {
+			t.Fatalf("AppendInvoke failed where Invoke succeeded: %v", err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("append clobbered the prefix: got %q, want %q", got[:len(prefix)], prefix)
+		}
+		assertMarshalled(t, got[len(prefix):], want)
+		if spare == 0 {
+			if len(got) != cap(got) {
+				t.Fatalf("grown append buffer has len %d, cap %d; want an exact-size buffer", len(got), cap(got))
+			}
+			continue
+		}
+		if &got[0] != &dst[0] {
+			t.Fatal("append with room reallocated")
+		}
+		for i, b := range got[len(got):cap(got)] {
+			if b != guard {
+				t.Fatalf("spare byte %d past the appended result was written (%#x)", i, b)
+			}
+		}
+	}
 }
 
 // FuzzScanInvoke checks the hand-written scan encoder against

@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"github.com/horse-faas/horse/internal/simtime"
 )
@@ -42,7 +42,10 @@ type NAT struct {
 	table map[natKey]NATRule
 }
 
-var _ Function = (*NAT)(nil)
+var (
+	_ Function = (*NAT)(nil)
+	_ Appender = (*NAT)(nil)
+)
 
 // NewNAT indexes the routing rules. At least one rule is required.
 func NewNAT(rules []NATRule) (*NAT, error) {
@@ -89,11 +92,44 @@ func (n *NAT) Translate(pkt NATPacket) NATResult {
 	return NATResult{DstIP: pkt.DstIP, DstPort: pkt.DstPort, Translated: false}
 }
 
-// Invoke implements Function: JSON NATPacket in, NATResult out.
+// Invoke implements Function: JSON NATPacket in, NATResult out, in a
+// fresh buffer.
 func (n *NAT) Invoke(payload []byte) ([]byte, error) {
+	return n.AppendInvoke(nil, payload)
+}
+
+// AppendInvoke implements Appender: it appends the NATResult Invoke
+// would return to dst, in place when dst has room and otherwise in a
+// copy of exactly the needed length. Nothing past the result is
+// written.
+//
+// The result is encoded by hand, byte-identical to json.Marshal of the
+// NATResult, when its address needs no JSON escaping; an untranslated
+// address echoed from the request may, and such a result goes to
+// json.Marshal (FuzzNATInvoke pins both).
+func (n *NAT) AppendInvoke(dst, payload []byte) ([]byte, error) {
 	pkt, err := decodeRequest(payload, parseNATPacket)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return json.Marshal(n.Translate(pkt))
+	res := n.Translate(pkt)
+	if !jsonPlain(res.DstIP) {
+		b := mustMarshal(res)
+		return append(grow(dst, len(b)), b...), nil
+	}
+	const head, mid, tail = `{"dstIp":"`, `","dstPort":`, `,"translated":`
+	var portBuf [5]byte
+	port := strconv.AppendUint(portBuf[:0], uint64(res.DstPort), 10)
+	translated := "false"
+	if res.Translated {
+		translated = "true"
+	}
+	dst = grow(dst, len(head)+len(res.DstIP)+len(mid)+len(port)+len(tail)+len(translated)+1)
+	dst = append(dst, head...)
+	dst = append(dst, res.DstIP...)
+	dst = append(dst, mid...)
+	dst = append(dst, port...)
+	dst = append(dst, tail...)
+	dst = append(dst, translated...)
+	return append(dst, '}'), nil
 }

@@ -20,20 +20,25 @@
 // payload is in the exact compact form json.Marshal emits, which every
 // caller sends, and hand any other payload to json.Unmarshal, so values,
 // case-folding and errors are exactly encoding/json's (decode.go). The
-// thumbnail decodes with encoding/json. The scan, whose result
-// lists up to 3000 indexes, encodes it by hand from precomputed index
-// text, byte-identical to json.Marshal of its ScanResult (FuzzScanInvoke
-// pins this). The firewall and NAT results are a few short fields and
-// stay on json.Marshal.
+// thumbnail decodes with encoding/json. The uLL results are encoded
+// without reflection too, each byte-identical to json.Marshal of the
+// typed result (FuzzScanInvoke, FuzzNATInvoke and FuzzFirewallInvoke pin
+// this): the scan, whose result lists up to 3000 indexes, writes it from
+// precomputed index text; the NAT writes its few fields by hand, and
+// hands a result whose address json.Marshal would escape to json.Marshal
+// itself; the firewall's verdict depends only on the rule that matched,
+// so NewFirewall encodes each verdict once, by hand: a rule's reason is
+// its prefix's text, which json.Marshal writes verbatim.
 //
 // Who owns a result depends on the entry point:
 //
 //   - Invoke returns a fresh buffer of exactly the result's length, which
 //     the caller owns.
-//   - AppendInvoke (the optional Appender interface, which the scan
-//     implements) appends the result to the caller's buffer, writing in
-//     place when it has room and growing it to exactly the needed length
-//     when it does not.
+//   - AppendInvoke (the optional Appender interface, which all three
+//     uLL bodies implement, Invoke being AppendInvoke(nil, …)) appends
+//     the result to the caller's buffer, writing in place when it has
+//     room and growing it to exactly the needed length when it does
+//     not.
 //   - A cluster run passes each node's one response buffer to
 //     AppendInvoke, so a served invocation's output is overwritten by
 //     that node's next trigger; nothing in the run reads it.
@@ -42,6 +47,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -108,6 +114,40 @@ type Function interface {
 // past the appended result. On error dst is returned unchanged.
 type Appender interface {
 	AppendInvoke(dst, payload []byte) ([]byte, error)
+}
+
+// grow returns dst when it has room for n more bytes and otherwise a
+// copy of it in a new buffer of exactly len(dst)+n, so appending n
+// bytes to the result neither reallocates nor writes past them.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
+// jsonPlain reports whether json.Marshal writes s verbatim between its
+// quotes: every byte is printable ASCII and none is '"', '\\' or one of
+// the HTML characters '<', '>' and '&' it escapes.
+func jsonPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// mustMarshal is json.Marshal for a value that cannot fail to encode.
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // Calibrated virtual execution times (Table 1's "Average Execution").

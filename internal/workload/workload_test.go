@@ -84,6 +84,49 @@ func TestFirewallBadInputs(t *testing.T) {
 	}
 }
 
+// TestFirewallVerdictsMatchMarshal: each rule's verdict, encoded once
+// by NewFirewall, is json.Marshal of what Decide returns, for IPv4 and
+// IPv6 prefixes of every length, including one longer than the verdict
+// buffer's per-rule share.
+func TestFirewallVerdictsMatchMarshal(t *testing.T) {
+	fw, err := NewFirewall([]FirewallRule{
+		{SrcCIDR: "2001:db8::/32", DstPort: 53},
+		{SrcCIDR: "ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe/128"},
+		{SrcCIDR: "::ffff:10.0.0.0/104"},
+		{SrcCIDR: "10.1.2.3/8"},
+		{SrcCIDR: "0.0.0.0/0", DstPort: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []FirewallRequest{
+		{SrcIP: "2001:db8::1", DstPort: 53},
+		{SrcIP: "ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe"},
+		{SrcIP: "::ffff:10.9.9.9"},
+		{SrcIP: "10.200.0.1", DstPort: 1},
+		{SrcIP: "8.8.8.8", DstPort: 7},
+		{SrcIP: "8.8.8.8", DstPort: 8},
+	} {
+		dec, err := fw.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := json.Marshal(req)
+		out, err := fw.Invoke(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(dec); string(out) != string(want) {
+			t.Errorf("Invoke(%+v) = %s, want %s", req, out, want)
+		}
+	}
+	for i, r := range fw.rules {
+		if want := "matched " + r.prefix.String(); r.reason != want {
+			t.Errorf("rule %d reason = %q, want %q", i, r.reason, want)
+		}
+	}
+}
+
 func TestFirewallInvokeRoundTrip(t *testing.T) {
 	fw := DefaultFirewall()
 	payload, _ := json.Marshal(FirewallRequest{SrcIP: "10.0.0.1", DstPort: 22})
