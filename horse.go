@@ -463,10 +463,12 @@ type (
 	// TraceRecorder aggregates per-trigger traces: attribution table,
 	// violation counts, and flight-recorder retention. Cluster.Run arms
 	// one automatically and Cluster.Trace returns it; pass it to another
-	// cluster's SetTrace to share it across sequential runs. A run whose
-	// recorder another run still holds fails with ErrTraceRecorderInUse.
-	// A nil recorder records nothing. Traces it does not retain are
-	// recycled; Traces returns copies.
+	// cluster's SetTrace to share it across sequential runs. A run holds
+	// the recorder's mutex from start to end, so it records without
+	// locking per trigger; a run whose recorder another run still holds
+	// fails at once with ErrTraceRecorderInUse, and the recorder's own
+	// methods wait until the run ends. A nil recorder records nothing.
+	// Traces it does not retain are recycled; Traces returns copies.
 	TraceRecorder = trigtrace.Recorder
 	// TraceRecorderOptions configures NewTraceRecorder: the trace-ID
 	// seed, the retention sizing, and an optional metrics registry.

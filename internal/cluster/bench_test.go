@@ -251,6 +251,14 @@ func BenchmarkReportBuild(b *testing.B) {
 	rec := trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: 42})
 	c.SetTrace(rec)
 	c.SetSLOBudget("scan", DefaultULLBudget)
+	// The report reads the attribution through a run's claim, as Run
+	// builds it.
+	claim, err := rec.Claim()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.claim = claim
+	defer c.releaseClaim()
 	builder := newReportBuilder(c, 100*simtime.Millisecond)
 	rng := rand.New(rand.NewSource(1))
 	modes := []faas.StartMode{faas.ModeHorse, faas.ModeWarm}
@@ -260,7 +268,7 @@ func BenchmarkReportBuild(b *testing.B) {
 		mode, node := job.inv.Mode.String(), job.node.id
 		wait := simtime.Duration(150 * rng.Intn(1000))
 		invoke := simtime.Duration(1500 + 50*rng.Intn(4))
-		tc := rec.Start(uint64(i), "scan", mode, 0, DefaultULLBudget)
+		tc := claim.Start(uint64(i), "scan", mode, 0, DefaultULLBudget)
 		tc.RecordOn(trigtrace.StageQueueWait, 0, wait, node, mode, "")
 		tc.RecordOn(trigtrace.StageResume, 0, 150, node, mode, "")
 		tc.RecordOn(trigtrace.StageInvoke, 0, invoke, node, mode, "")

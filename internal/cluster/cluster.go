@@ -152,8 +152,12 @@ type Cluster struct {
 	// arrival (seq is the arrival index its trace ID derives from). rec
 	// is nil when tracing is off; seq counts every arrival regardless,
 	// so arming a recorder mid-stream does not shift later trace IDs.
-	rec *trigtrace.Recorder //horselint:coordinator
-	seq uint64              //horselint:coordinator
+	// claim is Run's hold on rec, the zero Claim outside a run: a run
+	// starts its contexts and reads its aggregates through it, without
+	// locking per arrival.
+	rec   *trigtrace.Recorder //horselint:coordinator
+	claim trigtrace.Claim     //horselint:coordinator
+	seq   uint64              //horselint:coordinator
 
 	failovers map[string]uint64 //horselint:coordinator
 

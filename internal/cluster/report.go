@@ -508,8 +508,8 @@ func (b *reportBuilder) build() Report {
 			}
 		}
 	}
-	r.Attribution = c.rec.Attribution()
-	r.TraceViolations = c.rec.Violations()
-	r.TraceReconcileFailures = c.rec.ReconcileFailures()
+	r.Attribution = c.claim.Attribution()
+	r.TraceViolations = c.claim.Violations()
+	r.TraceReconcileFailures = c.claim.ReconcileFailures()
 	return r
 }

@@ -201,10 +201,12 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	if c.rec == nil {
 		c.rec = trigtrace.NewRecorder(trigtrace.RecorderOptions{Seed: c.seed, Metrics: c.metrics})
 	}
-	if err := c.rec.Claim(); err != nil {
+	claim, err := c.rec.Claim()
+	if err != nil {
 		return Report{}, err
 	}
-	defer c.rec.Release()
+	c.claim = claim
+	defer c.releaseClaim()
 	// Every run starts from a clean accumulator slate — counters,
 	// failover tallies, SLO budgets and policy cursors — so
 	// back-to-back runs on one cluster report exactly what a fresh
@@ -281,7 +283,11 @@ func (c *Cluster) newJob(entry *deploymentEntry, mode faas.StartMode, payload []
 	job.mode = mode
 	job.payload = payload
 	job.arrival = at
-	job.tc = c.rec.Start(c.seq, entry.name, mode.String(), at, entry.slo)
+	if c.claim != (trigtrace.Claim{}) {
+		job.tc = c.claim.Start(c.seq, entry.name, mode.String(), at, entry.slo)
+	} else {
+		job.tc = c.rec.Start(c.seq, entry.name, mode.String(), at, entry.slo)
+	}
 	job.tc.SetTenant(entry.tenantName)
 	c.seq++
 	if v := c.tenants.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
@@ -289,6 +295,14 @@ func (c *Cluster) newJob(entry *deploymentEntry, mode faas.StartMode, payload []
 		job.end(err, outAdmission, err.Error())
 	}
 	return job
+}
+
+// releaseClaim ends Run's claim on the recorder.
+//
+//horselint:coordinator
+func (c *Cluster) releaseClaim() {
+	c.claim.Release()
+	c.claim = trigtrace.Claim{}
 }
 
 // releaseJob zeroes a job that has been completed and recorded, dropping

@@ -199,20 +199,21 @@ func TestSharedRecorderOverlapFails(t *testing.T) {
 		t.Fatal("setup run recorded no attribution")
 	}
 	// The holder's run claims the recorder and finishes one trigger.
-	if err := rec.Claim(); err != nil {
+	claim, err := rec.Claim()
+	if err != nil {
 		t.Fatalf("claim after a finished run: %v", err)
 	}
-	tc := rec.Start(0, "scan", "horse", 0, 0)
+	tc := claim.Start(0, "scan", "horse", 0, 0)
 	tc.RecordOn(trigtrace.StageInvoke, 0, 150, "node00", "horse", "")
 	tc.Complete(trigtrace.Outcome{Served: "horse", Node: "node00", Latency: 150})
-	held := rec.Attribution()
+	held := claim.Attribution()
 	if _, err := b.Run(cfg); !errors.Is(err, trigtrace.ErrRecorderInUse) {
 		t.Fatalf("overlapping run: err = %v, want ErrRecorderInUse", err)
 	}
-	if !reflect.DeepEqual(rec.Attribution(), held) {
+	if !reflect.DeepEqual(claim.Attribution(), held) {
 		t.Fatal("the refused run touched the holder's aggregates")
 	}
-	rec.Release()
+	claim.Release()
 	// b is a's twin, so once the recorder is free its run must report
 	// exactly what a's did.
 	second, err := b.Run(cfg)

@@ -24,7 +24,8 @@ func (p *Platform) PoolStats(name string) (PoolStats, error) {
 	if err != nil {
 		return PoolStats{}, err
 	}
-	return PoolStats{Size: len(d.pool), CommittedMB: len(d.pool) * d.spec.MemoryMB}, nil
+	size := d.WarmPoolSize()
+	return PoolStats{Size: size, CommittedMB: size * d.spec.MemoryMB}, nil
 }
 
 // ScaleTo adjusts the deployment's pool of sandboxes armed for the given
@@ -54,31 +55,33 @@ func (p *Platform) ScaleTo(name string, target int, policy core.Policy) error {
 	}
 }
 
-// shrinkPool destroys n pool entries of the given policy, oldest first.
-// An entry leaves the pool only once its sandbox is destroyed, so a
-// failed destroy leaves it pooled (still paused, still prepared), and
-// the pool gauge is refreshed on every exit.
+// shrinkPool destroys n pool entries of the given policy, oldest pause
+// first, the one nearer the queue's head on a tie: a re-pooled sandbox
+// whose resume failed on entry keeps its pause time, so pause times
+// need not rise along the queue. An entry leaves the pool only once its
+// sandbox is destroyed, so a failed destroy leaves it pooled (still
+// paused, still prepared), and the pool gauge is refreshed on every
+// exit.
 func (p *Platform) shrinkPool(d *Deployment, n int, policy core.Policy) error {
 	defer p.updatePoolGauge()
+	q := &d.pool[policyIndex(policy)]
 	for ; n > 0; n-- {
-		oldest := -1
-		for i, ps := range d.pool {
-			if ps.policy != policy {
-				continue
-			}
-			if oldest == -1 || ps.pausedAt < d.pool[oldest].pausedAt {
+		if q.n == 0 {
+			return fmt.Errorf("faas: pool shrink found no %q entries", policy)
+		}
+		oldest := 0
+		for i := 1; i < q.n; i++ {
+			if q.at(i).pausedAt < q.at(oldest).pausedAt {
 				oldest = i
 			}
 		}
-		if oldest == -1 {
-			return fmt.Errorf("faas: pool shrink found no %q entries", policy)
-		}
-		ps := d.pool[oldest]
-		if err := p.h.DestroySandbox(ps.sb); err != nil {
+		sb := q.at(oldest).sb
+		if err := p.h.DestroySandbox(sb); err != nil {
 			return err
 		}
-		d.pool = append(d.pool[:oldest], d.pool[oldest+1:]...)
-		p.engine.Forget(ps.sb)
+		q.remove(oldest)
+		p.pooled--
+		p.engine.Forget(sb)
 	}
 	return nil
 }

@@ -79,12 +79,12 @@ func TestScaleToShrinksOldestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.pool) != 1 || d.pool[0].policy != core.Horse {
+	if d.WarmPoolSize() != 1 || d.PoolCount(core.Horse) != 1 {
 		t.Fatalf("pool = %+v, want 1 horse entry", d.pool)
 	}
 	// The survivor is one of the fresher sandboxes, paused a second in.
-	if d.pool[0].pausedAt < simtime.Time(simtime.Second) {
-		t.Fatalf("survivor paused at %v; shrink did not evict the oldest", d.pool[0].pausedAt)
+	if at := d.pool[policyIndex(core.Horse)].at(0).pausedAt; at < simtime.Time(simtime.Second) {
+		t.Fatalf("survivor paused at %v; shrink did not evict the oldest", at)
 	}
 	if p.Hypervisor().Sandboxes() != 1 {
 		t.Fatalf("live sandboxes = %d, want 1", p.Hypervisor().Sandboxes())

@@ -88,12 +88,6 @@ type SandboxSpec struct {
 // restore-mode snapshot maps eagerly (FaaSnap-style working set).
 const snapshotWorkingSet = 0.05
 
-type pooledSandbox struct {
-	sb       *vmm.Sandbox
-	policy   core.Policy
-	pausedAt simtime.Time
-}
-
 // Deployment is one registered function plus its sandbox pool.
 type Deployment struct {
 	name     string // fn.Name(), read once at registration
@@ -101,7 +95,8 @@ type Deployment struct {
 	app      workload.Appender // fn as an Appender; nil when fn has only Invoke
 	spec     SandboxSpec
 	snapshot *snapshot.Snapshot
-	pool     []pooledSandbox
+	// pool is the warm pool, one FIFO queue per policy (policyIndex).
+	pool [policies]poolQueue
 	// missWarm and missHorse are the ErrNoWarmSandbox errors a warm or
 	// HORSE pool miss returns, built on the first such miss (missError).
 	missWarm, missHorse error
@@ -122,17 +117,21 @@ func (d *Deployment) missError(mode StartMode) error {
 }
 
 // WarmPoolSize returns how many paused sandboxes are ready.
-func (d *Deployment) WarmPoolSize() int { return len(d.pool) }
+func (d *Deployment) WarmPoolSize() int {
+	n := 0
+	for i := range d.pool {
+		n += d.pool[i].n
+	}
+	return n
+}
 
 // PoolCount returns how many pooled sandboxes are armed for policy.
 func (d *Deployment) PoolCount(policy core.Policy) int {
-	n := 0
-	for _, ps := range d.pool {
-		if ps.policy == policy {
-			n++
-		}
+	i := policyIndex(policy)
+	if i < 0 {
+		return 0
 	}
-	return n
+	return d.pool[i].n
 }
 
 // Invocation is the outcome of one trigger.
@@ -171,6 +170,9 @@ type Platform struct {
 	clock  *simtime.Clock
 
 	deployments map[string]*Deployment
+	// pooled counts the sandboxes in every deployment's warm pool, the
+	// value the pool gauge publishes.
+	pooled int
 
 	faults   *faultinject.Injector
 	fallback FallbackConfig
@@ -331,7 +333,7 @@ func (p *Platform) Provision(name string, n int, policy core.Policy) error {
 			}
 			return err
 		}
-		d.pool = append(d.pool, pooledSandbox{sb: sb, policy: policy, pausedAt: p.clock.Now()})
+		p.repool(d, policy, pooledSandbox{sb: sb, pausedAt: p.clock.Now()})
 	}
 	return nil
 }
@@ -358,20 +360,36 @@ func (p *Platform) ensureSnapshot(d *Deployment) error {
 	return nil
 }
 
-// takeWarm pops a pooled sandbox armed with the wanted policy. The
-// removal shifts in place and truncates: the pool's backing array is
-// reused, so the warm path never allocates here.
+// takeWarm pops the longest-pooled sandbox armed with policy: the head
+// of that policy's queue, in O(1) whatever the other policies hold.
 //
 //horselint:hotpath
 func (d *Deployment) takeWarm(policy core.Policy) (pooledSandbox, bool) {
-	for i, ps := range d.pool {
-		if ps.policy == policy {
-			copy(d.pool[i:], d.pool[i+1:])
-			d.pool = d.pool[:len(d.pool)-1]
-			return ps, true
-		}
+	i := policyIndex(policy)
+	if i < 0 {
+		return pooledSandbox{}, false
 	}
-	return pooledSandbox{}, false
+	return d.pool[i].pop()
+}
+
+// take pops d's longest-pooled sandbox armed with policy and counts the
+// lookup as a pool hit or miss; a hit refreshes the pool gauge.
+func (p *Platform) take(d *Deployment, policy core.Policy) (pooledSandbox, bool) {
+	ps, ok := d.takeWarm(policy)
+	if !ok {
+		p.inst.poolMisses.Inc()
+		return ps, false
+	}
+	p.pooled--
+	p.inst.poolHits.Inc()
+	p.updatePoolGauge()
+	return ps, true
+}
+
+// repool puts ps at the back of d's queue for policy.
+func (p *Platform) repool(d *Deployment, policy core.Policy, ps pooledSandbox) {
+	d.pool[policyIndex(policy)].push(ps)
+	p.pooled++
 }
 
 // Trigger invokes a function under the given start mode and returns the
@@ -484,8 +502,7 @@ func (p *Platform) attempt(inv *Invocation, tc trigtrace.Context, dst []byte, d 
 		}
 		tc.RecordOn(trigtrace.StageRestore, start, p.clock.Now().Sub(start), "", modeStr, "")
 	case ModeWarm:
-		ps, ok := d.takeWarm(core.Vanilla)
-		p.recordPoolLookup(ok)
+		ps, ok := p.take(d, core.Vanilla)
 		if !ok {
 			// No dispatch happened, so no dispatch time is charged: a
 			// miss must leave the clock untouched.
@@ -497,12 +514,11 @@ func (p *Platform) attempt(inv *Invocation, tc trigtrace.Context, dst []byte, d 
 		tc.RecordOn(trigtrace.StageDispatch, start, dispatched.Sub(start), "", modeStr, "")
 		sb = ps.sb
 		if rerr := p.resume(sb, core.Vanilla); rerr != nil {
-			return p.releaseFailedResume(d, ps, rerr)
+			return p.releaseFailedResume(d, core.Vanilla, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, dispatched, p.clock.Now().Sub(dispatched), "", modeStr, "")
 	case ModeHorse:
-		ps, ok := d.takeWarm(core.Horse)
-		p.recordPoolLookup(ok)
+		ps, ok := p.take(d, core.Horse)
 		if !ok {
 			return d.missError(mode)
 		}
@@ -510,7 +526,7 @@ func (p *Platform) attempt(inv *Invocation, tc trigtrace.Context, dst []byte, d 
 		sb = ps.sb
 		policy = core.Horse
 		if rerr := p.resume(sb, core.Horse); rerr != nil {
-			return p.releaseFailedResume(d, ps, rerr)
+			return p.releaseFailedResume(d, core.Horse, ps, rerr)
 		}
 		tc.RecordOn(trigtrace.StageResume, start, p.clock.Now().Sub(start), "", modeStr, "")
 	default:
@@ -566,7 +582,7 @@ func (p *Platform) attempt(inv *Invocation, tc trigtrace.Context, dst []byte, d 
 			p.countTriggerFailure(mode, fmt.Errorf("%w: %q: %w", ErrRepoolFailed, d.name, derr))
 		}
 	} else {
-		d.pool = append(d.pool, pooledSandbox{sb: sb, policy: policy, pausedAt: p.clock.Now()})
+		p.repool(d, policy, pooledSandbox{sb: sb, pausedAt: p.clock.Now()})
 	}
 	tc.RecordOn(trigtrace.StageRepool, end, p.clock.Now().Sub(end), "", modeStr, "")
 	p.updatePoolGauge()
@@ -593,12 +609,12 @@ func (p *Platform) resume(sb *vmm.Sandbox, policy core.Policy) error {
 }
 
 // releaseFailedResume puts a take-then-failed warm sandbox back where it
-// belongs: re-pooled when the resume failed on entry (the sandbox is
-// still paused and prepared — lock contention or an injected entry
-// fault), destroyed when the resume poisoned it.
-func (p *Platform) releaseFailedResume(d *Deployment, ps pooledSandbox, rerr error) error {
+// belongs: re-pooled for policy when the resume failed on entry (the
+// sandbox is still paused and prepared — lock contention or an injected
+// entry fault), destroyed when the resume poisoned it.
+func (p *Platform) releaseFailedResume(d *Deployment, policy core.Policy, ps pooledSandbox, rerr error) error {
 	if resumeRetryable(rerr) {
-		d.pool = append(d.pool, ps)
+		p.repool(d, policy, ps)
 		p.updatePoolGauge()
 		return rerr
 	}
@@ -610,25 +626,7 @@ func (p *Platform) releaseFailedResume(d *Deployment, ps pooledSandbox, rerr err
 	return rerr
 }
 
-// recordPoolLookup counts a warm-pool hit or miss and refreshes the pool
-// gauge after a successful take.
-func (p *Platform) recordPoolLookup(hit bool) {
-	if hit {
-		p.inst.poolHits.Inc()
-		p.updatePoolGauge()
-	} else {
-		p.inst.poolMisses.Inc()
-	}
-}
-
 // updatePoolGauge publishes the platform-wide warm-pool size.
 func (p *Platform) updatePoolGauge() {
-	if p.inst.poolSize == nil {
-		return
-	}
-	total := 0
-	for _, d := range p.deployments {
-		total += len(d.pool)
-	}
-	p.inst.poolSize.Set(int64(total))
+	p.inst.poolSize.Set(int64(p.pooled))
 }

@@ -122,13 +122,7 @@ func TestLockContentionRetryExhaustion(t *testing.T) {
 	}
 	// Entry failures leave the sandbox paused and prepared: it must be
 	// re-pooled, and the gauge must agree with the pool.
-	horse := 0
-	for _, ps := range d.pool {
-		if ps.policy == core.Horse {
-			horse++
-		}
-	}
-	if horse != 1 {
+	if horse := d.PoolCount(core.Horse); horse != 1 {
 		t.Fatalf("horse-armed pool = %d after retry exhaustion, want 1", horse)
 	}
 	if got := m.Gauge("faas_warm_pool_size").Value(); got != int64(d.WarmPoolSize()) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/horse-faas/horse/internal/core"
+	"github.com/horse-faas/horse/internal/simtime"
 )
 
 // sinkChain keeps the pinned calls from being optimized away.
@@ -31,20 +32,33 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Errorf("FallbackConfig.chainFrom allocates %v per run, want 0", n)
 	}
 
-	// takeWarm pops in place and the re-push appends into the slack the
-	// pop just created, so repeated runs keep the pool's backing array.
-	d := &Deployment{pool: []pooledSandbox{
-		{policy: core.Vanilla},
-		{policy: core.Horse},
-	}}
+	// takeWarm pops a queue's head in place and the re-push fills the
+	// slot the pop freed, so a mixed-policy pool takes and re-pools
+	// without allocating while every queue's ring wraps around, again
+	// and again.
+	d := &Deployment{}
+	for i, policy := range []core.Policy{core.Vanilla, core.Horse, core.PPSM, core.Vanilla, core.Coal, core.Horse, core.Vanilla} {
+		d.pool[policyIndex(policy)].push(pooledSandbox{pausedAt: simtime.Time(i)})
+	}
+	all := [...]core.Policy{core.Vanilla, core.Horse, core.Vanilla, core.PPSM, core.Coal, core.Horse, core.Vanilla}
+	wraps := 0
 	if n := testing.AllocsPerRun(100, func() {
-		ps, ok := d.takeWarm(core.Horse)
-		if !ok {
-			t.Fatal("takeWarm found no pooled sandbox")
+		for _, policy := range all {
+			ps, ok := d.takeWarm(policy)
+			if !ok {
+				t.Fatalf("takeWarm found no %s sandbox", policy)
+			}
+			q := &d.pool[policyIndex(policy)]
+			q.push(ps)
+			if q.head == 0 {
+				wraps++
+			}
 		}
-		d.pool = append(d.pool, ps)
 	}); n != 0 {
 		t.Errorf("Deployment.takeWarm allocates %v per run, want 0", n)
+	}
+	if wraps < 100 {
+		t.Errorf("the queues' heads wrapped %d times, want at least 100", wraps)
 	}
 
 	// A warm or HORSE trigger on an empty pool returns the deployment's

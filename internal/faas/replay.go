@@ -76,10 +76,11 @@ func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads Pay
 	if payloads == nil {
 		return ReplayReport{}, errors.New("faas: nil payload function")
 	}
-	if err := p.rec.Claim(); err != nil {
+	claim, err := p.rec.Claim()
+	if err != nil {
 		return ReplayReport{}, err
 	}
-	defer p.rec.Release()
+	defer claim.Release()
 	report := ReplayReport{Mode: mode}
 	var (
 		inits     = metrics.NewSeries()
@@ -102,7 +103,7 @@ func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads Pay
 			return ReplayReport{}, fmt.Errorf("faas: replay payload for %q: %w", a.Function, err)
 		}
 		wait := p.clock.Now().Sub(arrivalAt)
-		tc := p.rec.Start(uint64(i), a.Function, mode.String(), arrivalAt, 0)
+		tc := claim.Start(uint64(i), a.Function, mode.String(), arrivalAt, 0)
 		tc.RecordOn(trigtrace.StageQueueWait, arrivalAt, wait, "", "", "")
 		inv, err := p.TriggerTraced(tc, nil, a.Function, mode, payload)
 		if err != nil {
@@ -133,7 +134,6 @@ func (p *Platform) Replay(arrivals []trace.Arrival, mode StartMode, payloads Pay
 		}
 		return ReplayReport{}, ErrEmptyReplay
 	}
-	var err error
 	if report.Init, err = inits.Summarize(); err != nil {
 		return ReplayReport{}, err
 	}

@@ -48,6 +48,27 @@ func BenchmarkContextEnabled(b *testing.B) {
 	}
 }
 
+// BenchmarkContextClaimed is the per-trigger cost a cluster run pays:
+// the claim's Start, four serving stages and Complete, none of which
+// locks, because the claim holds the recorder's mutex for the run.
+func BenchmarkContextClaimed(b *testing.B) {
+	claim, err := NewRecorder(RecorderOptions{Seed: 1}).Claim()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer claim.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc := claim.Start(uint64(i), "echo", "horse", 0, 1000)
+		tc.RecordOn(StageQueueWait, 0, 100, "node-0", "", "")
+		tc.RecordOn(StagePoolTake, 100, 0, "node-0", "horse", "")
+		tc.RecordOn(StageResume, 100, 200, "node-0", "horse", "")
+		tc.RecordOn(StageInvoke, 300, 300, "node-0", "horse", "")
+		tc.Complete(Outcome{Served: "horse", Node: "node-0", Latency: 600})
+	}
+}
+
 // BenchmarkFlightOffer isolates the flight recorder's per-trace
 // retention decision on the common dropped path (in-SLO trigger, score
 // below the worst-K floor).

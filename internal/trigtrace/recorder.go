@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
@@ -38,7 +39,10 @@ const (
 //
 // A nil *Recorder is a valid no-op: Start returns an inert Context and
 // every accessor returns zeros. A non-nil Recorder is safe for
-// concurrent use: Start, finish and the accessors take one mutex.
+// concurrent use: its Start, the Complete of a trace it started and its
+// accessors each take one mutex. A run takes that mutex once instead,
+// through Claim, and records through the Claim it gets back without
+// further locking; direct callers wait until the claim's Release.
 //
 // Traces are recycled. A finished trace the flight recorder does not
 // retain — declined at the offer, or evicted later — returns to a free
@@ -46,16 +50,19 @@ const (
 // more are in flight or retained than ever before. A Context must not
 // be used after its Complete; Traces hands out copies.
 type Recorder struct {
-	seed int64
+	// seedHash is the FNV-1a state after the seed's bytes, the half of
+	// NewTraceID every arrival shares, so Start hashes only its index.
+	seedHash uint64
 
-	// mu guards the aggregates, retention, the free list and the
-	// claim. Cluster runs call Start and Complete only on the
-	// coordinator, but a recorder passed to Cluster.SetTrace may be
-	// shared by clusters on different goroutines: their runs take turns
-	// through Claim, while direct Trigger callers may interleave Start
-	// and finish.
-	mu      sync.Mutex
-	claimed bool // a run holds the recorder (Claim, Release)
+	// mu guards the aggregates, retention and the free list. Cluster
+	// runs call Start and Complete only on the coordinator, but a
+	// recorder passed to Cluster.SetTrace may be shared by clusters on
+	// different goroutines: their runs take turns through Claim, which
+	// holds mu from Claim to Release, while direct Trigger callers
+	// interleave Start and Complete, each under mu. inUse refuses a
+	// second claim at once instead of queueing it on mu.
+	mu    sync.Mutex
+	inUse atomic.Bool
 	// The aggregates below are the coordinator's run tallies: finish
 	// folds into them strictly between serve barriers, so shard-phase
 	// code must never reach them (reconcile counts traces whose serving
@@ -123,7 +130,7 @@ var ErrRecorderInUse = errors.New("trigtrace: recorder is in use by another run"
 //
 //horselint:coordinator
 func NewRecorder(opts RecorderOptions) *Recorder {
-	r := &Recorder{seed: opts.Seed, ringCap: opts.Capacity, worstK: opts.WorstK}
+	r := &Recorder{seedHash: seedHash(opts.Seed), ringCap: opts.Capacity, worstK: opts.WorstK}
 	if r.ringCap <= 0 {
 		r.ringCap = defaultCapacity
 	}
@@ -138,44 +145,65 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	return r
 }
 
-// Claim takes the recorder for one run until Release and returns it to
-// its freshly built state: aggregates, counters and flight recorder are
-// cleared (retained traces are dropped, not recycled), while the seed,
-// retention sizing, free list and instrument handles stay. It fails
-// with ErrRecorderInUse while another run holds the recorder, so
-// clusters sharing one may run one after another but never overlap.
-// Cluster.Run claims at the top of each run. Safe on a nil recorder.
+// Claim takes the recorder for one run until the returned Claim's
+// Release and returns it to its freshly built state: aggregates,
+// counters and flight recorder are cleared (retained traces are
+// dropped, not recycled), while the seed, retention sizing, free list
+// and instrument handles stay. The claim holds r.mu until Release, so
+// the holder records through the Claim without locking per arrival,
+// and direct callers of Start, Complete and the accessors wait. It
+// fails at once with ErrRecorderInUse while another run holds the
+// recorder, so clusters sharing one may run one after another but
+// never overlap. Cluster.Run claims at the top of each run. A nil
+// recorder hands out the inert zero Claim.
 //
 //horselint:coordinator
-func (r *Recorder) Claim() error {
+func (r *Recorder) Claim() (Claim, error) {
 	if r == nil {
-		return nil
+		return Claim{}, nil
+	}
+	if !r.inUse.CompareAndSwap(false, true) {
+		return Claim{}, ErrRecorderInUse
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.claimed {
-		return ErrRecorderInUse
-	}
-	r.claimed = true
 	r.modes, r.extra, r.cells = nil, nil, nil
 	r.violated, r.reconcile = 0, 0
 	clear(r.ring)
 	r.ring, r.ringHead = r.ring[:0], 0
 	clear(r.worst)
 	r.worst, r.offered = r.worst[:0], 0
-	return nil
+	return Claim{r: r}, nil
 }
 
-// Release ends a Claim. Safe on a nil recorder.
+// Claim is one run's hold on a Recorder, from Recorder.Claim to
+// Release. The holder owns the recorder outright meanwhile: the
+// Claim's Start and accessors take no lock, nor does the Complete of a
+// trace it started, so the holder calls them one at a time and before
+// Release; the recorder's own methods would wait on the mutex the
+// claim holds. The zero Claim is inert, like a nil Recorder.
+type Claim struct {
+	r *Recorder
+}
+
+// Release ends the claim; call it once. A no-op on the zero Claim.
 //
 //horselint:coordinator
-func (r *Recorder) Release() {
-	if r == nil {
+func (c Claim) Release() {
+	if c.r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.claimed = false
-	r.mu.Unlock()
+	c.r.inUse.Store(false)
+	c.r.mu.Unlock()
+}
+
+// Start is Recorder.Start for the claim's holder, without locking.
+//
+//horselint:coordinator
+func (c Claim) Start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
+	if c.r == nil {
+		return Context{}
+	}
+	return c.r.start(c.r.popFree(), true, seq, function, requested, arrival, budget)
 }
 
 // Start mints the trace context for arrival seq. A nil recorder
@@ -190,27 +218,46 @@ func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime
 	if r == nil {
 		return Context{}
 	}
-	return r.start(seq, function, requested, arrival, budget)
+	return r.startLocked(seq, function, requested, arrival, budget)
 }
 
-// start is Start on a non-nil recorder; the split keeps Start's nil
-// check inlinable into the disabled path.
+// startLocked is Start on a non-nil recorder, popping the free list
+// under r.mu; the split keeps Start's nil check inlinable into the
+// disabled path.
 //
 //horselint:coordinator
-func (r *Recorder) start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
-	var tr *TriggerTrace
+func (r *Recorder) startLocked(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
 	r.mu.Lock()
-	if k := len(r.free) - 1; k >= 0 {
-		tr = r.free[k]
-		r.free = r.free[:k]
-	}
+	tr := r.popFree()
 	r.mu.Unlock()
+	return r.start(tr, false, seq, function, requested, arrival, budget)
+}
+
+// popFree takes a trace off the free list, or returns nil when it is
+// empty. Callers hold r.mu, or the claim.
+//
+//horselint:coordinator
+func (r *Recorder) popFree() *TriggerTrace {
+	k := len(r.free) - 1
+	if k < 0 {
+		return nil
+	}
+	tr := r.free[k]
+	r.free = r.free[:k]
+	return tr
+}
+
+// start mints arrival seq's context on tr, or on a fresh trace when tr
+// is nil; claimed marks a trace a Claim started.
+//
+//horselint:coordinator
+func (r *Recorder) start(tr *TriggerTrace, claimed bool, seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
 	if tr == nil {
 		tr = new(TriggerTrace)
 	}
 	// Field by field, not a composite literal: the literal is built on
 	// the stack and block-copied over the whole trace.
-	tr.ID, tr.Seq = NewTraceID(r.seed, seq), seq
+	tr.ID, tr.Seq = TraceID(fnvWord(r.seedHash, seq)), seq
 	tr.Function, tr.Tenant, tr.Requested = function, "", requested
 	tr.Served, tr.Node = "", ""
 	tr.Arrival, tr.Budget = arrival, budget
@@ -218,13 +265,29 @@ func (r *Recorder) start(seq uint64, function, requested string, arrival simtime
 	tr.Err, tr.Violated, tr.Failovers = "", false, 0
 	tr.Stages = tr.Stages[:0]
 	tr.idString, tr.curNode = "", ""
-	tr.inRing, tr.inWorst = false, false
+	tr.inRing, tr.inWorst, tr.claimed = false, false, claimed
 	return Context{rec: r, tr: tr}
+}
+
+// complete is Complete on an active context: a trace a Claim started
+// finishes without locking, any other under r.mu. The split keeps
+// Complete's nil check inlinable into the disabled path.
+//
+//horselint:coordinator
+func (r *Recorder) complete(tr *TriggerTrace, out Outcome) {
+	if tr.claimed {
+		r.finish(tr, out)
+		return
+	}
+	r.mu.Lock()
+	r.finish(tr, out)
+	r.mu.Unlock()
 }
 
 // finish folds one completed trace into the aggregates and offers its
 // span tree to the flight recorder. One pass over the stages sums the
-// serving and overhead totals and records each stage's cell.
+// serving and overhead totals and records each stage's cell. Callers
+// hold r.mu, or the claim that started tr.
 //
 //horselint:coordinator
 func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
@@ -241,7 +304,6 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 		mode = "error"
 	}
 
-	r.mu.Lock()
 	row := r.row(mode)
 	var serving, overhead simtime.Duration
 	for i := range tr.Stages {
@@ -271,7 +333,6 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 	violated := tr.Violated
 	// From the offer on, tr may be back on the free list.
 	kept := r.offer(tr, violated)
-	r.mu.Unlock()
 
 	r.tracesTotal.Inc()
 	if violated {
@@ -440,6 +501,17 @@ func (r *Recorder) Violations() uint64 {
 	return r.violated
 }
 
+// Violations is Recorder.Violations for the claim's holder, without
+// locking.
+//
+//horselint:coordinator
+func (c Claim) Violations() uint64 {
+	if c.r == nil {
+		return 0
+	}
+	return c.r.violated
+}
+
 // ReconcileFailures returns how many finished traces broke the
 // invariant that serving-class stages sum exactly to the reported
 // latency. Any nonzero value is an instrumentation bug.
@@ -450,6 +522,17 @@ func (r *Recorder) ReconcileFailures() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.reconcile
+}
+
+// ReconcileFailures is Recorder.ReconcileFailures for the claim's
+// holder, without locking.
+//
+//horselint:coordinator
+func (c Claim) ReconcileFailures() uint64 {
+	if c.r == nil {
+		return 0
+	}
+	return c.r.reconcile
 }
 
 // Traces returns copies of the retained span trees — the SLO-violator
@@ -509,6 +592,25 @@ func (r *Recorder) Attribution() []StageLatency {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.attribution()
+}
+
+// Attribution is Recorder.Attribution for the claim's holder, without
+// locking.
+//
+//horselint:coordinator
+func (c Claim) Attribution() []StageLatency {
+	if c.r == nil {
+		return nil
+	}
+	return c.r.attribution()
+}
+
+// attribution builds the attribution table. Callers hold r.mu, or the
+// claim.
+//
+//horselint:coordinator
+func (r *Recorder) attribution() []StageLatency {
 	rows := make([]int, len(r.modes))
 	for i := range rows {
 		rows[i] = i

@@ -16,12 +16,11 @@ type offered struct {
 	violated bool
 }
 
-// offerAll offers each trace to rec's flight recorder, as finish does.
+// offerAll offers each trace to rec's flight recorder, as finish does,
+// on the one goroutine the test runs, which owns rec.
 // It returns what each offer kept and every trace the offers recycled
 // as {offering seq, recycled seq}, in recycling order.
 func offerAll(rec *Recorder, offers []offered) ([]retention, [][2]uint64) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
 	var kept []retention
 	var recycled [][2]uint64
 	for _, o := range offers {
@@ -249,9 +248,11 @@ func TestClaimRecyclesNothing(t *testing.T) {
 	rec := NewRecorder(opts)
 	offerAll(rec, []offered{{1, 50, true}, {2, 60, false}})
 	free := len(rec.free)
-	if err := rec.Claim(); err != nil {
+	claim, err := rec.Claim()
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer claim.Release()
 	if len(rec.free) != free {
 		t.Fatalf("Claim recycled %d traces, want none", len(rec.free)-free)
 	}
@@ -273,9 +274,11 @@ func TestClaimResetsRetention(t *testing.T) {
 	if rec.ringHead == 0 || len(rec.worst) == 0 {
 		t.Fatal("setup did not wrap the ring and fill the worst-K set")
 	}
-	if err := rec.Claim(); err != nil {
+	claim, err := rec.Claim()
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer claim.Release()
 	if len(rec.ring) != 0 || len(rec.worst) != 0 || rec.ringHead != 0 || rec.offered != 0 {
 		t.Fatalf("after Claim: ring %d, worst %d, head %d, offered %d; want all zero",
 			len(rec.ring), len(rec.worst), rec.ringHead, rec.offered)

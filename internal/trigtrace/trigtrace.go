@@ -43,14 +43,21 @@ const (
 // loadgen use for their per-site PRNG streams: FNV-1a over seed's and
 // then seq's eight little-endian bytes.
 func NewTraceID(seed int64, seq uint64) TraceID {
-	h := fnvOffset64
-	for _, word := range [2]uint64{uint64(seed), seq} {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= word >> shift & 0xff
-			h *= fnvPrime64
-		}
+	return TraceID(fnvWord(seedHash(seed), seq))
+}
+
+// seedHash is the FNV-1a state after seed's eight bytes: the half of
+// every trace ID a run shares, which a Recorder hashes once.
+func seedHash(seed int64) uint64 { return fnvWord(fnvOffset64, uint64(seed)) }
+
+// fnvWord folds word's eight little-endian bytes into the FNV-1a state
+// h.
+func fnvWord(h, word uint64) uint64 {
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= word >> shift & 0xff
+		h *= fnvPrime64
 	}
-	return TraceID(h)
+	return h
 }
 
 // String renders the ID as fixed-width hex, the form carried in span
@@ -250,6 +257,9 @@ type TriggerTrace struct {
 	// worst-K set holds; a trace leaving one set is recycled only when
 	// the other does not hold it.
 	inRing, inWorst bool
+	// claimed marks a trace a Claim started: its Complete folds it in
+	// without locking, because the claim holds the recorder's mutex.
+	claimed bool
 }
 
 // IDString returns the trace ID in the fixed-width hex form the
@@ -269,8 +279,8 @@ func (t *TriggerTrace) IDString() string {
 // tracing-disabled hot path.
 //
 // A Context is owned by the single goroutine serving its trigger;
-// cross-goroutine safety begins at Finish, where the trace is handed to
-// the (mutex-guarded) Recorder.
+// cross-goroutine safety begins at Complete, where the trace is handed
+// to the Recorder: under its mutex, or under the claim that started it.
 type Context struct {
 	rec *Recorder
 	tr  *TriggerTrace
@@ -405,7 +415,9 @@ type Outcome struct {
 // invariant (serving stages sum to latency) is checked, and the full
 // span tree is offered to the SLO flight recorder. The context must not
 // be used afterwards: a trace the flight recorder does not keep is
-// recycled by a later Start. (Named Complete, not Finish, so
+// recycled by a later Start. A trace a Claim started must complete
+// before that claim's Release, and on its holder's goroutine; any other
+// trace waits for the recorder's mutex. (Named Complete, not Finish, so
 // trigger-path call sites stay outside the faulterr analyzer's
 // monitored error-returning surface.)
 //
@@ -414,5 +426,5 @@ func (c Context) Complete(out Outcome) {
 	if c.tr == nil {
 		return
 	}
-	c.rec.finish(c.tr, out)
+	c.rec.complete(c.tr, out)
 }

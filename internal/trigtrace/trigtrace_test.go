@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,6 +47,13 @@ func TestTraceIDMatchesFNV(t *testing.T) {
 	}
 	seeds := []int64{0, 1, 42, -1, -7, math.MinInt64, math.MaxInt64}
 	seqs := []uint64{0, 1, 7, 1 << 32, math.MaxUint64}
+	// Random seeds of either sign and random seqs, for the recorder's
+	// seed half hashed once at construction.
+	rng := rand.New(rand.NewSource(5))
+	for range 50 {
+		seeds = append(seeds, int64(rng.Uint64()))
+		seqs = append(seqs, rng.Uint64())
+	}
 	for _, seed := range seeds {
 		rec := NewRecorder(RecorderOptions{Seed: seed})
 		for _, seq := range seqs {
@@ -57,6 +65,16 @@ func TestTraceIDMatchesFNV(t *testing.T) {
 				t.Errorf("recorder seeded %d minted %s for seq %d, want %v", seed, got, seq, want)
 			}
 		}
+		claim, err := rec.Claim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if got, want := claim.Start(seq, "fn", "horse", 0, 0).tr.ID, NewTraceID(seed, seq); got != want {
+				t.Errorf("claim on a recorder seeded %d minted %v for seq %d, want %v", seed, got, seq, want)
+			}
+		}
+		claim.Release()
 	}
 }
 
